@@ -5,8 +5,10 @@
 use bench::harness::{bench, black_box, record_spans, record_value, write_report};
 use control::JacobianCache;
 use ecn_delay_core::experiments::fig3;
+use fluid::classes::{try_integrate_classes, FlowClassSystem};
 use models::dcqcn::{DcqcnFluid, DcqcnParams};
 use models::patched_timely::{PatchedTimelyFluid, PatchedTimelyParams};
+use models::pi::DcqcnPiFluid;
 
 fn main() {
     {
@@ -40,12 +42,62 @@ fn main() {
         });
     }
 
-    // The N-flow hot path the History flat buffer targets: one eval_all per
-    // delayed time across 31 state components.
+    // Ten flows from the line-rate start. Since the flow-class reduction
+    // they integrate as one class (4 components); this row's earlier shas
+    // are the 31-component integration.
     bench("dcqcn_dde_integrate_10flows_10ms", || {
         let mut m = DcqcnFluid::new(DcqcnParams::default_40g(), 10);
         black_box(m.simulate(0.01).len())
     });
+
+    // Flow-class reduction (fluid::classes), the fig18 / fig12 shape: 64
+    // flows from a symmetric start integrate as one class, so these rows sit
+    // near the 2-flow rows above. The `/asymmetric` twins start every flow
+    // at a distinct rate — the identity partition, K = N, through the same
+    // loop — and guard the unreducible case (fig9, fig19, fig12 panel a)
+    // against paying for the reduction.
+    {
+        let params = DcqcnParams::default_40g();
+        let gains = DcqcnPiFluid::default_gains(&params, 100.0);
+        let model = || DcqcnPiFluid::new(params.clone(), gains.clone(), 64);
+        bench("dcqcn_pi_integrate_64flows_10ms", || {
+            black_box(model().simulate(0.01).len())
+        });
+        // `simulate` has no explicit-start form: mirror its options.
+        let step = (params.feedback_delay_s() / 4.0).min(1e-6);
+        let opts = fluid::dde::DdeOptions {
+            step,
+            record_every: ((0.01 / step) / 4000.0).ceil().max(1.0) as usize,
+            history_horizon_s: params.feedback_delay_s() * 4.0 + 10.0 * step,
+        };
+        bench("dcqcn_pi_integrate_64flows_10ms/asymmetric", || {
+            let mut m = model();
+            let mut x0 = vec![0.0; m.state_dim()];
+            for i in 0..64 {
+                let rate = params.capacity_pps() * (0.5 + i as f64 / 128.0);
+                x0[m.rc_index(i)] = rate;
+                x0[m.rt_index(i)] = rate;
+                x0[m.alpha_index(i)] = 1.0;
+            }
+            let classes = m.flow_classes(&x0);
+            assert_eq!(classes.len(), 64, "asymmetric start must not reduce");
+            let trace = try_integrate_classes(&mut m, classes, &x0, 0.0, 0.01, &opts);
+            black_box(trace.expect("bounded model").len())
+        });
+    }
+    {
+        let params = PatchedTimelyParams::default_10g();
+        let share = params.base.capacity_pps() / 64.0;
+        bench("patched_timely_integrate_64flows_10ms", || {
+            let mut m = PatchedTimelyFluid::new(params.clone(), 64);
+            black_box(m.simulate(0.01).len())
+        });
+        let rates: Vec<f64> = (0..64).map(|i| share * (0.5 + i as f64 / 64.0)).collect();
+        bench("patched_timely_integrate_64flows_10ms/asymmetric", || {
+            let mut m = PatchedTimelyFluid::new(params.clone(), 64);
+            black_box(m.simulate_with_rates(&rates, 0.01).len())
+        });
+    }
 
     // Batched lockstep integration: 16 DCQCN configurations (a RED-profile
     // sweep) advance as lanes of one SoA state block. The comparison row is

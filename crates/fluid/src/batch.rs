@@ -32,7 +32,7 @@
 //!   each other's components). Only when *every* lane has died does the
 //!   integration stop early.
 
-use crate::dde::{rk4_combine, stage_state, DdeOptions, DIVERGENCE_NORM};
+use crate::dde::{count_steps, rk4_combine, stage_state, DdeOptions, DIVERGENCE_NORM};
 use crate::history::History;
 use crate::trace::Trace;
 use faults::SimError;
@@ -340,6 +340,7 @@ pub fn try_integrate_dde_batch<S: BatchDdeSystem>(
     let mut x_prev = vec![0.0; total];
 
     let _span = obs::span::enter(obs::Phase::Integrate);
+    let mut completed = 0u64;
     'integration: for step in 1..=steps {
         let h = (t1 - t).min(opts.step);
         x_prev.copy_from_slice(&x);
@@ -434,7 +435,7 @@ pub fn try_integrate_dde_batch<S: BatchDdeSystem>(
                 obs::timeseries::observe("fluid.state_norm", 0, step_norm);
             }
         }
-        obs::metrics::counter_inc("fluid.dde_steps");
+        completed = step as u64;
         if obs::trace::enabled() {
             obs::trace::record(
                 t,
@@ -445,6 +446,8 @@ pub fn try_integrate_dde_batch<S: BatchDdeSystem>(
             );
         }
     }
+    // The step on which the last live lane died does not count.
+    count_steps(completed);
 
     Ok(traces
         .into_iter()

@@ -253,6 +253,7 @@ pub fn try_integrate_dde_with_prehistory<S: DdeSystem>(
             // before the error propagates.
             obs::flight::record(t, "watchdog", state_norm, obs::flight::current_cause());
             obs::flight::dump_on_error(&err.to_string());
+            count_steps(step as u64 - 1);
             return Err(err);
         }
         hist.push(t, &x);
@@ -274,7 +275,6 @@ pub fn try_integrate_dde_with_prehistory<S: DdeSystem>(
                 obs::timeseries::observe("fluid.state_norm", 0, norm);
             }
         }
-        obs::metrics::counter_inc("fluid.dde_steps");
         if obs::trace::enabled() {
             obs::trace::record(
                 t,
@@ -285,7 +285,18 @@ pub fn try_integrate_dde_with_prehistory<S: DdeSystem>(
             );
         }
     }
+    count_steps(steps as u64);
     Ok(trace)
+}
+
+/// Add an integration's completed steps to `fluid.dde_steps` in one call:
+/// the counter takes a global mutex, which per step is a visible share of a
+/// few-components-wide RK4 step. An integration that completed no step
+/// leaves the counter unregistered, as a per-step increment would.
+pub(crate) fn count_steps(completed: u64) {
+    if completed > 0 {
+        obs::metrics::counter_add("fluid.dde_steps", completed);
+    }
 }
 
 #[cfg(test)]

@@ -20,6 +20,10 @@
 //!   ([`try_integrate_dde_batch`]): B sweep configs integrate simultaneously
 //!   over one `[state_dim × B]` struct-of-arrays block with per-lane
 //!   divergence reporting, bit-identical to the scalar path at B = 1;
+//! * [`FlowClasses`] — flow-class reduction ([`classes`]): flows with
+//!   bitwise-identical initial state and parameters carry bitwise-identical
+//!   trajectories, so the models integrate one representative per class and
+//!   expand the recorded trace back to the N-flow layout;
 //! * [`Trace`] — a recorded solution with per-component series extraction
 //!   and decimation, the common currency of every figure runner.
 //!
@@ -31,6 +35,7 @@
 #![deny(missing_docs)]
 
 pub mod batch;
+pub mod classes;
 pub mod dde;
 pub mod history;
 pub mod ode;
@@ -39,6 +44,9 @@ pub mod trace;
 pub use batch::{
     batch_stride, integrate_dde_batch, lane_of, pack_lanes, try_integrate_dde_batch,
     BatchDdeSystem, LaneBatch, LaneSystem,
+};
+pub use classes::{
+    integrate_flow_classes, try_integrate_classes, FlowClassSystem, FlowClasses, FlowLayout,
 };
 pub use dde::{integrate_dde, DdeSystem};
 pub use history::History;

@@ -28,7 +28,8 @@ use control::roots;
 use control::DelayLtiEvaluator;
 use faults::SimError;
 use fluid::batch::{lane_of, pack_lanes, try_integrate_dde_batch, LaneBatch, LaneSystem};
-use fluid::dde::{integrate_dde_with_prehistory, DdeOptions, DdeSystem};
+use fluid::classes::{integrate_flow_classes, FlowClassSystem, FlowClasses, FlowLayout};
+use fluid::dde::{DdeOptions, DdeSystem};
 use fluid::history::History;
 use fluid::trace::Trace;
 use std::cell::RefCell;
@@ -232,7 +233,7 @@ fn rate_event_factor_ln(p: f64, l: f64, e: f64) -> f64 {
 /// rate). Hoisting them out of the per-flow loop removes most of the
 /// transcendental calls from an N-flow RHS evaluation without changing a
 /// bit of the arithmetic.
-struct MarkTerms {
+pub(crate) struct MarkTerms {
     /// Delayed marking probability `p(t − τ*)`.
     p_delayed: f64,
     /// `ln(1 − p_delayed)`.
@@ -244,9 +245,7 @@ struct MarkTerms {
 }
 
 /// The per-flow transcendental factors of Eqs 5–7, functions of the flow's
-/// delayed rate only (given the shared [`MarkTerms`]). Flows with the
-/// bitwise-same delayed rate — e.g. every flow of a symmetric run — share
-/// one computation; see the memo in the RHS flow loop.
+/// delayed rate only (given the shared [`MarkTerms`]).
 struct FlowTerms {
     /// Delayed rate clamped non-negative, as used by every factor.
     rcd: f64,
@@ -282,7 +281,7 @@ impl FlowTerms {
 }
 
 impl MarkTerms {
-    fn new(p: &DcqcnParams, p_delayed: f64) -> Self {
+    pub(crate) fn new(p: &DcqcnParams, p_delayed: f64) -> Self {
         let l = (-p_delayed).ln_1p();
         let b_cnt = p.byte_counter_pkts();
         let b = rate_event_factor_ln(p_delayed, l, b_cnt);
@@ -336,7 +335,9 @@ pub struct DcqcnLinParts {
 /// The DCQCN fluid model for `N` flows over one bottleneck.
 ///
 /// State layout: `x\[0\] = q` (packets); flow `i` occupies
-/// `x[1+3i..4+3i] = (R_C, R_T, α)`.
+/// `x[1+3i..4+3i] = (R_C, R_T, α)`. Integration steps one block per class of
+/// bitwise-identical flows (see [`fluid::classes`]); traces come back in the
+/// N-flow layout.
 ///
 /// ```
 /// use models::dcqcn::{DcqcnFluid, DcqcnParams};
@@ -358,7 +359,15 @@ pub struct DcqcnFluid {
     /// the RHS needs the queue plus every flow's rate at the same delayed
     /// time, and this buffer keeps that one-locate lookup allocation-free.
     scratch: Vec<f64>,
+    /// The flow partition the RHS loops over (identity outside `simulate*`).
+    classes: FlowClasses,
 }
+
+/// One shared queue, then `(R_C, R_T, α)` per flow.
+const LAYOUT: FlowLayout = FlowLayout {
+    shared: 1,
+    per_flow: 3,
+};
 
 impl DcqcnFluid {
     /// New model with the given parameters and flow count.
@@ -369,6 +378,7 @@ impl DcqcnFluid {
             n_flows,
             jitter: None,
             scratch: vec![0.0; 1 + 3 * n_flows],
+            classes: FlowClasses::identity(n_flows),
         }
     }
 
@@ -424,9 +434,11 @@ impl DcqcnFluid {
     }
 
     /// [`DcqcnFluid::flow_rhs`] with the flow-independent marking terms
-    /// precomputed, so an N-flow RHS evaluation shares one [`MarkTerms`].
+    /// precomputed, so an N-flow RHS evaluation shares one [`MarkTerms`]
+    /// (the PI variant in [`crate::pi`] composes DCQCN's flow behaviour with
+    /// its own marking source through this).
     #[allow(clippy::too_many_arguments)]
-    fn flow_rhs_terms(
+    pub(crate) fn flow_rhs_terms(
         p: &DcqcnParams,
         mk: &MarkTerms,
         rc: f64,
@@ -436,21 +448,6 @@ impl DcqcnFluid {
         out: &mut [f64],
     ) {
         let ft = FlowTerms::new(p, mk, rc_delayed);
-        Self::flow_rhs_from_terms(p, mk, &ft, rc, rt, alpha, out);
-    }
-
-    /// The Eq 5–7 combination step: all transcendental factors arrive
-    /// precomputed in `mk` (per delayed time) and `ft` (per delayed rate),
-    /// leaving only multiply-adds per flow.
-    fn flow_rhs_from_terms(
-        p: &DcqcnParams,
-        mk: &MarkTerms,
-        ft: &FlowTerms,
-        rc: f64,
-        rt: f64,
-        alpha: f64,
-        out: &mut [f64],
-    ) {
         let tau = p.cnp_timer_s();
         let tau_prime = p.alpha_timer_s();
         let r_ai = p.r_ai_pps();
@@ -462,22 +459,6 @@ impl DcqcnFluid {
         out[1] = -(rt - rc) / tau * ft.a + r_ai * ft.rcd * (mk.c + ft.e);
         // Eq 5: α tracks the marking probability seen over τ'.
         out[2] = p.g / tau_prime * (ft.alpha_pow - alpha);
-    }
-
-    /// Public access to the per-flow dynamics for composition (the PI
-    /// variant in [`crate::pi`] reuses DCQCN's flow behaviour with a
-    /// different marking source).
-    #[allow(clippy::too_many_arguments)]
-    pub fn flow_rhs_pub(
-        p: &DcqcnParams,
-        rc: f64,
-        rt: f64,
-        alpha: f64,
-        rc_delayed: f64,
-        p_delayed: f64,
-        out: &mut [f64],
-    ) {
-        Self::flow_rhs(p, rc, rt, alpha, rc_delayed, p_delayed, out)
     }
 
     /// Theorem 1: solve Eq 11 for the unique `p*`, then recover `q*`, `α*`
@@ -687,6 +668,18 @@ impl DcqcnFluid {
     /// Integrate with an explicit step size (tests use this for convergence
     /// checks).
     pub fn simulate_with_step(&mut self, duration_s: f64, step_s: f64) -> Trace {
+        let x0 = self.line_rate_start();
+        let opts = DdeOptions {
+            step: step_s,
+            record_every: record_every(duration_s, step_s),
+            history_horizon_s: self.history_horizon_s(step_s),
+        };
+        integrate_flow_classes(self, &x0, 0.0, duration_s, &opts)
+    }
+
+    /// The protocol's start: every flow at line rate with `α = 1`, queue
+    /// empty.
+    fn line_rate_start(&self) -> Vec<f64> {
         let line_rate = self.params.capacity_pps();
         let mut x0 = vec![0.0; self.state_dim()];
         for i in 0..self.n_flows {
@@ -694,18 +687,14 @@ impl DcqcnFluid {
             x0[self.rt_index(i)] = line_rate;
             x0[self.alpha_index(i)] = 1.0;
         }
-        let record_every = ((duration_s / step_s) / 4000.0).ceil().max(1.0) as usize;
-        let horizon = (self.params.feedback_delay_s()
-            + self.jitter.as_ref().map_or(0.0, Jitter::max_extra))
-            * 4.0
-            + 10.0 * step_s;
-        let opts = DdeOptions {
-            step: step_s,
-            record_every,
-            history_horizon_s: horizon,
-        };
-        let pre = x0.clone();
-        integrate_dde_with_prehistory(self, &x0.clone(), &pre, 0.0, duration_s, &opts)
+        x0
+    }
+
+    /// How far back the history must reach: the (jittered) feedback delay
+    /// with slack.
+    fn history_horizon_s(&self, step_s: f64) -> f64 {
+        (self.params.feedback_delay_s() + self.jitter.as_ref().map_or(0.0, Jitter::max_extra)) * 4.0
+            + 10.0 * step_s
     }
 
     /// Integrate a batch of DCQCN configurations in lockstep over one
@@ -718,9 +707,11 @@ impl DcqcnFluid {
     /// batchmates. Lanes must share the flow count and derive the same
     /// lockstep step size from their feedback delays (callers group sweep
     /// points accordingly); the history horizon is the maximum over lanes,
-    /// which affects only memory, never values.
+    /// which affects only memory, never values. The lanes step one joint
+    /// flow partition: two flows share a class only if they agree in every
+    /// lane.
     pub fn simulate_batch(
-        models: Vec<DcqcnFluid>,
+        mut models: Vec<DcqcnFluid>,
         duration_s: f64,
     ) -> Vec<Result<Trace, SimError>> {
         assert!(!models.is_empty(), "batch needs at least one lane");
@@ -733,37 +724,28 @@ impl DcqcnFluid {
                 "lanes must share the lockstep step size"
             );
         }
-        let record_every = ((duration_s / step_s) / 4000.0).ceil().max(1.0) as usize;
-        let horizon = models
-            .iter()
-            .map(|m| {
-                (m.params.feedback_delay_s() + m.jitter.as_ref().map_or(0.0, Jitter::max_extra))
-                    * 4.0
-                    + 10.0 * step_s
-            })
-            .fold(0.0, f64::max);
-        let x0s: Vec<Vec<f64>> = models
-            .iter()
-            .map(|m| {
-                let line_rate = m.params.capacity_pps();
-                let mut x0 = vec![0.0; m.state_dim()];
-                for i in 0..m.n_flows {
-                    x0[m.rc_index(i)] = line_rate;
-                    x0[m.rt_index(i)] = line_rate;
-                    x0[m.alpha_index(i)] = 1.0;
-                }
-                x0
-            })
-            .collect();
-        let packed = pack_lanes(&x0s);
         let opts = DdeOptions {
             step: step_s,
-            record_every,
-            history_horizon_s: horizon,
+            record_every: record_every(duration_s, step_s),
+            history_horizon_s: models
+                .iter()
+                .map(|m| m.history_horizon_s(step_s))
+                .fold(0.0, f64::max),
         };
+        let x0s: Vec<Vec<f64>> = models.iter().map(DcqcnFluid::line_rate_start).collect();
+        let states: Vec<&[f64]> = x0s.iter().map(Vec::as_slice).collect();
+        let classes = FlowClasses::partition(LAYOUT, &states, |_, _| {});
+        let reduced: Vec<Vec<f64>> = x0s.iter().map(|x0| classes.reduce(LAYOUT, x0)).collect();
+        for m in &mut models {
+            m.classes = classes.clone();
+        }
+        let packed = pack_lanes(&reduced);
         let mut batch = LaneBatch::new(models);
         try_integrate_dde_batch(&mut batch, &packed, &packed, 0.0, duration_s, &opts)
             .unwrap_or_else(|e| panic!("{e}"))
+            .into_iter()
+            .map(|lane| lane.map(|trace| classes.expand(LAYOUT, trace)))
+            .collect()
     }
 
     /// Convenience: extract per-flow rates in Gbps and queue in KB from a
@@ -786,9 +768,24 @@ impl DcqcnFluid {
     }
 }
 
+/// Record roughly 4000 points however long the run.
+fn record_every(duration_s: f64, step_s: f64) -> usize {
+    ((duration_s / step_s) / 4000.0).ceil().max(1.0) as usize
+}
+
+impl FlowClassSystem for DcqcnFluid {
+    fn layout(&self) -> FlowLayout {
+        LAYOUT
+    }
+
+    fn classes_mut(&mut self) -> &mut FlowClasses {
+        &mut self.classes
+    }
+}
+
 impl LaneSystem for DcqcnFluid {
     fn lane_dim(&self) -> usize {
-        self.state_dim()
+        LAYOUT.dim(self.classes.len())
     }
 
     /// The DCQCN RHS as a batch-lane kernel: this lane's component `c` lives
@@ -809,7 +806,7 @@ impl LaneSystem for DcqcnFluid {
         // delayed time, so fetch the whole lane row with one knot search.
         let mut delayed = std::mem::take(&mut self.scratch);
         let td = self.delayed_instant(t);
-        hist.eval_strided(td, lane, stride, self.state_dim(), &mut delayed);
+        hist.eval_strided(td, lane, stride, self.lane_dim(), &mut delayed);
         self.lane_rhs_with_delayed(x, lane, stride, &delayed, dxdt);
         self.scratch = delayed;
     }
@@ -837,7 +834,7 @@ impl LaneSystem for DcqcnFluid {
         // cache, unlike the wide history rows the strided eval walks); the
         // values are bit-identical to an `eval_strided` at the same instant.
         let mut scratch = std::mem::take(&mut self.scratch);
-        for (c, s) in scratch.iter_mut().enumerate() {
+        for (c, s) in scratch[..self.lane_dim()].iter_mut().enumerate() {
             *s = delayed[lane_of(c, lane, stride)];
         }
         self.lane_rhs_with_delayed(x, lane, stride, &scratch, dxdt);
@@ -849,7 +846,7 @@ impl LaneSystem for DcqcnFluid {
         let floor = self.params.min_rate_pps();
         let q = lane_of(0, lane, stride);
         x[q] = x[q].max(0.0); // component 0 is the queue
-        for i in 0..self.n_flows {
+        for i in 0..self.classes.len() {
             let rc = lane_of(self.rc_index(i), lane, stride);
             let rt = lane_of(self.rt_index(i), lane, stride);
             let al = lane_of(self.alpha_index(i), lane, stride);
@@ -871,7 +868,7 @@ impl DcqcnFluid {
     }
 
     /// The RHS arithmetic after the delayed lane row has been fetched
-    /// (`delayed` is lane-local dense, length `state_dim`); shared by the
+    /// (`delayed` is lane-local dense, at least `lane_dim` long); shared by the
     /// history-querying and block-prefetched paths so they cannot drift.
     fn lane_rhs_with_delayed(
         &self,
@@ -888,8 +885,13 @@ impl DcqcnFluid {
         let mk = MarkTerms::new(p, p_delayed);
 
         // Eq 4: queue integrates excess arrival rate (projection keeps q ≥ 0).
-        let sum_rates: f64 = (0..self.n_flows)
-            .map(|i| x[lane_of(self.rc_index(i), lane, stride)])
+        // Every flow in flow order, reading its class's rate: the same
+        // additions as the N-flow sum.
+        let sum_rates: f64 = self
+            .classes
+            .class_of()
+            .iter()
+            .map(|&k| x[lane_of(self.rc_index(k), lane, stride)])
             .sum();
         // State component 0 is the shared queue.
         let q = x[lane_of(0, lane, stride)];
@@ -899,26 +901,13 @@ impl DcqcnFluid {
             sum_rates - cap
         };
 
-        // The FlowTerms factors depend only on the flow's delayed rate, and
-        // symmetric flows carry bitwise-identical trajectories, so memoize
-        // on the exact rate bits: an N-flow symmetric run pays the
-        // transcendental cost once instead of N times, with unchanged bits.
         let mut out = [0.0; 3];
-        let mut memo: Option<(u64, FlowTerms)> = None;
-        for i in 0..self.n_flows {
+        for i in 0..self.classes.len() {
             let rc = x[lane_of(self.rc_index(i), lane, stride)];
             let rt = x[lane_of(self.rt_index(i), lane, stride)];
             let alpha = x[lane_of(self.alpha_index(i), lane, stride)];
             let rc_delayed = delayed[self.rc_index(i)];
-            let ft = match &memo {
-                Some((bits, ft)) if *bits == rc_delayed.to_bits() => ft,
-                _ => {
-                    &memo
-                        .insert((rc_delayed.to_bits(), FlowTerms::new(p, &mk, rc_delayed)))
-                        .1
-                }
-            };
-            DcqcnFluid::flow_rhs_from_terms(p, &mk, ft, rc, rt, alpha, &mut out);
+            DcqcnFluid::flow_rhs_terms(p, &mk, rc, rt, alpha, rc_delayed, &mut out);
             let [d_rc, d_rt, d_alpha] = out;
             dxdt[lane_of(self.rc_index(i), lane, stride)] = d_rc;
             dxdt[lane_of(self.rt_index(i), lane, stride)] = d_rt;
@@ -929,7 +918,7 @@ impl DcqcnFluid {
 
 impl DdeSystem for DcqcnFluid {
     fn dim(&self) -> usize {
-        self.state_dim()
+        self.lane_dim()
     }
 
     fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {
@@ -949,6 +938,7 @@ impl DdeSystem for DcqcnFluid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fluid::dde::integrate_dde_with_prehistory;
 
     #[test]
     fn red_profile_matches_eq3() {

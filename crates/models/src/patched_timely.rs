@@ -17,14 +17,15 @@
 //! flows.
 
 use crate::jitter::Jitter;
-use crate::timely::TimelyParams;
+use crate::timely::{TimelyParams, LAYOUT};
 use crate::units;
 use control::complex::Complex64;
 use control::linearize;
 use control::margins::{phase_margin_adaptive, MarginReport};
 use control::DelayLtiEvaluator;
 use fluid::batch::{lane_of, LaneSystem};
-use fluid::dde::{integrate_dde_with_prehistory, DdeOptions, DdeSystem};
+use fluid::classes::{integrate_flow_classes, FlowClassSystem, FlowClasses, FlowLayout};
+use fluid::dde::{DdeOptions, DdeSystem};
 use fluid::history::History;
 use fluid::trace::Trace;
 use std::cell::RefCell;
@@ -89,7 +90,8 @@ impl PatchedTimelyParams {
 
 /// The patched TIMELY fluid model (Eq 29). Same state layout as
 /// [`crate::timely::TimelyFluid`]: `x[0] = q`, flow `i` at
-/// `(x[1+2i], x[2+2i]) = (R_i, g_i)`.
+/// `(x[1+2i], x[2+2i]) = (R_i, g_i)`. Integration steps one block per class
+/// of bitwise-identical flows (see [`fluid::classes`]).
 #[derive(Debug, Clone)]
 pub struct PatchedTimelyFluid {
     /// Parameters.
@@ -98,6 +100,8 @@ pub struct PatchedTimelyFluid {
     pub n_flows: usize,
     /// Optional feedback-delay jitter (Figure 20 uses jitter on τ′).
     pub jitter: Option<Jitter>,
+    /// The flow partition the RHS loops over (identity outside `simulate*`).
+    classes: FlowClasses,
 }
 
 impl PatchedTimelyFluid {
@@ -108,6 +112,7 @@ impl PatchedTimelyFluid {
             params,
             n_flows,
             jitter: None,
+            classes: FlowClasses::identity(n_flows),
         }
     }
 
@@ -176,7 +181,7 @@ impl PatchedTimelyFluid {
             record_every,
             history_horizon_s: horizon,
         };
-        integrate_dde_with_prehistory(self, &x0.clone(), &x0.clone(), 0.0, duration_s, &opts)
+        integrate_flow_classes(self, &x0, 0.0, duration_s, &opts)
     }
 
     /// Simulate from equal shares `C/N`.
@@ -270,9 +275,19 @@ impl PatchedTimelyFluid {
     }
 }
 
+impl FlowClassSystem for PatchedTimelyFluid {
+    fn layout(&self) -> FlowLayout {
+        LAYOUT
+    }
+
+    fn classes_mut(&mut self) -> &mut FlowClasses {
+        &mut self.classes
+    }
+}
+
 impl LaneSystem for PatchedTimelyFluid {
     fn lane_dim(&self) -> usize {
-        self.state_dim()
+        LAYOUT.dim(self.classes.len())
     }
 
     fn lane_rhs(
@@ -293,8 +308,13 @@ impl LaneSystem for PatchedTimelyFluid {
         let tau_fb = base.tau_feedback(x[q_lane]) + extra;
         let qd1 = hist.eval(t - tau_fb, q_lane).max(0.0);
 
-        let sum_rates: f64 = (0..self.n_flows)
-            .map(|i| x[lane_of(self.rate_index(i), lane, stride)])
+        // Every flow in flow order, reading its class's rate: the same
+        // additions as the N-flow sum.
+        let sum_rates: f64 = self
+            .classes
+            .class_of()
+            .iter()
+            .map(|&k| x[lane_of(self.rate_index(k), lane, stride)])
             .sum();
         // State component 0 is the shared queue.
         dxdt[q_lane] = if x[q_lane] <= 0.0 && sum_rates < c {
@@ -304,25 +324,14 @@ impl LaneSystem for PatchedTimelyFluid {
         };
 
         let mut out = [0.0; 2];
-        // Flows at equal rates share the same delayed lookup time; cache the
-        // last one so the common symmetric case does one `locate` per
-        // distinct delayed time instead of one per flow.
-        let mut qd2_cache = (f64::NAN, 0.0);
-        for i in 0..self.n_flows {
+        for i in 0..self.classes.len() {
             let ri = lane_of(self.rate_index(i), lane, stride);
             let gi = lane_of(self.grad_index(i), lane, stride);
             let r = x[ri];
             let g = x[gi];
             let tau_i = base.tau_star(r);
             let t2 = t - tau_fb - tau_i;
-            // simlint: allow(float-cmp) — memo key: only a bitwise-identical t2 may reuse the cache
-            let qd2 = if t2 == qd2_cache.0 {
-                qd2_cache.1
-            } else {
-                let v = hist.eval(t2, q_lane).max(0.0);
-                qd2_cache = (t2, v);
-                v
-            };
+            let qd2 = hist.eval(t2, q_lane).max(0.0);
             PatchedTimelyFluid::flow_rhs(&self.params, r, g, qd1, qd2, &mut out);
             let [d_r, d_g] = out;
             dxdt[ri] = d_r;
@@ -340,7 +349,7 @@ impl LaneSystem for PatchedTimelyFluid {
         let floor = base.min_rate_pps();
         let q = lane_of(0, lane, stride);
         x[q] = x[q].max(0.0); // component 0 is the queue
-        for i in 0..self.n_flows {
+        for i in 0..self.classes.len() {
             let ri = lane_of(self.rate_index(i), lane, stride);
             x[ri] = x[ri].clamp(floor, line);
             let gi = lane_of(self.grad_index(i), lane, stride);
@@ -351,7 +360,7 @@ impl LaneSystem for PatchedTimelyFluid {
 
 impl DdeSystem for PatchedTimelyFluid {
     fn dim(&self) -> usize {
-        self.state_dim()
+        self.lane_dim()
     }
 
     fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {

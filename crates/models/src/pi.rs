@@ -15,11 +15,12 @@
 //!   rate split is arbitrary (Figure 19) — fairness or fixed delay, never
 //!   both, when delay is the only feedback.
 
-use crate::dcqcn::{DcqcnFluid, DcqcnParams};
+use crate::dcqcn::{DcqcnFluid, DcqcnParams, MarkTerms};
 use crate::patched_timely::PatchedTimelyParams;
 use crate::units;
 use fluid::batch::{lane_of, LaneSystem};
-use fluid::dde::{integrate_dde_with_prehistory, DdeOptions, DdeSystem};
+use fluid::classes::{integrate_flow_classes, FlowClassSystem, FlowClasses, FlowLayout};
+use fluid::dde::{DdeOptions, DdeSystem};
 use fluid::history::History;
 use fluid::trace::Trace;
 
@@ -37,7 +38,8 @@ pub struct PiGains {
 /// DCQCN with PI marking at the switch (Figure 18).
 ///
 /// State layout: `x\[0\] = q`, `x\[1\] = p` (marking probability), flow `i` at
-/// `x[2+3i..5+3i] = (R_C, R_T, α)`.
+/// `x[2+3i..5+3i] = (R_C, R_T, α)`. Integration steps one block per class of
+/// bitwise-identical flows (see [`fluid::classes`]).
 #[derive(Debug, Clone)]
 pub struct DcqcnPiFluid {
     /// DCQCN parameters (RED thresholds unused; `p` comes from the PI loop).
@@ -49,7 +51,21 @@ pub struct DcqcnPiFluid {
     /// Scratch buffer for the delayed state in `rhs` (one `eval_all` instead
     /// of one `eval` per component).
     scratch: Vec<f64>,
+    /// The flow partition the RHS loops over (identity outside `simulate`).
+    classes: FlowClasses,
 }
+
+/// Queue and marking probability, then `(R_C, R_T, α)` per flow.
+const DCQCN_PI_LAYOUT: FlowLayout = FlowLayout {
+    shared: 2,
+    per_flow: 3,
+};
+
+/// One shared queue, then `(R_i, g_i, p_i)` per flow.
+const TIMELY_PI_LAYOUT: FlowLayout = FlowLayout {
+    shared: 1,
+    per_flow: 3,
+};
 
 impl DcqcnPiFluid {
     /// Gains that stabilize the 40 Gbps configuration across 2–64 flows
@@ -70,6 +86,7 @@ impl DcqcnPiFluid {
             gains,
             n_flows,
             scratch: vec![0.0; 2 + 3 * n_flows],
+            classes: FlowClasses::identity(n_flows),
         }
     }
 
@@ -110,13 +127,23 @@ impl DcqcnPiFluid {
             record_every,
             history_horizon_s: self.params.feedback_delay_s() * 4.0 + 10.0 * step,
         };
-        integrate_dde_with_prehistory(self, &x0.clone(), &x0.clone(), 0.0, duration_s, &opts)
+        integrate_flow_classes(self, &x0, 0.0, duration_s, &opts)
+    }
+}
+
+impl FlowClassSystem for DcqcnPiFluid {
+    fn layout(&self) -> FlowLayout {
+        DCQCN_PI_LAYOUT
+    }
+
+    fn classes_mut(&mut self) -> &mut FlowClasses {
+        &mut self.classes
     }
 }
 
 impl LaneSystem for DcqcnPiFluid {
     fn lane_dim(&self) -> usize {
-        self.state_dim()
+        DCQCN_PI_LAYOUT.dim(self.classes.len())
     }
 
     fn lane_rhs(
@@ -134,13 +161,19 @@ impl LaneSystem for DcqcnPiFluid {
         let p = &self.params;
         let cap = p.capacity_pps();
         let td = t - p.feedback_delay_s();
-        hist.eval_strided(td, lane, stride, self.state_dim(), &mut delayed);
+        hist.eval_strided(td, lane, stride, self.lane_dim(), &mut delayed);
         let p_delayed = delayed[1].clamp(0.0, 1.0); // component 1 is p
+        let mk = MarkTerms::new(p, p_delayed);
 
         let q = lane_of(0, lane, stride);
         let pp = lane_of(1, lane, stride);
-        let sum_rates: f64 = (0..self.n_flows)
-            .map(|i| x[lane_of(self.rc_index(i), lane, stride)])
+        // Every flow in flow order, reading its class's rate: the same
+        // additions as the N-flow sum.
+        let sum_rates: f64 = self
+            .classes
+            .class_of()
+            .iter()
+            .map(|&k| x[lane_of(self.rc_index(k), lane, stride)])
             .sum();
         // State layout: component 0 is the queue, component 1 is p.
         let dq = if x[q] <= 0.0 && sum_rates < cap {
@@ -160,7 +193,7 @@ impl LaneSystem for DcqcnPiFluid {
         dxdt[pp] = dp; // component 1 is p
 
         let mut out = [0.0; 3];
-        for i in 0..self.n_flows {
+        for i in 0..self.classes.len() {
             let rci = lane_of(self.rc_index(i), lane, stride);
             let rti = lane_of(self.rt_index(i), lane, stride);
             let ali = lane_of(self.alpha_index(i), lane, stride);
@@ -169,7 +202,7 @@ impl LaneSystem for DcqcnPiFluid {
             let alpha = x[ali];
             let rc_delayed = delayed[self.rc_index(i)];
             // Reuse the DCQCN per-flow dynamics with the PI-supplied p.
-            DcqcnFluid::flow_rhs_pub(p, rc, rt, alpha, rc_delayed, p_delayed, &mut out);
+            DcqcnFluid::flow_rhs_terms(p, &mk, rc, rt, alpha, rc_delayed, &mut out);
             let [d_rc, d_rt, d_alpha] = out;
             dxdt[rci] = d_rc;
             dxdt[rti] = d_rt;
@@ -189,7 +222,7 @@ impl LaneSystem for DcqcnPiFluid {
         let pp = lane_of(1, lane, stride);
         x[q] = x[q].max(0.0); // component 0 is the queue
         x[pp] = x[pp].clamp(0.0, 1.0); // component 1 is p
-        for i in 0..self.n_flows {
+        for i in 0..self.classes.len() {
             let rc = lane_of(self.rc_index(i), lane, stride);
             let rt = lane_of(self.rt_index(i), lane, stride);
             let al = lane_of(self.alpha_index(i), lane, stride);
@@ -202,7 +235,7 @@ impl LaneSystem for DcqcnPiFluid {
 
 impl DdeSystem for DcqcnPiFluid {
     fn dim(&self) -> usize {
-        self.state_dim()
+        self.lane_dim()
     }
 
     fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {
@@ -221,6 +254,8 @@ impl DdeSystem for DcqcnPiFluid {
 /// Patched TIMELY with an end-host PI controller (Figure 19).
 ///
 /// State layout: `x\[0\] = q`; flow `i` at `x[1+3i..4+3i] = (R_i, g_i, p_i)`.
+/// Integration steps one block per class of bitwise-identical flows (see
+/// [`fluid::classes`]).
 #[derive(Debug, Clone)]
 pub struct PatchedTimelyPiFluid {
     /// Patched-TIMELY parameters (the queue-error term of Eq 29 is replaced
@@ -230,6 +265,8 @@ pub struct PatchedTimelyPiFluid {
     pub gains: PiGains,
     /// Number of flows.
     pub n_flows: usize,
+    /// The flow partition the RHS loops over (identity outside `simulate*`).
+    classes: FlowClasses,
 }
 
 impl PatchedTimelyPiFluid {
@@ -249,6 +286,7 @@ impl PatchedTimelyPiFluid {
             params,
             gains,
             n_flows,
+            classes: FlowClasses::identity(n_flows),
         }
     }
 
@@ -302,13 +340,23 @@ impl PatchedTimelyPiFluid {
             record_every,
             history_horizon_s: horizon,
         };
-        integrate_dde_with_prehistory(self, &x0.clone(), &x0.clone(), 0.0, duration_s, &opts)
+        integrate_flow_classes(self, &x0, 0.0, duration_s, &opts)
+    }
+}
+
+impl FlowClassSystem for PatchedTimelyPiFluid {
+    fn layout(&self) -> FlowLayout {
+        TIMELY_PI_LAYOUT
+    }
+
+    fn classes_mut(&mut self) -> &mut FlowClasses {
+        &mut self.classes
     }
 }
 
 impl LaneSystem for PatchedTimelyPiFluid {
     fn lane_dim(&self) -> usize {
-        self.state_dim()
+        TIMELY_PI_LAYOUT.dim(self.classes.len())
     }
 
     fn lane_rhs(
@@ -329,8 +377,13 @@ impl LaneSystem for PatchedTimelyPiFluid {
         let tau_fb = base.tau_feedback(x[q]);
         let qd1 = hist.eval(t - tau_fb, q).max(0.0);
 
-        let sum_rates: f64 = (0..self.n_flows)
-            .map(|i| x[lane_of(self.rate_index(i), lane, stride)])
+        // Every flow in flow order, reading its class's rate: the same
+        // additions as the N-flow sum.
+        let sum_rates: f64 = self
+            .classes
+            .class_of()
+            .iter()
+            .map(|&k| x[lane_of(self.rate_index(k), lane, stride)])
             .sum();
         // State component 0 is the shared queue.
         dxdt[q] = if x[q] <= 0.0 && sum_rates < c {
@@ -343,11 +396,7 @@ impl LaneSystem for PatchedTimelyPiFluid {
         let q_high = base.q_high_pkts();
         let delta = base.delta_pps();
 
-        // Flows at equal rates share the same delayed lookup time; cache the
-        // last one so the common symmetric case does one `locate` per
-        // distinct delayed time instead of one per flow.
-        let mut qd2_cache = (f64::NAN, 0.0);
-        for i in 0..self.n_flows {
+        for i in 0..self.classes.len() {
             let ri = lane_of(self.rate_index(i), lane, stride);
             let gi = lane_of(self.grad_index(i), lane, stride);
             let pi = lane_of(self.p_index(i), lane, stride);
@@ -356,14 +405,7 @@ impl LaneSystem for PatchedTimelyPiFluid {
             let p_i = x[pi];
             let tau_i = base.tau_star(r);
             let t2 = t - tau_fb - tau_i;
-            // simlint: allow(float-cmp) — memo key: only a bitwise-identical t2 may reuse the cache
-            let qd2 = if t2 == qd2_cache.0 {
-                qd2_cache.1
-            } else {
-                let v = hist.eval(t2, q).max(0.0);
-                qd2_cache = (t2, v);
-                v
-            };
+            let qd2 = hist.eval(t2, q).max(0.0);
 
             // End-host PI on the measured delay (Eq 32 with e from delayed
             // queue observations; de/dt estimated from successive samples).
@@ -394,7 +436,7 @@ impl LaneSystem for PatchedTimelyPiFluid {
         let floor = base.min_rate_pps();
         let q = lane_of(0, lane, stride);
         x[q] = x[q].max(0.0); // component 0 is the queue
-        for i in 0..self.n_flows {
+        for i in 0..self.classes.len() {
             let ri = lane_of(self.rate_index(i), lane, stride);
             x[ri] = x[ri].clamp(floor, line);
             let gi = lane_of(self.grad_index(i), lane, stride);
@@ -409,7 +451,7 @@ impl LaneSystem for PatchedTimelyPiFluid {
 
 impl DdeSystem for PatchedTimelyPiFluid {
     fn dim(&self) -> usize {
-        self.state_dim()
+        self.lane_dim()
     }
 
     fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {

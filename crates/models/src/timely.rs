@@ -23,7 +23,8 @@
 use crate::jitter::Jitter;
 use crate::units;
 use fluid::batch::{lane_of, LaneSystem};
-use fluid::dde::{integrate_dde_with_prehistory, DdeOptions, DdeSystem};
+use fluid::classes::{integrate_flow_classes, FlowClassSystem, FlowClasses, FlowLayout};
+use fluid::dde::{DdeOptions, DdeSystem};
 use fluid::history::History;
 use fluid::trace::Trace;
 
@@ -136,7 +137,9 @@ impl TimelyParams {
 /// The TIMELY fluid model for `N` flows over one bottleneck.
 ///
 /// State layout: `x\[0\] = q`; flow `i` occupies `x[1+2i] = R_i`,
-/// `x[2+2i] = g_i`.
+/// `x[2+2i] = g_i`. Integration steps one block per class of flows with
+/// bitwise-identical initial state *and* start time (see
+/// [`fluid::classes`]).
 #[derive(Debug, Clone)]
 pub struct TimelyFluid {
     /// Model parameters.
@@ -148,7 +151,16 @@ pub struct TimelyFluid {
     pub start_times: Vec<f64>,
     /// Optional feedback-delay jitter on `τ′` (Figure 20).
     pub jitter: Option<Jitter>,
+    /// The flow partition the RHS loops over (identity outside `simulate*`).
+    classes: FlowClasses,
 }
+
+/// One shared queue, then `(R_i, g_i)` per flow — TIMELY's and patched
+/// TIMELY's layout.
+pub(crate) const LAYOUT: FlowLayout = FlowLayout {
+    shared: 1,
+    per_flow: 2,
+};
 
 impl TimelyFluid {
     /// New model; all flows start at t = 0.
@@ -159,6 +171,7 @@ impl TimelyFluid {
             n_flows,
             start_times: vec![0.0; n_flows],
             jitter: None,
+            classes: FlowClasses::identity(n_flows),
         }
     }
 
@@ -210,7 +223,7 @@ impl TimelyFluid {
             record_every,
             history_horizon_s: horizon,
         };
-        integrate_dde_with_prehistory(self, &x0.clone(), &x0.clone(), 0.0, duration_s, &opts)
+        integrate_flow_classes(self, &x0, 0.0, duration_s, &opts)
     }
 
     /// Simulate with the paper's default start: each flow at `C/N`
@@ -263,9 +276,25 @@ impl TimelyFluid {
     }
 }
 
+impl FlowClassSystem for TimelyFluid {
+    fn layout(&self) -> FlowLayout {
+        LAYOUT
+    }
+
+    /// A flow is frozen until its start time, so equal rates with distinct
+    /// start times are distinct trajectories.
+    fn flow_param_bits(&self, i: usize, key: &mut Vec<u64>) {
+        key.push(self.start_times[i].to_bits());
+    }
+
+    fn classes_mut(&mut self) -> &mut FlowClasses {
+        &mut self.classes
+    }
+}
+
 impl LaneSystem for TimelyFluid {
     fn lane_dim(&self) -> usize {
-        self.state_dim()
+        LAYOUT.dim(self.classes.len())
     }
 
     fn lane_rhs(
@@ -286,10 +315,12 @@ impl LaneSystem for TimelyFluid {
         let tau_fb = p.tau_feedback(x[q_lane]) + extra;
         let qd1 = hist.eval(t - tau_fb, q_lane).max(0.0);
 
+        // Every flow in flow order, reading its class's rate: the same
+        // additions as the N-flow sum.
         let mut sum_rates = 0.0;
-        for i in 0..self.n_flows {
+        for (i, &k) in self.classes.class_of().iter().enumerate() {
             if t >= self.start_times[i] {
-                sum_rates += x[lane_of(self.rate_index(i), lane, stride)];
+                sum_rates += x[lane_of(self.rate_index(k), lane, stride)];
             }
         }
         // State component 0 is the shared queue.
@@ -299,14 +330,10 @@ impl LaneSystem for TimelyFluid {
             sum_rates - c
         };
 
-        // Flows at equal rates share the same delayed lookup time; cache the
-        // last one so the common symmetric case does one `locate` per
-        // distinct delayed time instead of one per flow.
-        let mut qd2_cache = (f64::NAN, 0.0);
-        for i in 0..self.n_flows {
+        for (i, &first) in self.classes.representatives().iter().enumerate() {
             let ri = lane_of(self.rate_index(i), lane, stride);
             let gi = lane_of(self.grad_index(i), lane, stride);
-            if t < self.start_times[i] {
+            if t < self.start_times[first] {
                 dxdt[ri] = 0.0;
                 dxdt[gi] = 0.0;
                 continue;
@@ -315,14 +342,7 @@ impl LaneSystem for TimelyFluid {
             let g = x[gi];
             let tau_i = p.tau_star(r);
             let t2 = t - tau_fb - tau_i;
-            // simlint: allow(float-cmp) — memo key: only a bitwise-identical t2 may reuse the cache
-            let qd2 = if t2 == qd2_cache.0 {
-                qd2_cache.1
-            } else {
-                let v = hist.eval(t2, q_lane).max(0.0);
-                qd2_cache = (t2, v);
-                v
-            };
+            let qd2 = hist.eval(t2, q_lane).max(0.0);
             dxdt[ri] = self.rate_rhs(r, g, qd1);
             // Eq 22: EWMA of the normalized queue (≈ RTT) difference.
             dxdt[gi] = p.ewma_alpha / tau_i * (-g + (qd1 - qd2) / (c * p.d_min_rtt_s()));
@@ -340,7 +360,7 @@ impl LaneSystem for TimelyFluid {
         let floor = p.min_rate_pps();
         let q = lane_of(0, lane, stride);
         x[q] = x[q].max(0.0); // component 0 is the queue
-        for i in 0..self.n_flows {
+        for i in 0..self.classes.len() {
             let ri = lane_of(self.rate_index(i), lane, stride);
             x[ri] = x[ri].clamp(floor, line);
             // Gradient is a normalized dimensionless signal; keep it sane.
@@ -352,7 +372,7 @@ impl LaneSystem for TimelyFluid {
 
 impl DdeSystem for TimelyFluid {
     fn dim(&self) -> usize {
-        self.state_dim()
+        self.lane_dim()
     }
 
     fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {

@@ -7,8 +7,15 @@
 //! arithmetic only ever touches that lane's strided components — but these
 //! tests pin them as executable contracts so a future "optimization" that
 //! reorders lane arithmetic fails loudly.
+//!
+//! Every protocol's contracts are asserted twice: on full-width lanes (the
+//! identity flow partition a fresh model holds) and on *reduced* lanes that
+//! step one block per class of the lanes' joint flow partition (see
+//! `fluid::classes`), whose expanded traces must also equal the full-width
+//! ones bit for bit.
 
 use fluid::batch::{pack_lanes, try_integrate_dde_batch, LaneBatch, LaneSystem};
+use fluid::classes::{FlowClassSystem, FlowClasses, FlowLayout};
 use fluid::dde::{integrate_dde_with_prehistory, DdeOptions, DdeSystem};
 use fluid::Trace;
 use models::dcqcn::{DcqcnFluid, DcqcnParams};
@@ -99,6 +106,74 @@ where
     }
 }
 
+/// Install the lanes' joint flow partition on every model and reduce every
+/// initial state to it — what `DcqcnFluid::simulate_batch` does internally.
+fn reduce_lanes<M: FlowClassSystem>(
+    mut models: Vec<M>,
+    x0s: &[Vec<f64>],
+    expect_classes: usize,
+) -> (Vec<M>, Vec<Vec<f64>>, FlowClasses) {
+    let layout = models[0].layout();
+    let states: Vec<&[f64]> = x0s.iter().map(Vec::as_slice).collect();
+    let classes = FlowClasses::partition(layout, &states, |_, _| {});
+    assert_eq!(classes.len(), expect_classes, "joint partition size");
+    for m in &mut models {
+        *m.classes_mut() = classes.clone();
+    }
+    let reduced = x0s.iter().map(|x0| classes.reduce(layout, x0)).collect();
+    (models, reduced, classes)
+}
+
+/// The three reduced-lane contracts for one protocol: reduced lanes match
+/// their scalar (reduced) integrations, do not depend on the batch width,
+/// and expand to exactly the full-width lanes.
+fn assert_reduced_lane_contracts<M>(
+    models: Vec<M>,
+    x0s: Vec<Vec<f64>>,
+    expect_classes: usize,
+    duration_s: f64,
+) where
+    M: FlowClassSystem + LaneSystem + Clone,
+{
+    let opts = shared_opts(&models, duration_s);
+    let run = |ms: Vec<M>, xs: &[Vec<f64>]| -> Vec<Trace> {
+        let packed = pack_lanes(xs);
+        let mut batch = LaneBatch::new(ms);
+        try_integrate_dde_batch(&mut batch, &packed, &packed, 0.0, duration_s, &opts)
+            .expect("valid batch configuration")
+            .into_iter()
+            .map(|r| r.expect("lane diverged"))
+            .collect()
+    };
+    let full = run(models.clone(), &x0s);
+    let layout = models[0].layout();
+    let (reduced_models, reduced_x0s, classes) = reduce_lanes(models, &x0s, expect_classes);
+    assert_lanes_match_scalar(reduced_models.clone(), reduced_x0s.clone(), duration_s);
+    assert_width_invariant(reduced_models.clone(), reduced_x0s.clone(), 4, duration_s);
+    for (lane, (wide, narrow)) in full
+        .iter()
+        .zip(run(reduced_models, &reduced_x0s))
+        .enumerate()
+    {
+        assert_eq!(
+            trace_bits(&classes.expand(layout, narrow)),
+            trace_bits(wide),
+            "lane {lane}: the expanded reduced lane must equal the full-width lane"
+        );
+    }
+}
+
+/// Move the second half of every lane's flows to `factor` × their block, so
+/// the joint partition has two classes.
+fn split_in_two(x0s: &mut [Vec<f64>], layout: FlowLayout, factor: f64) {
+    for x0 in x0s {
+        let n = (x0.len() - layout.shared) / layout.per_flow;
+        for v in &mut x0[layout.dim(n / 2)..] {
+            *v *= factor;
+        }
+    }
+}
+
 // --- DCQCN -----------------------------------------------------------------
 
 /// 16 DCQCN configs sharing flow count and derived step but sweeping the
@@ -143,6 +218,53 @@ fn dcqcn_batch_width_invariant_b4_vs_b16() {
     }
 }
 
+/// The protocol's start, as `simulate`/`simulate_batch` build it.
+fn dcqcn_line_rate_start(m: &DcqcnFluid) -> Vec<f64> {
+    let mut x0 = vec![0.0; m.state_dim()];
+    for i in 0..m.n_flows {
+        x0[m.rc_index(i)] = m.params.capacity_pps();
+        x0[m.rt_index(i)] = m.params.capacity_pps();
+        x0[m.alpha_index(i)] = 1.0;
+    }
+    x0
+}
+
+#[test]
+fn dcqcn_reduced_lanes() {
+    let models = dcqcn_models(16);
+    let mut x0s: Vec<Vec<f64>> = models.iter().map(dcqcn_line_rate_start).collect();
+    assert_reduced_lane_contracts(models.clone(), x0s.clone(), 1, 0.0015);
+    split_in_two(&mut x0s, models[0].layout(), 0.5);
+    assert_reduced_lane_contracts(models, x0s, 2, 0.0015);
+}
+
+#[test]
+fn dcqcn_simulate_batch_matches_full_width_lanes() {
+    // The public entry point reduces internally; a batch of fresh models
+    // (identity partition) from the same line-rate start is the reference.
+    let duration = 0.002;
+    let models = dcqcn_models(4);
+    let x0s: Vec<Vec<f64>> = models.iter().map(dcqcn_line_rate_start).collect();
+    let step = (models[0].params.feedback_delay_s() / 4.0).min(1e-6);
+    let opts = DdeOptions {
+        step,
+        record_every: 1,
+        history_horizon_s: models[0].params.feedback_delay_s() * 4.0 + 10.0 * step,
+    };
+    let packed = pack_lanes(&x0s);
+    let mut batch = LaneBatch::new(models.clone());
+    let full = try_integrate_dde_batch(&mut batch, &packed, &packed, 0.0, duration, &opts)
+        .expect("valid batch configuration");
+    let reduced = DcqcnFluid::simulate_batch(models, duration);
+    for (lane, (a, b)) in reduced.iter().zip(&full).enumerate() {
+        assert_eq!(
+            trace_bits(a.as_ref().unwrap()),
+            trace_bits(b.as_ref().unwrap()),
+            "DCQCN lane {lane}: simulate_batch must equal the full-width batch"
+        );
+    }
+}
+
 // --- TIMELY ----------------------------------------------------------------
 
 fn timely_setup(b: usize) -> (Vec<TimelyFluid>, Vec<Vec<f64>>) {
@@ -177,6 +299,14 @@ fn timely_batch_width_invariant() {
     assert_width_invariant(models, x0s, 4, 0.0015);
 }
 
+#[test]
+fn timely_reduced_lanes() {
+    let (models, mut x0s) = timely_setup(16);
+    assert_reduced_lane_contracts(models.clone(), x0s.clone(), 1, 0.0015);
+    split_in_two(&mut x0s, models[0].layout(), 0.5);
+    assert_reduced_lane_contracts(models, x0s, 2, 0.0015);
+}
+
 // --- patched TIMELY --------------------------------------------------------
 
 fn patched_timely_setup(b: usize) -> (Vec<PatchedTimelyFluid>, Vec<Vec<f64>>) {
@@ -208,6 +338,14 @@ fn patched_timely_batch_lane_matches_scalar() {
 fn patched_timely_batch_width_invariant() {
     let (models, x0s) = patched_timely_setup(16);
     assert_width_invariant(models, x0s, 4, 0.0015);
+}
+
+#[test]
+fn patched_timely_reduced_lanes() {
+    let (models, mut x0s) = patched_timely_setup(16);
+    assert_reduced_lane_contracts(models.clone(), x0s.clone(), 1, 0.0015);
+    split_in_two(&mut x0s, models[0].layout(), 0.5);
+    assert_reduced_lane_contracts(models, x0s, 2, 0.0015);
 }
 
 // --- DCQCN + PI ------------------------------------------------------------
@@ -248,6 +386,14 @@ fn dcqcn_pi_batch_width_invariant() {
     assert_width_invariant(models, x0s, 4, 0.001);
 }
 
+#[test]
+fn dcqcn_pi_reduced_lanes() {
+    let (models, mut x0s) = dcqcn_pi_setup(16);
+    assert_reduced_lane_contracts(models.clone(), x0s.clone(), 1, 0.001);
+    split_in_two(&mut x0s, models[0].layout(), 0.5);
+    assert_reduced_lane_contracts(models, x0s, 2, 0.001);
+}
+
 // --- patched TIMELY + PI ---------------------------------------------------
 
 fn patched_timely_pi_setup(b: usize) -> (Vec<PatchedTimelyPiFluid>, Vec<Vec<f64>>) {
@@ -284,6 +430,14 @@ fn patched_timely_pi_batch_lane_matches_scalar() {
 fn patched_timely_pi_batch_width_invariant() {
     let (models, x0s) = patched_timely_pi_setup(16);
     assert_width_invariant(models, x0s, 4, 0.001);
+}
+
+#[test]
+fn patched_timely_pi_reduced_lanes() {
+    let (models, mut x0s) = patched_timely_pi_setup(16);
+    assert_reduced_lane_contracts(models.clone(), x0s.clone(), 1, 0.001);
+    split_in_two(&mut x0s, models[0].layout(), 0.5);
+    assert_reduced_lane_contracts(models, x0s, 2, 0.001);
 }
 
 // --- divergence isolation --------------------------------------------------
