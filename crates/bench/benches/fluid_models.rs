@@ -6,11 +6,66 @@ use bench::harness::{bench, black_box, record_spans, record_value, write_report}
 use control::JacobianCache;
 use ecn_delay_core::experiments::fig3;
 use fluid::classes::{try_integrate_classes, FlowClassSystem};
+use fluid::History;
 use models::dcqcn::{DcqcnFluid, DcqcnParams};
 use models::patched_timely::{PatchedTimelyFluid, PatchedTimelyParams};
 use models::pi::DcqcnPiFluid;
 
+/// `fluid::History` alone, at the live-window size of the paper-scale runs
+/// (10 ms horizon at a 1 µs step), on the `t += h` grid the integrators push.
+fn history_rows() {
+    const KNOTS: usize = 10_000;
+    const STEP_S: f64 = 1e-6;
+    let state = |t: f64| [1e3 * t, 1.0 - t, t * t];
+    let mut h = History::new(0.0, &state(0.0));
+    let mut t_back = 0.0;
+    for _ in 0..KNOTS {
+        t_back += STEP_S;
+        h.push(t_back, &state(t_back));
+    }
+
+    // The TIMELY pattern (Eq 22/24): each instant reads the queue once at a
+    // near delay and once much further back (≫ a few knots), both delays
+    // wandering as a state-dependent delay does.
+    bench("history/eval_two_far_delays_10k_knots", || {
+        let mut acc = 0.0;
+        for i in 0..KNOTS {
+            let t = 0.5 * t_back + 0.5 * STEP_S * i as f64;
+            let near = 50e-6 + 1e-6 * (i % 7) as f64;
+            let far = 1e-3 + 13e-6 * (i % 11) as f64;
+            acc += h.eval(t - near, 0) + h.eval(t - near - far, 0);
+        }
+        black_box(acc)
+    });
+
+    // The DCQCN pattern: one fixed delay, so the delayed instant advances
+    // monotonically, a whole row per lookup.
+    bench("history/eval_monotone_10k_knots", || {
+        let mut row = [0.0; 3];
+        let mut acc = 0.0;
+        for i in 0..KNOTS {
+            h.eval_all(0.25 * STEP_S * i as f64 + 50e-6, &mut row);
+            acc += row[0] + row[2];
+        }
+        black_box(acc)
+    });
+
+    // The integrators' per-step upkeep at a full window: push one knot, drop
+    // what fell behind the horizon (compaction amortized in).
+    let horizon_s = STEP_S * KNOTS as f64;
+    bench("history/trim_before_10k_knots", || {
+        for _ in 0..KNOTS {
+            t_back += STEP_S;
+            h.push(t_back, &state(t_back));
+            h.trim_before(t_back - horizon_s);
+        }
+        black_box(h.len())
+    });
+}
+
 fn main() {
+    history_rows();
+
     {
         let m = DcqcnFluid::new(DcqcnParams::default_40g(), 10);
         bench("dcqcn_fixed_point", || black_box(m.fixed_point().p_star));

@@ -85,15 +85,33 @@ enum Slot<O, E> {
     Done(Result<O, E>),
 }
 
+/// Whether a slot's final verdict quarantines its job, and why.
+#[derive(Clone, Copy)]
+enum Quarantine {
+    No,
+    /// Panicked, or failed every permitted attempt.
+    Exhausted,
+    /// Abandoned by the watchdog.
+    TimedOut,
+}
+
+/// What the pool owner waits on. The quarantine list lives under the same
+/// lock as the filled-slot count, so a verdict is on the list before the
+/// count that releases the owner includes its slot.
+#[derive(Default)]
+struct Progress {
+    filled: usize,
+    quarantined: Vec<usize>,
+}
+
 struct Shared<I, O, E> {
     jobs: Vec<Mutex<Option<I>>>,
     slots: Vec<Mutex<Slot<O, E>>>,
     /// `Some(start)` while an attempt for the slot is on a worker.
     started: Vec<Mutex<Option<Instant>>>,
     next: AtomicUsize,
-    done: Mutex<usize>,
-    done_cv: Condvar,
-    quarantined: Mutex<Vec<usize>>,
+    progress: Mutex<Progress>,
+    progress_cv: Condvar,
     stop_watchdog: AtomicBool,
     policy: SupervisePolicy,
     trace_parent: u64,
@@ -147,9 +165,8 @@ where
         slots: (0..n_jobs).map(|_| Mutex::new(Slot::Pending)).collect(),
         started: (0..n_jobs).map(|_| Mutex::new(None)).collect(),
         next: AtomicUsize::new(0),
-        done: Mutex::new(0),
-        done_cv: Condvar::new(),
-        quarantined: Mutex::new(Vec::new()),
+        progress: Mutex::new(Progress::default()),
+        progress_cv: Condvar::new(),
         stop_watchdog: AtomicBool::new(false),
         policy,
         trace_parent: obs::trace::current_context(),
@@ -168,15 +185,16 @@ where
     }
 
     // Wait until every slot is filled (by a worker or the watchdog).
-    {
-        let mut done = lock_ignore_poison(&shared.done);
-        while *done < n_jobs {
-            done = shared
-                .done_cv
-                .wait(done)
+    let mut quarantined = {
+        let mut progress = lock_ignore_poison(&shared.progress);
+        while progress.filled < n_jobs {
+            progress = shared
+                .progress_cv
+                .wait(progress)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
-    }
+        std::mem::take(&mut progress.quarantined)
+    };
     shared.stop_watchdog.store(true, Ordering::Relaxed);
 
     let mut results = Vec::with_capacity(n_jobs);
@@ -184,7 +202,7 @@ where
         let mut guard = lock_ignore_poison(slot);
         match std::mem::replace(&mut *guard, Slot::Pending) {
             Slot::Done(r) => results.push(r),
-            // Unreachable: the done count equals n_jobs only after every
+            // Unreachable: the filled count equals n_jobs only after every
             // slot transitioned to Done.
             Slot::Pending => results.push(Err(E::job_panicked(
                 results.len(),
@@ -192,9 +210,8 @@ where
             ))),
         }
     }
-    let mut quarantined = lock_ignore_poison(&shared.quarantined).clone();
+    // Each slot fills once, so an index is listed at most once.
     quarantined.sort_unstable();
-    quarantined.dedup();
     SuperviseReport {
         results,
         quarantined,
@@ -203,8 +220,15 @@ where
 
 /// Commit `result` into `slot idx` unless the watchdog already filled it
 /// (late result of an abandoned attempt: discarded). Returns true if the
-/// commit landed.
-fn commit<I, O, E>(shared: &Shared<I, O, E>, idx: usize, result: Result<O, E>) -> bool {
+/// commit landed. The quarantine verdict travels with the result: it is on
+/// the flight recorder and the quarantine list before the filled count —
+/// one lock, one wake — can release the owner.
+fn commit<I, O, E>(
+    shared: &Shared<I, O, E>,
+    idx: usize,
+    result: Result<O, E>,
+    quarantine: Quarantine,
+) -> bool {
     {
         let mut slot = lock_ignore_poison(&shared.slots[idx]);
         match *slot {
@@ -212,9 +236,19 @@ fn commit<I, O, E>(shared: &Shared<I, O, E>, idx: usize, result: Result<O, E>) -
             Slot::Done(_) => return false,
         }
     }
-    let mut done = lock_ignore_poison(&shared.done);
-    *done += 1;
-    shared.done_cv.notify_all();
+    let quarantined = !matches!(quarantine, Quarantine::No);
+    if matches!(quarantine, Quarantine::TimedOut) {
+        obs::flight::record(0.0, "job_timeout", idx as f64, None);
+    }
+    if quarantined {
+        obs::flight::record(0.0, "job_quarantined", idx as f64, None);
+    }
+    let mut progress = lock_ignore_poison(&shared.progress);
+    if quarantined {
+        progress.quarantined.push(idx);
+    }
+    progress.filled += 1;
+    shared.progress_cv.notify_all();
     true
 }
 
@@ -284,11 +318,12 @@ where
             }
         }
     };
-    let failed = final_result.is_err();
-    if commit(shared, idx, final_result) && failed && exhausted {
-        obs::flight::record(0.0, "job_quarantined", idx as f64, None);
-        lock_ignore_poison(&shared.quarantined).push(idx);
-    }
+    let quarantine = if final_result.is_err() && exhausted {
+        Quarantine::Exhausted
+    } else {
+        Quarantine::No
+    };
+    commit(shared, idx, final_result, quarantine);
 }
 
 fn spawn_watchdog<I, O, E, F, R>(shared: Arc<Shared<I, O, E>>, worker: Arc<F>, retryable: Arc<R>)
@@ -322,10 +357,7 @@ where
             // queue still drains.
             *lock_ignore_poison(&shared.started[idx]) = None;
             let verdict = E::job_timeout(idx, deadline_s);
-            if commit(shared.as_ref(), idx, Err(verdict)) {
-                obs::flight::record(0.0, "job_timeout", idx as f64, None);
-                obs::flight::record(0.0, "job_quarantined", idx as f64, None);
-                lock_ignore_poison(&shared.quarantined).push(idx);
+            if commit(shared.as_ref(), idx, Err(verdict), Quarantine::TimedOut) {
                 spawn_worker(shared.clone(), worker.clone(), retryable.clone());
             }
         }

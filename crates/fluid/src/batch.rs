@@ -14,8 +14,7 @@
 //!   loops over the batch lane that rustc auto-vectorizes. The [`History`]
 //!   stores the same flat layout, so one [`History::eval_strided`] call
 //!   fetches a lane's full delayed state with a single bracketing-knot
-//!   locate, and the shared locate cursor amortizes the binary search across
-//!   all B lanes of a delayed-time evaluation.
+//!   locate, itself O(1) on the integrator's uniform step grid.
 //! * **Bit-identity** — a lane kernel ([`LaneSystem::lane_rhs`]) is *the*
 //!   model implementation: the scalar [`DdeSystem`](crate::dde::DdeSystem)
 //!   path calls it with `lane = 0, stride = 1`, the batch path with
@@ -32,7 +31,7 @@
 //!   each other's components). Only when *every* lane has died does the
 //!   integration stop early.
 
-use crate::dde::{count_steps, rk4_combine, stage_state, DdeOptions, DIVERGENCE_NORM};
+use crate::dde::{count_integration, rk4_combine, stage_state, DdeOptions, DIVERGENCE_NORM};
 use crate::history::History;
 use crate::trace::Trace;
 use faults::SimError;
@@ -447,7 +446,7 @@ pub fn try_integrate_dde_batch<S: BatchDdeSystem>(
         }
     }
     // The step on which the last live lane died does not count.
-    count_steps(completed);
+    count_integration(completed, &hist);
 
     Ok(traces
         .into_iter()

@@ -176,7 +176,7 @@ impl FlowClasses {
             // First-appearance numbering makes K = N the identity.
             return reduced;
         }
-        let mut out = Trace::new(layout.dim(self.n_flows()));
+        let mut out = Trace::with_capacity(layout.dim(self.n_flows()), reduced.len());
         let mut row = Vec::with_capacity(out.dim());
         for (i, &t) in reduced.times().iter().enumerate() {
             let r = reduced.state(i);

@@ -253,7 +253,7 @@ pub fn try_integrate_dde_with_prehistory<S: DdeSystem>(
             // before the error propagates.
             obs::flight::record(t, "watchdog", state_norm, obs::flight::current_cause());
             obs::flight::dump_on_error(&err.to_string());
-            count_steps(step as u64 - 1);
+            count_integration(step as u64 - 1, &hist);
             return Err(err);
         }
         hist.push(t, &x);
@@ -285,17 +285,26 @@ pub fn try_integrate_dde_with_prehistory<S: DdeSystem>(
             );
         }
     }
-    count_steps(steps as u64);
+    count_integration(steps as u64, &hist);
     Ok(trace)
 }
 
-/// Add an integration's completed steps to `fluid.dde_steps` in one call:
-/// the counter takes a global mutex, which per step is a visible share of a
-/// few-components-wide RK4 step. An integration that completed no step
-/// leaves the counter unregistered, as a per-step increment would.
-pub(crate) fn count_steps(completed: u64) {
-    if completed > 0 {
-        obs::metrics::counter_add("fluid.dde_steps", completed);
+/// Add an integration's work to the metrics in one call: its completed steps
+/// to `fluid.dde_steps` and its history's lookup tallies to
+/// `fluid.history_lookups` / `fluid.history_lookup_fallbacks`. A counter
+/// takes a global mutex, which per step (let alone per lookup) is a visible
+/// share of a few-components-wide RK4 step. A zero count leaves its counter
+/// unregistered, as a per-event increment would.
+pub(crate) fn count_integration(completed_steps: u64, hist: &History) {
+    let (lookups, fallbacks) = hist.lookup_counts();
+    for (name, count) in [
+        ("fluid.dde_steps", completed_steps),
+        ("fluid.history_lookups", lookups),
+        ("fluid.history_lookup_fallbacks", fallbacks),
+    ] {
+        if count > 0 {
+            obs::metrics::counter_add(name, count);
+        }
     }
 }
 

@@ -28,6 +28,17 @@ impl Trace {
         }
     }
 
+    /// New empty trace with room for `rows` recorded points, for callers
+    /// that know the count up front: a wide trace then never pays a
+    /// grow-by-doubling copy (old + new buffer resident at once).
+    pub(crate) fn with_capacity(dim: usize, rows: usize) -> Self {
+        Trace {
+            times: Vec::with_capacity(rows),
+            states: Vec::with_capacity(rows * dim),
+            dim,
+        }
+    }
+
     /// Record the state at time `t`.
     pub fn push(&mut self, t: f64, state: &[f64]) {
         assert_eq!(state.len(), self.dim, "state dimension mismatch");
