@@ -24,6 +24,21 @@ fn main() {
         black_box(acc)
     });
 
+    bench("event_queue/pop_due_fifo_10k", || {
+        // The same schedule drained the way `Engine::run` drains it: every
+        // step asks for the next event due by the run's horizon.
+        let mut q = EventQueue::new();
+        for i in 0..10_000u64 {
+            q.schedule(SimTime::from_nanos(i), i);
+        }
+        let horizon = SimTime::from_nanos(10_000);
+        let mut acc = 0u64;
+        while let Some((_, v)) = q.pop_due(horizon) {
+            acc = acc.wrapping_add(v);
+        }
+        black_box(acc)
+    });
+
     bench("event_queue/push_pop_random_10k", || {
         let mut rng = SimRng::new(1);
         let mut q = EventQueue::new();
@@ -94,6 +109,19 @@ fn main() {
     // smoke scenario. The run is deterministic, so `events` is identical
     // every iteration and the events/sec rate follows from the median
     // wall-clock of the measured runs.
+    let run_incast = |k: usize, incast: &IncastConfig, horizon: SimTime| {
+        let mut cfg = EngineConfig::default();
+        cfg.rate_trace_window = None;
+        let (mut eng, _bottleneck) = fat_tree_incast(
+            Protocol::Dcqcn,
+            k,
+            incast,
+            10e9,
+            SimDuration::from_micros(1),
+            cfg,
+        );
+        eng.run(horizon)
+    };
     let incast = IncastConfig {
         n_senders: 256,
         bytes_per_sender: 16_000,
@@ -101,22 +129,9 @@ fn main() {
         stagger_s: 10e-6,
         seed: 1,
     };
-    let run_incast = || {
-        let mut cfg = EngineConfig::default();
-        cfg.rate_trace_window = None;
-        let (mut eng, _bottleneck) = fat_tree_incast(
-            Protocol::Dcqcn,
-            4,
-            &incast,
-            10e9,
-            SimDuration::from_micros(1),
-            cfg,
-        );
-        eng.run(SimTime::from_millis(30))
-    };
-    let baseline = run_incast();
+    let baseline = run_incast(4, &incast, SimTime::from_millis(30));
     let rec = bench("netsim/incast_k4_n256_dcqcn", || {
-        let report = run_incast();
+        let report = run_incast(4, &incast, SimTime::from_millis(30));
         debug_assert_eq!(report_digest(&report), report_digest(&baseline));
         black_box(report.events_processed)
     });
@@ -126,6 +141,20 @@ fn main() {
         u128::from(events) * 1_000_000_000 / rec.median_ns.max(1),
         events as usize,
     );
+
+    // The timer-dominated cell (the benchmark's `incast_dcqcn_n4096`): 4096
+    // DCQCN flows on a k=8 fat-tree, where α- and increase-timer firings —
+    // each re-arming itself — are about two events in five.
+    let incast = IncastConfig {
+        n_senders: 4096,
+        bytes_per_sender: 16_000,
+        seed: 1,
+        ..Default::default()
+    };
+    bench("netsim/incast_k8_n4096_dcqcn", || {
+        let report = run_incast(8, &incast, SimTime::from_millis(500));
+        black_box(report.events_processed)
+    });
 
     bench("rng_next_f64_1k", || {
         let mut rng = SimRng::new(7);

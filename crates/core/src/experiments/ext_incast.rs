@@ -520,12 +520,11 @@ mod tests {
         let mut cfg = small();
         cfg.sender_counts = vec![8, 16];
         let st = store::Store::open(&root).expect("open store");
-        store::reset_counters();
         let first = run_supervised(&cfg, &SuperviseOpts::default(), Some(&st));
-        assert_eq!(store::counters().hits, 0);
+        assert_eq!(st.counters().hits, 0);
         assert_eq!(first.cells.len(), 2);
         let again = run_supervised(&cfg, &SuperviseOpts::default(), Some(&st));
-        assert_eq!(store::counters().hits, 2, "rerun must be all hits");
+        assert_eq!(st.counters().hits, 2, "rerun must be all hits");
         assert_eq!(
             first.to_json().render_pretty(),
             again.to_json().render_pretty(),

@@ -43,6 +43,17 @@
 //! `timer_rearm` the slowest kernel bench row. Memory is proportional to
 //! the number of **pending** events, not the number ever scheduled.
 //!
+//! **One search per event.** A simulator's run loop asks one question per
+//! step — "what is the next event, if it is due by the horizon?" —
+//! and [`EventQueue::pop_due`] answers it with one occupancy search and one
+//! walk of the level-0 slot list: the slot's absolute time is known from
+//! the wheel position before any entry is read, so the due check costs
+//! nothing, and the walk that finds the minimum `seq` is the same walk that
+//! unlinks the slot's dead entries. [`EventQueue::pop`] is
+//! `pop_due(SimTime::MAX)`; there is no second pop implementation.
+//! [`EventQueue::peek_time`] remains for callers that only look (it does
+//! the search and a purge walk, and a `pop` after it repeats both).
+//!
 //! The previous heap implementation is retained verbatim as
 //! [`crate::event_ref::ReferenceEventQueue`] and serves as the oracle for
 //! the differential property test in `tests/wheel_differential.rs`.
@@ -426,10 +437,38 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest live event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_due(SimTime::MAX)
+    }
+
+    /// Pop the earliest live event if its time is at or before `limit`;
+    /// `None` when the queue is empty or its earliest event is later.
+    ///
+    /// This is `peek_time()` followed by `pop()` iff the peeked time is
+    /// `≤ limit`, fused into one wheel search and one walk of the level-0
+    /// slot list: the run loop of a simulator asks exactly that question
+    /// once per event. The wheel moves as `peek_time` moves it — an upper
+    /// slot holding the earliest event is cascaded down even when that
+    /// event turns out to be past `limit`, and dead entries in the slots
+    /// passed over are recycled — so a later `pop_due` with a larger limit
+    /// resumes where this one stopped. As after `peek_time`, the wheel
+    /// position may then lie past the last popped time (never past the
+    /// pending event), and `schedule` clamps an earlier time up to it.
+    pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         while self.len > 0 {
             match self.earliest_slot() {
                 Slot::Level0(slot) => {
-                    if let Some((t_ns, wheel_seq, payload)) = self.take_min_seq(slot) {
+                    // All entries in a reachable level-0 slot share the
+                    // slot's absolute time, so the due check needs no arena
+                    // read.
+                    let t_ns = (self.floor_ns & !L0_MASK) | slot as u64;
+                    if t_ns > limit.as_nanos() {
+                        if self.purge_dead_level0(slot) {
+                            return None;
+                        }
+                        // Slot held only cancelled entries; rescan.
+                        continue;
+                    }
+                    if let Some((wheel_seq, payload)) = self.take_min_seq(slot, t_ns) {
                         let time = SimTime::from_nanos(t_ns);
                         crate::invariants::monotonic_time(
                             "EventQueue::pop",
@@ -639,16 +678,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Remove and return the minimum-`seq` live entry of a level-0 slot as
-    /// `(time_ns, wheel seq, payload)` (the seq is the FIFO tie-break among
-    /// same-time events; `pop` also uses it as the flight-recorder linkage
-    /// key), unlinking and recycling any dead entries encountered in the
-    /// same pass. Returns `None` if the slot held only dead entries; the
-    /// occupancy bit is cleared when the slot empties.
-    fn take_min_seq(&mut self, slot: usize) -> Option<(u64, u64, E)> {
-        // All entries in a reachable level-0 slot share the slot's absolute
-        // time, so the popped time is computable from the wheel position —
-        // no arena read needed.
-        let t_ns = (self.floor_ns & !L0_MASK) | slot as u64;
+    /// `(wheel seq, payload)` (the seq is the FIFO tie-break among same-time
+    /// events; `pop_due` also uses it as the flight-recorder linkage key),
+    /// unlinking and recycling any dead entries encountered in the same
+    /// pass. `t_ns` is the slot's absolute time, used only to check the
+    /// level-0 time invariant. Returns `None` if the slot held only dead
+    /// entries; the occupancy bit is cleared when the slot empties.
+    fn take_min_seq(&mut self, slot: usize, t_ns: u64) -> Option<(u64, E)> {
         let head = self.l0_heads[slot];
         let h = &self.hot[head as usize];
         // Fast path: a single live entry (the common case outside tie
@@ -660,7 +696,7 @@ impl<E> EventQueue<E> {
             self.l0_clear(slot);
             let payload = self.payloads[head as usize].take();
             self.release(head);
-            return payload.map(|p| (t_ns, seq, p));
+            return payload.map(|p| (seq, p));
         }
         let mut prev = NIL;
         let mut cur = head;
@@ -711,7 +747,7 @@ impl<E> EventQueue<E> {
         if self.l0_heads[slot] == NIL {
             self.l0_clear(slot);
         }
-        payload.map(|p| (t_ns, best_seq, p))
+        payload.map(|p| (best_seq, p))
     }
 
     /// Reset the wheel to empty (occupancy-guided, so cost is proportional

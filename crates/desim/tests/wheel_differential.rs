@@ -55,6 +55,32 @@ impl Harness {
     fn pop(&mut self) {
         let got = self.wheel.pop();
         let want = self.oracle.pop();
+        self.settle(got, want);
+    }
+
+    /// The run loop's step: pop the earliest event iff it is due by
+    /// `limit_ns`. The oracle spells it out — `peek_time`, then `pop` iff
+    /// the peeked time is `≤ limit`. Returns whether an event popped.
+    fn pop_due(&mut self, limit_ns: u64) -> bool {
+        let limit = SimTime::from_nanos(limit_ns);
+        let next = self.oracle.peek_time();
+        let got = self.wheel.pop_due(limit);
+        if next.is_some_and(|t| t <= limit) {
+            let want = self.oracle.pop();
+            self.settle(got, want);
+            return true;
+        }
+        assert_eq!(got, None, "pop #{}: nothing due by {limit}", self.pops);
+        // As after `peek_time`, the wheel may now stand at the pending
+        // event; whatever is scheduled next goes at or after it.
+        if let Some(t) = next {
+            self.now_ns = self.now_ns.max(t.as_nanos());
+        }
+        false
+    }
+
+    /// Check one pop of the wheel against the oracle's and retire its tag.
+    fn settle(&mut self, got: Option<(SimTime, u64)>, want: Option<(SimTime, u64)>) {
         match (got, want) {
             (Some((tw, pw)), Some((tr, pr))) => {
                 assert_eq!(tw, tr, "pop #{}: time diverged", self.pops);
@@ -212,4 +238,84 @@ fn far_future_rollover_matches_oracle() {
     }
     h.check_len();
     h.drain();
+}
+
+#[test]
+fn pop_due_matches_peek_then_pop() {
+    // The same op mix as `random_schedules_pop_identically` (ties, cancels,
+    // cancel-then-rearm, far-future jumps), popping through `pop_due` with
+    // limits on, just before, between, before and beyond the next event.
+    for seed in 0..8u64 {
+        let mut rng = SimRng::new(0xD0E0_0000 + seed);
+        let mut h = Harness::new();
+        let mut held_back = 0u64;
+        for _ in 0..5_000 {
+            let op = rng.next_below(100);
+            if op < 40 || h.pending.is_empty() {
+                let at_ns = h.now_ns.saturating_add(random_offset(&mut rng));
+                h.push(at_ns);
+            } else if op < 75 {
+                let now = h.now_ns;
+                let next = h.oracle.peek_time().expect("pending").as_nanos();
+                let limit = match rng.next_below(6) {
+                    0 => next,
+                    1 => next.saturating_sub(1),
+                    2 => now + rng.next_below(next - now + 1),
+                    3 => now,
+                    4 => next.saturating_add(random_offset(&mut rng)),
+                    _ => u64::MAX,
+                };
+                if !h.pop_due(limit) {
+                    held_back += 1;
+                    // Asking again changes nothing; raising the limit to the
+                    // event's time releases it.
+                    assert!(!h.pop_due(limit));
+                    if rng.next_below(2) == 0 {
+                        assert!(h.pop_due(next));
+                    }
+                }
+            } else if op < 85 {
+                let pos = rng.next_below(h.pending.len() as u64) as usize;
+                h.cancel_at(pos);
+            } else {
+                let pos = rng.next_below(h.pending.len() as u64) as usize;
+                let at_ns = h.now_ns.saturating_add(random_offset(&mut rng));
+                h.rearm_at(pos, at_ns);
+            }
+            h.check_len();
+        }
+        assert!(h.pops > 1_000, "seed {seed}: schedule too pop-starved");
+        assert!(held_back > 100, "seed {seed}: limits never held an event");
+        h.drain();
+    }
+}
+
+#[test]
+fn pop_due_holds_far_future_events_until_their_time() {
+    // Each event sits several wheel levels above the last; a limit one
+    // nanosecond short cascades the wheel toward it without releasing it.
+    let mut h = Harness::new();
+    let times = [
+        300u64,
+        65_535,
+        1 << 24,
+        (1 << 32) + 7,
+        1 << 48,
+        (1 << 56) | 42,
+        u64::MAX,
+    ];
+    for &ns in times.iter().rev() {
+        h.push(ns);
+        h.push(ns);
+    }
+    assert!(!h.pop_due(0), "limit before every event");
+    for &ns in &times {
+        assert!(!h.pop_due(ns - 1));
+        assert!(!h.pop_due(ns - 1), "repeat after a None");
+        assert!(h.pop_due(ns));
+        assert!(h.pop_due(ns), "the tie is due too");
+        assert!(!h.pop_due(ns));
+        h.check_len();
+    }
+    assert!(!h.pop_due(u64::MAX), "empty queue");
 }

@@ -25,7 +25,7 @@ pub enum CcEvent {
         /// Newly transmitted payload bytes.
         bytes: u64,
     },
-    /// A timer previously requested via [`CcUpdate::timers`] fired.
+    /// A timer previously requested via [`CcUpdate::with_timer`] fired.
     Timer {
         /// The protocol-defined timer kind that fired.
         kind: u8,
@@ -33,16 +33,25 @@ pub enum CcEvent {
 }
 
 /// The protocol's response to an event.
-#[derive(Debug, Clone, Default)]
+///
+/// Plain data with no heap part: the engine gets one of these back from
+/// every CNP, ACK, byte-counter step and timer firing, so building and
+/// dropping it must not touch the allocator.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CcUpdate {
     /// New sending rate in bits/second, if changed.
     pub new_rate_bps: Option<f64>,
-    /// Timers to (re)arm: `(kind, fire_at)`. Re-arming a kind replaces any
-    /// pending timer of that kind.
-    pub timers: Vec<(u8, SimTime)>,
+    timers: [(u8, SimTime); CcUpdate::MAX_TIMERS],
+    timer_count: u8,
 }
 
 impl CcUpdate {
+    /// Timer capacity: the timer requests one update can carry, and the
+    /// timer kinds a protocol can use (`0..MAX_TIMERS`; the engine keeps one
+    /// pending timer per flow and kind). DCQCN, the only protocol with
+    /// timers, has two: the α-timer and the rate-increase timer.
+    pub const MAX_TIMERS: usize = 2;
+
     /// No action.
     pub fn none() -> Self {
         CcUpdate::default()
@@ -52,14 +61,28 @@ impl CcUpdate {
     pub fn rate(bps: f64) -> Self {
         CcUpdate {
             new_rate_bps: Some(bps),
-            timers: Vec::new(),
+            ..CcUpdate::default()
         }
     }
 
-    /// Add a timer request.
+    /// Add a timer request. Panics on a kind outside `0..MAX_TIMERS` or a
+    /// request beyond the capacity — both are bugs in the protocol.
     pub fn with_timer(mut self, kind: u8, at: SimTime) -> Self {
-        self.timers.push((kind, at));
+        let n = self.timer_count as usize;
+        assert!(
+            n < Self::MAX_TIMERS && (kind as usize) < Self::MAX_TIMERS,
+            "CcUpdate holds at most {0} timers of kinds 0..{0}: no room for kind {kind} after {n}",
+            Self::MAX_TIMERS,
+        );
+        self.timers[n] = (kind, at);
+        self.timer_count += 1;
         self
+    }
+
+    /// Timers to (re)arm: `(kind, fire_at)`, in request order. Re-arming a
+    /// kind replaces any pending timer of that kind.
+    pub fn timers(&self) -> &[(u8, SimTime)] {
+        &self.timers[..self.timer_count as usize]
     }
 }
 
@@ -108,20 +131,43 @@ impl CongestionControl for FixedRate {
 mod tests {
     use super::*;
 
+    /// The engine passes updates by value on every event; a heap part would
+    /// put the allocator back on that path.
+    const _: () = {
+        const fn assert_copy<T: Copy>() {}
+        assert_copy::<CcUpdate>()
+    };
+
     #[test]
     fn fixed_rate_never_reacts() {
         let mut cc = FixedRate { rate_bps: 5e9 };
         let up = cc.on_start(SimTime::ZERO, 10e9);
         assert_eq!(up.new_rate_bps, Some(5e9));
         let up = cc.on_event(SimTime::ZERO, CcEvent::Cnp);
-        assert!(up.new_rate_bps.is_none() && up.timers.is_empty());
+        assert!(up.new_rate_bps.is_none() && up.timers().is_empty());
         assert_eq!(cc.current_rate_bps(), 5e9);
     }
 
     #[test]
     fn update_builder() {
-        let up = CcUpdate::rate(1e9).with_timer(2, SimTime::from_micros(55));
+        let up = CcUpdate::rate(1e9).with_timer(1, SimTime::from_micros(55));
         assert_eq!(up.new_rate_bps, Some(1e9));
-        assert_eq!(up.timers, vec![(2, SimTime::from_micros(55))]);
+        assert_eq!(up.timers(), [(1, SimTime::from_micros(55))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "CcUpdate holds at most 2 timers")]
+    fn third_timer_on_one_update_panics() {
+        let at = SimTime::from_micros(55);
+        let _ = CcUpdate::none()
+            .with_timer(0, at)
+            .with_timer(1, at)
+            .with_timer(0, at);
+    }
+
+    #[test]
+    #[should_panic(expected = "of kinds 0..2")]
+    fn timer_kind_beyond_capacity_panics() {
+        let _ = CcUpdate::none().with_timer(2, SimTime::ZERO);
     }
 }

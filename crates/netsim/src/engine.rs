@@ -283,6 +283,25 @@ impl Ports {
     }
 }
 
+/// Per-link facts the per-packet handlers need on every enqueue and
+/// transmit, resolved once in [`Engine::new`] instead of re-derived from the
+/// topology, the trace map and the link rate per packet.
+#[derive(Debug, Clone, Copy)]
+struct LinkMemo {
+    /// The transmitting node is a switch (its egress queue marks and is
+    /// traced).
+    is_switch: bool,
+    /// Slot of this link's trace in [`Engine::queue_traces`], if traced.
+    trace_slot: Option<u32>,
+    /// The last serialization time computed per class (`[data, control]`)
+    /// and the wire size it is for. A class carries one size almost always
+    /// (full-MTU data, fixed-size control), so [`Engine::serialization`]
+    /// answers from here and calls [`SimDuration::serialization`] only when
+    /// the size changes.
+    ser_bytes: [u32; 2],
+    ser: [SimDuration; 2],
+}
+
 /// One completed flow.
 #[derive(Debug, Clone)]
 pub struct FctRecord {
@@ -353,9 +372,10 @@ pub struct Engine {
     /// Live event-queue id per flow and timer kind
     /// (`timer_ids[flow][kind]`): re-arming cancels the previous event in
     /// O(1) on the timing wheel, so stale firings never reach the dispatch
-    /// loop at all. Kinds are tiny dense protocol-defined codes, so a
-    /// per-flow vector keeps the lookup allocation-free and deterministic.
-    timer_ids: Vec<Vec<Option<EventId>>>,
+    /// loop at all. Kinds are `0..CcUpdate::MAX_TIMERS`, so one fixed array
+    /// per flow holds them.
+    timer_ids: Vec<[Option<EventId>; CcUpdate::MAX_TIMERS]>,
+    link_memo: Vec<LinkMemo>,
     queue_traces: LinkTraceMap,
     rate_window_bytes: Vec<u64>,
     rate_window_start: Vec<SimTime>,
@@ -364,6 +384,7 @@ pub struct Engine {
     marked_packets: u64,
     data_packets: u64,
     cnps_sent: u64,
+    rate_updates: u64,
     next_packet_id: u64,
     first_mark_time: Option<SimTime>,
     fcts: Vec<FctRecord>,
@@ -391,6 +412,19 @@ impl Engine {
                 queue_traces.insert(LinkId(l), TimeSeries::new(cfg.queue_trace_resolution_s));
             }
         }
+        let ser_bytes = [cfg.mtu_bytes + cfg.header_bytes, cfg.control_packet_bytes];
+        let link_memo = (0..topo.link_count())
+            .map(|l| {
+                let link = topo.link(LinkId(l));
+                LinkMemo {
+                    is_switch: matches!(topo.kind(link.src), NodeKind::Switch),
+                    trace_slot: queue_traces.slot_of(LinkId(l)).map(|s| s as u32),
+                    ser_bytes,
+                    ser: ser_bytes
+                        .map(|b| SimDuration::serialization(b as u64, link.bandwidth_bps)),
+                }
+            })
+            .collect();
         let rng = SimRng::new(cfg.seed);
         Engine {
             topo,
@@ -402,6 +436,7 @@ impl Engine {
             receivers: ReceiverFlows::default(),
             packets: PacketArena::new(),
             timer_ids: Vec::new(),
+            link_memo,
             queue_traces,
             rate_window_bytes: Vec::new(),
             rate_window_start: Vec::new(),
@@ -410,6 +445,7 @@ impl Engine {
             marked_packets: 0,
             data_packets: 0,
             cnps_sent: 0,
+            rate_updates: 0,
             next_packet_id: 0,
             first_mark_time: None,
             fcts: Vec::new(),
@@ -477,7 +513,7 @@ impl Engine {
         .next_u64();
         let id = self.senders.push(spec, path_hash);
         self.receivers.push();
-        self.timer_ids.push(Vec::new());
+        self.timer_ids.push([None; CcUpdate::MAX_TIMERS]);
         self.rate_window_bytes.push(0);
         self.rate_window_start.push(start);
         self.rate_traces.push(Vec::new());
@@ -654,18 +690,24 @@ impl Engine {
             let at = self.now + pi.update_interval;
             self.events.schedule(at, Ev::AqmTick);
         }
-        while let Some(t) = self.events.peek_time() {
-            if t > end {
-                break;
-            }
-            let Some((t, ev)) = self.events.pop() else {
-                break; // unreachable: peek_time just returned Some
-            };
+        let before = (self.marked_packets, self.cnps_sent, self.rate_updates);
+        while let Some((t, ev)) = self.events.pop_due(end) {
             self.now = t;
             self.events_processed += 1;
             self.handle(ev);
         }
         self.now = end;
+        // The per-packet paths only bump the engine's own fields; the obs
+        // registry (a lock per call) gets what this run added, once.
+        for (name, added) in [
+            ("netsim.ecn_marks", self.marked_packets - before.0),
+            ("netsim.cnps_sent", self.cnps_sent - before.1),
+            ("netsim.rate_updates", self.rate_updates - before.2),
+        ] {
+            if added > 0 {
+                obs::metrics::counter_add(name, added);
+            }
+        }
         SimReport {
             fcts: std::mem::take(&mut self.fcts),
             queue_traces: std::mem::take(&mut self.queue_traces),
@@ -943,7 +985,7 @@ impl Engine {
         if let Some(r) = update.new_rate_bps {
             desim::invariants::finite_rate("cc update rate", r);
             self.senders.rate_bps[f.0] = r.max(1e3);
-            obs::metrics::counter_inc("netsim.rate_updates");
+            self.rate_updates += 1;
             if obs::timeseries::enabled() {
                 obs::timeseries::sample(
                     "netsim.rate_bps",
@@ -963,28 +1005,23 @@ impl Engine {
                 );
             }
         }
-        for (kind, at) in update.timers {
+        for &(kind, at) in update.timers() {
             let at = at.max(self.now);
-            let k = kind as usize;
-            let slots = &mut self.timer_ids[f.0];
-            if slots.len() <= k {
-                slots.resize(k + 1, None);
-            }
             // Re-arming cancels the previous event (O(1) on the wheel), so
             // the queue holds at most one live timer per (flow, kind) and a
             // popped CcTimer is always the most recent arming.
-            if let Some(old) = slots[k].take() {
+            if let Some(old) = self.timer_ids[f.0][kind as usize].take() {
                 self.events.cancel(old);
             }
-            slots[k] = Some(self.events.schedule(at, Ev::CcTimer(f, kind)));
+            let id = self.events.schedule(at, Ev::CcTimer(f, kind));
+            self.timer_ids[f.0][kind as usize] = Some(id);
         }
     }
 
     fn cc_timer(&mut self, f: FlowId, kind: u8) {
         // Cancellation-on-rearm guarantees this firing is the live arming
         // for (flow, kind); just clear the slot.
-        let k = kind as usize;
-        self.timer_ids[f.0][k] = None;
+        self.timer_ids[f.0][kind as usize] = None;
         if self.senders.completed[f.0].is_some() {
             return;
         }
@@ -1138,7 +1175,7 @@ impl Engine {
     /// Enqueue a packet (by handle) on a link's egress queue; start
     /// transmission if the port is idle. Ingress marking happens here.
     fn enqueue(&mut self, link: LinkId, h: PacketHandle) {
-        let is_switch = matches!(self.topo.kind(self.topo.link(link).src), NodeKind::Switch);
+        let is_switch = self.link_memo[link.0].is_switch;
         let (is_control, size_bytes, flow) = {
             let pkt = self.packets.get(h);
             (pkt.is_control(), pkt.size_bytes, pkt.flow)
@@ -1149,46 +1186,13 @@ impl Engine {
             self.ports.data_bytes[link.0] += size_bytes as u64;
             let data_bytes = self.ports.data_bytes[link.0];
             if is_switch && self.cfg.marking == MarkingMode::Ingress {
-                let p = if self.cfg.pi_aqm.is_some() {
-                    self.ports.pi_p[link.0]
-                } else {
-                    self.cfg.red.probability(data_bytes)
-                };
-                if p > 0.0 && self.rng.next_f64() < p {
-                    self.packets.get_mut(h).ecn_marked = true;
-                    self.marked_packets += 1;
-                    self.first_mark_time.get_or_insert(self.now);
-                    obs::metrics::counter_inc("netsim.ecn_marks");
-                    if obs::timeseries::enabled() {
-                        // One 1.0-sample per mark: a window's count IS the
-                        // mark count, so count/window_s is the mark rate.
-                        obs::timeseries::sample(
-                            "netsim.ecn_mark",
-                            link.0 as u64,
-                            self.cfg.queue_trace_resolution_s,
-                            self.now.as_secs_f64(),
-                            1.0,
-                        );
-                    }
-                    if obs::trace::enabled() {
-                        obs::trace::record(
-                            self.now.as_secs_f64(),
-                            obs::Event::EcnMark {
-                                flow: flow.0 as u64,
-                                link: link.0 as u64,
-                                queue_bytes: data_bytes,
-                            },
-                        );
-                    }
-                }
+                self.mark_ecn(link, h, flow, data_bytes);
             }
             self.ports.data_q[link.0].push_back(h);
             if is_switch {
                 let bytes = data_bytes as f64;
                 desim::invariants::bounded_queue("switch egress queue", bytes, f64::INFINITY);
-                if let Some(tr) = self.queue_traces.get_mut(link) {
-                    tr.record(self.now, bytes);
-                }
+                self.record_queue(link, bytes);
                 if obs::timeseries::enabled() {
                     let t_s = self.now.as_secs_f64();
                     let w = self.cfg.queue_trace_resolution_s;
@@ -1206,13 +1210,68 @@ impl Engine {
         self.try_transmit(link);
     }
 
+    /// The marking decision for data packet `h` of `flow` on switch port
+    /// `link` holding `queue_bytes`: one draw from the marking RNG whenever
+    /// the RED curve (or the PI controller) gives a positive probability.
+    fn mark_ecn(&mut self, link: LinkId, h: PacketHandle, flow: FlowId, queue_bytes: u64) {
+        let p = if self.cfg.pi_aqm.is_some() {
+            self.ports.pi_p[link.0]
+        } else {
+            self.cfg.red.probability(queue_bytes)
+        };
+        if p > 0.0 && self.rng.next_f64() < p {
+            self.packets.get_mut(h).ecn_marked = true;
+            self.marked_packets += 1;
+            self.first_mark_time.get_or_insert(self.now);
+            if obs::timeseries::enabled() {
+                // One 1.0-sample per mark: a window's count IS the
+                // mark count, so count/window_s is the mark rate.
+                obs::timeseries::sample(
+                    "netsim.ecn_mark",
+                    link.0 as u64,
+                    self.cfg.queue_trace_resolution_s,
+                    self.now.as_secs_f64(),
+                    1.0,
+                );
+            }
+            if obs::trace::enabled() {
+                obs::trace::record(
+                    self.now.as_secs_f64(),
+                    obs::Event::EcnMark {
+                        flow: flow.0 as u64,
+                        link: link.0 as u64,
+                        queue_bytes,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Record a switch port's backlog in its queue trace, if it has one.
+    #[inline]
+    fn record_queue(&mut self, link: LinkId, bytes: f64) {
+        let slot = self.link_memo[link.0].trace_slot;
+        if let Some(tr) = slot.and_then(|s| self.queue_traces.slot_mut(s as usize)) {
+            tr.record(self.now, bytes);
+        }
+    }
+
+    /// [`SimDuration::serialization`] of `size_bytes` at `link`'s rate,
+    /// memoised per link and class (see [`LinkMemo`]).
+    #[inline]
+    fn serialization(&mut self, link: LinkId, is_control: bool, size_bytes: u32) -> SimDuration {
+        let m = &mut self.link_memo[link.0];
+        let class = is_control as usize;
+        if m.ser_bytes[class] != size_bytes {
+            m.ser_bytes[class] = size_bytes;
+            m.ser[class] =
+                SimDuration::serialization(size_bytes as u64, self.topo.link(link).bandwidth_bps);
+        }
+        m.ser[class]
+    }
+
     /// If the port is idle (and unpaused), start serializing the next packet.
     fn try_transmit(&mut self, link: LinkId) {
-        let is_switch = matches!(self.topo.kind(self.topo.link(link).src), NodeKind::Switch);
-        let (bw, prop) = {
-            let l = self.topo.link(link);
-            (l.bandwidth_bps, l.prop_delay)
-        };
         // Fault plane: a downed link transmits nothing; a pause-storm forced
         // pause blocks the data class only (like PFC, control rides a
         // separate priority).
@@ -1242,6 +1301,7 @@ impl Engine {
             return;
         };
 
+        let is_switch = self.link_memo[link.0].is_switch;
         let (is_control, size_bytes, flow) = {
             let pkt = self.packets.get(h);
             (pkt.is_control(), pkt.size_bytes, pkt.flow)
@@ -1249,46 +1309,12 @@ impl Engine {
         if !is_control {
             // Egress marking: the mark reflects the queue at departure time.
             if is_switch && self.cfg.marking == MarkingMode::Egress {
-                let data_bytes = self.ports.data_bytes[link.0];
-                let p = if self.cfg.pi_aqm.is_some() {
-                    self.ports.pi_p[link.0]
-                } else {
-                    self.cfg.red.probability(data_bytes)
-                };
-                if p > 0.0 && self.rng.next_f64() < p {
-                    self.packets.get_mut(h).ecn_marked = true;
-                    self.marked_packets += 1;
-                    self.first_mark_time.get_or_insert(self.now);
-                    obs::metrics::counter_inc("netsim.ecn_marks");
-                    if obs::timeseries::enabled() {
-                        // One 1.0-sample per mark: a window's count IS the
-                        // mark count, so count/window_s is the mark rate.
-                        obs::timeseries::sample(
-                            "netsim.ecn_mark",
-                            link.0 as u64,
-                            self.cfg.queue_trace_resolution_s,
-                            self.now.as_secs_f64(),
-                            1.0,
-                        );
-                    }
-                    if obs::trace::enabled() {
-                        obs::trace::record(
-                            self.now.as_secs_f64(),
-                            obs::Event::EcnMark {
-                                flow: flow.0 as u64,
-                                link: link.0 as u64,
-                                queue_bytes: data_bytes,
-                            },
-                        );
-                    }
-                }
+                self.mark_ecn(link, h, flow, self.ports.data_bytes[link.0]);
             }
             self.ports.data_bytes[link.0] -= size_bytes as u64;
             if is_switch {
                 let bytes = self.ports.data_bytes[link.0] as f64;
-                if let Some(tr) = self.queue_traces.get_mut(link) {
-                    tr.record(self.now, bytes);
-                }
+                self.record_queue(link, bytes);
                 if obs::timeseries::enabled() {
                     let t_s = self.now.as_secs_f64();
                     let w = self.cfg.queue_trace_resolution_s;
@@ -1304,9 +1330,9 @@ impl Engine {
             }
         }
         self.ports.busy[link.0] = true;
-        let ser = SimDuration::serialization(size_bytes as u64, bw);
+        let ser = self.serialization(link, is_control, size_bytes);
         self.events.schedule(self.now + ser, Ev::TxDone(link));
-        let mut deliver_at = self.now + ser + prop;
+        let mut deliver_at = self.now + ser + self.topo.link(link).prop_delay;
         if self.faults_active {
             let extra_s = self.fault_extra_delay_s(link);
             if extra_s > 0.0 {
@@ -1337,7 +1363,7 @@ impl Engine {
     /// resume threshold. (Simplified node-granularity PFC; the paper's
     /// analysis assumes ECN acts first and ignores PFC entirely.)
     fn update_pfc(&mut self, link: LinkId) {
-        let Some(pfc) = self.cfg.pfc.clone() else {
+        let Some(pfc) = &self.cfg.pfc else {
             return;
         };
         let node = self.topo.link(link).src;
@@ -1347,52 +1373,52 @@ impl Engine {
         if !pause && !resume {
             return;
         }
-        for l in 0..self.topo.link_count() {
-            if self.topo.link(LinkId(l)).dst == node {
-                if pause && !self.ports.paused[l] {
-                    self.ports.paused[l] = true;
-                    self.ports.paused_since[l] = Some(self.now);
-                    self.ports.pauses[l] += 1;
-                    obs::metrics::counter_inc("netsim.pfc_pauses");
-                    if obs::timeseries::enabled() {
-                        obs::timeseries::sample(
-                            "netsim.pfc_paused",
-                            l as u64,
-                            self.cfg.queue_trace_resolution_s,
-                            self.now.as_secs_f64(),
-                            1.0,
-                        );
-                    }
-                    if obs::trace::enabled() {
-                        obs::trace::record(
-                            self.now.as_secs_f64(),
-                            obs::Event::PfcPause { link: l as u64 },
-                        );
-                    }
-                } else if resume && self.ports.paused[l] {
-                    self.ports.paused[l] = false;
-                    if let Some(since) = self.ports.paused_since[l].take() {
-                        let d = self.now.saturating_since(since);
-                        self.ports.paused_total[l] += d;
-                    }
-                    obs::metrics::counter_inc("netsim.pfc_resumes");
-                    if obs::timeseries::enabled() {
-                        obs::timeseries::sample(
-                            "netsim.pfc_paused",
-                            l as u64,
-                            self.cfg.queue_trace_resolution_s,
-                            self.now.as_secs_f64(),
-                            0.0,
-                        );
-                    }
-                    if obs::trace::enabled() {
-                        obs::trace::record(
-                            self.now.as_secs_f64(),
-                            obs::Event::PfcResume { link: l as u64 },
-                        );
-                    }
-                    self.try_transmit(LinkId(l));
+        // By index: a resumed link transmits, which re-enters this function.
+        for i in 0..self.topo.in_links(node).len() {
+            let l = self.topo.in_links(node)[i].0;
+            if pause && !self.ports.paused[l] {
+                self.ports.paused[l] = true;
+                self.ports.paused_since[l] = Some(self.now);
+                self.ports.pauses[l] += 1;
+                obs::metrics::counter_inc("netsim.pfc_pauses");
+                if obs::timeseries::enabled() {
+                    obs::timeseries::sample(
+                        "netsim.pfc_paused",
+                        l as u64,
+                        self.cfg.queue_trace_resolution_s,
+                        self.now.as_secs_f64(),
+                        1.0,
+                    );
                 }
+                if obs::trace::enabled() {
+                    obs::trace::record(
+                        self.now.as_secs_f64(),
+                        obs::Event::PfcPause { link: l as u64 },
+                    );
+                }
+            } else if resume && self.ports.paused[l] {
+                self.ports.paused[l] = false;
+                if let Some(since) = self.ports.paused_since[l].take() {
+                    let d = self.now.saturating_since(since);
+                    self.ports.paused_total[l] += d;
+                }
+                obs::metrics::counter_inc("netsim.pfc_resumes");
+                if obs::timeseries::enabled() {
+                    obs::timeseries::sample(
+                        "netsim.pfc_paused",
+                        l as u64,
+                        self.cfg.queue_trace_resolution_s,
+                        self.now.as_secs_f64(),
+                        0.0,
+                    );
+                }
+                if obs::trace::enabled() {
+                    obs::trace::record(
+                        self.now.as_secs_f64(),
+                        obs::Event::PfcResume { link: l as u64 },
+                    );
+                }
+                self.try_transmit(LinkId(l));
             }
         }
     }
@@ -1448,7 +1474,6 @@ impl Engine {
                     if due {
                         self.receivers.last_cnp[f.0] = Some(self.now);
                         self.cnps_sent += 1;
-                        obs::metrics::counter_inc("netsim.cnps_sent");
                         if obs::trace::enabled() {
                             obs::trace::record(
                                 self.now.as_secs_f64(),

@@ -49,6 +49,8 @@ pub struct Topology {
     links: Vec<Link>,
     /// Outgoing links per node.
     out_links: Vec<Vec<LinkId>>,
+    /// Incoming links per node, ascending by link id.
+    in_links: Vec<Vec<LinkId>>,
     /// ECMP route table, flattened: the equal-cost next hops from node `at`
     /// toward `dst` are `route_links[route_offsets[dst·n + at] ..
     /// route_offsets[dst·n + at + 1]]`, sorted by link id. One flat array
@@ -140,6 +142,7 @@ impl Topology {
             nodes,
             links,
             out_links,
+            in_links,
             route_offsets,
             route_links,
         })
@@ -205,6 +208,11 @@ impl Topology {
     /// Outgoing links of a node.
     pub fn out_links(&self, n: NodeId) -> &[LinkId] {
         &self.out_links[n.0]
+    }
+
+    /// Incoming links of a node, ascending by link id.
+    pub fn in_links(&self, n: NodeId) -> &[LinkId] {
+        &self.in_links[n.0]
     }
 
     /// All host node ids.

@@ -47,6 +47,19 @@ impl LinkTraceMap {
         }
     }
 
+    /// Position of `link`'s trace in iteration order, if traced. Stable
+    /// until the next `insert`; the engine resolves it once per link so the
+    /// per-packet path indexes instead of searching.
+    pub(crate) fn slot_of(&self, link: LinkId) -> Option<usize> {
+        self.position(link).ok()
+    }
+
+    /// Mutable trace at a slot returned by [`LinkTraceMap::slot_of`]; `None`
+    /// once the map has been emptied (the engine hands it to the report).
+    pub(crate) fn slot_mut(&mut self, slot: usize) -> Option<&mut TimeSeries> {
+        self.entries.get_mut(slot).map(|(_, t)| t)
+    }
+
     /// Is `link` traced?
     pub fn contains_key(&self, link: LinkId) -> bool {
         self.position(link).is_ok()
@@ -111,6 +124,10 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2, 3], "iteration is ascending by link");
         assert_eq!(m[&LinkId(3)].points()[0].1, 3.0);
         assert!(m.get(LinkId(7)).is_none());
+        let slot = m.slot_of(LinkId(2)).expect("traced");
+        assert_eq!(m.slot_mut(slot).expect("in range").points()[0].1, 2.0);
+        assert!(m.slot_of(LinkId(7)).is_none());
+        assert!(LinkTraceMap::new().slot_mut(slot).is_none());
     }
 
     #[test]

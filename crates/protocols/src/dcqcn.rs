@@ -251,7 +251,7 @@ mod tests {
         let up = cc.on_start(SimTime::ZERO, 10e9);
         assert_eq!(up.new_rate_bps, Some(10e9));
         assert_eq!(cc.alpha(), 1.0);
-        assert_eq!(up.timers.len(), 2, "α timer and increase timer armed");
+        assert_eq!(up.timers().len(), 2, "α timer and increase timer armed");
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!   ++ FNV-1a checksum`, so torn writes and bit-flips are *detected* on
 //!   open, moved to `<root>/corrupt/` for post-mortem, and recomputed
 //!   rather than served.
-//! * **Counters**: hits / misses / corrupt / writes as process-global
-//!   atomics, mirrored into `obs::metrics` (`store.hit` …) when metrics
-//!   are enabled, so `--metrics` snapshots show cache behavior per run.
+//! * **Counters**: hits / misses / corrupt / writes per [`Store`]
+//!   ([`Store::counters`]) and summed over the process ([`counters`]),
+//!   mirrored into `obs::metrics` (`store.hit` …) when metrics are
+//!   enabled, so `--metrics` snapshots show cache behavior per run.
 //!
 //! The store never invents data: it returns exactly the payload bytes a
 //! completed run recorded, or `None`. Resumability falls out — a rerun
@@ -39,17 +40,47 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Record container format marker; bump the trailing digit on any framing
 /// change so old stores read as corrupt instead of silently misparsing.
 const MAGIC: &[u8; 8] = b"ECNSTOR1";
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static CORRUPT: AtomicU64 = AtomicU64::new(0);
-static WRITES: AtomicU64 = AtomicU64::new(0);
+/// Live hit/miss/corrupt/write counts: one per [`Store`], one for the
+/// process. Statistics only — no other data is published through them, so
+/// every access is `Relaxed`.
+#[derive(Debug)]
+struct Tally {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    corrupt: AtomicU64,
+    writes: AtomicU64,
+}
 
-/// Snapshot of the process-global store counters.
+impl Tally {
+    const fn new() -> Self {
+        Tally {
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            corrupt: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
+        }
+    }
+
+    fn read(&self) -> Counters {
+        Counters {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            corrupt: self.corrupt.load(Ordering::Relaxed),
+            writes: self.writes.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Every store's counts, summed.
+static TOTAL: Tally = Tally::new();
+
+/// Snapshot of store counters: one [`Store`]'s or the whole process's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Counters {
     /// Records served whole.
@@ -62,22 +93,19 @@ pub struct Counters {
     pub writes: u64,
 }
 
-/// Read the process-global counters.
+/// Read the process-wide totals over every [`Store`]. Anything else in the
+/// process that touches a store moves them; to count one store's traffic
+/// use [`Store::counters`].
 pub fn counters() -> Counters {
-    Counters {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        corrupt: CORRUPT.load(Ordering::Relaxed),
-        writes: WRITES.load(Ordering::Relaxed),
-    }
+    TOTAL.read()
 }
 
-/// Reset the process-global counters (tests and long-lived drivers).
+/// Reset the process-wide totals (long-lived drivers). Per-store counters
+/// are not touched.
 pub fn reset_counters() {
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-    CORRUPT.store(0, Ordering::Relaxed);
-    WRITES.store(0, Ordering::Relaxed);
+    for c in [&TOTAL.hits, &TOTAL.misses, &TOTAL.corrupt, &TOTAL.writes] {
+        c.store(0, Ordering::Relaxed);
+    }
 }
 
 /// Frame a payload for durable storage: `MAGIC ++ len(u64 LE) ++ payload ++
@@ -148,10 +176,12 @@ fn payload_checksum(payload: &[u8]) -> u64 {
     h
 }
 
-/// A content-addressed record store rooted at one directory.
+/// A content-addressed record store rooted at one directory. A clone is a
+/// second handle to the same store and shares its counters.
 #[derive(Debug, Clone)]
 pub struct Store {
     root: PathBuf,
+    tally: Arc<Tally>,
 }
 
 impl Store {
@@ -159,7 +189,24 @@ impl Store {
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Store> {
         let root = root.into();
         fs::create_dir_all(&root)?;
-        Ok(Store { root })
+        Ok(Store {
+            root,
+            tally: Arc::new(Tally::new()),
+        })
+    }
+
+    /// What this store (through any of its clones) has served, missed,
+    /// quarantined and written since it was opened.
+    pub fn counters(&self) -> Counters {
+        self.tally.read()
+    }
+
+    /// Count one outcome on this store, in the process totals and in the
+    /// `obs` metric of the same name.
+    fn count(&self, which: fn(&Tally) -> &AtomicU64, metric: &'static str) {
+        which(&self.tally).fetch_add(1, Ordering::Relaxed);
+        which(&TOTAL).fetch_add(1, Ordering::Relaxed);
+        obs::metrics::counter_inc(metric);
     }
 
     /// The store's root directory.
@@ -188,24 +235,20 @@ impl Store {
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(_) => {
-                MISSES.fetch_add(1, Ordering::Relaxed);
-                obs::metrics::counter_inc("store.miss");
+                self.count(|t| &t.misses, "store.miss");
                 return None;
             }
         };
         match unframe(&bytes) {
             Ok(payload) => {
                 let payload = payload.to_vec();
-                HITS.fetch_add(1, Ordering::Relaxed);
-                obs::metrics::counter_inc("store.hit");
+                self.count(|t| &t.hits, "store.hit");
                 Some(payload)
             }
             Err(e) => {
                 self.quarantine(key, &path, e);
-                MISSES.fetch_add(1, Ordering::Relaxed);
-                CORRUPT.fetch_add(1, Ordering::Relaxed);
-                obs::metrics::counter_inc("store.miss");
-                obs::metrics::counter_inc("store.corrupt");
+                self.count(|t| &t.misses, "store.miss");
+                self.count(|t| &t.corrupt, "store.corrupt");
                 None
             }
         }
@@ -217,8 +260,7 @@ impl Store {
     /// rename lands last.
     pub fn put(&self, key: &SpecKey, payload: &[u8]) -> io::Result<()> {
         write_atomic(&self.record_path(key), &frame(payload))?;
-        WRITES.fetch_add(1, Ordering::Relaxed);
-        obs::metrics::counter_inc("store.write");
+        self.count(|t| &t.writes, "store.write");
         Ok(())
     }
 
@@ -285,13 +327,17 @@ mod tests {
     #[test]
     fn put_get_round_trip_with_counters() {
         let s = tmp_store("roundtrip");
-        reset_counters();
+        let total_before = counters();
         let k = s.key("t", "{\"a\": 1}").expect("key");
         assert_eq!(s.get(&k), None);
         s.put(&k, b"payload").expect("put");
-        assert_eq!(s.get(&k).as_deref(), Some(&b"payload"[..]));
-        let c = counters();
+        assert_eq!(s.clone().get(&k).as_deref(), Some(&b"payload"[..]));
+        // The instance counts exactly its own traffic (a clone is the same
+        // store); sibling tests on other stores only show in the totals.
+        let c = s.counters();
         assert_eq!((c.hits, c.misses, c.corrupt, c.writes), (1, 1, 0, 1));
+        let total = counters();
+        assert!(total.hits > total_before.hits && total.writes > total_before.writes);
         assert!(s.record_path(&k).starts_with(s.root()));
         let _ = fs::remove_dir_all(s.root());
     }
