@@ -6,7 +6,7 @@
 //! content-addressed store (`store::Store`), and a rerun with the same spec
 //! serves every artifact byte-identically from disk instead of recomputing.
 //! Identical bytes are sound because the simulation itself is deterministic:
-//! same spec ⇒ same bytes, at any `SIM_THREADS`/`SIM_BATCH` setting.
+//! same spec ⇒ same bytes, at any `SIM_THREADS` setting.
 //!
 //! One figure = one record: the payload is a manifest bundling every
 //! artifact the figure writes (`fig2.json` plus its per-N CSVs, say), so a

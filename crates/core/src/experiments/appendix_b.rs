@@ -81,10 +81,9 @@ fn cut_times(trace: &[(f64, f64)], frac: f64, from: f64) -> Vec<f64> {
 /// independent (analytic + packet-sim) job, run in parallel with ordered
 /// results.
 ///
-/// When [`desim::par::batch_enabled`], the sweep dispatches through
-/// [`desim::par::par_map_chunked`] (packet engines can't share lanes, so
-/// chunked dispatch is the batching story here); per-row arithmetic is
-/// unchanged, so both paths produce byte-identical rows.
+/// The sweep dispatches through [`desim::par::par_map_chunked`] (packet
+/// engines can't share lanes, so chunked dispatch is the batching story
+/// here).
 pub fn run(cfg: &AppendixBConfig) -> AppendixBResult {
     let run_one = |n: usize| {
         // --- analytic prediction -----------------------------------------
@@ -124,13 +123,9 @@ pub fn run(cfg: &AppendixBConfig) -> AppendixBResult {
             cuts_measured: cuts.len(),
         }
     };
-    let rows = if desim::par::batch_enabled() {
-        desim::par::par_map_chunked(cfg.flow_counts.clone(), 2, |chunk| {
-            chunk.into_iter().map(run_one).collect()
-        })
-    } else {
-        desim::par::par_map(cfg.flow_counts.clone(), run_one)
-    };
+    let rows = desim::par::par_map_chunked(cfg.flow_counts.clone(), 2, |chunk| {
+        chunk.into_iter().map(run_one).collect()
+    });
     AppendixBResult { rows }
 }
 

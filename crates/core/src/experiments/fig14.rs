@@ -88,16 +88,26 @@ pub fn run_cell(protocol: Protocol, load: f64, horizon_s: f64, seed: u64) -> (Fc
     (stats, util)
 }
 
-/// Run the full sweep.
+/// Run the full sweep: every `(protocol, load)` cell builds its own engine
+/// from its inputs, so the cells run through [`desim::par::par_map`] with
+/// ordered results.
 pub fn run(cfg: &Fig14Config) -> Fig14Result {
+    let cells: Vec<(Protocol, f64)> = cfg
+        .protocols
+        .iter()
+        .flat_map(|&proto| cfg.loads.iter().map(move |&load| (proto, load)))
+        .collect();
+    let mut results = desim::par::par_map(cells, |(proto, load)| {
+        run_cell(proto, load, cfg.horizon_s, cfg.seed)
+    })
+    .into_iter();
     let mut curves = Vec::new();
     for &proto in &cfg.protocols {
         let mut median_ms = Vec::new();
         let mut p90_ms = Vec::new();
         let mut small_counts = Vec::new();
         let mut utilization = Vec::new();
-        for &load in &cfg.loads {
-            let (stats, util) = run_cell(proto, load, cfg.horizon_s, cfg.seed);
+        for (&load, (stats, util)) in cfg.loads.iter().zip(results.by_ref()) {
             median_ms.push((load, stats.small_median().unwrap_or(f64::NAN) * 1e3));
             p90_ms.push((load, stats.small_p90().unwrap_or(f64::NAN) * 1e3));
             small_counts.push((load, stats.small_count()));

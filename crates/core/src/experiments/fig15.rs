@@ -36,19 +36,18 @@ pub struct Fig15Result {
     pub cdfs: Vec<(String, Series)>,
 }
 
-/// Run.
+/// Run: one independent cell per protocol, through
+/// [`desim::par::par_map`] with ordered results.
 pub fn run(cfg: &Fig15Config) -> Fig15Result {
-    let mut cdfs = Vec::new();
-    for &proto in &cfg.protocols {
-        let (mut stats, _util) = run_cell(proto, cfg.load, cfg.horizon_s, cfg.seed);
-        let _ = &mut stats;
+    let cdfs = desim::par::par_map(cfg.protocols.clone(), |proto| {
+        let (stats, _util) = run_cell(proto, cfg.load, cfg.horizon_s, cfg.seed);
         let cdf: Series = stats
             .small_cdf()
             .into_iter()
             .map(|(fct_s, p)| (fct_s * 1e3, p))
             .collect();
-        cdfs.push((proto.label().to_string(), cdf));
-    }
+        (proto.label().to_string(), cdf)
+    });
     Fig15Result { cdfs }
 }
 

@@ -44,12 +44,11 @@ pub struct Fig16Result {
     pub summary: Vec<(String, f64, f64, f64)>,
 }
 
-/// Run.
+/// Run: one independent engine per protocol, through
+/// [`desim::par::par_map`] with ordered results.
 pub fn run(cfg: &Fig16Config) -> Fig16Result {
     let dist = FlowSizeDist::web_search();
-    let mut queues_kb = Vec::new();
-    let mut summary = Vec::new();
-    for &proto in &cfg.protocols {
+    let cells = desim::par::par_map(cfg.protocols.clone(), |proto| {
         let scenario = ScenarioConfig {
             n_pairs: 10,
             load_factor: cfg.load,
@@ -81,9 +80,12 @@ pub fn run(cfg: &Fig16Config) -> Fig16Result {
             .copied()
             .unwrap_or(0.0);
         let max = vals.last().copied().unwrap_or(0.0);
-        queues_kb.push((proto.label().to_string(), series));
-        summary.push((proto.label().to_string(), mean, p99, max));
-    }
+        (
+            (proto.label().to_string(), series),
+            (proto.label().to_string(), mean, p99, max),
+        )
+    });
+    let (queues_kb, summary) = cells.into_iter().unzip();
     Fig16Result { queues_kb, summary }
 }
 

@@ -63,50 +63,62 @@ pub struct Fig20Result {
     pub panels: Vec<JitterPanel>,
 }
 
-/// Run both protocols with and without jitter.
+/// Run both protocols with and without jitter: four independent
+/// integrations, through [`desim::par::par_map`] with ordered results.
 pub fn run(cfg: &Fig20Config) -> Fig20Result {
     let jitter = Jitter::uniform(cfg.jitter_us * 1e-6, cfg.jitter_window_us * 1e-6, cfg.seed);
     let tail = cfg.duration_s * 0.6;
-    let mut panels = Vec::new();
+    let dcqcn = DcqcnParams::default_40g();
+    // Patched TIMELY: the convergent baseline of Fig 12a.
+    let timely = PatchedTimelyParams::default_10g();
 
-    // DCQCN.
-    {
-        let params = DcqcnParams::default_40g();
-        let mut clean = DcqcnFluid::new(params.clone(), cfg.n_flows);
-        let fp = clean.fixed_point();
-        let tr_clean = clean.simulate(cfg.duration_s);
-        let mut noisy = DcqcnFluid::new(params, cfg.n_flows).with_jitter(jitter.clone());
-        let tr_noisy = noisy.simulate(cfg.duration_s);
-        panels.push(JitterPanel {
-            protocol: "DCQCN".into(),
+    // (protocol, jittered) → (queue in KB, queue peak-to-peak over the tail).
+    let jobs = vec![(false, false), (false, true), (true, false), (true, true)];
+    let runs = desim::par::par_map(jobs, |(is_timely, jittered)| {
+        let jitter = jittered.then(|| jitter.clone());
+        if is_timely {
+            let mut m = PatchedTimelyFluid::new(timely.clone(), cfg.n_flows);
+            if let Some(j) = jitter {
+                m = m.with_jitter(j);
+            }
+            let tr = m.simulate(cfg.duration_s);
+            (m.queue_kb(&tr), tr.peak_to_peak_from(0, tail))
+        } else {
+            let mut m = DcqcnFluid::new(dcqcn.clone(), cfg.n_flows);
+            if let Some(j) = jitter {
+                m = m.with_jitter(j);
+            }
+            let tr = m.simulate(cfg.duration_s);
+            (m.queue_kb(&tr), tr.peak_to_peak_from(0, tail))
+        }
+    });
+
+    let mut runs = runs.into_iter();
+    // Results come back in job order: each protocol's clean run, then its
+    // jittered one.
+    let mut panel = |protocol: &str, q_star_pkts: f64| {
+        let (queue_clean_kb, clean_p2p) = runs.next()?;
+        let (queue_jitter_kb, noisy_p2p) = runs.next()?;
+        Some(JitterPanel {
+            protocol: protocol.into(),
+            queue_clean_kb,
+            queue_jitter_kb,
             oscillation: (
-                tr_clean.peak_to_peak_from(0, tail) / fp.q_star_pkts.max(1.0),
-                tr_noisy.peak_to_peak_from(0, tail) / fp.q_star_pkts.max(1.0),
+                clean_p2p / q_star_pkts.max(1.0),
+                noisy_p2p / q_star_pkts.max(1.0),
             ),
-            queue_clean_kb: clean.queue_kb(&tr_clean),
-            queue_jitter_kb: noisy.queue_kb(&tr_noisy),
-        });
-    }
-
-    // Patched TIMELY (the convergent baseline of Fig 12a).
-    {
-        let params = PatchedTimelyParams::default_10g();
-        let q_star = params.q_star_pkts(cfg.n_flows);
-        let mut clean = PatchedTimelyFluid::new(params.clone(), cfg.n_flows);
-        let tr_clean = clean.simulate(cfg.duration_s);
-        let mut noisy = PatchedTimelyFluid::new(params, cfg.n_flows).with_jitter(jitter);
-        let tr_noisy = noisy.simulate(cfg.duration_s);
-        panels.push(JitterPanel {
-            protocol: "PatchedTIMELY".into(),
-            oscillation: (
-                tr_clean.peak_to_peak_from(0, tail) / q_star.max(1.0),
-                tr_noisy.peak_to_peak_from(0, tail) / q_star.max(1.0),
-            ),
-            queue_clean_kb: clean.queue_kb(&tr_clean),
-            queue_jitter_kb: noisy.queue_kb(&tr_noisy),
-        });
-    }
-
+        })
+    };
+    let dcqcn_q_star = DcqcnFluid::new(dcqcn.clone(), cfg.n_flows)
+        .fixed_point()
+        .q_star_pkts;
+    let panels = [
+        panel("DCQCN", dcqcn_q_star),
+        panel("PatchedTIMELY", timely.q_star_pkts(cfg.n_flows)),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
     Fig20Result { panels }
 }
 

@@ -56,26 +56,19 @@ pub struct Fig3Result {
     pub by_kmax: Vec<MarginCurve>,
 }
 
-fn margin(params: &DcqcnParams, n: usize) -> f64 {
-    DcqcnFluid::new(params.clone(), n)
-        .margin_report()
-        .phase_margin_deg
-        .unwrap_or(180.0)
-}
-
 /// Run all three sweeps.
 ///
 /// Every `(curve, N)` grid point is an independent margin computation, so
-/// the whole figure is one flat [`desim::par::par_map`] job list; curves are
+/// the whole figure is one [`desim::par::par_map`] job list; curves are
 /// reassembled from the ordered results, making the output byte-identical
 /// to the serial sweep regardless of `SIM_THREADS`.
 ///
-/// When [`desim::par::batch_enabled`] (the default; `SIM_BATCH=0` opts out),
-/// grid points are grouped by flow count across curves and each group shares
+/// Grid points are grouped by flow count across curves and each group shares
 /// one [`JacobianCache`]: panels (a) and (c) vary only the delay and RED
 /// profile, which the DCQCN linearization never reads, so all their curves
 /// reuse one set of Jacobian blocks per `N`. The cache uses exact
-/// (`tol = 0`) keys, so both paths produce bitwise-identical margins.
+/// (`tol = 0`) keys, so the margins are bitwise those of the uncached
+/// [`DcqcnFluid::margin_report`].
 pub fn run(cfg: &Fig3Config) -> Fig3Result {
     let base = DcqcnParams::default_40g();
 
@@ -103,48 +96,42 @@ pub fn run(cfg: &Fig3Config) -> Fig3Result {
         push_curve(p, format!("Kmax={k}KB"));
     }
 
-    let margins = if desim::par::batch_enabled() {
-        // Regroup the curve-major job list by position-within-curve (= flow
-        // count): group k holds job c·|N| + k of every curve c. Each group
-        // runs under one Jacobian cache, and results scatter back to their
-        // original flat indices, preserving the output order exactly.
-        let n_pos = cfg.flow_counts.len();
-        let n_curves = labels.len();
-        let mut slots: Vec<Option<(DcqcnParams, usize)>> = jobs.into_iter().map(Some).collect();
-        let groups: Vec<Vec<(usize, DcqcnParams, usize)>> = (0..n_pos)
-            .map(|k| {
-                (0..n_curves)
-                    .map(|c| {
-                        let idx = c * n_pos + k;
-                        // simlint: allow(panic, no-unwrap-sim) — idx enumerates each slot exactly once
-                        let (p, n) = slots[idx].take().expect("job regrouped twice");
-                        (idx, p, n)
-                    })
-                    .collect()
+    // Regroup the curve-major job list by position-within-curve (= flow
+    // count): group k holds job c·|N| + k of every curve c. Each group
+    // runs under one Jacobian cache, and results scatter back to their
+    // original flat indices, preserving the output order exactly.
+    let n_pos = cfg.flow_counts.len();
+    let n_curves = labels.len();
+    let mut slots: Vec<Option<(DcqcnParams, usize)>> = jobs.into_iter().map(Some).collect();
+    let groups: Vec<Vec<(usize, DcqcnParams, usize)>> = (0..n_pos)
+        .map(|k| {
+            (0..n_curves)
+                .map(|c| {
+                    let idx = c * n_pos + k;
+                    // simlint: allow(panic, no-unwrap-sim) — idx enumerates each slot exactly once
+                    let (p, n) = slots[idx].take().expect("job regrouped twice");
+                    (idx, p, n)
+                })
+                .collect()
+        })
+        .collect();
+    let group_margins = desim::par::par_map(groups, |group: Vec<(usize, DcqcnParams, usize)>| {
+        let mut cache: JacobianCache<DcqcnLinParts> = JacobianCache::new(0.0, 1024);
+        group
+            .into_iter()
+            .map(|(idx, p, n)| {
+                let pm = DcqcnFluid::new(p, n)
+                    .margin_report_cached(&mut cache)
+                    .phase_margin_deg
+                    .unwrap_or(180.0);
+                (idx, pm)
             })
-            .collect();
-        let group_margins =
-            desim::par::par_map(groups, |group: Vec<(usize, DcqcnParams, usize)>| {
-                let mut cache: JacobianCache<DcqcnLinParts> = JacobianCache::new(0.0, 1024);
-                group
-                    .into_iter()
-                    .map(|(idx, p, n)| {
-                        let pm = DcqcnFluid::new(p, n)
-                            .margin_report_cached(&mut cache)
-                            .phase_margin_deg
-                            .unwrap_or(180.0);
-                        (idx, pm)
-                    })
-                    .collect::<Vec<(usize, f64)>>()
-            });
-        let mut margins = vec![0.0; n_pos * n_curves];
-        for (idx, pm) in group_margins.into_iter().flatten() {
-            margins[idx] = pm;
-        }
-        margins
-    } else {
-        desim::par::par_map(jobs, |(p, n)| margin(&p, n))
-    };
+            .collect::<Vec<(usize, f64)>>()
+    });
+    let mut margins = vec![0.0; n_pos * n_curves];
+    for (idx, pm) in group_margins.into_iter().flatten() {
+        margins[idx] = pm;
+    }
 
     let mut curves: Vec<MarginCurve> = labels
         .into_iter()
@@ -227,24 +214,22 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_scalar_paths_are_bitwise_identical() {
+    fn cached_margins_match_the_uncached_report_bitwise() {
+        // Panel (a) shares one Jacobian cache per flow count across its
+        // delays; every point must equal a fresh `margin_report`.
         let cfg = quick_cfg();
-        let a = desim::par::with_batch(true, || run(&cfg));
-        let b = desim::par::with_batch(false, || run(&cfg));
-        let flatten = |r: &Fig3Result| -> Vec<(String, Vec<(usize, u64)>)> {
-            r.by_delay
-                .iter()
-                .chain(&r.by_r_ai)
-                .chain(&r.by_kmax)
-                .map(|c| {
-                    (
-                        c.label.clone(),
-                        c.points.iter().map(|&(n, pm)| (n, pm.to_bits())).collect(),
-                    )
-                })
-                .collect()
-        };
-        assert_eq!(flatten(&a), flatten(&b), "cached path must match exactly");
+        let res = run(&cfg);
+        for (curve, &d) in res.by_delay.iter().zip(&cfg.delays_us) {
+            let mut p = DcqcnParams::default_40g();
+            p.feedback_delay_us = d;
+            for &(n, pm) in &curve.points {
+                let solo = DcqcnFluid::new(p.clone(), n)
+                    .margin_report()
+                    .phase_margin_deg
+                    .unwrap_or(180.0);
+                assert_eq!(pm.to_bits(), solo.to_bits(), "{} N={n}", curve.label);
+            }
+        }
     }
 
     #[test]

@@ -66,15 +66,13 @@ fn make_panel(fluid: DcqcnFluid, d: f64, n: usize, duration_s: f64, trace: &Trac
     }
 }
 
-/// Run the grid: each `(delay, N)` panel is an independent DDE integration,
-/// run through [`desim::par::par_map`] with ordered results.
+/// Run the grid: each `(delay, N)` panel is an independent DDE integration.
 ///
-/// When [`desim::par::batch_enabled`] (the default; `SIM_BATCH=0` opts out),
-/// panels sharing `(N, derived step)` integrate as lanes of one
+/// Panels sharing `(N, derived step)` integrate as lanes of one
 /// [`DcqcnFluid::simulate_batch`] call — both paper delays derive the same
-/// 1 µs step, so the grid batches by flow count. Per-lane results are
-/// bit-identical to solo integrations (the `fluid::batch` oracle tests), so
-/// the two paths produce byte-identical panels.
+/// 1 µs step, so the grid batches by flow count — and the batches run
+/// through [`desim::par::par_map`] with ordered results. Per-lane results
+/// are bit-identical to solo integrations (the `fluid::batch` oracle tests).
 pub fn run(cfg: &Fig4Config) -> Fig4Result {
     let mut jobs: Vec<(f64, usize)> = Vec::new();
     for &d in &cfg.delays_us {
@@ -89,58 +87,50 @@ pub fn run(cfg: &Fig4Config) -> Fig4Result {
         DcqcnFluid::new(params, n)
     };
 
-    let panels = if desim::par::batch_enabled() {
-        // Group panel indices by (N, step bits): lanes of one batch must
-        // share the state dimension and the derived integration step.
-        let mut groups: Vec<((usize, u64), Vec<usize>)> = Vec::new();
-        for (idx, &(d, n)) in jobs.iter().enumerate() {
-            let step_bits = (model_for(d, n).params.feedback_delay_s() / 4.0)
-                .min(1e-6)
-                .to_bits();
-            let key = (n, step_bits);
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, idxs)) => idxs.push(idx),
-                None => groups.push((key, vec![idx])),
-            }
+    // Group panel indices by (N, step bits): lanes of one batch must
+    // share the state dimension and the derived integration step.
+    let mut groups: Vec<((usize, u64), Vec<usize>)> = Vec::new();
+    for (idx, &(d, n)) in jobs.iter().enumerate() {
+        let step_bits = (model_for(d, n).params.feedback_delay_s() / 4.0)
+            .min(1e-6)
+            .to_bits();
+        let key = (n, step_bits);
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, idxs)) => idxs.push(idx),
+            None => groups.push((key, vec![idx])),
         }
-        let duration_s = cfg.duration_s;
-        let jobs_ref = &jobs;
-        let out = desim::par::par_map(groups, |(_, idxs): ((usize, u64), Vec<usize>)| {
-            let models: Vec<DcqcnFluid> = idxs
-                .iter()
-                .map(|&idx| {
-                    let (d, n) = jobs_ref[idx];
-                    model_for(d, n)
-                })
-                .collect();
-            let traces = DcqcnFluid::simulate_batch(models.clone(), duration_s);
-            idxs.into_iter()
-                .zip(models)
-                .zip(traces)
-                .map(|((idx, fluid), trace)| {
-                    let (d, n) = jobs_ref[idx];
-                    // simlint: allow(panic, no-unwrap-sim) — mirrors the scalar path, which panics on divergence
-                    let trace = trace.unwrap_or_else(|e| panic!("fig4 lane diverged: {e}"));
-                    (idx, make_panel(fluid, d, n, duration_s, &trace))
-                })
-                .collect::<Vec<(usize, Fig4Panel)>>()
-        });
-        let mut slots: Vec<Option<Fig4Panel>> = (0..jobs.len()).map(|_| None).collect();
-        for (idx, panel) in out.into_iter().flatten() {
-            slots[idx] = Some(panel);
-        }
-        slots
-            .into_iter()
-            // simlint: allow(panic, no-unwrap-sim) — every input index appears in exactly one group
-            .map(|s| s.expect("panel slot unfilled"))
-            .collect()
-    } else {
-        desim::par::par_map(jobs, |(d, n)| {
-            let mut fluid = model_for(d, n);
-            let trace = fluid.simulate(cfg.duration_s);
-            make_panel(fluid, d, n, cfg.duration_s, &trace)
-        })
-    };
+    }
+    let duration_s = cfg.duration_s;
+    let jobs_ref = &jobs;
+    let out = desim::par::par_map(groups, |(_, idxs): ((usize, u64), Vec<usize>)| {
+        let models: Vec<DcqcnFluid> = idxs
+            .iter()
+            .map(|&idx| {
+                let (d, n) = jobs_ref[idx];
+                model_for(d, n)
+            })
+            .collect();
+        let traces = DcqcnFluid::simulate_batch(models.clone(), duration_s);
+        idxs.into_iter()
+            .zip(models)
+            .zip(traces)
+            .map(|((idx, fluid), trace)| {
+                let (d, n) = jobs_ref[idx];
+                // simlint: allow(panic, no-unwrap-sim) — like `DcqcnFluid::simulate`, which panics on divergence
+                let trace = trace.unwrap_or_else(|e| panic!("fig4 lane diverged: {e}"));
+                (idx, make_panel(fluid, d, n, duration_s, &trace))
+            })
+            .collect::<Vec<(usize, Fig4Panel)>>()
+    });
+    let mut slots: Vec<Option<Fig4Panel>> = (0..jobs.len()).map(|_| None).collect();
+    for (idx, panel) in out.into_iter().flatten() {
+        slots[idx] = Some(panel);
+    }
+    let panels = slots
+        .into_iter()
+        // simlint: allow(panic, no-unwrap-sim) — every input index appears in exactly one group
+        .map(|s| s.expect("panel slot unfilled"))
+        .collect();
     Fig4Result { panels }
 }
 
@@ -180,18 +170,23 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_scalar_paths_are_bitwise_identical() {
-        // Two delays at N=2 share (dim, step) → one 2-lane batch vs two
-        // scalar integrations; every series must agree to the bit.
+    fn batched_panels_match_solo_integrations_bitwise() {
+        // Two delays at N=2 share (dim, step) → one 2-lane batch; every
+        // panel must agree to the bit with the one built from a solo
+        // `DcqcnFluid::simulate` of the same configuration.
         let cfg = Fig4Config {
             delays_us: vec![4.0, 85.0],
             flow_counts: vec![2],
             duration_s: 0.005,
         };
-        let a = desim::par::with_batch(true, || run(&cfg));
-        let b = desim::par::with_batch(false, || run(&cfg));
-        assert_eq!(a.panels.len(), b.panels.len());
-        for (pa, pb) in a.panels.iter().zip(&b.panels) {
+        let res = run(&cfg);
+        assert_eq!(res.panels.len(), 2);
+        for (pa, &d) in res.panels.iter().zip(&cfg.delays_us) {
+            let mut params = DcqcnParams::default_40g();
+            params.feedback_delay_us = d;
+            let mut fluid = DcqcnFluid::new(params, 2);
+            let trace = fluid.simulate(cfg.duration_s);
+            let pb = make_panel(fluid, d, 2, cfg.duration_s, &trace);
             assert_eq!(pa.delay_us, pb.delay_us);
             assert_eq!(pa.n_flows, pb.n_flows);
             assert_eq!(pa.predicted_stable, pb.predicted_stable);

@@ -39,36 +39,6 @@ pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     out
 }
 
-thread_local! {
-    /// Scoped batch-path override installed by [`with_batch`].
-    static BATCH_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// Run `f` with the batched-integration path forced on or off on this
-/// thread. Identity tests use this to compare the batch path against the
-/// scalar path without mutating process-global environment.
-pub fn with_batch<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
-    let prev = BATCH_OVERRIDE.with(|c| c.replace(Some(enabled)));
-    let out = f();
-    BATCH_OVERRIDE.with(|c| c.set(prev));
-    out
-}
-
-/// Whether sweep drivers should use the batched lockstep DDE path: a
-/// [`with_batch`] override if one is active, else `SIM_BATCH` from the
-/// environment (`0` disables), else on. The batch path is proven
-/// bit-identical to the scalar path, so this knob exists for A/B checks and
-/// emergency rollback, not correctness.
-pub fn batch_enabled() -> bool {
-    if let Some(b) = BATCH_OVERRIDE.with(Cell::get) {
-        return b;
-    }
-    if let Ok(v) = std::env::var("SIM_BATCH") {
-        return v.trim() != "0";
-    }
-    true
-}
-
 /// The worker count [`par_map`] will use: a [`with_threads`] override if one
 /// is active, else `SIM_THREADS` from the environment, else
 /// `available_parallelism()`. Always at least 1.
@@ -349,17 +319,6 @@ mod tests {
     #[should_panic(expected = "one output per input")]
     fn chunked_map_rejects_wrong_arity() {
         let _ = par_map_chunked(vec![1u64, 2, 3], 2, |_c: Vec<u64>| vec![0u64]);
-    }
-
-    #[test]
-    fn batch_override_scopes_and_restores() {
-        // Note: no SIM_BATCH manipulation here (env is process-global);
-        // the override path is what tests exercise.
-        with_batch(false, || {
-            assert!(!batch_enabled());
-            with_batch(true, || assert!(batch_enabled()));
-            assert!(!batch_enabled());
-        });
     }
 
     #[test]

@@ -33,6 +33,10 @@
 
 use crate::dde::{count_integration, rk4_combine, stage_state, DdeOptions, DIVERGENCE_NORM};
 use crate::history::History;
+use crate::stage::{
+    StageInstant::{self, End, Mid, Start},
+    Stages,
+};
 use crate::trace::Trace;
 use faults::SimError;
 
@@ -99,38 +103,38 @@ pub trait LaneSystem {
     /// Default: no projection.
     fn lane_project(&mut self, _t: f64, _x: &mut [f64], _lane: usize, _stride: usize) {}
 
-    /// If every delayed lookup this lane makes at time `t` happens at one
-    /// delayed instant, return that instant; `None` (the default) means the
-    /// lane's lookups are state-dependent or span several instants.
+    /// Opt in to the integrator's stage slots (see [`crate::stage`]): if
+    /// every delayed lookup this lane's derivative makes at time `t` happens
+    /// at one delayed instant, and that instant depends on `t` alone — never
+    /// on the stage state — return it. `None` (the default) keeps the lane
+    /// on [`LaneSystem::lane_rhs`] for every stage.
     ///
-    /// When all lanes of a batch report the bitwise-same instant, the batch
-    /// driver interpolates the whole `[lane_dim × B]` block row **once**
-    /// (one knot search, one dense lerp) and hands each lane its slice via
-    /// [`LaneSystem::lane_rhs_prefetched`] — the "one locate amortized
-    /// across lanes" fast path. Interpolation arithmetic is per-component
-    /// identical to [`History::eval_strided`], so the fast path is
-    /// bit-identical to the per-lane one.
-    fn lane_delay_at(&self, _t: f64) -> Option<f64> {
+    /// A lane that returns `Some` implements [`LaneSystem::lane_stage`] and
+    /// [`LaneSystem::lane_rhs_staged`], and its `lane_rhs` is the two run
+    /// back to back ([`crate::stage::Unstaged::rhs`]).
+    fn lane_delayed_instant(&self, _t: f64) -> Option<f64> {
         None
     }
 
-    /// [`LaneSystem::lane_rhs`] with the block row at this lane's single
-    /// delayed instant already interpolated into `delayed` (stride layout,
-    /// full `[lane_dim × B]`). Only called when [`LaneSystem::lane_delay_at`]
-    /// returned `Some`; the default delegates back to the history-querying
-    /// path and ignores the prefetch.
-    #[allow(clippy::too_many_arguments)]
-    fn lane_rhs_prefetched(
+    /// Phase one of the split kernel: from this lane's state row at its
+    /// delayed instant (`delayed`: lane-local dense, `lane_dim` long) push
+    /// onto the empty `terms` everything the derivative takes from delayed
+    /// state, in whatever layout [`LaneSystem::lane_rhs_staged`] reads.
+    fn lane_stage(&self, _delayed: &[f64], _terms: &mut Vec<f64>) {}
+
+    /// Phase two of the split kernel: this lane's derivative at the stage
+    /// state `x`, given what [`LaneSystem::lane_stage`] built at this stage's
+    /// delayed instant. Only called on lanes whose
+    /// [`LaneSystem::lane_delayed_instant`] returned `Some`.
+    fn lane_rhs_staged(
         &mut self,
-        t: f64,
-        x: &[f64],
-        lane: usize,
-        stride: usize,
-        hist: &History,
-        _delayed: &[f64],
-        dxdt: &mut [f64],
+        _x: &[f64],
+        _lane: usize,
+        _stride: usize,
+        _terms: &[f64],
+        _dxdt: &mut [f64],
     ) {
-        self.lane_rhs(t, x, lane, stride, hist, dxdt);
+        unreachable!("lane_rhs_staged on a lane that did not opt in to stage slots");
     }
 }
 
@@ -142,8 +146,18 @@ pub trait BatchDdeSystem {
     /// Number of lanes B (the stride of the state block).
     fn lanes(&self) -> usize;
 
-    /// Evaluate the derivative of the whole `[lane_dim × B]` block.
-    fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]);
+    /// Evaluate the derivative of the whole `[lane_dim × B]` block at stage
+    /// instant `at` of the current RK4 step; `stages` holds what earlier
+    /// calls of the step derived from delayed state (see [`crate::stage`]).
+    fn rhs_at(
+        &mut self,
+        at: StageInstant,
+        t: f64,
+        x: &[f64],
+        hist: &History,
+        stages: &mut Stages,
+        dxdt: &mut [f64],
+    );
 
     /// Smallest delay any lane will ever query.
     fn min_delay(&self) -> f64;
@@ -158,9 +172,6 @@ pub trait BatchDdeSystem {
 pub struct LaneBatch<M: LaneSystem> {
     models: Vec<M>,
     lane_dim: usize,
-    /// Scratch for the shared-delayed-instant prefetch row
-    /// (`[lane_dim × B]`, see [`LaneSystem::lane_delay_at`]).
-    prefetch: Vec<f64>,
 }
 
 impl<M: LaneSystem> LaneBatch<M> {
@@ -173,12 +184,7 @@ impl<M: LaneSystem> LaneBatch<M> {
         for m in &models {
             assert_eq!(m.lane_dim(), lane_dim, "lanes must share the state dim");
         }
-        let prefetch = vec![0.0; lane_dim * models.len()];
-        LaneBatch {
-            models,
-            lane_dim,
-            prefetch,
-        }
+        LaneBatch { models, lane_dim }
     }
 
     /// The per-lane models, in lane order.
@@ -201,28 +207,16 @@ impl<M: LaneSystem> BatchDdeSystem for LaneBatch<M> {
         self.models.len()
     }
 
-    fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {
-        let stride = self.models.len();
-        // Fast path: if every lane's delayed lookups land on the bitwise-same
-        // instant, interpolate the whole block row once and let each lane
-        // gather its strided slice — one knot search and one dense lerp
-        // instead of B strided walks over the wide history rows.
-        let shared = self.models[0].lane_delay_at(t).filter(|&td0| {
-            self.models[1..].iter().all(|m| {
-                m.lane_delay_at(t)
-                    .is_some_and(|td| td.to_bits() == td0.to_bits())
-            })
-        });
-        if let Some(td) = shared {
-            hist.eval_all(td, &mut self.prefetch);
-            for (lane, m) in self.models.iter_mut().enumerate() {
-                m.lane_rhs_prefetched(t, x, lane, stride, hist, &self.prefetch, dxdt);
-            }
-        } else {
-            for (lane, m) in self.models.iter_mut().enumerate() {
-                m.lane_rhs(t, x, lane, stride, hist, dxdt);
-            }
-        }
+    fn rhs_at(
+        &mut self,
+        at: StageInstant,
+        t: f64,
+        x: &[f64],
+        hist: &History,
+        stages: &mut Stages,
+        dxdt: &mut [f64],
+    ) {
+        stages.rhs(&mut self.models, at, t, x, hist, dxdt);
     }
 
     fn min_delay(&self) -> f64 {
@@ -337,19 +331,20 @@ pub fn try_integrate_dde_batch<S: BatchDdeSystem>(
     let mut k4 = vec![0.0; total];
     let mut tmp = vec![0.0; total];
     let mut x_prev = vec![0.0; total];
+    let mut stages = Stages::new(b);
 
     let _span = obs::span::enter(obs::Phase::Integrate);
     let mut completed = 0u64;
     'integration: for step in 1..=steps {
         let h = (t1 - t).min(opts.step);
         x_prev.copy_from_slice(&x);
-        sys.rhs(t, &x, &hist, &mut k1);
+        sys.rhs_at(Start, t, &x, &hist, &mut stages, &mut k1);
         stage_state(&mut tmp, &x, 0.5 * h, &k1);
-        sys.rhs(t + 0.5 * h, &tmp, &hist, &mut k2);
+        sys.rhs_at(Mid, t + 0.5 * h, &tmp, &hist, &mut stages, &mut k2);
         stage_state(&mut tmp, &x, 0.5 * h, &k2);
-        sys.rhs(t + 0.5 * h, &tmp, &hist, &mut k3);
+        sys.rhs_at(Mid, t + 0.5 * h, &tmp, &hist, &mut stages, &mut k3);
         stage_state(&mut tmp, &x, h, &k3);
-        sys.rhs(t + h, &tmp, &hist, &mut k4);
+        sys.rhs_at(End, t + h, &tmp, &hist, &mut stages, &mut k4);
         rk4_combine(&mut x, h, &k1, &k2, &k3, &k4);
         t += h;
         sys.project(t, &mut x);
@@ -416,6 +411,7 @@ pub fn try_integrate_dde_batch<S: BatchDdeSystem>(
         if opts.history_horizon_s.is_finite() {
             hist.trim_before(t - opts.history_horizon_s);
         }
+        stages.advance(&hist);
         if step % record_every == 0 || step == steps {
             for (lane, tr) in traces.iter_mut().enumerate() {
                 if alive[lane] {
@@ -446,7 +442,7 @@ pub fn try_integrate_dde_batch<S: BatchDdeSystem>(
         }
     }
     // The step on which the last live lane died does not count.
-    count_integration(completed, &hist);
+    count_integration(completed, &hist, &stages);
 
     Ok(traces
         .into_iter()

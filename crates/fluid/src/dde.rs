@@ -9,6 +9,10 @@
 //! than the smallest delay — the integrator asserts a sane ratio.
 
 use crate::history::History;
+use crate::stage::{
+    StageInstant::{self, End, Mid, Start},
+    Stages,
+};
 use crate::trace::Trace;
 use faults::SimError;
 
@@ -27,6 +31,23 @@ pub trait DdeSystem {
     /// `&mut self` allows models that carry RNG state (feedback jitter in
     /// Figure 20).
     fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]);
+
+    /// [`DdeSystem::rhs`] as the integrator calls it: at stage instant `at`
+    /// of the current RK4 step, with the step's stage slots. A lane kernel
+    /// that opted in to the slots (see [`crate::stage`]) overrides this with
+    /// `stages.rhs(std::slice::from_mut(self), at, t, x, hist, dxdt)`; the
+    /// default ignores them.
+    fn rhs_at(
+        &mut self,
+        _at: StageInstant,
+        t: f64,
+        x: &[f64],
+        hist: &History,
+        _stages: &mut Stages,
+        dxdt: &mut [f64],
+    ) {
+        self.rhs(t, x, hist, dxdt);
+    }
 
     /// The smallest delay the model will ever query, used for a step-size
     /// sanity check. Return `f64::INFINITY` for delay-free systems.
@@ -205,17 +226,18 @@ pub fn try_integrate_dde_with_prehistory<S: DdeSystem>(
     let mut k3 = vec![0.0; n];
     let mut k4 = vec![0.0; n];
     let mut tmp = vec![0.0; n];
+    let mut stages = Stages::new(1);
 
     let _span = obs::span::enter(obs::Phase::Integrate);
     for step in 1..=steps {
         let h = (t1 - t).min(opts.step);
-        sys.rhs(t, &x, &hist, &mut k1);
+        sys.rhs_at(Start, t, &x, &hist, &mut stages, &mut k1);
         stage_state(&mut tmp, &x, 0.5 * h, &k1);
-        sys.rhs(t + 0.5 * h, &tmp, &hist, &mut k2);
+        sys.rhs_at(Mid, t + 0.5 * h, &tmp, &hist, &mut stages, &mut k2);
         stage_state(&mut tmp, &x, 0.5 * h, &k2);
-        sys.rhs(t + 0.5 * h, &tmp, &hist, &mut k3);
+        sys.rhs_at(Mid, t + 0.5 * h, &tmp, &hist, &mut stages, &mut k3);
         stage_state(&mut tmp, &x, h, &k3);
-        sys.rhs(t + h, &tmp, &hist, &mut k4);
+        sys.rhs_at(End, t + h, &tmp, &hist, &mut stages, &mut k4);
         rk4_combine(&mut x, h, &k1, &k2, &k3, &k4);
         t += h;
         sys.project(t, &mut x);
@@ -253,13 +275,14 @@ pub fn try_integrate_dde_with_prehistory<S: DdeSystem>(
             // before the error propagates.
             obs::flight::record(t, "watchdog", state_norm, obs::flight::current_cause());
             obs::flight::dump_on_error(&err.to_string());
-            count_integration(step as u64 - 1, &hist);
+            count_integration(step as u64 - 1, &hist, &stages);
             return Err(err);
         }
         hist.push(t, &x);
         if opts.history_horizon_s.is_finite() {
             hist.trim_before(t - opts.history_horizon_s);
         }
+        stages.advance(&hist);
         if step % record_every == 0 || step == steps {
             trace.push(t, &x);
             if obs::timeseries::enabled() {
@@ -285,22 +308,24 @@ pub fn try_integrate_dde_with_prehistory<S: DdeSystem>(
             );
         }
     }
-    count_integration(steps as u64, &hist);
+    count_integration(steps as u64, &hist, &stages);
     Ok(trace)
 }
 
 /// Add an integration's work to the metrics in one call: its completed steps
-/// to `fluid.dde_steps` and its history's lookup tallies to
-/// `fluid.history_lookups` / `fluid.history_lookup_fallbacks`. A counter
-/// takes a global mutex, which per step (let alone per lookup) is a visible
-/// share of a few-components-wide RK4 step. A zero count leaves its counter
+/// to `fluid.dde_steps`, its history's lookup tallies to
+/// `fluid.history_lookups` / `fluid.history_lookup_fallbacks`, and its stage
+/// slots' phase-one fills to `fluid.delayed_evals`. A counter takes a global
+/// mutex, which per step (let alone per lookup) is a visible share of a
+/// few-components-wide RK4 step. A zero count leaves its counter
 /// unregistered, as a per-event increment would.
-pub(crate) fn count_integration(completed_steps: u64, hist: &History) {
+pub(crate) fn count_integration(completed_steps: u64, hist: &History, stages: &Stages) {
     let (lookups, fallbacks) = hist.lookup_counts();
     for (name, count) in [
         ("fluid.dde_steps", completed_steps),
         ("fluid.history_lookups", lookups),
         ("fluid.history_lookup_fallbacks", fallbacks),
+        ("fluid.delayed_evals", stages.fills()),
     ] {
         if count > 0 {
             obs::metrics::counter_add(name, count);

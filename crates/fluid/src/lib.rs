@@ -20,6 +20,10 @@
 //!   ([`try_integrate_dde_batch`]): B sweep configs integrate simultaneously
 //!   over one `[state_dim × B]` struct-of-arrays block with per-lane
 //!   divergence reporting, bit-identical to the scalar path at B = 1;
+//! * [`Stages`] — the integrators' stage slots ([`stage`]): a lane kernel
+//!   whose delayed lookups depend on `t` alone builds what it derives from
+//!   delayed state once per stage *instant* of an RK4 step (two per step)
+//!   rather than once per stage (four);
 //! * [`FlowClasses`] — flow-class reduction ([`classes`]): flows with
 //!   bitwise-identical initial state and parameters carry bitwise-identical
 //!   trajectories, so the models integrate one representative per class and
@@ -39,6 +43,7 @@ pub mod classes;
 pub mod dde;
 pub mod history;
 pub mod ode;
+pub mod stage;
 pub mod trace;
 
 pub use batch::{
@@ -51,4 +56,5 @@ pub use classes::{
 pub use dde::{integrate_dde, DdeSystem};
 pub use history::History;
 pub use ode::{integrate_ode, integrate_ode_adaptive, OdeSystem};
+pub use stage::{StageInstant, Stages, Unstaged};
 pub use trace::Trace;

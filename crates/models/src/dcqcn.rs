@@ -31,6 +31,7 @@ use fluid::batch::{lane_of, pack_lanes, try_integrate_dde_batch, LaneBatch, Lane
 use fluid::classes::{integrate_flow_classes, FlowClassSystem, FlowClasses, FlowLayout};
 use fluid::dde::{DdeOptions, DdeSystem};
 use fluid::history::History;
+use fluid::stage::{StageInstant, Stages, Unstaged};
 use fluid::trace::Trace;
 use std::cell::RefCell;
 
@@ -227,6 +228,34 @@ fn rate_event_factor_ln(p: f64, l: f64, e: f64) -> f64 {
     p / denom
 }
 
+/// The left-hand side of Eq 11 at marking probability `pp`, for flows at
+/// the fair rate `rc_star` (packets/second): `a²·α / ((b + d)(c + e))` in
+/// the notation of Eq 12. Monotone increasing in `pp`; as `pp → 1` the
+/// increase-event factors vanish and it diverges, so a non-finite value is
+/// clamped to keep the bracket usable for the solver.
+fn eq11_lhs(p: &DcqcnParams, rc_star: f64, pp: f64) -> f64 {
+    let f = p.fast_recovery_steps;
+    let b_cnt = p.byte_counter_pkts();
+    let t_tmr = p.timer_s();
+    let a = one_minus_pow(pp, p.cnp_timer_s() * rc_star);
+    let alpha = one_minus_pow(pp, p.alpha_timer_s() * rc_star);
+    let b = rate_event_factor(pp, b_cnt);
+    let c = pow1m(pp, f * b_cnt) * b;
+    let d = rate_event_factor(pp, t_tmr * rc_star);
+    let e = pow1m(pp, f * t_tmr * rc_star) * d;
+    let denom = (b + d) * (c + e);
+    let val = if denom > 0.0 && denom.is_finite() {
+        a * a * alpha / denom
+    } else {
+        f64::INFINITY
+    };
+    if val.is_finite() {
+        val
+    } else {
+        1e300
+    }
+}
+
 /// Marking terms shared by every flow at one delayed time: the log
 /// `l = ln(1 − p_delayed)` plus the byte-counter event factors `b` and `c`
 /// of Eq 12, which depend only on `p_delayed` (never on the flow's own
@@ -244,22 +273,26 @@ pub(crate) struct MarkTerms {
     c: f64,
 }
 
-/// The per-flow transcendental factors of Eqs 5–7, functions of the flow's
-/// delayed rate only (given the shared [`MarkTerms`]).
-struct FlowTerms {
+/// What one flow's derivative (Eqs 5–7) takes from delayed state: functions
+/// of the flow's delayed rate and the shared [`MarkTerms`], never of the
+/// current state. One flow's row of a stage slot (see [`fluid::stage`]).
+pub(crate) struct FlowTerms {
     /// Delayed rate clamped non-negative, as used by every factor.
     rcd: f64,
     /// Eq 7's CNP-window cut probability `1 − (1 − p)^{τ·R_C(t−τ*)}`.
     a: f64,
-    /// Eq 12's `d`: timer event factor.
-    d: f64,
-    /// Eq 12's `e`: post-fast-recovery timer increase factor.
-    e: f64,
+    /// Eq 12's `b + d`: byte-counter plus timer event factor.
+    bd: f64,
+    /// Eq 12's `c + e`: the two post-fast-recovery increase factors.
+    ce: f64,
     /// Eq 5's marking estimate `1 − (1 − p)^{τ'·R_C(t−τ*)}`.
     alpha_pow: f64,
 }
 
 impl FlowTerms {
+    /// Numbers per flow in a stage slot.
+    const LEN: usize = 5;
+
     fn new(p: &DcqcnParams, mk: &MarkTerms, rc_delayed: f64) -> Self {
         let tau = p.cnp_timer_s();
         let tau_prime = p.alpha_timer_s();
@@ -273,10 +306,36 @@ impl FlowTerms {
         FlowTerms {
             rcd,
             a,
-            d,
-            e,
+            bd: mk.b + d,
+            ce: mk.c + e,
             alpha_pow,
         }
+    }
+
+    /// Phase one for the DCQCN family: push one row per flow class onto
+    /// `terms`, from the marking terms and the classes' delayed rates.
+    pub(crate) fn stage(
+        p: &DcqcnParams,
+        mk: &MarkTerms,
+        rc_delayed: impl Iterator<Item = f64>,
+        terms: &mut Vec<f64>,
+    ) {
+        for rcd in rc_delayed {
+            let ft = FlowTerms::new(p, mk, rcd);
+            terms.extend_from_slice(&[ft.rcd, ft.a, ft.bd, ft.ce, ft.alpha_pow]);
+        }
+    }
+
+    /// The rows [`FlowTerms::stage`] pushed, one per flow class.
+    pub(crate) fn staged(terms: &[f64]) -> impl Iterator<Item = FlowTerms> + '_ {
+        let (rows, _) = terms.as_chunks::<{ FlowTerms::LEN }>();
+        rows.iter().map(|&[rcd, a, bd, ce, alpha_pow]| FlowTerms {
+            rcd,
+            a,
+            bd,
+            ce,
+            alpha_pow,
+        })
     }
 }
 
@@ -355,10 +414,9 @@ pub struct DcqcnFluid {
     pub n_flows: usize,
     /// Optional feedback-delay jitter process (Figure 20).
     pub jitter: Option<Jitter>,
-    /// Scratch row for whole-state delayed lookups (`History::eval_all`):
-    /// the RHS needs the queue plus every flow's rate at the same delayed
-    /// time, and this buffer keeps that one-locate lookup allocation-free.
-    scratch: Vec<f64>,
+    /// Scratch for [`LaneSystem::lane_rhs`], the call outside an
+    /// integrator's stage slots.
+    scratch: Unstaged,
     /// The flow partition the RHS loops over (identity outside `simulate*`).
     classes: FlowClasses,
 }
@@ -377,7 +435,7 @@ impl DcqcnFluid {
             params,
             n_flows,
             jitter: None,
-            scratch: vec![0.0; 1 + 3 * n_flows],
+            scratch: Unstaged::default(),
             classes: FlowClasses::identity(n_flows),
         }
     }
@@ -412,7 +470,6 @@ impl DcqcnFluid {
     /// Per-flow derivative given the flow's current state, its delayed rate
     /// and the delayed marking probability. This closure *is* the model; the
     /// linearization differentiates it numerically.
-    #[allow(clippy::too_many_arguments)]
     fn flow_rhs(
         p: &DcqcnParams,
         rc: f64,
@@ -422,41 +479,32 @@ impl DcqcnFluid {
         p_delayed: f64,
         out: &mut [f64],
     ) {
-        Self::flow_rhs_terms(
-            p,
-            &MarkTerms::new(p, p_delayed),
-            rc,
-            rt,
-            alpha,
-            rc_delayed,
-            out,
-        )
+        let ft = FlowTerms::new(p, &MarkTerms::new(p, p_delayed), rc_delayed);
+        Self::flow_rhs_staged(p, &ft, rc, rt, alpha, out)
     }
 
-    /// [`DcqcnFluid::flow_rhs`] with the flow-independent marking terms
-    /// precomputed, so an N-flow RHS evaluation shares one [`MarkTerms`]
-    /// (the PI variant in [`crate::pi`] composes DCQCN's flow behaviour with
-    /// its own marking source through this).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn flow_rhs_terms(
+    /// Phase two of one flow: its derivative at the current `(rc, rt, alpha)`
+    /// given what it takes from delayed state. The DCQCN and DCQCN+PI lane
+    /// kernels and the linearization all go through this arithmetic (the PI
+    /// variant in [`crate::pi`] composes DCQCN's flow behaviour with its own
+    /// marking source through [`FlowTerms::stage`]).
+    pub(crate) fn flow_rhs_staged(
         p: &DcqcnParams,
-        mk: &MarkTerms,
+        ft: &FlowTerms,
         rc: f64,
         rt: f64,
         alpha: f64,
-        rc_delayed: f64,
         out: &mut [f64],
     ) {
-        let ft = FlowTerms::new(p, mk, rc_delayed);
         let tau = p.cnp_timer_s();
         let tau_prime = p.alpha_timer_s();
         let r_ai = p.r_ai_pps();
         // Eq 7: rate decrease (CNP-driven) + averaging toward target on
         // byte-counter and timer events.
-        out[0] = -rc * alpha / (2.0 * tau) * ft.a + (rt - rc) / 2.0 * ft.rcd * (mk.b + ft.d);
+        out[0] = -rc * alpha / (2.0 * tau) * ft.a + (rt - rc) / 2.0 * ft.rcd * ft.bd;
         // Eq 6: target collapses to R_C on decrease; additive increase after
         // fast recovery on both byte-counter and timer events.
-        out[1] = -(rt - rc) / tau * ft.a + r_ai * ft.rcd * (mk.c + ft.e);
+        out[1] = -(rt - rc) / tau * ft.a + r_ai * ft.rcd * ft.ce;
         // Eq 5: α tracks the marking probability seen over τ'.
         out[2] = p.g / tau_prime * (ft.alpha_pow - alpha);
     }
@@ -473,31 +521,14 @@ impl DcqcnFluid {
         let t_tmr = p.timer_s();
         let r_ai = p.r_ai_pps();
 
-        let lhs = |pp: f64| -> f64 {
-            let a = one_minus_pow(pp, tau * rc_star);
-            let alpha = one_minus_pow(pp, tau_prime * rc_star);
-            let b = rate_event_factor(pp, b_cnt);
-            let c = pow1m(pp, f * b_cnt) * b;
-            let d = rate_event_factor(pp, t_tmr * rc_star);
-            let e = pow1m(pp, f * t_tmr * rc_star) * d;
-            let denom = (b + d) * (c + e);
-            let val = if denom > 0.0 && denom.is_finite() {
-                a * a * alpha / denom
-            } else {
-                f64::INFINITY
-            };
-            // As p → 1 the increase-event factors vanish and the LHS
-            // diverges; clamp to keep the bracket usable for the solver.
-            if val.is_finite() {
-                val
-            } else {
-                1e300
-            }
-        };
         let rhs = tau * tau * r_ai * rc_star;
+        let excess = |pp: f64| eq11_lhs(p, rc_star, pp) - rhs;
         // The LHS is monotone increasing in p (paper, proof of Theorem 1):
-        // bracket and bisect via Brent.
-        let p_star = roots::brent(|pp| lhs(pp) - rhs, 1e-10, 0.999, 1e-14)
+        // bracket and bisect via Brent. Many flows on a slow link push p*
+        // past 0.999; the last stretch below 1 is searched only when the
+        // first bracket fails, so every root inside it keeps its bits.
+        let p_star = roots::brent(excess, 1e-10, 0.999, 1e-14)
+            .or_else(|_| roots::brent(excess, 0.999, 1.0_f64.next_down(), 1e-14))
             // simlint: allow(panic, no-unwrap-sim) — Theorem 1 guarantees the bracket; a miss is a model bug
             .expect("Eq 11 must bracket a root: LHS(0) < RHS < LHS(1)");
 
@@ -789,10 +820,10 @@ impl LaneSystem for DcqcnFluid {
     }
 
     /// The DCQCN RHS as a batch-lane kernel: this lane's component `c` lives
-    /// at `lane_of(c, lane, stride)` of the strided block. The scalar
-    /// [`DdeSystem`] path is the `lane = 0, stride = 1` call of this same
-    /// code, which is what makes the batched integrator bit-identical at
-    /// B = 1.
+    /// at `lane_of(c, lane, stride)` of the strided block. This is both
+    /// phases of the split kernel back to back, for callers outside an
+    /// integrator's stage slots; the integrators run the same two phases
+    /// through [`fluid::Stages`], the scalar one at `lane = 0, stride = 1`.
     fn lane_rhs(
         &mut self,
         t: f64,
@@ -802,13 +833,9 @@ impl LaneSystem for DcqcnFluid {
         hist: &History,
         dxdt: &mut [f64],
     ) {
-        // All delayed quantities (queue + every flow's rate) live at the same
-        // delayed time, so fetch the whole lane row with one knot search.
-        let mut delayed = std::mem::take(&mut self.scratch);
-        let td = self.delayed_instant(t);
-        hist.eval_strided(td, lane, stride, self.lane_dim(), &mut delayed);
-        self.lane_rhs_with_delayed(x, lane, stride, &delayed, dxdt);
-        self.scratch = delayed;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.rhs(self, t, x, lane, stride, hist, dxdt);
+        self.scratch = scratch;
     }
 
     fn min_delay(&self) -> f64 {
@@ -816,29 +843,62 @@ impl LaneSystem for DcqcnFluid {
         self.params.feedback_delay_s()
     }
 
-    fn lane_delay_at(&self, t: f64) -> Option<f64> {
+    /// Marks are made on egress, so the loop delay — jittered or not — is a
+    /// function of `t` alone (§5.2), and the queue plus every flow's rate are
+    /// read at that one delayed instant.
+    fn lane_delayed_instant(&self, t: f64) -> Option<f64> {
         Some(self.delayed_instant(t))
     }
 
-    fn lane_rhs_prefetched(
+    /// Every transcendental of Eqs 5–7 is a function of the state at
+    /// `t − τ*` alone: RED's `p` of the delayed queue, then one
+    /// `FlowTerms` row per class from its delayed rate.
+    fn lane_stage(&self, delayed: &[f64], terms: &mut Vec<f64>) {
+        let p = &self.params;
+        let q_delayed = delayed[0].max(0.0); // component 0 is the queue
+        let mk = MarkTerms::new(p, p.red_probability(q_delayed));
+        let rc_delayed = (0..self.classes.len()).map(|i| delayed[self.rc_index(i)]);
+        FlowTerms::stage(p, &mk, rc_delayed, terms);
+    }
+
+    fn lane_rhs_staged(
         &mut self,
-        _t: f64,
         x: &[f64],
         lane: usize,
         stride: usize,
-        _hist: &History,
-        delayed: &[f64],
+        terms: &[f64],
         dxdt: &mut [f64],
     ) {
-        // Gather this lane's slice of the prefetched block row (hot in
-        // cache, unlike the wide history rows the strided eval walks); the
-        // values are bit-identical to an `eval_strided` at the same instant.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for (c, s) in scratch[..self.lane_dim()].iter_mut().enumerate() {
-            *s = delayed[lane_of(c, lane, stride)];
+        let p = &self.params;
+        let cap = p.capacity_pps();
+        // Eq 4: queue integrates excess arrival rate (projection keeps q ≥ 0).
+        // Every flow in flow order, reading its class's rate: the same
+        // additions as the N-flow sum.
+        let sum_rates: f64 = self
+            .classes
+            .class_of()
+            .iter()
+            .map(|&k| x[lane_of(self.rc_index(k), lane, stride)])
+            .sum();
+        // State component 0 is the shared queue.
+        let q = x[lane_of(0, lane, stride)];
+        dxdt[lane_of(0, lane, stride)] = if q <= 0.0 && sum_rates < cap {
+            0.0
+        } else {
+            sum_rates - cap
+        };
+
+        let mut out = [0.0; 3];
+        for (i, ft) in FlowTerms::staged(terms).enumerate() {
+            let rc = x[lane_of(self.rc_index(i), lane, stride)];
+            let rt = x[lane_of(self.rt_index(i), lane, stride)];
+            let alpha = x[lane_of(self.alpha_index(i), lane, stride)];
+            DcqcnFluid::flow_rhs_staged(p, &ft, rc, rt, alpha, &mut out);
+            let [d_rc, d_rt, d_alpha] = out;
+            dxdt[lane_of(self.rc_index(i), lane, stride)] = d_rc;
+            dxdt[lane_of(self.rt_index(i), lane, stride)] = d_rt;
+            dxdt[lane_of(self.alpha_index(i), lane, stride)] = d_alpha;
         }
-        self.lane_rhs_with_delayed(x, lane, stride, &scratch, dxdt);
-        self.scratch = scratch;
     }
 
     fn lane_project(&mut self, _t: f64, x: &mut [f64], lane: usize, stride: usize) {
@@ -866,54 +926,6 @@ impl DcqcnFluid {
         let delay = self.params.feedback_delay_s() + extra;
         t - delay
     }
-
-    /// The RHS arithmetic after the delayed lane row has been fetched
-    /// (`delayed` is lane-local dense, at least `lane_dim` long); shared by the
-    /// history-querying and block-prefetched paths so they cannot drift.
-    fn lane_rhs_with_delayed(
-        &self,
-        x: &[f64],
-        lane: usize,
-        stride: usize,
-        delayed: &[f64],
-        dxdt: &mut [f64],
-    ) {
-        let p = &self.params;
-        let cap = p.capacity_pps();
-        let q_delayed = delayed[0].max(0.0); // component 0 is the queue
-        let p_delayed = p.red_probability(q_delayed);
-        let mk = MarkTerms::new(p, p_delayed);
-
-        // Eq 4: queue integrates excess arrival rate (projection keeps q ≥ 0).
-        // Every flow in flow order, reading its class's rate: the same
-        // additions as the N-flow sum.
-        let sum_rates: f64 = self
-            .classes
-            .class_of()
-            .iter()
-            .map(|&k| x[lane_of(self.rc_index(k), lane, stride)])
-            .sum();
-        // State component 0 is the shared queue.
-        let q = x[lane_of(0, lane, stride)];
-        dxdt[lane_of(0, lane, stride)] = if q <= 0.0 && sum_rates < cap {
-            0.0
-        } else {
-            sum_rates - cap
-        };
-
-        let mut out = [0.0; 3];
-        for i in 0..self.classes.len() {
-            let rc = x[lane_of(self.rc_index(i), lane, stride)];
-            let rt = x[lane_of(self.rt_index(i), lane, stride)];
-            let alpha = x[lane_of(self.alpha_index(i), lane, stride)];
-            let rc_delayed = delayed[self.rc_index(i)];
-            DcqcnFluid::flow_rhs_terms(p, &mk, rc, rt, alpha, rc_delayed, &mut out);
-            let [d_rc, d_rt, d_alpha] = out;
-            dxdt[lane_of(self.rc_index(i), lane, stride)] = d_rc;
-            dxdt[lane_of(self.rt_index(i), lane, stride)] = d_rt;
-            dxdt[lane_of(self.alpha_index(i), lane, stride)] = d_alpha;
-        }
-    }
 }
 
 impl DdeSystem for DcqcnFluid {
@@ -924,6 +936,18 @@ impl DdeSystem for DcqcnFluid {
     fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {
         // The scalar path is the single-lane special case of the lane kernel.
         self.lane_rhs(t, x, 0, 1, hist, dxdt);
+    }
+
+    fn rhs_at(
+        &mut self,
+        at: StageInstant,
+        t: f64,
+        x: &[f64],
+        hist: &History,
+        stages: &mut Stages,
+        dxdt: &mut [f64],
+    ) {
+        stages.rhs(std::slice::from_mut(self), at, t, x, hist, dxdt);
     }
 
     fn min_delay(&self) -> f64 {
@@ -989,6 +1013,47 @@ mod tests {
             let cur = lhs(pp);
             assert!(cur >= prev, "LHS not monotone at p = {pp}");
             prev = cur;
+        }
+    }
+
+    #[test]
+    fn fixed_point_exists_for_every_capacity_and_flow_count() {
+        // Theorem 1 promises a root for any N; slow links with thousands of
+        // flows put it past 0.999, where the first bracket ends (10 Gbps at
+        // N = 2049 and 4096, 25 Gbps at N = 4096 used to panic).
+        let mut rng = desim::SimRng::new(0xE911);
+        for capacity_gbps in [10.0, 25.0, 40.0, 100.0] {
+            let params = DcqcnParams {
+                capacity_gbps,
+                ..DcqcnParams::default_40g()
+            };
+            let mut flow_counts: Vec<usize> = (0..48)
+                .map(|_| 1 + (rng.next_f64() * 4096.0) as usize)
+                .chain([1, 512, 2049, 4096])
+                .collect();
+            flow_counts.sort_unstable();
+            flow_counts.dedup();
+            let mut prev_p_star = 0.0;
+            for n in flow_counts {
+                let fp = DcqcnFluid::new(params.clone(), n).fixed_point();
+                assert!(
+                    fp.p_star > 0.0 && fp.p_star < 1.0,
+                    "{capacity_gbps} Gbps, N = {n}: p* = {}",
+                    fp.p_star
+                );
+                let rhs = params.cnp_timer_s().powi(2) * params.r_ai_pps() * fp.rate_per_flow_pps;
+                let lhs = eq11_lhs(&params, fp.rate_per_flow_pps, fp.p_star);
+                assert!(
+                    ((lhs - rhs) / rhs).abs() < 1e-6,
+                    "{capacity_gbps} Gbps, N = {n}: LHS(p*) = {lhs:e} vs RHS {rhs:e}"
+                );
+                assert!(
+                    fp.p_star >= prev_p_star,
+                    "{capacity_gbps} Gbps: p* fell to {} at N = {n}",
+                    fp.p_star
+                );
+                prev_p_star = fp.p_star;
+            }
         }
     }
 

@@ -15,13 +15,14 @@
 //!   rate split is arbitrary (Figure 19) — fairness or fixed delay, never
 //!   both, when delay is the only feedback.
 
-use crate::dcqcn::{DcqcnFluid, DcqcnParams, MarkTerms};
+use crate::dcqcn::{DcqcnFluid, DcqcnParams, FlowTerms, MarkTerms};
 use crate::patched_timely::PatchedTimelyParams;
 use crate::units;
 use fluid::batch::{lane_of, LaneSystem};
 use fluid::classes::{integrate_flow_classes, FlowClassSystem, FlowClasses, FlowLayout};
 use fluid::dde::{DdeOptions, DdeSystem};
 use fluid::history::History;
+use fluid::stage::{StageInstant, Stages, Unstaged};
 use fluid::trace::Trace;
 
 /// Gains and reference for the PI controller (Eq 32).
@@ -48,9 +49,9 @@ pub struct DcqcnPiFluid {
     pub gains: PiGains,
     /// Number of flows.
     pub n_flows: usize,
-    /// Scratch buffer for the delayed state in `rhs` (one `eval_all` instead
-    /// of one `eval` per component).
-    scratch: Vec<f64>,
+    /// Scratch for [`LaneSystem::lane_rhs`], the call outside an
+    /// integrator's stage slots.
+    scratch: Unstaged,
     /// The flow partition the RHS loops over (identity outside `simulate`).
     classes: FlowClasses,
 }
@@ -85,7 +86,7 @@ impl DcqcnPiFluid {
             params,
             gains,
             n_flows,
-            scratch: vec![0.0; 2 + 3 * n_flows],
+            scratch: Unstaged::default(),
             classes: FlowClasses::identity(n_flows),
         }
     }
@@ -146,6 +147,8 @@ impl LaneSystem for DcqcnPiFluid {
         DCQCN_PI_LAYOUT.dim(self.classes.len())
     }
 
+    /// Both phases of the split kernel back to back, for callers outside an
+    /// integrator's stage slots (see [`DcqcnFluid`]'s `lane_rhs`).
     fn lane_rhs(
         &mut self,
         t: f64,
@@ -155,16 +158,36 @@ impl LaneSystem for DcqcnPiFluid {
         hist: &History,
         dxdt: &mut [f64],
     ) {
-        // All delayed lookups share the time `td`: fetch the lane's whole
-        // delayed state with one `locate` instead of one per component.
-        let mut delayed = std::mem::take(&mut self.scratch);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.rhs(self, t, x, lane, stride, hist, dxdt);
+        self.scratch = scratch;
+    }
+
+    /// All delayed lookups — `p` and every flow's rate — share the constant
+    /// loop delay.
+    fn lane_delayed_instant(&self, t: f64) -> Option<f64> {
+        Some(t - self.params.feedback_delay_s())
+    }
+
+    /// DCQCN's flow terms, with the PI loop's delayed `p` in RED's place.
+    fn lane_stage(&self, delayed: &[f64], terms: &mut Vec<f64>) {
         let p = &self.params;
-        let cap = p.capacity_pps();
-        let td = t - p.feedback_delay_s();
-        hist.eval_strided(td, lane, stride, self.lane_dim(), &mut delayed);
         let p_delayed = delayed[1].clamp(0.0, 1.0); // component 1 is p
         let mk = MarkTerms::new(p, p_delayed);
+        let rc_delayed = (0..self.classes.len()).map(|i| delayed[self.rc_index(i)]);
+        FlowTerms::stage(p, &mk, rc_delayed, terms);
+    }
 
+    fn lane_rhs_staged(
+        &mut self,
+        x: &[f64],
+        lane: usize,
+        stride: usize,
+        terms: &[f64],
+        dxdt: &mut [f64],
+    ) {
+        let p = &self.params;
+        let cap = p.capacity_pps();
         let q = lane_of(0, lane, stride);
         let pp = lane_of(1, lane, stride);
         // Every flow in flow order, reading its class's rate: the same
@@ -193,22 +216,17 @@ impl LaneSystem for DcqcnPiFluid {
         dxdt[pp] = dp; // component 1 is p
 
         let mut out = [0.0; 3];
-        for i in 0..self.classes.len() {
+        for (i, ft) in FlowTerms::staged(terms).enumerate() {
             let rci = lane_of(self.rc_index(i), lane, stride);
             let rti = lane_of(self.rt_index(i), lane, stride);
             let ali = lane_of(self.alpha_index(i), lane, stride);
-            let rc = x[rci];
-            let rt = x[rti];
-            let alpha = x[ali];
-            let rc_delayed = delayed[self.rc_index(i)];
             // Reuse the DCQCN per-flow dynamics with the PI-supplied p.
-            DcqcnFluid::flow_rhs_terms(p, &mk, rc, rt, alpha, rc_delayed, &mut out);
+            DcqcnFluid::flow_rhs_staged(p, &ft, x[rci], x[rti], x[ali], &mut out);
             let [d_rc, d_rt, d_alpha] = out;
             dxdt[rci] = d_rc;
             dxdt[rti] = d_rt;
             dxdt[ali] = d_alpha;
         }
-        self.scratch = delayed;
     }
 
     fn min_delay(&self) -> f64 {
@@ -240,6 +258,18 @@ impl DdeSystem for DcqcnPiFluid {
 
     fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {
         self.lane_rhs(t, x, 0, 1, hist, dxdt);
+    }
+
+    fn rhs_at(
+        &mut self,
+        at: StageInstant,
+        t: f64,
+        x: &[f64],
+        hist: &History,
+        stages: &mut Stages,
+        dxdt: &mut [f64],
+    ) {
+        stages.rhs(std::slice::from_mut(self), at, t, x, hist, dxdt);
     }
 
     fn min_delay(&self) -> f64 {
