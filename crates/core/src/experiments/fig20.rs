@@ -93,13 +93,14 @@ pub fn run(cfg: &Fig20Config) -> Fig20Result {
         }
     });
 
-    let mut runs = runs.into_iter();
     // Results come back in job order: each protocol's clean run, then its
     // jittered one.
-    let mut panel = |protocol: &str, q_star_pkts: f64| {
-        let (queue_clean_kb, clean_p2p) = runs.next()?;
-        let (queue_jitter_kb, noisy_p2p) = runs.next()?;
-        Some(JitterPanel {
+    // simlint: allow(panic, no-unwrap-sim) — `par_map` returns one result per job, and there are four
+    let [dcqcn_clean, dcqcn_noisy, timely_clean, timely_noisy]: [(Series, f64); 4] =
+        runs.try_into().expect("one result per job");
+    let panel = |protocol: &str, q_star_pkts: f64, clean: (Series, f64), noisy: (Series, f64)| {
+        let ((queue_clean_kb, clean_p2p), (queue_jitter_kb, noisy_p2p)) = (clean, noisy);
+        JitterPanel {
             protocol: protocol.into(),
             queue_clean_kb,
             queue_jitter_kb,
@@ -107,18 +108,16 @@ pub fn run(cfg: &Fig20Config) -> Fig20Result {
                 clean_p2p / q_star_pkts.max(1.0),
                 noisy_p2p / q_star_pkts.max(1.0),
             ),
-        })
+        }
     };
     let dcqcn_q_star = DcqcnFluid::new(dcqcn.clone(), cfg.n_flows)
         .fixed_point()
         .q_star_pkts;
-    let panels = [
-        panel("DCQCN", dcqcn_q_star),
-        panel("PatchedTIMELY", timely.q_star_pkts(cfg.n_flows)),
-    ]
-    .into_iter()
-    .flatten()
-    .collect();
+    let timely_q_star = timely.q_star_pkts(cfg.n_flows);
+    let panels = vec![
+        panel("DCQCN", dcqcn_q_star, dcqcn_clean, dcqcn_noisy),
+        panel("PatchedTIMELY", timely_q_star, timely_clean, timely_noisy),
+    ];
     Fig20Result { panels }
 }
 

@@ -56,6 +56,30 @@ pub struct Fig3Result {
     pub by_kmax: Vec<MarginCurve>,
 }
 
+/// Every curve's label and parameter set, panel (a) then (b) then (c).
+fn curve_params(cfg: &Fig3Config) -> Vec<(String, DcqcnParams)> {
+    let base = DcqcnParams::default_40g();
+    let mut curves = Vec::new();
+    for &d in &cfg.delays_us {
+        let mut p = base.clone();
+        p.feedback_delay_us = d;
+        curves.push((format!("tau*={d}us"), p));
+    }
+    for &r in &cfg.r_ai_mbps {
+        let mut p = base.clone();
+        p.feedback_delay_us = cfg.panel_bc_delay_us;
+        p.r_ai_mbps = r;
+        curves.push((format!("R_AI={r}Mbps"), p));
+    }
+    for &k in &cfg.kmax_kb {
+        let mut p = base.clone();
+        p.feedback_delay_us = cfg.panel_bc_delay_us;
+        p.kmax_kb = k;
+        curves.push((format!("Kmax={k}KB"), p));
+    }
+    curves
+}
+
 /// Run all three sweeps.
 ///
 /// Every `(curve, N)` grid point is an independent margin computation, so
@@ -70,30 +94,11 @@ pub struct Fig3Result {
 /// (`tol = 0`) keys, so the margins are bitwise those of the uncached
 /// [`DcqcnFluid::margin_report`].
 pub fn run(cfg: &Fig3Config) -> Fig3Result {
-    let base = DcqcnParams::default_40g();
-
     let mut labels: Vec<String> = Vec::new();
     let mut jobs: Vec<(DcqcnParams, usize)> = Vec::new();
-    let mut push_curve = |p: DcqcnParams, label: String| {
+    for (label, p) in curve_params(cfg) {
         labels.push(label);
         jobs.extend(cfg.flow_counts.iter().map(|&n| (p.clone(), n)));
-    };
-    for &d in &cfg.delays_us {
-        let mut p = base.clone();
-        p.feedback_delay_us = d;
-        push_curve(p, format!("tau*={d}us"));
-    }
-    for &r in &cfg.r_ai_mbps {
-        let mut p = base.clone();
-        p.feedback_delay_us = cfg.panel_bc_delay_us;
-        p.r_ai_mbps = r;
-        push_curve(p, format!("R_AI={r}Mbps"));
-    }
-    for &k in &cfg.kmax_kb {
-        let mut p = base.clone();
-        p.feedback_delay_us = cfg.panel_bc_delay_us;
-        p.kmax_kb = k;
-        push_curve(p, format!("Kmax={k}KB"));
     }
 
     // Regroup the curve-major job list by position-within-curve (= flow
@@ -215,21 +220,43 @@ mod tests {
 
     #[test]
     fn cached_margins_match_the_uncached_report_bitwise() {
-        // Panel (a) shares one Jacobian cache per flow count across its
-        // delays; every point must equal a fresh `margin_report`.
+        // Each flow count's curves share one Jacobian cache: panel (a)'s
+        // delays and panel (c)'s `K_max` values must hit the same blocks
+        // (the linearization reads neither), panel (b)'s `R_AI` values must
+        // not (it reads that). Every point of every panel equals a fresh
+        // `margin_report` bit for bit.
         let cfg = quick_cfg();
         let res = run(&cfg);
-        for (curve, &d) in res.by_delay.iter().zip(&cfg.delays_us) {
-            let mut p = DcqcnParams::default_40g();
-            p.feedback_delay_us = d;
+        let curves: Vec<&MarginCurve> = res
+            .by_delay
+            .iter()
+            .chain(&res.by_r_ai)
+            .chain(&res.by_kmax)
+            .collect();
+        let params = curve_params(&cfg);
+        assert_eq!(curves.len(), params.len());
+        assert_eq!(
+            (res.by_delay.len(), res.by_r_ai.len(), res.by_kmax.len()),
+            (cfg.delays_us.len(), cfg.r_ai_mbps.len(), cfg.kmax_kb.len())
+        );
+        for (curve, (label, p)) in curves.into_iter().zip(params) {
+            assert_eq!(curve.label, label);
+            let flows: Vec<usize> = curve.points.iter().map(|&(n, _)| n).collect();
+            assert_eq!(flows, cfg.flow_counts, "{label}");
             for &(n, pm) in &curve.points {
                 let solo = DcqcnFluid::new(p.clone(), n)
                     .margin_report()
                     .phase_margin_deg
                     .unwrap_or(180.0);
-                assert_eq!(pm.to_bits(), solo.to_bits(), "{} N={n}", curve.label);
+                assert_eq!(pm.to_bits(), solo.to_bits(), "{label} N={n}");
             }
         }
+        // The panels are not copies of one another: the parameter each one
+        // varies moves the margin at the dip.
+        let dip = |c: &MarginCurve| c.points[1].1.to_bits();
+        assert_ne!(dip(&res.by_r_ai[0]), dip(&res.by_r_ai[1]));
+        assert_ne!(dip(&res.by_kmax[0]), dip(&res.by_kmax[1]));
+        assert_ne!(dip(&res.by_delay[0]), dip(&res.by_delay[1]));
     }
 
     #[test]

@@ -103,38 +103,26 @@ pub trait LaneSystem {
     /// Default: no projection.
     fn lane_project(&mut self, _t: f64, _x: &mut [f64], _lane: usize, _stride: usize) {}
 
-    /// Opt in to the integrator's stage slots (see [`crate::stage`]): if
-    /// every delayed lookup this lane's derivative makes at time `t` happens
-    /// at one delayed instant, and that instant depends on `t` alone — never
-    /// on the stage state — return it. `None` (the default) keeps the lane
-    /// on [`LaneSystem::lane_rhs`] for every stage.
-    ///
-    /// A lane that returns `Some` implements [`LaneSystem::lane_stage`] and
-    /// [`LaneSystem::lane_rhs_staged`], and its `lane_rhs` is the two run
-    /// back to back ([`crate::stage::Unstaged::rhs`]).
-    fn lane_delayed_instant(&self, _t: f64) -> Option<f64> {
-        None
-    }
-
-    /// Phase one of the split kernel: from this lane's state row at its
-    /// delayed instant (`delayed`: lane-local dense, `lane_dim` long) push
-    /// onto the empty `terms` everything the derivative takes from delayed
-    /// state, in whatever layout [`LaneSystem::lane_rhs_staged`] reads.
-    fn lane_stage(&self, _delayed: &[f64], _terms: &mut Vec<f64>) {}
-
-    /// Phase two of the split kernel: this lane's derivative at the stage
-    /// state `x`, given what [`LaneSystem::lane_stage`] built at this stage's
-    /// delayed instant. Only called on lanes whose
-    /// [`LaneSystem::lane_delayed_instant`] returned `Some`.
-    fn lane_rhs_staged(
-        &mut self,
-        _x: &[f64],
-        _lane: usize,
-        _stride: usize,
-        _terms: &[f64],
-        _dxdt: &mut [f64],
-    ) {
-        unreachable!("lane_rhs_staged on a lane that did not opt in to stage slots");
+    /// The derivative of every lane of `lanes` (lane `l` at stride
+    /// `lanes.len()`) at stage instant `at` of the current RK4 step — how
+    /// [`LaneBatch`] calls its lanes. The default calls each lane's
+    /// [`LaneSystem::lane_rhs`]; a [`StagedLane`](crate::stage::StagedLane)
+    /// overrides it with `stages.rhs(lanes, at, t, x, hist, dxdt)`.
+    fn lanes_rhs_at(
+        lanes: &mut [Self],
+        _at: StageInstant,
+        t: f64,
+        x: &[f64],
+        hist: &History,
+        _stages: &mut Stages,
+        dxdt: &mut [f64],
+    ) where
+        Self: Sized,
+    {
+        let stride = lanes.len();
+        for (lane, m) in lanes.iter_mut().enumerate() {
+            m.lane_rhs(t, x, lane, stride, hist, dxdt);
+        }
     }
 }
 
@@ -216,7 +204,7 @@ impl<M: LaneSystem> BatchDdeSystem for LaneBatch<M> {
         stages: &mut Stages,
         dxdt: &mut [f64],
     ) {
-        stages.rhs(&mut self.models, at, t, x, hist, dxdt);
+        M::lanes_rhs_at(&mut self.models, at, t, x, hist, stages, dxdt);
     }
 
     fn min_delay(&self) -> f64 {

@@ -15,7 +15,7 @@
 //!   class, so RK4 stages, projection, the divergence watchdog, and
 //!   [`History`](crate::History) pushes and delayed lookups all run at width
 //!   K instead of N;
-//! * [`FlowClasses::expand`] copies each class's block back to its members,
+//! * [`FlowClasses::expand`] shows each class's block to all its members,
 //!   so the recorded [`Trace`] has the N-flow layout callers index into.
 //!
 //! The only cross-flow coupling is the queue's `Σ rates`. A model sums over
@@ -165,7 +165,9 @@ impl FlowClasses {
     }
 
     /// The N-flow trace of a K-class trace: every row's shared components,
-    /// then for each flow its class's block.
+    /// then for each flow its class's block. A column view of `reduced`
+    /// (see [`Trace`]): the N-wide rows are built only for a caller that
+    /// reads whole rows.
     pub fn expand(&self, layout: FlowLayout, reduced: Trace) -> Trace {
         assert_eq!(
             reduced.dim(),
@@ -176,18 +178,11 @@ impl FlowClasses {
             // First-appearance numbering makes K = N the identity.
             return reduced;
         }
-        let mut out = Trace::with_capacity(layout.dim(self.n_flows()), reduced.len());
-        let mut row = Vec::with_capacity(out.dim());
-        for (i, &t) in reduced.times().iter().enumerate() {
-            let r = reduced.state(i);
-            row.clear();
-            row.extend_from_slice(&r[..layout.shared]);
-            for &k in &self.class_of {
-                row.extend_from_slice(layout.block(r, k));
-            }
-            out.push(t, &row);
+        let mut columns: Vec<usize> = (0..layout.shared).collect();
+        for &k in &self.class_of {
+            columns.extend(layout.dim(k)..layout.dim(k + 1));
         }
-        out
+        reduced.with_columns(columns)
     }
 }
 

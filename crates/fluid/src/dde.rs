@@ -33,10 +33,10 @@ pub trait DdeSystem {
     fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]);
 
     /// [`DdeSystem::rhs`] as the integrator calls it: at stage instant `at`
-    /// of the current RK4 step, with the step's stage slots. A lane kernel
-    /// that opted in to the slots (see [`crate::stage`]) overrides this with
-    /// `stages.rhs(std::slice::from_mut(self), at, t, x, hist, dxdt)`; the
-    /// default ignores them.
+    /// of the current RK4 step, with the step's stage slots. A
+    /// [`StagedLane`](crate::stage::StagedLane) overrides this with
+    /// `stages.rhs(std::slice::from_mut(self), at, t, x, hist, dxdt)` — the
+    /// scalar integrator is the one-lane case; the default ignores the slots.
     fn rhs_at(
         &mut self,
         _at: StageInstant,

@@ -20,16 +20,18 @@
 //!   ([`try_integrate_dde_batch`]): B sweep configs integrate simultaneously
 //!   over one `[state_dim × B]` struct-of-arrays block with per-lane
 //!   divergence reporting, bit-identical to the scalar path at B = 1;
-//! * [`Stages`] — the integrators' stage slots ([`stage`]): a lane kernel
-//!   whose delayed lookups depend on `t` alone builds what it derives from
-//!   delayed state once per stage *instant* of an RK4 step (two per step)
-//!   rather than once per stage (four);
+//! * [`StagedLane`] / [`Stages`] — the integrators' stage slots
+//!   ([`stage`]): a lane kernel whose delayed lookups depend on `t` alone
+//!   builds what it derives from delayed state once per stage *instant* of
+//!   an RK4 step (two per step) rather than once per stage (four);
 //! * [`FlowClasses`] — flow-class reduction ([`classes`]): flows with
 //!   bitwise-identical initial state and parameters carry bitwise-identical
 //!   trajectories, so the models integrate one representative per class and
-//!   expand the recorded trace back to the N-flow layout;
+//!   show the recorded trace in the N-flow layout;
 //! * [`Trace`] — a recorded solution with per-component series extraction
-//!   and decimation, the common currency of every figure runner.
+//!   and decimation, the common currency of every figure runner; it can be
+//!   a column view of narrower stored rows, which is how a K-class run is
+//!   read in the N-flow layout without an N-wide copy.
 //!
 //! The integrators are deliberately explicit and fixed-step: the models have
 //! modest stiffness, delays of a few microseconds set a natural step-size
@@ -56,5 +58,5 @@ pub use classes::{
 pub use dde::{integrate_dde, DdeSystem};
 pub use history::History;
 pub use ode::{integrate_ode, integrate_ode_adaptive, OdeSystem};
-pub use stage::{StageInstant, Stages, Unstaged};
+pub use stage::{StageInstant, StagedLane, Stages};
 pub use trace::Trace;

@@ -7,13 +7,13 @@
 //! whose delayed lookups all land on one instant that is a function of `t`
 //! alone (DCQCN's constant, egress-marked `τ*`, jittered or not) derives the
 //! same numbers from the same history at every revisit: the delayed row, and
-//! every transcendental built from it. Such a model opts in by splitting its
-//! lane kernel in two ([`LaneSystem::lane_delayed_instant`]):
+//! every transcendental built from it. Such a model opts in by implementing
+//! [`StagedLane`], its lane kernel split in two:
 //!
-//! * **phase one** ([`LaneSystem::lane_stage`]) reads the lane's state row at
-//!   the delayed instant and builds everything that depends on delayed state
-//!   only into a flat per-lane slot;
-//! * **phase two** ([`LaneSystem::lane_rhs_staged`]) is the arithmetic on the
+//! * **phase one** ([`StagedLane::stage`]) reads the lane's state row at the
+//!   delayed instant ([`StagedLane::delayed_instant`]) and builds everything
+//!   that depends on delayed state only into a flat per-lane slot;
+//! * **phase two** ([`StagedLane::rhs_staged`]) is the arithmetic on the
 //!   current stage state, reading that slot.
 //!
 //! The integrator is the only party that knows which instants repeat, so it
@@ -27,8 +27,8 @@
 //!
 //! Models whose delays depend on the stage state (TIMELY's `τ′ = q/C + …`,
 //! Eq 24) cannot opt in: stages 2 and 3 share `t` but not `x`, so they do
-//! not share a delayed instant. They keep the default `None` and are called
-//! through [`LaneSystem::lane_rhs`] on every stage.
+//! not share a delayed instant. They implement [`LaneSystem`] alone and are
+//! called through [`LaneSystem::lane_rhs`] on every stage.
 
 use crate::batch::{lane_of, LaneSystem};
 use crate::history::History;
@@ -44,23 +44,45 @@ pub enum StageInstant {
     End,
 }
 
-/// Both phases of a split lane kernel back to back: what an opted-in model's
-/// [`LaneSystem::lane_rhs`] — the call outside an integrator's stage slots —
-/// runs, so that the unsplit kernel *is* the two phases. Holds the scratch
-/// rows; every call overwrites them.
-#[derive(Debug, Clone, Default)]
-pub struct Unstaged {
-    delayed: Vec<f64>,
-    terms: Vec<f64>,
-}
+/// A [`LaneSystem`] whose kernel is split at the delayed lookup, so that an
+/// integrator can run phase one once per stage instant ([`Stages::rhs`]).
+///
+/// To opt in, implement the three phase methods, make
+/// [`LaneSystem::lane_rhs`] the provided [`StagedLane::rhs_unstaged`] (the
+/// unsplit kernel *is* the two phases back to back), and route the
+/// integrators' calls to the slots: [`LaneSystem::lanes_rhs_at`] and
+/// [`DdeSystem::rhs_at`](crate::dde::DdeSystem::rhs_at) both become
+/// `stages.rhs(..)`. A model that leaves the last two at their defaults
+/// still integrates to the same bits, four phase-one runs a step.
+pub trait StagedLane: LaneSystem {
+    /// The one instant every delayed lookup of this lane's derivative at
+    /// time `t` reads the history at. It depends on `t` alone — never on the
+    /// stage state.
+    fn delayed_instant(&self, t: f64) -> f64;
 
-impl Unstaged {
-    /// `model`'s lane derivative at `(t, x)`: read its delayed row, phase
-    /// one, phase two. Panics if the lane did not opt in.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rhs<M: LaneSystem>(
+    /// Phase one: from this lane's state row at its delayed instant
+    /// (`delayed`: lane-local dense, `lane_dim` long) push onto the empty
+    /// `terms` everything the derivative takes from delayed state, in
+    /// whatever layout [`StagedLane::rhs_staged`] reads.
+    fn stage(&self, delayed: &[f64], terms: &mut Vec<f64>);
+
+    /// Phase two: this lane's derivative at the stage state `x` (strided
+    /// like [`LaneSystem::lane_rhs`]'s), given what [`StagedLane::stage`]
+    /// built at this stage's delayed instant.
+    fn rhs_staged(
         &mut self,
-        model: &mut M,
+        x: &[f64],
+        lane: usize,
+        stride: usize,
+        terms: &[f64],
+        dxdt: &mut [f64],
+    );
+
+    /// Both phases back to back at `(t, x)`: read the delayed row, phase
+    /// one, phase two. This is the lane's [`LaneSystem::lane_rhs`] — the
+    /// call outside an integrator's stage slots.
+    fn rhs_unstaged(
+        &mut self,
         t: f64,
         x: &[f64],
         lane: usize,
@@ -68,15 +90,17 @@ impl Unstaged {
         hist: &History,
         dxdt: &mut [f64],
     ) {
-        let Some(td) = model.lane_delayed_instant(t) else {
-            unreachable!("Unstaged::rhs on a lane that did not opt in to stage slots");
-        };
-        let n = model.lane_dim();
-        self.delayed.resize(n, 0.0);
-        hist.eval_strided(td, lane, stride, n, &mut self.delayed);
-        self.terms.clear();
-        model.lane_stage(&self.delayed, &mut self.terms);
-        model.lane_rhs_staged(x, lane, stride, &self.terms, dxdt);
+        let mut delayed = vec![0.0; self.lane_dim()];
+        hist.eval_strided(
+            self.delayed_instant(t),
+            lane,
+            stride,
+            delayed.len(),
+            &mut delayed,
+        );
+        let mut terms = Vec::new();
+        self.stage(&delayed, &mut terms);
+        self.rhs_staged(x, lane, stride, &terms, dxdt);
     }
 }
 
@@ -121,9 +145,7 @@ impl Stages {
 
     /// The derivative of every lane of `models` (lane `l` at stride
     /// `models.len()` of `x` / `dxdt`) at stage instant `at` of the current
-    /// step. A lane that opted in runs phase one only if its slot for `at`
-    /// is empty; a lane that did not is called through
-    /// [`LaneSystem::lane_rhs`].
+    /// step. A lane runs phase one only if its slot for `at` is empty.
     ///
     /// The batch's half of phase one: when every lane is due a fill at the
     /// bitwise-same delayed instant, the whole block row is interpolated
@@ -131,7 +153,7 @@ impl Stages {
     /// each lane gathers its slice; otherwise each lane reads its own
     /// strided row ([`History::eval_strided`]). The two interpolate every
     /// component with the same arithmetic.
-    pub fn rhs<M: LaneSystem>(
+    pub fn rhs<M: StagedLane>(
         &mut self,
         models: &mut [M],
         at: StageInstant,
@@ -156,13 +178,10 @@ impl Stages {
         let at = at as usize;
 
         let shared = (stride > 1)
-            .then(|| first.lane_delayed_instant(t))
-            .flatten()
+            .then(|| first.delayed_instant(t))
             .filter(|td0| {
                 models.iter().zip(slots.iter()).all(|(m, lane)| {
-                    !lane[at].filled
-                        && m.lane_delayed_instant(t)
-                            .is_some_and(|td| td.to_bits() == td0.to_bits())
+                    !lane[at].filled && m.delayed_instant(t).to_bits() == td0.to_bits()
                 })
             });
         if let Some(td) = shared {
@@ -174,15 +193,11 @@ impl Stages {
             let slot = &mut lane_slots[at];
             if slot.filled {
                 debug_assert!(
-                    m.lane_delayed_instant(t)
-                        .is_some_and(|td| td.to_bits() == slot.td.to_bits()),
+                    m.delayed_instant(t).to_bits() == slot.td.to_bits(),
                     "lane {lane}: a stage slot was reused at another delayed instant"
                 );
             } else {
-                let Some(td) = m.lane_delayed_instant(t) else {
-                    m.lane_rhs(t, x, lane, stride, hist, dxdt);
-                    continue;
-                };
+                let td = m.delayed_instant(t);
                 if shared.is_some() {
                     for (c, r) in row.iter_mut().enumerate() {
                         *r = block[lane_of(c, lane, stride)];
@@ -191,13 +206,13 @@ impl Stages {
                     hist.eval_strided(td, lane, stride, n, row);
                 }
                 slot.terms.clear();
-                m.lane_stage(row, &mut slot.terms);
+                m.stage(row, &mut slot.terms);
                 slot.filled = true;
                 slot.td = td;
                 slot.back_at_fill = hist.t_back();
                 *fills += 1;
             }
-            m.lane_rhs_staged(x, lane, stride, &slot.terms, dxdt);
+            m.rhs_staged(x, lane, stride, &slot.terms, dxdt);
         }
     }
 
@@ -215,7 +230,7 @@ impl Stages {
     /// trim may have replaced; both refill.
     pub(crate) fn advance(&mut self, hist: &History) {
         if self.fills == 0 {
-            return; // no lane has opted in: every slot is still empty
+            return; // the system is not a `StagedLane`: every slot is still empty
         }
         let (front, back) = (hist.t_front(), hist.t_back());
         for lane_slots in &mut self.slots {

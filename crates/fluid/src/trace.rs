@@ -1,11 +1,20 @@
 //! Recorded solutions of fluid-model integrations.
 
+use std::sync::OnceLock;
+
 /// A recorded solution: times plus the full state vector at each time.
 ///
 /// Storage mirrors [`crate::history::History`]'s flat strided layout: one
-/// contiguous `Vec<f64>` holding row-major `dim`-wide state rows, so a
-/// 10-flow DCQCN run records into two allocations instead of one `Vec` per
-/// recorded point. Row `i` lives at `states[i*dim .. (i+1)*dim]`.
+/// contiguous `Vec<f64>` holding row-major state rows, so a 10-flow DCQCN
+/// run records into two allocations instead of one `Vec` per recorded point.
+///
+/// A trace may be a *column view* (what
+/// [`FlowClasses::expand`](crate::classes::FlowClasses::expand) returns):
+/// the state has more components than a stored row, several reading the
+/// same stored column — the N-flow layout of a run integrated at the width
+/// of its K flow classes. Component accessors ([`Trace::series`] and
+/// what builds on it) read through the view; only a caller that asks for
+/// whole rows ([`Trace::state`]) has the N-wide rows built, once.
 ///
 /// Figure runners extract named components (`queue`, `rate of flow i`) via
 /// [`Trace::series`] and post-process (decimate, window, compare against the
@@ -13,9 +22,17 @@
 #[derive(Debug, Clone)]
 pub struct Trace {
     times: Vec<f64>,
-    /// Flat row-major state storage, stride `dim`.
-    states: Vec<f64>,
-    dim: usize,
+    /// Flat row-major storage, stride `width`. Row `i` lives at
+    /// `stored[i*width .. (i+1)*width]`.
+    stored: Vec<f64>,
+    /// Components per stored row.
+    width: usize,
+    /// A column view: state component `c` is stored column `columns[c]`.
+    /// `None`: a stored row is the state row.
+    columns: Option<Vec<usize>>,
+    /// The state rows of a column view (stride `dim`), built by the first
+    /// row access.
+    rows: OnceLock<Vec<f64>>,
 }
 
 impl Trace {
@@ -23,36 +40,47 @@ impl Trace {
     pub fn new(dim: usize) -> Self {
         Trace {
             times: Vec::new(),
-            states: Vec::new(),
-            dim,
+            stored: Vec::new(),
+            width: dim,
+            columns: None,
+            rows: OnceLock::new(),
         }
     }
 
-    /// New empty trace with room for `rows` recorded points, for callers
-    /// that know the count up front: a wide trace then never pays a
-    /// grow-by-doubling copy (old + new buffer resident at once).
-    pub(crate) fn with_capacity(dim: usize, rows: usize) -> Self {
+    /// This trace (of stored rows, not itself a view) seen through
+    /// `columns`: the result has `columns.len()` components, component `c`
+    /// being this trace's component `columns[c]`. Nothing is copied.
+    pub(crate) fn with_columns(self, columns: Vec<usize>) -> Trace {
+        assert!(self.columns.is_none(), "a view of a view");
+        assert!(
+            columns.iter().all(|&c| c < self.width),
+            "component out of range"
+        );
         Trace {
-            times: Vec::with_capacity(rows),
-            states: Vec::with_capacity(rows * dim),
-            dim,
+            columns: Some(columns),
+            ..self
         }
     }
 
     /// Record the state at time `t`.
     pub fn push(&mut self, t: f64, state: &[f64]) {
-        assert_eq!(state.len(), self.dim, "state dimension mismatch");
+        assert_eq!(state.len(), self.dim(), "state dimension mismatch");
         debug_assert!(
             self.times.last().is_none_or(|&last| t >= last),
             "trace times must be non-decreasing"
         );
+        if let Some(columns) = self.columns.take() {
+            // Rows can only be appended to rows: a view becomes its own.
+            self.stored = self.rows.take().unwrap_or_else(|| self.gather(&columns));
+            self.width = columns.len();
+        }
         self.times.push(t);
-        self.states.extend_from_slice(state);
+        self.stored.extend_from_slice(state);
     }
 
     /// The state dimension.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.columns.as_ref().map_or(self.width, Vec::len)
     }
 
     /// Number of recorded points.
@@ -70,10 +98,25 @@ impl Trace {
         &self.times
     }
 
+    /// The state rows of the column view `columns`, flat at stride
+    /// `columns.len()`.
+    fn gather(&self, columns: &[usize]) -> Vec<f64> {
+        let mut rows = Vec::with_capacity(self.times.len() * columns.len());
+        for stored in self.stored.chunks_exact(self.width.max(1)) {
+            rows.extend(columns.iter().map(|&c| stored[c]));
+        }
+        rows
+    }
+
     /// State vector at index `i` (a `dim`-wide slice of the flat buffer).
     pub fn state(&self, i: usize) -> &[f64] {
         assert!(i < self.times.len(), "trace index out of range");
-        &self.states[i * self.dim..(i + 1) * self.dim]
+        let rows = match &self.columns {
+            Some(columns) => self.rows.get_or_init(|| self.gather(columns)),
+            None => &self.stored,
+        };
+        let dim = self.dim();
+        &rows[i * dim..(i + 1) * dim]
     }
 
     /// Final recorded state, if any.
@@ -87,10 +130,11 @@ impl Trace {
 
     /// Extract component `c` as a `(t, value)` series.
     pub fn series(&self, c: usize) -> Vec<(f64, f64)> {
-        assert!(c < self.dim, "component out of range");
+        assert!(c < self.dim(), "component out of range");
+        let c = self.columns.as_ref().map_or(c, |columns| columns[c]);
         self.times
             .iter()
-            .zip(self.states.chunks_exact(self.dim.max(1)))
+            .zip(self.stored.chunks_exact(self.width.max(1)))
             .map(|(&t, row)| (t, row[c]))
             .collect()
     }
@@ -107,11 +151,19 @@ impl Trace {
     /// first and last points.
     pub fn decimate(&self, keep_every: usize) -> Trace {
         assert!(keep_every > 0);
-        let mut out = Trace::new(self.dim);
+        let mut out = Trace {
+            times: Vec::new(),
+            stored: Vec::new(),
+            width: self.width,
+            columns: self.columns.clone(),
+            rows: OnceLock::new(),
+        };
         let n = self.times.len();
         for i in 0..n {
             if i % keep_every == 0 || i == n - 1 {
-                out.push(self.times[i], self.state(i));
+                out.times.push(self.times[i]);
+                out.stored
+                    .extend_from_slice(&self.stored[i * self.width..(i + 1) * self.width]);
             }
         }
         out
@@ -217,6 +269,46 @@ mod tests {
         assert!((tr.mean_from(0, 0.0) - 5.0).abs() < 1e-12);
         // restricted mean over [6,10] = 8
         assert!((tr.mean_from(0, 6.0) - 8.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn column_view_reads_like_the_copied_rows() {
+        // Components (0, 1) seen as (0, 1, 1, 0, 1): every accessor must
+        // answer as a trace holding those five-wide rows would.
+        let columns = [0usize, 1, 1, 0, 1];
+        let view = ramp().with_columns(columns.to_vec());
+        let mut copied = Trace::new(columns.len());
+        let src = ramp();
+        for (i, &t) in src.times().iter().enumerate() {
+            let row: Vec<f64> = columns.iter().map(|&c| src.state(i)[c]).collect();
+            copied.push(t, &row);
+        }
+        assert_eq!(view.dim(), 5);
+        assert_eq!(view.len(), copied.len());
+        for c in 0..view.dim() {
+            assert_eq!(view.series(c), copied.series(c));
+            assert_eq!(view.mean_from(c, 6.0), copied.mean_from(c, 6.0));
+        }
+        for i in 0..view.len() {
+            assert_eq!(view.state(i), copied.state(i));
+        }
+        assert_eq!(view.last_state(), copied.last_state());
+        let (dv, dc) = (view.decimate(4), copied.decimate(4));
+        assert_eq!(dv.times(), dc.times());
+        assert_eq!(dv.state(3), dc.state(3));
+        // A push turns a view into its rows.
+        let mut grown = view.clone();
+        grown.push(11.0, &[1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(grown.state(10), copied.state(10));
+        assert_eq!(grown.last_state(), Some(&[1.0, 2.0, 3.0, 4.0, 5.0][..]));
+        assert_eq!(grown.series(3)[10], copied.series(3)[10]);
+        assert_eq!(grown.series(3)[11], (11.0, 4.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "component out of range")]
+    fn column_view_checks_its_columns() {
+        let _ = ramp().with_columns(vec![0, 2]);
     }
 
     #[test]

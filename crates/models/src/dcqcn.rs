@@ -31,7 +31,7 @@ use fluid::batch::{lane_of, pack_lanes, try_integrate_dde_batch, LaneBatch, Lane
 use fluid::classes::{integrate_flow_classes, FlowClassSystem, FlowClasses, FlowLayout};
 use fluid::dde::{DdeOptions, DdeSystem};
 use fluid::history::History;
-use fluid::stage::{StageInstant, Stages, Unstaged};
+use fluid::stage::{StageInstant, StagedLane, Stages};
 use fluid::trace::Trace;
 use std::cell::RefCell;
 
@@ -414,9 +414,6 @@ pub struct DcqcnFluid {
     pub n_flows: usize,
     /// Optional feedback-delay jitter process (Figure 20).
     pub jitter: Option<Jitter>,
-    /// Scratch for [`LaneSystem::lane_rhs`], the call outside an
-    /// integrator's stage slots.
-    scratch: Unstaged,
     /// The flow partition the RHS loops over (identity outside `simulate*`).
     classes: FlowClasses,
 }
@@ -435,7 +432,6 @@ impl DcqcnFluid {
             params,
             n_flows,
             jitter: None,
-            scratch: Unstaged::default(),
             classes: FlowClasses::identity(n_flows),
         }
     }
@@ -833,9 +829,19 @@ impl LaneSystem for DcqcnFluid {
         hist: &History,
         dxdt: &mut [f64],
     ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.rhs(self, t, x, lane, stride, hist, dxdt);
-        self.scratch = scratch;
+        self.rhs_unstaged(t, x, lane, stride, hist, dxdt);
+    }
+
+    fn lanes_rhs_at(
+        lanes: &mut [Self],
+        at: StageInstant,
+        t: f64,
+        x: &[f64],
+        hist: &History,
+        stages: &mut Stages,
+        dxdt: &mut [f64],
+    ) {
+        stages.rhs(lanes, at, t, x, hist, dxdt);
     }
 
     fn min_delay(&self) -> f64 {
@@ -843,17 +849,38 @@ impl LaneSystem for DcqcnFluid {
         self.params.feedback_delay_s()
     }
 
+    fn lane_project(&mut self, _t: f64, x: &mut [f64], lane: usize, stride: usize) {
+        let line = self.params.capacity_pps();
+        let floor = self.params.min_rate_pps();
+        let q = lane_of(0, lane, stride);
+        x[q] = x[q].max(0.0); // component 0 is the queue
+        for i in 0..self.classes.len() {
+            let rc = lane_of(self.rc_index(i), lane, stride);
+            let rt = lane_of(self.rt_index(i), lane, stride);
+            let al = lane_of(self.alpha_index(i), lane, stride);
+            x[rc] = x[rc].clamp(floor, line);
+            x[rt] = x[rt].clamp(floor, line);
+            x[al] = x[al].clamp(0.0, 1.0);
+            desim::invariants::unit_interval("dcqcn fluid alpha", x[al]);
+            desim::invariants::finite_rate("dcqcn fluid rc_pps", x[rc]);
+        }
+    }
+}
+
+impl StagedLane for DcqcnFluid {
     /// Marks are made on egress, so the loop delay — jittered or not — is a
     /// function of `t` alone (§5.2), and the queue plus every flow's rate are
     /// read at that one delayed instant.
-    fn lane_delayed_instant(&self, t: f64) -> Option<f64> {
-        Some(self.delayed_instant(t))
+    fn delayed_instant(&self, t: f64) -> f64 {
+        let extra = self.jitter.as_ref().map_or(0.0, |j| j.extra(t));
+        let delay = self.params.feedback_delay_s() + extra;
+        t - delay
     }
 
     /// Every transcendental of Eqs 5–7 is a function of the state at
     /// `t − τ*` alone: RED's `p` of the delayed queue, then one
     /// `FlowTerms` row per class from its delayed rate.
-    fn lane_stage(&self, delayed: &[f64], terms: &mut Vec<f64>) {
+    fn stage(&self, delayed: &[f64], terms: &mut Vec<f64>) {
         let p = &self.params;
         let q_delayed = delayed[0].max(0.0); // component 0 is the queue
         let mk = MarkTerms::new(p, p.red_probability(q_delayed));
@@ -861,7 +888,7 @@ impl LaneSystem for DcqcnFluid {
         FlowTerms::stage(p, &mk, rc_delayed, terms);
     }
 
-    fn lane_rhs_staged(
+    fn rhs_staged(
         &mut self,
         x: &[f64],
         lane: usize,
@@ -899,32 +926,6 @@ impl LaneSystem for DcqcnFluid {
             dxdt[lane_of(self.rt_index(i), lane, stride)] = d_rt;
             dxdt[lane_of(self.alpha_index(i), lane, stride)] = d_alpha;
         }
-    }
-
-    fn lane_project(&mut self, _t: f64, x: &mut [f64], lane: usize, stride: usize) {
-        let line = self.params.capacity_pps();
-        let floor = self.params.min_rate_pps();
-        let q = lane_of(0, lane, stride);
-        x[q] = x[q].max(0.0); // component 0 is the queue
-        for i in 0..self.classes.len() {
-            let rc = lane_of(self.rc_index(i), lane, stride);
-            let rt = lane_of(self.rt_index(i), lane, stride);
-            let al = lane_of(self.alpha_index(i), lane, stride);
-            x[rc] = x[rc].clamp(floor, line);
-            x[rt] = x[rt].clamp(floor, line);
-            x[al] = x[al].clamp(0.0, 1.0);
-            desim::invariants::unit_interval("dcqcn fluid alpha", x[al]);
-            desim::invariants::finite_rate("dcqcn fluid rc_pps", x[rc]);
-        }
-    }
-}
-
-impl DcqcnFluid {
-    /// The single delayed instant every lookup at time `t` uses.
-    fn delayed_instant(&self, t: f64) -> f64 {
-        let extra = self.jitter.as_ref().map_or(0.0, |j| j.extra(t));
-        let delay = self.params.feedback_delay_s() + extra;
-        t - delay
     }
 }
 

@@ -22,7 +22,7 @@ use fluid::batch::{lane_of, LaneSystem};
 use fluid::classes::{integrate_flow_classes, FlowClassSystem, FlowClasses, FlowLayout};
 use fluid::dde::{DdeOptions, DdeSystem};
 use fluid::history::History;
-use fluid::stage::{StageInstant, Stages, Unstaged};
+use fluid::stage::{StageInstant, StagedLane, Stages};
 use fluid::trace::Trace;
 
 /// Gains and reference for the PI controller (Eq 32).
@@ -49,9 +49,6 @@ pub struct DcqcnPiFluid {
     pub gains: PiGains,
     /// Number of flows.
     pub n_flows: usize,
-    /// Scratch for [`LaneSystem::lane_rhs`], the call outside an
-    /// integrator's stage slots.
-    scratch: Unstaged,
     /// The flow partition the RHS loops over (identity outside `simulate`).
     classes: FlowClasses,
 }
@@ -86,7 +83,6 @@ impl DcqcnPiFluid {
             params,
             gains,
             n_flows,
-            scratch: Unstaged::default(),
             classes: FlowClasses::identity(n_flows),
         }
     }
@@ -158,19 +154,52 @@ impl LaneSystem for DcqcnPiFluid {
         hist: &History,
         dxdt: &mut [f64],
     ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.rhs(self, t, x, lane, stride, hist, dxdt);
-        self.scratch = scratch;
+        self.rhs_unstaged(t, x, lane, stride, hist, dxdt);
     }
 
+    fn lanes_rhs_at(
+        lanes: &mut [Self],
+        at: StageInstant,
+        t: f64,
+        x: &[f64],
+        hist: &History,
+        stages: &mut Stages,
+        dxdt: &mut [f64],
+    ) {
+        stages.rhs(lanes, at, t, x, hist, dxdt);
+    }
+
+    fn min_delay(&self) -> f64 {
+        self.params.feedback_delay_s()
+    }
+
+    fn lane_project(&mut self, _t: f64, x: &mut [f64], lane: usize, stride: usize) {
+        let line = self.params.capacity_pps();
+        let floor = self.params.min_rate_pps();
+        let q = lane_of(0, lane, stride);
+        let pp = lane_of(1, lane, stride);
+        x[q] = x[q].max(0.0); // component 0 is the queue
+        x[pp] = x[pp].clamp(0.0, 1.0); // component 1 is p
+        for i in 0..self.classes.len() {
+            let rc = lane_of(self.rc_index(i), lane, stride);
+            let rt = lane_of(self.rt_index(i), lane, stride);
+            let al = lane_of(self.alpha_index(i), lane, stride);
+            x[rc] = x[rc].clamp(floor, line);
+            x[rt] = x[rt].clamp(floor, line);
+            x[al] = x[al].clamp(0.0, 1.0);
+        }
+    }
+}
+
+impl StagedLane for DcqcnPiFluid {
     /// All delayed lookups — `p` and every flow's rate — share the constant
     /// loop delay.
-    fn lane_delayed_instant(&self, t: f64) -> Option<f64> {
-        Some(t - self.params.feedback_delay_s())
+    fn delayed_instant(&self, t: f64) -> f64 {
+        t - self.params.feedback_delay_s()
     }
 
     /// DCQCN's flow terms, with the PI loop's delayed `p` in RED's place.
-    fn lane_stage(&self, delayed: &[f64], terms: &mut Vec<f64>) {
+    fn stage(&self, delayed: &[f64], terms: &mut Vec<f64>) {
         let p = &self.params;
         let p_delayed = delayed[1].clamp(0.0, 1.0); // component 1 is p
         let mk = MarkTerms::new(p, p_delayed);
@@ -178,7 +207,7 @@ impl LaneSystem for DcqcnPiFluid {
         FlowTerms::stage(p, &mk, rc_delayed, terms);
     }
 
-    fn lane_rhs_staged(
+    fn rhs_staged(
         &mut self,
         x: &[f64],
         lane: usize,
@@ -226,27 +255,6 @@ impl LaneSystem for DcqcnPiFluid {
             dxdt[rci] = d_rc;
             dxdt[rti] = d_rt;
             dxdt[ali] = d_alpha;
-        }
-    }
-
-    fn min_delay(&self) -> f64 {
-        self.params.feedback_delay_s()
-    }
-
-    fn lane_project(&mut self, _t: f64, x: &mut [f64], lane: usize, stride: usize) {
-        let line = self.params.capacity_pps();
-        let floor = self.params.min_rate_pps();
-        let q = lane_of(0, lane, stride);
-        let pp = lane_of(1, lane, stride);
-        x[q] = x[q].max(0.0); // component 0 is the queue
-        x[pp] = x[pp].clamp(0.0, 1.0); // component 1 is p
-        for i in 0..self.classes.len() {
-            let rc = lane_of(self.rc_index(i), lane, stride);
-            let rt = lane_of(self.rt_index(i), lane, stride);
-            let al = lane_of(self.alpha_index(i), lane, stride);
-            x[rc] = x[rc].clamp(floor, line);
-            x[rt] = x[rt].clamp(floor, line);
-            x[al] = x[al].clamp(0.0, 1.0);
         }
     }
 }

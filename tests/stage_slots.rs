@@ -15,7 +15,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use ecn_delay::fluid::batch::{lane_of, pack_lanes, try_integrate_dde_batch, LaneBatch};
 use ecn_delay::fluid::classes::{try_integrate_classes, FlowClassSystem, FlowClasses, FlowLayout};
 use ecn_delay::fluid::dde::{try_integrate_dde, DdeOptions, DdeSystem};
-use ecn_delay::fluid::{History, LaneSystem, StageInstant, Stages, Trace, Unstaged};
+use ecn_delay::fluid::{History, LaneSystem, StageInstant, StagedLane, Stages, Trace};
 use ecn_delay::models::dcqcn::{DcqcnFluid, DcqcnParams};
 use ecn_delay::models::jitter::Jitter;
 use ecn_delay::models::pi::DcqcnPiFluid;
@@ -41,8 +41,8 @@ fn trace_digest(tr: &Trace) -> u64 {
 }
 
 /// Hides a lane kernel's opt-in to the stage slots: the integrators see a
-/// system without `rhs_at` / `lane_delayed_instant`, call its unsplit kernel
-/// on every stage, and so rebuild the delayed terms four times a step.
+/// system that keeps the default `rhs_at` / `lanes_rhs_at`, call its unsplit
+/// kernel on every stage, and so rebuild the delayed terms four times a step.
 #[derive(Clone)]
 struct Unslotted<M>(M);
 
@@ -388,18 +388,32 @@ impl LaneSystem for Lag {
         hist: &History,
         dxdt: &mut [f64],
     ) {
-        Unstaged::default().rhs(self, t, x, lane, stride, hist, dxdt);
+        self.rhs_unstaged(t, x, lane, stride, hist, dxdt);
+    }
+    fn lanes_rhs_at(
+        lanes: &mut [Self],
+        at: StageInstant,
+        t: f64,
+        x: &[f64],
+        hist: &History,
+        stages: &mut Stages,
+        dxdt: &mut [f64],
+    ) {
+        stages.rhs(lanes, at, t, x, hist, dxdt);
     }
     fn min_delay(&self) -> f64 {
         self.reported_min_delay_s
     }
-    fn lane_delayed_instant(&self, t: f64) -> Option<f64> {
-        Some(t - self.delay_s)
+}
+
+impl StagedLane for Lag {
+    fn delayed_instant(&self, t: f64) -> f64 {
+        t - self.delay_s
     }
-    fn lane_stage(&self, delayed: &[f64], terms: &mut Vec<f64>) {
+    fn stage(&self, delayed: &[f64], terms: &mut Vec<f64>) {
         terms.extend(delayed.iter().rev().map(|&v| self.gain_per_s * v));
     }
-    fn lane_rhs_staged(
+    fn rhs_staged(
         &mut self,
         x: &[f64],
         lane: usize,
