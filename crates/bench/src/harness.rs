@@ -7,7 +7,7 @@
 //! outside the simulator crates, so wall-clock reads are allowed here (the
 //! simulator itself is forbidden from `Instant::now` by `xtask lint`).
 //!
-//! Every [`bench`] call is also recorded in a process-global registry;
+//! Every [`bench()`] call is also recorded in a process-global registry;
 //! [`write_report`] serializes the registry to a machine-readable JSON
 //! baseline (`BENCH_fluid.json` / `BENCH_packet.json` / `BENCH_kernel.json`
 //! at the repo root). Each record carries the git commit it was measured
@@ -32,7 +32,7 @@ pub fn black_box<T>(x: T) -> T {
 /// One measured benchmark, as serialized into `BENCH_*.json`.
 #[derive(Debug, Clone)]
 pub struct Record {
-    /// Benchmark name as passed to [`bench`].
+    /// Benchmark name as passed to [`bench()`].
     pub name: String,
     /// Fastest iteration (nanoseconds).
     pub min_ns: u128,

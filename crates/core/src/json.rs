@@ -6,7 +6,7 @@
 //! pretty-printed with two-space indentation and is byte-stable across
 //! runs and platforms: floats use Rust's shortest round-trip `Display`,
 //! integers are emitted losslessly, and object keys keep the declaration
-//! order given to [`impl_to_json!`].
+//! order given to [`impl_to_json!`](crate::impl_to_json).
 //!
 //! Implement [`ToJson`] for a result struct with one line:
 //!

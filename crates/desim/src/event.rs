@@ -23,16 +23,22 @@
 //! asymptotics — is what makes the wheel beat the old binary heap on the
 //! `event_queue/*` bench rows.
 //!
-//! **Determinism.** Events pop in `(time, seq)` order, where `seq` is a
-//! sequence number that increases monotonically with every insertion.
-//! Events scheduled for the same instant therefore pop in insertion order
-//! (stable FIFO) — exactly the contract the old binary-heap queue provided.
-//! This property is load-bearing for reproducibility: a switch that
-//! enqueues a packet and arms a timer "at the same time" must always
-//! process them in the same order. All entries in a reachable level-0 slot
-//! share one absolute timestamp (coarser times still live in higher
-//! levels), so the FIFO tie-break is a min-`seq` scan of one short slot
-//! list.
+//! **Determinism.** Events pop in `(time, ticket)` order and in no other:
+//! the ticket (`seq`) is a counter that [`EventQueue::reserve_seq`] hands
+//! out, and [`EventQueue::schedule`] takes one per insertion, so events
+//! scheduled for the same instant pop in insertion order (stable FIFO) —
+//! exactly the contract the old binary-heap queue provided. This property
+//! is load-bearing for reproducibility: a switch that enqueues a packet and
+//! arms a timer "at the same time" must always process them in the same
+//! order. A ticket may be taken before its entry exists:
+//! [`EventQueue::schedule_reserved`] files an entry under a ticket reserved
+//! earlier, and it pops where it would have popped had it been scheduled
+//! when the ticket was taken — so a caller that knows an event will most
+//! likely change nothing can keep it off the wheel and still dispatch it,
+//! or account for it, at its place in the order. All entries in a reachable
+//! level-0 slot share one absolute timestamp (coarser times still live in
+//! higher levels), so the tie-break is a min-`seq` scan of one short slot
+//! list, whatever order the entries arrived in.
 //!
 //! **Cancellation** is slot-local instead of tombstone-set based: an
 //! [`EventId`] packs `(arena index, generation)`, and `cancel` is an O(1)
@@ -238,6 +244,9 @@ pub struct EventQueue<E> {
     next_seq: u64,
     len: usize,
     last_popped: SimTime,
+    /// Ticket of the last popped event; `None` before the first pop, which
+    /// orders below every ticket at `SimTime::ZERO`.
+    last_popped_seq: Option<u64>,
     /// Locally accumulated obs counts (scheduled, popped, cancelled,
     /// cascades), flushed to the global metrics registry in one
     /// `counter_add` each when the queue retires. Batching keeps the
@@ -276,8 +285,9 @@ fn up_shift(level: usize) -> u32 {
 }
 
 impl<E> EventQueue<E> {
-    /// Create an empty queue, reusing retired storage from the per-thread
-    /// pool when available (see [`Storage`]).
+    /// Create an empty queue, reusing retired wheel storage (slot arrays
+    /// and the hot arena) from a per-thread pool when available, so building
+    /// a queue per run allocates nothing large.
     pub fn new() -> Self {
         let storage = STORAGE_POOL.with(|p| p.borrow_mut().pop());
         let s = storage.unwrap_or_else(|| Storage {
@@ -305,6 +315,7 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             len: 0,
             last_popped: SimTime::ZERO,
+            last_popped_seq: None,
             stats: [0; 4],
             flight_seq: std::collections::BTreeMap::new(),
         }
@@ -320,23 +331,57 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Schedule `payload` at absolute time `time`, returning a cancellable id.
+    /// Schedule `payload` at absolute time `time`, returning a cancellable id:
+    /// [`Self::reserve_seq`] followed by [`Self::schedule_reserved`].
     ///
     /// Scheduling in the past (before the last popped event) is a logic error
     /// in the caller and panics in debug builds; in release it is accepted
     /// (the event fires "now") to favour robustness, matching how real
     /// simulators clamp late timers.
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
+        let seq = self.reserve_seq();
+        self.schedule_reserved(time, seq, payload)
+    }
+
+    /// Take the next tie-break ticket without creating an entry. The
+    /// ticket's place in the `(time, ticket)` order is fixed now; an entry
+    /// may be filed under it later ([`Self::schedule_reserved`]) or never.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Ticket of the last popped event; `None` before the first pop.
+    #[inline]
+    pub fn last_popped_seq(&self) -> Option<u64> {
+        self.last_popped_seq
+    }
+
+    /// Entries popped so far (what `desim.events_popped` will be credited
+    /// with when the queue retires).
+    pub fn popped(&self) -> u64 {
+        self.stats[STAT_POPPED]
+    }
+
+    /// File `payload` at `time` under the ticket `seq` taken earlier with
+    /// [`Self::reserve_seq`]: it pops exactly where it would have popped had
+    /// it been scheduled when the ticket was taken. `(time, seq)` must sort
+    /// after the last popped event (the same logic error as scheduling into
+    /// the past, handled the same way), and a ticket files at most one
+    /// entry.
+    pub fn schedule_reserved(&mut self, time: SimTime, seq: u64, payload: E) -> EventId {
         debug_assert!(
-            time >= self.last_popped,
-            "scheduling into the past: {time} < {}",
-            self.last_popped
+            (time, Some(seq)) > (self.last_popped, self.last_popped_seq),
+            "scheduling into the past: ({time}, ticket {seq}) is not after ({}, {:?})",
+            self.last_popped,
+            self.last_popped_seq
         );
+        debug_assert!(seq < self.next_seq, "ticket {seq} was never reserved");
         // Release-mode clamp: a late timer fires at the wheel's current
         // position rather than corrupting slot placement.
         let t_ns = time.as_nanos().max(self.floor_ns);
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let (idx, generation) = if self.free_head != NIL {
             let i = self.free_head;
             let h = &mut self.hot[i as usize];
@@ -476,6 +521,7 @@ impl<E> EventQueue<E> {
                             time,
                         );
                         self.last_popped = time;
+                        self.last_popped_seq = Some(wheel_seq);
                         self.floor_ns = t_ns;
                         self.len -= 1;
                         self.stats[STAT_POPPED] += 1;

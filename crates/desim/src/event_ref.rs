@@ -2,11 +2,12 @@
 //!
 //! This is the original `EventQueue` — a binary min-heap keyed on
 //! `(time, seq)` with a `BTreeSet` tombstone set for cancellation — retained
-//! verbatim as the **oracle** for the timing wheel's differential property
-//! test (`tests/wheel_differential.rs`) and for the `event_queue/wheel_*`
-//! before/after bench rows. It is deliberately simple and obviously correct
-//! for the orderings the simulator relies on; it is *not* used by any
-//! simulation path.
+//! (plus the wheel's reserve-now / insert-later ticket API, which on a heap
+//! is just a push under the given `seq`) as the **oracle** for the timing
+//! wheel's differential property test (`tests/wheel_differential.rs`) and for
+//! the `event_queue/wheel_*` before/after bench rows. It is deliberately
+//! simple and obviously correct for the orderings the simulator relies on; it
+//! is *not* used by any simulation path.
 //!
 //! Known oracle limitation, inherited from the original: `cancel` on an id
 //! that has already fired still inserts a tombstone and decrements `len`.
@@ -66,6 +67,7 @@ pub struct ReferenceEventQueue<E> {
     next_seq: u64,
     len: usize,
     last_popped: SimTime,
+    last_popped_seq: Option<u64>,
 }
 
 impl<E> Default for ReferenceEventQueue<E> {
@@ -83,6 +85,7 @@ impl<E> ReferenceEventQueue<E> {
             next_seq: 0,
             len: 0,
             last_popped: SimTime::ZERO,
+            last_popped_seq: None,
         }
     }
 
@@ -98,13 +101,32 @@ impl<E> ReferenceEventQueue<E> {
 
     /// Schedule `payload` at absolute time `time`, returning a cancellable id.
     pub fn schedule(&mut self, time: SimTime, payload: E) -> RefEventId {
-        debug_assert!(
-            time >= self.last_popped,
-            "scheduling into the past: {time} < {}",
-            self.last_popped
-        );
+        let seq = self.reserve_seq();
+        self.schedule_reserved(time, seq, payload)
+    }
+
+    /// Take the next tie-break ticket without creating an entry.
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Ticket of the last popped event; `None` before the first pop.
+    pub fn last_popped_seq(&self) -> Option<u64> {
+        self.last_popped_seq
+    }
+
+    /// File `payload` at `time` under a ticket taken earlier with
+    /// [`Self::reserve_seq`]; the heap orders it by `(time, seq)` like any
+    /// other entry.
+    pub fn schedule_reserved(&mut self, time: SimTime, seq: u64, payload: E) -> RefEventId {
+        debug_assert!(
+            (time, Some(seq)) > (self.last_popped, self.last_popped_seq),
+            "scheduling into the past: ({time}, ticket {seq}) is not after ({}, {:?})",
+            self.last_popped,
+            self.last_popped_seq
+        );
         self.heap.push(Reverse(Entry { time, seq, payload }));
         self.len += 1;
         RefEventId(seq)
@@ -144,6 +166,7 @@ impl<E> ReferenceEventQueue<E> {
                 entry.time,
             );
             self.last_popped = entry.time;
+            self.last_popped_seq = Some(entry.seq);
             return Some((entry.time, entry.payload));
         }
     }

@@ -7,6 +7,13 @@
 //! levels — and must produce byte-for-byte identical pop sequences
 //! `(time, tag)` and identical `len()` at every step. Payload tags identify
 //! events across the two queues so cancels and rearms can be mirrored.
+//!
+//! The op mix includes the ticket API: `reserve_seq` now,
+//! `schedule_reserved` later (or never) — into a later slot, into the
+//! current instant behind the event just popped, into an upper level that
+//! cascades afterwards — with the late entry open to cancellation like any
+//! other. On the heap a late insertion is a push under the given `seq`, so
+//! the oracle says where each must pop.
 
 use desim::event_ref::ReferenceEventQueue;
 use desim::{EventQueue, SimRng, SimTime};
@@ -25,6 +32,12 @@ struct Harness {
     now_ns: u64,
     next_tag: u64,
     pops: u64,
+    /// Tickets taken on both queues and not yet filed.
+    reserved: Vec<u64>,
+    /// Time of the last pop (the wheel's `last_popped_seq` is its ticket).
+    last_pop_ns: Option<u64>,
+    late_inserts: u64,
+    late_into_now: u64,
 }
 
 impl Harness {
@@ -36,7 +49,44 @@ impl Harness {
             now_ns: 0,
             next_tag: 0,
             pops: 0,
+            reserved: Vec::new(),
+            last_pop_ns: None,
+            late_inserts: 0,
+            late_into_now: 0,
         }
+    }
+
+    /// Take the next ticket on both queues without filing an entry.
+    fn reserve(&mut self) {
+        let seq = self.wheel.reserve_seq();
+        assert_eq!(seq, self.oracle.reserve_seq(), "tickets diverged");
+        self.reserved.push(seq);
+    }
+
+    /// File an entry under the reserved ticket at `pos`, at `at_ns` — or one
+    /// nanosecond later if `(at_ns, ticket)` would not sort after the last
+    /// popped event (the one thing the contract forbids).
+    fn insert_reserved(&mut self, pos: usize, at_ns: u64) {
+        let seq = self.reserved.swap_remove(pos);
+        let into_now = self.last_pop_ns == Some(at_ns);
+        let behind_last = self.wheel.last_popped_seq().is_some_and(|s| s >= seq);
+        let at_ns = if into_now && behind_last {
+            at_ns + 1
+        } else {
+            at_ns
+        };
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        let t = SimTime::from_nanos(at_ns);
+        let wheel_id = self.wheel.schedule_reserved(t, seq, tag);
+        let ref_id = self.oracle.schedule_reserved(t, seq, tag);
+        self.pending.push(Pending {
+            tag,
+            wheel_id,
+            ref_id,
+        });
+        self.late_inserts += 1;
+        self.late_into_now += (self.last_pop_ns == Some(at_ns)) as u64;
     }
 
     fn push(&mut self, at_ns: u64) {
@@ -53,9 +103,15 @@ impl Harness {
     }
 
     fn pop(&mut self) {
+        self.pop_tag();
+    }
+
+    /// Pop both queues, check them against each other, return the tag.
+    fn pop_tag(&mut self) -> Option<u64> {
         let got = self.wheel.pop();
         let want = self.oracle.pop();
         self.settle(got, want);
+        got.map(|(_, tag)| tag)
     }
 
     /// The run loop's step: pop the earliest event iff it is due by
@@ -86,6 +142,13 @@ impl Harness {
                 assert_eq!(tw, tr, "pop #{}: time diverged", self.pops);
                 assert_eq!(pw, pr, "pop #{}: payload diverged at {tw}", self.pops);
                 self.now_ns = tw.as_nanos();
+                self.last_pop_ns = Some(self.now_ns);
+                assert_eq!(
+                    self.wheel.last_popped_seq(),
+                    self.oracle.last_popped_seq(),
+                    "pop #{}: ticket diverged",
+                    self.pops
+                );
                 let pos = self
                     .pending
                     .iter()
@@ -318,4 +381,105 @@ fn pop_due_holds_far_future_events_until_their_time() {
         h.check_len();
     }
     assert!(!h.pop_due(u64::MAX), "empty queue");
+}
+
+#[test]
+fn reserved_tickets_filed_later_pop_where_the_oracle_says() {
+    // The `random_schedules_pop_identically` mix plus reserve-now /
+    // insert-later: tickets are taken, other events are scheduled, popped
+    // and cancelled in between, and each ticket is filed (or abandoned)
+    // at a random later point — often for the current instant.
+    for seed in 0..8u64 {
+        let mut rng = SimRng::new(0x71C4_0000 + seed);
+        let mut h = Harness::new();
+        for _ in 0..6_000 {
+            let op = rng.next_below(100);
+            if op < 30 || (h.pending.is_empty() && h.reserved.is_empty()) {
+                let at_ns = h.now_ns.saturating_add(random_offset(&mut rng));
+                h.push(at_ns);
+            } else if op < 42 {
+                if h.reserved.len() < 32 {
+                    h.reserve();
+                }
+            } else if op < 56 && !h.reserved.is_empty() {
+                let pos = rng.next_below(h.reserved.len() as u64) as usize;
+                let at_ns = h.now_ns.saturating_add(random_offset(&mut rng));
+                h.insert_reserved(pos, at_ns);
+            } else if op < 58 && !h.reserved.is_empty() {
+                // A ticket may never get an entry.
+                let pos = rng.next_below(h.reserved.len() as u64) as usize;
+                h.reserved.swap_remove(pos);
+            } else if op < 80 {
+                h.pop();
+            } else if op < 90 && !h.pending.is_empty() {
+                let pos = rng.next_below(h.pending.len() as u64) as usize;
+                h.cancel_at(pos);
+            } else if !h.pending.is_empty() {
+                let pos = rng.next_below(h.pending.len() as u64) as usize;
+                let at_ns = h.now_ns.saturating_add(random_offset(&mut rng));
+                h.rearm_at(pos, at_ns);
+            }
+            h.check_len();
+        }
+        assert!(h.late_inserts > 300, "seed {seed}: {}", h.late_inserts);
+        assert!(h.late_into_now > 20, "seed {seed}: {}", h.late_into_now);
+        h.drain();
+    }
+}
+
+#[test]
+fn late_insertion_sorts_by_its_ticket_not_its_arrival() {
+    let mut h = Harness::new();
+    let pop_tags = |h: &mut Harness, n: usize| -> Vec<u64> {
+        (0..n).map(|_| h.pop_tag().expect("pending")).collect()
+    };
+    // Into a later level-0 slot: tickets 0 and 2 are taken around ordinary
+    // events (tickets 1 and 3), all four for t = 500, and filed last.
+    h.reserve();
+    h.push(500); // tag 0, ticket 1
+    h.reserve();
+    h.push(500); // tag 1, ticket 3
+    h.insert_reserved(1, 500); // tag 2, ticket 2
+    h.insert_reserved(0, 500); // tag 3, ticket 0
+    assert_eq!(pop_tags(&mut h, 4), [3, 0, 2, 1]);
+    assert_eq!(h.wheel.last_popped_seq(), Some(3));
+
+    // Into the current instant: ticket 4 has popped at t = 900 when ticket 5
+    // (taken before) is filed for t = 900 — it still pops before ticket 6.
+    h.push(900); // tag 4, ticket 4
+    h.reserve(); // ticket 5
+    h.push(900); // tag 5, ticket 6
+    assert_eq!(pop_tags(&mut h, 1), [4]);
+    h.insert_reserved(0, 900); // tag 6
+    assert_eq!(h.late_into_now, 1);
+    assert_eq!(pop_tags(&mut h, 2), [6, 5]);
+
+    // Into an upper level that cascades later: three events at one far
+    // instant, the middle ticket filed last, next to a late entry that is
+    // cancelled again.
+    let far = 900 + (1u64 << 33) + 12_345;
+    h.push(far); // tag 7
+    h.reserve();
+    h.reserve();
+    h.push(far); // tag 8
+    h.insert_reserved(1, far); // tag 9
+    h.insert_reserved(0, far); // tag 10
+    let pos = h.pending.iter().position(|p| p.tag == 9).expect("filed");
+    h.cancel_at(pos);
+    h.check_len();
+    h.push(1_000); // tag 11: pops first, the wheel cascades after it
+    assert_eq!(pop_tags(&mut h, 4), [11, 7, 10, 8]);
+    h.drain();
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "scheduling into the past")]
+fn filing_a_ticket_at_or_before_the_last_popped_event_is_refused() {
+    let mut q: EventQueue<u32> = EventQueue::new();
+    let early = q.reserve_seq();
+    q.schedule(SimTime::from_nanos(10), 0);
+    assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 0)));
+    // (10, ticket 0) sorts before the popped (10, ticket 1).
+    q.schedule_reserved(SimTime::from_nanos(10), early, 1);
 }

@@ -1,19 +1,32 @@
 //! The deterministic event loop: hosts, switches, links, marking, tracing.
 //!
 //! The engine is a single struct owning all state (no shared-pointer
-//! gymnastics), driven off one [`desim::EventQueue`]. The event vocabulary
-//! is deliberately tiny:
+//! gymnastics), driven off one [`desim::EventQueue`]; the egress ports and
+//! the transmit path are a second `impl Engine` block in `port.rs`. The
+//! event vocabulary is deliberately tiny:
 //!
-//! * `FlowStart` — a flow becomes active; its congestion control is started
-//!   and its pacer armed;
-//! * `Pacer` — a flow's rate limiter releases the next packet (or, under
-//!   per-chunk pacing, the next burst) into the host NIC queue;
-//! * `TxDone` — a port finished serializing a packet; it picks the next
-//!   one (control queue first, strict priority);
-//! * `Deliver` — a packet arrives at the far end of a link after
-//!   serialization + propagation; switches forward it, hosts consume it;
-//! * `CcTimer` — a congestion-control timer (DCQCN's α-timer and increase
-//!   timer) fires.
+//! | event | what it does | on the wheel when |
+//! |---|---|---|
+//! | `FlowStart` | a flow becomes active; its congestion control is started and its pacer armed | always |
+//! | `Pacer` | a flow's rate limiter releases the next packet (or, under per-chunk pacing, the next burst) into the host NIC queue | always |
+//! | `TxDone` | a port finished serializing a packet; it picks the next one (control queue first, strict priority) | only if something is, or becomes, queued behind the transmission — otherwise held in the port |
+//! | `Deliver` | a packet arrives at the far end of a link after serialization + propagation; switches forward it, hosts consume it | always |
+//! | `CcTimer` | a congestion-control timer (DCQCN's α-timer and increase timer) fires | one entry per flow and instant: kinds armed for one instant under adjacent tickets share it |
+//! | `AqmTick`, `Fault`, `FaultStormRelease` | the PI controller's period and the fault plane's operations | always |
+//!
+//! **The ticket contract.** Events are dispatched in `(time, ticket)` order
+//! and in no other; every event takes its ticket (the queue's tie-break
+//! counter) at the point where it is armed, whether or not it gets a wheel
+//! entry then. A `TxDone` with nothing queued behind it would only clear
+//! the port's busy flag, so it is *held* — `(idle_at, ticket)` in the port
+//! — and put on the wheel under that ticket by the first packet that joins
+//! the queue before it is due; once it is due, whoever looks at the port
+//! next (or the end of the run) frees the port and counts the event. A
+//! flow's timers armed for one instant with adjacent tickets cannot have
+//! anything dispatched between them, so they ride one entry and fire back
+//! to back. Either way the run dispatches — and
+//! [`SimReport::events_processed`] counts — the same events in the same
+//! order as if each had an entry of its own; the wheel just holds fewer.
 //!
 //! ECN marking happens either when a data packet **starts transmission**
 //! (egress mode — the queue state at departure, §5.2) or when it is
@@ -295,8 +308,10 @@ pub struct SimReport {
     /// Fault-plane operations executed (flap edges, window starts/ends,
     /// storm ticks, perturbations). Zero on a fault-free run.
     pub faults_injected: u64,
-    /// Events dispatched by the run's event loop — the numerator of the
-    /// `events/sec` throughput metric the scaling benchmarks report.
+    /// Events dispatched, whether or not each had a wheel entry of its own
+    /// (a `TxDone` with nothing queued behind it and a CC timer riding its
+    /// flow's other timer are dispatched without one) — the numerator of
+    /// the `events/sec` throughput metric the scaling benchmarks report.
     pub events_processed: u64,
     /// Simulated time at the end of the run (seconds).
     pub end_time_s: f64,
@@ -315,12 +330,8 @@ pub struct Engine {
     /// In-flight packet storage; port queues and `Deliver` events reference
     /// packets by [`PacketHandle`].
     packets: PacketArena,
-    /// Live event-queue id per flow and timer kind
-    /// (`timer_ids[flow][kind]`): re-arming cancels the previous event in
-    /// O(1) on the timing wheel, so stale firings never reach the dispatch
-    /// loop at all. Kinds are `0..CcUpdate::MAX_TIMERS`, so one fixed array
-    /// per flow holds them.
-    timer_ids: Vec<[Option<EventId>; CcUpdate::MAX_TIMERS]>,
+    /// Pending CC timers per flow (see [`FlowTimers`]).
+    timers: Vec<FlowTimers>,
     link_memo: Vec<LinkMemo>,
     queue_traces: LinkTraceMap,
     rate_window_bytes: Vec<u64>,
@@ -339,13 +350,40 @@ pub struct Engine {
     /// so the fault-free run pays (approximately) nothing.
     faults_active: bool,
     faults_installed: bool,
+    aqm_armed: bool,
     link_faults: Vec<LinkFaultState>,
     fault_ops: Vec<FaultOp>,
     fault_drops: u64,
     fault_pauses: u64,
     faults_injected: u64,
+    /// Events dispatched: wheel entries popped, plus the two kinds of event
+    /// that are dispatched without an entry of their own, counted below.
     events_processed: u64,
+    /// Held `TxDone`s dispatched off the wheel (see [`Ports::held`]).
+    held_tx_dones: u64,
+    /// CC timer firings that rode the entry of the flow's other kind.
+    rider_firings: u64,
 }
+
+/// A flow's pending CC timers: per kind, the wheel entry that will fire it
+/// and the `(time, ticket)` at which it fires. Re-arming a kind cancels its
+/// previous arming in O(1) on the wheel, so a stale firing never reaches the
+/// dispatch loop.
+///
+/// Two kinds armed for one instant under adjacent tickets — nothing can be
+/// dispatched between them — share **one** entry (`ids` equal): it sits at
+/// the lower ticket, carries that kind in its payload, and
+/// [`Engine::cc_timer`] fires the other kind right after it. DCQCN's α and
+/// rate-increase timers (τ′ = T = 55 µs) are always armed that way.
+#[derive(Debug, Clone, Copy, Default)]
+struct FlowTimers {
+    ids: [Option<EventId>; CcUpdate::MAX_TIMERS],
+    at: [SimTime; CcUpdate::MAX_TIMERS],
+    ticket: [u64; CcUpdate::MAX_TIMERS],
+}
+
+// "The other kind" below is `kind ^ 1`.
+const _: () = assert!(CcUpdate::MAX_TIMERS == 2);
 
 impl Engine {
     /// Build an engine over a topology.
@@ -381,7 +419,7 @@ impl Engine {
             senders: SenderFlows::default(),
             receivers: ReceiverFlows::default(),
             packets: PacketArena::new(),
-            timer_ids: Vec::new(),
+            timers: Vec::new(),
             link_memo,
             queue_traces,
             rate_window_bytes: Vec::new(),
@@ -397,12 +435,15 @@ impl Engine {
             fcts: Vec::new(),
             faults_active: false,
             faults_installed: false,
+            aqm_armed: false,
             link_faults: Vec::new(),
             fault_ops: Vec::new(),
             fault_drops: 0,
             fault_pauses: 0,
             faults_injected: 0,
             events_processed: 0,
+            held_tx_dones: 0,
+            rider_firings: 0,
             cfg,
         }
     }
@@ -459,7 +500,7 @@ impl Engine {
         .next_u64();
         let id = self.senders.push(spec, path_hash);
         self.receivers.push();
-        self.timer_ids.push([None; CcUpdate::MAX_TIMERS]);
+        self.timers.push(FlowTimers::default());
         self.rate_window_bytes.push(0);
         self.rate_window_start.push(start);
         self.rate_traces.push(Vec::new());
@@ -478,6 +519,11 @@ impl Engine {
     /// fault schedule; [`Engine::try_run`] is the non-panicking equivalent.
     /// (Unlike `try_run`, an empty flow set is tolerated here for
     /// backwards compatibility and yields an empty report.)
+    ///
+    /// May be called again with a later `end`: the engine dispatches the
+    /// same events in the same order as one run to the last horizon. Each
+    /// report's counters and `delivered_bytes` are cumulative; its FCT
+    /// records and traces cover what that call dispatched.
     pub fn run(&mut self, end: SimTime) -> SimReport {
         self.cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         self.install_faults().unwrap_or_else(|e| panic!("{e}"));
@@ -632,7 +678,9 @@ impl Engine {
         // Each run starts a fresh causal chain: the first dispatches must
         // not back-point into a previous run on the same thread.
         obs::flight::set_cause(None);
-        if let Some(pi) = &self.cfg.pi_aqm {
+        // The tick re-arms itself: a later run on this engine finds it pending.
+        if let Some(pi) = self.cfg.pi_aqm.as_ref().filter(|_| !self.aqm_armed) {
+            self.aqm_armed = true;
             let at = self.now + pi.update_interval;
             self.events.schedule(at, Ev::AqmTick);
         }
@@ -643,6 +691,7 @@ impl Engine {
             self.handle(ev);
         }
         self.now = end;
+        self.dispatch_held_until(end);
         // The per-packet paths only bump the engine's own fields; the obs
         // registry (a lock per call) gets what this run added, once.
         for (name, added) in [
@@ -656,9 +705,9 @@ impl Engine {
         }
         SimReport {
             fcts: std::mem::take(&mut self.fcts),
-            queue_traces: std::mem::take(&mut self.queue_traces),
-            rate_traces: std::mem::take(&mut self.rate_traces),
-            delivered_bytes: std::mem::take(&mut self.delivered_bytes),
+            queue_traces: self.queue_traces.take_traces(),
+            rate_traces: self.rate_traces.iter_mut().map(std::mem::take).collect(),
+            delivered_bytes: self.delivered_bytes.clone(),
             marked_packets: self.marked_packets,
             data_packets: self.data_packets,
             cnps_sent: self.cnps_sent,
@@ -894,14 +943,11 @@ impl Engine {
     /// Discrete PI-AQM update (Hollot-style): for every switch egress queue,
     /// `p += a·(q − q_ref) − b·(q_old − q_ref)`, clamped to [0, 1].
     fn aqm_tick(&mut self) {
-        let Some(pi) = self.cfg.pi_aqm.clone() else {
+        let Some(pi) = &self.cfg.pi_aqm else {
             return;
         };
-        for l in 0..self.topo.link_count() {
-            if !matches!(
-                self.topo.kind(self.topo.link(LinkId(l)).src),
-                NodeKind::Switch
-            ) {
+        for (l, memo) in self.link_memo.iter().enumerate() {
+            if !memo.is_switch {
                 continue;
             }
             let q_now = self.ports.data_bytes[l];
@@ -951,28 +997,88 @@ impl Engine {
                 );
             }
         }
+        // Old armings go first, last request first: a cancel takes no ticket,
+        // so the order is unobservable, and a pair re-armed together (every
+        // DCQCN cut) then drops its shared entry with one cancel instead of
+        // moving it to the second kind's ticket only to cancel it there.
+        for &(kind, _) in update.timers().iter().rev() {
+            self.disarm_timer(f, kind as usize);
+        }
         for &(kind, at) in update.timers() {
-            let at = at.max(self.now);
-            // Re-arming cancels the previous event (O(1) on the wheel), so
-            // the queue holds at most one live timer per (flow, kind) and a
-            // popped CcTimer is always the most recent arming.
-            if let Some(old) = self.timer_ids[f.0][kind as usize].take() {
-                self.events.cancel(old);
-            }
-            let id = self.events.schedule(at, Ev::CcTimer(f, kind));
-            self.timer_ids[f.0][kind as usize] = Some(id);
+            self.arm_timer(f, kind as usize, at.max(self.now));
         }
     }
 
+    /// Arm `kind` of flow `f` for `at`, replacing any pending arming: the
+    /// arming takes the next ticket, and either rides the other kind's entry
+    /// (same instant, the ticket right before this one) or gets its own.
+    fn arm_timer(&mut self, f: FlowId, kind: usize, at: SimTime) {
+        self.disarm_timer(f, kind);
+        let ticket = self.events.reserve_seq();
+        let other = kind ^ 1;
+        let t = &mut self.timers[f.0];
+        t.at[kind] = at;
+        t.ticket[kind] = ticket;
+        t.ids[kind] = match t.ids[other] {
+            Some(entry) if t.at[other] == at && t.ticket[other] + 1 == ticket => Some(entry),
+            _ => Some(
+                self.events
+                    .schedule_reserved(at, ticket, Ev::CcTimer(f, kind as u8)),
+            ),
+        };
+    }
+
+    /// Drop `kind`'s pending arming, if any. A shared entry sits at its
+    /// first kind's ticket: dropping that kind moves the entry to the other
+    /// kind's original `(time, ticket)`; dropping the second leaves it be.
+    fn disarm_timer(&mut self, f: FlowId, kind: usize) {
+        let t = &mut self.timers[f.0];
+        let Some(old) = t.ids[kind].take() else {
+            return;
+        };
+        let other = kind ^ 1;
+        if t.ids[other] != Some(old) {
+            self.events.cancel(old);
+        } else if t.ticket[kind] < t.ticket[other] {
+            self.events.cancel(old);
+            let (at, ticket) = (t.at[other], t.ticket[other]);
+            t.ids[other] = Some(self.events.schedule_reserved(
+                at,
+                ticket,
+                Ev::CcTimer(f, other as u8),
+            ));
+        }
+    }
+
+    /// A CC timer entry popped: fire `kind`, then the other kind if it
+    /// shares the entry — unless `kind`'s own update re-armed it, which
+    /// drops the pending firing as cancel-on-rearm always has.
     fn cc_timer(&mut self, f: FlowId, kind: u8) {
-        // Cancellation-on-rearm guarantees this firing is the live arming
-        // for (flow, kind); just clear the slot.
-        self.timer_ids[f.0][kind as usize] = None;
+        let kind = kind as usize;
+        let other = kind ^ 1;
+        let t = &mut self.timers[f.0];
+        // Cancellation-on-rearm guarantees this entry is the live arming of
+        // its payload kind; just clear the slot(s).
+        let entry = t.ids[kind].take();
+        debug_assert!(entry.is_some(), "a popped CcTimer is a live arming");
+        let shared = entry.is_some() && t.ids[other] == entry;
+        if shared {
+            t.ids[other] = None;
+        }
+        self.fire_timer(f, kind);
+        if shared && self.timers[f.0].ids[other].is_none() {
+            self.events_processed += 1;
+            self.rider_firings += 1;
+            self.fire_timer(f, other);
+        }
+    }
+
+    fn fire_timer(&mut self, f: FlowId, kind: usize) {
         if self.senders.completed[f.0].is_some() {
             return;
         }
         let now = self.now;
-        let update = self.senders.cc[f.0].on_event(now, CcEvent::Timer { kind });
+        let update = self.senders.cc[f.0].on_event(now, CcEvent::Timer { kind: kind as u8 });
         self.apply_update(f, update);
     }
 

@@ -3,7 +3,9 @@
 //! A second `impl Engine` block, split out of `engine.rs`: the columnar
 //! [`Ports`] state, the per-link [`LinkMemo`], and everything between a
 //! packet joining a port's queue and its `TxDone` / `Deliver` events being
-//! armed — enqueue, ECN marking, serialization, PFC.
+//! armed — enqueue, ECN marking, serialization, PFC — including where a
+//! `TxDone` is kept off the wheel (the engine's module doc has the ticket
+//! contract that makes that invisible).
 
 use super::{Engine, Ev};
 use crate::config::MarkingMode;
@@ -13,16 +15,23 @@ use desim::{SimDuration, SimTime};
 
 /// Per-link egress-port state, one column per field. The transmit hot path
 /// (`enqueue`/`try_transmit`/`tx_done`) touches `data_q`/`data_bytes`/`busy`
-/// for almost every packet but the PFC and PI-AQM columns only on their
-/// (much rarer) respective events, so the columnar split keeps the per-packet
-/// working set to three dense arrays. Queues hold [`PacketHandle`]s; packet
-/// bodies live in the engine's [`PacketArena`].
+/// for almost every packet, `held` only while the port is busy, and the PFC
+/// and PI-AQM columns only on their (much rarer) respective events, so the
+/// columnar split keeps the per-packet working set to a few dense arrays.
+/// Queues hold [`PacketHandle`]s; packet bodies live in the engine's
+/// [`PacketArena`](crate::types::PacketArena).
 #[derive(Debug, Default)]
 pub(super) struct Ports {
     pub(super) data_q: Vec<std::collections::VecDeque<PacketHandle>>,
     pub(super) data_bytes: Vec<u64>,
     pub(super) ctrl_q: Vec<std::collections::VecDeque<PacketHandle>>,
     pub(super) busy: Vec<bool>,
+    /// The `(idle_at, ticket)` of a busy port's `TxDone` while it is *held*:
+    /// ticket taken, but not on the wheel. Held ⇒ busy with both queues
+    /// empty — exactly when dispatching the `TxDone` would do nothing but
+    /// clear `busy`, which whoever looks at the port next can do instead
+    /// (see [`Engine::try_transmit`]).
+    pub(super) held: Vec<Option<(SimTime, u64)>>,
     pub(super) paused: Vec<bool>,
     /// PI-AQM controller state (marking probability, previous queue).
     pub(super) pi_p: Vec<f64>,
@@ -40,6 +49,7 @@ impl Ports {
             data_bytes: vec![0; n],
             ctrl_q: (0..n).map(|_| std::collections::VecDeque::new()).collect(),
             busy: vec![false; n],
+            held: vec![None; n],
             paused: vec![false; n],
             pi_p: vec![0.0; n],
             pi_q_old: vec![0; n],
@@ -105,7 +115,28 @@ impl Engine {
                 }
             }
         }
+        // Something is now queued behind the transmission: a `TxDone` still
+        // to come has work to do, so it goes on the wheel under the ticket it
+        // took at transmit start. (One already due is settled by
+        // `try_transmit`.)
+        if self.ports.busy[link.0] {
+            if let Some((idle_at, ticket)) = self.ports.held[link.0] {
+                if !self.already_dispatched(idle_at, ticket) {
+                    self.ports.held[link.0] = None;
+                    self.events
+                        .schedule_reserved(idle_at, ticket, Ev::TxDone(link));
+                }
+            }
+        }
         self.try_transmit(link);
+    }
+
+    /// Whether an event at `(at, ticket)` sorts before the one being
+    /// handled — i.e. the always-schedule engine would have dispatched it by
+    /// now.
+    #[inline]
+    fn already_dispatched(&self, at: SimTime, ticket: u64) -> bool {
+        (at, Some(ticket)) < (self.now, self.events.last_popped_seq())
     }
 
     /// The marking decision for data packet `h` of `flow` on switch port
@@ -169,7 +200,22 @@ impl Engine {
     }
 
     /// If the port is idle (and unpaused), start serializing the next packet.
+    ///
+    /// The port's `TxDone` takes its ticket here, but goes on the wheel only
+    /// if something is queued behind the transmission; otherwise it is held
+    /// in the port. A held `TxDone` that has fallen due — it sorts before
+    /// the event being handled — is dispatched right here, by whichever
+    /// caller looks at the port first: the port is freed and the event
+    /// counted, which is all its handler would have done.
     pub(super) fn try_transmit(&mut self, link: LinkId) {
+        if self.ports.busy[link.0] {
+            match self.ports.held[link.0] {
+                Some((idle_at, ticket)) if self.already_dispatched(idle_at, ticket) => {
+                    self.dispatch_held(link);
+                }
+                _ => return,
+            }
+        }
         // Fault plane: a downed link transmits nothing; a pause-storm forced
         // pause blocks the data class only (like PFC, control rides a
         // separate priority).
@@ -180,9 +226,6 @@ impl Engine {
             (true, false)
         };
         if !link_up {
-            return;
-        }
-        if self.ports.busy[link.0] {
             return;
         }
         // Strict priority: control queue first; PAUSE affects data only
@@ -229,8 +272,15 @@ impl Engine {
         }
         self.ports.busy[link.0] = true;
         let ser = self.serialization(link, is_control, size_bytes);
-        self.events.schedule(self.now + ser, Ev::TxDone(link));
-        let mut deliver_at = self.now + ser + self.topo.link(link).prop_delay;
+        let idle_at = self.now + ser;
+        let ticket = self.events.reserve_seq();
+        if self.ports.ctrl_q[link.0].is_empty() && self.ports.data_q[link.0].is_empty() {
+            self.ports.held[link.0] = Some((idle_at, ticket));
+        } else {
+            self.events
+                .schedule_reserved(idle_at, ticket, Ev::TxDone(link));
+        }
+        let mut deliver_at = idle_at + self.topo.link(link).prop_delay;
         if self.faults_active {
             let extra_s = self.fault_extra_delay_s(link);
             if extra_s > 0.0 {
@@ -254,6 +304,26 @@ impl Engine {
     pub(super) fn tx_done(&mut self, link: LinkId) {
         self.ports.busy[link.0] = false;
         self.try_transmit(link);
+    }
+
+    /// Dispatch a held `TxDone` that has fallen due: with nothing queued
+    /// behind it, freeing the port is all [`Self::tx_done`] would have done.
+    fn dispatch_held(&mut self, link: LinkId) {
+        self.ports.held[link.0] = None;
+        self.ports.busy[link.0] = false;
+        self.events_processed += 1;
+        self.held_tx_dones += 1;
+    }
+
+    /// End of a run: every held `TxDone` due by `end` has been dispatched in
+    /// the `(time, ticket)` order, whether or not anything looked at its
+    /// port since.
+    pub(super) fn dispatch_held_until(&mut self, end: SimTime) {
+        for l in 0..self.ports.held.len() {
+            if self.ports.held[l].is_some_and(|(idle_at, _)| idle_at <= end) {
+                self.dispatch_held(LinkId(l));
+            }
+        }
     }
 
     /// PFC emulation: when this port's data backlog exceeds the pause
@@ -319,5 +389,105 @@ impl Engine {
                 self.try_transmit(LinkId(l));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::EngineConfig;
+    use super::*;
+    use crate::cc::{CcEvent, CcUpdate, CongestionControl};
+    use crate::flow::{FlowSpec, Pacing};
+    use crate::topology::{NodeId, Topology};
+
+    /// DCQCN's shape as far as the engine can tell: the α and rate-increase
+    /// timers armed together every 55 µs, each re-arming itself when it
+    /// fires, and a CNP that halves the rate and re-arms the pair.
+    #[derive(Debug)]
+    struct DcqcnShaped {
+        rate_bps: f64,
+        line_bps: f64,
+    }
+
+    const T: SimDuration = SimDuration::from_micros(55);
+
+    impl CongestionControl for DcqcnShaped {
+        fn on_start(&mut self, now: SimTime, line_rate_bps: f64) -> CcUpdate {
+            (self.rate_bps, self.line_bps) = (line_rate_bps, line_rate_bps);
+            CcUpdate::rate(self.rate_bps)
+                .with_timer(0, now + T)
+                .with_timer(1, now + T)
+        }
+
+        fn on_event(&mut self, now: SimTime, event: CcEvent) -> CcUpdate {
+            match event {
+                CcEvent::Cnp => {
+                    self.rate_bps /= 2.0;
+                    CcUpdate::rate(self.rate_bps)
+                        .with_timer(0, now + T)
+                        .with_timer(1, now + T)
+                }
+                CcEvent::Timer { kind: 0 } => CcUpdate::none().with_timer(0, now + T),
+                CcEvent::Timer { .. } => {
+                    self.rate_bps = (self.rate_bps + 40e6).min(self.line_bps);
+                    CcUpdate::rate(self.rate_bps).with_timer(1, now + T)
+                }
+                CcEvent::RttSample { .. } | CcEvent::SentBytes { .. } => CcUpdate::none(),
+            }
+        }
+
+        fn current_rate_bps(&self) -> f64 {
+            self.rate_bps
+        }
+    }
+
+    fn add_flows(eng: &mut Engine, senders: &[NodeId], receiver: NodeId, bytes: u64) {
+        for (i, &src) in senders.iter().enumerate() {
+            eng.add_flow(FlowSpec {
+                src,
+                dst: receiver,
+                size_bytes: Some(bytes + 1_001 * i as u64),
+                start: SimTime::from_micros(2 * i as u64),
+                pacing: Pacing::PerPacket,
+                cc: Box::new(DcqcnShaped {
+                    rate_bps: 0.0,
+                    line_bps: 0.0,
+                }),
+                ack_chunk_bytes: 16_000,
+            });
+        }
+    }
+
+    /// Every dispatched event either popped off the wheel, or was a held
+    /// `TxDone`, or a timer firing that rode its flow's other timer — and a
+    /// run dispatches plenty of each.
+    fn check_accounting(mut eng: Engine, flows: usize) {
+        let report = eng.run(SimTime::from_millis(20));
+        assert_eq!(report.fcts.len(), flows, "every flow completes");
+        assert!(report.cnps_sent > 0, "the senders must be cut");
+        assert!(eng.held_tx_dones > 1_000, "held: {}", eng.held_tx_dones);
+        assert!(eng.rider_firings > 100, "riders: {}", eng.rider_firings);
+        assert_eq!(
+            report.events_processed,
+            eng.events.popped() + eng.held_tx_dones + eng.rider_firings
+        );
+        assert!(eng.ports.held.iter().flatten().all(|&(at, _)| at > eng.now));
+    }
+
+    #[test]
+    fn events_processed_counts_entries_held_tx_dones_and_riders_single_switch() {
+        let (topo, senders, receiver) =
+            Topology::single_switch(4, 10e9, SimDuration::from_micros(1));
+        let mut eng = Engine::new(topo, EngineConfig::default());
+        add_flows(&mut eng, &senders, receiver, 1_500_000);
+        check_accounting(eng, 4);
+    }
+
+    #[test]
+    fn events_processed_counts_entries_held_tx_dones_and_riders_incast() {
+        let (topo, hosts) = Topology::fat_tree(4, 10e9, SimDuration::from_micros(1));
+        let mut eng = Engine::new(topo, EngineConfig::default());
+        add_flows(&mut eng, &hosts[1..], hosts[0], 64_000);
+        check_accounting(eng, 15);
     }
 }

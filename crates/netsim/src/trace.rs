@@ -54,8 +54,19 @@ impl LinkTraceMap {
         self.position(link).ok()
     }
 
-    /// Mutable trace at a slot returned by [`LinkTraceMap::slot_of`]; `None`
-    /// once the map has been emptied (the engine hands it to the report).
+    /// Hand out the traces recorded so far, leaving every link an empty
+    /// trace of the same resolution (slots stay valid): the engine's report
+    /// takes them, and a later run on the same engine keeps recording.
+    pub(crate) fn take_traces(&mut self) -> LinkTraceMap {
+        let entries = self
+            .entries
+            .iter_mut()
+            .map(|(l, t)| (*l, std::mem::replace(t, TimeSeries::new(t.resolution()))))
+            .collect();
+        LinkTraceMap { entries }
+    }
+
+    /// Mutable trace at a slot returned by [`LinkTraceMap::slot_of`].
     pub(crate) fn slot_mut(&mut self, slot: usize) -> Option<&mut TimeSeries> {
         self.entries.get_mut(slot).map(|(_, t)| t)
     }

@@ -8,7 +8,10 @@
 //! FCT bits plus the mark / CNP / packet / drop / event counts) and the PFC
 //! pause count recorded at ce4e36c, the commit before the event loop was
 //! fused: the loop may be made cheaper, but it may not dispatch a different
-//! event, or the same events in a different order.
+//! event, or the same events in a different order — whether or not every
+//! event still has a wheel entry of its own (the digest folds in
+//! `events_processed`), and whether the horizon is reached in one `run` or
+//! in several.
 
 use ecn_delay::desim::{SimDuration, SimTime};
 use ecn_delay::experiments::experiments::ext_incast::report_digest;
@@ -63,6 +66,25 @@ fn dcqcn_per_packet_single_switch() {
         report.cnps_sent > 0,
         "the senders must be cut at least once"
     );
+    check(&report, 4, "c87c0eb14c2b025d", 0);
+}
+
+#[test]
+fn dcqcn_split_horizon_equals_one_run() {
+    // The same cell run to three horizons in turn: events up to each
+    // horizon — with or without a wheel entry of their own — are dispatched
+    // and counted by the run that reaches it, the rest by a later one.
+    // Counters are cumulative; each report hands out the FCTs of its run.
+    let mut eng = single_switch(Protocol::Dcqcn, 4, EngineConfig::default());
+    let mut fcts = Vec::new();
+    for horizon_ns in [1_234_567, 3_300_000] {
+        let part = eng.run(SimTime::from_nanos(horizon_ns));
+        assert!(part.events_processed > 0 && part.fcts.len() < 4);
+        fcts.extend(part.fcts);
+    }
+    let mut report = eng.run(SimTime::from_millis(30));
+    fcts.append(&mut report.fcts);
+    report.fcts = fcts;
     check(&report, 4, "c87c0eb14c2b025d", 0);
 }
 
