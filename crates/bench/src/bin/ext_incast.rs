@@ -185,11 +185,12 @@ fn main() {
     let flags = match parse_flags() {
         Ok(f) => f,
         Err(u) => {
-            let reason = u.reason.replace('\\', "\\\\").replace('"', "\\\"");
             eprintln!("ext_incast: {}: {}", u.flag, u.reason);
+            let mut reason = String::new();
+            obs::json::write_str(&mut reason, &u.reason);
             eprintln!(
-                "{{\"error\": \"invalid_usage\", \"flag\": \"{}\", \"reason\": \"{}\"}}",
-                u.flag, reason
+                "{{\"error\": \"invalid_usage\", \"flag\": \"{}\", \"reason\": {reason}}}",
+                u.flag
             );
             std::process::exit(2);
         }

@@ -20,6 +20,7 @@
 //! ]
 //! ```
 
+use obs::json::Value;
 use std::hint::black_box as std_black_box;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -185,16 +186,17 @@ pub fn write_report(file: &str) {
 /// pairwise) into an existing one-row-per-line report: existing rows keep
 /// their position and formatting unless their `(name, sha)` matches a new
 /// record, in which case the old row is dropped and the fresh measurement
-/// appended at the end. No JSON parser needed — rows are recognized by
-/// their `"name"`/`"sha"` string fields.
+/// appended at the end.
 fn merge_report(existing: &str, new_names: &[&str], sha: &str, new_lines: &[String]) -> String {
+    let replaced = |line: &str| {
+        crate::report::bench_row(line).is_some_and(|row| {
+            let text = |key| row.get(key).and_then(Value::as_str);
+            text("sha") == Some(sha) && text("name").is_some_and(|n| new_names.contains(&n))
+        })
+    };
     let kept: Vec<&str> = existing
         .lines()
-        .filter(|line| line.trim_start().starts_with('{'))
-        .filter(|line| {
-            !(string_field(line, "sha") == Some(sha)
-                && string_field(line, "name").is_some_and(|n| new_names.contains(&n)))
-        })
+        .filter(|line| line.trim_start().starts_with('{') && !replaced(line))
         .map(|line| line.trim_end().trim_end_matches(','))
         .collect();
     let all: Vec<String> = kept
@@ -203,16 +205,6 @@ fn merge_report(existing: &str, new_names: &[&str], sha: &str, new_lines: &[Stri
         .chain(new_lines.iter().cloned())
         .collect();
     format!("[\n{}\n]\n", all.join(",\n"))
-}
-
-/// Extract the value of a `"key": "value"` string field from a single-line
-/// JSON object. Sufficient for the report rows this module itself writes
-/// (names never contain escaped quotes).
-fn string_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
 }
 
 /// Resolve `file` relative to the workspace root (where `Cargo.lock`
@@ -308,13 +300,5 @@ mod tests {
             merge_report("[]\n", &["a"], "s", &fresh),
             format!("[\n{}\n]\n", row("a", 1, "s"))
         );
-    }
-
-    #[test]
-    fn string_field_extracts_name_and_sha() {
-        let line = row("event_queue/wheel_x", 5, "abc1234");
-        assert_eq!(string_field(&line, "name"), Some("event_queue/wheel_x"));
-        assert_eq!(string_field(&line, "sha"), Some("abc1234"));
-        assert_eq!(string_field(&line, "nope"), None);
     }
 }

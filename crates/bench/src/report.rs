@@ -3,8 +3,8 @@
 //!
 //! Everything here is line-oriented: the workspace's JSON artifacts are
 //! deliberately written one object per line (`BENCH_*.json` rows, trace /
-//! time-series / flight JSONL), so a handful of string-field extractors
-//! replace a JSON parser (the container builds offline; no serde).
+//! time-series / flight JSONL), so each line is parsed on its own by
+//! `obs::json` and a malformed line costs that line, not the file.
 //!
 //! Three capabilities:
 //!
@@ -16,33 +16,26 @@
 //! * [`bench_check`] — compare fresh `BENCH_*.json` rows against the
 //!   `(name, sha)` history and flag median regressions beyond a threshold.
 
+use obs::json::{parse, Value};
 use std::fmt::Write as _;
 
-/// Extract the value of a `"key": "value"` string field from a single-line
-/// JSON object (names in this workspace never contain escaped quotes).
-pub fn string_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
+/// One row of a `BENCH_*.json` report (see `harness::write_report`): the
+/// line parsed as an object, after trimming the comma that separates it from
+/// the next row. `None` for the array brackets and for a malformed row.
+pub(crate) fn bench_row(line: &str) -> Option<Value> {
+    let row = line.trim().trim_end_matches(',');
+    row.starts_with('{').then(|| parse(row).ok()).flatten()
 }
 
-/// Extract a numeric `"key": <number>` field from a single-line JSON
-/// object. Accepts integers, floats and scientific notation; `null` and a
-/// missing key both yield `None`.
-pub fn num_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// A numeric field of a parsed line. `null` — how the writers render a
+/// non-finite value — and a missing key both yield `None`.
+fn finite(line: &Value, key: &str) -> Option<f64> {
+    line.get(key)?.as_f64().filter(|x| x.is_finite())
 }
 
-/// Extract an unsigned integer field (truncating helper over [`num_field`]).
-pub fn int_field(line: &str, key: &str) -> Option<u64> {
-    num_field(line, key).map(|v| v as u64)
+/// An unsigned integer field of a parsed line; 0 when absent.
+fn uint(line: &Value, key: &str) -> u64 {
+    line.get(key).and_then(Value::as_u64).unwrap_or(0)
 }
 
 /// Render `values` as a unicode sparkline (8 block levels, min..max scaled;
@@ -97,37 +90,37 @@ pub fn render_timeseries(jsonl: &str, width: usize) -> String {
             );
         }
     };
-    for line in jsonl.lines() {
-        match string_field(line, "kind") {
+    // `<name> key=<key> ctx=<ctx>`: how a series or histogram line is titled.
+    let title = |line: &Value| {
+        let name = line.get("name").and_then(Value::as_str).unwrap_or("?");
+        format!("{name} key={} ctx={}", uint(line, "key"), uint(line, "ctx"))
+    };
+    for line in jsonl.lines().filter_map(|l| parse(l).ok()) {
+        match line.get("kind").and_then(Value::as_str) {
             Some("series") => {
                 flush(&mut out, &mut cur);
-                let name = string_field(line, "name").unwrap_or("?");
-                let key = int_field(line, "key").unwrap_or(0);
-                let ctx = int_field(line, "ctx").unwrap_or(0);
-                let window = num_field(line, "window_s").unwrap_or(0.0);
+                let window = finite(&line, "window_s").unwrap_or(0.0);
                 cur = Some((
-                    format!("series {name} key={key} ctx={ctx} window={window}s"),
+                    format!("series {} window={window}s", title(&line)),
                     Vec::new(),
                 ));
             }
             Some("win") => {
-                if let (Some((_, means)), Some(mean)) = (cur.as_mut(), num_field(line, "mean")) {
+                if let (Some((_, means)), Some(mean)) = (cur.as_mut(), finite(&line, "mean")) {
                     means.push(mean);
                 }
             }
             Some("hist") => {
                 flush(&mut out, &mut cur);
-                let name = string_field(line, "name").unwrap_or("?");
-                let key = int_field(line, "key").unwrap_or(0);
-                let ctx = int_field(line, "ctx").unwrap_or(0);
                 let _ = writeln!(
                     out,
-                    "hist   {name} key={key} ctx={ctx}  n={}  p50={}  p90={}  p99={}  max={}",
-                    int_field(line, "count").unwrap_or(0),
-                    fmt_opt(num_field(line, "p50")),
-                    fmt_opt(num_field(line, "p90")),
-                    fmt_opt(num_field(line, "p99")),
-                    fmt_opt(num_field(line, "max")),
+                    "hist   {}  n={}  p50={}  p90={}  p99={}  max={}",
+                    title(&line),
+                    uint(&line, "count"),
+                    fmt_opt(finite(&line, "p50")),
+                    fmt_opt(finite(&line, "p90")),
+                    fmt_opt(finite(&line, "p99")),
+                    fmt_opt(finite(&line, "max")),
                 );
             }
             _ => {}
@@ -174,9 +167,9 @@ pub fn diff_jsonl(a: &str, b: &str) -> Option<Divergence> {
             (x, y) => {
                 let (x, y) = (x.unwrap_or(""), y.unwrap_or(""));
                 if x != y {
-                    let keyed = if x.is_empty() { y } else { x };
-                    let ctx_seq =
-                        int_field(keyed, "ctx").map(|c| (c, int_field(keyed, "seq").unwrap_or(0)));
+                    let ctx_seq = parse(if x.is_empty() { y } else { x })
+                        .ok()
+                        .and_then(|k| Some((k.get("ctx")?.as_u64()?, uint(&k, "seq"))));
                     return Some(Divergence {
                         line: n,
                         ctx_seq,
@@ -220,14 +213,14 @@ fn higher_is_better(name: &str) -> bool {
 /// `fresh < baseline / (1 + t)`. Rows without history pass (first
 /// measurement). Returns one [`CheckRow`] per fresh row, name order.
 pub fn bench_check(content: &str, fresh_sha: Option<&str>, threshold_pct: f64) -> Vec<CheckRow> {
-    let rows: Vec<(&str, &str, f64)> = content
-        .lines()
-        .filter(|l| l.trim_start().starts_with('{'))
-        .filter_map(|l| {
+    let parsed: Vec<Value> = content.lines().filter_map(bench_row).collect();
+    let rows: Vec<(&str, &str, f64)> = parsed
+        .iter()
+        .filter_map(|r| {
             Some((
-                string_field(l, "name")?,
-                string_field(l, "sha")?,
-                num_field(l, "median_ns")?,
+                r.get("name")?.as_str()?,
+                r.get("sha")?.as_str()?,
+                finite(r, "median_ns")?,
             ))
         })
         .collect();
@@ -327,17 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn field_extractors_handle_ints_floats_and_missing() {
-        let line = "{\"name\": \"x\", \"median_ns\": 1500, \"mean\": 2.5e-3, \"by\": null}";
-        assert_eq!(string_field(line, "name"), Some("x"));
-        assert_eq!(num_field(line, "median_ns"), Some(1500.0));
-        assert_eq!(num_field(line, "mean"), Some(2.5e-3));
-        assert_eq!(num_field(line, "by"), None, "null is not a number");
-        assert_eq!(num_field(line, "absent"), None);
-        assert_eq!(int_field(line, "median_ns"), Some(1500));
-    }
-
-    #[test]
     fn sparkline_scales_and_handles_flat() {
         let s = sparkline(&[0.0, 3.0, 7.0]);
         assert_eq!(s, "▁▄█");
@@ -390,6 +372,26 @@ mod tests {
     }
 
     #[test]
+    fn bench_check_reads_integer_and_float_medians_and_skips_the_rest() {
+        // A median may be an integer or a float (plain or scientific); a row
+        // whose median is `null`, or that lacks its median or sha, or that
+        // is not JSON, is no measurement.
+        let content = report(&[
+            row("a", 1000, "old"),
+            "  {\"name\": \"a\", \"median_ns\": null, \"sha\": \"old2\"}".to_string(),
+            "  {\"name\": \"a\", \"sha\": \"old3\"}".to_string(),
+            "  {\"name\": \"a\", \"median_ns\": 5}".to_string(),
+            "  {\"name\": \"a\", \"median_ns\": 5, \"sha\": \"torn".to_string(),
+            "  {\"name\": \"a\", \"median_ns\": 1050.5, \"sha\": \"new\"}".to_string(),
+            "  {\"name\": \"b\", \"median_ns\": 2.5e3, \"sha\": \"new\"}".to_string(),
+        ]);
+        let rows = bench_check(&content, None, 15.0);
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        assert_eq!((rows[0].fresh, rows[0].baseline), (1050.5, Some(1000.0)));
+        assert_eq!((rows[1].fresh, rows[1].baseline), (2500.0, None));
+    }
+
+    #[test]
     fn bench_check_baseline_is_median_of_history() {
         // History medians 100/110/300 -> baseline 110 (robust to one
         // outlier commit), so a fresh 120 is +9.1%, under a 15% gate.
@@ -412,6 +414,11 @@ mod tests {
         assert_eq!(d.line, 2);
         assert_eq!(d.ctx_seq, Some((1, 1)));
         assert_eq!(diff_jsonl(a, a), None, "identical inputs do not diverge");
+        // A line without `ctx`, or that is not JSON, still localizes by line.
+        for other in ["{\"seq\": 4, \"v\": 1.5, \"by\": null}\n", "ctx: 1\n"] {
+            let d = diff_jsonl(other, a).unwrap();
+            assert_eq!((d.line, d.ctx_seq), (1, None), "{other}");
+        }
     }
 
     #[test]
@@ -430,12 +437,20 @@ mod tests {
 {\"kind\": \"win\", \"name\": \"q\", \"key\": 0, \"ctx\": 1, \"w\": 0, \"t_s\": 0.0, \"count\": 1, \"mean\": 1.0, \"min\": 1.0, \"max\": 1.0, \"last\": 1.0}
 {\"kind\": \"win\", \"name\": \"q\", \"key\": 0, \"ctx\": 1, \"w\": 1, \"t_s\": 0.001, \"count\": 1, \"mean\": 5.0, \"min\": 5.0, \"max\": 5.0, \"last\": 5.0}
 {\"kind\": \"hist\", \"name\": \"fct\", \"key\": 0, \"ctx\": 1, \"count\": 9, \"zero\": 0, \"non_finite\": 0, \"min\": 1.0, \"max\": 9.0, \"p50\": 5.0, \"p90\": 8.0, \"p99\": 9.0, \"p999\": 9.0}
+{\"kind\": \"hist\", \"name\": \"empty\", \"key\": 2, \"count\": 0, \"p50\": null, \"p90\": null, \"p99\": 7}
+not a json line
 ";
         let text = render_timeseries(jsonl, 40);
         assert!(text.contains("series q key=0 ctx=1"), "{text}");
         assert!(text.contains('▁') && text.contains('█'), "{text}");
         assert!(
             text.contains("hist   fct") && text.contains("p99=9.0000"),
+            "{text}"
+        );
+        // `null` and a missing field both print as "-"; an integer reads as
+        // a number; a missing `ctx` reads 0.
+        assert!(
+            text.ends_with("hist   empty key=2 ctx=0  n=0  p50=-  p90=-  p99=7.0000  max=-\n"),
             "{text}"
         );
     }

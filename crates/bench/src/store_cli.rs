@@ -20,7 +20,7 @@
 
 use std::path::{Path, PathBuf};
 
-use ecn_delay_core::json::Json;
+use obs::json::Value;
 
 /// Parsed store flags plus the figure's content address.
 pub struct StoreCli {
@@ -101,7 +101,7 @@ impl StoreCli {
         let (st, key) = (self.store.as_ref()?, self.key.as_ref()?);
         let bytes = st.get(key)?;
         let text = String::from_utf8(bytes).ok()?;
-        let doc = store::json::parse(&text).ok()?;
+        let doc = obs::json::parse(&text).ok()?;
         let items = doc.get("artifacts")?.items()?;
         let dir = crate::results_dir();
         let mut restored = Vec::new();
@@ -141,9 +141,9 @@ impl StoreCli {
                 return;
             };
             match std::fs::read_to_string(path) {
-                Ok(body) => items.push(Json::Obj(vec![
-                    ("name".to_string(), Json::Str(name)),
-                    ("body".to_string(), Json::Str(body)),
+                Ok(body) => items.push(Value::Obj(vec![
+                    ("name".to_string(), Value::Str(name)),
+                    ("body".to_string(), Value::Str(body)),
                 ])),
                 Err(e) => {
                     eprintln!(
@@ -154,7 +154,7 @@ impl StoreCli {
                 }
             }
         }
-        let manifest = Json::Obj(vec![("artifacts".to_string(), Json::Arr(items))]);
+        let manifest = Value::Obj(vec![("artifacts".to_string(), Value::Arr(items))]);
         if let Err(e) = st.put(key, manifest.render_pretty().as_bytes()) {
             eprintln!("store: record failed ({e}); continuing without cache");
         }

@@ -185,12 +185,18 @@ pub fn run_matrix(cfg: &ExtFaultsConfig) -> (Vec<FaultMatrixCell>, Vec<String>) 
             jobs.push((protocol, profile));
         }
     }
-    let results = par::par_map_fallible(jobs, |(protocol, profile)| {
+    let results = par::par_map(jobs, |(protocol, profile)| {
         run_cell(cfg, protocol, profile)
             .map_err(|e| format!("{}/{}: {e}", protocol.label(), profile.label()))
     });
-    let (cells, failed) = par::partition_results(results);
-    (cells, failed.into_iter().map(|(_, e)| e).collect())
+    let (mut cells, mut failed) = (Vec::new(), Vec::new());
+    for r in results {
+        match r {
+            Ok(cell) => cells.push(cell),
+            Err(e) => failed.push(e),
+        }
+    }
+    (cells, failed)
 }
 
 /// One collapse panel: two TIMELY flows pacing 64 KB chunks (the Figure 10
@@ -296,7 +302,7 @@ pub fn run_watchdog_sweep(gains: &[f64], t1_s: f64) -> Vec<WatchdogPoint> {
         record_every: 50,
         history_horizon_s: 2.0 * WATCHDOG_TAU_S,
     };
-    let results = par::par_map_fallible(gains.to_vec(), |gain_per_s| {
+    let results = par::par_map(gains.to_vec(), |gain_per_s| {
         let mut sys = DelayedFeedback { gain_per_s };
         try_integrate_dde(&mut sys, &[1.0], 0.0, t1_s, &opts).map(|tr| {
             tr.last_state()

@@ -278,7 +278,7 @@ fn cell_spec_json(cfg: &ExtIncastConfig, protocol: Protocol, n_senders: usize) -
 /// Parse a stored cell record back. `None` means the record does not match
 /// the current schema (treated as a miss and recomputed, never an error).
 fn cell_from_stored_json(text: &str) -> Option<IncastCell> {
-    let v = store::json::parse(text).ok()?;
+    let v = obs::json::parse(text).ok()?;
     Some(IncastCell {
         protocol: v.get("protocol")?.as_str()?.to_string(),
         n_senders: usize::try_from(v.get("n_senders")?.as_u64()?).ok()?,

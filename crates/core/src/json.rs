@@ -1,12 +1,13 @@
-//! Minimal, dependency-free JSON emission for experiment results.
+//! [`ToJson`]: how experiment results become a JSON tree.
 //!
-//! The workspace builds offline with no external crates, so instead of
-//! `serde`/`serde_json` the experiment layer serializes through the
-//! [`ToJson`] trait and the [`Json`] value tree defined here. Output is
-//! pretty-printed with two-space indentation and is byte-stable across
-//! runs and platforms: floats use Rust's shortest round-trip `Display`,
-//! integers are emitted losslessly, and object keys keep the declaration
-//! order given to [`impl_to_json!`](crate::impl_to_json).
+//! The tree, its reader and its writers are `obs::json`; [`Json`] is that
+//! module's `Value` under the name result code has always used. What lives
+//! here is the conversion: the [`ToJson`] trait, its impls for scalars,
+//! containers and the `desim`/`netsim` types results carry (the orphan rule
+//! wants trait and impls in one crate, and this is the one that sees those
+//! types), and the two macros. Object keys keep the declaration order given
+//! to [`impl_to_json!`](crate::impl_to_json), so `render_pretty` output is
+//! byte-stable across runs and platforms.
 //!
 //! Implement [`ToJson`] for a result struct with one line:
 //!
@@ -17,124 +18,7 @@
 //! impl_to_json!(Row { n_flows, rate_gbps });
 //! ```
 
-use std::fmt::Write as _;
-
-/// A JSON value tree.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null` (also emitted for non-finite floats, which JSON cannot carry).
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An integer, emitted losslessly.
-    Int(i128),
-    /// A floating-point number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object; insertion order is preserved in the output.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Render with two-space indentation (the layout `serde_json`'s pretty
-    /// printer used, so downstream plotting scripts keep working).
-    pub fn render_pretty(&self) -> String {
-        let mut s = String::new();
-        self.write(&mut s, 0);
-        s
-    }
-
-    fn write(&self, out: &mut String, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Json::Num(x) => {
-                if x.is_finite() {
-                    // Shortest round-trip formatting; force a ".0" so a
-                    // float-typed field never prints as a bare integer.
-                    let s = format!("{x}");
-                    out.push_str(&s);
-                    if !s.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    item.write(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+pub use obs::json::Value as Json;
 
 /// Types that can serialize themselves into a [`Json`] tree.
 pub trait ToJson {
@@ -313,42 +197,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalars_render() {
-        assert_eq!(Json::Null.render_pretty(), "null");
-        assert_eq!(true.to_json().render_pretty(), "true");
-        assert_eq!(42u64.to_json().render_pretty(), "42");
-        assert_eq!((-7i32).to_json().render_pretty(), "-7");
-        assert_eq!(1.5f64.to_json().render_pretty(), "1.5");
-        assert_eq!(2.0f64.to_json().render_pretty(), "2.0");
+    fn scalars_convert() {
+        assert_eq!(true.to_json(), Json::Bool(true));
+        assert_eq!(42u64.to_json(), Json::Int(42));
+        assert_eq!((-7i32).to_json(), Json::Int(-7));
+        assert_eq!(1.5f64.to_json(), Json::Num(1.5));
+        assert_eq!(0.5f32.to_json(), Json::Num(0.5));
+        assert_eq!("x".to_json(), Json::Str("x".to_string()));
         assert_eq!(f64::NAN.to_json().render_pretty(), "null");
-        assert_eq!(f64::INFINITY.to_json().render_pretty(), "null");
-    }
-
-    #[test]
-    fn floats_round_trip() {
-        for &x in &[0.1, 1e-9, std::f64::consts::PI, 1e300, -2.5e-17] {
-            let s = x.to_json().render_pretty();
-            let back: f64 = s.parse().expect("parseable float");
-            assert_eq!(back, x, "render of {x} was {s}");
-        }
-    }
-
-    #[test]
-    fn strings_escape() {
-        assert_eq!("a\"b\\c\nd".to_json().render_pretty(), r#""a\"b\\c\nd""#);
-        assert_eq!("\u{1}".to_json().render_pretty(), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn arrays_and_objects_pretty_print() {
-        let v = Json::Obj(vec![
-            ("xs".to_string(), vec![1u32, 2].to_json()),
-            ("empty".to_string(), Json::Arr(vec![])),
-        ]);
-        assert_eq!(
-            v.render_pretty(),
-            "{\n  \"xs\": [\n    1,\n    2\n  ],\n  \"empty\": []\n}"
-        );
     }
 
     #[test]

@@ -180,36 +180,6 @@ where
     flat
 }
 
-/// [`par_map`] for fallible workers: every job runs to completion — a failed
-/// point never cancels the rest of the sweep — and the per-job `Result`s come
-/// back in input order for the caller to partition (see
-/// [`partition_results`]). This is the graceful-degradation contract for
-/// sweep drivers: a divergent fluid point is recorded as `Err` while the
-/// remaining points still produce figures.
-pub fn par_map_fallible<I, O, E, F>(jobs: Vec<I>, worker: F) -> Vec<Result<O, E>>
-where
-    I: Send,
-    O: Send,
-    E: Send,
-    F: Fn(I) -> Result<O, E> + Sync,
-{
-    par_map(jobs, worker)
-}
-
-/// Split fallible sweep results into ordered successes and `(input index,
-/// error)` failures.
-pub fn partition_results<O, E>(results: Vec<Result<O, E>>) -> (Vec<O>, Vec<(usize, E)>) {
-    let mut ok = Vec::with_capacity(results.len());
-    let mut failed = Vec::new();
-    for (idx, r) in results.into_iter().enumerate() {
-        match r {
-            Ok(v) => ok.push(v),
-            Err(e) => failed.push((idx, e)),
-        }
-    }
-    (ok, failed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,9 +293,12 @@ mod tests {
 
     #[test]
     fn fallible_sweep_survives_failed_points() {
+        // A worker may return a `Result`: every job runs to a verdict — a
+        // failed point never cancels the rest of the sweep — and the
+        // verdicts come back in input order.
         let jobs: Vec<u64> = (0..32).collect();
         let results = with_threads(4, || {
-            par_map_fallible(jobs, |i| {
+            par_map(jobs, |i| {
                 if i % 7 == 3 {
                     Err(format!("point {i} diverged"))
                 } else {
@@ -334,13 +307,14 @@ mod tests {
             })
         });
         assert_eq!(results.len(), 32, "every job produced a result");
-        let (ok, failed) = partition_results(results);
-        assert_eq!(failed.len(), 5); // 3, 10, 17, 24, 31
-        assert_eq!(ok.len(), 27);
-        assert_eq!(failed[0], (3, "point 3 diverged".to_string()));
-        // Order is preserved for both halves regardless of scheduling.
-        assert!(failed.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(ok[0], 0);
-        assert_eq!(ok[26], 60); // last success is i = 30
+        for (i, r) in results.iter().enumerate() {
+            let expect = if i % 7 == 3 {
+                Err(format!("point {i} diverged"))
+            } else {
+                Ok(i as u64 * 2)
+            };
+            assert_eq!(*r, expect);
+        }
+        assert_eq!(results.iter().filter(|r| r.is_err()).count(), 5); // 3, 10, 17, 24, 31
     }
 }

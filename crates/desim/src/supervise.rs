@@ -1,7 +1,8 @@
 //! Supervised fork-join execution: panic isolation, deadlines, retries.
 //!
-//! [`crate::par::par_map_fallible`] gives sweeps graceful degradation for
-//! *typed* failures — a divergent point comes back as `Err` in its slot —
+//! [`crate::par::par_map`] over a worker that returns a `Result` gives
+//! sweeps graceful degradation for *typed* failures — a divergent point
+//! comes back as `Err` in its slot —
 //! but two failure modes still take down the whole run: a panicking job
 //! aborts the process, and a hung job stalls the pool forever. This module
 //! is the hardened executor for sweeps that must survive both:

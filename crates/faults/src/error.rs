@@ -8,6 +8,8 @@
 //! a sweep driver can log the failed point and continue with the rest of
 //! the sweep instead of aborting the process.
 
+use crate::spec::{self, as_index, get_num, get_str};
+use obs::json::{write_f64, write_str, Value};
 use std::fmt;
 
 /// Convenience alias for results carrying a [`SimError`].
@@ -160,17 +162,17 @@ impl SimError {
     /// the durable form used by quarantine notes and failed-cell records.
     /// [`SimError::from_json`] inverts it exactly.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        push_str_field(&mut out, "kind", self.kind());
+        let mut out = String::from("{\"kind\": ");
+        write_str(&mut out, self.kind());
         match self {
             SimError::InvalidConfig { context, detail }
             | SimError::InvalidTopology { context, detail }
             | SimError::InvalidFlow { context, detail } => {
-                push_str_field(&mut out, "context", context);
-                push_str_field(&mut out, "detail", detail);
+                write_str(key(&mut out, "context"), context);
+                write_str(key(&mut out, "detail"), detail);
             }
             SimError::InvalidSpec { detail } => {
-                push_str_field(&mut out, "detail", detail);
+                write_str(key(&mut out, "detail"), detail);
             }
             SimError::Divergence {
                 context,
@@ -179,26 +181,24 @@ impl SimError {
                 last_step_s,
                 step,
             } => {
-                push_str_field(&mut out, "context", context);
-                push_num_field(&mut out, "t_s", *t_s);
-                push_num_field(&mut out, "state_norm", *state_norm);
-                push_num_field(&mut out, "last_step_s", *last_step_s);
-                out.push_str(&format!("\"step\": {step}, "));
+                write_str(key(&mut out, "context"), context);
+                write_f64(key(&mut out, "t_s"), *t_s);
+                write_f64(key(&mut out, "state_norm"), *state_norm);
+                write_f64(key(&mut out, "last_step_s"), *last_step_s);
+                key(&mut out, "step").push_str(&step.to_string());
             }
             SimError::Timeout {
                 job_index,
                 deadline_s,
             } => {
-                out.push_str(&format!("\"job_index\": {job_index}, "));
-                push_num_field(&mut out, "deadline_s", *deadline_s);
+                key(&mut out, "job_index").push_str(&job_index.to_string());
+                write_f64(key(&mut out, "deadline_s"), *deadline_s);
             }
             SimError::JobPanicked { job_index, payload } => {
-                out.push_str(&format!("\"job_index\": {job_index}, "));
-                push_str_field(&mut out, "payload", payload);
+                key(&mut out, "job_index").push_str(&job_index.to_string());
+                write_str(key(&mut out, "payload"), payload);
             }
         }
-        // Every field writer leaves a trailing ", ".
-        out.truncate(out.len() - 2);
         out.push('}');
         out
     }
@@ -206,110 +206,60 @@ impl SimError {
     /// Parse the [`SimError::to_json`] form back. Unknown kinds and missing
     /// fields come back as [`SimError::InvalidSpec`] describing the defect.
     pub fn from_json(text: &str) -> SimResult<SimError> {
-        let doc = crate::spec::parse_document(text)?;
-        let obj = doc.as_object("error record")?;
-        let kind = obj.get_str("kind")?;
-        let job_index = |o: &crate::spec::Obj| -> SimResult<usize> {
-            let n = o.get_num("job_index")?;
-            // simlint: allow(float-cmp) — exact-by-design: fract()==0.0 is the definition of integrality
-            if !(n.is_finite() && n >= 0.0 && n.fract() == 0.0) {
-                return Err(SimError::spec(format!(
-                    "job_index must be a non-negative integer, got {n}"
-                )));
-            }
-            Ok(n as usize)
-        };
+        let doc = spec::parse_document(text)?;
+        let obj = spec::as_object(&doc, "error record")?;
+        let kind = get_str(obj, "kind")?;
+        let index = |key: &str| -> SimResult<u64> { as_index(get_num(obj, key)?, key) };
         match kind {
             "invalid_config" => Ok(SimError::config(
-                obj.get_str("context")?,
-                obj.get_str("detail")?,
+                get_str(obj, "context")?,
+                get_str(obj, "detail")?,
             )),
             "invalid_topology" => Ok(SimError::topology(
-                obj.get_str("context")?,
-                obj.get_str("detail")?,
+                get_str(obj, "context")?,
+                get_str(obj, "detail")?,
             )),
             "invalid_flow" => Ok(SimError::flow(
-                obj.get_str("context")?,
-                obj.get_str("detail")?,
+                get_str(obj, "context")?,
+                get_str(obj, "detail")?,
             )),
-            "invalid_spec" => Ok(SimError::spec(obj.get_str("detail")?)),
+            "invalid_spec" => Ok(SimError::spec(get_str(obj, "detail")?)),
             "divergence" => Ok(SimError::Divergence {
-                context: obj.get_str("context")?.to_string(),
+                context: get_str(obj, "context")?.to_string(),
                 t_s: num_or_nan(obj, "t_s")?,
                 state_norm: num_or_nan(obj, "state_norm")?,
                 last_step_s: num_or_nan(obj, "last_step_s")?,
-                step: {
-                    let n = obj.get_num("step")?;
-                    // simlint: allow(float-cmp) — exact-by-design: fract()==0.0 is the definition of integrality
-                    if !(n.is_finite() && n >= 0.0 && n.fract() == 0.0) {
-                        return Err(SimError::spec(format!(
-                            "step must be a non-negative integer, got {n}"
-                        )));
-                    }
-                    n as u64
-                },
+                step: index("step")?,
             }),
             "timeout" => Ok(SimError::Timeout {
-                job_index: job_index(obj)?,
-                deadline_s: obj.get_num("deadline_s")?,
+                job_index: index("job_index")? as usize,
+                deadline_s: get_num(obj, "deadline_s")?,
             }),
             "job_panicked" => Ok(SimError::JobPanicked {
-                job_index: job_index(obj)?,
-                payload: obj.get_str("payload")?.to_string(),
+                job_index: index("job_index")? as usize,
+                payload: get_str(obj, "payload")?.to_string(),
             }),
             other => Err(SimError::spec(format!("unknown error kind {other:?}"))),
         }
     }
 }
 
+/// Append `, "name": ` to a record under construction; the value goes into
+/// the returned string.
+fn key<'a>(out: &'a mut String, name: &str) -> &'a mut String {
+    out.push_str(", \"");
+    out.push_str(name);
+    out.push_str("\": ");
+    out
+}
+
 /// Read a float field where the emitter writes non-finite values as
 /// `null` (read back as NaN).
-fn num_or_nan(obj: &crate::spec::Obj, key: &str) -> SimResult<f64> {
-    match obj.get(key) {
-        Some(crate::spec::Value::Null) => Ok(f64::NAN),
-        _ => obj.get_num(key),
+fn num_or_nan(obj: &[(String, Value)], key: &str) -> SimResult<f64> {
+    match spec::get(obj, key) {
+        Some(Value::Null) => Ok(f64::NAN),
+        _ => get_num(obj, key),
     }
-}
-
-/// Append `"key": "escaped", ` to a JSON object under construction.
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\": \"");
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            // Other control characters have no escape in the in-tree
-            // reader; they cannot appear in our own messages, so a space
-            // keeps the record parseable if one sneaks in via a panic.
-            c if (c as u32) < 0x20 => out.push(' '),
-            c => out.push(c),
-        }
-    }
-    out.push_str("\", ");
-}
-
-/// Append `"key": number, ` — shortest round-trip float with forced `.0`
-/// (the workspace JSON float convention); non-finite renders as `null` and
-/// reads back as NaN.
-fn push_num_field(out: &mut String, key: &str, value: f64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\": ");
-    if value.is_finite() {
-        let s = format!("{value}");
-        out.push_str(&s);
-        if !s.contains(['.', 'e', 'E']) {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
-    }
-    out.push_str(", ");
 }
 
 impl desim::supervise::SupervisedError for SimError {
@@ -424,6 +374,7 @@ mod tests {
             },
             SimError::timeout(11, 120.5),
             SimError::job_panicked(0, "panicked with \\backslash\\ and \"quotes\""),
+            SimError::job_panicked(2, "esc \x1b[31m \"q\" back\\slash\nline 2 \u{1f600}"),
         ];
         for e in cases {
             let j = e.to_json();
@@ -432,6 +383,9 @@ mod tests {
             // Idempotent: re-serializing the parsed form is a fixpoint.
             assert_eq!(back.to_json(), j);
         }
+        // A control character is escaped, not blanked.
+        let j = SimError::job_panicked(0, "\x1b").to_json();
+        assert!(j.ends_with(r#""payload": "\u001b"}"#), "{j}");
     }
 
     #[test]

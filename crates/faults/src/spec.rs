@@ -1,9 +1,8 @@
 //! Parser for `--faults <spec.json>` schedule documents.
 //!
-//! The workspace is dependency-free and the in-tree JSON support
-//! (`ecn_delay_core::json`) is emit-only, so this module carries a minimal
-//! recursive-descent JSON reader — just enough for the flat spec schema,
-//! with byte-offset diagnostics surfaced as [`SimError::InvalidSpec`].
+//! The document is read by `obs::json::parse`; its byte-offset diagnostics
+//! and every schema violation found here surface as
+//! [`SimError::InvalidSpec`].
 //!
 //! # Schema
 //!
@@ -30,6 +29,7 @@
 
 use crate::error::SimError;
 use crate::schedule::{FaultKind, FaultSchedule, ParamTarget};
+use obs::json::Value;
 
 /// Parse a fault-schedule spec document.
 ///
@@ -38,20 +38,12 @@ use crate::schedule::{FaultKind, FaultSchedule, ParamTarget};
 /// installing it.
 pub fn parse_schedule(text: &str) -> Result<FaultSchedule, SimError> {
     let value = parse_document(text)?;
-    let top = value.as_object("top level")?;
+    let top = as_object(&value, "top level")?;
     let mut seed = 1u64;
     let mut events_val = None;
     for (key, v) in top {
         match key.as_str() {
-            "seed" => {
-                let n = v.as_number("seed")?;
-                if !(n.is_finite() && n >= 0.0 && n.fract() == 0.0) {
-                    return Err(SimError::spec(format!(
-                        "seed must be a non-negative integer, got {n}"
-                    )));
-                }
-                seed = n as u64;
-            }
+            "seed" => seed = as_index(as_number(v, "seed")?, "seed")?,
             "events" => events_val = Some(v),
             other => return Err(SimError::spec(format!("unknown top-level key {other:?}"))),
         }
@@ -59,8 +51,11 @@ pub fn parse_schedule(text: &str) -> Result<FaultSchedule, SimError> {
     let Some(events_val) = events_val else {
         return Err(SimError::spec("missing required key \"events\""));
     };
+    let Some(events) = events_val.items() else {
+        return Err(SimError::spec("events must be an array"));
+    };
     let mut schedule = FaultSchedule::new(seed);
-    for (i, ev) in events_val.as_array("events")?.iter().enumerate() {
+    for (i, ev) in events.iter().enumerate() {
         let (at_s, kind) = parse_event(ev).map_err(|e| match e {
             SimError::InvalidSpec { detail } => SimError::spec(format!("event {i}: {detail}")),
             other => other,
@@ -72,79 +67,82 @@ pub fn parse_schedule(text: &str) -> Result<FaultSchedule, SimError> {
 
 /// Decode one event object into `(at_s, kind)`.
 fn parse_event(v: &Value) -> Result<(f64, FaultKind), SimError> {
-    let obj = v.as_object("event")?;
-    let kind_name = obj.get_str("kind")?;
-    let at_s = obj.get_num("at_s")?;
+    let obj = as_object(v, "event")?;
+    let kind_name = get_str(obj, "kind")?;
+    let at_s = get_num(obj, "at_s")?;
     // Per-kind field sets; `known` lists every accepted key so extras are
     // rejected.
     let kind = match kind_name {
         "link_flap" => {
-            obj.only(&["kind", "at_s", "link", "down_s"])?;
+            only(obj, &["kind", "at_s", "link", "down_s"])?;
             FaultKind::LinkFlap {
-                link: obj.get_link()?,
-                down_s: obj.get_num("down_s")?,
+                link: get_link(obj)?,
+                down_s: get_num(obj, "down_s")?,
             }
         }
         "packet_loss" => {
-            obj.only(&["kind", "at_s", "link", "probability", "duration_s"])?;
+            only(obj, &["kind", "at_s", "link", "probability", "duration_s"])?;
             FaultKind::PacketLoss {
-                link: obj.get_link()?,
-                probability: obj.get_num("probability")?,
-                duration_s: obj.get_num("duration_s")?,
+                link: get_link(obj)?,
+                probability: get_num(obj, "probability")?,
+                duration_s: get_num(obj, "duration_s")?,
             }
         }
         "cnp_loss" => {
-            obj.only(&["kind", "at_s", "link", "probability", "duration_s"])?;
+            only(obj, &["kind", "at_s", "link", "probability", "duration_s"])?;
             FaultKind::CnpLoss {
-                link: obj.get_link()?,
-                probability: obj.get_num("probability")?,
-                duration_s: obj.get_num("duration_s")?,
+                link: get_link(obj)?,
+                probability: get_num(obj, "probability")?,
+                duration_s: get_num(obj, "duration_s")?,
             }
         }
         "rtt_jitter" => {
-            obj.only(&["kind", "at_s", "link", "sigma_s", "duration_s"])?;
+            only(obj, &["kind", "at_s", "link", "sigma_s", "duration_s"])?;
             FaultKind::RttJitter {
-                link: obj.get_link()?,
-                sigma_s: obj.get_num("sigma_s")?,
-                duration_s: obj.get_num("duration_s")?,
+                link: get_link(obj)?,
+                sigma_s: get_num(obj, "sigma_s")?,
+                duration_s: get_num(obj, "duration_s")?,
             }
         }
         "delay_spike" => {
-            obj.only(&["kind", "at_s", "link", "extra_s", "duration_s"])?;
+            only(obj, &["kind", "at_s", "link", "extra_s", "duration_s"])?;
             FaultKind::DelaySpike {
-                link: obj.get_link()?,
-                extra_s: obj.get_num("extra_s")?,
-                duration_s: obj.get_num("duration_s")?,
+                link: get_link(obj)?,
+                extra_s: get_num(obj, "extra_s")?,
+                duration_s: get_num(obj, "duration_s")?,
             }
         }
         "pause_storm" => {
-            obj.only(&[
-                "kind",
-                "at_s",
-                "link",
-                "period_s",
-                "pause_frac",
-                "duration_s",
-            ])?;
+            only(
+                obj,
+                &[
+                    "kind",
+                    "at_s",
+                    "link",
+                    "period_s",
+                    "pause_frac",
+                    "duration_s",
+                ],
+            )?;
             FaultKind::PauseStorm {
-                link: obj.get_link()?,
-                period_s: obj.get_num("period_s")?,
-                pause_frac: obj.get_num("pause_frac")?,
-                duration_s: obj.get_num("duration_s")?,
+                link: get_link(obj)?,
+                period_s: get_num(obj, "period_s")?,
+                pause_frac: get_num(obj, "pause_frac")?,
+                duration_s: get_num(obj, "duration_s")?,
             }
         }
         "perturb_kmax" => {
-            obj.only(&["kind", "at_s", "scale"])?;
+            only(obj, &["kind", "at_s", "scale"])?;
             FaultKind::Perturb {
                 target: ParamTarget::RedKmax,
-                scale: obj.get_num("scale")?,
+                scale: get_num(obj, "scale")?,
             }
         }
         "perturb_r_ai" => {
-            obj.only(&["kind", "at_s", "scale"])?;
+            only(obj, &["kind", "at_s", "scale"])?;
             FaultKind::Perturb {
                 target: ParamTarget::CcRateIncrease,
-                scale: obj.get_num("scale")?,
+                scale: get_num(obj, "scale")?,
             }
         }
         other => {
@@ -157,269 +155,72 @@ fn parse_event(v: &Value) -> Result<(f64, FaultKind), SimError> {
     Ok((at_s, kind))
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader. Objects are ordered key/value vectors (no hash maps in
-// simulation-adjacent code) — the spec schema has no duplicate-key use case,
-// and duplicates are rejected.
-// ---------------------------------------------------------------------------
+// `SimError`-typed accessors over a parsed document. Integers and floats are
+// both numbers; `null` is neither.
 
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Obj),
-}
-
-#[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct Obj(Vec<(String, Value)>);
-
-impl Value {
-    pub(crate) fn as_object(&self, what: &str) -> Result<&Obj, SimError> {
-        match self {
-            Value::Obj(o) => Ok(o),
-            _ => Err(SimError::spec(format!("{what} must be an object"))),
-        }
-    }
-
-    fn as_array(&self, what: &str) -> Result<&[Value], SimError> {
-        match self {
-            Value::Arr(a) => Ok(a),
-            _ => Err(SimError::spec(format!("{what} must be an array"))),
-        }
-    }
-
-    fn as_number(&self, what: &str) -> Result<f64, SimError> {
-        match self {
-            Value::Num(n) => Ok(*n),
-            _ => Err(SimError::spec(format!("{what} must be a number"))),
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a Obj {
-    type Item = &'a (String, Value);
-    type IntoIter = std::slice::Iter<'a, (String, Value)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
-    }
-}
-
-impl Obj {
-    pub(crate) fn get(&self, key: &str) -> Option<&Value> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    pub(crate) fn get_num(&self, key: &str) -> Result<f64, SimError> {
-        match self.get(key) {
-            Some(v) => v.as_number(key),
-            None => Err(SimError::spec(format!("missing required key {key:?}"))),
-        }
-    }
-
-    pub(crate) fn get_str(&self, key: &str) -> Result<&str, SimError> {
-        match self.get(key) {
-            Some(Value::Str(s)) => Ok(s),
-            Some(_) => Err(SimError::spec(format!("{key} must be a string"))),
-            None => Err(SimError::spec(format!("missing required key {key:?}"))),
-        }
-    }
-
-    fn get_link(&self) -> Result<usize, SimError> {
-        let n = self.get_num("link")?;
-        // simlint: allow(float-cmp) — exact-by-design: fract()==0.0 is the definition of integrality
-        if !(n.is_finite() && n >= 0.0 && n.fract() == 0.0) {
-            return Err(SimError::spec(format!(
-                "link must be a non-negative integer, got {n}"
-            )));
-        }
-        Ok(n as usize)
-    }
-
-    /// Reject keys outside `known`.
-    fn only(&self, known: &[&str]) -> Result<(), SimError> {
-        for (k, _) in &self.0 {
-            if !known.contains(&k.as_str()) {
-                return Err(SimError::spec(format!("unknown key {k:?}")));
-            }
-        }
-        Ok(())
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
+type Entries = [(String, Value)];
 
 pub(crate) fn parse_document(text: &str) -> Result<Value, SimError> {
-    let mut r = Reader {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = r.value()?;
-    r.skip_ws();
-    if r.pos != r.bytes.len() {
-        return Err(r.err("trailing characters after document"));
-    }
-    Ok(v)
+    obs::json::parse(text).map_err(SimError::spec)
 }
 
-impl<'a> Reader<'a> {
-    fn err(&self, what: &str) -> SimError {
-        SimError::spec(format!("{what} at byte {}", self.pos))
+pub(crate) fn as_object<'a>(v: &'a Value, what: &str) -> Result<&'a Entries, SimError> {
+    match v {
+        Value::Obj(entries) => Ok(entries),
+        _ => Err(SimError::spec(format!("{what} must be an object"))),
     }
+}
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+fn as_number(v: &Value, what: &str) -> Result<f64, SimError> {
+    match v {
+        Value::Int(i) => Ok(*i as f64),
+        Value::Num(n) => Ok(*n),
+        _ => Err(SimError::spec(format!("{what} must be a number"))),
     }
+}
 
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
+pub(crate) fn get<'a>(obj: &'a Entries, key: &str) -> Option<&'a Value> {
+    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+pub(crate) fn get_num(obj: &Entries, key: &str) -> Result<f64, SimError> {
+    match get(obj, key) {
+        Some(v) => as_number(v, key),
+        None => Err(SimError::spec(format!("missing required key {key:?}"))),
     }
+}
 
-    fn expect_byte(&mut self, b: u8) -> Result<(), SimError> {
-        self.skip_ws();
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
+pub(crate) fn get_str<'a>(obj: &'a Entries, key: &str) -> Result<&'a str, SimError> {
+    match get(obj, key) {
+        Some(Value::Str(s)) => Ok(s),
+        Some(_) => Err(SimError::spec(format!("{key} must be a string"))),
+        None => Err(SimError::spec(format!("missing required key {key:?}"))),
     }
+}
 
-    fn value(&mut self) -> Result<Value, SimError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
+/// `n` as the non-negative integer it must be (`what` names it in the error).
+pub(crate) fn as_index(n: f64, what: &str) -> Result<u64, SimError> {
+    // simlint: allow(float-cmp) — exact-by-design: fract()==0.0 is the definition of integrality
+    if !(n.is_finite() && n >= 0.0 && n.fract() == 0.0) {
+        return Err(SimError::spec(format!(
+            "{what} must be a non-negative integer, got {n}"
+        )));
     }
+    Ok(n as u64)
+}
 
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, SimError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err("invalid literal"))
-        }
-    }
+fn get_link(obj: &Entries) -> Result<usize, SimError> {
+    Ok(as_index(get_num(obj, "link")?, "link")? as usize)
+}
 
-    fn object(&mut self) -> Result<Value, SimError> {
-        self.expect_byte(b'{')?;
-        let mut entries: Vec<(String, Value)> = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(Obj(entries)));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            if entries.iter().any(|(k, _)| *k == key) {
-                return Err(self.err(&format!("duplicate key {key:?}")));
-            }
-            self.expect_byte(b':')?;
-            let v = self.value()?;
-            entries.push((key, v));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Obj(Obj(entries))),
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
+/// Reject keys outside `known`.
+fn only(obj: &Entries, known: &[&str]) -> Result<(), SimError> {
+    for (k, _) in obj {
+        if !known.contains(&k.as_str()) {
+            return Err(SimError::spec(format!("unknown key {k:?}")));
         }
     }
-
-    fn array(&mut self) -> Result<Value, SimError> {
-        self.expect_byte(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Value::Arr(items)),
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, SimError> {
-        if self.bump() != Some(b'"') {
-            return Err(self.err("expected string"));
-        }
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    // \b, \f, \uXXXX are not needed by the spec schema.
-                    _ => return Err(self.err("unsupported escape")),
-                },
-                Some(c) if c < 0x80 => out.push(c as char),
-                Some(_) => {
-                    // Re-read the full UTF-8 scalar from the source slice.
-                    let start = self.pos - 1;
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let Some(ch) = s.chars().next() else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    out.push(ch);
-                    self.pos = start + ch.len_utf8();
-                }
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, SimError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Value::Num(n)),
-            _ => Err(self.err(&format!("invalid number {text:?}"))),
-        }
-    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -9,20 +9,24 @@
 //!
 //! * **Memory layout** — the batch state is `[state_dim × B]`, component `c`
 //!   of lane `l` at flat index `c·B + l` (see [`lane_of`]). Lanes are adjacent
-//!   in memory, so the RK4 stage kernels ([`crate::dde`]'s `stage_state` /
-//!   `rk4_combine`, shared with the scalar path) are tight per-component
-//!   loops over the batch lane that rustc auto-vectorizes. The [`History`]
-//!   stores the same flat layout, so one [`History::eval_strided`] call
-//!   fetches a lane's full delayed state with a single bracketing-knot
-//!   locate, itself O(1) on the integrator's uniform step grid.
-//! * **Bit-identity** — a lane kernel ([`LaneSystem::lane_rhs`]) is *the*
-//!   model implementation: the scalar [`DdeSystem`](crate::dde::DdeSystem)
-//!   path calls it with `lane = 0, stride = 1`, the batch path with
-//!   `lane = l, stride = B`. One code path means B = 1 is bit-identical to
-//!   the scalar integrator by construction, and because every per-lane
-//!   operation touches only that lane's strided components, per-lane results
-//!   are invariant under the batch width (B = 4 and B = 16 lanes holding the
-//!   same config produce bitwise-equal traces).
+//!   in memory, so the RK4 stage kernels (`stage_state` / `rk4_combine`) are
+//!   tight per-component loops over the batch lane that rustc
+//!   auto-vectorizes. The [`History`] stores the same flat layout, so one
+//!   [`History::eval_strided`] call fetches a lane's full delayed state with
+//!   a single bracketing-knot locate, itself O(1) on the integrator's
+//!   uniform step grid.
+//! * **One step loop** — [`try_integrate_dde_batch`] is the only RK4 DDE
+//!   loop in the workspace: the scalar
+//!   [`try_integrate_dde_with_prehistory`](crate::dde::try_integrate_dde_with_prehistory)
+//!   wraps its [`DdeSystem`](crate::dde::DdeSystem) as a batch of one lane
+//!   and returns that lane, so scalar and B = 1 are the same computation
+//!   rather than two kept equal by tests. A lane kernel
+//!   ([`LaneSystem::lane_rhs`]) is *the* model implementation — the scalar
+//!   trait calls it with `lane = 0, stride = 1`, the batch with
+//!   `lane = l, stride = B` — and because every per-lane operation touches
+//!   only that lane's strided components, per-lane results are invariant
+//!   under the batch width (B = 4 and B = 16 lanes holding the same config
+//!   produce bitwise-equal traces).
 //! * **Lane-divergence semantics** — the watchdog norm is evaluated per
 //!   lane. A diverging lane is recorded as
 //!   [`SimError::Divergence`] in its slot of the returned
@@ -31,7 +35,7 @@
 //!   each other's components). Only when *every* lane has died does the
 //!   integration stop early.
 
-use crate::dde::{count_integration, rk4_combine, stage_state, DdeOptions, DIVERGENCE_NORM};
+use crate::dde::{DdeOptions, DIVERGENCE_NORM};
 use crate::history::History;
 use crate::stage::{
     StageInstant::{self, End, Mid, Start},
@@ -222,20 +226,6 @@ impl<M: LaneSystem> BatchDdeSystem for LaneBatch<M> {
     }
 }
 
-/// Batched variant of
-/// [`integrate_dde`](crate::dde::integrate_dde): panics on an invalid
-/// configuration; per-lane divergence comes back in the lane's `Result`.
-pub fn integrate_dde_batch<S: BatchDdeSystem>(
-    sys: &mut S,
-    x0: &[f64],
-    pre: &[f64],
-    t0: f64,
-    t1: f64,
-    opts: &DdeOptions,
-) -> Vec<Result<Trace, SimError>> {
-    try_integrate_dde_batch(sys, x0, pre, t0, t1, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Integrate B lockstep lanes from `t0` to `t1`.
 ///
 /// `x0` and `pre` are `[lane_dim × B]` struct-of-arrays blocks (see
@@ -245,10 +235,8 @@ pub fn integrate_dde_batch<S: BatchDdeSystem>(
 /// A diverging lane is frozen at its last good state and its batchmates
 /// continue; integration stops early only when every lane has diverged.
 ///
-/// At B = 1 this is bit-identical to
-/// [`try_integrate_dde_with_prehistory`](crate::dde::try_integrate_dde_with_prehistory):
-/// same step grid, same RK4 stage arithmetic, same watchdog norm order, same
-/// history knots.
+/// [`try_integrate_dde_with_prehistory`](crate::dde::try_integrate_dde_with_prehistory)
+/// is this function at B = 1.
 pub fn try_integrate_dde_batch<S: BatchDdeSystem>(
     sys: &mut S,
     x0: &[f64],
@@ -347,8 +335,7 @@ pub fn try_integrate_dde_batch<S: BatchDdeSystem>(
             }
         }
         // Per-lane divergence watchdog: one exploding lane is recorded and
-        // frozen without aborting its batchmates. Component order matches the
-        // scalar watchdog, so at B = 1 the norm is bitwise the same.
+        // frozen without aborting its batchmates.
         let mut step_norm = 0.0f64;
         for lane in 0..b {
             if !alive[lane] {
@@ -440,6 +427,47 @@ pub fn try_integrate_dde_batch<S: BatchDdeSystem>(
             None => Ok(tr),
         })
         .collect())
+}
+
+/// `tmp = x + coeff·k`: the RK intermediate-stage state. Elementwise over
+/// the flat `[state_dim × B]` struct-of-arrays block (lanes are adjacent in
+/// memory, which is what lets rustc auto-vectorize across the batch).
+#[inline]
+fn stage_state(tmp: &mut [f64], x: &[f64], coeff: f64, k: &[f64]) {
+    for ((t, &xi), &ki) in tmp.iter_mut().zip(x).zip(k) {
+        *t = xi + coeff * ki;
+    }
+}
+
+/// `x += h/6 · (k1 + 2k2 + 2k3 + k4)`: the classic RK4 combination.
+/// Elementwise like [`stage_state`].
+#[inline]
+fn rk4_combine(x: &mut [f64], h: f64, k1: &[f64], k2: &[f64], k3: &[f64], k4: &[f64]) {
+    let w = h / 6.0;
+    for i in 0..x.len() {
+        x[i] += w * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+    }
+}
+
+/// Add an integration's work to the metrics in one call: its completed steps
+/// to `fluid.dde_steps`, its history's lookup tallies to
+/// `fluid.history_lookups` / `fluid.history_lookup_fallbacks`, and its stage
+/// slots' phase-one fills to `fluid.delayed_evals`. A counter takes a global
+/// mutex, which per step (let alone per lookup) is a visible share of a
+/// few-components-wide RK4 step. A zero count leaves its counter
+/// unregistered, as a per-event increment would.
+fn count_integration(completed_steps: u64, hist: &History, stages: &Stages) {
+    let (lookups, fallbacks) = hist.lookup_counts();
+    for (name, count) in [
+        ("fluid.dde_steps", completed_steps),
+        ("fluid.history_lookups", lookups),
+        ("fluid.history_lookup_fallbacks", fallbacks),
+        ("fluid.delayed_evals", stages.fills()),
+    ] {
+        if count > 0 {
+            obs::metrics::counter_add(name, count);
+        }
+    }
 }
 
 /// Copy lane `lane` of the strided block `x` into the dense `row`.

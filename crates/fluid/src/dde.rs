@@ -7,12 +7,14 @@
 //! queue itself). Intra-step RK stages query the history too; lookups past
 //! the last knot return the latest value, so accuracy demands steps no larger
 //! than the smallest delay — the integrator asserts a sane ratio.
+//!
+//! This module holds the scalar interface — [`DdeSystem`], [`DdeOptions`] and
+//! the `integrate_dde*` entry points. The RK4 step loop itself is
+//! [`crate::batch`]'s: a [`DdeSystem`] integrates as a batch of one lane.
 
+use crate::batch::{try_integrate_dde_batch, BatchDdeSystem};
 use crate::history::History;
-use crate::stage::{
-    StageInstant::{self, End, Mid, Start},
-    Stages,
-};
+use crate::stage::{StageInstant, Stages};
 use crate::trace::Trace;
 use faults::SimError;
 
@@ -79,27 +81,6 @@ impl Default for DdeOptions {
             record_every: 10,
             history_horizon_s: 0.01,
         }
-    }
-}
-
-/// `tmp = x + coeff·k`: the RK intermediate-stage state. Elementwise over
-/// the flat slice, so the same kernel serves the scalar path and the batched
-/// `[state_dim × B]` struct-of-arrays block (lanes are adjacent in memory,
-/// which is what lets rustc auto-vectorize across the batch).
-#[inline]
-pub(crate) fn stage_state(tmp: &mut [f64], x: &[f64], coeff: f64, k: &[f64]) {
-    for ((t, &xi), &ki) in tmp.iter_mut().zip(x).zip(k) {
-        *t = xi + coeff * ki;
-    }
-}
-
-/// `x += h/6 · (k1 + 2k2 + 2k3 + k4)`: the classic RK4 combination.
-/// Elementwise like [`stage_state`], shared by the scalar and batched paths.
-#[inline]
-pub(crate) fn rk4_combine(x: &mut [f64], h: f64, k1: &[f64], k2: &[f64], k3: &[f64], k4: &[f64]) {
-    let w = h / 6.0;
-    for i in 0..x.len() {
-        x[i] += w * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
     }
 }
 
@@ -175,161 +156,47 @@ pub fn try_integrate_dde_with_prehistory<S: DdeSystem>(
     t1: f64,
     opts: &DdeOptions,
 ) -> Result<Trace, SimError> {
-    let n = sys.dim();
-    if x0.len() != n || pre.len() != n {
-        return Err(SimError::config(
-            "integrate_dde",
-            format!(
-                "state dimension mismatch: system dim {n}, x0 len {}, pre len {}",
-                x0.len(),
-                pre.len()
-            ),
-        ));
-    }
-    if !(opts.step > 0.0 && opts.step.is_finite() && t1 >= t0) {
-        return Err(SimError::config(
-            "integrate_dde",
-            format!(
-                "bad integration window: step {} over [{t0}, {t1}]",
-                opts.step
-            ),
-        ));
-    }
-    let min_delay = sys.min_delay();
-    if !(min_delay.is_infinite() || opts.step <= min_delay) {
-        return Err(SimError::config(
-            "integrate_dde",
-            format!(
-                "step {} exceeds smallest delay {min_delay}; results would be inconsistent",
-                opts.step
-            ),
-        ));
-    }
-
-    let mut hist = History::new(t0, pre);
-    // simlint: allow(float-cmp) — exact-by-design: only a bitwise-identical pre-history skips the knot
-    if pre != x0 {
-        // The state jumps to x0 at t0; represent as a knot at t0 replacing
-        // the pre value (History replaces same-time knots).
-        hist.push(t0, x0);
-    }
-
-    let record_every = opts.record_every.max(1);
-    let mut x = x0.to_vec();
-    let mut trace = Trace::new(n);
-    trace.push(t0, &x);
-
-    let steps = ((t1 - t0) / opts.step).ceil() as usize;
-    let mut t = t0;
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut tmp = vec![0.0; n];
-    let mut stages = Stages::new(1);
-
-    let _span = obs::span::enter(obs::Phase::Integrate);
-    for step in 1..=steps {
-        let h = (t1 - t).min(opts.step);
-        sys.rhs_at(Start, t, &x, &hist, &mut stages, &mut k1);
-        stage_state(&mut tmp, &x, 0.5 * h, &k1);
-        sys.rhs_at(Mid, t + 0.5 * h, &tmp, &hist, &mut stages, &mut k2);
-        stage_state(&mut tmp, &x, 0.5 * h, &k2);
-        sys.rhs_at(Mid, t + 0.5 * h, &tmp, &hist, &mut stages, &mut k3);
-        stage_state(&mut tmp, &x, h, &k3);
-        sys.rhs_at(End, t + h, &tmp, &hist, &mut stages, &mut k4);
-        rk4_combine(&mut x, h, &k1, &k2, &k3, &k4);
-        t += h;
-        sys.project(t, &mut x);
-        // Divergence watchdog: NaN/Inf or an exploding state bails with a
-        // structured diagnostic instead of taking the whole process down.
-        let mut norm = 0.0f64;
-        let mut finite = true;
-        for &xi in &x {
-            if !xi.is_finite() {
-                finite = false;
-            }
-            norm = norm.max(xi.abs());
-        }
-        if !finite || norm > DIVERGENCE_NORM {
-            let state_norm = if finite { norm } else { f64::NAN };
-            obs::metrics::counter_inc("fluid.watchdog_trips");
-            if obs::trace::enabled() {
-                obs::trace::record(
-                    t,
-                    obs::Event::WatchdogTrip {
-                        step: step as u64,
-                        state_norm,
-                    },
-                );
-            }
-            let err = SimError::Divergence {
-                context: "dde integration".into(),
-                t_s: t,
-                state_norm,
-                last_step_s: h,
-                step: step as u64,
-            };
-            // Flight-recorder post-mortem: mark the trip in the causal ring
-            // and, if a dump path is armed, write the black box to disk
-            // before the error propagates.
-            obs::flight::record(t, "watchdog", state_norm, obs::flight::current_cause());
-            obs::flight::dump_on_error(&err.to_string());
-            count_integration(step as u64 - 1, &hist, &stages);
-            return Err(err);
-        }
-        hist.push(t, &x);
-        if opts.history_horizon_s.is_finite() {
-            hist.trim_before(t - opts.history_horizon_s);
-        }
-        stages.advance(&hist);
-        if step % record_every == 0 || step == steps {
-            trace.push(t, &x);
-            if obs::timeseries::enabled() {
-                // Downsampled trajectory envelope at the trace cadence: the
-                // window spans `record_every` steps' worth of recordings.
-                obs::timeseries::sample(
-                    "fluid.state_norm",
-                    0,
-                    (record_every as f64) * opts.step * 8.0,
-                    t,
-                    norm,
-                );
-                obs::timeseries::observe("fluid.state_norm", 0, norm);
-            }
-        }
-        if obs::trace::enabled() {
-            obs::trace::record(
-                t,
-                obs::Event::DdeStep {
-                    step: step as u64,
-                    dim: n as u64,
-                },
-            );
-        }
-    }
-    count_integration(steps as u64, &hist, &stages);
-    Ok(trace)
+    let named = |detail: String| SimError::config("integrate_dde", detail);
+    try_integrate_dde_batch(&mut OneLane(sys), x0, pre, t0, t1, opts)
+        .map_err(|e| match e {
+            SimError::InvalidConfig { detail, .. } => named(detail),
+            other => other,
+        })?
+        .pop()
+        .unwrap_or_else(|| Err(named("the one-lane batch returned no lane".into())))
 }
 
-/// Add an integration's work to the metrics in one call: its completed steps
-/// to `fluid.dde_steps`, its history's lookup tallies to
-/// `fluid.history_lookups` / `fluid.history_lookup_fallbacks`, and its stage
-/// slots' phase-one fills to `fluid.delayed_evals`. A counter takes a global
-/// mutex, which per step (let alone per lookup) is a visible share of a
-/// few-components-wide RK4 step. A zero count leaves its counter
-/// unregistered, as a per-event increment would.
-pub(crate) fn count_integration(completed_steps: u64, hist: &History, stages: &Stages) {
-    let (lookups, fallbacks) = hist.lookup_counts();
-    for (name, count) in [
-        ("fluid.dde_steps", completed_steps),
-        ("fluid.history_lookups", lookups),
-        ("fluid.history_lookup_fallbacks", fallbacks),
-        ("fluid.delayed_evals", stages.fills()),
-    ] {
-        if count > 0 {
-            obs::metrics::counter_add(name, count);
-        }
+/// `sys` as a batch of one lane. The batched integrator owns the only RK4
+/// step loop; at B = 1 its strided block is the plain state vector.
+struct OneLane<'a, S>(&'a mut S);
+
+impl<S: DdeSystem> BatchDdeSystem for OneLane<'_, S> {
+    fn lane_dim(&self) -> usize {
+        self.0.dim()
+    }
+
+    fn lanes(&self) -> usize {
+        1
+    }
+
+    fn rhs_at(
+        &mut self,
+        at: StageInstant,
+        t: f64,
+        x: &[f64],
+        hist: &History,
+        stages: &mut Stages,
+        dxdt: &mut [f64],
+    ) {
+        self.0.rhs_at(at, t, x, hist, stages, dxdt);
+    }
+
+    fn min_delay(&self) -> f64 {
+        self.0.min_delay()
+    }
+
+    fn project(&mut self, t: f64, x: &mut [f64]) {
+        self.0.project(t, x);
     }
 }
 

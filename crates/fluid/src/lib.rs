@@ -1,4 +1,4 @@
-//! # fluid — ODE and delay-differential-equation integrators
+//! # fluid — delay-differential-equation integrators
 //!
 //! The fluid models in the CoNEXT'16 *"ECN or Delay"* paper (Figures 1 and 7)
 //! are systems of **delay differential equations** (DDEs): the right-hand
@@ -8,8 +8,6 @@
 //!
 //! This crate provides what those models need and nothing more:
 //!
-//! * [`OdeSystem`] + fixed-step Euler / RK4 and adaptive RKF45 integrators
-//!   for plain ODEs (used by unit tests and the PI-controller analysis);
 //! * [`History`] — a dense, linearly interpolated record of the solution,
 //!   queried by the model for arbitrary delayed lookups;
 //! * [`DdeSystem`] + a fixed-step RK4 DDE integrator using the method of
@@ -19,8 +17,9 @@
 //! * [`LaneSystem`] / [`LaneBatch`] + a batched lockstep RK4 DDE integrator
 //!   ([`try_integrate_dde_batch`]): B sweep configs integrate simultaneously
 //!   over one `[state_dim × B]` struct-of-arrays block with per-lane
-//!   divergence reporting, bit-identical to the scalar path at B = 1;
-//! * [`StagedLane`] / [`Stages`] — the integrators' stage slots
+//!   divergence reporting. This is the one step loop: a [`DdeSystem`]
+//!   integrates as a batch of one lane;
+//! * [`StagedLane`] / [`Stages`] — the integrator's stage slots
 //!   ([`stage`]): a lane kernel whose delayed lookups depend on `t` alone
 //!   builds what it derives from delayed state once per stage *instant* of
 //!   an RK4 step (two per step) rather than once per stage (four);
@@ -44,19 +43,17 @@ pub mod batch;
 pub mod classes;
 pub mod dde;
 pub mod history;
-pub mod ode;
 pub mod stage;
 pub mod trace;
 
 pub use batch::{
-    batch_stride, integrate_dde_batch, lane_of, pack_lanes, try_integrate_dde_batch,
-    BatchDdeSystem, LaneBatch, LaneSystem,
+    batch_stride, lane_of, pack_lanes, try_integrate_dde_batch, BatchDdeSystem, LaneBatch,
+    LaneSystem,
 };
 pub use classes::{
     integrate_flow_classes, try_integrate_classes, FlowClassSystem, FlowClasses, FlowLayout,
 };
 pub use dde::{integrate_dde, DdeSystem};
 pub use history::History;
-pub use ode::{integrate_ode, integrate_ode_adaptive, OdeSystem};
 pub use stage::{StageInstant, StagedLane, Stages};
 pub use trace::Trace;

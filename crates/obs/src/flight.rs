@@ -213,11 +213,11 @@ pub fn export_jsonl() -> String {
         for (ctx, buf) in &s.contexts {
             for e in &buf.ring {
                 let _ = write!(out, "{{\"ctx\": {ctx}, \"seq\": {}, \"t_s\": ", e.seq);
-                crate::push_f64(&mut out, e.t_s);
+                crate::json::write_f64(&mut out, e.t_s);
                 out.push_str(", \"kind\": \"");
                 out.push_str(e.kind);
                 out.push_str("\", \"aux\": ");
-                crate::push_f64(&mut out, e.aux);
+                crate::json::write_f64(&mut out, e.aux);
                 out.push_str(", \"by\": ");
                 match e.by {
                     Some(by) => {
@@ -243,7 +243,7 @@ pub fn dump_on_error(reason: &str) -> Option<PathBuf> {
     }
     let path = with_sink(|s| s.dump_path.clone())?;
     let mut out = String::from("{\"kind\": \"flight_dump\", \"reason\": ");
-    crate::push_str_lit(&mut out, reason);
+    crate::json::write_str(&mut out, reason);
     out.push_str("}\n");
     out.push_str(&export_jsonl());
     // simlint: allow(no-raw-fs-write) — post-mortem diagnostic sink: written while the process is already failing, best-effort by design, and obs sits below store so the atomic writer is out of reach

@@ -19,7 +19,10 @@
 //!   percentiles at incast scale cost O(windows + buckets), not O(samples);
 //! * [`flight`] — the causal flight recorder: a bounded per-context ring of
 //!   recent event-core operations with scheduled-by back-pointers, dumped as
-//!   JSONL when a `SimError` site calls [`flight::dump_on_error`].
+//!   JSONL when a `SimError` site calls [`flight::dump_on_error`];
+//! * [`json`] — the workspace's one JSON value tree, reader and writers. The
+//!   exporters above write through it, and so does every other crate: `obs`
+//!   is the bottom of the crate graph.
 //!
 //! Everything is **off by default**. A disabled instrumentation point costs
 //! one relaxed atomic load and a predictable branch — no locks, no
@@ -44,6 +47,7 @@
 #![deny(missing_docs)]
 
 pub mod flight;
+pub mod json;
 pub mod metrics;
 pub mod span;
 pub mod timeseries;
@@ -51,68 +55,3 @@ pub mod trace;
 
 pub use span::Phase;
 pub use trace::Event;
-
-use std::fmt::Write as _;
-
-/// Append `x` to `out` in the workspace JSON convention: shortest
-/// round-trip formatting with a forced `.0` for integral values, `null` for
-/// non-finite values (matching `ecn_delay_core::json`).
-pub(crate) fn push_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let start = out.len();
-        let _ = write!(out, "{x}");
-        if !out[start..].contains(['.', 'e', 'E']) {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Append a JSON string literal (the instrumentation layer only uses
-/// identifier-like names, but escape defensively).
-pub(crate) fn push_str_lit(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn f64_formatting_matches_core_json_convention() {
-        let mut s = String::new();
-        push_f64(&mut s, 1.0);
-        assert_eq!(s, "1.0");
-        s.clear();
-        push_f64(&mut s, 0.25);
-        assert_eq!(s, "0.25");
-        s.clear();
-        push_f64(&mut s, f64::NAN);
-        assert_eq!(s, "null");
-        s.clear();
-        push_f64(&mut s, 2.5e-7);
-        assert_eq!(s, "0.00000025");
-    }
-
-    #[test]
-    fn string_escaping() {
-        let mut s = String::new();
-        push_str_lit(&mut s, "a\"b\\c\nd");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\"");
-    }
-}

@@ -191,7 +191,7 @@ pub fn snapshot_json() -> String {
         first = true;
         for (name, v) in &r.gauges {
             push_key(&mut out, &mut first, name);
-            crate::push_f64(&mut out, *v);
+            crate::json::write_f64(&mut out, *v);
         }
         close_section(&mut out, first);
         out.push_str(",\n  \"histograms\": {");
@@ -203,7 +203,7 @@ pub fn snapshot_json() -> String {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                crate::push_f64(&mut out, *b);
+                crate::json::write_f64(&mut out, *b);
             }
             out.push_str("], \"counts\": [");
             for (i, c) in h.counts.iter().enumerate() {
@@ -228,7 +228,7 @@ fn push_key(out: &mut String, first: &mut bool, name: &str) {
     }
     *first = false;
     out.push_str("\n    ");
-    crate::push_str_lit(out, name);
+    crate::json::write_str(out, name);
     out.push_str(": ");
 }
 

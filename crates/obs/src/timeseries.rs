@@ -293,7 +293,7 @@ pub fn buffered_windows() -> u64 {
 
 fn push_opt_f64(out: &mut String, v: Option<f64>) {
     match v {
-        Some(x) => crate::push_f64(out, x),
+        Some(x) => crate::json::write_f64(out, x),
         None => out.push_str("null"),
     }
 }
@@ -313,9 +313,9 @@ pub fn export_jsonl() -> String {
         let mut out = String::new();
         for (&(name, key, ctx), series) in &s.series {
             let _ = write!(out, "{{\"kind\": \"series\", \"name\": ");
-            crate::push_str_lit(&mut out, name);
+            crate::json::write_str(&mut out, name);
             let _ = write!(out, ", \"key\": {key}, \"ctx\": {ctx}, \"window_s\": ");
-            crate::push_f64(&mut out, series.window_s);
+            crate::json::write_f64(&mut out, series.window_s);
             let _ = writeln!(
                 out,
                 ", \"windows\": {}, \"dropped\": {}}}",
@@ -324,26 +324,26 @@ pub fn export_jsonl() -> String {
             );
             for (&w, agg) in &series.windows {
                 let _ = write!(out, "{{\"kind\": \"win\", \"name\": ");
-                crate::push_str_lit(&mut out, name);
+                crate::json::write_str(&mut out, name);
                 let _ = write!(
                     out,
                     ", \"key\": {key}, \"ctx\": {ctx}, \"w\": {w}, \"t_s\": "
                 );
-                crate::push_f64(&mut out, w as f64 * series.window_s);
+                crate::json::write_f64(&mut out, w as f64 * series.window_s);
                 let _ = write!(out, ", \"count\": {}, \"mean\": ", agg.count);
-                crate::push_f64(&mut out, agg.sum / agg.count as f64);
+                crate::json::write_f64(&mut out, agg.sum / agg.count as f64);
                 out.push_str(", \"min\": ");
-                crate::push_f64(&mut out, agg.min);
+                crate::json::write_f64(&mut out, agg.min);
                 out.push_str(", \"max\": ");
-                crate::push_f64(&mut out, agg.max);
+                crate::json::write_f64(&mut out, agg.max);
                 out.push_str(", \"last\": ");
-                crate::push_f64(&mut out, agg.last);
+                crate::json::write_f64(&mut out, agg.last);
                 out.push_str("}\n");
             }
         }
         for (&(name, key, ctx), h) in &s.hists {
             let _ = write!(out, "{{\"kind\": \"hist\", \"name\": ");
-            crate::push_str_lit(&mut out, name);
+            crate::json::write_str(&mut out, name);
             let _ = write!(
                 out,
                 ", \"key\": {key}, \"ctx\": {ctx}, \"count\": {}, \"zero\": {}, \"non_finite\": {}",

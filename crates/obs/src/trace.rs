@@ -185,7 +185,7 @@ impl Event {
             }
             Event::RateUpdate { flow, rate_bps } => {
                 let _ = write!(out, ", \"flow\": {flow}, \"rate_bps\": ");
-                crate::push_f64(out, *rate_bps);
+                crate::json::write_f64(out, *rate_bps);
             }
             Event::PfcPause { link } => {
                 let _ = write!(out, ", \"link\": {link}");
@@ -195,9 +195,9 @@ impl Event {
             }
             Event::GradientSample { gradient, rtt_s } => {
                 out.push_str(", \"gradient\": ");
-                crate::push_f64(out, *gradient);
+                crate::json::write_f64(out, *gradient);
                 out.push_str(", \"rtt_s\": ");
-                crate::push_f64(out, *rtt_s);
+                crate::json::write_f64(out, *rtt_s);
             }
             Event::DdeStep { step, dim } => {
                 let _ = write!(out, ", \"step\": {step}, \"dim\": {dim}");
@@ -229,7 +229,7 @@ impl Event {
             }
             Event::FaultDelay { link, extra_s } => {
                 let _ = write!(out, ", \"link\": {link}, \"extra_s\": ");
-                crate::push_f64(out, *extra_s);
+                crate::json::write_f64(out, *extra_s);
             }
             Event::FaultPause { link } => {
                 let _ = write!(out, ", \"link\": {link}");
@@ -246,11 +246,11 @@ impl Event {
             }
             Event::ParamPerturbed { param, scale } => {
                 let _ = write!(out, ", \"param\": \"{param}\", \"scale\": ");
-                crate::push_f64(out, *scale);
+                crate::json::write_f64(out, *scale);
             }
             Event::WatchdogTrip { step, state_norm } => {
                 let _ = write!(out, ", \"step\": {step}, \"state_norm\": ");
-                crate::push_f64(out, *state_norm);
+                crate::json::write_f64(out, *state_norm);
             }
         }
     }
@@ -402,7 +402,7 @@ pub fn export_jsonl() -> String {
         for (ctx, buf) in &s.contexts {
             for r in &buf.ring {
                 let _ = write!(out, "{{\"ctx\": {ctx}, \"seq\": {}, \"t_s\": ", r.seq);
-                crate::push_f64(&mut out, r.t_s);
+                crate::json::write_f64(&mut out, r.t_s);
                 out.push_str(", \"type\": \"");
                 out.push_str(r.event.kind());
                 out.push('"');

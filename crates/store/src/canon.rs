@@ -3,22 +3,15 @@
 //! A store key must identify a scenario by *meaning*, not by the accidents
 //! of its serialization: two renderings of the same config — different key
 //! order, different whitespace, `1.50` vs `1.5` — must collide, and any
-//! semantic change must not. Canonical form is therefore:
-//!
-//! * objects with keys sorted bytewise (recursively);
-//! * compact separators (no whitespace);
-//! * integers rendered losslessly, floats through Rust's shortest
-//!   round-trip `Display` with a forced `.0` (exactly the
-//!   `ecn_delay_core::json` float convention) and `-0.0` normalized to
-//!   `0.0`;
-//! * strings re-escaped with the minimal escape set.
+//! semantic change must not. Canonical form is therefore
+//! `obs::json::Value::render_canonical`: keys sorted bytewise
+//! (recursively), no whitespace, integers lossless, floats in the workspace
+//! convention with `-0.0` normalized to `0.0`, strings re-escaped with the
+//! minimal escape set.
 //!
 //! The key is a 64-bit FNV-1a fold over `experiment id ++ 0x00 ++ canonical
 //! config` — the same hash family as the `ext_incast` report digests, so
 //! the whole repo speaks one fingerprint dialect.
-
-use crate::json::{parse, Value};
-use std::fmt::Write as _;
 
 /// FNV-1a offset basis (matches `ext_incast::report_digest`).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -54,10 +47,7 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// Canonicalize a config document (see module docs). Errors are parse
 /// failures with byte offsets.
 pub fn canonical(config_json: &str) -> Result<String, String> {
-    let v = parse(config_json)?;
-    let mut out = String::new();
-    render(&v, &mut out);
-    Ok(out)
+    Ok(obs::json::parse(config_json)?.render_canonical())
 }
 
 /// Compute the store key for `(experiment id, config JSON)`. The id and the
@@ -68,73 +58,6 @@ pub fn spec_key(experiment: &str, config_json: &str) -> Result<SpecKey, String> 
     let h = fnv1a(FNV_OFFSET, experiment.as_bytes());
     let h = fnv1a(h, &[0u8]);
     Ok(SpecKey(fnv1a(h, canon.as_bytes())))
-}
-
-fn render(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::Num(x) => {
-            // Normalize the one float with two bit patterns; everything
-            // else round-trips exactly through shortest `Display`.
-            let x = if x.to_bits() == (-0.0f64).to_bits() {
-                0.0
-            } else {
-                *x
-            };
-            let s = format!("{x}");
-            out.push_str(&s);
-            if !s.contains(['.', 'e', 'E']) {
-                out.push_str(".0");
-            }
-        }
-        Value::Str(s) => {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render(item, out);
-            }
-            out.push(']');
-        }
-        Value::Obj(entries) => {
-            let mut order: Vec<usize> = (0..entries.len()).collect();
-            order.sort_by(|&a, &b| entries[a].0.cmp(&entries[b].0));
-            out.push('{');
-            for (n, &i) in order.iter().enumerate() {
-                if n > 0 {
-                    out.push(',');
-                }
-                render(&Value::Str(entries[i].0.clone()), out);
-                out.push(':');
-                render(&entries[i].1, out);
-            }
-            out.push('}');
-        }
-    }
 }
 
 #[cfg(test)]

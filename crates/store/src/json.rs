@@ -1,299 +1,4 @@
-//! Minimal JSON reader shared by the canonicalizer and record consumers.
-//!
-//! The workspace is dependency-free and `ecn_delay_core::json` is emit-only,
-//! so the store carries its own recursive-descent reader (the same shape as
-//! the `faults::spec` reader, made public here because store clients need to
-//! *parse* cached records back, not just hash them). Integers are kept
-//! lossless as `i128` — experiment seeds and digests exceed the exact range
-//! of `f64` — and every parse error carries a byte offset.
+//! The JSON reader under the name store clients import: records come back
+//! from the store as text, and `obs::json` parses them.
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number without fraction or exponent, kept losslessly.
-    Int(i128),
-    /// Any other finite number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object, as an ordered key/value list (duplicates are rejected at
-    /// parse time).
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Object entry by key, if this value is an object and the key exists.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// String content, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Numeric content widened to `f64`; `Null` reads as NaN (the emitter
-    /// writes non-finite floats as `null`).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Num(n) => Some(*n),
-            Value::Null => Some(f64::NAN),
-            _ => None,
-        }
-    }
-
-    /// Non-negative integer content, if it fits `u64` exactly.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Int(i) => u64::try_from(*i).ok(),
-            _ => None,
-        }
-    }
-
-    /// Array items, if this is an array.
-    pub fn items(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a complete JSON document. Errors name the failing byte offset.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let mut r = Reader {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = r.value()?;
-    r.skip_ws();
-    if r.pos != r.bytes.len() {
-        return Err(r.msg("trailing characters after document"));
-    }
-    Ok(v)
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn msg(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.pos)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect_byte(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.msg(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.msg("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.msg("invalid literal"))
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect_byte(b'{')?;
-        let mut entries: Vec<(String, Value)> = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            if entries.iter().any(|(k, _)| *k == key) {
-                return Err(self.msg(&format!("duplicate key {key:?}")));
-            }
-            self.expect_byte(b':')?;
-            let v = self.value()?;
-            entries.push((key, v));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Obj(entries)),
-                _ => return Err(self.msg("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect_byte(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Value::Arr(items)),
-                _ => return Err(self.msg("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        if self.bump() != Some(b'"') {
-            return Err(self.msg("expected string"));
-        }
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    // \b, \f, \uXXXX never appear in the in-tree emitter's
-                    // output, which is the only producer of stored records.
-                    _ => return Err(self.msg("unsupported escape")),
-                },
-                Some(c) if c < 0x80 => out.push(c as char),
-                Some(_) => {
-                    // Re-read the full UTF-8 scalar from the source slice.
-                    let start = self.pos - 1;
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.msg("invalid UTF-8 in string"))?;
-                    let Some(ch) = s.chars().next() else {
-                        return Err(self.msg("unterminated string"));
-                    };
-                    out.push(ch);
-                    self.pos = start + ch.len_utf8();
-                }
-                None => return Err(self.msg("unterminated string")),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.msg("invalid number"))?;
-        // Fraction/exponent-free numbers stay lossless integers.
-        if !text.contains(['.', 'e', 'E']) {
-            if let Ok(i) = text.parse::<i128>() {
-                return Ok(Value::Int(i));
-            }
-        }
-        match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Value::Num(n)),
-            _ => Err(self.msg(&format!("invalid number {text:?}"))),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn integers_stay_lossless() {
-        let v = parse("{\"seed\": 18446744073709551615}").expect("parses");
-        assert_eq!(v.get("seed").and_then(Value::as_u64), Some(u64::MAX));
-        let v = parse("9007199254740993").expect("parses"); // 2^53 + 1
-        assert_eq!(v, Value::Int(9_007_199_254_740_993));
-    }
-
-    #[test]
-    fn floats_and_null_read_back() {
-        let v = parse("{\"x\": 0.125, \"y\": null, \"n\": 3}").expect("parses");
-        assert_eq!(v.get("x").and_then(Value::as_f64), Some(0.125));
-        assert!(v.get("y").and_then(Value::as_f64).is_some_and(f64::is_nan));
-        assert_eq!(v.get("n").and_then(Value::as_f64), Some(3.0));
-    }
-
-    #[test]
-    fn structural_accessors() {
-        let v = parse("{\"cells\": [{\"p\": \"dcqcn\"}], \"ok\": true}").expect("parses");
-        let cells = v.get("cells").and_then(Value::items).expect("array");
-        assert_eq!(cells.len(), 1);
-        assert_eq!(cells[0].get("p").and_then(Value::as_str), Some("dcqcn"));
-        assert_eq!(v.get("missing"), None);
-    }
-
-    #[test]
-    fn errors_carry_byte_offsets() {
-        for (doc, needle) in [
-            ("", "expected a JSON value"),
-            ("{\"a\": 1} x", "trailing characters"),
-            ("{\"a\": 1, \"a\": 2}", "duplicate key"),
-            ("[1, 2", "expected ',' or ']'"),
-            ("{\"a\" 1}", "expected ':'"),
-        ] {
-            let e = parse(doc).expect_err(doc);
-            assert!(e.contains(needle), "{doc:?}: {e}");
-            assert!(e.contains("at byte"), "{doc:?}: {e}");
-        }
-    }
-}
+pub use obs::json::{parse, Value};

@@ -109,6 +109,16 @@ fn canonicalization_is_idempotent_and_order_invariant_on_random_specs() {
 }
 
 #[test]
+fn canonical_form_of_a_control_character_is_a_fixed_point() {
+    // A raw 0x01 inside a string canonicalizes to a `\u00XX` escape: every
+    // writer emitted it, and no reader accepted it until reader and writers
+    // became one module.
+    let canon = store::canon::canonical("{\"note\": \"a\u{1}b\"}").expect("parses");
+    assert_eq!(canon, "{\"note\":\"a\\u0001b\"}");
+    assert_eq!(store::canon::canonical(&canon), Ok(canon.clone()));
+}
+
+#[test]
 fn random_payloads_round_trip_through_put_get() {
     let root = tmp("roundtrip");
     let st = store::Store::open(&root).expect("open");

@@ -1,15 +1,13 @@
 //! Machine-readable report and the checked-in findings baseline.
 //!
 //! `cargo xtask lint --format json` renders the full findings list through
-//! `ecn_delay_core::json` (byte-stable: sorted findings, insertion-order
-//! keys, shortest round-trip floats — none here). The baseline file
+//! `obs::json` (byte-stable: sorted findings, insertion-order keys, shortest
+//! round-trip floats — none here). The baseline file
 //! `simlint.baseline.json` holds `(file, rule, count)` triples — counts, not
 //! line numbers, so unrelated edits that shift lines do not invalidate it —
 //! and the lint run fails only on findings beyond the baselined count.
-//! `ecn_delay_core::json` is emit-only, so the small recursive-descent
-//! reader lives here.
 
-use ecn_delay_core::json::Json;
+use obs::json::Value;
 
 use crate::{Severity, Violation};
 
@@ -77,6 +75,16 @@ pub fn apply_baseline(violations: Vec<Violation>, baseline: &[BaselineEntry]) ->
     Analysis { findings, stale }
 }
 
+/// A `(file, rule, count)` triple as the baseline file and the report's
+/// stale list both write it.
+fn entry_row(file: String, rule: String, count: usize) -> Value {
+    Value::Obj(vec![
+        ("file".into(), Value::Str(file)),
+        ("rule".into(), Value::Str(rule)),
+        ("count".into(), Value::Int(count as i128)),
+    ])
+}
+
 /// Render the current error-severity findings as a baseline file (grouped
 /// counts, sorted by file then rule).
 pub fn render_baseline(violations: &[Violation]) -> String {
@@ -94,20 +102,14 @@ pub fn render_baseline(violations: &[Violation]) -> String {
         }
     }
     counts.sort();
-    let entries: Vec<Json> = counts
+    let entries: Vec<Value> = counts
         .into_iter()
-        .map(|(file, rule, count)| {
-            Json::Obj(vec![
-                ("file".into(), Json::Str(file)),
-                ("rule".into(), Json::Str(rule)),
-                ("count".into(), Json::Int(count as i128)),
-            ])
-        })
+        .map(|(file, rule, count)| entry_row(file, rule, count))
         .collect();
-    let doc = Json::Obj(vec![
-        ("version".into(), Json::Int(1)),
-        ("tool".into(), Json::Str("simlint".into())),
-        ("entries".into(), Json::Arr(entries)),
+    let doc = Value::Obj(vec![
+        ("version".into(), Value::Int(1)),
+        ("tool".into(), Value::Str("simlint".into())),
+        ("entries".into(), Value::Arr(entries)),
     ]);
     doc.render_pretty() + "\n"
 }
@@ -115,17 +117,17 @@ pub fn render_baseline(violations: &[Violation]) -> String {
 /// Render the full findings report (`--format json`). Byte-stable: findings
 /// arrive sorted, keys are insertion-ordered, rule counts are sorted.
 pub fn render_report(findings: &[(Violation, bool)], stale: &[BaselineEntry]) -> String {
-    let rows: Vec<Json> = findings
+    let rows: Vec<Value> = findings
         .iter()
         .map(|(v, baselined)| {
-            Json::Obj(vec![
-                ("file".into(), Json::Str(v.file.display().to_string())),
-                ("line".into(), Json::Int(v.line as i128)),
-                ("col".into(), Json::Int(v.col as i128)),
-                ("rule".into(), Json::Str(v.rule.name().into())),
-                ("severity".into(), Json::Str(v.severity().name().into())),
-                ("message".into(), Json::Str(v.message.clone())),
-                ("baselined".into(), Json::Bool(*baselined)),
+            Value::Obj(vec![
+                ("file".into(), Value::Str(v.file.display().to_string())),
+                ("line".into(), Value::Int(v.line as i128)),
+                ("col".into(), Value::Int(v.col as i128)),
+                ("rule".into(), Value::Str(v.rule.name().into())),
+                ("severity".into(), Value::Str(v.severity().name().into())),
+                ("message".into(), Value::Str(v.message.clone())),
+                ("baselined".into(), Value::Bool(*baselined)),
             ])
         })
         .collect();
@@ -149,240 +151,64 @@ pub fn render_report(findings: &[(Violation, bool)], stale: &[BaselineEntry]) ->
         .iter()
         .filter(|(v, b)| !b && v.severity() == Severity::Error)
         .count();
-    let stale_rows: Vec<Json> = stale
+    let stale_rows: Vec<Value> = stale
         .iter()
-        .map(|b| {
-            Json::Obj(vec![
-                ("file".into(), Json::Str(b.file.clone())),
-                ("rule".into(), Json::Str(b.rule.clone())),
-                ("count".into(), Json::Int(b.count as i128)),
-            ])
-        })
+        .map(|b| entry_row(b.file.clone(), b.rule.clone(), b.count))
         .collect();
-    let doc = Json::Obj(vec![
-        ("version".into(), Json::Int(1)),
-        ("tool".into(), Json::Str("simlint".into())),
-        ("findings".into(), Json::Arr(rows)),
+    let doc = Value::Obj(vec![
+        ("version".into(), Value::Int(1)),
+        ("tool".into(), Value::Str("simlint".into())),
+        ("findings".into(), Value::Arr(rows)),
         (
             "summary".into(),
-            Json::Obj(vec![
-                ("total".into(), Json::Int(total as i128)),
-                ("errors".into(), Json::Int(errors as i128)),
-                ("warnings".into(), Json::Int((total - errors) as i128)),
-                ("baselined".into(), Json::Int(baselined as i128)),
-                ("new_errors".into(), Json::Int(new_errors as i128)),
+            Value::Obj(vec![
+                ("total".into(), Value::Int(total as i128)),
+                ("errors".into(), Value::Int(errors as i128)),
+                ("warnings".into(), Value::Int((total - errors) as i128)),
+                ("baselined".into(), Value::Int(baselined as i128)),
+                ("new_errors".into(), Value::Int(new_errors as i128)),
                 (
                     "by_rule".into(),
-                    Json::Obj(
+                    Value::Obj(
                         by_rule
                             .into_iter()
-                            .map(|(r, c)| (r, Json::Int(c as i128)))
+                            .map(|(r, c)| (r, Value::Int(c as i128)))
                             .collect(),
                     ),
                 ),
             ]),
         ),
-        ("stale_baseline".into(), Json::Arr(stale_rows)),
+        ("stale_baseline".into(), Value::Arr(stale_rows)),
     ]);
     doc.render_pretty() + "\n"
 }
 
-/// Parse a baseline file. `ecn_delay_core::json` only emits, so this is the
-/// matching minimal reader: objects, arrays, strings (no escapes beyond
-/// `\"`/`\\`), and unsigned integers — exactly what `render_baseline`
-/// produces.
+/// Parse a baseline file: the `entries` array of the object
+/// [`render_baseline`] writes. Other keys are ignored, so the format can grow.
 pub fn parse_baseline(src: &str) -> Result<Vec<BaselineEntry>, String> {
-    let mut p = Parser {
-        chars: src.chars().collect(),
-        i: 0,
+    let doc = obs::json::parse(src).map_err(|e| format!("baseline parse error: {e}"))?;
+    if !matches!(doc, Value::Obj(_)) {
+        return Err("baseline parse error: top level must be an object".into());
+    }
+    let Some(entries) = doc.get("entries") else {
+        return Ok(Vec::new());
     };
-    p.skip_ws();
-    p.expect('{')?;
-    let mut entries = Vec::new();
-    loop {
-        p.skip_ws();
-        if p.eat('}') {
-            break;
-        }
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(':')?;
-        p.skip_ws();
-        match key.as_str() {
-            "entries" => {
-                p.expect('[')?;
-                loop {
-                    p.skip_ws();
-                    if p.eat(']') {
-                        break;
-                    }
-                    entries.push(p.entry()?);
-                    p.skip_ws();
-                    p.eat(',');
+    let Some(entries) = entries.items() else {
+        return Err("baseline parse error: \"entries\" must be an array".into());
+    };
+    entries
+        .iter()
+        .map(|e| {
+            let text = |key| e.get(key).and_then(Value::as_str).map(str::to_string);
+            let count = e.get("count").and_then(Value::as_u64);
+            match (text("file"), text("rule"), count.map(usize::try_from)) {
+                (Some(file), Some(rule), Some(Ok(count))) => {
+                    Ok(BaselineEntry { file, rule, count })
                 }
+                _ => Err("baseline entry missing file/rule/count".into()),
             }
-            _ => p.skip_value()?,
-        }
-        p.skip_ws();
-        p.eat(',');
-    }
-    Ok(entries)
-}
-
-struct Parser {
-    chars: Vec<char>,
-    i: usize,
-}
-
-impl Parser {
-    fn skip_ws(&mut self) {
-        while self.chars.get(self.i).is_some_and(|c| c.is_whitespace()) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: char) -> bool {
-        if self.chars.get(self.i) == Some(&c) {
-            self.i += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            Err(format!(
-                "baseline parse error at char {}: expected {c:?}, found {:?}",
-                self.i,
-                self.chars.get(self.i)
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut s = String::new();
-        loop {
-            match self.chars.get(self.i) {
-                Some('"') => {
-                    self.i += 1;
-                    return Ok(s);
-                }
-                Some('\\') => {
-                    self.i += 1;
-                    if let Some(&c) = self.chars.get(self.i) {
-                        s.push(c);
-                        self.i += 1;
-                    }
-                }
-                Some(&c) => {
-                    s.push(c);
-                    self.i += 1;
-                }
-                None => return Err("baseline parse error: unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<usize, String> {
-        let start = self.i;
-        while self.chars.get(self.i).is_some_and(|c| c.is_ascii_digit()) {
-            self.i += 1;
-        }
-        if start == self.i {
-            return Err(format!(
-                "baseline parse error at char {start}: expected digits"
-            ));
-        }
-        let s: String = self.chars[start..self.i].iter().collect();
-        s.parse()
-            .map_err(|e| format!("baseline parse error: bad count {s:?}: {e}"))
-    }
-
-    fn entry(&mut self) -> Result<BaselineEntry, String> {
-        self.skip_ws();
-        self.expect('{')?;
-        let (mut file, mut rule, mut count) = (None, None, None);
-        loop {
-            self.skip_ws();
-            if self.eat('}') {
-                break;
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(':')?;
-            self.skip_ws();
-            match key.as_str() {
-                "file" => file = Some(self.string()?),
-                "rule" => rule = Some(self.string()?),
-                "count" => count = Some(self.number()?),
-                _ => self.skip_value()?,
-            }
-            self.skip_ws();
-            self.eat(',');
-        }
-        match (file, rule, count) {
-            (Some(file), Some(rule), Some(count)) => Ok(BaselineEntry { file, rule, count }),
-            _ => Err("baseline entry missing file/rule/count".into()),
-        }
-    }
-
-    /// Skip any well-formed value (for forward-compatible extra keys).
-    fn skip_value(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.chars.get(self.i) {
-            Some('"') => {
-                self.string()?;
-            }
-            Some('{') => {
-                self.i += 1;
-                loop {
-                    self.skip_ws();
-                    if self.eat('}') {
-                        break;
-                    }
-                    self.string()?;
-                    self.skip_ws();
-                    self.expect(':')?;
-                    self.skip_value()?;
-                    self.skip_ws();
-                    self.eat(',');
-                }
-            }
-            Some('[') => {
-                self.i += 1;
-                loop {
-                    self.skip_ws();
-                    if self.eat(']') {
-                        break;
-                    }
-                    self.skip_value()?;
-                    self.skip_ws();
-                    self.eat(',');
-                }
-            }
-            Some(c) if c.is_ascii_digit() || *c == '-' => {
-                self.i += 1;
-                while self
-                    .chars
-                    .get(self.i)
-                    .is_some_and(|c| c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E' | '+' | '-'))
-                {
-                    self.i += 1;
-                }
-            }
-            Some('t') | Some('f') | Some('n') => {
-                while self.chars.get(self.i).is_some_and(|c| c.is_alphabetic()) {
-                    self.i += 1;
-                }
-            }
-            other => return Err(format!("baseline parse error: unexpected {other:?}")),
-        }
-        Ok(())
-    }
+        })
+        .collect()
 }
 
 #[cfg(test)]

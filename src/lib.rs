@@ -4,7 +4,7 @@
 //! reach every layer through one dependency:
 //!
 //! * [`desim`] — deterministic discrete-event kernel (time, events, RNG);
-//! * [`fluid`] — ODE/DDE integrators with dense history;
+//! * [`fluid`] — DDE integrators with dense history;
 //! * [`control`] — delayed-LTI stability analysis;
 //! * [`models`] — the paper's fluid models (DCQCN, TIMELY, Patched TIMELY);
 //! * [`netsim`] — the packet-level simulator;
