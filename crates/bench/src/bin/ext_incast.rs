@@ -32,6 +32,7 @@
 //! Malformed or out-of-range flags exit with status 2 after printing a
 //! one-line JSON diagnostic (`{"error": "invalid_usage", ...}`) to stderr.
 
+use bench::cli::Usage;
 use ecn_delay_core::experiments::ext_incast::{
     run_supervised, run_zero_fault_identity, ExtIncastConfig, SuperviseOpts,
 };
@@ -41,8 +42,7 @@ use ecn_delay_core::write_json;
 /// this many flows per host is rejected as out of range.
 const MAX_FLOWS_PER_HOST: usize = 64;
 
-/// Minimal flag parser over the process arguments; unknown flags are left
-/// for `bench::obs_cli` / `bench::store_cli`.
+/// The sweep's own flags, read and range-checked.
 struct Flags {
     k: usize,
     senders: Vec<usize>,
@@ -52,23 +52,7 @@ struct Flags {
     supervise: SuperviseOpts,
 }
 
-/// A rejected invocation: which flag and why. Rendered as a structured
-/// one-line diagnostic so scripts can tell usage errors from sim failures.
-struct Usage {
-    flag: &'static str,
-    reason: String,
-}
-
-impl Usage {
-    fn new(flag: &'static str, reason: impl Into<String>) -> Self {
-        Usage {
-            flag,
-            reason: reason.into(),
-        }
-    }
-}
-
-fn parse_flags() -> Result<Flags, Usage> {
+fn read_flags(own: &[(&'static str, String)]) -> Result<Flags, Usage> {
     let mut flags = Flags {
         k: 8,
         senders: vec![64, 256, 1024],
@@ -77,37 +61,13 @@ fn parse_flags() -> Result<Flags, Usage> {
         identity_check: false,
         supervise: SuperviseOpts::default(),
     };
-    let mut argv = std::env::args().skip(1);
-    while let Some(a) = argv.next() {
-        // `--store <dir>` takes a value that must not be mistaken for a
-        // flag; skip the pair here (store_cli parses it for real).
-        if a == "--store" || a == "--trace" || a == "--metrics" {
-            argv.next();
-            continue;
-        }
-        let flag: &'static str = match a.as_str() {
-            "--k" => "--k",
-            "--senders" => "--senders",
-            "--bytes" => "--bytes",
-            "--seed" => "--seed",
-            "--deadline-s" => "--deadline-s",
-            "--inject-panic" => "--inject-panic",
-            "--inject-hang" => "--inject-hang",
-            "--identity-check" => {
-                flags.identity_check = true;
-                continue;
-            }
-            _ => continue, // obs/store flags without values, or unknown
-        };
-        let raw = argv
-            .next()
-            .ok_or_else(|| Usage::new(flag, "missing value"))?;
-        let int = |what: &'static str| -> Result<u64, Usage> {
+    for (flag, raw) in own {
+        let int = || -> Result<u64, Usage> {
             raw.parse::<u64>()
-                .map_err(|_| Usage::new(what, format!("expected an integer, got {raw:?}")))
+                .map_err(|_| Usage::new(*flag, format!("expected an integer, got {raw:?}")))
         };
-        match flag {
-            "--k" => flags.k = int("--k")? as usize,
+        match *flag {
+            "--k" => flags.k = int()? as usize,
             "--senders" => {
                 let mut senders = Vec::new();
                 for part in raw.split(',') {
@@ -121,8 +81,8 @@ fn parse_flags() -> Result<Flags, Usage> {
                 }
                 flags.senders = senders;
             }
-            "--bytes" => flags.bytes = int("--bytes")?,
-            "--seed" => flags.seed = int("--seed")?,
+            "--bytes" => flags.bytes = int()?,
+            "--seed" => flags.seed = int()?,
             "--deadline-s" => {
                 let d: f64 = raw.parse().map_err(|_| {
                     Usage::new("--deadline-s", format!("expected seconds, got {raw:?}"))
@@ -135,11 +95,10 @@ fn parse_flags() -> Result<Flags, Usage> {
                 }
                 flags.supervise.deadline_s = Some(d);
             }
-            "--inject-panic" => {
-                flags.supervise.inject_panic = Some(int("--inject-panic")? as usize)
-            }
-            "--inject-hang" => flags.supervise.inject_hang = Some(int("--inject-hang")? as usize),
-            _ => unreachable!("flag list above is exhaustive"),
+            "--inject-panic" => flags.supervise.inject_panic = Some(int()? as usize),
+            "--inject-hang" => flags.supervise.inject_hang = Some(int()? as usize),
+            "--identity-check" => flags.identity_check = true,
+            _ => unreachable!("bench::cli hands back this entry's flags only"),
         }
     }
 
@@ -181,20 +140,9 @@ fn parse_flags() -> Result<Flags, Usage> {
 }
 
 fn main() {
-    let obs = bench::obs_cli::init();
-    let flags = match parse_flags() {
-        Ok(f) => f,
-        Err(u) => {
-            eprintln!("ext_incast: {}: {}", u.flag, u.reason);
-            let mut reason = String::new();
-            obs::json::write_str(&mut reason, &u.reason);
-            eprintln!(
-                "{{\"error\": \"invalid_usage\", \"flag\": \"{}\", \"reason\": {reason}}}",
-                u.flag
-            );
-            std::process::exit(2);
-        }
-    };
+    let args = bench::cli::parse(Some("ext_incast"));
+    let flags = read_flags(&args.own).unwrap_or_else(|u| u.exit("ext_incast"));
+    let obs = bench::obs_cli::init(&args);
     let cfg = ExtIncastConfig {
         k: flags.k,
         sender_counts: flags.senders.clone(),
@@ -204,7 +152,8 @@ fn main() {
     };
     // The sweep caches per cell, not per figure: pass the raw store through
     // and let `run_supervised` key each (protocol, fan-in) cell separately.
-    let store = bench::store_cli::init(
+    let store = bench::store_cli::from_dir(
+        args.store.as_deref(),
         "ext_incast",
         &ecn_delay_core::json::ToJson::to_json(&cfg).render_pretty(),
     );

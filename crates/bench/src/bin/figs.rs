@@ -1,0 +1,103 @@
+//! `figs <id> [flags]` regenerates one figure of [`FIGURES`];
+//! `figs --all [flags]` regenerates every one (paper-scale configurations).
+//!
+//! Under `--all` each figure is a child process of this same binary, run as
+//! a bounded parallel job pool via [`desim::par::par_map`]. The children
+//! stay processes on purpose: the `obs` sinks, the store counters and
+//! `ECN_DELAY_RESULTS` are process-global, and a child is what isolates an
+//! abort. Each child is pinned to `SIM_THREADS=1` — the parallelism budget
+//! is spent at the process level, and nesting would oversubscribe the
+//! machine. Captured stdout/stderr are replayed in table order once
+//! everything finishes, so the output (and the `results/` JSON) is identical
+//! to the serial run.
+//!
+//! `--all` reads `--trace <dir>` / `--metrics <dir>` as *directories*: each
+//! child is launched with `--trace <dir>/<id>_trace.jsonl` and/or
+//! `--metrics <dir>/<id>_metrics.json`. `--store <dir>` is forwarded: the
+//! children share one store directory (records are keyed by experiment id,
+//! so they never collide), which makes the whole regeneration resumable —
+//! kill it halfway and rerun, and the finished figures are served from disk.
+
+use std::process::Command;
+
+use bench::cli::{Args, Usage};
+use bench::figures::FIGURES;
+
+fn main() {
+    let args = bench::cli::parse(None);
+    match args.entry.as_deref() {
+        Some("--all") => all(&args),
+        Some(id) => match FIGURES.iter().find(|f| f.id == id) {
+            Some(f) => (f.body)(f, &args),
+            None => no_such_figure(),
+        },
+        None => no_such_figure(),
+    }
+}
+
+fn no_such_figure() -> ! {
+    eprintln!("usage: figs <id>|--all [flags], <id> one of:");
+    for f in FIGURES {
+        eprintln!("  {:<16} {}", f.id, f.title);
+    }
+    std::process::exit(2);
+}
+
+fn all(args: &Args) {
+    for (flag, given) in [
+        ("--timeseries", &args.timeseries),
+        ("--flight", &args.flight),
+    ] {
+        if given.is_some() {
+            Usage::new(flag, "--all fans out --trace and --metrics only").exit("figs");
+        }
+    }
+    for d in [&args.trace, &args.metrics, &args.store]
+        .into_iter()
+        .flatten()
+    {
+        std::fs::create_dir_all(d).unwrap_or_else(|e| panic!("create {}: {e}", d.display()));
+    }
+    let exe = std::env::current_exe().expect("current exe");
+    let outputs = desim::par::par_map(FIGURES.iter().map(|f| f.id).collect(), |id| {
+        let mut cmd = Command::new(&exe);
+        cmd.arg(id).env("SIM_THREADS", "1");
+        if let Some(d) = &args.trace {
+            cmd.arg("--trace").arg(d.join(format!("{id}_trace.jsonl")));
+        }
+        if let Some(d) = &args.metrics {
+            cmd.arg("--metrics")
+                .arg(d.join(format!("{id}_metrics.json")));
+        }
+        if let Some(d) = &args.store {
+            cmd.arg("--store").arg(d);
+        }
+        let out = cmd
+            .output()
+            .unwrap_or_else(|e| panic!("failed to launch {} {id}: {e}", exe.display()));
+        (id, out)
+    });
+    let mut failed = Vec::new();
+    for (id, out) in &outputs {
+        print!("{}", String::from_utf8_lossy(&out.stdout));
+        if !out.stderr.is_empty() {
+            eprint!("{}", String::from_utf8_lossy(&out.stderr));
+        }
+        if !out.status.success() {
+            failed.push(*id);
+        }
+    }
+    // Graceful degradation: the successful figures' JSON is already on disk
+    // at this point — report the failures and exit nonzero instead of
+    // aborting, so a single bad figure never hides the rest of the output.
+    if !failed.is_empty() {
+        eprintln!(
+            "{}/{} figures failed: {failed:?} (the remaining {} completed and wrote results/)",
+            failed.len(),
+            outputs.len(),
+            outputs.len() - failed.len()
+        );
+        std::process::exit(1);
+    }
+    println!("\nall figures regenerated; JSON in results/");
+}

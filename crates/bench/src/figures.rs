@@ -1,0 +1,642 @@
+//! The figure registry: every artifact of the paper's evaluation that
+//! `figs <id>` regenerates, in the order `figs --all` prints them.
+//!
+//! An entry keeps what is the figure's own — its experiment, its config and
+//! its console table. The protocol around it is `Figure::standard`'s:
+//! print the banner, serve the artifacts from the store when allowed, else
+//! run, print, write `<id>.json` under [`results_dir`], record and report.
+
+use std::path::PathBuf;
+
+use crate::cli::Args;
+use crate::obs_cli::{self, ObsCli};
+use crate::store_cli::{self, StoreCli};
+use crate::{banner, print_series, results_dir};
+use ecn_delay_core::experiments as ex;
+use ecn_delay_core::{write_json, write_series_csv, ToJson};
+
+mod ablations;
+mod ext_faults;
+
+/// One regenerable artifact.
+pub struct Figure {
+    /// The stable id: the `figs` argument, the store's experiment id and the
+    /// stem of `results/<id>.json`.
+    pub id: &'static str,
+    /// The banner printed above the console output.
+    pub title: &'static str,
+    /// Regenerate the artifact under the parsed flags.
+    pub body: fn(&Figure, &Args),
+}
+
+/// A figure run that was not served from the store, between its banner and
+/// its results.
+struct Run {
+    obs: ObsCli,
+    store: StoreCli,
+}
+
+impl Figure {
+    /// Start the flags' instrumentation, print the banner and look the
+    /// figure up in the store under `spec_json`. `None`: the artifacts were
+    /// served and there is nothing left to do. Traces and metrics describe a
+    /// run, so an instrumented invocation always runs.
+    fn begin(&self, args: &Args, spec_json: &str) -> Option<Run> {
+        let obs = obs_cli::init(args);
+        banner(self.title);
+        let store = store_cli::from_dir(args.store.as_deref(), self.id, spec_json);
+        if !obs.active() && store.try_serve().is_some() {
+            store.finish();
+            obs.finish();
+            return None;
+        }
+        Some(Run { obs, store })
+    }
+
+    /// Write `res` as `<id>.json`, let `csvs` write and name the files that
+    /// go beside it, and record them all as the figure's one store record.
+    fn save<R: ToJson>(&self, run: &Run, res: &R, csvs: Option<fn(&R) -> Vec<PathBuf>>) {
+        let path = results_dir().join(format!("{}.json", self.id));
+        write_json(&path, res).expect("write results");
+        let csvs = csvs.map_or_else(Vec::new, |write| write(res));
+        println!("\nresults -> {}", path.display());
+        let artifacts: Vec<PathBuf> = std::iter::once(path).chain(csvs).collect();
+        run.store.record(&artifacts);
+        run.store.finish();
+    }
+
+    /// The whole protocol for a figure that is `run(&cfg)` and a console
+    /// table.
+    fn standard<C: ToJson, R: ToJson>(
+        &self,
+        args: &Args,
+        cfg: C,
+        run: fn(&C) -> R,
+        print: fn(&C, &R),
+        csvs: Option<fn(&R) -> Vec<PathBuf>>,
+    ) {
+        let Some(started) = self.begin(args, &cfg.to_json().render_pretty()) else {
+            return;
+        };
+        let res = run(&cfg);
+        print(&cfg, &res);
+        self.save(&started, &res, csvs);
+        started.obs.finish();
+    }
+}
+
+/// Every figure, in the order `figs --all` runs and prints them.
+pub const FIGURES: &[Figure] = &[
+    Figure {
+        id: "eq14",
+        title: "Eq 14: p* approximation vs exact fixed point",
+        body: |f, a| f.standard(a, Default::default(), ex::eq14::run, eq14, None),
+    },
+    Figure {
+        id: "fig2",
+        title: "Figure 2: DCQCN fluid model vs packet simulation (40 Gbps)",
+        body: |f, a| f.standard(a, Default::default(), ex::fig2::run, fig2, Some(fig2_csvs)),
+    },
+    Figure {
+        id: "fig3",
+        title: "Figure 3: DCQCN phase margin (degrees) vs number of flows",
+        body: fig3_body,
+    },
+    Figure {
+        id: "fig4",
+        title: "Figure 4: DCQCN fluid stability grid (tau* x N)",
+        body: |f, a| f.standard(a, Default::default(), ex::fig4::run, fig4, None),
+    },
+    Figure {
+        id: "fig5",
+        title: "Figure 5: packet-level DCQCN instability (85 us loop)",
+        body: |f, a| f.standard(a, Default::default(), ex::fig5::run, fig5, None),
+    },
+    Figure {
+        id: "fig6",
+        title: "Figure 6 / Theorem 2: discrete AIMD convergence",
+        body: |f, a| f.standard(a, Default::default(), ex::fig6::run, fig6, None),
+    },
+    Figure {
+        id: "thm2",
+        title: "Theorem 2: exponential convergence of DCQCN rates",
+        body: thm2,
+    },
+    Figure {
+        id: "fig8",
+        title: "Figure 8: TIMELY fluid model vs packet simulation (10 Gbps)",
+        body: |f, a| f.standard(a, Default::default(), ex::fig8::run, fig8, None),
+    },
+    Figure {
+        id: "fig9",
+        title: "Figure 9: TIMELY multi-equilibria (2 flows, fluid)",
+        body: |f, a| f.standard(a, Default::default(), ex::fig9::run, fig9, None),
+    },
+    Figure {
+        id: "fig10",
+        title: "Figure 10: impact of per-burst pacing on TIMELY",
+        body: |f, a| f.standard(a, Default::default(), ex::fig10::run, fig10, None),
+    },
+    Figure {
+        id: "fig11",
+        title: "Figure 11: Patched TIMELY phase margin vs N",
+        body: |f, a| f.standard(a, Default::default(), ex::fig11::run, fig11, None),
+    },
+    Figure {
+        id: "fig12",
+        title: "Figure 12: Patched TIMELY convergence and stability",
+        body: |f, a| f.standard(a, Default::default(), ex::fig12::run, fig12, None),
+    },
+    Figure {
+        id: "fig14",
+        title: "Figure 14: small-flow FCT vs load (dumbbell, 10 Gbps)",
+        body: |f, a| f.standard(a, Default::default(), ex::fig14::run, fig14, None),
+    },
+    Figure {
+        id: "fig15",
+        title: "Figure 15: CDF of small-flow FCT, load = 0.8",
+        body: |f, a| f.standard(a, Default::default(), ex::fig15::run, fig15, None),
+    },
+    Figure {
+        id: "fig16",
+        title: "Figure 16: bottleneck queue, load = 0.8",
+        body: |f, a| {
+            f.standard(
+                a,
+                Default::default(),
+                ex::fig16::run,
+                fig16,
+                Some(fig16_csvs),
+            )
+        },
+    },
+    Figure {
+        id: "fig17",
+        title: "Figure 17: DCQCN with egress vs ingress marking (85 us loop)",
+        body: |f, a| f.standard(a, Default::default(), ex::fig17::run, fig17, None),
+    },
+    Figure {
+        id: "fig18",
+        title: "Figure 18: DCQCN + PI controller (q_ref = 100 KB)",
+        body: |f, a| f.standard(a, Default::default(), ex::fig18::run, fig18, None),
+    },
+    Figure {
+        id: "fig19",
+        title: "Figure 19: Patched TIMELY + end-host PI (q_ref = 300 KB)",
+        body: |f, a| f.standard(a, Default::default(), ex::fig19::run, fig19, None),
+    },
+    Figure {
+        id: "fig20",
+        title: "Figure 20: uniform [0,100us] feedback jitter",
+        body: |f, a| f.standard(a, Default::default(), ex::fig20::run, fig20, None),
+    },
+    Figure {
+        id: "ext_pi_packet",
+        title: "Extension: packet-level DCQCN + PI AQM vs RED",
+        body: |f, a| {
+            f.standard(
+                a,
+                ex::ext_pi_packet::ExtPiPacketConfig {
+                    duration_s: 0.25,
+                    ..Default::default()
+                },
+                ex::ext_pi_packet::run,
+                ext_pi_packet,
+                None,
+            )
+        },
+    },
+    Figure {
+        id: "ext_parking_lot",
+        title: "Extension: DCQCN on a 3-hop parking lot",
+        body: |f, a| {
+            f.standard(
+                a,
+                Default::default(),
+                ex::ext_parking_lot::run,
+                ext_parking_lot,
+                None,
+            )
+        },
+    },
+    Figure {
+        id: "ext_pfc",
+        title: "Extension: ECN-before-PFC vs PFC-only (4 flows, 10 Gbps)",
+        body: |f, a| f.standard(a, Default::default(), ex::ext_pfc::run, ext_pfc, None),
+    },
+    Figure {
+        id: "ext_faults",
+        title: "Extension: fault injection — degradation matrix & divergence watchdog",
+        body: ext_faults::body,
+    },
+    Figure {
+        id: "ablations",
+        title: "Ablations",
+        body: ablations::body,
+    },
+    Figure {
+        id: "appendix_b",
+        title: "Appendix B: Eq 40 AIMD cycle length vs packet measurement",
+        body: |f, a| f.standard(a, Default::default(), ex::appendix_b::run, appendix_b, None),
+    },
+];
+
+/// Fig 3 itself is pure frequency-domain analysis; give traces and metrics
+/// the packet-level dynamics at the figure's operating point.
+fn fig3_body(f: &Figure, args: &Args) {
+    let cfg = ex::fig3::Fig3Config::default();
+    let Some(started) = f.begin(args, &cfg.to_json().render_pretty()) else {
+        return;
+    };
+    let res = ex::fig3::run(&cfg);
+    fig3(&cfg, &res);
+    f.save(&started, &res, None);
+    started.obs.dcqcn_companion_run();
+    started.obs.finish();
+}
+
+/// Theorem 2 has no experiment module of its own: it is `fig6`'s runner at
+/// three flow counts, so its spec is empty.
+fn thm2(f: &Figure, args: &Args) {
+    let Some(started) = f.begin(args, "{}") else {
+        return;
+    };
+    let mut rows = Vec::new();
+    for fractions in [
+        vec![0.9, 0.1],
+        vec![0.5, 0.3, 0.2],
+        vec![0.4, 0.3, 0.2, 0.1],
+    ] {
+        let res = ex::fig6::run(&ex::fig6::Fig6Config {
+            initial_fractions: fractions.clone(),
+            cycles: 80,
+        });
+        println!(
+            "{} flows: alpha*={:.4}  bound={:.4}  measured decay={:.4}  (decay ≤ bound ⇒ Theorem 2 holds)",
+            fractions.len(),
+            res.alpha_star,
+            res.contraction_bound,
+            res.measured_decay
+        );
+        rows.push((
+            fractions.len(),
+            res.alpha_star,
+            res.contraction_bound,
+            res.measured_decay,
+        ));
+    }
+    f.save(&started, &rows, None);
+    started.obs.finish();
+}
+
+fn fig2_csvs(res: &ex::fig2::Fig2Result) -> Vec<PathBuf> {
+    let write = |p: &ex::fig2::Fig2Panel| {
+        let csv = results_dir().join(format!("fig2_n{}_queue.csv", p.n_flows));
+        write_series_csv(
+            &csv,
+            "t_s",
+            &[
+                ("fluid_queue_kb", p.fluid_queue_kb.as_slice()),
+                ("sim_queue_kb", p.sim_queue_kb.as_slice()),
+            ],
+        )
+        .expect("write csv");
+        csv
+    };
+    res.panels.iter().map(write).collect()
+}
+
+fn fig16_csvs(res: &ex::fig16::Fig16Result) -> Vec<PathBuf> {
+    let write = |(name, series): &(String, ex::Series)| {
+        let csv = results_dir().join(format!("fig16_{}.csv", name.to_lowercase()));
+        write_series_csv(&csv, "t_s", &[("queue_kb", series.as_slice())]).expect("write csv");
+        csv
+    };
+    res.queues_kb.iter().map(write).collect()
+}
+
+// The console tables, one per figure that is `run(&cfg)` and a table.
+
+fn eq14(_: &ex::eq14::Eq14Config, res: &ex::eq14::Eq14Result) {
+    println!(
+        "{:>8} {:>6} {:>12} {:>12} {:>10} {:>10} {:>6}",
+        "C (Gbps)", "N", "p* exact", "p* approx", "rel err", "q* (KB)", "sat?"
+    );
+    for r in &res.rows {
+        println!(
+            "{:>8} {:>6} {:>12.6} {:>12.6} {:>10.3} {:>10.1} {:>6}",
+            r.capacity_gbps,
+            r.n_flows,
+            r.p_exact,
+            r.p_approx,
+            r.rel_error,
+            r.q_star_kb,
+            if r.saturated { "yes" } else { "no" }
+        );
+    }
+}
+
+fn fig2(cfg: &ex::fig2::Fig2Config, res: &ex::fig2::Fig2Result) {
+    for p in &res.panels {
+        println!("\nN = {} flows:", p.n_flows);
+        println!(
+            "  tail flow rate   : fluid {:8.2} Gbps | sim {:8.2} Gbps | fair share {:8.2} Gbps",
+            p.tail_rates_gbps.0,
+            p.tail_rates_gbps.1,
+            cfg.bandwidth_gbps / p.n_flows as f64
+        );
+        println!(
+            "  tail queue       : fluid {:8.1} KB   | sim {:8.1} KB",
+            p.tail_queues_kb.0, p.tail_queues_kb.1
+        );
+        print_series("fluid queue (KB)", &p.fluid_queue_kb, 12);
+        print_series("sim queue (KB)", &p.sim_queue_kb, 12);
+    }
+}
+
+fn fig3(_: &ex::fig3::Fig3Config, res: &ex::fig3::Fig3Result) {
+    let table = |title: &str, curves: &[ex::fig3::MarginCurve]| {
+        println!("\n{title}");
+        print!("{:>6}", "N");
+        for c in curves {
+            print!("{:>16}", c.label);
+        }
+        println!();
+        for i in 0..curves[0].points.len() {
+            print!("{:>6}", curves[0].points[i].0);
+            for c in curves {
+                print!("{:>16.1}", c.points[i].1);
+            }
+            println!();
+        }
+    };
+    table("(a) by control-loop delay", &res.by_delay);
+    table("(b) by R_AI at 85 us", &res.by_r_ai);
+    table("(c) by K_max at 85 us", &res.by_kmax);
+}
+
+fn fig4(_: &ex::fig4::Fig4Config, res: &ex::fig4::Fig4Result) {
+    println!(
+        "{:>10} {:>6} {:>18} {:>18}",
+        "tau* (us)", "N", "queue osc (q*)", "margin predicts"
+    );
+    for p in &res.panels {
+        println!(
+            "{:>10} {:>6} {:>18.3} {:>18}",
+            p.delay_us,
+            p.n_flows,
+            p.queue_oscillation,
+            if p.predicted_stable {
+                "stable"
+            } else {
+                "UNSTABLE"
+            }
+        );
+    }
+}
+
+fn fig5(_: &ex::fig5::Fig5Config, res: &ex::fig5::Fig5Result) {
+    for p in &res.panels {
+        println!(
+            "N = {:>3}: tail queue peak-to-peak = {:8.1} KB",
+            p.n_flows, p.queue_p2p_kb
+        );
+        print_series("queue (KB)", &p.queue_kb, 10);
+    }
+}
+
+fn fig6(_: &ex::fig6::Fig6Config, res: &ex::fig6::Fig6Result) {
+    println!("alpha* (Eq 42)              = {:.5}", res.alpha_star);
+    println!("contraction bound (1-a*/2)  = {:.5}", res.contraction_bound);
+    println!("measured per-cycle decay    = {:.5}", res.measured_decay);
+    println!(
+        "\n{:>6} {:>16} {:>10}",
+        "cycle", "rate gap (Gbps)", "mean α"
+    );
+    for &(k, gap, a) in res.convergence.iter().step_by(5) {
+        println!("{k:>6} {gap:>16.4} {a:>10.5}");
+    }
+}
+
+fn fig8(_: &ex::fig8::Fig8Config, res: &ex::fig8::Fig8Result) {
+    for p in &res.panels {
+        println!("\nN = {} flows:", p.n_flows);
+        println!(
+            "  tail queue      : fluid {:8.1} KB | sim {:8.1} KB",
+            p.tail_queues_kb.0, p.tail_queues_kb.1
+        );
+        println!(
+            "  aggregate rate  : fluid {:8.2} Gbps | sim {:8.2} Gbps",
+            p.tail_agg_gbps.0, p.tail_agg_gbps.1
+        );
+        print_series("fluid queue (KB)", &p.fluid_queue_kb, 10);
+        print_series("sim queue (KB)", &p.sim_queue_kb, 10);
+    }
+}
+
+fn fig9(_: &ex::fig9::Fig9Config, res: &ex::fig9::Fig9Result) {
+    for p in &res.panels {
+        println!(
+            "{:<34} tail share of flow 0 = {:.3}",
+            p.label, p.tail_share_flow0
+        );
+        print_series("flow 0 rate (Gbps)", &p.rate0_gbps, 8);
+        print_series("flow 1 rate (Gbps)", &p.rate1_gbps, 8);
+    }
+    println!("\nNote: identical protocol, different starts, different regimes —");
+    println!("Theorems 3/4: no unique fixed point, arbitrary unfairness.");
+}
+
+fn fig10(_: &ex::fig10::Fig10Config, res: &ex::fig10::Fig10Result) {
+    for p in &res.panels {
+        println!(
+            "Seg = {:>6} B: early (0-50ms) aggregate {:6.2} Gbps | tail aggregate {:6.2} Gbps",
+            p.seg_bytes, p.early_agg_gbps, p.tail_agg_gbps
+        );
+        print_series("queue (KB)", &p.queue_kb, 10);
+    }
+}
+
+fn fig11(_: &ex::fig11::Fig11Config, res: &ex::fig11::Fig11Result) {
+    println!(
+        "{:>6} {:>14} {:>12} {:>16}",
+        "N", "margin (deg)", "q* (KB)", "fb delay (us)"
+    );
+    for &(n, pm, q, d) in &res.points {
+        println!("{n:>6} {pm:>14.1} {q:>12.1} {d:>16.1}");
+    }
+    match res.instability_threshold {
+        Some(n) => println!("\nunstable from N = {n} (paper: ~40 with its tuning)"),
+        None => println!("\nstable across the swept range"),
+    }
+}
+
+fn fig12(_: &ex::fig12::Fig12Config, res: &ex::fig12::Fig12Result) {
+    println!(
+        "(a) 7 vs 3 Gbps start -> tail share of flow 0 = {:.3} (0.5 = fair)",
+        res.panel_a_share
+    );
+    println!(
+        "(b) N=16 queue oscillation (x q*) = {:.3}",
+        res.panel_b_oscillation
+    );
+    println!(
+        "(c) N=64 queue oscillation (x q*) = {:.3}",
+        res.panel_c_oscillation
+    );
+    print_series("(b) queue KB", &res.panel_b_queue_kb, 10);
+    print_series("(c) queue KB", &res.panel_c_queue_kb, 10);
+}
+
+fn fig14(_: &ex::fig14::Fig14Config, res: &ex::fig14::Fig14Result) {
+    println!(
+        "{:<16} {:>6} {:>14} {:>14} {:>8} {:>8}",
+        "protocol", "load", "median (ms)", "p90 (ms)", "flows", "util"
+    );
+    for c in &res.curves {
+        for i in 0..c.median_ms.len() {
+            println!(
+                "{:<16} {:>6} {:>14.3} {:>14.3} {:>8} {:>8.3}",
+                c.protocol,
+                c.median_ms[i].0,
+                c.median_ms[i].1,
+                c.p90_ms[i].1,
+                c.small_counts[i].1,
+                c.utilization[i].1
+            );
+        }
+    }
+}
+
+fn fig15(_: &ex::fig15::Fig15Config, res: &ex::fig15::Fig15Result) {
+    for (name, cdf) in &res.cdfs {
+        let q = |p: f64| {
+            cdf.iter()
+                .find(|&&(_, cp)| cp >= p)
+                .map(|&(x, _)| x)
+                .unwrap_or(f64::NAN)
+        };
+        println!(
+            "{name:<16}: p50={:8.3} ms  p90={:8.3} ms  p99={:8.3} ms  max={:8.3} ms",
+            q(0.5),
+            q(0.9),
+            q(0.99),
+            cdf.last().map(|&(x, _)| x).unwrap_or(f64::NAN)
+        );
+    }
+}
+
+fn fig16(_: &ex::fig16::Fig16Config, res: &ex::fig16::Fig16Result) {
+    for (name, mean, p99, max) in &res.summary {
+        println!("{name:<16}: mean={mean:8.1} KB  p99={p99:8.1} KB  max={max:8.1} KB");
+    }
+    for (name, series) in &res.queues_kb {
+        print_series(&format!("{name} queue (KB)"), series, 10);
+    }
+}
+
+fn fig17(_: &ex::fig17::Fig17Config, res: &ex::fig17::Fig17Result) {
+    println!(
+        "tail queue std-dev: egress {:8.1} KB | ingress {:8.1} KB",
+        res.queue_stddev_kb.0, res.queue_stddev_kb.1
+    );
+    print_series("egress queue (KB)", &res.egress_queue_kb, 10);
+    print_series("ingress queue (KB)", &res.ingress_queue_kb, 10);
+}
+
+fn fig18(_: &ex::fig18::Fig18Config, res: &ex::fig18::Fig18Result) {
+    println!(
+        "{:>6} {:>16} {:>22}",
+        "N", "tail queue (KB)", "worst rate error"
+    );
+    for p in &res.panels {
+        println!(
+            "{:>6} {:>16.1} {:>22.4}",
+            p.n_flows, p.tail_queue_kb, p.worst_rate_error
+        );
+    }
+    println!("\nqueue pinned at q_ref for every N — fair AND fixed delay (ECN can).");
+}
+
+fn fig19(_: &ex::fig19::Fig19Config, res: &ex::fig19::Fig19Result) {
+    println!(
+        "tail queue      = {:8.1} KB (target 300)",
+        res.tail_queue_kb
+    );
+    println!("tail shares     = {:?}", res.tail_shares);
+    println!("tail utilization= {:8.3}", res.tail_utilization);
+    println!("\nTheorem 6: with delay-only feedback you can pin the queue OR be fair, not both.");
+}
+
+fn fig20(_: &ex::fig20::Fig20Config, res: &ex::fig20::Fig20Result) {
+    for p in &res.panels {
+        println!(
+            "{:<16}: queue oscillation x q* — clean {:6.3} | jittered {:6.3}",
+            p.protocol, p.oscillation.0, p.oscillation.1
+        );
+    }
+    println!("\nECN survives jitter (signal delayed, not corrupted); delay-based does not.");
+}
+
+fn ext_pi_packet(
+    _: &ex::ext_pi_packet::ExtPiPacketConfig,
+    res: &ex::ext_pi_packet::ExtPiPacketResult,
+) {
+    println!(
+        "{:>6} {:>18} {:>18} {:>18}",
+        "N", "RED queue (KB)", "PI queue (KB)", "PI worst rate err"
+    );
+    for p in &res.panels {
+        println!(
+            "{:>6} {:>18.1} {:>18.1} {:>18.3}",
+            p.n_flows, p.red_tail_queue_kb, p.pi_tail_queue_kb, p.pi_worst_rate_error
+        );
+    }
+    println!(
+        "\nRED's operating queue drifts with N (Eq 14); PI pins it at q_ref = {} KB.",
+        res.q_ref_kb
+    );
+}
+
+fn ext_parking_lot(
+    _: &ex::ext_parking_lot::ParkingLotConfig,
+    res: &ex::ext_parking_lot::ParkingLotResult,
+) {
+    println!("long flow tail rate : {:.2} Gbps", res.long_tail_gbps);
+    for (h, &c) in res.cross_tail_gbps.iter().enumerate() {
+        println!(
+            "hop {h}: cross flow {:.2} Gbps, utilization {:.3}",
+            c, res.hop_utilization[h]
+        );
+    }
+    println!("\nthe multi-hop flow takes less than the per-hop fair share (classic");
+    println!("parking-lot outcome) but does not starve; every hop stays utilized.");
+}
+
+fn ext_pfc(_: &ex::ext_pfc::ExtPfcConfig, res: &ex::ext_pfc::ExtPfcResult) {
+    println!(
+        "{:<16} {:>8} {:>14} {:>16} {:>14}",
+        "config", "pauses", "paused (s)", "max queue (KB)", "goodput (Gbps)"
+    );
+    for o in &res.outcomes {
+        println!(
+            "{:<16} {:>8} {:>14.6} {:>16.1} {:>14.2}",
+            o.label, o.pauses, o.paused_s, o.max_queue_kb, o.goodput_gbps
+        );
+    }
+    println!("\nwith ECN marking below the PFC threshold, end-to-end control reacts");
+    println!("first and PFC (the blunt hop-by-hop mechanism) stays disengaged.");
+}
+
+fn appendix_b(_: &ex::appendix_b::AppendixBConfig, res: &ex::appendix_b::AppendixBResult) {
+    println!(
+        "{:>6} {:>10} {:>20} {:>20} {:>8}",
+        "N", "alpha*", "predicted (us)", "measured (us)", "cuts"
+    );
+    for r in &res.rows {
+        println!(
+            "{:>6} {:>10.4} {:>20.1} {:>20.1} {:>8}",
+            r.n_flows, r.alpha_star, r.predicted_cycle_us, r.measured_cycle_us, r.cuts_measured
+        );
+    }
+}

@@ -6,8 +6,9 @@
 //! 3. TIMELY **burst size** sweep beyond Figure 10's two points;
 //! 4. DCQCN **g** (the α gain): convergence speed vs cut depth.
 
+use super::Figure;
+use crate::cli::Args;
 use desim::{SimDuration, SimTime};
-use ecn_delay_core::write_json;
 use models::dcqcn::{DcqcnFluid, DcqcnParams};
 use netsim::{Engine, EngineConfig, FlowSpec, Pacing, Topology};
 use protocols::{DcqcnCc, DcqcnCcParams, TimelyCc, TimelyCcParams};
@@ -55,15 +56,10 @@ fn dcqcn_run(mk: impl Fn(&mut DcqcnCcParams), n: usize) -> (f64, f64) {
     (goodput, sd)
 }
 
-fn main() {
-    let obs = bench::obs_cli::init();
-    bench::banner("Ablations");
-    let store = bench::store_cli::init("ablations", "{}");
-    if !obs.active() && store.try_serve().is_some() {
-        store.finish();
-        obs.finish();
+pub(super) fn body(figure: &Figure, args: &Args) {
+    let Some(started) = figure.begin(args, "{}") else {
         return;
-    }
+    };
     let mut report = AblationReport {
         fast_recovery: Vec::new(),
         cnp_timer: Vec::new(),
@@ -151,12 +147,8 @@ fn main() {
         println!("{g:>10.5} {osc:>22.3}");
     }
 
-    let path = bench::results_dir().join("ablations.json");
-    write_json(&path, &report).expect("write results");
-    println!("\nresults -> {}", path.display());
-    store.record(std::slice::from_ref(&path));
-    store.finish();
-    obs.finish();
+    figure.save(&started, &report, None);
+    started.obs.finish();
 }
 
 ecn_delay_core::impl_to_json!(AblationReport {

@@ -13,28 +13,15 @@
 //!   The watchdog sweep still runs, so both degradation paths (packet and
 //!   fluid) are exercised in one invocation.
 //!
-//! `--trace` / `--metrics` work as in every figure binary; traces are
+//! `--trace` / `--metrics` work as for every figure; traces are
 //! byte-identical across `SIM_THREADS` settings in both modes.
 
+use super::Figure;
+use crate::cli::Args;
 use desim::{SimDuration, SimTime};
 use ecn_delay_core::experiments::ext_faults::{run, run_watchdog_sweep, ExtFaultsConfig};
 use ecn_delay_core::scenarios::{single_switch_longlived, Protocol};
-use ecn_delay_core::write_json;
 use netsim::EngineConfig;
-
-/// Parse `--faults <path>` from the process arguments (other flags are the
-/// obs ones, handled by `bench::obs_cli`).
-fn faults_flag() -> Option<std::path::PathBuf> {
-    let mut argv = std::env::args().skip(1);
-    while let Some(a) = argv.next() {
-        if a == "--faults" {
-            return Some(std::path::PathBuf::from(
-                argv.next().expect("--faults requires a file path"),
-            ));
-        }
-    }
-    None
-}
 
 /// Print the watchdog sweep — one line per gain, `ok` or the structured
 /// divergence error. The CI smoke job greps these lines to confirm a
@@ -85,12 +72,12 @@ fn run_spec(path: &std::path::Path) -> Result<(), String> {
     Ok(())
 }
 
-fn main() {
-    let obs = bench::obs_cli::init();
-    bench::banner("Extension: fault injection — degradation matrix & divergence watchdog");
+pub(super) fn body(f: &Figure, args: &Args) {
     let cfg = ExtFaultsConfig::default();
-    if let Some(path) = faults_flag() {
-        if let Err(e) = run_spec(&path) {
+    if let Some((_, path)) = args.own.first() {
+        let obs = crate::obs_cli::init(args);
+        crate::banner(f.title);
+        if let Err(e) = run_spec(std::path::Path::new(path)) {
             eprintln!("ext_faults: {e}");
             std::process::exit(2);
         }
@@ -98,16 +85,11 @@ fn main() {
         obs.finish();
         return;
     }
-    let store = bench::store_cli::init(
-        "ext_faults",
-        &ecn_delay_core::json::ToJson::to_json(&cfg).render_pretty(),
-    );
-    if !obs.active() && store.try_serve().is_some() {
-        store.finish();
-        obs.finish();
-        return;
-    }
-    let res = run(&cfg);
+    f.standard(args, cfg, run, print, None);
+}
+
+/// The console table of the full experiment.
+fn print(cfg: &ExtFaultsConfig, res: &ecn_delay_core::experiments::ext_faults::ExtFaultsResult) {
     println!(
         "degradation matrix ({} flows, {:.0} ms, fault window = middle 60%):",
         cfg.n_flows,
@@ -139,10 +121,4 @@ fn main() {
     print_watchdog(&res.watchdog);
     println!("\neach fault attacks one signal path: CNP loss passes TIMELY by, delay");
     println!("faults corrupt exactly the measurement it trusts; pause storms gate both.");
-    let path = bench::results_dir().join("ext_faults.json");
-    write_json(&path, &res).expect("write results");
-    println!("results -> {}", path.display());
-    store.record(std::slice::from_ref(&path));
-    store.finish();
-    obs.finish();
 }

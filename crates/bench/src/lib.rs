@@ -1,49 +1,34 @@
-//! # bench — figure regeneration binaries and criterion benchmarks
+//! # bench — figure regeneration and std-only benchmarks
 //!
-//! Every table and figure in the paper's evaluation has a binary here that
-//! regenerates its data series:
+//! Every table and figure in the paper's evaluation is an entry of
+//! [`figures::FIGURES`]; the `figs` binary regenerates them:
 //!
 //! ```text
-//! cargo run -p bench --release --bin fig2    # fluid vs packet (DCQCN)
-//! cargo run -p bench --release --bin fig3    # phase margins (a/b/c)
-//! cargo run -p bench --release --bin fig4    # stability grid
-//! cargo run -p bench --release --bin fig5    # packet-level instability
-//! cargo run -p bench --release --bin fig6    # discrete AIMD + Theorem 2
-//! cargo run -p bench --release --bin fig8    # fluid vs packet (TIMELY)
-//! cargo run -p bench --release --bin fig9    # TIMELY multi-equilibria
-//! cargo run -p bench --release --bin fig10   # burst pacing
-//! cargo run -p bench --release --bin fig11   # patched TIMELY margins
-//! cargo run -p bench --release --bin fig12   # patched TIMELY traces
-//! cargo run -p bench --release --bin fig14   # FCT vs load
-//! cargo run -p bench --release --bin fig15   # FCT CDF at load 0.8
-//! cargo run -p bench --release --bin fig16   # bottleneck queue at 0.8
-//! cargo run -p bench --release --bin fig17   # ingress vs egress marking
-//! cargo run -p bench --release --bin fig18   # DCQCN + PI
-//! cargo run -p bench --release --bin fig19   # patched TIMELY + PI
-//! cargo run -p bench --release --bin fig20   # feedback jitter
-//! cargo run -p bench --release --bin eq14    # p* table
-//! cargo run -p bench --release --bin all_figures
+//! cargo run -p bench --release --bin figs             # lists the ids
+//! cargo run -p bench --release --bin figs -- fig3     # one figure
+//! cargo run -p bench --release --bin figs -- --all    # every figure, one child process each
 //! ```
 //!
-//! Each binary prints the paper's series to stdout and writes JSON under
+//! A figure prints the paper's series to stdout and writes JSON under
 //! `results/`. Benchmarks (`cargo bench`, driven by [`harness`]) measure
 //! the substrate: event-queue throughput, DDE integration speed, and
 //! packet-simulation rates.
 //!
-//! Every binary additionally accepts `--trace <path>` and
-//! `--metrics <path>` (both off by default; see [`obs_cli`]) to export the
-//! run's sim-time event trace as JSONL and its counter/gauge/histogram
-//! snapshot as JSON. `all_figures` treats both as directories and fans
-//! them out per child figure.
-//!
-//! `--store <dir>` / `--no-store` (see [`store_cli`]) make any figure run
+//! [`cli`] is the one argv parser (of `figs` and of the `ext_incast` sweep
+//! CLI). `--trace` / `--metrics` / `--timeseries` / `--flight <path>` (off
+//! by default; see [`obs_cli`]) export the run's sim-time event trace,
+//! counter snapshot, windowed series and flight-recorder ring.
+//! `--store <dir>` / `--no-store` (see [`store_cli`]) make a figure run
 //! resumable: results are cached in a crash-safe content-addressed store
-//! keyed by the figure's canonical config, and a rerun with the same spec
-//! is served byte-identically from disk. `all_figures` forwards both flags
-//! to every child.
+//! keyed by the figure's canonical config, and a rerun with the same spec is
+//! served byte-identically from disk. `figs --all` reads `--trace` /
+//! `--metrics` as directories and hands every child its own files and the
+//! shared store.
 
 #![warn(missing_docs)]
 
+pub mod cli;
+pub mod figures;
 pub mod harness;
 pub mod obs_cli;
 pub mod report;

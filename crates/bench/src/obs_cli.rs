@@ -1,5 +1,5 @@
 //! `--trace` / `--metrics` / `--timeseries` / `--flight` support shared by
-//! every figure binary.
+//! every figure ([`crate::cli`] parses the flags).
 //!
 //! All flags are **off by default** — a figure run without them never
 //! enables the `obs` layer, so the hot paths pay only the disabled-check
@@ -17,13 +17,13 @@
 //! line. On a clean run `finish` writes the same dump so the recorder is
 //! inspectable without a failure.
 //!
-//! `all_figures` interprets `--trace`/`--metrics` as *directories* and fans
+//! `figs --all` interprets `--trace`/`--metrics` as *directories* and fans
 //! them out per child figure (`<dir>/<fig>_trace.jsonl`,
 //! `<dir>/<fig>_metrics.json`).
 
 use std::path::PathBuf;
 
-/// Parsed observability flags for a figure binary.
+/// The observability artifacts a run was asked for.
 pub struct ObsCli {
     trace_path: Option<PathBuf>,
     metrics_path: Option<PathBuf>,
@@ -31,41 +31,13 @@ pub struct ObsCli {
     flight_path: Option<PathBuf>,
 }
 
-/// Parse `--trace` / `--metrics` from the process arguments and enable the
-/// corresponding `obs` subsystems (resetting any prior state so the output
-/// reflects exactly this run). Unknown arguments are ignored — figure
-/// binaries take no other flags.
-pub fn init() -> ObsCli {
-    let mut argv = std::env::args().skip(1);
-    let mut trace_path = None;
-    let mut metrics_path = None;
-    let mut timeseries_path = None;
-    let mut flight_path = None;
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--trace" => {
-                trace_path = Some(PathBuf::from(
-                    argv.next().expect("--trace requires a file path"),
-                ));
-            }
-            "--metrics" => {
-                metrics_path = Some(PathBuf::from(
-                    argv.next().expect("--metrics requires a file path"),
-                ));
-            }
-            "--timeseries" => {
-                timeseries_path = Some(PathBuf::from(
-                    argv.next().expect("--timeseries requires a file path"),
-                ));
-            }
-            "--flight" => {
-                flight_path = Some(PathBuf::from(
-                    argv.next().expect("--flight requires a file path"),
-                ));
-            }
-            _ => {}
-        }
-    }
+/// Enable the `obs` subsystems the parsed flags ask for (resetting any prior
+/// state so the output reflects exactly this run).
+pub fn init(args: &crate::cli::Args) -> ObsCli {
+    let trace_path = args.trace.clone();
+    let metrics_path = args.metrics.clone();
+    let timeseries_path = args.timeseries.clone();
+    let flight_path = args.flight.clone();
     if trace_path.is_some() {
         obs::trace::reset();
         obs::trace::enable();

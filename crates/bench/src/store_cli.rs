@@ -1,4 +1,5 @@
-//! `--store <dir>` / `--no-store` support shared by every figure binary.
+//! `--store <dir>` / `--no-store` support shared by every figure
+//! ([`crate::cli`] parses the flags).
 //!
 //! The store is **off by default** — a plain figure run touches no cache and
 //! pays nothing. With `--store <dir>`, the binary becomes *resumable*: its
@@ -16,7 +17,7 @@
 //! a *run*, so a run must actually happen.
 //!
 //! `--no-store` wins over `--store` (handy for overriding a wrapper script's
-//! default). `all_figures` forwards both flags to every child figure.
+//! default). `figs --all` forwards the store to every child figure.
 
 use std::path::{Path, PathBuf};
 
@@ -28,33 +29,9 @@ pub struct StoreCli {
     key: Option<store::SpecKey>,
 }
 
-/// Parse `--store <dir>` / `--no-store` from the process arguments and open
-/// the store. `experiment` is the figure's stable id (its binary name);
-/// `config_json` is the spec whose canonical form addresses the record.
-/// Unknown arguments are ignored (they belong to `obs_cli` or the figure's
-/// own flags).
-pub fn init(experiment: &str, config_json: &str) -> StoreCli {
-    let mut argv = std::env::args().skip(1);
-    let mut dir: Option<PathBuf> = None;
-    let mut disabled = false;
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--store" => {
-                dir = Some(PathBuf::from(
-                    argv.next().expect("--store requires a directory path"),
-                ));
-            }
-            "--no-store" => disabled = true,
-            _ => {}
-        }
-    }
-    if disabled {
-        dir = None;
-    }
-    from_dir(dir.as_deref(), experiment, config_json)
-}
-
-/// Flag-free constructor used by `init` and by tests.
+/// Open the store at `dir` (`None`: caching off). `experiment` is the
+/// figure's stable id; `config_json` is the spec whose canonical form
+/// addresses the record.
 pub fn from_dir(dir: Option<&Path>, experiment: &str, config_json: &str) -> StoreCli {
     let store = dir.and_then(|d| match store::Store::open(d) {
         Ok(s) => Some(s),

@@ -1,0 +1,155 @@
+//! The figure registry against the rest of the tree, and `figs` /
+//! `ext_incast` at their command lines.
+
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use bench::figures::FIGURES;
+
+fn repo() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+fn ids() -> BTreeSet<String> {
+    FIGURES.iter().map(|f| f.id.to_string()).collect()
+}
+
+fn figs(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_figs"))
+        .args(args)
+        .output()
+        .expect("launch figs")
+}
+
+fn tmp(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("bench_figures_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn ids_are_unique_and_plain() {
+    assert_eq!(ids().len(), FIGURES.len(), "duplicate id");
+    for f in FIGURES {
+        assert!(
+            !f.id.is_empty()
+                && f.id
+                    .bytes()
+                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_'),
+            "{:?}",
+            f.id
+        );
+    }
+}
+
+/// `ext_incast` is a sweep CLI of its own: it has a results file and an
+/// experiment module but no registry entry.
+#[test]
+fn the_table_is_the_checked_in_results() {
+    let mut stems: BTreeSet<String> = std::fs::read_dir(repo().join("results"))
+        .expect("results/")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .map(|p| p.file_stem().expect("stem").to_string_lossy().into_owned())
+        .collect();
+    assert!(stems.remove("ext_incast"));
+    assert_eq!(ids(), stems);
+}
+
+/// `thm2` re-runs `fig6`'s module and `ablations` drives the simulators
+/// directly; every other figure is one module of `core::experiments`.
+#[test]
+fn the_table_is_the_experiment_modules() {
+    let source = std::fs::read_to_string(repo().join("crates/core/src/experiments/mod.rs"))
+        .expect("experiments/mod.rs");
+    let mut modules: BTreeSet<String> = source
+        .lines()
+        .filter_map(|l| l.strip_prefix("pub mod ")?.strip_suffix(';'))
+        .map(String::from)
+        .collect();
+    assert!(modules.remove("ext_incast"));
+    assert!(modules.insert("thm2".into()) && modules.insert("ablations".into()));
+    assert_eq!(ids(), modules);
+}
+
+#[test]
+fn no_id_and_an_unknown_id_list_the_table() {
+    for args in [&[][..], &["nope"]] {
+        let out = figs(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let listed = String::from_utf8_lossy(&out.stderr).into_owned();
+        for f in FIGURES {
+            assert!(
+                listed.lines().any(|l| l.trim_start().starts_with(f.id)),
+                "{args:?} does not list {}",
+                f.id
+            );
+        }
+    }
+}
+
+#[test]
+fn bad_flags_are_usage_errors() {
+    let ext_incast = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_ext_incast"))
+            .args(args)
+            .output()
+            .expect("launch ext_incast")
+    };
+    for (out, flag, reason) in [
+        (figs(&["eq14", "--metrcs", "x"]), "--metrcs", "unknown flag"),
+        (figs(&["eq14", "--trace"]), "--trace", "missing value"),
+        (
+            figs(&["--all", "--flight", "x"]),
+            "--flight",
+            "--all fans out",
+        ),
+        (ext_incast(&["--sender", "64"]), "--sender", "unknown flag"),
+        (ext_incast(&["--k", "four"]), "--k", "expected an integer"),
+    ] {
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(out.stdout.is_empty(), "{flag}: nothing ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let diagnostic = stderr.lines().last().expect("a diagnostic line");
+        let doc = obs::json::parse(diagnostic).expect("the diagnostic is JSON");
+        let field = |name| doc.get(name).and_then(|v| v.as_str().map(String::from));
+        assert_eq!(field("error").as_deref(), Some("invalid_usage"));
+        assert_eq!(field("flag").as_deref(), Some(flag));
+        assert!(
+            field("reason").is_some_and(|r| r.contains(reason)),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn eq14_reproduces_its_checked_in_bytes_cold_recorded_and_served() {
+    let checked_in = std::fs::read(repo().join("results/eq14.json")).expect("results/eq14.json");
+    let (results, store) = (tmp("results"), tmp("store"));
+    let run = |flags: &[&str]| {
+        let _ = std::fs::remove_file(results.join("eq14.json"));
+        let out = Command::new(env!("CARGO_BIN_EXE_figs"))
+            .arg("eq14")
+            .args(flags)
+            .env("ECN_DELAY_RESULTS", &results)
+            .output()
+            .expect("launch figs");
+        assert!(out.status.success(), "{flags:?}");
+        assert_eq!(
+            std::fs::read(results.join("eq14.json")).expect("eq14.json"),
+            checked_in,
+            "{flags:?}"
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let store_flags = ["--store", store.to_str().expect("utf-8 temp dir")];
+    assert!(!run(&[]).contains("store:"));
+    assert!(run(&store_flags).contains("store: 0 hit(s), 1 miss(es), 0 corrupt, 1 write(s)"));
+    let served = run(&store_flags);
+    assert!(served.contains("(served from store)"), "{served}");
+    assert!(served.contains("store: 1 hit(s), 0 miss(es), 0 corrupt, 0 write(s)"));
+    assert!(!run(&["--store", "ignored", "--no-store"]).contains("store:"));
+    let _ = std::fs::remove_dir_all(&results);
+    let _ = std::fs::remove_dir_all(&store);
+}

@@ -1,5 +1,4 @@
-//! Experiment runners, one module per paper artifact. See the crate docs
-//! for the index.
+//! Experiment runners, one module per paper artifact.
 
 pub mod appendix_b;
 pub mod eq14;

@@ -1,30 +1,10 @@
 //! # ecn-delay-core — the experiment layer
 //!
-//! One module per artifact of the paper's evaluation. Every runner is a
-//! pure function from a config to a serializable result struct; the `bench`
-//! crate's binaries print the paper's series and dump JSON, and the test
+//! One module per artifact of the paper's evaluation, indexed under
+//! [`experiments`]. Every runner is a pure function from a config to a
+//! serializable result struct; `bench::figures::FIGURES` is the table that
+//! prints each one's series and dumps its JSON (`figs <id>`), and the test
 //! suite asserts the qualitative claims on reduced configurations.
-//!
-//! | module | paper artifact |
-//! |---|---|
-//! | [`experiments::fig2`] | DCQCN fluid model vs packet simulation |
-//! | [`experiments::fig3`] | DCQCN phase margins (delay, R_AI, K_max sweeps) |
-//! | [`experiments::fig4`] | DCQCN fluid stability grid (τ* × N) |
-//! | [`experiments::fig5`] | DCQCN packet-level instability at 85 µs |
-//! | [`experiments::fig6`] | discrete AIMD sawtooth + Theorem 2 decay |
-//! | [`experiments::fig8`] | TIMELY fluid vs packet simulation |
-//! | [`experiments::fig9`] | TIMELY multi-equilibria (starting conditions) |
-//! | [`experiments::fig10`] | TIMELY burst pacing (16 KB vs 64 KB chunks) |
-//! | [`experiments::fig11`] | Patched TIMELY phase margin vs N |
-//! | [`experiments::fig12`] | Patched TIMELY convergence and stability |
-//! | [`experiments::fig14`] | FCT medians/p90 vs load (dumbbell) |
-//! | [`experiments::fig15`] | FCT CDF at load 0.8 |
-//! | [`experiments::fig16`] | bottleneck queue at load 0.8 |
-//! | [`experiments::fig17`] | ingress- vs egress-marking stability |
-//! | [`experiments::fig18`] | DCQCN + PI (fair and pinned queue) |
-//! | [`experiments::fig19`] | Patched TIMELY + PI (pinned, unfair) |
-//! | [`experiments::fig20`] | feedback-jitter resilience |
-//! | [`experiments::eq14`] | p* closed form vs numeric root |
 
 #![deny(missing_docs)]
 

@@ -490,7 +490,7 @@ fn restore_lane(x: &mut [f64], x_prev: &[f64], lane: usize, stride: usize, n: us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dde::{try_integrate_dde, DdeSystem};
+    use crate::dde::try_integrate_dde;
 
     /// dx/dt = gain · x(t − 1): decays, oscillates or explodes per lane
     /// depending on `gain`. One lane kernel serves the scalar path too.
@@ -521,21 +521,6 @@ mod tests {
             // A non-trivial projection so the freeze/restore order is tested.
             let i = lane_of(0, lane, stride);
             x[i] = x[i].clamp(-1e15, 1e15);
-        }
-    }
-
-    impl DdeSystem for DelayGain {
-        fn dim(&self) -> usize {
-            self.lane_dim()
-        }
-        fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {
-            self.lane_rhs(t, x, 0, 1, hist, dxdt);
-        }
-        fn min_delay(&self) -> f64 {
-            LaneSystem::min_delay(self)
-        }
-        fn project(&mut self, t: f64, x: &mut [f64]) {
-            self.lane_project(t, x, 0, 1);
         }
     }
 

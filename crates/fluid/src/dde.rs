@@ -12,7 +12,7 @@
 //! the `integrate_dde*` entry points. The RK4 step loop itself is
 //! [`crate::batch`]'s: a [`DdeSystem`] integrates as a batch of one lane.
 
-use crate::batch::{try_integrate_dde_batch, BatchDdeSystem};
+use crate::batch::{try_integrate_dde_batch, BatchDdeSystem, LaneSystem};
 use crate::history::History;
 use crate::stage::{StageInstant, Stages};
 use crate::trace::Trace;
@@ -35,10 +35,10 @@ pub trait DdeSystem {
     fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]);
 
     /// [`DdeSystem::rhs`] as the integrator calls it: at stage instant `at`
-    /// of the current RK4 step, with the step's stage slots. A
-    /// [`StagedLane`](crate::stage::StagedLane) overrides this with
-    /// `stages.rhs(std::slice::from_mut(self), at, t, x, hist, dxdt)` — the
-    /// scalar integrator is the one-lane case; the default ignores the slots.
+    /// of the current RK4 step, with the step's stage slots. The default
+    /// ignores the slots; a [`LaneSystem`]'s goes through
+    /// [`LaneSystem::lanes_rhs_at`], so a
+    /// [`StagedLane`](crate::stage::StagedLane) uses them here too.
     fn rhs_at(
         &mut self,
         _at: StageInstant,
@@ -59,6 +59,38 @@ pub trait DdeSystem {
     /// queue length and rates to be non-negative, as the physical system
     /// enforces). Default: no projection.
     fn project(&mut self, _t: f64, _x: &mut [f64]) {}
+}
+
+/// A lane kernel is a [`DdeSystem`]: the scalar path is lane 0 of a batch of
+/// one, so both paths run the same arithmetic.
+impl<M: LaneSystem> DdeSystem for M {
+    fn dim(&self) -> usize {
+        self.lane_dim()
+    }
+
+    fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {
+        self.lane_rhs(t, x, 0, 1, hist, dxdt);
+    }
+
+    fn rhs_at(
+        &mut self,
+        at: StageInstant,
+        t: f64,
+        x: &[f64],
+        hist: &History,
+        stages: &mut Stages,
+        dxdt: &mut [f64],
+    ) {
+        M::lanes_rhs_at(std::slice::from_mut(self), at, t, x, hist, stages, dxdt);
+    }
+
+    fn min_delay(&self) -> f64 {
+        LaneSystem::min_delay(self)
+    }
+
+    fn project(&mut self, t: f64, x: &mut [f64]) {
+        self.lane_project(t, x, 0, 1);
+    }
 }
 
 /// Options for [`integrate_dde`].

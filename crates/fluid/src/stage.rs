@@ -50,10 +50,10 @@ pub enum StageInstant {
 /// To opt in, implement the three phase methods, make
 /// [`LaneSystem::lane_rhs`] the provided [`StagedLane::rhs_unstaged`] (the
 /// unsplit kernel *is* the two phases back to back), and route the
-/// integrators' calls to the slots: [`LaneSystem::lanes_rhs_at`] and
-/// [`DdeSystem::rhs_at`](crate::dde::DdeSystem::rhs_at) both become
-/// `stages.rhs(..)`. A model that leaves the last two at their defaults
-/// still integrates to the same bits, four phase-one runs a step.
+/// integrators' calls to the slots: [`LaneSystem::lanes_rhs_at`] becomes
+/// `stages.rhs(..)` (the scalar integrator calls it with a one-lane slice).
+/// A model that leaves it at its default still integrates to the same
+/// bits, four phase-one runs a step.
 pub trait StagedLane: LaneSystem {
     /// The one instant every delayed lookup of this lane's derivative at
     /// time `t` reads the history at. It depends on `t` alone — never on the

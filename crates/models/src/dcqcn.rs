@@ -29,7 +29,7 @@ use control::DelayLtiEvaluator;
 use faults::SimError;
 use fluid::batch::{lane_of, pack_lanes, try_integrate_dde_batch, LaneBatch, LaneSystem};
 use fluid::classes::{integrate_flow_classes, FlowClassSystem, FlowClasses, FlowLayout};
-use fluid::dde::{DdeOptions, DdeSystem};
+use fluid::dde::DdeOptions;
 use fluid::history::History;
 use fluid::stage::{StageInstant, StagedLane, Stages};
 use fluid::trace::Trace;
@@ -929,41 +929,10 @@ impl StagedLane for DcqcnFluid {
     }
 }
 
-impl DdeSystem for DcqcnFluid {
-    fn dim(&self) -> usize {
-        self.lane_dim()
-    }
-
-    fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {
-        // The scalar path is the single-lane special case of the lane kernel.
-        self.lane_rhs(t, x, 0, 1, hist, dxdt);
-    }
-
-    fn rhs_at(
-        &mut self,
-        at: StageInstant,
-        t: f64,
-        x: &[f64],
-        hist: &History,
-        stages: &mut Stages,
-        dxdt: &mut [f64],
-    ) {
-        stages.rhs(std::slice::from_mut(self), at, t, x, hist, dxdt);
-    }
-
-    fn min_delay(&self) -> f64 {
-        LaneSystem::min_delay(self)
-    }
-
-    fn project(&mut self, t: f64, x: &mut [f64]) {
-        self.lane_project(t, x, 0, 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fluid::dde::integrate_dde_with_prehistory;
+    use fluid::dde::{integrate_dde_with_prehistory, DdeSystem};
 
     #[test]
     fn red_profile_matches_eq3() {

@@ -25,7 +25,7 @@ use control::margins::{phase_margin_adaptive, MarginReport};
 use control::DelayLtiEvaluator;
 use fluid::batch::{lane_of, LaneSystem};
 use fluid::classes::{integrate_flow_classes, FlowClassSystem, FlowClasses, FlowLayout};
-use fluid::dde::{DdeOptions, DdeSystem};
+use fluid::dde::DdeOptions;
 use fluid::history::History;
 use fluid::trace::Trace;
 use std::cell::RefCell;
@@ -355,24 +355,6 @@ impl LaneSystem for PatchedTimelyFluid {
             let gi = lane_of(self.grad_index(i), lane, stride);
             x[gi] = x[gi].clamp(-10.0, 10.0);
         }
-    }
-}
-
-impl DdeSystem for PatchedTimelyFluid {
-    fn dim(&self) -> usize {
-        self.lane_dim()
-    }
-
-    fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {
-        self.lane_rhs(t, x, 0, 1, hist, dxdt);
-    }
-
-    fn min_delay(&self) -> f64 {
-        LaneSystem::min_delay(self)
-    }
-
-    fn project(&mut self, t: f64, x: &mut [f64]) {
-        self.lane_project(t, x, 0, 1);
     }
 }
 

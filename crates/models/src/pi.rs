@@ -20,7 +20,7 @@ use crate::patched_timely::PatchedTimelyParams;
 use crate::units;
 use fluid::batch::{lane_of, LaneSystem};
 use fluid::classes::{integrate_flow_classes, FlowClassSystem, FlowClasses, FlowLayout};
-use fluid::dde::{DdeOptions, DdeSystem};
+use fluid::dde::DdeOptions;
 use fluid::history::History;
 use fluid::stage::{StageInstant, StagedLane, Stages};
 use fluid::trace::Trace;
@@ -259,36 +259,6 @@ impl StagedLane for DcqcnPiFluid {
     }
 }
 
-impl DdeSystem for DcqcnPiFluid {
-    fn dim(&self) -> usize {
-        self.lane_dim()
-    }
-
-    fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {
-        self.lane_rhs(t, x, 0, 1, hist, dxdt);
-    }
-
-    fn rhs_at(
-        &mut self,
-        at: StageInstant,
-        t: f64,
-        x: &[f64],
-        hist: &History,
-        stages: &mut Stages,
-        dxdt: &mut [f64],
-    ) {
-        stages.rhs(std::slice::from_mut(self), at, t, x, hist, dxdt);
-    }
-
-    fn min_delay(&self) -> f64 {
-        LaneSystem::min_delay(self)
-    }
-
-    fn project(&mut self, t: f64, x: &mut [f64]) {
-        self.lane_project(t, x, 0, 1);
-    }
-}
-
 /// Patched TIMELY with an end-host PI controller (Figure 19).
 ///
 /// State layout: `x\[0\] = q`; flow `i` at `x[1+3i..4+3i] = (R_i, g_i, p_i)`.
@@ -484,24 +454,6 @@ impl LaneSystem for PatchedTimelyPiFluid {
             let pi = lane_of(self.p_index(i), lane, stride);
             x[pi] = x[pi].clamp(-100.0, 100.0);
         }
-    }
-}
-
-impl DdeSystem for PatchedTimelyPiFluid {
-    fn dim(&self) -> usize {
-        self.lane_dim()
-    }
-
-    fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {
-        self.lane_rhs(t, x, 0, 1, hist, dxdt);
-    }
-
-    fn min_delay(&self) -> f64 {
-        LaneSystem::min_delay(self)
-    }
-
-    fn project(&mut self, t: f64, x: &mut [f64]) {
-        self.lane_project(t, x, 0, 1);
     }
 }
 

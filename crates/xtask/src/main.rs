@@ -13,16 +13,10 @@
 //! * `selftest` — lint the seeded fixtures under `crates/xtask/fixtures`:
 //!   each `bad_*` fixture must trigger the rule named in its file name, each
 //!   `good_*` fixture must stay quiet on it.
-//! * `determinism` — run the packet simulator twice with the same seed and
-//!   verify the rendered traces are byte-identical.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use desim::SimDuration;
-use desim::SimTime;
-use ecn_delay_core::scenarios::{single_switch_longlived, Protocol};
-use netsim::EngineConfig;
 use xtask::report::{apply_baseline, parse_baseline, render_baseline, render_report, Analysis};
 use xtask::{lint_path_strict, lint_source, lint_workspace, scope_for, Rule, ALL_RULES};
 
@@ -32,11 +26,10 @@ fn main() -> ExitCode {
         Some("lint") => cmd_lint(&args[1..]),
         Some("explain") => cmd_explain(&args[1..]),
         Some("selftest") => cmd_selftest(),
-        Some("determinism") => cmd_determinism(),
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- <lint [--format text|json] [--fix-baseline] \
-                 [PATH...] | explain <rule> | selftest | determinism>"
+                 [PATH...] | explain <rule> | selftest>"
             );
             ExitCode::from(2)
         }
@@ -335,62 +328,5 @@ fn cmd_selftest() -> ExitCode {
     } else {
         println!("selftest: all fixtures trigger their rules");
         ExitCode::SUCCESS
-    }
-}
-
-/// Render a run's observable outputs into a canonical byte string.
-fn trace_bytes() -> String {
-    use std::fmt::Write as _;
-    let (mut eng, bottleneck) = single_switch_longlived(
-        Protocol::Dcqcn,
-        4,
-        10e9,
-        SimDuration::from_micros(4),
-        EngineConfig::default(),
-    );
-    let report = eng.run(SimTime::from_millis(4));
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "packets={} marked={} cnps={} pauses={}",
-        report.data_packets, report.marked_packets, report.cnps_sent, report.pfc_pauses
-    );
-    for f in &report.fcts {
-        let _ = writeln!(
-            s,
-            "fct flow={} size={} start={:.12e} fct={:.12e}",
-            f.flow, f.size_bytes, f.start_s, f.fct_s
-        );
-    }
-    for (i, d) in report.delivered_bytes.iter().enumerate() {
-        let _ = writeln!(s, "delivered[{i}]={d}");
-    }
-    for (link, trace) in report.queue_traces.iter() {
-        for (t, q) in trace.points() {
-            let _ = writeln!(s, "q link={} t={t:.12e} bytes={q:.12e}", link.0);
-        }
-    }
-    let _ = writeln!(s, "bottleneck={}", bottleneck.0);
-    s
-}
-
-fn cmd_determinism() -> ExitCode {
-    let a = trace_bytes();
-    let b = trace_bytes();
-    if a == b {
-        println!(
-            "determinism: two runs byte-identical ({} trace bytes)",
-            a.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
-            if la != lb {
-                eprintln!("determinism: first divergence at trace line {i}:\n  A: {la}\n  B: {lb}");
-                break;
-            }
-        }
-        eprintln!("determinism: FAIL — two identically-seeded runs diverged");
-        ExitCode::FAILURE
     }
 }

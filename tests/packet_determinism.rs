@@ -11,11 +11,12 @@
 //! event, or the same events in a different order — whether or not every
 //! event still has a wheel entry of its own (the digest folds in
 //! `events_processed`), and whether the horizon is reached in one `run` or
-//! in several.
+//! in several. A fifth run has long-lived flows, which no FCT digest can pin:
+//! it is run twice and the two reports are compared bit for bit.
 
 use ecn_delay::desim::{SimDuration, SimTime};
 use ecn_delay::experiments::experiments::ext_incast::report_digest;
-use ecn_delay::experiments::scenarios::{fat_tree_incast, Protocol};
+use ecn_delay::experiments::scenarios::{fat_tree_incast, single_switch_longlived, Protocol};
 use ecn_delay::netsim::{Engine, EngineConfig, FlowSpec, PfcConfig, SimReport, Topology};
 use ecn_delay::workload::IncastConfig;
 use faults::{FaultSchedule, ParamTarget};
@@ -139,4 +140,47 @@ fn dcqcn_under_a_fault_schedule() {
     let report = eng.run(SimTime::from_millis(40));
     assert!(report.fault_drops > 0 && report.fault_pauses > 0);
     check(&report, 3, "8d8d9bb182f2dbef", 0);
+}
+
+#[test]
+fn two_identically_seeded_runs_are_bitwise_equal() {
+    let run = || {
+        let prop = SimDuration::from_micros(4);
+        let (mut eng, _bottleneck) = single_switch_longlived(
+            Protocol::Dcqcn,
+            4,
+            LINE_RATE_BPS,
+            prop,
+            EngineConfig::default(),
+        );
+        eng.run(SimTime::from_millis(4))
+    };
+    let (a, b) = (run(), run());
+    let counters = |r: &SimReport| (r.data_packets, r.marked_packets, r.cnps_sent, r.pfc_pauses);
+    assert!(
+        a.marked_packets > 0 && a.cnps_sent > 0,
+        "congestion control acted"
+    );
+    assert_eq!(counters(&a), counters(&b));
+    let fct_bits = |r: &SimReport| -> Vec<(usize, u64, u64, u64)> {
+        r.fcts
+            .iter()
+            .map(|f| (f.flow, f.size_bytes, f.start_s.to_bits(), f.fct_s.to_bits()))
+            .collect()
+    };
+    assert_eq!(fct_bits(&a), fct_bits(&b));
+    assert_eq!(a.delivered_bytes, b.delivered_bytes);
+    let queue_bits = |r: &SimReport| -> Vec<(usize, u64, u64)> {
+        r.queue_traces
+            .iter()
+            .flat_map(|(link, trace)| {
+                trace
+                    .points()
+                    .iter()
+                    .map(move |&(t, q)| (link.0, t.to_bits(), q.to_bits()))
+            })
+            .collect()
+    };
+    assert!(!queue_bits(&a).is_empty(), "the bottleneck queue is traced");
+    assert_eq!(queue_bits(&a), queue_bits(&b));
 }

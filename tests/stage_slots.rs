@@ -14,7 +14,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use ecn_delay::fluid::batch::{lane_of, pack_lanes, try_integrate_dde_batch, LaneBatch};
 use ecn_delay::fluid::classes::{try_integrate_classes, FlowClassSystem, FlowClasses, FlowLayout};
-use ecn_delay::fluid::dde::{try_integrate_dde, DdeOptions, DdeSystem};
+use ecn_delay::fluid::dde::{try_integrate_dde, DdeOptions};
 use ecn_delay::fluid::{History, LaneSystem, StageInstant, StagedLane, Stages, Trace};
 use ecn_delay::models::dcqcn::{DcqcnFluid, DcqcnParams};
 use ecn_delay::models::jitter::Jitter;
@@ -69,22 +69,7 @@ impl<M: LaneSystem> LaneSystem for Unslotted<M> {
     }
 }
 
-impl<M: DdeSystem> DdeSystem for Unslotted<M> {
-    fn dim(&self) -> usize {
-        self.0.dim()
-    }
-    fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {
-        self.0.rhs(t, x, hist, dxdt);
-    }
-    fn min_delay(&self) -> f64 {
-        DdeSystem::min_delay(&self.0)
-    }
-    fn project(&mut self, t: f64, x: &mut [f64]) {
-        self.0.project(t, x);
-    }
-}
-
-impl<M: FlowClassSystem> FlowClassSystem for Unslotted<M> {
+impl<M: FlowClassSystem + LaneSystem> FlowClassSystem for Unslotted<M> {
     fn layout(&self) -> FlowLayout {
         self.0.layout()
     }
@@ -425,29 +410,6 @@ impl StagedLane for Lag {
             let i = lane_of(c, lane, stride);
             dxdt[i] = term - decay_per_s * x[i];
         }
-    }
-}
-
-impl DdeSystem for Lag {
-    fn dim(&self) -> usize {
-        self.lane_dim()
-    }
-    fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {
-        self.lane_rhs(t, x, 0, 1, hist, dxdt);
-    }
-    fn rhs_at(
-        &mut self,
-        at: StageInstant,
-        t: f64,
-        x: &[f64],
-        hist: &History,
-        stages: &mut Stages,
-        dxdt: &mut [f64],
-    ) {
-        stages.rhs(std::slice::from_mut(self), at, t, x, hist, dxdt);
-    }
-    fn min_delay(&self) -> f64 {
-        LaneSystem::min_delay(self)
     }
 }
 
