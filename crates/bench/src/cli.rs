@@ -135,15 +135,17 @@ fn parse_words(words: &[String], entry: Option<&str>) -> Result<Args, Usage> {
 mod tests {
     use super::*;
 
-    fn parse(line: &str, entry: Option<&str>) -> Result<Args, String> {
+    fn parse(line: &str, entry: Option<&str>) -> Args {
         let words: Vec<String> = line.split_whitespace().map(String::from).collect();
-        parse_words(&words, entry).map_err(|u| format!("{}: {}", u.flag, u.reason))
+        parse_words(&words, entry).expect(line)
     }
 
     #[test]
     fn flags_take_their_values_and_no_store_wins() {
-        let line = "fig3 --trace t --timeseries --flight --flight f --store s";
-        let a = parse(line, None).expect(line);
+        let a = parse(
+            "fig3 --trace t --timeseries --flight --flight f --store s",
+            None,
+        );
         assert_eq!(a.entry.as_deref(), Some("fig3"));
         // A value is a value even when it looks like a flag.
         assert_eq!(
@@ -156,37 +158,17 @@ mod tests {
             )
         );
         for line in ["--no-store --store s", "--store s --no-store"] {
-            assert_eq!(parse(line, Some("ext_incast")).expect(line).store, None);
+            assert_eq!(parse(line, Some("ext_incast")).store, None);
         }
-        let a = parse("--identity-check --k 4", Some("ext_incast")).expect("own flags");
+        let a = parse("--identity-check --k 4", Some("ext_incast"));
         assert_eq!(
             a.own,
             [("--identity-check", String::new()), ("--k", "4".into())]
         );
-        let a = parse("--all --metrics d", None).expect("--all");
+        let a = parse("--all --metrics d", None);
         assert_eq!(
             (a.entry.as_deref(), a.metrics),
             (Some("--all"), Some("d".into()))
         );
-    }
-
-    #[test]
-    fn nothing_is_skipped() {
-        for (line, entry, error) in [
-            ("eq14 --metrcs m.json", None, "--metrcs: unknown flag"),
-            ("eq14 --trace", None, "--trace: missing value"),
-            ("eq14 stray", None, "stray: unknown flag"),
-            ("eq14 --all", None, "--all: unknown flag"),
-            // An entry's own flags are nobody else's.
-            ("eq14 --faults x", None, "--faults: unknown flag"),
-            ("--all --faults x", None, "--faults: unknown flag"),
-            ("ext_faults --k 4", None, "--k: unknown flag"),
-            ("--faults x", Some("ext_incast"), "--faults: unknown flag"),
-            ("fig3", Some("ext_incast"), "fig3: unknown flag"),
-            ("--sender 64", Some("ext_incast"), "--sender: unknown flag"),
-            ("--k", Some("ext_incast"), "--k: missing value"),
-        ] {
-            assert_eq!(parse(line, entry).err().as_deref(), Some(error), "{line}");
-        }
     }
 }

@@ -89,33 +89,39 @@ fn no_id_and_an_unknown_id_list_the_table() {
     }
 }
 
+/// Nothing is skipped: a misspelt flag, a missing or unreadable value, a
+/// flag another entry takes and a stray word all stop the run.
 #[test]
 fn bad_flags_are_usage_errors() {
-    let ext_incast = |args: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_ext_incast"))
-            .args(args)
-            .output()
-            .expect("launch ext_incast")
-    };
-    for (out, flag, reason) in [
-        (figs(&["eq14", "--metrcs", "x"]), "--metrcs", "unknown flag"),
-        (figs(&["eq14", "--trace"]), "--trace", "missing value"),
-        (
-            figs(&["--all", "--flight", "x"]),
-            "--flight",
-            "--all fans out",
-        ),
-        (ext_incast(&["--sender", "64"]), "--sender", "unknown flag"),
-        (ext_incast(&["--k", "four"]), "--k", "expected an integer"),
+    for (line, flag, reason) in [
+        ("figs eq14 --metrcs x", "--metrcs", "unknown flag"),
+        ("figs eq14 --trace", "--trace", "missing value"),
+        ("figs eq14 stray", "stray", "unknown flag"),
+        ("figs eq14 --all", "--all", "unknown flag"),
+        ("figs eq14 --faults x", "--faults", "unknown flag"),
+        ("figs ext_faults --k 4", "--k", "unknown flag"),
+        ("figs --all --faults x", "--faults", "unknown flag"),
+        ("figs --all --flight x", "--flight", "--all fans out"),
+        ("ext_incast --sender 64", "--sender", "unknown flag"),
+        ("ext_incast --faults x", "--faults", "unknown flag"),
+        ("ext_incast fig3", "fig3", "unknown flag"),
+        ("ext_incast --k", "--k", "missing value"),
+        ("ext_incast --k four", "--k", "expected an integer"),
     ] {
-        assert_eq!(out.status.code(), Some(2), "{flag}");
-        assert!(out.stdout.is_empty(), "{flag}: nothing ran");
+        let mut words = line.split_whitespace();
+        let program = match words.next() {
+            Some("figs") => env!("CARGO_BIN_EXE_figs"),
+            _ => env!("CARGO_BIN_EXE_ext_incast"),
+        };
+        let out = Command::new(program).args(words).output().expect(line);
+        assert_eq!(out.status.code(), Some(2), "{line}");
+        assert!(out.stdout.is_empty(), "{line}: nothing ran");
         let stderr = String::from_utf8_lossy(&out.stderr);
         let diagnostic = stderr.lines().last().expect("a diagnostic line");
         let doc = obs::json::parse(diagnostic).expect("the diagnostic is JSON");
         let field = |name| doc.get(name).and_then(|v| v.as_str().map(String::from));
-        assert_eq!(field("error").as_deref(), Some("invalid_usage"));
-        assert_eq!(field("flag").as_deref(), Some(flag));
+        assert_eq!(field("error").as_deref(), Some("invalid_usage"), "{line}");
+        assert_eq!(field("flag").as_deref(), Some(flag), "{line}");
         assert!(
             field("reason").is_some_and(|r| r.contains(reason)),
             "{stderr}"
