@@ -5,7 +5,7 @@
 //! adaptive iteration count targeting a wall-clock budget per benchmark,
 //! and a one-line `min / median / mean` report. Timing benchmarks live
 //! outside the simulator crates, so wall-clock reads are allowed here (the
-//! simulator itself is forbidden from `Instant::now` by `xtask lint`).
+//! simulator itself is forbidden from `Instant::now` by `clippy.toml`).
 //!
 //! Every [`bench()`] call is also recorded in a process-global registry;
 //! [`write_report`] serializes the registry to a machine-readable JSON
@@ -68,6 +68,7 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Record {
     let mut times = Vec::new();
     let mut total = Duration::ZERO;
     while times.is_empty() || (total < budget && times.len() < max_iters) {
+        #[expect(clippy::disallowed_methods, reason = "wall time is the measurement")]
         let start = Instant::now();
         std_black_box(f());
         let dt = start.elapsed();

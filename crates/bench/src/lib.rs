@@ -26,6 +26,10 @@
 //! shared store.
 
 #![warn(missing_docs)]
+// The wall-clock ban (`crates/bench/clippy.toml`, DESIGN.md §8.1): only
+// `harness` reads the clock. `xtask`'s `headers_deny_what_the_table_demands`
+// test holds this header to `xtask::CRATE_LINTS`.
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 pub mod cli;
 pub mod figures;

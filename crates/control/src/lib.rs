@@ -21,6 +21,10 @@
 //!   point equations such as the paper's Eq 11.
 
 #![deny(missing_docs)]
+// Library panic discipline (root `clippy.toml`, DESIGN.md §8.1); `xtask`'s
+// `headers_deny_what_the_table_demands` test holds this header to
+// `xtask::CRATE_LINTS`.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cmatrix;
 pub mod complex;

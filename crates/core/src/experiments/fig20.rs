@@ -95,7 +95,7 @@ pub fn run(cfg: &Fig20Config) -> Fig20Result {
 
     // Results come back in job order: each protocol's clean run, then its
     // jittered one.
-    // simlint: allow(panic, no-unwrap-sim) — `par_map` returns one result per job, and there are four
+    // `par_map` returns one result per job, and there are four.
     let [dcqcn_clean, dcqcn_noisy, timely_clean, timely_noisy]: [(Series, f64); 4] =
         runs.try_into().expect("one result per job");
     let panel = |protocol: &str, q_star_pkts: f64, clean: (Series, f64), noisy: (Series, f64)| {

@@ -113,7 +113,7 @@ pub fn run(cfg: &Fig3Config) -> Fig3Result {
             (0..n_curves)
                 .map(|c| {
                     let idx = c * n_pos + k;
-                    // simlint: allow(panic, no-unwrap-sim) — idx enumerates each slot exactly once
+                    // idx enumerates each slot exactly once.
                     let (p, n) = slots[idx].take().expect("job regrouped twice");
                     (idx, p, n)
                 })

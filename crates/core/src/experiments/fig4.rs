@@ -116,7 +116,7 @@ pub fn run(cfg: &Fig4Config) -> Fig4Result {
             .zip(traces)
             .map(|((idx, fluid), trace)| {
                 let (d, n) = jobs_ref[idx];
-                // simlint: allow(panic, no-unwrap-sim) — like `DcqcnFluid::simulate`, which panics on divergence
+                // Like `DcqcnFluid::simulate`, which panics on divergence.
                 let trace = trace.unwrap_or_else(|e| panic!("fig4 lane diverged: {e}"));
                 (idx, make_panel(fluid, d, n, duration_s, &trace))
             })
@@ -128,7 +128,7 @@ pub fn run(cfg: &Fig4Config) -> Fig4Result {
     }
     let panels = slots
         .into_iter()
-        // simlint: allow(panic, no-unwrap-sim) — every input index appears in exactly one group
+        // Every input index appears in exactly one group.
         .map(|s| s.expect("panel slot unfilled"))
         .collect();
     Fig4Result { panels }

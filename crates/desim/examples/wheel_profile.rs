@@ -1,11 +1,18 @@
 //! Scratch profiling harness for the timing wheel (not shipped; examples are
-//! outside the simlint scope and the no-wall-clock rule).
+//! outside the simlint scope and the wall-clock ban).
 
 use desim::{EventQueue, SimRng, SimTime};
 use std::time::Instant;
 
+#[path = "../tests/support/event_ref.rs"]
+#[expect(
+    dead_code,
+    reason = "the whole oracle; this harness only schedules and pops"
+)]
+mod event_ref;
+
 fn ref_bench() {
-    use desim::event_ref::ReferenceEventQueue;
+    use event_ref::ReferenceEventQueue;
     let reps = 300u32;
     let mut acc = 0u64;
     let t0 = std::time::Instant::now();

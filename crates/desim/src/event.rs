@@ -61,8 +61,9 @@
 //! the search and a purge walk, and a `pop` after it repeats both).
 //!
 //! The previous heap implementation is retained verbatim as
-//! [`crate::event_ref::ReferenceEventQueue`] and serves as the oracle for
-//! the differential property test in `tests/wheel_differential.rs`.
+//! `ReferenceEventQueue` in `tests/support/event_ref.rs` and serves as the
+//! oracle for the differential property test in
+//! `tests/wheel_differential.rs`.
 
 use crate::time::SimTime;
 

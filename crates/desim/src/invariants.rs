@@ -1,7 +1,7 @@
 //! Debug-assertion invariant layer.
 //!
-//! The static simlint pass (crates/xtask) keeps nondeterminism and silent
-//! unit errors out of the source; this module is its runtime complement — a
+//! The static checks (`clippy.toml`, simlint in crates/xtask) keep
+//! nondeterminism and silent unit errors out of the source; this module is its runtime complement — a
 //! set of `debug_assert!`-based checks that pin the dynamic invariants the
 //! simulators rely on:
 //!

@@ -11,8 +11,8 @@
 //!   per-level occupancy bitmaps, arena-backed entries) with a monotonically
 //!   increasing tie-break sequence number, guaranteeing **deterministic**
 //!   FIFO ordering among simultaneous events at O(1) amortized push/pop and
-//!   O(1) cancel; the pre-wheel binary-heap queue survives as
-//!   [`event_ref::ReferenceEventQueue`], the oracle for the differential
+//!   O(1) cancel; the pre-wheel binary-heap queue survives as test support
+//!   (`tests/support/event_ref.rs`), the oracle for the differential
 //!   property test;
 //! * [`rng::SimRng`] — a small, seedable xoshiro256** generator so every
 //!   experiment is exactly reproducible from its seed;
@@ -31,9 +31,18 @@
 //! be exhaustively tested, and everything above it is pure library code.
 
 #![deny(missing_docs)]
+// The determinism, crash-safety and panic bans (root `clippy.toml`,
+// DESIGN.md §8.1); `xtask`'s `headers_deny_what_the_table_demands` test holds
+// this header to `xtask::CRATE_LINTS`.
+#![deny(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod event;
-pub mod event_ref;
 pub mod invariants;
 pub mod par;
 pub mod rng;

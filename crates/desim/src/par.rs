@@ -6,7 +6,8 @@
 //! scoped-thread pool and returns the results **in input order**, so the
 //! output of a sweep is byte-identical regardless of the worker count or OS
 //! scheduling. This is the *only* place in the simulation workspace allowed
-//! to touch `std::thread` (enforced by the `thread-spawn` simlint rule):
+//! to touch `std::thread` (enforced by the `std::thread::{spawn, scope}` ban
+//! of `clippy.toml`):
 //! replicas stay reproducible because
 //!
 //! * job *i*'s result always lands in slot *i* — thread interleaving decides
@@ -99,10 +100,12 @@ where
     let result_slots: Vec<Mutex<Option<O>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
-    // simlint: allow(thread-spawn) — desim::par IS the sanctioned executor.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "desim::par is the sanctioned executor"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            // simlint: allow(thread-spawn) — desim::par IS the sanctioned executor.
             scope.spawn(|| loop {
                 let idx = next.fetch_add(1, Ordering::Relaxed);
                 if idx >= n_jobs {
@@ -112,7 +115,10 @@ where
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
                     .take();
-                // simlint: allow(panic, no-unwrap-sim) — slot idx is claimed exactly once via the counter
+                #[expect(
+                    clippy::expect_used,
+                    reason = "slot idx is claimed exactly once via the counter"
+                )]
                 let job = job.expect("job slot claimed twice");
                 let out = obs::trace::with_context(
                     obs::trace::child_context(trace_parent, idx as u64),
@@ -131,9 +137,12 @@ where
     result_slots
         .into_iter()
         .map(|slot| {
+            #[expect(
+                clippy::expect_used,
+                reason = "scope() propagates worker panics; every slot is filled"
+            )]
             slot.into_inner()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
-                // simlint: allow(panic, no-unwrap-sim) — scope() propagates worker panics; every slot is filled
                 .expect("scope joined with an unfilled result slot")
         })
         .collect()

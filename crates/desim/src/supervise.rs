@@ -261,6 +261,10 @@ where
     F: Fn(I) -> Result<O, E> + Send + Sync + 'static,
     R: Fn(&E) -> bool + Send + Sync + 'static,
 {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the supervisor owns its pool: an overdue worker is abandoned, which a scoped join cannot do"
+    )]
     std::thread::spawn(move || {
         let n_jobs = shared.jobs.len();
         loop {
@@ -278,6 +282,10 @@ where
 
 /// Run one job to a final verdict (attempt loop + panic isolation) and
 /// commit it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "deadline supervision must read real time to detect a hang; the reading arms the watchdog and never enters a result"
+)]
 fn run_job<I, O, E, F, R>(shared: &Shared<I, O, E>, idx: usize, input: I, worker: &F, retryable: &R)
 where
     I: Clone,
@@ -338,6 +346,10 @@ where
     // Unwrap-free clamp: policy.deadline_s is Some by the caller's check.
     let deadline_s = shared.policy.deadline_s.unwrap_or(f64::INFINITY);
     let poll = Duration::from_secs_f64((deadline_s / 8.0).clamp(0.005, 0.2));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the watchdog outlives any one job; it stops on stop_watchdog"
+    )]
     std::thread::spawn(move || loop {
         if shared.stop_watchdog.load(Ordering::Relaxed) {
             break;

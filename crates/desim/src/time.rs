@@ -144,8 +144,9 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[expect(clippy::expect_used, reason = "overflow is a programming error")]
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow")) // simlint: allow(panic, no-unwrap-sim) — overflow is a programming error
+        SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
 }
 
@@ -157,22 +158,25 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[expect(clippy::expect_used, reason = "underflow is a programming error")]
     fn sub(self, rhs: SimTime) -> SimDuration {
-        SimDuration(self.0.checked_sub(rhs.0).expect("negative SimDuration")) // simlint: allow(panic, no-unwrap-sim) — underflow is a programming error
+        SimDuration(self.0.checked_sub(rhs.0).expect("negative SimDuration"))
     }
 }
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[expect(clippy::expect_used, reason = "underflow is a programming error")]
     fn sub(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0.checked_sub(rhs.0).expect("SimTime underflow")) // simlint: allow(panic, no-unwrap-sim) — underflow is a programming error
+        SimTime(self.0.checked_sub(rhs.0).expect("SimTime underflow"))
     }
 }
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[expect(clippy::expect_used, reason = "overflow is a programming error")]
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow")) // simlint: allow(panic, no-unwrap-sim) — overflow is a programming error
+        SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow"))
     }
 }
 
@@ -184,8 +188,9 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[expect(clippy::expect_used, reason = "underflow is a programming error")]
     fn sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.checked_sub(rhs.0).expect("negative SimDuration")) // simlint: allow(panic, no-unwrap-sim) — underflow is a programming error
+        SimDuration(self.0.checked_sub(rhs.0).expect("negative SimDuration"))
     }
 }
 

@@ -6,8 +6,9 @@
 //! is just a push under the given `seq`) as the **oracle** for the timing
 //! wheel's differential property test (`tests/wheel_differential.rs`) and for
 //! the `event_queue/wheel_*` before/after bench rows. It is deliberately
-//! simple and obviously correct for the orderings the simulator relies on; it
-//! is *not* used by any simulation path.
+//! simple and obviously correct for the orderings the simulator relies on.
+//! It is test support, not part of the `desim` library: the test and
+//! `examples/wheel_profile.rs` include it with `#[path]`.
 //!
 //! Known oracle limitation, inherited from the original: `cancel` on an id
 //! that has already fired still inserts a tombstone and decrements `len`.
@@ -15,7 +16,7 @@
 //! which is also the only pattern the engine ever used. The wheel detects
 //! fired ids exactly (arena generations) and is strictly better here.
 
-use crate::time::SimTime;
+use desim::SimTime;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BTreeSet;
 use std::collections::BinaryHeap;
@@ -59,7 +60,7 @@ impl<E> std::fmt::Debug for Entry<E> {
 }
 
 /// The heap + tombstone-set queue, API-compatible with
-/// [`crate::EventQueue`] (modulo the id type).
+/// [`desim::EventQueue`] (modulo the id type).
 #[derive(Debug)]
 pub struct ReferenceEventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
@@ -160,7 +161,7 @@ impl<E> ReferenceEventQueue<E> {
                 continue;
             }
             self.len -= 1;
-            crate::invariants::monotonic_time(
+            desim::invariants::monotonic_time(
                 "ReferenceEventQueue::pop",
                 self.last_popped,
                 entry.time,
@@ -189,7 +190,6 @@ impl<E> ReferenceEventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)

@@ -15,14 +15,17 @@
 //! other. On the heap a late insertion is a push under the given `seq`, so
 //! the oracle says where each must pop.
 
-use desim::event_ref::ReferenceEventQueue;
 use desim::{EventQueue, SimRng, SimTime};
+
+#[path = "support/event_ref.rs"]
+mod event_ref;
+use event_ref::ReferenceEventQueue;
 
 /// One pending event tracked on both queues under a common tag.
 struct Pending {
     tag: u64,
     wheel_id: desim::EventId,
-    ref_id: desim::event_ref::RefEventId,
+    ref_id: event_ref::RefEventId,
 }
 
 struct Harness {
@@ -177,6 +180,7 @@ impl Harness {
 
     fn check_len(&self) {
         assert_eq!(self.wheel.len(), self.oracle.len(), "len diverged");
+        assert_eq!(self.wheel.is_empty(), self.oracle.is_empty());
         assert_eq!(self.wheel.len(), self.pending.len(), "tracker diverged");
     }
 

@@ -200,7 +200,7 @@ pub(crate) fn get_str<'a>(obj: &'a Entries, key: &str) -> Result<&'a str, SimErr
 
 /// `n` as the non-negative integer it must be (`what` names it in the error).
 pub(crate) fn as_index(n: f64, what: &str) -> Result<u64, SimError> {
-    // simlint: allow(float-cmp) — exact-by-design: fract()==0.0 is the definition of integrality
+    // Exact by design: fract() == 0.0 is the definition of integrality.
     if !(n.is_finite() && n >= 0.0 && n.fract() == 0.0) {
         return Err(SimError::spec(format!(
             "{what} must be a non-negative integer, got {n}"

@@ -47,8 +47,7 @@ use faults::SimError;
 /// Flat index of `component` of `lane` in a struct-of-arrays batch block
 /// whose lane stride is `stride` (= the batch width B). The unit of the
 /// value read through this index is the unit of `component` — strided batch
-/// reads keep their dimensional meaning (recognized by the simlint
-/// unit-flow pass).
+/// reads keep their dimensional meaning.
 #[inline]
 pub fn lane_of(component: usize, lane: usize, stride: usize) -> usize {
     component * stride + lane
@@ -282,7 +281,7 @@ pub fn try_integrate_dde_batch<S: BatchDdeSystem>(
     }
 
     let mut hist = History::new(t0, pre);
-    // simlint: allow(float-cmp) — exact-by-design: only a bitwise-identical pre-history skips the knot
+    // Exact by design: only a bitwise-identical pre-history skips the knot.
     if pre != x0 {
         hist.push(t0, x0);
     }

@@ -95,13 +95,16 @@ impl History {
     }
 
     /// Append a knot. Times must be non-decreasing.
+    #[expect(
+        clippy::float_cmp,
+        reason = "exact by design: only the bitwise-same instant replaces a knot"
+    )]
     pub fn push(&mut self, t: f64, state: &[f64]) {
         assert_eq!(state.len(), self.dim);
         // In bounds: the history is seeded with one knot at construction and
         // never shrinks below it.
         let last = self.times[self.times.len() - 1];
         assert!(t >= last, "history times must be non-decreasing");
-        // simlint: allow(float-cmp) — exact-by-design: only the bitwise-same instant replaces a knot
         if t == last {
             // Replace the knot (refinement of the same instant).
             let off = self.states.len() - self.dim;
@@ -143,6 +146,10 @@ impl History {
     ///   what makes intra-step stage evaluations well-defined when a delay is
     ///   smaller than the step size; the integrator keeps steps below the
     ///   smallest delay, so this path only smooths sub-step lookups.
+    #[expect(
+        clippy::float_cmp,
+        reason = "exact by design: only a zero-width interval skips the division"
+    )]
     pub fn eval(&self, t: f64, c: usize) -> f64 {
         assert!(c < self.dim, "component out of range");
         if t <= self.times[self.front] {
@@ -168,6 +175,10 @@ impl History {
     /// `dim`), locating the bracketing knot pair once. Bit-identical to
     /// calling [`History::eval`] per component — the interpolation arithmetic
     /// is the same — at a single search instead of `dim`.
+    #[expect(
+        clippy::float_cmp,
+        reason = "exact by design: only a zero-width interval skips the division"
+    )]
     pub fn eval_all(&self, t: f64, out: &mut [f64]) {
         assert_eq!(out.len(), self.dim, "output slice dimension mismatch");
         let _span = obs::span::enter(obs::Phase::Locate);
@@ -205,6 +216,10 @@ impl History {
     /// full per-lane delayed state with a single search. Bit-identical to
     /// calling [`History::eval`] per component — the interpolation arithmetic
     /// is the same.
+    #[expect(
+        clippy::float_cmp,
+        reason = "exact by design: only a zero-width interval skips the division"
+    )]
     pub fn eval_strided(
         &self,
         t: f64,

@@ -38,6 +38,16 @@
 //! cleverness here.
 
 #![deny(missing_docs)]
+// The determinism, crash-safety and panic bans (root `clippy.toml`,
+// DESIGN.md §8.1); `xtask`'s `headers_deny_what_the_table_demands` test holds
+// this header to `xtask::CRATE_LINTS`.
+#![deny(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod batch;
 pub mod classes;

@@ -523,9 +523,12 @@ impl DcqcnFluid {
         // bracket and bisect via Brent. Many flows on a slow link push p*
         // past 0.999; the last stretch below 1 is searched only when the
         // first bracket fails, so every root inside it keeps its bits.
+        #[expect(
+            clippy::expect_used,
+            reason = "Theorem 1 guarantees the bracket; a miss is a model bug"
+        )]
         let p_star = roots::brent(excess, 1e-10, 0.999, 1e-14)
             .or_else(|_| roots::brent(excess, 0.999, 1.0_f64.next_down(), 1e-14))
-            // simlint: allow(panic, no-unwrap-sim) — Theorem 1 guarantees the bracket; a miss is a model bug
             .expect("Eq 11 must bracket a root: LHS(0) < RHS < LHS(1)");
 
         let q_star_pkts = p_star / p.p_max * (p.kmax_pkts() - p.kmin_pkts()) + p.kmin_pkts(); // Eq 9

@@ -3,8 +3,7 @@
 //! A sorted-`Vec` map from [`LinkId`] to [`TimeSeries`]. Link ids are small
 //! dense indices, so a sorted vector gives `O(log n)` lookup with fully
 //! deterministic iteration order — unlike `HashMap`, whose iteration order
-//! varies run to run and is banned from simulation logic by the simlint
-//! `hash-collections` rule.
+//! varies run to run and is banned from simulation logic by `clippy.toml`.
 
 use crate::topology::LinkId;
 use desim::stats::TimeSeries;

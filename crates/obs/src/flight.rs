@@ -246,7 +246,10 @@ pub fn dump_on_error(reason: &str) -> Option<PathBuf> {
     crate::json::write_str(&mut out, reason);
     out.push_str("}\n");
     out.push_str(&export_jsonl());
-    // simlint: allow(no-raw-fs-write) — post-mortem diagnostic sink: written while the process is already failing, best-effort by design, and obs sits below store so the atomic writer is out of reach
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "post-mortem diagnostic sink: written while the process is already failing, best-effort by design, and obs sits below store so the atomic writer is out of reach"
+    )]
     std::fs::write(&path, out).ok()?;
     with_sink(|s| s.dump_reason = Some(reason.to_string()));
     Some(path)

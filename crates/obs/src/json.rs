@@ -5,7 +5,7 @@
 //! results (`ecn_delay_core::json::ToJson` builds a [`Value`],
 //! [`Value::render_pretty`] writes it), store keys and cached records
 //! ([`Value::render_canonical`], [`parse`]), fault specs and `SimError`
-//! records, the simlint baseline, `simreport`, and this crate's own JSONL
+//! records, the simlint report, `simreport`, and this crate's own JSONL
 //! exporters ([`write_f64`] / [`write_str`]). It lives in `obs` because
 //! `obs` is the one crate every JSON user already links.
 //!

@@ -10,10 +10,10 @@
 //!   keyed by *simulation* time only (never wall clock), so traces are
 //!   byte-identical across `SIM_THREADS` settings;
 //! * [`span`] — wall-clock span timers for bench-phase attribution
-//!   (integrate / locate / compact / event-dispatch). This is the **only**
-//!   module in the sim layer allowed to read the wall clock (simlint exempts
-//!   `crates/obs/src/span.rs` from the `wall-clock` rule, exactly as
-//!   `desim/src/par.rs` is exempt from `thread-spawn`);
+//!   (integrate / locate / compact / event-dispatch). This is the module
+//!   of the sim layer that reads the wall clock (its two reads carry the
+//!   `#[expect]` for the `Instant::now` ban of `clippy.toml`, as
+//!   `desim::par` does for the `thread::scope` one);
 //! * [`timeseries`] — windowed, downsampled time-series plus log-bucketed
 //!   streaming histograms (HDR-style) so queue/rate trajectories and FCT
 //!   percentiles at incast scale cost O(windows + buckets), not O(samples);
@@ -45,6 +45,16 @@
 //!   separate accumulator drained only by the bench harness.
 
 #![deny(missing_docs)]
+// The determinism, crash-safety and panic bans (root `clippy.toml`,
+// DESIGN.md §8.1); `xtask`'s `headers_deny_what_the_table_demands` test holds
+// this header to `xtask::CRATE_LINTS`.
+#![deny(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod flight;
 pub mod json;

@@ -1,8 +1,9 @@
 //! Wall-clock span timers for bench-phase attribution.
 //!
-//! This module is the **only** sim-layer surface allowed to read the wall
-//! clock: simlint's `wall-clock` rule exempts `crates/obs/src/span.rs`
-//! specifically (the analogue of `desim/src/par.rs` for `thread-spawn`).
+//! This module is the sim-layer surface that reads the wall clock: its two
+//! `Instant::now` calls carry the `#[expect]` for the ban in `clippy.toml`
+//! (the analogue of `desim::par` for `thread::scope`), and simlint's
+//! `determinism-taint` holds the readings to measuring.
 //! Sim crates call [`enter`] with a [`Phase`]; the `Instant` reads happen
 //! in here, and only when spans are explicitly enabled by the bench
 //! harness. Wall-clock durations never flow into traces, metrics or any
@@ -96,6 +97,10 @@ pub struct SpanGuard {
 /// Start timing `phase`. The returned guard attributes the elapsed wall
 /// time to the phase when it goes out of scope.
 #[inline]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one profiling timer: the reading goes to the span totals, never into simulation state"
+)]
 pub fn enter(phase: Phase) -> SpanGuard {
     SpanGuard {
         phase,
@@ -116,15 +121,19 @@ impl Drop for SpanGuard {
 
 /// A plain wall-clock stopwatch for result-side annotations (e.g. per-cell
 /// `wall_ms` in `results/ext_incast.json`). Lives here because span.rs is
-/// the one sim-layer file allowed to read the clock; callers elsewhere stay
-/// clean under simlint's `wall-clock` rule. Readings must never feed back
-/// into simulation state or byte-compared outputs — determinism gates scrub
-/// or skip them.
+/// where the sim layer's sanctioned clock reads are; callers elsewhere stay
+/// clean under the `Instant::now` ban of `clippy.toml`. Readings must never
+/// feed back into simulation state or byte-compared outputs — determinism
+/// gates scrub or skip them.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(Instant);
 
 impl Stopwatch {
     /// Start a stopwatch now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "result-side wall_ms annotation; determinism gates scrub or skip it"
+    )]
     pub fn start() -> Self {
         Stopwatch(Instant::now())
     }

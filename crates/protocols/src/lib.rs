@@ -21,6 +21,16 @@
 //! (receiver NIC and switch respectively).
 
 #![deny(missing_docs)]
+// The determinism, crash-safety and panic bans (root `clippy.toml`,
+// DESIGN.md §8.1); `xtask`'s `headers_deny_what_the_table_demands` test holds
+// this header to `xtask::CRATE_LINTS`.
+#![deny(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod dcqcn;
 pub mod patched_timely;

@@ -6,9 +6,9 @@
 //! directory fsynced afterwards. A reader can therefore never observe a
 //! half-written file under the final name — after a `kill -9` the record is
 //! either whole or absent (a stray `.tmp.*` is ignored by every reader and
-//! harmless). This file is the `no-raw-fs-write` allowlist: everywhere else
+//! harmless). Its `File::create` carries the one `#[expect]`: everywhere else
 //! in the simulation crates, bare `std::fs::write` / `File::create` is a
-//! lint error precisely because it can tear.
+//! clippy error (`clippy.toml`) precisely because it can tear.
 
 use std::fs::{self, File};
 use std::io::{self, Write as _};
@@ -43,6 +43,10 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     ));
     // Scoped so the handle is closed before the rename.
     {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this is the atomic writer: the temp file is invisible under the final name until the rename"
+        )]
         let mut f = File::create(&tmp)?;
         f.write_all(bytes)?;
         f.sync_all()?;

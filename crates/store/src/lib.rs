@@ -27,6 +27,16 @@
 //! the remainder, byte-identically.
 
 #![deny(missing_docs)]
+// The determinism, crash-safety and panic bans (root `clippy.toml`,
+// DESIGN.md §8.1); `xtask`'s `headers_deny_what_the_table_demands` test holds
+// this header to `xtask::CRATE_LINTS`.
+#![deny(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod atomic;
 pub mod canon;
@@ -136,7 +146,6 @@ pub fn unframe(bytes: &[u8]) -> Result<&[u8], FrameError> {
     let payload = &bytes[16..16 + len];
     let mut sum_le = [0u8; 8];
     sum_le.copy_from_slice(&bytes[16 + len..]);
-    // simlint: allow(float-cmp) — u64 checksum equality, exact by definition (no floats involved)
     if u64::from_le_bytes(sum_le) != payload_checksum(payload) {
         return Err(FrameError::ChecksumMismatch);
     }

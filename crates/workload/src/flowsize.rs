@@ -26,7 +26,7 @@ impl FlowSizeDist {
                 "CDF knots must increase"
             );
         }
-        // simlint: allow(panic) — knot count validated non-empty above
+        #[expect(clippy::unwrap_used, reason = "knot count validated non-empty above")]
         let last = knots.last().unwrap();
         assert!((last.1 - 1.0).abs() < 1e-9, "CDF must end at probability 1");
         assert!(knots[0].0 > 0.0, "sizes must be positive");
@@ -99,7 +99,10 @@ impl FlowSizeDist {
                 return (s0.ln() + frac * (s1.ln() - s0.ln())).exp();
             }
         }
-        // simlint: allow(panic) — knots validated non-empty at construction
+        #[expect(
+            clippy::unwrap_used,
+            reason = "knots validated non-empty at construction"
+        )]
         self.knots.last().unwrap().0
     }
 

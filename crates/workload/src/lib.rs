@@ -23,6 +23,10 @@
 //!   pFabric) and full CDFs for Figure 15.
 
 #![deny(missing_docs)]
+// Library panic discipline (root `clippy.toml`, DESIGN.md §8.1); `xtask`'s
+// `headers_deny_what_the_table_demands` test holds this header to
+// `xtask::CRATE_LINTS`.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod arrivals;
 pub mod fct;

@@ -1,7 +1,7 @@
 //! Fixture: an allow directive that suppresses nothing is itself a finding —
 //! it silently rots as the code under it changes.
 
-// simlint: allow(hash-collections) — nothing below actually uses one
+// simlint: allow(index-literal) — nothing below actually indexes
 pub fn innocuous() -> u32 {
     42
 }

@@ -1,8 +1,8 @@
 //! Fixture: measure-only wall-clock flows (`obs::span` style) are
 //! sanctioned — readings may be aggregated into profiling counters and
 //! reported, but never written into simulation state. Zero determinism-taint
-//! findings expected (the wall-clock *source* rule is path-exempted for the
-//! real span module; this fixture only checks the dataflow pass).
+//! findings expected (the wall-clock *read* is what clippy.toml bans, and the
+//! real span module carries `#[expect]` for it; this fixture checks the flow).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,217 +1,54 @@
-//! Intraprocedural dataflow passes on the token stream.
+//! `determinism-taint`: intraprocedural wall-clock taint on the token stream.
 //!
-//! * **`unit-flow`** — dimensional taint. Units are seeded from suffix
-//!   conventions (`_s`, `_us`, `_gbps`, `_pps`, `_bytes`, …) on parameters,
-//!   locals and field names, propagated through `let` bindings, assignment
-//!   and arithmetic inside one function body, and re-typed by sanctioned
-//!   `*_to_<unit>` conversion calls (`models::units`). The strided batch
-//!   accessors (`fluid::batch::lane_of`, `batch_stride`) are typed as lane
-//!   addresses, so a SoA read `block_mbps[lane_of(c, lane, stride)]` keeps
-//!   the block's unit while physical quantities mixed into the address
-//!   arithmetic are flagged. Cross-unit `+`/`-`, comparisons and
-//!   assignments are flagged.
-//! * **`determinism-taint`** — wall-clock taint. Values derived from
-//!   `Instant::now()`, `SystemTime::now()` or `.elapsed()` are tracked the
-//!   same way and flagged when they flow into sim-state writes (field
-//!   assignments), event scheduling (`schedule*`), trace payloads
-//!   (`record`) or `SimTime`/`SimDuration`/`SimRng` constructors.
-//! * **`float-cmp`** — `==`/`!=` where either side is known floating-point,
-//!   outside approved epsilon helpers.
+//! Values derived from `Instant::now()`, `SystemTime::now()`, `.elapsed()`
+//! or `span::drain()` are tracked through `let` bindings, assignment and
+//! every expression form inside one function body, and flagged when they
+//! flow into sim-state writes (field or index assignments), event scheduling
+//! (`schedule*`), trace payloads (`record`) or `SimTime` / `SimDuration` /
+//! `SimRng` constructors. Clippy's `disallowed_methods` bans the *read*
+//! outside the sanctioned sites; this pass is what holds the sanctioned
+//! sites (`obs::span`, `desim::supervise`) to measuring the simulation
+//! without steering it — a flow, which no clippy lint expresses.
 //!
-//! This is a lexer-level abstract interpreter, not a type checker: it only
-//! reports when *both* sides of an operation have a known, different unit,
-//! so unknown units never produce noise — they just reduce coverage.
+//! This is a lexer-level abstract interpreter, not a type checker: an
+//! unknown name is untainted, so what it cannot follow reduces coverage and
+//! never produces noise.
 
 use std::collections::BTreeMap;
 
 use crate::lex::{Kind, Tok};
 use crate::rules::{fn_signature, is_ident, is_punct, skip_generics, split_commas};
-use crate::{has_unit_suffix, Ctx, Rule, Scope, Sink};
-
-/// A physical unit, one per approved suffix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Unit {
-    S,
-    Us,
-    Ns,
-    Ms,
-    Hz,
-    Pps,
-    Bps,
-    Mbps,
-    Gbps,
-    Bytes,
-    Kb,
-    Mb,
-    Pkts,
-    Dimless,
-    Deg,
-    /// Result of the strided batch accessors (`fluid::batch::lane_of`,
-    /// `batch_stride`): a struct-of-arrays lane address. Not reachable from
-    /// any name suffix — only the accessor calls produce it — so physical
-    /// quantities mixed into address arithmetic are flagged while the read
-    /// `block_mbps[lane_of(c, lane, stride)]` keeps the block's unit.
-    LaneIdx,
-}
-
-impl Unit {
-    /// Suffix-style label for messages.
-    fn label(self) -> &'static str {
-        match self {
-            Unit::S => "_s",
-            Unit::Us => "_us",
-            Unit::Ns => "_ns",
-            Unit::Ms => "_ms",
-            Unit::Hz => "_hz",
-            Unit::Pps => "_pps",
-            Unit::Bps => "_bps",
-            Unit::Mbps => "_mbps",
-            Unit::Gbps => "_gbps",
-            Unit::Bytes => "_bytes",
-            Unit::Kb => "_kb",
-            Unit::Mb => "_mb",
-            Unit::Pkts => "_pkts",
-            Unit::Dimless => "_frac/_ratio",
-            Unit::Deg => "_deg",
-            Unit::LaneIdx => "lane-index",
-        }
-    }
-}
-
-/// Suffixes, longest first so `_mbps` wins over `_bps` wins over `_s`.
-const SUFFIX_UNITS: &[(&str, Unit)] = &[
-    ("_bytes", Unit::Bytes),
-    ("_ratio", Unit::Dimless),
-    ("_mbps", Unit::Mbps),
-    ("_gbps", Unit::Gbps),
-    ("_pkts", Unit::Pkts),
-    ("_frac", Unit::Dimless),
-    ("_pps", Unit::Pps),
-    ("_bps", Unit::Bps),
-    ("_deg", Unit::Deg),
-    ("_us", Unit::Us),
-    ("_ns", Unit::Ns),
-    ("_ms", Unit::Ms),
-    ("_hz", Unit::Hz),
-    ("_kb", Unit::Kb),
-    ("_mb", Unit::Mb),
-    ("_s", Unit::S),
-];
-
-/// Unit carried by a name's suffix, if any.
-pub(crate) fn suffix_unit(name: &str) -> Option<Unit> {
-    let lower = name.to_ascii_lowercase();
-    SUFFIX_UNITS
-        .iter()
-        .find(|(s, _)| lower.ends_with(s))
-        .map(|(_, u)| *u)
-}
-
-/// Target unit of a sanctioned `*_to_<unit>` conversion fn (`models::units`
-/// naming convention: `us_to_s`, `gbps_to_pps`, `kb_to_pkts`, …).
-fn conv_target(name: &str) -> Option<Unit> {
-    let pos = name.rfind("_to_")?;
-    let tail = &name[pos + "_to".len()..]; // keep the underscore: "_s", "_pps", …
-    SUFFIX_UNITS
-        .iter()
-        .find(|(s, _)| *s == tail)
-        .map(|(_, u)| *u)
-}
-
-/// Unit (and floatness) produced by well-known accessor methods.
-fn method_unit(name: &str) -> Option<(Unit, bool)> {
-    match name {
-        "as_secs_f64" => Some((Unit::S, true)),
-        "as_micros_f64" => Some((Unit::Us, true)),
-        "as_millis_f64" => Some((Unit::Ms, true)),
-        "as_secs" => Some((Unit::S, false)),
-        "as_micros" => Some((Unit::Us, false)),
-        "as_millis" => Some((Unit::Ms, false)),
-        "as_nanos" => Some((Unit::Ns, false)),
-        _ => None,
-    }
-}
-
-/// Methods that keep their receiver's unit (and are float-valued).
-const UNIT_PRESERVING: &[&str] = &[
-    "abs", "floor", "ceil", "round", "signum", "copysign", "to_owned", "clone",
-];
-
-/// Float-valued methods that destroy the unit (nonlinear maths).
-const UNIT_DESTROYING: &[&str] = &[
-    "sqrt", "powi", "powf", "exp", "exp2", "ln", "log2", "log10", "recip", "hypot", "fract",
-    "mul_add",
-];
+use crate::{Ctx, Rule, Sink};
 
 /// Event-plane / trace-plane sinks: a wall-clock-tainted argument here means
 /// profiling data is steering the simulation.
 const TAINT_SINK_CALLS: &[&str] = &["schedule", "schedule_at", "schedule_in", "record"];
 
-/// Approved epsilon-comparison helpers: `==`/`!=` inside their bodies is the
-/// implementation, not a violation.
-const APPROVED_EPS_HELPERS: &[&str] = &[
-    "approx_eq",
-    "float_eq",
-    "feq",
-    "rel_eq",
-    "ulp_eq",
-    "close_enough",
-    "assert_close",
-];
-
-/// What the pass knows about one value.
-#[derive(Debug, Clone, Copy, Default)]
-struct Info {
-    unit: Option<Unit>,
-    is_float: bool,
-    tainted: bool,
-}
-
-impl Info {
-    fn join_taint(mut self, other: Info) -> Info {
-        self.tainted |= other.tainted;
-        self
-    }
-}
-
-/// Run the dataflow passes over every function body in the file.
-pub(crate) fn flow_passes<'c, 'a>(ctx: &'c Ctx<'a>, scope: Scope, sink: &mut Sink<'c, 'a>) {
-    if !scope.unit_flow && !scope.det_taint && !scope.float_cmp {
-        return;
-    }
+/// Run the taint pass over every function body in the file (test code
+/// included: a test steered by the clock is a flaky test).
+pub(crate) fn taint_pass<'c, 'a>(ctx: &'c Ctx<'a>, sink: &mut Sink<'c, 'a>) {
     let code = &ctx.code;
-    let mut i = 0;
-    while i < code.len() {
-        if is_ident(code[i], "fn") {
-            if let Some((name_idx, open, close)) = fn_signature(code, i) {
-                // Body: first `{` after the signature (a `;` first means a
-                // trait-method declaration with no body).
-                let mut b = close + 1;
-                while b < code.len() && !is_punct(code[b], "{") && !is_punct(code[b], ";") {
-                    b += 1;
-                }
-                if b < code.len() && is_punct(code[b], "{") {
-                    let body_close = matching_brace(code, b);
-                    let fname = code[name_idx].text.clone();
-                    let is_test = ctx.is_test_line(code[name_idx].line as usize);
-                    let mut scan = Scan {
-                        ctx,
-                        sink,
-                        env: vec![BTreeMap::new()],
-                        check_units: scope.unit_flow && !is_test,
-                        check_float: scope.float_cmp
-                            && !is_test
-                            && !APPROVED_EPS_HELPERS.contains(&fname.as_str()),
-                        check_taint: scope.det_taint,
-                    };
-                    if scan.check_units || scan.check_float || scan.check_taint {
-                        scan.bind_params(open + 1, close);
-                        scan.scan_block(b + 1, body_close);
-                    }
-                }
-            }
+    for i in 0..code.len() {
+        if !is_ident(code[i], "fn") {
+            continue;
         }
-        i += 1;
+        let Some((_, _, close)) = fn_signature(code, i) else {
+            continue;
+        };
+        // Body: first `{` after the signature (a `;` first means a
+        // trait-method declaration with no body).
+        let mut b = close + 1;
+        while b < code.len() && !is_punct(code[b], "{") && !is_punct(code[b], ";") {
+            b += 1;
+        }
+        if b < code.len() && is_punct(code[b], "{") {
+            let mut scan = Scan {
+                ctx,
+                sink,
+                env: Vec::new(),
+            };
+            scan.scan_block(b + 1, matching_brace(code, b));
+        }
     }
 }
 
@@ -229,7 +66,7 @@ fn matching_brace(code: &[&Tok], open: usize) -> usize {
     code.len()
 }
 
-/// Index just past the matching closer for a single-char delimiter pair.
+/// Index of the matching closer for a single-char delimiter pair.
 fn matching_pair(code: &[&Tok], open: usize, end: usize, o: &str, c: &str) -> usize {
     let mut depth = 0i64;
     let mut j = open;
@@ -247,67 +84,71 @@ fn matching_pair(code: &[&Tok], open: usize, end: usize, o: &str, c: &str) -> us
     end
 }
 
+/// Paren / bracket / brace nesting while walking a token range.
+#[derive(Default)]
+struct Nest(i64, i64, i64);
+
+impl Nest {
+    /// Account for `t`; returns whether `t` itself sits at nesting zero
+    /// (an opener counts as nested, its closer as back at zero).
+    fn step(&mut self, t: &Tok) -> bool {
+        if t.kind == Kind::Punct {
+            match t.text.as_str() {
+                "(" => self.0 += 1,
+                ")" => self.0 -= 1,
+                "[" => self.1 += 1,
+                "]" => self.1 -= 1,
+                "{" => self.2 += 1,
+                "}" => self.2 -= 1,
+                _ => {}
+            }
+        }
+        self.0 == 0 && self.1 == 0 && self.2 == 0
+    }
+}
+
 const CONTROL_KWS: &[&str] = &["if", "while", "for", "loop", "match", "unsafe"];
+
+const ASSIGN_OPS: &[&str] = &[
+    "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
+];
 
 struct Scan<'x, 'c, 'a> {
     ctx: &'c Ctx<'a>,
     sink: &'x mut Sink<'c, 'a>,
-    /// Lexically-scoped bindings, innermost last.
-    env: Vec<BTreeMap<String, Info>>,
-    check_units: bool,
-    check_float: bool,
-    check_taint: bool,
+    /// Lexically-scoped "is this local wall-clock-derived", innermost last.
+    env: Vec<BTreeMap<String, bool>>,
 }
 
-impl Scan<'_, '_, '_> {
-    fn code(&self) -> &[&Tok] {
+impl<'c> Scan<'_, 'c, '_> {
+    fn code(&self) -> &'c [&'c Tok] {
         &self.ctx.code
     }
 
-    fn lookup(&self, name: &str) -> Option<Info> {
-        self.env.iter().rev().find_map(|s| s.get(name)).copied()
+    fn lookup(&self, name: &str) -> bool {
+        self.env
+            .iter()
+            .rev()
+            .find_map(|s| s.get(name))
+            .copied()
+            .unwrap_or(false)
     }
 
-    fn bind(&mut self, name: &str, info: Info) {
+    fn bind(&mut self, name: &str, tainted: bool) {
         if let Some(top) = self.env.last_mut() {
-            top.insert(name.to_string(), info);
+            top.insert(name.to_string(), tainted);
         }
     }
 
-    /// Seed the environment from the parameter list.
-    fn bind_params(&mut self, start: usize, end: usize) {
-        let code = self.ctx.code.clone();
-        for (ps, pe) in split_commas(&code, start, end) {
-            let mut s = ps;
-            while s < pe && (is_punct(code[s], "&") || is_ident(code[s], "mut")) {
-                s += 1;
-            }
-            let Some(nt) = code.get(s) else { continue };
-            if nt.kind != Kind::Ident || !code.get(s + 1).is_some_and(|t| is_punct(t, ":")) {
-                continue; // self, destructuring patterns
-            }
-            let is_float =
-                (s + 2..pe).any(|k| is_ident(code[k], "f64") || is_ident(code[k], "f32"));
-            self.bind(
-                &nt.text.clone(),
-                Info {
-                    unit: suffix_unit(&nt.text),
-                    is_float,
-                    tainted: false,
-                },
-            );
-        }
-    }
-
-    fn violation(&mut self, tok: &Tok, rule: Rule, msg: String) {
+    fn violation(&mut self, tok: &Tok, msg: String) {
         self.sink
-            .push(tok.line as usize, tok.col as usize, rule, msg);
+            .push(tok.line as usize, tok.col as usize, Rule::DetTaint, msg);
     }
 
     /// Scan the statements between a `{`'s interior bounds.
     fn scan_block(&mut self, s: usize, e: usize) {
         self.env.push(BTreeMap::new());
-        let code = self.ctx.code.clone();
+        let code = self.code();
         let mut i = s;
         while i < e {
             let t = code[i];
@@ -323,13 +164,13 @@ impl Scan<'_, '_, '_> {
             }
             if is_ident(t, "fn") {
                 // Nested fn: skip here; the outer pass visits it separately.
-                if let Some((_, _, close)) = fn_signature(&code, i) {
+                if let Some((_, _, close)) = fn_signature(code, i) {
                     let mut b = close + 1;
                     while b < e && !is_punct(code[b], "{") && !is_punct(code[b], ";") {
                         b += 1;
                     }
                     if b < e && is_punct(code[b], "{") {
-                        i = matching_brace(&code, b) + 1;
+                        i = matching_brace(code, b) + 1;
                         continue;
                     }
                 }
@@ -341,7 +182,7 @@ impl Scan<'_, '_, '_> {
                 continue;
             }
             if is_punct(t, "{") {
-                let close = matching_brace(&code, i);
+                let close = matching_brace(code, i);
                 self.scan_block(i + 1, close);
                 i = close + 1;
                 continue;
@@ -353,35 +194,32 @@ impl Scan<'_, '_, '_> {
         self.env.pop();
     }
 
-    /// First `;` at zero paren/bracket/brace nesting in `[s, e)`, else `e`.
+    /// First `;` at zero nesting in `[s, e)`, else `e`.
     fn find_semi(&self, s: usize, e: usize) -> usize {
         let code = self.code();
-        let (mut p, mut bk, mut br) = (0i64, 0i64, 0i64);
-        for j in s..e {
-            let t = code[j];
-            if t.kind != Kind::Punct {
-                continue;
-            }
-            match t.text.as_str() {
-                "(" => p += 1,
-                ")" => p -= 1,
-                "[" => bk += 1,
-                "]" => bk -= 1,
-                "{" => br += 1,
-                "}" => br -= 1,
-                ";" if p == 0 && bk == 0 && br == 0 => return j,
-                _ => {}
-            }
-        }
-        e
+        let mut nest = Nest::default();
+        (s..e)
+            .find(|&j| nest.step(code[j]) && is_punct(code[j], ";"))
+            .unwrap_or(e)
+    }
+
+    /// First top-level assignment operator from `ops` in `[s, e)`.
+    fn find_assign(&self, s: usize, e: usize, ops: &[&str]) -> Option<usize> {
+        let code = self.code();
+        let mut nest = Nest::default();
+        (s..e).find(|&j| {
+            nest.step(code[j])
+                && code[j].kind == Kind::Punct
+                && ops.contains(&code[j].text.as_str())
+        })
     }
 
     /// An `if`/`while`/`for`/`loop`/`match`/`unsafe` construct (or a bare
     /// block) starting at `i`; returns the index just past it.
     fn scan_control(&mut self, i: usize, e: usize) -> usize {
-        let code = self.ctx.code.clone();
+        let code = self.code();
         if is_punct(code[i], "{") {
-            let close = matching_brace(&code, i);
+            let close = matching_brace(code, i);
             self.scan_block(i + 1, close);
             return close + 1;
         }
@@ -413,7 +251,7 @@ impl Scan<'_, '_, '_> {
             if j >= e {
                 return e;
             }
-            let close = matching_brace(&code, j);
+            let close = matching_brace(code, j);
             self.scan_block(j + 1, close);
             j = close + 1;
             // `else` / `else if` chains.
@@ -430,7 +268,7 @@ impl Scan<'_, '_, '_> {
 
     /// `let [mut] PAT [: ty] [= expr]` (tokens after the `let` keyword).
     fn handle_let(&mut self, s: usize, e: usize) {
-        let code = self.ctx.code.clone();
+        let code = self.code();
         let mut i = s;
         if i < e && is_ident(code[i], "mut") {
             i += 1;
@@ -441,117 +279,38 @@ impl Scan<'_, '_, '_> {
                 .get(i + 1)
                 .is_some_and(|t| is_punct(t, ":") || is_punct(t, "=") || i + 1 == e);
         if !single {
-            // Pattern binding (`let (a, b) = …`, `let Some(x) = …`): bind
-            // pattern idents by their own suffixes, scan the initializer.
+            // Pattern binding (`let (a, b) = …`, `let Some(x) = …`): every
+            // pattern ident takes the initializer's taint.
             let eq = self.find_assign(s, e, &["="]);
-            let mut tainted = false;
-            if let Some(eq) = eq {
-                tainted = self.scan_region(eq + 1, e).tainted;
-            }
-            let pat_end = eq.unwrap_or(e);
-            for j in s..pat_end {
-                let t = code[j];
+            let tainted = eq.is_some_and(|eq| self.scan_region(eq + 1, e));
+            for t in &code[s..eq.unwrap_or(e)] {
                 if t.kind == Kind::Ident
                     && !matches!(
                         t.text.as_str(),
                         "mut" | "ref" | "Some" | "Ok" | "Err" | "None"
                     )
                 {
-                    self.bind(
-                        &t.text.clone(),
-                        Info {
-                            unit: suffix_unit(&t.text),
-                            is_float: false,
-                            tainted,
-                        },
-                    );
+                    self.bind(&t.text, tainted);
                 }
             }
             return;
         }
-        let name_tok = code[i];
-        let name = name_tok.text.clone();
         let mut j = i + 1;
-        let mut ann_float = false;
         if j < e && is_punct(code[j], ":") {
-            let eq = self.find_assign(j, e, &["="]).unwrap_or(e);
-            ann_float = (j + 1..eq).any(|k| is_ident(code[k], "f64") || is_ident(code[k], "f32"));
-            j = eq;
+            j = self.find_assign(j, e, &["="]).unwrap_or(e);
         }
-        let declared = suffix_unit(&name);
-        if j >= e || !is_punct(code[j], "=") {
-            self.bind(
-                &name,
-                Info {
-                    unit: declared,
-                    is_float: ann_float,
-                    tainted: false,
-                },
-            );
-            return;
-        }
-        let info = self.scan_region(j + 1, e);
-        if self.check_units {
-            if let (Some(d), Some(r)) = (declared, info.unit) {
-                if d != r {
-                    self.violation(
-                        name_tok,
-                        Rule::UnitFlow,
-                        format!(
-                            "`{name}` is `{}` but its initializer has unit `{}`; convert \
-                             through models::units",
-                            d.label(),
-                            r.label()
-                        ),
-                    );
-                }
-            }
-        }
-        self.bind(
-            &name,
-            Info {
-                unit: declared.or(info.unit),
-                is_float: ann_float || info.is_float,
-                tainted: info.tainted,
-            },
-        );
-    }
-
-    /// First top-level assignment operator from `ops` in `[s, e)`.
-    fn find_assign(&self, s: usize, e: usize, ops: &[&str]) -> Option<usize> {
-        let code = self.code();
-        let (mut p, mut bk, mut br) = (0i64, 0i64, 0i64);
-        for j in s..e {
-            let t = code[j];
-            if t.kind != Kind::Punct {
-                continue;
-            }
-            match t.text.as_str() {
-                "(" => p += 1,
-                ")" => p -= 1,
-                "[" => bk += 1,
-                "]" => bk -= 1,
-                "{" => br += 1,
-                "}" => br -= 1,
-                x if p == 0 && bk == 0 && br == 0 && ops.contains(&x) => return Some(j),
-                _ => {}
-            }
-        }
-        None
+        let tainted = j < e && is_punct(code[j], "=") && self.scan_region(j + 1, e);
+        self.bind(&code[i].text, tainted);
     }
 
     /// A non-`let` statement: assignment or bare expression.
     fn handle_stmt(&mut self, s: usize, e: usize) {
-        const ASSIGN_OPS: &[&str] = &[
-            "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
-        ];
-        let code = self.ctx.code.clone();
+        let code = self.code();
         let Some(op_idx) = self.find_assign(s, e, ASSIGN_OPS) else {
             self.scan_region(s, e);
             return;
         };
-        let op = code[op_idx].text.clone();
-        let rinfo = self.scan_region(op_idx + 1, e);
+        let rhs_tainted = self.scan_region(op_idx + 1, e);
         // Left-hand side: a plain local, or a field/index path (state write).
         let mut ls = s;
         while ls < op_idx && (is_punct(code[ls], "*") || is_punct(code[ls], "&")) {
@@ -562,34 +321,16 @@ impl Scan<'_, '_, '_> {
         let mut k = ls;
         while k < op_idx {
             if is_punct(code[k], "[") {
-                let close = matching_pair(&code, k, op_idx, "[", "]");
+                let close = matching_pair(code, k, op_idx, "[", "]");
                 self.scan_region(k + 1, close);
                 k = close + 1;
             } else {
                 k += 1;
             }
         }
-        let lunit = self.lhs_unit(ls, op_idx);
-        if self.check_units && matches!(op.as_str(), "=" | "+=" | "-=") {
-            if let (Some(l), Some(r)) = (lunit, rinfo.unit) {
-                if l != r {
-                    self.violation(
-                        code[op_idx],
-                        Rule::UnitFlow,
-                        format!(
-                            "assignment mixes units: left-hand side is `{}` but the \
-                             right-hand side is `{}`; convert through models::units",
-                            l.label(),
-                            r.label()
-                        ),
-                    );
-                }
-            }
-        }
-        if self.check_taint && is_state_write && rinfo.tainted {
+        if is_state_write && rhs_tainted {
             self.violation(
                 code[op_idx],
-                Rule::DetTaint,
                 "wall-clock-derived value written into simulation state; profiling may \
                  measure the simulation but must never steer it (keep wall-clock reads \
                  inside obs::span)"
@@ -598,400 +339,98 @@ impl Scan<'_, '_, '_> {
         }
         // Update a plain-local binding.
         if op_idx - ls == 1 && code[ls].kind == Kind::Ident {
-            let name = code[ls].text.clone();
-            let prev = self.lookup(&name).unwrap_or_default();
-            self.bind(
-                &name,
-                Info {
-                    unit: prev.unit.or(rinfo.unit),
-                    is_float: prev.is_float || rinfo.is_float,
-                    tainted: rinfo.tainted || (op != "=" && prev.tainted),
-                },
-            );
+            let name = &code[ls].text;
+            let compound = code[op_idx].text != "=";
+            let tainted = rhs_tainted || (compound && self.lookup(name));
+            self.bind(name, tainted);
         }
-    }
-
-    /// Unit of an assignment target: single local → environment; dotted path
-    /// or index → suffix of the last field/ident name.
-    fn lhs_unit(&self, s: usize, e: usize) -> Option<Unit> {
-        let code = self.code();
-        if e - s == 1 && code[s].kind == Kind::Ident {
-            let name = &code[s].text;
-            return self
-                .lookup(name)
-                .and_then(|i| i.unit)
-                .or_else(|| suffix_unit(name));
-        }
-        // Last identifier before the end / before an index bracket.
-        let mut last: Option<&Tok> = None;
-        let mut k = s;
-        while k < e {
-            if is_punct(code[k], "[") {
-                k = matching_pair(code, k, e, "[", "]") + 1;
-                continue;
-            }
-            if code[k].kind == Kind::Ident {
-                last = Some(code[k]);
-            }
-            k += 1;
-        }
-        last.and_then(|t| suffix_unit(&t.text))
     }
 
     /// A region: an expression stretch possibly containing barrier tokens
-    /// (`,`, `=>`, `&&`, `||`, `;`, `return`, `else`, `in`) and blocks.
-    /// Scans every segment; returns the single segment's info, or a
-    /// taint-joined default for multi-segment regions.
-    fn scan_region(&mut self, s: usize, e: usize) -> Info {
-        let code = self.ctx.code.clone();
-        let (mut p, mut bk, mut br) = (0i64, 0i64, 0i64);
-        let mut segs: Vec<(usize, usize)> = Vec::new();
+    /// (`,`, `=>`, `&&`, `||`, `;`, `return`, `else`, `in`, `let`) and
+    /// blocks. Scans every segment; tainted if any segment is.
+    fn scan_region(&mut self, s: usize, e: usize) -> bool {
+        let code = self.code();
+        let mut nest = Nest::default();
+        let mut tainted = false;
         let mut seg = s;
-        let mut j = s;
-        while j < e {
+        for j in s..e {
             let t = code[j];
-            let barrier = match t.kind {
-                Kind::Punct => {
-                    match t.text.as_str() {
-                        "(" => p += 1,
-                        ")" => p -= 1,
-                        "[" => bk += 1,
-                        "]" => bk -= 1,
-                        "{" => br += 1,
-                        "}" => br -= 1,
-                        _ => {}
-                    }
-                    p == 0
-                        && bk == 0
-                        && br == 0
-                        && matches!(t.text.as_str(), "," | "=>" | "&&" | "||" | ";")
-                }
-                Kind::Ident => {
-                    p == 0
-                        && bk == 0
-                        && br == 0
-                        && matches!(t.text.as_str(), "return" | "else" | "in" | "let")
-                }
-                _ => false,
-            };
+            let top = nest.step(t);
+            let barrier = top
+                && match t.kind {
+                    Kind::Punct => matches!(t.text.as_str(), "," | "=>" | "&&" | "||" | ";"),
+                    Kind::Ident => matches!(t.text.as_str(), "return" | "else" | "in" | "let"),
+                    _ => false,
+                };
             if barrier {
-                segs.push((seg, j));
+                tainted |= self.scan_segment(seg, j);
                 seg = j + 1;
             }
-            j += 1;
         }
-        segs.push((seg, e));
-        let mut infos = Vec::new();
-        for (ss, se) in segs {
-            if ss < se {
-                infos.push(self.scan_segment(ss, se));
-            }
-        }
-        match infos.len() {
-            0 => Info::default(),
-            1 => infos[0],
-            _ => Info {
-                unit: None,
-                is_float: infos.iter().any(|i| i.is_float),
-                tainted: infos.iter().any(|i| i.tainted),
-            },
-        }
+        tainted | self.scan_segment(seg, e)
     }
 
-    /// One barrier-free segment: handle a top-level comparison, else fall
-    /// through to additive scanning.
-    fn scan_segment(&mut self, s: usize, e: usize) -> Info {
-        let code = self.ctx.code.clone();
-        if s >= e {
-            return Info::default();
-        }
-        if code[s].kind == Kind::Ident && CONTROL_KWS.contains(&code[s].text.as_str()) {
-            self.scan_control(s, e);
-            return Info::default();
-        }
-        // Find a top-level comparison operator (skipping turbofish generics).
-        let (mut p, mut bk, mut br) = (0i64, 0i64, 0i64);
-        let mut j = s;
-        while j < e {
-            let t = code[j];
-            if t.kind == Kind::Punct {
-                match t.text.as_str() {
-                    "(" => p += 1,
-                    ")" => p -= 1,
-                    "[" => bk += 1,
-                    "]" => bk -= 1,
-                    "{" => br += 1,
-                    "}" => br -= 1,
-                    "<" if j > s && is_punct(code[j - 1], "::") => {
-                        j = skip_generics(&code, j);
-                        continue;
-                    }
-                    op @ ("==" | "!=" | "<" | ">" | "<=" | ">=")
-                        if p == 0 && bk == 0 && br == 0 =>
-                    {
-                        let li = self.additive_info(s, j);
-                        let ri = self.additive_info(j + 1, e);
-                        if self.check_units {
-                            if let (Some(l), Some(r)) = (li.unit, ri.unit) {
-                                if l != r {
-                                    self.violation(
-                                        t,
-                                        Rule::UnitFlow,
-                                        format!(
-                                            "comparison mixes units: left is `{}`, right is \
-                                             `{}`; convert through models::units",
-                                            l.label(),
-                                            r.label()
-                                        ),
-                                    );
-                                }
-                            }
-                        }
-                        if self.check_float
-                            && (op == "==" || op == "!=")
-                            && (li.is_float || ri.is_float)
-                        {
-                            self.violation(
-                                t,
-                                Rule::FloatCmp,
-                                format!(
-                                    "`{op}` on floating-point values is exact bit comparison; \
-                                     use an epsilon helper (approx_eq & friends) or document \
-                                     an exact-by-design check with `// simlint: \
-                                     allow(float-cmp) — why`"
-                                ),
-                            );
-                        }
-                        return Info {
-                            unit: None,
-                            is_float: false,
-                            tainted: li.tainted || ri.tainted,
-                        };
-                    }
-                    _ => {}
-                }
-            }
-            j += 1;
-        }
-        self.additive_info(s, e)
-    }
-
-    /// Split at top-level binary `+`/`-`; check cross-unit mixing.
-    fn additive_info(&mut self, s: usize, e: usize) -> Info {
-        let code = self.ctx.code.clone();
-        let (mut p, mut bk, mut br) = (0i64, 0i64, 0i64);
-        let mut parts: Vec<(usize, usize)> = Vec::new();
-        let mut ops: Vec<usize> = Vec::new();
-        let mut seg = s;
-        for j in s..e {
-            let t = code[j];
-            if t.kind != Kind::Punct {
-                continue;
-            }
-            match t.text.as_str() {
-                "(" => p += 1,
-                ")" => p -= 1,
-                "[" => bk += 1,
-                "]" => bk -= 1,
-                "{" => br += 1,
-                "}" => br -= 1,
-                "+" | "-" if p == 0 && bk == 0 && br == 0 && j > s => {
-                    // Binary only if the previous token ends an operand.
-                    let prev = code[j - 1];
-                    let binary = matches!(
-                        prev.kind,
-                        Kind::Ident | Kind::Int | Kind::Float | Kind::Str | Kind::Char
-                    ) || matches!(prev.text.as_str(), ")" | "]" | "}" | "?");
-                    if binary {
-                        parts.push((seg, j));
-                        ops.push(j);
-                        seg = j + 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        parts.push((seg, e));
-        if parts.len() == 1 {
-            return self.mul_info(s, e);
-        }
-        let infos: Vec<Info> = parts
-            .iter()
-            .map(|&(ps, pe)| self.mul_info(ps, pe))
-            .collect();
-        if self.check_units {
-            let mut first: Option<Unit> = None;
-            for (k, info) in infos.iter().enumerate() {
-                let Some(u) = info.unit else { continue };
-                match first {
-                    None => first = Some(u),
-                    Some(f) if f != u => {
-                        // The operator preceding this part anchors the span.
-                        let op_tok = code[ops[k.saturating_sub(1).min(ops.len() - 1)]];
-                        self.violation(
-                            op_tok,
-                            Rule::UnitFlow,
-                            format!(
-                                "`{}` mixes units `{}` and `{}`; convert through \
-                                 models::units",
-                                op_tok.text,
-                                f.label(),
-                                u.label()
-                            ),
-                        );
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-        Info {
-            unit: infos.iter().find_map(|i| i.unit),
-            is_float: infos.iter().any(|i| i.is_float),
-            tainted: infos.iter().any(|i| i.tainted),
-        }
-    }
-
-    /// Multiplicative chain: a bare numeric literal factor keeps the other
-    /// factor's unit (`2.0 * x_s` is still seconds); any non-literal second
-    /// factor destroys it (`x_bytes / y_s` is a rate we don't name), and so
-    /// does dividing *by* the unit-carrying factor (`1.0 / c_pps` is a
-    /// period, not a rate).
-    fn mul_info(&mut self, s: usize, e: usize) -> Info {
-        let code = self.ctx.code.clone();
-        let (mut p, mut bk, mut br) = (0i64, 0i64, 0i64);
-        let mut parts: Vec<(usize, usize)> = Vec::new();
-        let mut ops: Vec<String> = Vec::new(); // ops[k-1] precedes parts[k]
-        let mut seg = s;
-        for j in s..e {
-            let t = code[j];
-            if t.kind != Kind::Punct {
-                continue;
-            }
-            match t.text.as_str() {
-                "(" => p += 1,
-                ")" => p -= 1,
-                "[" => bk += 1,
-                "]" => bk -= 1,
-                "{" => br += 1,
-                "}" => br -= 1,
-                "*" | "/" | "%" if p == 0 && bk == 0 && br == 0 && j > s => {
-                    let prev = code[j - 1];
-                    let binary = matches!(
-                        prev.kind,
-                        Kind::Ident | Kind::Int | Kind::Float | Kind::Str | Kind::Char
-                    ) || matches!(prev.text.as_str(), ")" | "]" | "}" | "?");
-                    if binary {
-                        parts.push((seg, j));
-                        ops.push(t.text.clone());
-                        seg = j + 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        parts.push((seg, e));
-        if parts.len() == 1 {
-            return self.postfix_info(s, e);
-        }
-        let infos: Vec<Info> = parts
-            .iter()
-            .map(|&(ps, pe)| self.postfix_info(ps, pe))
-            .collect();
-        // A factor's unit survives only if every other factor is a bare
-        // numeric literal (pure scaling) AND the factor is not itself a
-        // divisor (left-assoc chain: factor k>0 is inverted by a `/` or `%`
-        // directly before it).
-        let non_literal: Vec<(usize, &Info)> = parts
-            .iter()
-            .zip(&infos)
-            .enumerate()
-            .filter(|(_, (&(ps, pe), _))| {
-                !(pe - ps == 1 && matches!(code[ps].kind, Kind::Int | Kind::Float))
-            })
-            .map(|(k, (_, i))| (k, i))
-            .collect();
-        let unit = match non_literal.as_slice() {
-            [(k, i)] if *k == 0 || ops[k - 1] == "*" => i.unit,
-            _ => None,
-        };
-        Info {
-            unit,
-            is_float: infos.iter().any(|i| i.is_float),
-            tainted: infos.iter().any(|i| i.tainted),
-        }
-    }
-
-    /// A primary expression plus its postfix chain (calls, fields, indexing,
-    /// casts, `?`).
-    fn postfix_info(&mut self, s: usize, e: usize) -> Info {
-        let code = self.ctx.code.clone();
+    /// One barrier-free segment: a primary expression plus its postfix chain
+    /// (calls, fields, indexing, casts, `?`); whatever follows an operator is
+    /// scanned as a region of its own and joins the taint.
+    fn scan_segment(&mut self, s: usize, e: usize) -> bool {
+        let code = self.code();
         let mut i = s;
         // Unary prefixes.
         while i < e
-            && (matches!(code[i].text.as_str(), "&" | "&&" | "*" | "-" | "!")
-                && code[i].kind == Kind::Punct
+            && (code[i].kind == Kind::Punct
+                && matches!(code[i].text.as_str(), "&" | "&&" | "*" | "-" | "!")
                 || is_ident(code[i], "mut"))
         {
             i += 1;
         }
         if i >= e {
-            return Info::default();
+            return false;
         }
-        let mut info = Info::default();
+        let mut tainted = false;
         let t = code[i];
         match t.kind {
-            Kind::Float => {
-                info.is_float = true;
-                i += 1;
-            }
-            Kind::Int | Kind::Str | Kind::Char | Kind::Lifetime => {
-                i += 1;
-            }
+            Kind::Float | Kind::Int | Kind::Str | Kind::Char | Kind::Lifetime => i += 1,
             Kind::Punct if t.text == "(" => {
-                let close = matching_pair(&code, i, e, "(", ")");
-                info = self.scan_region(i + 1, close);
+                let close = matching_pair(code, i, e, "(", ")");
+                tainted = self.scan_region(i + 1, close);
                 i = close + 1;
             }
             Kind::Punct if t.text == "{" => {
-                let close = matching_brace(&code, i);
+                let close = matching_brace(code, i);
                 self.scan_block(i + 1, close);
                 i = close + 1;
             }
             Kind::Punct if t.text == "|" => {
-                // Closure: find the closing `|`, bind nothing, scan the body
-                // as a region.
+                // Closure: find the closing `|`, bind nothing, scan the body.
                 let mut j = i + 1;
                 while j < e && !is_punct(code[j], "|") {
                     j += 1;
                 }
-                let body = self.scan_region(j + 1, e);
-                return Info {
-                    unit: None,
-                    is_float: false,
-                    tainted: body.tainted,
-                };
+                return self.scan_region(j + 1, e);
             }
             Kind::Ident if CONTROL_KWS.contains(&t.text.as_str()) => {
                 self.scan_control(i, e);
-                return Info::default();
+                return false;
             }
             Kind::Ident => {
                 // Path: ident (:: ident | ::<…>)*
-                let mut path: Vec<String> = vec![t.text.clone()];
+                let mut path: Vec<&str> = vec![&t.text];
                 let mut j = i + 1;
                 while j + 1 < e && is_punct(code[j], "::") {
                     if is_punct(code[j + 1], "<") {
-                        j = skip_generics(&code, j + 1);
+                        j = skip_generics(code, j + 1);
                     } else if code[j + 1].kind == Kind::Ident {
-                        path.push(code[j + 1].text.clone());
+                        path.push(&code[j + 1].text);
                         j += 2;
                     } else {
                         break;
                     }
                 }
                 if j < e && is_punct(code[j], "(") {
-                    let close = matching_pair(&code, j, e, "(", ")");
-                    info = self.call_info(&path, t, j + 1, close);
+                    let close = matching_pair(code, j, e, "(", ")");
+                    tainted = self.call(&path, t, j + 1, close);
                     i = close + 1;
                 } else if j < e
                     && is_punct(code[j], "!")
@@ -1000,35 +439,22 @@ impl Scan<'_, '_, '_> {
                         .is_some_and(|n| is_punct(n, "(") || is_punct(n, "[") || is_punct(n, "{"))
                 {
                     // Macro invocation: scan the arguments as a region.
-                    let (o, c) = match code[j + 1].text.as_str() {
-                        "(" => ("(", ")"),
-                        "[" => ("[", "]"),
-                        _ => ("{", "}"),
+                    let close = match code[j + 1].text.as_str() {
+                        "(" => matching_pair(code, j + 1, e, "(", ")"),
+                        "[" => matching_pair(code, j + 1, e, "[", "]"),
+                        _ => matching_brace(code, j + 1),
                     };
-                    let close = if o == "{" {
-                        matching_brace(&code, j + 1)
-                    } else {
-                        matching_pair(&code, j + 1, e, o, c)
-                    };
-                    let inner = self.scan_region(j + 2, close);
-                    info.tainted = inner.tainted;
+                    tainted = self.scan_region(j + 2, close);
                     i = close + 1;
                 } else {
-                    if path.len() == 1 {
-                        info = self.lookup(&path[0]).unwrap_or(Info {
-                            unit: suffix_unit(&path[0]),
-                            is_float: false,
-                            tainted: false,
-                        });
+                    if let [name] = path.as_slice() {
+                        tainted = self.lookup(name);
                     }
                     i = j;
                 }
             }
-            _ => {
-                // Unrecognized leading token: skip it, scan the rest.
-                let rest = self.scan_region(i + 1, e);
-                return Info::default().join_taint(rest);
-            }
+            // Unrecognized leading token: skip it, scan the rest.
+            _ => return self.scan_region(i + 1, e),
         }
         // Postfix chain.
         while i < e {
@@ -1037,86 +463,53 @@ impl Scan<'_, '_, '_> {
                 let m = code[i + 1];
                 let mut j = i + 2;
                 if j + 1 < e && is_punct(code[j], "::") && is_punct(code[j + 1], "<") {
-                    j = skip_generics(&code, j + 1); // turbofish
+                    j = skip_generics(code, j + 1); // turbofish
                 }
                 if j < e && is_punct(code[j], "(") {
-                    let close = matching_pair(&code, j, e, "(", ")");
-                    info = self.method_info(info, m, j + 1, close);
+                    let close = matching_pair(code, j, e, "(", ")");
+                    tainted = self.method(tainted, m, j + 1, close);
                     i = close + 1;
                 } else {
-                    // Field access (or tuple index): unit from the suffix.
-                    info.unit = suffix_unit(&m.text);
-                    i += 2;
+                    i += 2; // field access (or tuple index) keeps the taint
                 }
-                continue;
-            }
-            if is_punct(t, "[") {
-                let close = matching_pair(&code, i, e, "[", "]");
-                let idx = self.scan_region(i + 1, close);
-                info.tainted |= idx.tainted;
+            } else if is_punct(t, "[") {
+                let close = matching_pair(code, i, e, "[", "]");
+                tainted |= self.scan_region(i + 1, close);
                 i = close + 1;
-                continue;
-            }
-            if is_punct(t, "?") {
+            } else if is_punct(t, "?") {
                 i += 1;
-                continue;
-            }
-            if is_ident(t, "as") {
-                // Cast: consume the type, track floatness.
-                let mut j = i + 1;
-                info.is_float = j < e && (is_ident(code[j], "f64") || is_ident(code[j], "f32"));
-                while j < e
-                    && (code[j].kind == Kind::Ident
-                        || is_punct(code[j], "::")
-                        || is_punct(code[j], "<")
-                        || is_punct(code[j], ">"))
+            } else if is_ident(t, "as") {
+                // Cast: consume the type.
+                i += 1;
+                while i < e
+                    && (code[i].kind == Kind::Ident
+                        || is_punct(code[i], "::")
+                        || is_punct(code[i], "<")
+                        || is_punct(code[i], ">"))
                 {
-                    j += 1;
+                    i += 1;
                 }
-                i = j;
-                continue;
+            } else {
+                // An operator ends the chain; its right-hand side joins.
+                return tainted | self.scan_region(i + 1, e);
             }
-            // Anything else ends the chain; scan the remainder for effects.
-            let rest = self.scan_region(i + 1, e);
-            info.tainted |= rest.tainted;
-            info.unit = None;
-            break;
         }
-        info
+        tainted
     }
 
     /// A free/path call `path(args)`.
-    fn call_info(&mut self, path: &[String], at: &Tok, args_s: usize, args_e: usize) -> Info {
-        let code = self.ctx.code.clone();
-        let mut arg_infos = Vec::new();
-        for (as_, ae) in split_commas(&code, args_s, args_e) {
-            arg_infos.push(self.scan_region(as_, ae));
+    fn call(&mut self, path: &[&str], at: &Tok, args_s: usize, args_e: usize) -> bool {
+        let mut any_tainted = false;
+        for (s, e) in split_commas(self.code(), args_s, args_e) {
+            any_tainted |= self.scan_region(s, e);
         }
-        let any_tainted = arg_infos.iter().any(|i| i.tainted);
-        let last = path.last().map(String::as_str).unwrap_or("");
-        let penult = path
-            .len()
-            .checked_sub(2)
-            .map(|k| path[k].as_str())
-            .unwrap_or("");
-        let mut info = Info {
-            unit: None,
-            is_float: false,
-            tainted: any_tainted,
-        };
-        // Taint sources: the wall clock.
-        if last == "now" && (penult == "Instant" || penult == "SystemTime") {
-            info.tainted = true;
-        }
-        if last == "drain" && path.iter().any(|p| p == "span") {
-            info.tainted = true;
-        }
+        let last = path.last().copied().unwrap_or("");
+        let penult = path.len().checked_sub(2).map_or("", |k| path[k]);
         // Taint sinks: scheduling, tracing, sim-time/RNG construction.
-        if self.check_taint && any_tainted {
+        if any_tainted {
             if TAINT_SINK_CALLS.contains(&last) {
                 self.violation(
                     at,
-                    Rule::DetTaint,
                     format!(
                         "wall-clock-derived value passed to `{}` — profiling data must not \
                          reach the event queue or trace payloads",
@@ -1129,7 +522,6 @@ impl Scan<'_, '_, '_> {
             {
                 self.violation(
                     at,
-                    Rule::DetTaint,
                     format!(
                         "wall-clock-derived value used to construct `{}` — simulation \
                          time/randomness must derive only from the seed",
@@ -1138,102 +530,28 @@ impl Scan<'_, '_, '_> {
                 );
             }
         }
-        // Strided batch accessors yield SoA lane addresses, never physical
-        // quantities: typing them lets the pass flag a `_s`/`_kb`/… value
-        // leaking into address arithmetic without losing the unit a
-        // suffix-named block carries through the indexed read itself.
-        if matches!(last, "lane_of" | "batch_stride") {
-            info.unit = Some(Unit::LaneIdx);
-            return info;
-        }
-        // Sanctioned conversions re-type their result.
-        if let Some(u) = conv_target(last) {
-            info.unit = Some(u);
-            info.is_float = true;
-        } else if has_unit_suffix(last) {
-            info.unit = suffix_unit(last);
-            info.is_float = true;
-        }
-        info
+        // Taint sources: the wall clock, and the span totals read from it.
+        any_tainted
+            || (last == "now" && (penult == "Instant" || penult == "SystemTime"))
+            || (last == "drain" && path.contains(&"span"))
     }
 
-    /// A method call `recv.m(args)` where `recv` already evaluated to
-    /// `recv_info`.
-    fn method_info(&mut self, recv: Info, m: &Tok, args_s: usize, args_e: usize) -> Info {
-        let code = self.ctx.code.clone();
-        let mut arg_infos = Vec::new();
-        for (as_, ae) in split_commas(&code, args_s, args_e) {
-            arg_infos.push(self.scan_segment(as_, ae));
+    /// A method call `recv.m(args)`; `recv_tainted` is the receiver's taint.
+    fn method(&mut self, recv_tainted: bool, m: &Tok, args_s: usize, args_e: usize) -> bool {
+        let mut any_tainted = false;
+        for (s, e) in split_commas(self.code(), args_s, args_e) {
+            any_tainted |= self.scan_segment(s, e);
         }
-        let any_tainted = arg_infos.iter().any(|i| i.tainted);
         let name = m.text.as_str();
-        let mut info = Info {
-            unit: None,
-            is_float: false,
-            tainted: recv.tainted || any_tainted,
-        };
-        if name == "elapsed" {
-            info.tainted = true;
-            return info;
-        }
-        if let Some((u, f)) = method_unit(name) {
-            info.unit = Some(u);
-            info.is_float = f;
-            return info;
-        }
-        if matches!(name, "min" | "max" | "clamp") {
-            if self.check_units {
-                if let Some(ru) = recv.unit {
-                    for a in &arg_infos {
-                        if let Some(au) = a.unit {
-                            if au != ru {
-                                self.violation(
-                                    m,
-                                    Rule::UnitFlow,
-                                    format!(
-                                        "`{name}` mixes units: receiver is `{}`, argument is \
-                                         `{}`; convert through models::units",
-                                        ru.label(),
-                                        au.label()
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            info.unit = recv.unit.or_else(|| arg_infos.iter().find_map(|a| a.unit));
-            info.is_float = recv.is_float || arg_infos.iter().any(|a| a.is_float);
-            return info;
-        }
-        if UNIT_PRESERVING.contains(&name) {
-            info.unit = recv.unit;
-            info.is_float = recv.is_float;
-            return info;
-        }
-        if UNIT_DESTROYING.contains(&name) {
-            info.is_float = true;
-            return info;
-        }
-        if self.check_taint && any_tainted && TAINT_SINK_CALLS.contains(&name) {
+        if any_tainted && TAINT_SINK_CALLS.contains(&name) {
             self.violation(
                 m,
-                Rule::DetTaint,
                 format!(
                     "wall-clock-derived value passed to `.{name}()` — profiling data must \
                      not reach the event queue or trace payloads"
                 ),
             );
         }
-        if let Some(u) = conv_target(name) {
-            info.unit = Some(u);
-            info.is_float = true;
-            return info;
-        }
-        if has_unit_suffix(name) {
-            info.unit = suffix_unit(name);
-            return info;
-        }
-        info
+        recv_tainted || any_tainted || name == "elapsed"
     }
 }

@@ -2,23 +2,21 @@
 //!
 //! Commands:
 //!
-//! * `lint [--format text|json] [--fix-baseline] [PATH...]` — run the
-//!   simlint pass over `crates/*/src` (or over the given files, linted with
-//!   every rule enabled and no baseline). Workspace findings are diffed
-//!   against `simlint.baseline.json`; the run fails only on error-severity
-//!   findings beyond the baseline. `--fix-baseline` rewrites the baseline
-//!   from the current findings. `--format json` emits the full
-//!   machine-readable report on stdout.
+//! * `lint [--format text|json] [PATH...]` — run the simlint pass over
+//!   `crates/*/src` (or over the given files, linted with every rule
+//!   enabled). The run fails on any error-severity finding. `--format json`
+//!   emits the machine-readable report on stdout.
 //! * `explain <rule>` — print the long-form rationale for a rule.
 //! * `selftest` — lint the seeded fixtures under `crates/xtask/fixtures`:
 //!   each `bad_*` fixture must trigger the rule named in its file name, each
-//!   `good_*` fixture must stay quiet on it.
+//!   `good_*` fixture must stay quiet on it, and `cargo clippy` over
+//!   `clippy_canary/` must report every ban the root `clippy.toml` lists.
 
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
+use std::process::{Command, ExitCode};
 
-use xtask::report::{apply_baseline, parse_baseline, render_baseline, render_report, Analysis};
-use xtask::{lint_path_strict, lint_source, lint_workspace, scope_for, Rule, ALL_RULES};
+use xtask::report::render_report;
+use xtask::{lint_path_strict, lint_workspace, Rule, Severity, Violation, ALL_RULES};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,8 +26,8 @@ fn main() -> ExitCode {
         Some("selftest") => cmd_selftest(),
         _ => {
             eprintln!(
-                "usage: cargo run -p xtask -- <lint [--format text|json] [--fix-baseline] \
-                 [PATH...] | explain <rule> | selftest>"
+                "usage: cargo run -p xtask -- <lint [--format text|json] [PATH...] | \
+                 explain <rule> | selftest>"
             );
             ExitCode::from(2)
         }
@@ -50,11 +48,8 @@ fn workspace_root() -> PathBuf {
     }
 }
 
-const BASELINE_FILE: &str = "simlint.baseline.json";
-
 fn cmd_lint(args: &[String]) -> ExitCode {
     let mut format_json = false;
-    let mut fix_baseline = false;
     let mut paths: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -67,49 +62,20 @@ fn cmd_lint(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--fix-baseline" => fix_baseline = true,
             p => paths.push(p),
         }
     }
 
-    let analysis = if paths.is_empty() {
-        let root = workspace_root();
-        let violations = match lint_workspace(&root) {
+    let findings = if paths.is_empty() {
+        match lint_workspace(&workspace_root()) {
             Ok(v) => v,
             Err(e) => {
                 eprintln!("simlint: io error: {e}");
                 return ExitCode::from(2);
             }
-        };
-        if fix_baseline {
-            let rendered = render_baseline(&violations);
-            let path = root.join(BASELINE_FILE);
-            if let Err(e) = std::fs::write(&path, &rendered) {
-                eprintln!("simlint: write {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-            println!(
-                "simlint: baseline rewritten ({} error finding(s)) -> {}",
-                violations
-                    .iter()
-                    .filter(|v| v.severity() == xtask::Severity::Error)
-                    .count(),
-                path.display()
-            );
         }
-        let baseline = match std::fs::read_to_string(root.join(BASELINE_FILE)) {
-            Ok(src) => match parse_baseline(&src) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("simlint: {BASELINE_FILE}: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            Err(_) => Vec::new(), // no baseline file: everything is new
-        };
-        apply_baseline(violations, &baseline)
     } else {
-        // Explicit paths: strict scope, no baseline.
+        // Explicit paths: strict scope.
         let mut out = Vec::new();
         for p in &paths {
             match lint_path_strict(Path::new(p)) {
@@ -120,50 +86,36 @@ fn cmd_lint(args: &[String]) -> ExitCode {
                 }
             }
         }
-        apply_baseline(out, &[])
+        out
     };
 
+    let errors = findings
+        .iter()
+        .filter(|v| v.severity() == Severity::Error)
+        .count();
     if format_json {
-        print!("{}", render_report(&analysis.findings, &analysis.stale));
+        print!("{}", render_report(&findings));
     } else {
-        print_text_report(&analysis);
+        print_text_report(&findings, errors);
     }
-    if analysis.new_errors().next().is_some() {
+    if errors > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
     }
 }
 
-fn print_text_report(analysis: &Analysis) {
-    for (v, baselined) in &analysis.findings {
-        if *baselined {
-            println!("{v} (baselined)");
-        } else {
-            println!("{v}");
-        }
+fn print_text_report(findings: &[Violation], errors: usize) {
+    for v in findings {
+        println!("{v}");
     }
-    for b in &analysis.stale {
-        println!(
-            "simlint: stale baseline entry: {} [{}] x{} no longer found — run \
-             `cargo xtask lint --fix-baseline`",
-            b.file, b.rule, b.count
-        );
-    }
-    let new_errors = analysis.new_errors().count();
-    let baselined = analysis.findings.iter().filter(|(_, b)| *b).count();
-    let warnings = analysis
-        .findings
-        .iter()
-        .filter(|(v, _)| v.severity() == xtask::Severity::Warning)
-        .count();
-    if analysis.findings.is_empty() {
+    if findings.is_empty() {
         println!("simlint: clean");
     } else {
         println!(
-            "simlint: {} finding(s): {new_errors} new error(s), {baselined} baselined, \
-             {warnings} warning(s)",
-            analysis.findings.len()
+            "simlint: {} finding(s): {errors} error(s), {} warning(s)",
+            findings.len(),
+            findings.len() - errors
         );
     }
 }
@@ -182,6 +134,7 @@ fn cmd_explain(args: &[String]) -> ExitCode {
                 for r in ALL_RULES {
                     eprintln!("  {}", r.name());
                 }
+                eprintln!("(the name bans — HashMap, Instant::now, unwrap, … — are clippy.toml's)");
                 ExitCode::from(2)
             }
         },
@@ -200,56 +153,27 @@ fn cmd_explain(args: &[String]) -> ExitCode {
 
 /// Fixture protocol: `bad_<rule>.rs` must trigger its rule at least once
 /// under the strict scope; `good_<rule>.rs` must trigger it exactly zero
-/// times (sanctioned-conversion negatives for the dataflow passes).
+/// times (the sanctioned measure-only flow for the taint pass).
+const FIXTURES: [(&str, Rule, bool); 5] = [
+    ("bad_index_literal.rs", Rule::IndexLiteral, true),
+    ("bad_unit_suffix.rs", Rule::UnitSuffix, true),
+    ("bad_det_taint.rs", Rule::DetTaint, true),
+    ("bad_stale_allow.rs", Rule::StaleAllow, true),
+    ("good_det_taint.rs", Rule::DetTaint, false),
+];
+
 fn cmd_selftest() -> ExitCode {
-    let dir = workspace_root().join("crates/xtask/fixtures");
-    let bad = [
-        ("bad_hash_collections.rs", Rule::HashCollections),
-        ("bad_wall_clock.rs", Rule::WallClock),
-        ("bad_panic.rs", Rule::Panic),
-        ("bad_no_unwrap_sim.rs", Rule::NoUnwrapSim),
-        ("bad_index_literal.rs", Rule::IndexLiteral),
-        ("bad_unit_suffix.rs", Rule::UnitSuffix),
-        ("bad_thread_spawn.rs", Rule::ThreadSpawn),
-        ("bad_float_cmp.rs", Rule::FloatCmp),
-        ("bad_unit_flow.rs", Rule::UnitFlow),
-        ("bad_det_taint.rs", Rule::DetTaint),
-        ("bad_raw_fs_write.rs", Rule::RawFsWrite),
-        ("bad_stale_allow.rs", Rule::StaleAllow),
-    ];
-    let good = [
-        ("good_unit_flow.rs", Rule::UnitFlow),
-        ("good_det_taint.rs", Rule::DetTaint),
-        ("good_float_cmp.rs", Rule::FloatCmp),
-        ("good_raw_fs_write.rs", Rule::RawFsWrite),
-    ];
+    let root = workspace_root();
+    let dir = root.join("crates/xtask/fixtures");
     let mut failed = false;
-    for (name, rule) in bad {
-        let path = dir.join(name);
-        match lint_path_strict(&path) {
-            Ok(vs) => {
-                let hits = vs.iter().filter(|v| v.rule == rule).count();
-                if hits == 0 {
-                    eprintln!("selftest FAIL: {name} did not trigger {}", rule.name());
-                    failed = true;
-                } else {
-                    println!("selftest ok: {name} -> {} x{hits}", rule.name());
-                }
-            }
-            Err(e) => {
-                eprintln!("selftest FAIL: {name}: {e}");
-                failed = true;
-            }
-        }
-    }
-    for (name, rule) in good {
-        let path = dir.join(name);
-        match lint_path_strict(&path) {
+    for (name, rule, must_fire) in FIXTURES {
+        match lint_path_strict(&dir.join(name)) {
             Ok(vs) => {
                 let hits: Vec<_> = vs.iter().filter(|v| v.rule == rule).collect();
-                if hits.is_empty() {
-                    println!("selftest ok: {name} -> {} x0 (sanctioned)", rule.name());
-                } else {
+                if must_fire && hits.is_empty() {
+                    eprintln!("selftest FAIL: {name} did not trigger {}", rule.name());
+                    failed = true;
+                } else if !must_fire && !hits.is_empty() {
                     eprintln!(
                         "selftest FAIL: {name} must stay quiet on {}, got:",
                         rule.name()
@@ -258,6 +182,8 @@ fn cmd_selftest() -> ExitCode {
                         eprintln!("  {v}");
                     }
                     failed = true;
+                } else {
+                    println!("selftest ok: {name} -> {} x{}", rule.name(), hits.len());
                 }
             }
             Err(e) => {
@@ -266,67 +192,83 @@ fn cmd_selftest() -> ExitCode {
             }
         }
     }
-    // The path-based allowlists, proven in both directions on the real
-    // exempted files: each sanctioned surface must trip its rule under the
-    // strict (allowlist-free) scope — it genuinely contains the banned
-    // tokens — yet lint clean under its workspace scope, proving the
-    // path-based exemption is what suppresses the finding (and that the
-    // other passes accept the file's dataflow).
-    let exempted: [(&str, Rule); 5] = [
-        ("crates/obs/src/span.rs", Rule::WallClock),
-        ("crates/bench/src/harness.rs", Rule::WallClock),
-        ("crates/desim/src/supervise.rs", Rule::WallClock),
-        ("crates/desim/src/supervise.rs", Rule::ThreadSpawn),
-        ("crates/store/src/atomic.rs", Rule::RawFsWrite),
-    ];
-    for (rel, rule) in exempted {
-        let rel = Path::new(rel);
-        let abs = workspace_root().join(rel);
-        match std::fs::read_to_string(&abs) {
-            Ok(src) => {
-                let strict_hits = lint_path_strict(&abs)
-                    .map(|vs| vs.iter().filter(|v| v.rule == rule).count())
-                    .unwrap_or(0);
-                let scoped: Vec<_> = scope_for(rel)
-                    .map_or_else(Vec::new, |s| lint_source(rel, &src, s))
-                    .into_iter()
-                    .filter(|v| v.rule == rule)
-                    .collect();
-                if strict_hits == 0 {
-                    eprintln!(
-                        "selftest FAIL: {} no longer exercises {}",
-                        rel.display(),
-                        rule.name()
-                    );
-                    failed = true;
-                } else if !scoped.is_empty() {
-                    eprintln!(
-                        "selftest FAIL: {} not exempt from {} under workspace scope:",
-                        rel.display(),
-                        rule.name()
-                    );
-                    for v in &scoped {
-                        eprintln!("  {v}");
-                    }
-                    failed = true;
-                } else {
-                    println!(
-                        "selftest ok: {} -> {} x{strict_hits} strict, exempt in scope",
-                        rel.display(),
-                        rule.name()
-                    );
-                }
-            }
-            Err(e) => {
-                eprintln!("selftest FAIL: read {}: {e}", abs.display());
-                failed = true;
-            }
-        }
+    let problems = clippy_canary(&root);
+    for p in &problems {
+        eprintln!("selftest FAIL: clippy_canary: {p}");
+    }
+    if problems.is_empty() {
+        println!(
+            "selftest ok: clippy_canary -> all {} bans reported",
+            CANARY.len()
+        );
+    } else {
+        failed = true;
     }
     if failed {
         ExitCode::FAILURE
     } else {
-        println!("selftest: all fixtures trigger their rules");
+        println!("selftest: every fixture triggers its rule, every ban is reported");
         ExitCode::SUCCESS
     }
+}
+
+/// What clippy must report on `fixtures/clippy_canary`: the lint, and a
+/// fragment of its message that names the banned item.
+const CANARY: [(&str, &str); 12] = [
+    ("clippy::disallowed_types", "std::collections::HashMap"),
+    ("clippy::disallowed_types", "std::collections::HashSet"),
+    ("clippy::disallowed_types", "std::time::SystemTime"),
+    ("clippy::disallowed_types", "std::thread::Builder"),
+    ("clippy::disallowed_methods", "std::time::Instant::now"),
+    ("clippy::disallowed_methods", "std::thread::spawn"),
+    ("clippy::disallowed_methods", "std::thread::scope"),
+    ("clippy::disallowed_methods", "std::fs::write"),
+    ("clippy::disallowed_methods", "std::fs::File::create"),
+    ("clippy::unwrap_used", "unwrap()"),
+    ("clippy::expect_used", "expect()"),
+    ("clippy::float_cmp", "strict comparison"),
+];
+
+/// Run `cargo clippy` over the canary crate with the repository's
+/// `clippy.toml`; one message per [`CANARY`] row it did not report (empty =
+/// pass). A `clippy.toml` that fails to parse, or loses an entry, lands here
+/// instead of passing silently over a workspace that happens to be clean.
+fn clippy_canary(root: &Path) -> Vec<String> {
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let out = match Command::new(cargo)
+        .args(["clippy", "--offline", "--quiet", "--message-format=json"])
+        .arg("--manifest-path")
+        .arg(root.join("crates/xtask/fixtures/clippy_canary/Cargo.toml"))
+        .arg("--target-dir")
+        .arg(root.join("target/clippy_canary"))
+        .env("CLIPPY_CONF_DIR", root)
+        .output()
+    {
+        Ok(out) => out,
+        Err(e) => return vec![format!("cannot run cargo clippy: {e}")],
+    };
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let reported: Vec<(String, String)> = stdout
+        .lines()
+        .filter_map(|line| {
+            let msg = obs::json::parse(line).ok()?;
+            let msg = msg.get("message")?;
+            let code = msg.get("code")?.get("code")?.as_str()?;
+            Some((code.to_string(), msg.get("message")?.as_str()?.to_string()))
+        })
+        .collect();
+    if reported.is_empty() {
+        return vec![format!(
+            "clippy reported nothing ({}):\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        )];
+    }
+    CANARY
+        .iter()
+        .filter(|(lint, what)| !reported.iter().any(|(c, m)| c == lint && m.contains(what)))
+        .map(|(lint, what)| {
+            format!("{lint} did not report `{what}` — clippy.toml no longer bans it")
+        })
+        .collect()
 }

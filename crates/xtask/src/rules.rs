@@ -1,13 +1,12 @@
-//! Token-pattern rules and signature scanning.
+//! `index-literal` and `unit-suffix`: token-pattern and signature scanning.
 //!
 //! Everything here pattern-matches the comment-stripped token stream
 //! ([`crate::Ctx::code`]) — strings, chars, raw strings and comments are
-//! whole tokens, so the legacy scrubber's edge cases (a `HashMap` inside a
-//! multi-line raw string, a `.unwrap()` in prose) are structurally
-//! impossible.
+//! whole tokens, so an `xs[0]` inside a multi-line raw string or in prose
+//! cannot fire.
 
 use crate::lex::{Kind, Tok};
-use crate::{has_unit_suffix, is_dimensioned, Ctx, Rule, Scope, Sink, UNIT_SUFFIXES};
+use crate::{has_unit_suffix, is_dimensioned, Ctx, Rule, Sink, UNIT_SUFFIXES};
 
 pub(crate) fn is_ident(t: &Tok, s: &str) -> bool {
     t.kind == Kind::Ident && t.text == s
@@ -17,173 +16,34 @@ pub(crate) fn is_punct(t: &Tok, s: &str) -> bool {
     t.kind == Kind::Punct && t.text == s
 }
 
-/// Single-token and short-window rules: collections, wall clock, threads,
-/// unwrap/expect, literal indexing.
-pub(crate) fn token_rules(ctx: &Ctx, scope: Scope, sink: &mut Sink) {
+/// `index-literal`: literal indexing `xs[0]` without a bound-justifying
+/// comment on the same or the preceding line. Test code is exempt.
+pub(crate) fn index_literal(ctx: &Ctx, sink: &mut Sink) {
     let code = &ctx.code;
-    for i in 0..code.len() {
+    for i in 1..code.len() {
         let t = code[i];
         let line = t.line as usize;
-        let col = t.col as usize;
-
-        if scope.determinism
-            && t.kind == Kind::Ident
-            && (t.text == "HashMap" || t.text == "HashSet")
-        {
+        let indexes_a_value = code[i - 1].kind == Kind::Ident
+            || is_punct(code[i - 1], ")")
+            || is_punct(code[i - 1], "]");
+        if !(is_punct(t, "[") && indexes_a_value) || ctx.is_test_line(line) {
+            continue;
+        }
+        let literal = code
+            .get(i + 1)
+            .is_some_and(|n| n.kind == Kind::Int && n.text.chars().all(|c| c.is_ascii_digit()))
+            && code.get(i + 2).is_some_and(|n| is_punct(n, "]"));
+        if literal && !ctx.has_plain_comment(line) {
+            let col = t.col as usize;
             sink.push(
                 line,
                 col,
-                Rule::HashCollections,
+                Rule::IndexLiteral,
                 format!(
-                    "{} has unspecified iteration order; use BTreeMap/BTreeSet or \
-                     Vec-indexed storage in simulation logic",
-                    t.text
+                    "literal index at column {col} without a bound-justifying comment on \
+                     this or the preceding line"
                 ),
             );
-        }
-
-        if scope.wall_clock {
-            let tok = if is_ident(t, "Instant")
-                && code.get(i + 1).is_some_and(|n| is_punct(n, "::"))
-                && code.get(i + 2).is_some_and(|n| is_ident(n, "now"))
-            {
-                Some("Instant::now")
-            } else if is_ident(t, "SystemTime") {
-                Some("SystemTime")
-            } else if is_ident(t, "thread_rng") {
-                Some("thread_rng")
-            } else if is_ident(t, "rand") && code.get(i + 1).is_some_and(|n| is_punct(n, "::")) {
-                Some("rand::")
-            } else {
-                None
-            };
-            if let Some(tok) = tok {
-                sink.push(
-                    line,
-                    col,
-                    Rule::WallClock,
-                    format!(
-                        "{tok} injects wall-clock/ambient nondeterminism; use SimTime and \
-                         the seeded SimRng"
-                    ),
-                );
-            }
-        }
-
-        if scope.thread_spawn
-            && is_ident(t, "thread")
-            && code.get(i + 1).is_some_and(|n| is_punct(n, "::"))
-        {
-            if let Some(m) = code.get(i + 2) {
-                if m.kind == Kind::Ident
-                    && (m.text == "spawn" || m.text == "scope" || m.text == "Builder")
-                {
-                    sink.push(
-                        line,
-                        col,
-                        Rule::ThreadSpawn,
-                        format!(
-                            "thread::{} outside desim::par breaks the ordered-results \
-                             determinism contract; use desim::par::par_map \
-                             (SIM_THREADS-aware, input-order results)",
-                            m.text
-                        ),
-                    );
-                }
-            }
-        }
-
-        // `.unwrap()` / `.expect(` — panic + no-unwrap-sim, library code only.
-        if is_punct(t, ".") && !ctx.is_test_line(line) {
-            let m = code.get(i + 1);
-            let unwrap = m.is_some_and(|m| is_ident(m, "unwrap"))
-                && code.get(i + 2).is_some_and(|n| is_punct(n, "("))
-                && code.get(i + 3).is_some_and(|n| is_punct(n, ")"));
-            let expect = m.is_some_and(|m| is_ident(m, "expect"))
-                && code.get(i + 2).is_some_and(|n| is_punct(n, "("));
-            if unwrap || expect {
-                let tok = if unwrap { ".unwrap()" } else { ".expect(" };
-                if scope.panic_discipline {
-                    sink.push(
-                        line,
-                        col,
-                        Rule::Panic,
-                        format!(
-                            "{tok} in library code; return a typed error or document the \
-                             invariant with `// simlint: allow(panic) — why`"
-                        ),
-                    );
-                }
-                if scope.no_unwrap {
-                    sink.push(
-                        line,
-                        col,
-                        Rule::NoUnwrapSim,
-                        format!(
-                            "{tok} in a simulation crate: degrade via faults::SimError (or an \
-                             infallible construction) instead of aborting mid-run; a cold-path \
-                             exception needs `// simlint: allow(no-unwrap-sim) — why`"
-                        ),
-                    );
-                }
-            }
-        }
-
-        // Bare file writes (`fs::write`, `File::create`) outside the
-        // sanctioned atomic writer. Test modules are exempt: fixtures and
-        // scratch files in tests have no crash-durability contract.
-        if scope.fs_write && !ctx.is_test_line(line) {
-            let raw = if is_ident(t, "fs")
-                && code.get(i + 1).is_some_and(|n| is_punct(n, "::"))
-                && code.get(i + 2).is_some_and(|n| is_ident(n, "write"))
-            {
-                Some("fs::write")
-            } else if is_ident(t, "File")
-                && code.get(i + 1).is_some_and(|n| is_punct(n, "::"))
-                && code.get(i + 2).is_some_and(|n| is_ident(n, "create"))
-            {
-                Some("File::create")
-            } else {
-                None
-            };
-            if let Some(tok) = raw {
-                sink.push(
-                    line,
-                    col,
-                    Rule::RawFsWrite,
-                    format!(
-                        "{tok} can leave a torn file under its final name after a crash; \
-                         route durable artifacts through store::atomic::write_atomic \
-                         (temp + fsync + rename)"
-                    ),
-                );
-            }
-        }
-
-        // Literal indexing `xs[0]` without a bound-justifying comment.
-        if scope.determinism
-            && is_punct(t, "[")
-            && !ctx.is_test_line(line)
-            && i > 0
-            && (code[i - 1].kind == Kind::Ident
-                || is_punct(code[i - 1], ")")
-                || is_punct(code[i - 1], "]"))
-        {
-            let idx_ok = code
-                .get(i + 1)
-                .is_some_and(|n| n.kind == Kind::Int && n.text.chars().all(|c| c.is_ascii_digit()))
-                && code.get(i + 2).is_some_and(|n| is_punct(n, "]"));
-            if idx_ok && !ctx.has_plain_comment(line) {
-                sink.push(
-                    line,
-                    col,
-                    Rule::IndexLiteral,
-                    format!(
-                        "literal index at column {col} without a bound-justifying comment on \
-                         this or the preceding line"
-                    ),
-                );
-            }
         }
     }
 }
@@ -256,12 +116,9 @@ fn is_f64_type(code: &[&Tok], start: usize, end: usize) -> bool {
     end - start == 1 && is_ident(code[start], "f64")
 }
 
-/// `unit-suffix` over signatures: `pub fn` params (legacy), plus struct
-/// fields and `pub fn` return types (PR 6 extension).
-pub(crate) fn signature_rules(ctx: &Ctx, scope: Scope, sink: &mut Sink) {
-    if !scope.unit_suffix {
-        return;
-    }
+/// `unit-suffix` over signatures: `pub fn` params and return types, and
+/// struct fields.
+pub(crate) fn unit_suffix(ctx: &Ctx, sink: &mut Sink) {
     let code = &ctx.code;
     let mut i = 0;
     while i < code.len() {

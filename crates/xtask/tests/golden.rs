@@ -4,7 +4,7 @@
 
 use std::path::Path;
 
-use xtask::report::{apply_baseline, render_report, BaselineEntry};
+use xtask::report::render_report;
 use xtask::{lint_source, Scope};
 
 fn fixture(rel: &str) -> std::path::PathBuf {
@@ -22,23 +22,8 @@ fn json_report_is_golden_and_byte_stable() {
         !violations.is_empty(),
         "golden input no longer triggers any rules"
     );
-    // A baseline that (a) absorbs one finding and (b) holds one stale entry,
-    // so the report exercises `baselined` and `stale_baseline`.
-    let baseline = vec![
-        BaselineEntry {
-            file: "fixtures/golden/input.rs".into(),
-            rule: "hash-collections".into(),
-            count: 1,
-        },
-        BaselineEntry {
-            file: "fixtures/golden/input.rs".into(),
-            rule: "thread-spawn".into(),
-            count: 2,
-        },
-    ];
-    let analysis = apply_baseline(violations, &baseline);
-    let first = render_report(&analysis.findings, &analysis.stale);
-    let second = render_report(&analysis.findings, &analysis.stale);
+    let first = render_report(&violations);
+    let second = render_report(&violations);
     assert_eq!(first, second, "report rendering is not deterministic");
 
     let expected_path = fixture("fixtures/golden/expected.json");
