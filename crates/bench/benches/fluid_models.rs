@@ -215,32 +215,28 @@ fn main() {
     // against their plain counterparts; the *plain* runs above double as the
     // "disabled ≤ 1%" check against the pre-obs baseline in
     // BENCH_fluid.json, since instrumentation is compiled in but off there.
-    obs::metrics::reset();
-    obs::metrics::enable();
-    obs::trace::reset();
-    obs::trace::enable();
+    obs::reset();
+    obs::enable(obs::METRICS | obs::TRACE);
     bench("dcqcn_dde_integrate_10flows_10ms/obs_on", || {
-        obs::trace::reset();
+        obs::reset();
         let mut m = DcqcnFluid::new(DcqcnParams::default_40g(), 10);
         black_box(m.simulate(0.01).len())
     });
     bench("fig3_margin_grid_quick/obs_on", || {
-        obs::trace::reset();
+        obs::reset();
         black_box(fig3::run(&quick_cfg()).by_delay.len())
     });
-    obs::trace::disable();
-    obs::trace::reset();
-    obs::metrics::disable();
-    obs::metrics::reset();
+    obs::disable(obs::METRICS | obs::TRACE);
+    obs::reset();
 
     // Wall-clock phase attribution: rerun the 10-flow DDE with span timers
     // on and splice the per-phase totals into the report.
-    obs::span::enable();
+    obs::enable(obs::SPANS);
     {
         let mut m = DcqcnFluid::new(DcqcnParams::default_40g(), 10);
         black_box(m.simulate(0.01).len());
     }
-    obs::span::disable();
+    obs::disable(obs::SPANS);
     record_spans("dcqcn_dde_integrate_10flows_10ms");
 
     write_report("BENCH_fluid.json");

@@ -124,7 +124,7 @@ pub fn record_value(name: &str, value: u128, count: usize) {
 /// per-phase attribution into the same `BENCH_*.json` schema. For a span
 /// row, `min/mean/median` all carry the *average* nanoseconds per span and
 /// `iters` the span count (spans are aggregated, not sampled). Call after a
-/// bench that ran with `obs::span::enable()`.
+/// bench that ran with `obs::SPANS` on.
 pub fn record_spans(prefix: &str) {
     for (phase, count, total_ns) in obs::span::drain() {
         let avg = u128::from(total_ns) / u128::from(count.max(1));

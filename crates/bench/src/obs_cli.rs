@@ -5,8 +5,8 @@
 //! enables the `obs` layer, so the hot paths pay only the disabled-check
 //! load. With `--trace`, sim-time events captured during the run are written
 //! as JSONL (sorted by `(ctx, seq)`; byte-identical across `SIM_THREADS`
-//! settings). With `--metrics`, the deterministic name-sorted counter /
-//! gauge / histogram snapshot is written as JSON. With `--timeseries`, the
+//! settings). With `--metrics`, the deterministic name-sorted counter
+//! snapshot is written as JSON (`{"counters": {…}}`). With `--timeseries`, the
 //! windowed series and streaming log-histograms are written as JSONL
 //! (`kind: series | win | hist` lines, ordered by `(name, key, ctx)` —
 //! render or diff them with `simreport`). With `--flight <path>`, the
@@ -31,54 +31,49 @@ pub struct ObsCli {
     flight_path: Option<PathBuf>,
 }
 
-/// Enable the `obs` subsystems the parsed flags ask for (resetting any prior
-/// state so the output reflects exactly this run).
+/// Switch on the `obs` instruments the parsed flags ask for, on a fresh
+/// recorder so the output reflects exactly this run.
 pub fn init(args: &crate::cli::Args) -> ObsCli {
-    let trace_path = args.trace.clone();
-    let metrics_path = args.metrics.clone();
-    let timeseries_path = args.timeseries.clone();
-    let flight_path = args.flight.clone();
-    if trace_path.is_some() {
-        obs::trace::reset();
-        obs::trace::enable();
-    }
-    if metrics_path.is_some() {
-        obs::metrics::reset();
-        obs::metrics::enable();
-    }
-    if timeseries_path.is_some() {
-        obs::timeseries::reset();
-        obs::timeseries::enable();
-    }
-    if let Some(p) = &flight_path {
-        obs::flight::reset();
-        obs::flight::enable();
+    let cli = ObsCli {
+        trace_path: args.trace.clone(),
+        metrics_path: args.metrics.clone(),
+        timeseries_path: args.timeseries.clone(),
+        flight_path: args.flight.clone(),
+    };
+    obs::reset();
+    obs::enable(cli.caps());
+    if let Some(p) = &cli.flight_path {
         // Arm dump-on-error immediately: if the run dies with a SimError the
         // black box lands at the requested path even though `finish` (which
         // also writes it on clean exit) never runs.
         obs::flight::set_dump_path(p.clone());
     }
-    ObsCli {
-        trace_path,
-        metrics_path,
-        timeseries_path,
-        flight_path,
-    }
+    cli
 }
 
 impl ObsCli {
-    /// True when any flag was given (instrumentation is recording).
-    pub fn active(&self) -> bool {
-        self.trace_path.is_some()
-            || self.metrics_path.is_some()
-            || self.timeseries_path.is_some()
-            || self.flight_path.is_some()
+    /// The capability bits of the instruments this run records.
+    fn caps(&self) -> u8 {
+        [
+            (obs::TRACE, &self.trace_path),
+            (obs::METRICS, &self.metrics_path),
+            (obs::SERIES, &self.timeseries_path),
+            (obs::FLIGHT, &self.flight_path),
+        ]
+        .into_iter()
+        .filter(|(_, path)| path.is_some())
+        .fold(0, |caps, (cap, _)| caps | cap)
     }
 
-    /// Disable recording and write the requested artifacts.
+    /// True when any flag was given (instrumentation is recording).
+    pub fn active(&self) -> bool {
+        self.caps() != 0
+    }
+
+    /// Stop recording and write the requested artifacts.
     pub fn finish(self) {
+        obs::disable(self.caps());
         if let Some(p) = &self.trace_path {
-            obs::trace::disable();
             let jsonl = obs::trace::export_jsonl();
             std::fs::write(p, &jsonl).unwrap_or_else(|e| panic!("write {}: {e}", p.display()));
             let dropped = obs::trace::dropped_events();
@@ -94,13 +89,11 @@ impl ObsCli {
             );
         }
         if let Some(p) = &self.metrics_path {
-            obs::metrics::disable();
             std::fs::write(p, obs::metrics::snapshot_json())
                 .unwrap_or_else(|e| panic!("write {}: {e}", p.display()));
             println!("metrics -> {}", p.display());
         }
         if let Some(p) = &self.timeseries_path {
-            obs::timeseries::disable();
             let jsonl = obs::timeseries::export_jsonl();
             std::fs::write(p, &jsonl).unwrap_or_else(|e| panic!("write {}: {e}", p.display()));
             println!(
@@ -113,14 +106,12 @@ impl ObsCli {
             // A SimError mid-run already dumped a post-mortem to this path;
             // never overwrite that with an end-of-run snapshot.
             if let Some(reason) = obs::flight::last_dump_reason() {
-                obs::flight::disable();
                 println!("flight -> {} (post-mortem dump: {reason})", p.display());
             } else {
                 let jsonl = format!(
                     "{{\"kind\": \"flight_dump\", \"reason\": \"clean exit\"}}\n{}",
                     obs::flight::export_jsonl()
                 );
-                obs::flight::disable();
                 std::fs::write(p, &jsonl).unwrap_or_else(|e| panic!("write {}: {e}", p.display()));
                 println!(
                     "flight -> {} ({} lines)",

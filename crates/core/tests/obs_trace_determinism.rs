@@ -11,12 +11,12 @@ use desim::par::with_threads;
 use ecn_delay_core::experiments::fig4;
 
 fn traced_run(threads: usize, cfg: &fig4::Fig4Config) -> String {
-    obs::trace::reset();
-    obs::trace::enable();
+    obs::reset();
+    obs::enable(obs::TRACE);
     let _ = with_threads(threads, || fig4::run(cfg));
-    obs::trace::disable();
+    obs::disable(obs::TRACE);
     let out = obs::trace::export_jsonl();
-    obs::trace::reset();
+    obs::reset();
     out
 }
 

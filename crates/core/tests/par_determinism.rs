@@ -116,16 +116,17 @@ fn ext_incast_byte_identical_across_thread_counts() {
     );
 }
 
-/// The telemetry layer's own determinism contract: with time-series and the
-/// flight recorder enabled, their exported JSONL is byte-identical across
-/// worker counts.
+/// The telemetry layer's own determinism contract: with the trace, the
+/// time-series and the flight recorder all on at once, each export is
+/// byte-identical across worker counts.
 ///
-/// The obs sinks are process-global and other tests in this binary run
-/// concurrently, so the sweep runs under a distinctive parent trace context
-/// and the comparison filters exported lines to this test's own context
-/// subtree (every timeseries/flight line carries `"ctx"` for exactly this
-/// reason). Metrics — global unfilterable sums — are deliberately out of
-/// scope here; `obs-smoke` in CI compares them across whole processes.
+/// The obs recorder is process-global and other tests in this binary run
+/// concurrently, so the sweep runs under a distinctive parent context and
+/// the comparison filters exported lines to this test's own context subtree
+/// (every trace/timeseries/flight line carries `"ctx"` for exactly this
+/// reason). Metrics — counters carry no ctx, so concurrent tests would
+/// pollute them — are deliberately out of scope here; `obs-smoke` in CI
+/// compares them across whole processes.
 #[test]
 fn telemetry_byte_identical_across_thread_counts() {
     const PARENT: u64 = 7_777;
@@ -143,34 +144,38 @@ fn telemetry_byte_identical_across_thread_counts() {
             .parse()
             .ok()
     };
-    let lo = PARENT * obs::trace::CONTEXT_STRIDE + 1;
-    let hi = PARENT * obs::trace::CONTEXT_STRIDE + obs::trace::CONTEXT_STRIDE;
+    let lo = PARENT * obs::CONTEXT_STRIDE + 1;
+    let hi = PARENT * obs::CONTEXT_STRIDE + obs::CONTEXT_STRIDE;
     let mine = move |out: &str| -> String {
         out.lines()
             .filter(|l| ctx_of(l).is_some_and(|c| (lo..=hi).contains(&c)))
             .collect::<Vec<_>>()
             .join("\n")
     };
-    let run_with = |threads: usize| -> (String, String) {
-        // Fresh sinks per run: the (name, key, ctx) aggregates would
-        // otherwise accumulate across the two sweeps.
-        obs::timeseries::reset();
-        obs::flight::reset();
-        obs::timeseries::enable();
-        obs::flight::enable();
+    const CAPS: u8 = obs::TRACE | obs::SERIES | obs::FLIGHT;
+    let run_with = |threads: usize| -> [String; 3] {
+        // A fresh recorder per run: the (name, key, ctx) aggregates and the
+        // per-context sequence numbers would otherwise carry over.
+        obs::reset();
+        obs::enable(CAPS);
         with_threads(threads, || {
-            obs::trace::with_context(PARENT, || {
+            obs::in_context(PARENT, || {
                 let _ = ext_incast::run(&cfg);
             })
         });
-        obs::timeseries::disable();
-        obs::flight::disable();
-        let ts = mine(&obs::timeseries::export_jsonl());
-        let fl = mine(&obs::flight::export_jsonl());
-        (ts, fl)
+        obs::disable(CAPS);
+        [
+            mine(&obs::trace::export_jsonl()),
+            mine(&obs::timeseries::export_jsonl()),
+            mine(&obs::flight::export_jsonl()),
+        ]
     };
-    let (ts1, fl1) = run_with(1);
-    let (ts4, fl4) = run_with(4);
+    let [tr1, ts1, fl1] = run_with(1);
+    let [tr4, ts4, fl4] = run_with(4);
+    assert!(
+        tr1.contains("\"type\": \"EcnMark\"") && tr1.contains("\"type\": \"RateUpdate\""),
+        "trace capture must be non-trivial:\n{tr1}"
+    );
     assert!(
         ts1.contains("netsim.queue_bytes") && ts1.contains("\"kind\": \"hist\""),
         "time-series capture must be non-trivial:\n{ts1}"
@@ -184,4 +189,5 @@ fn telemetry_byte_identical_across_thread_counts() {
         "time-series JSONL differs between 1 and 4 workers"
     );
     assert_eq!(fl1, fl4, "flight JSONL differs between 1 and 4 workers");
+    assert_eq!(tr1, tr4, "trace JSONL differs between 1 and 4 workers");
 }

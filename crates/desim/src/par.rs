@@ -74,21 +74,19 @@ where
 {
     let n_jobs = jobs.len();
     let threads = worker_count().min(n_jobs);
-    // Each job records trace events under a context derived from its *input
-    // index* (never from the worker thread), so an enabled `obs` trace is
-    // byte-identical across worker counts — including this inline path.
-    let trace_parent = obs::trace::current_context();
+    // Each job records under an `obs` context derived from its *input index*
+    // (never from the worker thread) and starts with no flight cause, so
+    // every ctx-keyed export is byte-identical across worker counts —
+    // including this inline path — and causal chains never cross jobs.
+    let obs_parent = obs::current_context();
+    let run = |idx: usize, job: I| {
+        obs::in_context(obs::child_context(obs_parent, idx as u64), || worker(job))
+    };
     if threads <= 1 {
         return jobs
             .into_iter()
             .enumerate()
-            .map(|(idx, job)| {
-                obs::trace::with_context(
-                    obs::trace::child_context(trace_parent, idx as u64),
-                    // Causal flight chains must not leak across jobs either.
-                    || obs::flight::with_clean_cause(|| worker(job)),
-                )
-            })
+            .map(|(idx, job)| run(idx, job))
             .collect();
     }
 
@@ -120,13 +118,7 @@ where
                     reason = "slot idx is claimed exactly once via the counter"
                 )]
                 let job = job.expect("job slot claimed twice");
-                let out = obs::trace::with_context(
-                    obs::trace::child_context(trace_parent, idx as u64),
-                    // Worker threads are reused across jobs; start each job
-                    // with a clean causal chain so flight back-pointers stay
-                    // per-context (and thread-count independent).
-                    || obs::flight::with_clean_cause(|| worker(job)),
-                );
+                let out = run(idx, job);
                 *result_slots[idx]
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
@@ -241,31 +233,6 @@ mod tests {
     #[test]
     fn override_floor_is_one() {
         with_threads(0, || assert_eq!(worker_count(), 1));
-    }
-
-    #[test]
-    fn trace_contexts_follow_input_index_not_thread() {
-        // One trace event per job: the export must be byte-identical between
-        // the inline serial path and an 8-worker pool, because contexts are
-        // derived from input indices, never from threads.
-        let run = |threads: usize| -> String {
-            obs::trace::reset();
-            obs::trace::enable();
-            let _ = with_threads(threads, || {
-                par_map((0..16u64).collect(), |i| {
-                    obs::trace::record(i as f64, obs::Event::CnpSent { flow: i });
-                    i
-                })
-            });
-            obs::trace::disable();
-            let out = obs::trace::export_jsonl();
-            obs::trace::reset();
-            out
-        };
-        let serial = run(1);
-        let par = run(8);
-        assert_eq!(serial.lines().count(), 16);
-        assert_eq!(serial, par);
     }
 
     #[test]

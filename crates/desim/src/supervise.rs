@@ -115,7 +115,8 @@ struct Shared<I, O, E> {
     progress_cv: Condvar,
     stop_watchdog: AtomicBool,
     policy: SupervisePolicy,
-    trace_parent: u64,
+    /// The caller's `obs` context; job `i` records under its child `i`.
+    obs_parent: u64,
 }
 
 /// Render a panic payload as the human-readable message `panic!` carried.
@@ -170,7 +171,7 @@ where
         progress_cv: Condvar::new(),
         stop_watchdog: AtomicBool::new(false),
         policy,
-        trace_parent: obs::trace::current_context(),
+        obs_parent: obs::current_context(),
     });
     let worker = Arc::new(worker);
     let retryable = Arc::new(retryable);
@@ -239,10 +240,10 @@ fn commit<I, O, E>(
     }
     let quarantined = !matches!(quarantine, Quarantine::No);
     if matches!(quarantine, Quarantine::TimedOut) {
-        obs::flight::record(0.0, "job_timeout", idx as f64, None);
+        note(shared, idx, "job_timeout");
     }
     if quarantined {
-        obs::flight::record(0.0, "job_quarantined", idx as f64, None);
+        note(shared, idx, "job_quarantined");
     }
     let mut progress = lock_ignore_poison(&shared.progress);
     if quarantined {
@@ -251,6 +252,16 @@ fn commit<I, O, E>(
     progress.filled += 1;
     shared.progress_cv.notify_all();
     true
+}
+
+/// Record a supervision verdict on the flight recorder under job `idx`'s own
+/// context, whichever thread (worker or watchdog) reaches it.
+fn note<I, O, E>(shared: &Shared<I, O, E>, idx: usize, kind: &'static str) {
+    if obs::flight::enabled() {
+        obs::in_context(obs::child_context(shared.obs_parent, idx as u64), || {
+            obs::flight::record(0.0, kind, idx as f64, None)
+        });
+    }
 }
 
 fn spawn_worker<I, O, E, F, R>(shared: Arc<Shared<I, O, E>>, worker: Arc<F>, retryable: Arc<R>)
@@ -294,26 +305,25 @@ where
     R: Fn(&E) -> bool,
 {
     let max_attempts = shared.policy.max_attempts.max(1);
+    let ctx = obs::child_context(shared.obs_parent, idx as u64);
     let mut attempt = 0u32;
     let (final_result, exhausted) = loop {
         attempt += 1;
         // simlint: allow(determinism-taint) — supervision bookkeeping, not sim state: the start mark only arms the watchdog, and no clock reading ever enters a result (timeouts carry the configured deadline)
         *lock_ignore_poison(&shared.started[idx]) = Some(Instant::now());
-        // The job runs under the same per-index obs context discipline as
-        // `par_map`, with `catch_unwind` *inside* the context scope so a
-        // panic unwinds through the restore guards.
+        // Each attempt runs under the job's per-index obs context with a
+        // clean cause, as in `par_map`; `in_context` restores the worker's
+        // own context from a drop guard, so a panic unwinding out to
+        // `catch_unwind` leaves nothing behind on this thread.
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            obs::trace::with_context(
-                obs::trace::child_context(shared.trace_parent, idx as u64),
-                || obs::flight::with_clean_cause(|| worker(input.clone())),
-            )
+            obs::in_context(ctx, || worker(input.clone()))
         }));
         *lock_ignore_poison(&shared.started[idx]) = None;
         match caught {
             Ok(Ok(v)) => break (Ok(v), false),
             Ok(Err(e)) => {
                 if attempt < max_attempts && retryable(&e) {
-                    obs::flight::record(0.0, "job_retry", idx as f64, None);
+                    note(shared, idx, "job_retry");
                     continue;
                 }
                 // Exhausted = the policy permitted retries and this error
@@ -322,7 +332,7 @@ where
                 break (Err(e), attempt >= max_attempts && max_attempts > 1);
             }
             Err(payload) => {
-                obs::flight::record(0.0, "job_panicked", idx as f64, None);
+                note(shared, idx, "job_panicked");
                 break (Err(E::job_panicked(idx, panic_message(payload))), true);
             }
         }
@@ -528,32 +538,5 @@ mod tests {
         );
         assert!(report.results.is_empty());
         assert!(report.quarantined.is_empty());
-    }
-
-    #[test]
-    fn trace_contexts_follow_input_index_not_thread() {
-        let run = |threads: usize| -> String {
-            obs::trace::reset();
-            obs::trace::enable();
-            let _ = with_threads(threads, || {
-                par_map_supervised(
-                    (0..12u64).collect(),
-                    SupervisePolicy::default(),
-                    no_retry,
-                    |i| {
-                        obs::trace::record(i as f64, obs::Event::CnpSent { flow: i });
-                        Ok::<_, TestErr>(i)
-                    },
-                )
-            });
-            obs::trace::disable();
-            let out = obs::trace::export_jsonl();
-            obs::trace::reset();
-            out
-        };
-        let serial = run(1);
-        let par = run(4);
-        assert_eq!(serial.lines().count(), 12);
-        assert_eq!(serial, par);
     }
 }

@@ -14,10 +14,8 @@
 //! `Integrate` span), so per-phase totals are not disjoint; they attribute
 //! where time is spent, not a partition of it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// The bench phases spans can attribute time to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +31,7 @@ pub enum Phase {
 }
 
 /// All phases, in display order.
-pub const PHASES: [Phase; 4] = [
+const PHASES: [Phase; 4] = [
     Phase::Integrate,
     Phase::Locate,
     Phase::Compact,
@@ -73,17 +71,17 @@ static TOTALS: [Slot; PHASES.len()] = [Slot::NEW; PHASES.len()];
 /// Are spans enabled? One relaxed load on the disabled path.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    crate::on(crate::SPANS)
 }
 
-/// Turn span timing on (bench harness only).
+/// `obs::enable(obs::SPANS)`, kept for `benchmark/`.
 pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
+    crate::enable(crate::SPANS);
 }
 
-/// Turn span timing off.
+/// `obs::disable(obs::SPANS)`, kept for `benchmark/`.
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    crate::disable(crate::SPANS);
 }
 
 /// An RAII phase timer; records elapsed wall time on drop. Inert (no clock
@@ -162,45 +160,25 @@ pub fn drain() -> Vec<(Phase, u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    /// Span state is process-global; tests that toggle it must not
-    /// interleave.
-    fn serial() -> MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 
     #[test]
-    fn disabled_spans_record_nothing() {
-        let _g = serial();
+    fn spans_accumulate_only_while_enabled_and_drain_resets() {
+        let _g = crate::test_lock();
         disable();
         drain();
-        {
-            let _s = enter(Phase::Integrate);
-        }
-        assert!(drain().is_empty());
-    }
-
-    #[test]
-    fn enabled_spans_accumulate_counts_and_time() {
-        let _g = serial();
-        drain();
+        drop(enter(Phase::Integrate));
+        assert!(drain().is_empty(), "a disabled span reads no clock");
         enable();
         for _ in 0..3 {
             let _s = enter(Phase::Locate);
         }
-        {
-            let _s = enter(Phase::Compact);
-        }
+        drop(enter(Phase::Compact));
         disable();
         let rows = drain();
-        let locate = rows.iter().find(|r| r.0 == Phase::Locate).unwrap();
-        assert_eq!(locate.1, 3);
-        let compact = rows.iter().find(|r| r.0 == Phase::Compact).unwrap();
-        assert_eq!(compact.1, 1);
-        // Drain resets.
-        assert!(drain().is_empty());
+        let count = |p| rows.iter().find(|r| r.0 == p).map(|r| r.1);
+        assert_eq!(count(Phase::Locate), Some(3));
+        assert_eq!(count(Phase::Compact), Some(1));
+        assert!(drain().is_empty(), "drain resets");
     }
 
     #[test]

@@ -56,14 +56,14 @@ fn metrics_turn() -> MutexGuard<'static, ()> {
 /// Run `simulate` with the metrics on and check the trace and the traffic.
 fn check_run(pinned_digest: u64, simulate: impl FnOnce() -> Trace) {
     let _turn = metrics_turn();
-    obs::metrics::reset();
-    obs::metrics::enable();
+    obs::reset();
+    obs::enable(obs::METRICS);
     let trace = simulate();
-    obs::metrics::disable();
+    obs::disable(obs::METRICS);
     let steps = obs::metrics::counter_value("fluid.dde_steps");
     let lookups = obs::metrics::counter_value("fluid.history_lookups");
     let fallbacks = obs::metrics::counter_value("fluid.history_lookup_fallbacks");
-    obs::metrics::reset();
+    obs::reset();
 
     assert_eq!(trace.dim(), 1 + 2 * FLOWS, "K = N: nothing was reduced");
     let digest = trace_digest(&trace);

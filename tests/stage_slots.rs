@@ -91,13 +91,13 @@ fn metrics_turn() -> MutexGuard<'static, ()> {
 /// Run `f` with the metrics on (the caller holds [`metrics_turn`]); returns
 /// its value, the completed steps and the phase-one fills.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    obs::metrics::reset();
-    obs::metrics::enable();
+    obs::reset();
+    obs::enable(obs::METRICS);
     let out = f();
-    obs::metrics::disable();
+    obs::disable(obs::METRICS);
     let steps = obs::metrics::counter_value("fluid.dde_steps");
     let fills = obs::metrics::counter_value("fluid.delayed_evals");
-    obs::metrics::reset();
+    obs::reset();
     (out, steps, fills)
 }
 
