@@ -6,6 +6,11 @@
 //! returned rate and timer requests. This is exactly the division of labour
 //! in RoCEv2 NICs: the rate limiter is hardware, the update rules are the
 //! protocol.
+//!
+//! A [`CongestionControl`] must depend only on its own state and arguments:
+//! the engine delivers a flow's events in order, each with its own `now`,
+//! but a timer firing when the flow is next touched — after other flows'
+//! later events.
 
 use desim::{SimDuration, SimTime};
 
@@ -48,7 +53,7 @@ pub struct CcUpdate {
 impl CcUpdate {
     /// Timer capacity: the timer requests one update can carry, and the
     /// timer kinds a protocol can use (`0..MAX_TIMERS`; the engine keeps one
-    /// pending timer per flow and kind). DCQCN, the only protocol with
+    /// clock per flow and kind). DCQCN, the only protocol with
     /// timers, has two: the α-timer and the rate-increase timer.
     pub const MAX_TIMERS: usize = 2;
 

@@ -11,7 +11,6 @@
 //! | `Pacer` | a flow's rate limiter releases the next packet (or, under per-chunk pacing, the next burst) into the host NIC queue | always |
 //! | `TxDone` | a port finished serializing a packet; it picks the next one (control queue first, strict priority) | only if something is, or becomes, queued behind the transmission — otherwise held in the port |
 //! | `Deliver` | a packet arrives at the far end of a link after serialization + propagation; switches forward it, hosts consume it | always |
-//! | `CcTimer` | a congestion-control timer (DCQCN's α-timer and increase timer) fires | one entry per flow and instant: kinds armed for one instant under adjacent tickets share it |
 //! | `AqmTick`, `Fault`, `FaultStormRelease` | the PI controller's period and the fault plane's operations | always |
 //!
 //! **The ticket contract.** Events are dispatched in `(time, ticket)` order
@@ -21,12 +20,24 @@
 //! the port's busy flag, so it is *held* — `(idle_at, ticket)` in the port
 //! — and put on the wheel under that ticket by the first packet that joins
 //! the queue before it is due; once it is due, whoever looks at the port
-//! next (or the end of the run) frees the port and counts the event. A
-//! flow's timers armed for one instant with adjacent tickets cannot have
-//! anything dispatched between them, so they ride one entry and fire back
-//! to back. Either way the run dispatches — and
-//! [`SimReport::events_processed`] counts — the same events in the same
-//! order as if each had an entry of its own; the wheel just holds fewer.
+//! next (or the end of the run) frees the port and counts the event.
+//!
+//! A CC timer (DCQCN's α and increase timers) is no event at all: each flow
+//! keeps one clock per kind — next firing, arming ticket — and fires what is
+//! due, each firing counted and handed its own time, just before anything
+//! reads or writes the flow's CC state: its pacer, a CNP or ACK at its
+//! sender, its completing last byte, a fault `Perturb`, the end of the run
+//! (horizon inclusive). So a flow's CC calls keep their order, and a firing
+//! due at the instant of the event being dispatched goes first iff its
+//! ticket is the lower — except that a re-arm takes its ticket only when its
+//! firing runs. That is exact for a pacer, scheduled by the previous one,
+//! which ran every firing due before it; a switch scheduling the flow's
+//! host-bound packet ran none, so there the re-arming firing's time against
+//! the hop's start decides, and at a tie (a hop latency equal to the
+//! period) the firing goes first by convention, counted as
+//! `netsim.clock_tie_convention`. Either way the run dispatches —
+//! and [`SimReport::events_processed`] counts — the same events in the same
+//! order, as every flow sees it, as if each had a wheel entry of its own.
 //!
 //! ECN marking happens either when a data packet **starts transmission**
 //! (egress mode — the queue state at departure, §5.2) or when it is
@@ -41,7 +52,7 @@ use crate::topology::{LinkId, NodeId, NodeKind, Topology};
 use crate::trace::LinkTraceMap;
 use crate::types::{FlowId, Packet, PacketArena, PacketHandle, PacketKind};
 use desim::stats::TimeSeries;
-use desim::{EventId, EventQueue, SimDuration, SimRng, SimTime};
+use desim::{EventQueue, SimDuration, SimRng, SimTime};
 use faults::{FaultKind, FaultSchedule, ParamTarget, SimError};
 
 #[path = "port.rs"]
@@ -165,7 +176,6 @@ enum Ev {
     /// queue's payload arena stays dense and packets are never memcpy'd
     /// between hops.
     Deliver(LinkId, PacketHandle),
-    CcTimer(FlowId, u8),
     /// Periodic PI-AQM controller update across all switch ports.
     AqmTick,
     /// A compiled fault-plane operation (index into `Engine::fault_ops`).
@@ -309,9 +319,9 @@ pub struct SimReport {
     /// storm ticks, perturbations). Zero on a fault-free run.
     pub faults_injected: u64,
     /// Events dispatched, whether or not each had a wheel entry of its own
-    /// (a `TxDone` with nothing queued behind it and a CC timer riding its
-    /// flow's other timer are dispatched without one) — the numerator of
-    /// the `events/sec` throughput metric the scaling benchmarks report.
+    /// (a `TxDone` with nothing queued behind it and every CC timer firing
+    /// are dispatched without one) — the numerator of the `events/sec`
+    /// throughput metric the scaling benchmarks report.
     pub events_processed: u64,
     /// Simulated time at the end of the run (seconds).
     pub end_time_s: f64,
@@ -330,8 +340,8 @@ pub struct Engine {
     /// In-flight packet storage; port queues and `Deliver` events reference
     /// packets by [`PacketHandle`].
     packets: PacketArena,
-    /// Pending CC timers per flow (see [`FlowTimers`]).
-    timers: Vec<FlowTimers>,
+    /// Each flow's CC clocks, one per timer kind (see [`Clock`]).
+    clocks: Vec<[Clock; CcUpdate::MAX_TIMERS]>,
     link_memo: Vec<LinkMemo>,
     queue_traces: LinkTraceMap,
     rate_window_bytes: Vec<u64>,
@@ -361,29 +371,35 @@ pub struct Engine {
     events_processed: u64,
     /// Held `TxDone`s dispatched off the wheel (see [`Ports::held`]).
     held_tx_dones: u64,
-    /// CC timer firings that rode the entry of the flow's other kind.
-    rider_firings: u64,
+    /// CC clock firings (see [`Clock`]).
+    clock_firings: u64,
+    /// Same-instant firings put first by convention (see [`Engine::fires_first`]).
+    conventions: u64,
 }
 
-/// A flow's pending CC timers: per kind, the wheel entry that will fire it
-/// and the `(time, ticket)` at which it fires. Re-arming a kind cancels its
-/// previous arming in O(1) on the wheel, so a stale firing never reaches the
-/// dispatch loop.
-///
-/// Two kinds armed for one instant under adjacent tickets — nothing can be
-/// dispatched between them — share **one** entry (`ids` equal): it sits at
-/// the lower ticket, carries that kind in its payload, and
-/// [`Engine::cc_timer`] fires the other kind right after it. DCQCN's α and
-/// rate-increase timers (τ′ = T = 55 µs) are always armed that way.
-#[derive(Debug, Clone, Copy, Default)]
-struct FlowTimers {
-    ids: [Option<EventId>; CcUpdate::MAX_TIMERS],
-    at: [SimTime; CcUpdate::MAX_TIMERS],
-    ticket: [u64; CcUpdate::MAX_TIMERS],
+/// One CC timer kind of one flow, fired by [`Engine::catch_up`] (the
+/// module doc has the order it keeps).
+#[derive(Debug, Clone, Copy)]
+struct Clock {
+    /// The next firing; `SimTime::MAX` while not armed.
+    at: SimTime,
+    /// The ticket taken when it was armed.
+    ticket: u64,
+    /// When the firing that re-armed it was due, if one did.
+    rearmed_at: Option<SimTime>,
 }
 
-// "The other kind" below is `kind ^ 1`.
-const _: () = assert!(CcUpdate::MAX_TIMERS == 2);
+/// What a catch-up fires the due clocks before.
+#[derive(Debug, Clone, Copy)]
+enum Touch {
+    /// An event scheduled after its flow was caught up (the pacer) or
+    /// before any clock was armed (a fault `Perturb`).
+    Own,
+    /// A host-bound packet whose last hop a switch scheduled at this time.
+    Hop(SimTime),
+    /// The end of a run.
+    End,
+}
 
 impl Engine {
     /// Build an engine over a topology.
@@ -402,6 +418,7 @@ impl Engine {
                 let link = topo.link(LinkId(l));
                 LinkMemo {
                     is_switch: matches!(topo.kind(link.src), NodeKind::Switch),
+                    to_host: matches!(topo.kind(link.dst), NodeKind::Host),
                     trace_slot: queue_traces.slot_of(LinkId(l)).map(|s| s as u32),
                     ser_bytes,
                     ser: ser_bytes
@@ -419,7 +436,7 @@ impl Engine {
             senders: SenderFlows::default(),
             receivers: ReceiverFlows::default(),
             packets: PacketArena::new(),
-            timers: Vec::new(),
+            clocks: Vec::new(),
             link_memo,
             queue_traces,
             rate_window_bytes: Vec::new(),
@@ -443,7 +460,8 @@ impl Engine {
             faults_injected: 0,
             events_processed: 0,
             held_tx_dones: 0,
-            rider_firings: 0,
+            clock_firings: 0,
+            conventions: 0,
             cfg,
         }
     }
@@ -500,7 +518,12 @@ impl Engine {
         .next_u64();
         let id = self.senders.push(spec, path_hash);
         self.receivers.push();
-        self.timers.push(FlowTimers::default());
+        let idle = Clock {
+            at: SimTime::MAX,
+            ticket: 0,
+            rearmed_at: None,
+        };
+        self.clocks.push([idle; CcUpdate::MAX_TIMERS]);
         self.rate_window_bytes.push(0);
         self.rate_window_start.push(start);
         self.rate_traces.push(Vec::new());
@@ -685,12 +708,16 @@ impl Engine {
             self.events.schedule(at, Ev::AqmTick);
         }
         let before = (self.marked_packets, self.cnps_sent, self.rate_updates);
+        let fired = (self.clock_firings, self.conventions);
         while let Some((t, ev)) = self.events.pop_due(end) {
             self.now = t;
             self.events_processed += 1;
             self.handle(ev);
         }
         self.now = end;
+        for f in 0..self.clocks.len() {
+            self.catch_up(FlowId(f), Touch::End);
+        }
         self.dispatch_held_until(end);
         // The per-packet paths only bump the engine's own fields; the obs
         // registry (a lock per call) gets what this run added, once.
@@ -698,6 +725,8 @@ impl Engine {
             ("netsim.ecn_marks", self.marked_packets - before.0),
             ("netsim.cnps_sent", self.cnps_sent - before.1),
             ("netsim.rate_updates", self.rate_updates - before.2),
+            ("netsim.clock_firings", self.clock_firings - fired.0),
+            ("netsim.clock_tie_convention", self.conventions - fired.1),
         ] {
             if added > 0 {
                 obs::metrics::counter_add(name, added);
@@ -752,7 +781,6 @@ impl Engine {
             Ev::Pacer(f) => self.pacer_fire(f),
             Ev::TxDone(l) => self.tx_done(l),
             Ev::Deliver(l, p) => self.deliver(l, p),
-            Ev::CcTimer(f, kind) => self.cc_timer(f, kind),
             Ev::AqmTick => self.aqm_tick(),
             Ev::Fault(idx) => self.fault_fire(idx),
             Ev::FaultStormRelease(l) => self.fault_storm_release(l),
@@ -849,8 +877,9 @@ impl Engine {
                         self.cfg.red.kmax_bytes = scaled.max(self.cfg.red.kmin_bytes);
                     }
                     ParamTarget::CcRateIncrease => {
-                        for cc in &mut self.senders.cc {
-                            cc.perturb(target, scale);
+                        for f in 0..self.senders.len() {
+                            self.catch_up(FlowId(f), Touch::Own);
+                            self.senders.cc[f].perturb(target, scale);
                         }
                     }
                 }
@@ -966,14 +995,17 @@ impl Engine {
         let line = self.line_rate(self.senders.src[f.0]);
         let now = self.now;
         let update = self.senders.cc[f.0].on_start(now, line);
-        self.apply_update(f, update);
+        self.apply_update(f, update, None);
         if self.senders.rate_bps[f.0] <= 0.0 {
             self.senders.rate_bps[f.0] = line;
         }
         self.events.schedule(self.now, Ev::Pacer(f));
     }
 
-    fn apply_update(&mut self, f: FlowId, update: CcUpdate) {
+    /// Apply `f`'s CC response to the event being dispatched, or to a clock
+    /// firing that was due at `fired`.
+    fn apply_update(&mut self, f: FlowId, update: CcUpdate, fired: Option<SimTime>) {
+        let now = fired.unwrap_or(self.now);
         if let Some(r) = update.new_rate_bps {
             desim::invariants::finite_rate("cc update rate", r);
             self.senders.rate_bps[f.0] = r.max(1e3);
@@ -983,13 +1015,13 @@ impl Engine {
                     "netsim.rate_bps",
                     f.0 as u64,
                     self.cfg.queue_trace_resolution_s,
-                    self.now.as_secs_f64(),
+                    now.as_secs_f64(),
                     self.senders.rate_bps[f.0],
                 );
             }
             if obs::trace::enabled() {
                 obs::trace::record(
-                    self.now.as_secs_f64(),
+                    now.as_secs_f64(),
                     obs::Event::RateUpdate {
                         flow: f.0 as u64,
                         rate_bps: self.senders.rate_bps[f.0],
@@ -997,89 +1029,53 @@ impl Engine {
                 );
             }
         }
-        // Old armings go first, last request first: a cancel takes no ticket,
-        // so the order is unobservable, and a pair re-armed together (every
-        // DCQCN cut) then drops its shared entry with one cancel instead of
-        // moving it to the second kind's ticket only to cancel it there.
-        for &(kind, _) in update.timers().iter().rev() {
-            self.disarm_timer(f, kind as usize);
-        }
         for &(kind, at) in update.timers() {
-            self.arm_timer(f, kind as usize, at.max(self.now));
+            self.clocks[f.0][kind as usize] = Clock {
+                at: at.max(now),
+                ticket: self.events.reserve_seq(),
+                rearmed_at: fired,
+            };
         }
     }
 
-    /// Arm `kind` of flow `f` for `at`, replacing any pending arming: the
-    /// arming takes the next ticket, and either rides the other kind's entry
-    /// (same instant, the ticket right before this one) or gets its own.
-    fn arm_timer(&mut self, f: FlowId, kind: usize, at: SimTime) {
-        self.disarm_timer(f, kind);
-        let ticket = self.events.reserve_seq();
-        let other = kind ^ 1;
-        let t = &mut self.timers[f.0];
-        t.at[kind] = at;
-        t.ticket[kind] = ticket;
-        t.ids[kind] = match t.ids[other] {
-            Some(entry) if t.at[other] == at && t.ticket[other] + 1 == ticket => Some(entry),
-            _ => Some(
-                self.events
-                    .schedule_reserved(at, ticket, Ev::CcTimer(f, kind as u8)),
-            ),
-        };
-    }
-
-    /// Drop `kind`'s pending arming, if any. A shared entry sits at its
-    /// first kind's ticket: dropping that kind moves the entry to the other
-    /// kind's original `(time, ticket)`; dropping the second leaves it be.
-    fn disarm_timer(&mut self, f: FlowId, kind: usize) {
-        let t = &mut self.timers[f.0];
-        let Some(old) = t.ids[kind].take() else {
-            return;
-        };
-        let other = kind ^ 1;
-        if t.ids[other] != Some(old) {
-            self.events.cancel(old);
-        } else if t.ticket[kind] < t.ticket[other] {
-            self.events.cancel(old);
-            let (at, ticket) = (t.at[other], t.ticket[other]);
-            t.ids[other] = Some(self.events.schedule_reserved(
-                at,
-                ticket,
-                Ev::CcTimer(f, other as u8),
-            ));
-        }
-    }
-
-    /// A CC timer entry popped: fire `kind`, then the other kind if it
-    /// shares the entry — unless `kind`'s own update re-armed it, which
-    /// drops the pending firing as cancel-on-rearm always has.
-    fn cc_timer(&mut self, f: FlowId, kind: u8) {
-        let kind = kind as usize;
-        let other = kind ^ 1;
-        let t = &mut self.timers[f.0];
-        // Cancellation-on-rearm guarantees this entry is the live arming of
-        // its payload kind; just clear the slot(s).
-        let entry = t.ids[kind].take();
-        debug_assert!(entry.is_some(), "a popped CcTimer is a live arming");
-        let shared = entry.is_some() && t.ids[other] == entry;
-        if shared {
-            t.ids[other] = None;
-        }
-        self.fire_timer(f, kind);
-        if shared && self.timers[f.0].ids[other].is_none() {
+    /// Fire flow `f`'s clocks that are due before `touch`, in order.
+    fn catch_up(&mut self, f: FlowId, touch: Touch) {
+        loop {
+            let [a, b] = self.clocks[f.0];
+            let kind = usize::from((b.at, b.ticket) < (a.at, a.ticket));
+            let c = [a, b][kind];
+            if c.at > self.now || c.at == self.now && !self.fires_first(c, touch) {
+                return;
+            }
+            self.clocks[f.0][kind].at = SimTime::MAX;
             self.events_processed += 1;
-            self.rider_firings += 1;
-            self.fire_timer(f, other);
+            self.clock_firings += 1;
+            // The first firing after completion is a no-op; it ends the clock.
+            if self.senders.completed[f.0].is_none() {
+                let timer = CcEvent::Timer { kind: kind as u8 };
+                let update = self.senders.cc[f.0].on_event(c.at, timer);
+                self.apply_update(f, update, Some(c.at));
+            }
         }
     }
 
-    fn fire_timer(&mut self, f: FlowId, kind: usize) {
-        if self.senders.completed[f.0].is_some() {
-            return;
+    /// Whether clock `c`, due now, fires before `touch`: iff it was armed
+    /// before the event being dispatched was scheduled.
+    fn fires_first(&mut self, c: Clock, touch: Touch) -> bool {
+        if matches!(touch, Touch::End) || Some(c.ticket) < self.events.last_popped_seq() {
+            return true;
         }
-        let now = self.now;
-        let update = self.senders.cc[f.0].on_event(now, CcEvent::Timer { kind: kind as u8 });
-        self.apply_update(f, update);
+        // A later ticket. A re-arm, though, took its ticket when its firing
+        // ran, which a switch scheduling a host-bound packet did not wait
+        // for: the firing's due time against the hop's start decides, and a
+        // tie goes to the firing by convention.
+        match (touch, c.rearmed_at) {
+            (Touch::Hop(hop_at), Some(fired)) => {
+                self.conventions += u64::from(fired == hop_at);
+                fired <= hop_at
+            }
+            _ => false,
+        }
     }
 
     fn next_packet_id(&mut self) -> u64 {
@@ -1092,6 +1088,7 @@ impl Engine {
         if self.senders.fully_sent(f) || self.senders.completed[f.0].is_some() {
             return;
         }
+        self.catch_up(f, Touch::Own);
         let src = self.senders.src[f.0];
         let Some(uplink) =
             self.topo
@@ -1111,10 +1108,8 @@ impl Engine {
                 self.enqueue(uplink, h);
                 let gap =
                     SimDuration::serialization(wire as u64, self.senders.rate_bps[f.0].max(1e3));
-                self.senders.next_tx[f.0] = self.now + gap;
                 if !self.senders.fully_sent(f) {
-                    let at = self.senders.next_tx[f.0];
-                    self.events.schedule(at, Ev::Pacer(f));
+                    self.events.schedule(self.now + gap, Ev::Pacer(f));
                 }
                 let payload = wire.saturating_sub(self.cfg.header_bytes) as u64;
                 self.notify_sent(f, payload);
@@ -1145,9 +1140,7 @@ impl Engine {
                                 * self.cfg.header_bytes as u64,
                         self.senders.rate_bps[f.0].max(1e3),
                     );
-                    self.senders.next_tx[f.0] = self.now + gap;
-                    let at = self.senders.next_tx[f.0];
-                    self.events.schedule(at, Ev::Pacer(f));
+                    self.events.schedule(self.now + gap, Ev::Pacer(f));
                 }
             }
         }
@@ -1157,7 +1150,7 @@ impl Engine {
         self.senders.sent_payload[f.0] += payload;
         let now = self.now;
         let update = self.senders.cc[f.0].on_event(now, CcEvent::SentBytes { bytes: payload });
-        self.apply_update(f, update);
+        self.apply_update(f, update, None);
     }
 
     /// Build the next per-packet-pacing data packet for `f`, maintaining the
@@ -1194,7 +1187,7 @@ impl Engine {
                 chunk_sent_at: self.now,
             },
             ecn_marked: false,
-            injected_at: self.now,
+            last_hop_at: self.now,
         }
     }
 
@@ -1220,7 +1213,7 @@ impl Engine {
                 chunk_sent_at: s.chunk_started[f.0],
             },
             ecn_marked: false,
-            injected_at: self.now,
+            last_hop_at: self.now,
         }
     }
 
@@ -1289,7 +1282,7 @@ impl Engine {
                             size_bytes: self.cfg.control_packet_bytes,
                             kind: PacketKind::Cnp,
                             ecn_marked: false,
-                            injected_at: self.now,
+                            last_hop_at: self.now,
                         };
                         self.send_control(cnp);
                     }
@@ -1306,46 +1299,42 @@ impl Engine {
                             chunk_bytes: self.senders.ack_chunk_bytes[f.0],
                         },
                         ecn_marked: false,
-                        injected_at: self.now,
+                        last_hop_at: self.now,
                     };
                     self.send_control(ack);
                 }
-                if last_of_flow {
+                if last_of_flow && self.senders.completed[f.0].is_none() {
+                    self.catch_up(f, Touch::Hop(pkt.last_hop_at));
                     let s = &mut self.senders;
-                    if s.completed[f.0].is_none() {
-                        s.completed[f.0] = Some(self.now);
-                        let start = s.start[f.0];
-                        let fct_s = self.now.saturating_since(start).as_secs_f64();
-                        self.fcts.push(FctRecord {
-                            flow: f.0,
-                            size_bytes: s.size_bytes[f.0].unwrap_or(s.next_offset[f.0]),
-                            start_s: start.as_secs_f64(),
-                            fct_s,
-                        });
-                        // Streaming FCT percentiles: O(buckets) regardless
-                        // of flow count.
-                        obs::timeseries::observe("netsim.fct_ms", 0, fct_s * 1e3);
-                    }
+                    s.completed[f.0] = Some(self.now);
+                    let start = s.start[f.0];
+                    let fct_s = self.now.saturating_since(start).as_secs_f64();
+                    self.fcts.push(FctRecord {
+                        flow: f.0,
+                        size_bytes: s.size_bytes[f.0].unwrap_or(s.next_offset[f.0]),
+                        start_s: start.as_secs_f64(),
+                        fct_s,
+                    });
+                    // Streaming FCT percentiles: O(buckets) regardless of
+                    // flow count.
+                    obs::timeseries::observe("netsim.fct_ms", 0, fct_s * 1e3);
                 }
             }
-            PacketKind::Ack { chunk_sent_at, .. } => {
+            PacketKind::Ack { .. } | PacketKind::Cnp => {
                 let f = pkt.flow;
                 if self.senders.completed[f.0].is_some() {
                     return;
                 }
-                let rtt = self.now.saturating_since(chunk_sent_at);
+                self.catch_up(f, Touch::Hop(pkt.last_hop_at));
+                let event = match pkt.kind {
+                    PacketKind::Ack { chunk_sent_at, .. } => CcEvent::RttSample {
+                        rtt: self.now.saturating_since(chunk_sent_at),
+                    },
+                    _ => CcEvent::Cnp,
+                };
                 let now = self.now;
-                let update = self.senders.cc[f.0].on_event(now, CcEvent::RttSample { rtt });
-                self.apply_update(f, update);
-            }
-            PacketKind::Cnp => {
-                let f = pkt.flow;
-                if self.senders.completed[f.0].is_some() {
-                    return;
-                }
-                let now = self.now;
-                let update = self.senders.cc[f.0].on_event(now, CcEvent::Cnp);
-                self.apply_update(f, update);
+                let update = self.senders.cc[f.0].on_event(now, event);
+                self.apply_update(f, update, None);
             }
         }
     }
@@ -1860,6 +1849,46 @@ mod tests {
             run(Some(faults::FaultSchedule::new(99))),
             "an installed-but-empty fault plane must not perturb the run"
         );
+    }
+
+    #[test]
+    fn a_rearm_at_the_last_hops_instant_is_settled_by_convention() {
+        // Timers every 1 800 ns on a one-packet flow that completes at
+        // 3 600 ns: the firings there were re-armed at 1 800 ns, the very
+        // instant the switch scheduled the last hop. The engine cannot tell
+        // which came first; both firings go first and are counted (as the
+        // always-schedule engine ordered them here: 16 events, the no-ops
+        // at 5 400 ns).
+        #[derive(Debug)]
+        struct Ticking;
+        impl crate::cc::CongestionControl for Ticking {
+            fn on_start(&mut self, now: SimTime, line: f64) -> CcUpdate {
+                let next = now + SimDuration::from_nanos(1_800);
+                CcUpdate::rate(line).with_timer(0, next).with_timer(1, next)
+            }
+            fn on_event(&mut self, now: SimTime, ev: CcEvent) -> CcUpdate {
+                match ev {
+                    CcEvent::Timer { kind } => {
+                        CcUpdate::none().with_timer(kind, now + SimDuration::from_nanos(1_800))
+                    }
+                    _ => CcUpdate::none(),
+                }
+            }
+            fn current_rate_bps(&self) -> f64 {
+                10e9
+            }
+        }
+        let (topo, senders, receiver) = Topology::single_switch(1, 10e9, us(1));
+        let mut eng = Engine::new(topo, EngineConfig::default());
+        let mut spec = flow(senders[0], receiver, 952, 10e9);
+        spec.cc = Box::new(Ticking);
+        eng.add_flow(spec);
+        let report = eng.run(SimTime::from_millis(1));
+        assert_eq!(
+            report.fcts[0].fct_s,
+            SimTime::from_nanos(3_600).as_secs_f64()
+        );
+        assert_eq!((eng.conventions, report.events_processed), (2, 16));
     }
 
     #[test]

@@ -73,8 +73,6 @@ pub struct SenderFlows {
     pub next_offset: Vec<u64>,
     /// Payload bytes reported to the CC's byte counter.
     pub sent_payload: Vec<u64>,
-    /// Earliest time the next packet/chunk may start.
-    pub next_tx: Vec<SimTime>,
     /// When the current chunk started (echoed in the completion ACK).
     pub chunk_started: Vec<SimTime>,
     /// Bytes since the last ACK-requested packet.
@@ -113,7 +111,6 @@ impl SenderFlows {
         self.rate_bps.push(0.0);
         self.next_offset.push(0);
         self.sent_payload.push(0);
-        self.next_tx.push(spec.start);
         self.chunk_started.push(spec.start);
         self.since_ack_request.push(0);
         self.ack_chunk_bytes.push(spec.ack_chunk_bytes.max(1));

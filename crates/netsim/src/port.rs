@@ -68,6 +68,8 @@ pub(super) struct LinkMemo {
     /// The transmitting node is a switch (its egress queue marks and is
     /// traced).
     pub(super) is_switch: bool,
+    /// The receiving node is a host: this is a packet's last hop.
+    pub(super) to_host: bool,
     /// Slot of this link's trace in [`Engine::queue_traces`], if traced.
     pub(super) trace_slot: Option<u32>,
     /// The last serialization time computed per class (`[data, control]`)
@@ -242,18 +244,21 @@ impl Engine {
             return;
         };
 
-        let is_switch = self.link_memo[link.0].is_switch;
+        let memo = self.link_memo[link.0];
         let (is_control, size_bytes, flow) = {
-            let pkt = self.packets.get(h);
+            let pkt = self.packets.get_mut(h);
+            if memo.to_host {
+                pkt.last_hop_at = self.now;
+            }
             (pkt.is_control(), pkt.size_bytes, pkt.flow)
         };
         if !is_control {
             // Egress marking: the mark reflects the queue at departure time.
-            if is_switch && self.cfg.marking == MarkingMode::Egress {
+            if memo.is_switch && self.cfg.marking == MarkingMode::Egress {
                 self.mark_ecn(link, h, flow, self.ports.data_bytes[link.0]);
             }
             self.ports.data_bytes[link.0] -= size_bytes as u64;
-            if is_switch {
+            if memo.is_switch {
                 let bytes = self.ports.data_bytes[link.0] as f64;
                 self.record_queue(link, bytes);
                 if obs::timeseries::enabled() {
@@ -459,23 +464,25 @@ mod tests {
     }
 
     /// Every dispatched event either popped off the wheel, or was a held
-    /// `TxDone`, or a timer firing that rode its flow's other timer — and a
-    /// run dispatches plenty of each.
+    /// `TxDone`, or a CC clock firing — and a run dispatches plenty of each.
     fn check_accounting(mut eng: Engine, flows: usize) {
         let report = eng.run(SimTime::from_millis(20));
         assert_eq!(report.fcts.len(), flows, "every flow completes");
         assert!(report.cnps_sent > 0, "the senders must be cut");
         assert!(eng.held_tx_dones > 1_000, "held: {}", eng.held_tx_dones);
-        assert!(eng.rider_firings > 100, "riders: {}", eng.rider_firings);
+        assert!(eng.clock_firings > 100, "firings: {}", eng.clock_firings);
         assert_eq!(
             report.events_processed,
-            eng.events.popped() + eng.held_tx_dones + eng.rider_firings
+            eng.events.popped() + eng.held_tx_dones + eng.clock_firings
         );
         assert!(eng.ports.held.iter().flatten().all(|&(at, _)| at > eng.now));
+        // Every clock of a completed flow has fired its closing no-op.
+        assert!(eng.clocks.iter().flatten().all(|c| c.at == SimTime::MAX));
+        assert_eq!(eng.conventions, 0);
     }
 
     #[test]
-    fn events_processed_counts_entries_held_tx_dones_and_riders_single_switch() {
+    fn events_processed_counts_entries_held_tx_dones_and_firings_single_switch() {
         let (topo, senders, receiver) =
             Topology::single_switch(4, 10e9, SimDuration::from_micros(1));
         let mut eng = Engine::new(topo, EngineConfig::default());
@@ -484,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn events_processed_counts_entries_held_tx_dones_and_riders_incast() {
+    fn events_processed_counts_entries_held_tx_dones_and_firings_incast() {
         let (topo, hosts) = Topology::fat_tree(4, 10e9, SimDuration::from_micros(1));
         let mut eng = Engine::new(topo, EngineConfig::default());
         add_flows(&mut eng, &hosts[1..], hosts[0], 64_000);

@@ -59,8 +59,9 @@ pub struct Packet {
     pub kind: PacketKind,
     /// ECN Congestion-Experienced mark.
     pub ecn_marked: bool,
-    /// When the packet entered the network at its source NIC.
-    pub injected_at: SimTime,
+    /// When its last hop began (its final `Deliver` was scheduled); until
+    /// then, when it was created.
+    pub last_hop_at: SimTime,
 }
 
 impl Packet {
@@ -171,7 +172,7 @@ mod tests {
                 chunk_sent_at: SimTime::ZERO,
             },
             ecn_marked: false,
-            injected_at: SimTime::ZERO,
+            last_hop_at: SimTime::ZERO,
         }
     }
 

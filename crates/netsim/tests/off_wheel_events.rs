@@ -1,19 +1,21 @@
 //! Events that are dispatched without a wheel entry of their own, pinned.
 //!
 //! The engine keeps a `TxDone` off the timing wheel while nothing is queued
-//! behind the transmission, and carries a flow's same-instant CC timers in
-//! one entry; both must leave every decision where the always-schedule
-//! engine made it. Each run below is folded — FCTs, every counter
-//! (`events_processed` among them), PFC and fault statistics, and the full
-//! queue and rate traces — into one digest, and the digests were recorded by
-//! running this file (with `common/mod.rs`) on 9be9caf, the commit before
-//! either change: it uses the public API only, so it builds there unchanged.
+//! behind the transmission, and fires a flow's CC timers from per-flow
+//! clocks when the flow is next touched; both must leave every decision
+//! where the always-schedule engine made it. Each run below is folded —
+//! FCTs, every counter (`events_processed` among them), PFC and fault
+//! statistics, and the full queue and rate traces — into one digest, and the
+//! digests were recorded by running this file (with `common/mod.rs`) on
+//! 9be9caf, the commit before the held `TxDone`s: it uses the public API
+//! only, so it builds there unchanged. (`clock_ties.rs` holds the
+//! same-instant corners of the clocks.)
 //!
 //! The scenarios aim at the corners: PFC pause and resume, link flaps and
 //! pause-storm releases landing on a port whose `TxDone` is held; arrivals
 //! at exactly the instant a held `TxDone` falls due, with tickets on either
 //! side of it; and congestion controls that re-arm one timer kind of a pair
-//! sharing an entry, from outside and from the other kind's firing.
+//! armed for one instant, from outside and from the other kind's firing.
 
 mod common;
 
@@ -206,7 +208,7 @@ enum Quirk {
     /// Nothing: the pair stays a pair.
     None,
     /// Every fourth packet sent re-arms `kind` alone, `delay` from now,
-    /// splitting the pair if it shares an entry; `kind` does not re-arm
+    /// splitting the pair if it is armed for one instant; `kind` does not re-arm
     /// itself when it fires, the other kind's firing re-arms the pair.
     RearmOnSend { kind: u8, delay: SimDuration },
     /// Kind 0's firing also re-arms kind 1, `delay` from now (zero: for
@@ -287,7 +289,10 @@ impl CongestionControl for PairedTimers {
 
 /// Two [`PairedTimers`] flows (periods 13 µs and 7 µs, never firing at one
 /// instant) and a fixed-rate one into one bottleneck; returns the report and
-/// the firing log.
+/// the firing log in time order. The log is shared, but the engine promises
+/// each flow its own order only — not when one flow's firings run relative
+/// to another's — so the log is stably sorted by time, which keeps every
+/// flow's order.
 fn paired_timer_run(quirk: Quirk) -> (SimReport, Vec<(u64, u8)>) {
     let (topo, senders, receiver) = Topology::single_switch(3, 10e9, us(1));
     let mut eng = Engine::new(topo, full_trace_config());
@@ -313,7 +318,8 @@ fn paired_timer_run(quirk: Quirk) -> (SimReport, Vec<(u64, u8)>) {
     eng.add_flow(fixed(senders[2], receiver, 200_000, 4e9, ns(50)));
     let report = eng.run(SimTime::from_millis(5));
     assert_eq!(report.fcts.len(), 3);
-    let log = log.borrow().clone();
+    let mut log = log.borrow().clone();
+    log.sort_by_key(|&(t, _)| t);
     (report, log)
 }
 
@@ -406,8 +412,8 @@ fn first_kinds_firing_rearms_the_second() {
 
 #[test]
 fn first_kind_refiring_at_the_same_instant_keeps_the_order() {
-    // 0, 1, 0 at the first period: the re-armed kind 0 takes a ticket right
-    // behind kind 1's and must not be mistaken for its entry-mate.
+    // 0, 1, 0 at the first period: kind 0, re-armed at the instant it
+    // fires, was armed after kind 1 and must fire after it.
     let log = check_paired(
         Quirk::Kind0RefiresNow,
         ("ddaafecd0b5d6335", "f3f3139ffea51503", 3949),
