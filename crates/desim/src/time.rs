@@ -51,6 +51,7 @@ impl SimTime {
     }
 
     /// Time as floating-point seconds (for plotting / fluid-model interop).
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 * 1e-9
     }
@@ -61,6 +62,7 @@ impl SimTime {
     }
 
     /// Saturating difference `self - earlier`, zero if `earlier` is later.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -110,6 +112,7 @@ impl SimDuration {
     }
 
     /// Duration as floating-point seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 * 1e-9
     }
@@ -145,12 +148,14 @@ impl SimDuration {
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[expect(clippy::expect_used, reason = "overflow is a programming error")]
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -159,6 +164,7 @@ impl AddAssign<SimDuration> for SimTime {
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
     #[expect(clippy::expect_used, reason = "underflow is a programming error")]
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(self.0.checked_sub(rhs.0).expect("negative SimDuration"))
     }
@@ -167,6 +173,7 @@ impl Sub<SimTime> for SimTime {
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
     #[expect(clippy::expect_used, reason = "underflow is a programming error")]
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_sub(rhs.0).expect("SimTime underflow"))
     }
@@ -175,12 +182,14 @@ impl Sub<SimDuration> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
     #[expect(clippy::expect_used, reason = "overflow is a programming error")]
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow"))
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -189,12 +198,14 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
     #[expect(clippy::expect_used, reason = "underflow is a programming error")]
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_sub(rhs.0).expect("negative SimDuration"))
     }
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }

@@ -24,20 +24,26 @@
 //!
 //! A CC timer (DCQCN's α and increase timers) is no event at all: each flow
 //! keeps one clock per kind — next firing, arming ticket — and fires what is
-//! due, each firing counted and handed its own time, just before anything
-//! reads or writes the flow's CC state: its pacer, a CNP or ACK at its
-//! sender, its completing last byte, a fault `Perturb`, the end of the run
-//! (horizon inclusive). So a flow's CC calls keep their order, and a firing
-//! due at the instant of the event being dispatched goes first iff its
-//! ticket is the lower — except that a re-arm takes its ticket only when its
-//! firing runs. That is exact for a pacer, scheduled by the previous one,
-//! which ran every firing due before it; a switch scheduling the flow's
-//! host-bound packet ran none, so there the re-arming firing's time against
-//! the hop's start decides, and at a tie (a hop latency equal to the
-//! period) the firing goes first by convention, counted as
-//! `netsim.clock_tie_convention`. Either way the run dispatches —
-//! and [`SimReport::events_processed`] counts — the same events in the same
-//! order, as every flow sees it, as if each had a wheel entry of its own.
+//! due just before anything reads or writes the flow's CC state: its pacer,
+//! a CNP or ACK at its sender, its completing last byte, a fault `Perturb`,
+//! the end of the run (horizon inclusive). Everything due before now goes
+//! to the flow's CC in one call per catch-up,
+//! [`CongestionControl::fire_timers`](crate::cc::CongestionControl::fire_timers),
+//! which makes one `on_event(Timer)` call per firing, at the firing's own
+//! time, in `(time, ticket)` order; the engine counts each firing as an
+//! event, sets the last rate and gives the re-armed clocks fresh tickets in
+//! firing order. So a flow's CC calls keep their order. A firing due at the
+//! very instant of the event being dispatched is made on its own, and goes
+//! first iff its ticket is the lower — except that a re-arm takes its
+//! ticket only when its firing runs. That is exact for a pacer, scheduled
+//! by the previous one, which ran every firing due before it; a switch
+//! scheduling the flow's host-bound packet ran none, so there the re-arming
+//! firing's time against the hop's start decides, and at a tie (a hop
+//! latency equal to the period) the firing goes first by convention,
+//! counted as `netsim.clock_tie_convention`. Either way the run dispatches
+//! — and [`SimReport::events_processed`] counts — the same events in the
+//! same order, as every flow sees it, as if each had a wheel entry of its
+//! own.
 //!
 //! ECN marking happens either when a data packet **starts transmission**
 //! (egress mode — the queue state at departure, §5.2) or when it is
@@ -45,7 +51,7 @@
 //! NP's τ coalescing timer. Completion ACKs echo the chunk send timestamp
 //! so the sender-side protocol computes RTT samples without global state.
 
-use crate::cc::{CcEvent, CcUpdate};
+use crate::cc::{self, CcEvent, CcUpdate, TimerClock, TimerRun};
 use crate::config::{MarkingMode, PfcConfig, RedConfig};
 use crate::flow::{FlowSpec, Pacing, ReceiverFlows, SenderFlows};
 use crate::topology::{LinkId, NodeId, NodeKind, Topology};
@@ -340,8 +346,9 @@ pub struct Engine {
     /// In-flight packet storage; port queues and `Deliver` events reference
     /// packets by [`PacketHandle`].
     packets: PacketArena,
-    /// Each flow's CC clocks, one per timer kind (see [`Clock`]).
-    clocks: Vec<[Clock; CcUpdate::MAX_TIMERS]>,
+    /// Each flow's CC clocks, one per timer kind, fired by
+    /// [`Engine::catch_up`]; a clock's `order` is the ticket its arming took.
+    clocks: Vec<[TimerClock; CcUpdate::MAX_TIMERS]>,
     link_memo: Vec<LinkMemo>,
     queue_traces: LinkTraceMap,
     rate_window_bytes: Vec<u64>,
@@ -371,23 +378,19 @@ pub struct Engine {
     events_processed: u64,
     /// Held `TxDone`s dispatched off the wheel (see [`Ports::held`]).
     held_tx_dones: u64,
-    /// CC clock firings (see [`Clock`]).
+    /// Held `TxDone`s that a later `enqueue` filed on the wheel after all.
+    held_then_filed: u64,
+    /// CC clock firings (see [`Engine::catch_up`]).
     clock_firings: u64,
     /// Same-instant firings put first by convention (see [`Engine::fires_first`]).
     conventions: u64,
 }
 
-/// One CC timer kind of one flow, fired by [`Engine::catch_up`] (the
-/// module doc has the order it keeps).
-#[derive(Debug, Clone, Copy)]
-struct Clock {
-    /// The next firing; `SimTime::MAX` while not armed.
-    at: SimTime,
-    /// The ticket taken when it was armed.
-    ticket: u64,
-    /// When the firing that re-armed it was due, if one did.
-    rearmed_at: Option<SimTime>,
-}
+/// The orders a firing call hands re-armed clocks, counting up from here:
+/// above every ticket (tickets count reservations and never get near
+/// 2^62), so re-arms sort after every clock armed before the call. The
+/// engine swaps them for fresh tickets when the call returns.
+const REARMED: u64 = 1 << 62;
 
 /// What a catch-up fires the due clocks before.
 #[derive(Debug, Clone, Copy)]
@@ -460,6 +463,7 @@ impl Engine {
             faults_injected: 0,
             events_processed: 0,
             held_tx_dones: 0,
+            held_then_filed: 0,
             clock_firings: 0,
             conventions: 0,
             cfg,
@@ -518,12 +522,7 @@ impl Engine {
         .next_u64();
         let id = self.senders.push(spec, path_hash);
         self.receivers.push();
-        let idle = Clock {
-            at: SimTime::MAX,
-            ticket: 0,
-            rearmed_at: None,
-        };
-        self.clocks.push([idle; CcUpdate::MAX_TIMERS]);
+        self.clocks.push([TimerClock::IDLE; CcUpdate::MAX_TIMERS]);
         self.rate_window_bytes.push(0);
         self.rate_window_start.push(start);
         self.rate_traces.push(Vec::new());
@@ -709,6 +708,7 @@ impl Engine {
         }
         let before = (self.marked_packets, self.cnps_sent, self.rate_updates);
         let fired = (self.clock_firings, self.conventions);
+        let held = (self.held_tx_dones, self.held_then_filed);
         while let Some((t, ev)) = self.events.pop_due(end) {
             self.now = t;
             self.events_processed += 1;
@@ -727,6 +727,8 @@ impl Engine {
             ("netsim.rate_updates", self.rate_updates - before.2),
             ("netsim.clock_firings", self.clock_firings - fired.0),
             ("netsim.clock_tie_convention", self.conventions - fired.1),
+            ("netsim.held_tx_dones", self.held_tx_dones - held.0),
+            ("netsim.held_then_filed", self.held_then_filed - held.1),
         ] {
             if added > 0 {
                 obs::metrics::counter_add(name, added);
@@ -995,74 +997,107 @@ impl Engine {
         let line = self.line_rate(self.senders.src[f.0]);
         let now = self.now;
         let update = self.senders.cc[f.0].on_start(now, line);
-        self.apply_update(f, update, None);
+        self.apply_update(f, update);
         if self.senders.rate_bps[f.0] <= 0.0 {
             self.senders.rate_bps[f.0] = line;
         }
         self.events.schedule(self.now, Ev::Pacer(f));
     }
 
-    /// Apply `f`'s CC response to the event being dispatched, or to a clock
-    /// firing that was due at `fired`.
-    fn apply_update(&mut self, f: FlowId, update: CcUpdate, fired: Option<SimTime>) {
-        let now = fired.unwrap_or(self.now);
+    /// Apply `f`'s CC response to the event being dispatched.
+    fn apply_update(&mut self, f: FlowId, update: CcUpdate) {
         if let Some(r) = update.new_rate_bps {
             desim::invariants::finite_rate("cc update rate", r);
-            self.senders.rate_bps[f.0] = r.max(1e3);
+            let rate_bps = r.max(1e3);
+            self.senders.rate_bps[f.0] = rate_bps;
             self.rate_updates += 1;
-            if obs::timeseries::enabled() {
-                obs::timeseries::sample(
-                    "netsim.rate_bps",
-                    f.0 as u64,
-                    self.cfg.queue_trace_resolution_s,
-                    now.as_secs_f64(),
-                    self.senders.rate_bps[f.0],
-                );
-            }
-            if obs::trace::enabled() {
-                obs::trace::record(
-                    now.as_secs_f64(),
-                    obs::Event::RateUpdate {
-                        flow: f.0 as u64,
-                        rate_bps: self.senders.rate_bps[f.0],
-                    },
-                );
-            }
+            record_rate(f, self.cfg.queue_trace_resolution_s, self.now, rate_bps);
         }
         for &(kind, at) in update.timers() {
-            self.clocks[f.0][kind as usize] = Clock {
-                at: at.max(now),
-                ticket: self.events.reserve_seq(),
-                rearmed_at: fired,
+            self.clocks[f.0][kind as usize] = TimerClock {
+                at: at.max(self.now),
+                order: self.events.reserve_seq(),
+                rearmed_at: None,
             };
         }
     }
 
-    /// Fire flow `f`'s clocks that are due before `touch`, in order.
+    /// Fire flow `f`'s clocks that are due before `touch`, in order: those
+    /// due before now in one call, then, one at a time, those due now that
+    /// go before the event being dispatched.
     fn catch_up(&mut self, f: FlowId, touch: Touch) {
+        let before = match touch {
+            Touch::End => SimTime::from_nanos(self.now.as_nanos().saturating_add(1)),
+            Touch::Own | Touch::Hop(_) => self.now,
+        };
+        if self.clocks[f.0].iter().any(|c| c.at < before) {
+            self.fire(f, before, None);
+        }
         loop {
-            let [a, b] = self.clocks[f.0];
-            let kind = usize::from((b.at, b.ticket) < (a.at, a.ticket));
-            let c = [a, b][kind];
-            if c.at > self.now || c.at == self.now && !self.fires_first(c, touch) {
+            let clocks = &self.clocks[f.0];
+            let kind = TimerClock::first(clocks);
+            let c = clocks[kind];
+            if c.at != self.now || !self.fires_first(c, touch) {
                 return;
             }
-            self.clocks[f.0][kind].at = SimTime::MAX;
-            self.events_processed += 1;
-            self.clock_firings += 1;
-            // The first firing after completion is a no-op; it ends the clock.
-            if self.senders.completed[f.0].is_none() {
-                let timer = CcEvent::Timer { kind: kind as u8 };
-                let update = self.senders.cc[f.0].on_event(c.at, timer);
-                self.apply_update(f, update, Some(c.at));
+            self.fire(f, before, Some(kind));
+        }
+    }
+
+    /// Fire flow `f`'s clocks due strictly before `before` — or, given
+    /// `tie`, only that one — and apply what the firings did: each counts one
+    /// event, the last rate set is the flow's rate, and the re-armed clocks
+    /// take fresh tickets in the order they were re-armed. The first firing
+    /// after completion is a no-op; it ends the clock.
+    fn fire(&mut self, f: FlowId, before: SimTime, tie: Option<usize>) {
+        let clocks = &mut self.clocks[f.0];
+        let run = if self.senders.completed[f.0].is_some() {
+            let mut fired = 0;
+            for (kind, c) in clocks.iter_mut().enumerate() {
+                if tie.map_or(c.at < before, |k| k == kind) {
+                    c.at = SimTime::MAX;
+                    fired += 1;
+                }
             }
+            TimerRun {
+                fired,
+                ..TimerRun::default()
+            }
+        } else {
+            let resolution_s = self.cfg.queue_trace_resolution_s;
+            let mut record = |at: SimTime, r: f64| record_rate(f, resolution_s, at, r.max(1e3));
+            let on_rate = (obs::timeseries::enabled() || obs::trace::enabled())
+                .then_some(&mut record as &mut dyn FnMut(SimTime, f64));
+            let cc = &mut *self.senders.cc[f.0];
+            let mut next_order = REARMED;
+            match tie {
+                None => cc.fire_timers(clocks, before, &mut next_order, on_rate),
+                Some(kind) => {
+                    let mut run = TimerRun::default();
+                    cc::fire_timer(cc, clocks, kind, &mut next_order, &mut run, on_rate);
+                    run
+                }
+            }
+        };
+        while let Some(c) = clocks
+            .iter_mut()
+            .filter(|c| c.order >= REARMED)
+            .min_by_key(|c| c.order)
+        {
+            c.order = self.events.reserve_seq();
+        }
+        self.events_processed += run.fired;
+        self.clock_firings += run.fired;
+        self.rate_updates += run.rates;
+        if let Some(r) = run.last_rate_bps {
+            self.senders.rate_bps[f.0] = r.max(1e3);
         }
     }
 
     /// Whether clock `c`, due now, fires before `touch`: iff it was armed
     /// before the event being dispatched was scheduled.
-    fn fires_first(&mut self, c: Clock, touch: Touch) -> bool {
-        if matches!(touch, Touch::End) || Some(c.ticket) < self.events.last_popped_seq() {
+    fn fires_first(&mut self, c: TimerClock, touch: Touch) -> bool {
+        if matches!(touch, Touch::End) || Some(c.order) < self.events.last_popped_seq() {
             return true;
         }
         // A later ticket. A re-arm, though, took its ticket when its firing
@@ -1150,7 +1185,7 @@ impl Engine {
         self.senders.sent_payload[f.0] += payload;
         let now = self.now;
         let update = self.senders.cc[f.0].on_event(now, CcEvent::SentBytes { bytes: payload });
-        self.apply_update(f, update, None);
+        self.apply_update(f, update);
     }
 
     /// Build the next per-packet-pacing data packet for `f`, maintaining the
@@ -1334,7 +1369,7 @@ impl Engine {
                 };
                 let now = self.now;
                 let update = self.senders.cc[f.0].on_event(now, event);
-                self.apply_update(f, update, None);
+                self.apply_update(f, update);
             }
         }
     }
@@ -1372,6 +1407,29 @@ impl Engine {
     /// Current simulated time (for tests).
     pub fn now(&self) -> SimTime {
         self.now
+    }
+}
+
+/// Record flow `f`'s rate, set at `at`, in the time series and the trace,
+/// where those are on.
+fn record_rate(f: FlowId, resolution_s: f64, at: SimTime, rate_bps: f64) {
+    if obs::timeseries::enabled() {
+        obs::timeseries::sample(
+            "netsim.rate_bps",
+            f.0 as u64,
+            resolution_s,
+            at.as_secs_f64(),
+            rate_bps,
+        );
+    }
+    if obs::trace::enabled() {
+        obs::trace::record(
+            at.as_secs_f64(),
+            obs::Event::RateUpdate {
+                flow: f.0 as u64,
+                rate_bps,
+            },
+        );
     }
 }
 

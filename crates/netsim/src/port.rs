@@ -125,6 +125,7 @@ impl Engine {
             if let Some((idle_at, ticket)) = self.ports.held[link.0] {
                 if !self.already_dispatched(idle_at, ticket) {
                     self.ports.held[link.0] = None;
+                    self.held_then_filed += 1;
                     self.events
                         .schedule_reserved(idle_at, ticket, Ev::TxDone(link));
                 }
@@ -470,6 +471,7 @@ mod tests {
         assert_eq!(report.fcts.len(), flows, "every flow completes");
         assert!(report.cnps_sent > 0, "the senders must be cut");
         assert!(eng.held_tx_dones > 1_000, "held: {}", eng.held_tx_dones);
+        assert!(eng.held_then_filed > 0, "filed: {}", eng.held_then_filed);
         assert!(eng.clock_firings > 100, "firings: {}", eng.clock_firings);
         assert_eq!(
             report.events_processed,

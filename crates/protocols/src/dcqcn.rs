@@ -129,6 +129,7 @@ impl DcqcnCc {
 
     /// One rate-increase event from either the byte counter or the timer
     /// (QCN semantics shared by both sources).
+    #[inline]
     fn increase_event(&mut self) {
         self.increases += 1;
         obs::metrics::counter_inc("dcqcn.increases");
@@ -168,6 +169,9 @@ impl CongestionControl for DcqcnCc {
             .with_timer(TIMER_INCREASE, now + self.params.increase_timer)
     }
 
+    // Inline: the engine fires a flow's due timers through `fire_timers`,
+    // compiled for this type, which can then inline each firing.
+    #[inline]
     fn on_event(&mut self, now: SimTime, event: CcEvent) -> CcUpdate {
         match event {
             CcEvent::Cnp => {
@@ -234,6 +238,7 @@ impl CongestionControl for DcqcnCc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::cc::{TimerClock, TimerRun};
 
     fn started(line: f64) -> DcqcnCc {
         let mut cc = DcqcnCc::default_cc();
@@ -431,6 +436,142 @@ mod tests {
             "hyper step should be R_HAI: {step}"
         );
     }
+
+    /// The reference for `fire_timers`: fire `clocks` due before `limit`
+    /// one `on_event(Timer)` call at a time, always the `(at, order)`
+    /// minimum, re-arming what each update asks for with orders from `next`.
+    fn fire_by_hand(
+        cc: &mut DcqcnCc,
+        clocks: &mut [TimerClock; 2],
+        limit: SimTime,
+        next: &mut u64,
+        rates: &mut Vec<(SimTime, u64)>,
+    ) -> TimerRun {
+        let mut run = TimerRun::default();
+        loop {
+            let kind = if (clocks[1].at, clocks[1].order) < (clocks[0].at, clocks[0].order) {
+                1
+            } else {
+                0
+            };
+            let at = clocks[kind].at;
+            if at >= limit {
+                return run;
+            }
+            clocks[kind].at = SimTime::MAX;
+            let up = cc.on_event(at, CcEvent::Timer { kind: kind as u8 });
+            run.fired += 1;
+            if let Some(r) = up.new_rate_bps {
+                run.rates += 1;
+                run.last_rate_bps = Some(r);
+                rates.push((at, r.to_bits()));
+            }
+            for &(k, t) in up.timers() {
+                clocks[k as usize] = TimerClock {
+                    at: t.max(at),
+                    order: *next,
+                    rearmed_at: Some(at),
+                };
+                *next += 1;
+            }
+        }
+    }
+
+    /// Arm what an event's update asks for, as the engine does.
+    fn arm(clocks: &mut [TimerClock; 2], up: CcUpdate, now: SimTime, next: &mut u64) {
+        for &(k, t) in up.timers() {
+            clocks[k as usize] = TimerClock {
+                at: t.max(now),
+                order: *next,
+                rearmed_at: None,
+            };
+            *next += 1;
+        }
+    }
+
+    fn state_bits(cc: &DcqcnCc) -> [u64; 5] {
+        [
+            cc.alpha.to_bits(),
+            cc.rc.to_bits(),
+            cc.rt.to_bits(),
+            cc.cuts,
+            cc.increases,
+        ]
+    }
+
+    /// Seeded: from states built by random CNP / `SentBytes` histories (timers
+    /// fired by hand between events), `fire_timers` up to a random limit
+    /// leaves the RP bit-for-bit where the same firings made one call at a
+    /// time leave it, with the same clocks, rates and `TimerRun`. τ′ = 55 µs
+    /// and T = 40 µs, so the two kinds interleave and meet every 440 µs.
+    #[test]
+    fn fire_timers_makes_the_calls_one_firing_at_a_time_would() {
+        let mut rng = desim::SimRng::new(0xdc9c);
+        let mut fired = 0;
+        for case in 0..300 {
+            let mut params = DcqcnCcParams::default();
+            params.enable_hyper = case % 2 == 1;
+            params.increase_timer = SimDuration::from_micros(40);
+            params.byte_counter_bytes = 200_000;
+            let mut cc = DcqcnCc::new(params);
+            let mut clocks = [TimerClock::IDLE; 2];
+            let mut next = 0;
+            let up = cc.on_start(SimTime::ZERO, 40e9);
+            arm(&mut clocks, up, SimTime::ZERO, &mut next);
+            let mut now = SimTime::ZERO;
+            for _ in 0..rng.next_below(40) {
+                now += SimDuration::from_nanos(rng.next_below(150_000));
+                // Timers due before the event fire first, one at a time;
+                // `next` is shared, so it stays above every order.
+                let mut n = REARM;
+                fire_by_hand(&mut cc, &mut clocks, now, &mut n, &mut Vec::new());
+                let event = if rng.next_f64() < 0.4 {
+                    CcEvent::Cnp
+                } else {
+                    CcEvent::SentBytes {
+                        bytes: rng.next_below(600_000),
+                    }
+                };
+                let up = cc.on_event(now, event);
+                arm(&mut clocks, up, now, &mut next);
+                // Re-arms by hand took orders from REARM: renumber them in
+                // order above the events' orders, as the engine does.
+                while let Some(c) = clocks
+                    .iter_mut()
+                    .filter(|c| c.order >= REARM)
+                    .min_by_key(|c| c.order)
+                {
+                    c.order = next;
+                    next += 1;
+                }
+            }
+            let limit = now + SimDuration::from_nanos(rng.next_below(3_000_000));
+            let (mut by_hand, mut clocks_by_hand, mut next_by_hand) = (cc.clone(), clocks, REARM);
+            let mut rates_by_hand = Vec::new();
+            let want = fire_by_hand(
+                &mut by_hand,
+                &mut clocks_by_hand,
+                limit,
+                &mut next_by_hand,
+                &mut rates_by_hand,
+            );
+            let (mut next_order, mut rates) = (REARM, Vec::new());
+            let mut on_rate = |at: SimTime, r: f64| rates.push((at, r.to_bits()));
+            let got = cc.fire_timers(&mut clocks, limit, &mut next_order, Some(&mut on_rate));
+            assert_eq!(got, want, "case {case}");
+            assert_eq!(state_bits(&cc), state_bits(&by_hand), "case {case}");
+            assert_eq!(
+                (clocks, next_order, rates),
+                (clocks_by_hand, next_by_hand, rates_by_hand),
+                "case {case}"
+            );
+            fired += got.fired;
+        }
+        assert!(fired > 10_000, "{fired} firings");
+    }
+
+    /// Orders for re-arms, above every order an event's arming takes here.
+    const REARM: u64 = 1 << 40;
 
     #[test]
     fn rate_never_below_floor_or_above_line() {
