@@ -1,13 +1,14 @@
-//! Sender/receiver flow state (struct-of-arrays) and pacing models.
+//! Flow specs, pacing models and sender flow state (struct-of-arrays).
 //!
-//! Flow state is stored column-wise: one `Vec` per field, indexed by
+//! Sender state is stored column-wise: one `Vec` per field, indexed by
 //! [`FlowId`]. The engine's hot paths (pacer firings, ACK/CNP handling,
 //! completion checks) each touch only two or three fields of a flow, so the
 //! columnar layout keeps those accesses on dense, homogeneous cache lines
 //! instead of striding over ~130-byte row structs — the difference is
 //! measurable once incast workloads push the flow table past a thousand
 //! entries. Columns are append-only and grow in lockstep via
-//! [`SenderFlows::push`] / [`ReceiverFlows::push`].
+//! `SenderFlows::push`; the receiver side's columns live with the engine's
+//! host code.
 
 use crate::cc::CongestionControl;
 use crate::topology::NodeId;
@@ -52,55 +53,48 @@ pub struct FlowSpec {
     pub ack_chunk_bytes: u32,
 }
 
-/// Sender-side runtime state, one column per field (engine-internal).
+/// Sender-side runtime state, one column per field.
 #[derive(Debug, Default)]
-pub struct SenderFlows {
+pub(crate) struct SenderFlows {
     /// Source host.
-    pub src: Vec<NodeId>,
+    pub(crate) src: Vec<NodeId>,
     /// Destination host.
-    pub dst: Vec<NodeId>,
+    pub(crate) dst: Vec<NodeId>,
     /// Total size, if finite.
-    pub size_bytes: Vec<Option<u64>>,
+    pub(crate) size_bytes: Vec<Option<u64>>,
     /// Flow start time.
-    pub start: Vec<SimTime>,
+    pub(crate) start: Vec<SimTime>,
     /// Pacing model.
-    pub pacing: Vec<Pacing>,
+    pub(crate) pacing: Vec<Pacing>,
     /// Congestion control instances.
-    pub cc: Vec<Box<dyn CongestionControl>>,
+    pub(crate) cc: Vec<Box<dyn CongestionControl>>,
     /// Current rate (bps) as last applied from the CC.
-    pub rate_bps: Vec<f64>,
+    pub(crate) rate_bps: Vec<f64>,
     /// Next payload byte offset to send.
-    pub next_offset: Vec<u64>,
-    /// Payload bytes reported to the CC's byte counter.
-    pub sent_payload: Vec<u64>,
+    pub(crate) next_offset: Vec<u64>,
     /// When the current chunk started (echoed in the completion ACK).
-    pub chunk_started: Vec<SimTime>,
+    pub(crate) chunk_started: Vec<SimTime>,
     /// Bytes since the last ACK-requested packet.
-    pub since_ack_request: Vec<u32>,
+    pub(crate) since_ack_request: Vec<u32>,
     /// ACK chunk size.
-    pub ack_chunk_bytes: Vec<u32>,
+    pub(crate) ack_chunk_bytes: Vec<u32>,
     /// Completion time (last payload byte arrived at the receiver).
-    pub completed: Vec<Option<SimTime>>,
+    pub(crate) completed: Vec<Option<SimTime>>,
     /// Deterministic ECMP hash: seeds the per-hop equal-cost path choice on
     /// multipath topologies (fat-trees). Derived from the engine seed and
     /// the flow's endpoints, never from a runtime RNG.
-    pub path_hash: Vec<u64>,
+    pub(crate) path_hash: Vec<u64>,
 }
 
 impl SenderFlows {
     /// Number of registered flows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.src.len()
-    }
-
-    /// True when no flow has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.src.is_empty()
     }
 
     /// Append a flow built from `spec`, returning its id. All columns grow
     /// together, so `FlowId(len - 1)` indexes every column.
-    pub fn push(&mut self, spec: FlowSpec, path_hash: u64) -> FlowId {
+    pub(crate) fn push(&mut self, spec: FlowSpec, path_hash: u64) -> FlowId {
         let id = FlowId(self.len());
         self.src.push(spec.src);
         self.dst.push(spec.dst);
@@ -110,7 +104,6 @@ impl SenderFlows {
         self.cc.push(spec.cc);
         self.rate_bps.push(0.0);
         self.next_offset.push(0);
-        self.sent_payload.push(0);
         self.chunk_started.push(spec.start);
         self.since_ack_request.push(0);
         self.ack_chunk_bytes.push(spec.ack_chunk_bytes.max(1));
@@ -120,7 +113,7 @@ impl SenderFlows {
     }
 
     /// Remaining payload bytes of flow `f`, `u64::MAX` for long-lived flows.
-    pub fn remaining(&self, f: FlowId) -> u64 {
+    pub(crate) fn remaining(&self, f: FlowId) -> u64 {
         match self.size_bytes[f.0] {
             Some(sz) => sz.saturating_sub(self.next_offset[f.0]),
             None => u64::MAX,
@@ -128,28 +121,8 @@ impl SenderFlows {
     }
 
     /// True once every payload byte of flow `f` was handed to the NIC.
-    pub fn fully_sent(&self, f: FlowId) -> bool {
+    pub(crate) fn fully_sent(&self, f: FlowId) -> bool {
         self.remaining(f) == 0
-    }
-}
-
-/// Receiver-side runtime state, one column per field (engine-internal).
-#[derive(Debug, Default)]
-pub struct ReceiverFlows {
-    /// Payload bytes received so far.
-    pub received: Vec<u64>,
-    /// Last time a CNP was generated for this flow (τ coalescing).
-    pub last_cnp: Vec<Option<SimTime>>,
-    /// Time the last payload byte arrived (FCT endpoint).
-    pub last_byte_at: Vec<Option<SimTime>>,
-}
-
-impl ReceiverFlows {
-    /// Append the receiver-side state for one new flow.
-    pub fn push(&mut self) {
-        self.received.push(0);
-        self.last_cnp.push(None);
-        self.last_byte_at.push(None);
     }
 }
 
