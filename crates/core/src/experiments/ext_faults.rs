@@ -220,7 +220,7 @@ fn run_collapse_panel(cfg: &ExtFaultsConfig, spiked: bool) -> CollapsePanel {
     for &s in &senders {
         let mut p = TimelyCcParams::default();
         p.seg_bytes = SEG_BYTES;
-        p.start_rate_divisor = 2.0;
+        p.start_divisor = 2.0;
         eng.add_flow(FlowSpec {
             src: s,
             dst: receiver,

@@ -171,7 +171,7 @@ pub fn run_cell(cfg: &ExtIncastConfig, protocol: Protocol, n_senders: usize) -> 
     );
     let sw = obs::span::Stopwatch::start();
     let report = eng.run(SimTime::from_secs_f64(horizon));
-    let wall_ms = sw.elapsed_ns() as f64 / 1e6;
+    let wall_ms = sw.elapsed_ms();
     cell_from_report(protocol, n_senders, horizon, wall_ms, &report)
 }
 

@@ -62,7 +62,7 @@ pub fn run(cfg: &Fig10Config) -> Fig10Result {
         for &s in &senders {
             let mut p = TimelyCcParams::default();
             p.seg_bytes = seg;
-            p.start_rate_divisor = 2.0;
+            p.start_divisor = 2.0;
             eng.add_flow(FlowSpec {
                 src: s,
                 dst: receiver,

@@ -34,7 +34,7 @@ impl Protocol {
 
     /// Instantiate the congestion control (with the paper's defaults) and
     /// the matching pacing mode.
-    pub fn build_cc(&self, start_rate_divisor: f64) -> (Box<dyn CongestionControl>, Pacing, u32) {
+    pub fn build_cc(&self, start_divisor: f64) -> (Box<dyn CongestionControl>, Pacing, u32) {
         match self {
             Protocol::Dcqcn => (
                 Box::new(DcqcnCc::new(DcqcnCcParams::default())),
@@ -43,7 +43,7 @@ impl Protocol {
             ),
             Protocol::Timely => {
                 let mut p = TimelyCcParams::default();
-                p.start_rate_divisor = start_rate_divisor;
+                p.start_divisor = start_divisor;
                 let seg = p.seg_bytes;
                 (
                     Box::new(TimelyCc::new(p)),
@@ -53,7 +53,7 @@ impl Protocol {
             }
             Protocol::TimelyPerPacket => {
                 let mut p = TimelyCcParams::default();
-                p.start_rate_divisor = start_rate_divisor;
+                p.start_divisor = start_divisor;
                 let seg = p.seg_bytes;
                 // Per-packet pacing: the RTT probe is a single packet, so
                 // the self-serialization to subtract is one MTU, not a
@@ -63,7 +63,7 @@ impl Protocol {
             }
             Protocol::PatchedTimely => {
                 let mut p = PatchedTimelyCcParams::default();
-                p.base.start_rate_divisor = start_rate_divisor;
+                p.base.start_divisor = start_divisor;
                 let seg = p.base.seg_bytes;
                 (
                     Box::new(PatchedTimelyCc::new(p)),

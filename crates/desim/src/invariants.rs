@@ -40,13 +40,13 @@ pub fn bounded_queue(context: &str, occupancy: f64, cap: f64) {
     );
 }
 
-/// A rate (bps, pps, …) must be finite and non-negative.
+/// A rate (bps, pps, …) must be finite and non-negative. `value` takes no
+/// unit suffix: finiteness holds in any unit.
 #[inline]
-// simlint: allow(unit-suffix) — deliberately unit-agnostic: finiteness holds in any unit
-pub fn finite_rate(context: &str, rate: f64) {
+pub fn finite_rate(context: &str, value: f64) {
     debug_assert!(
-        rate.is_finite() && rate >= 0.0,
-        "{context}: rate {rate} is negative or non-finite"
+        value.is_finite() && value >= 0.0,
+        "{context}: rate {value} is negative or non-finite"
     );
 }
 

@@ -15,9 +15,9 @@
 //!   and spawns a replacement worker. Std threads cannot be killed, so the
 //!   hung thread is *abandoned*: it keeps its OS thread until process exit
 //!   and its late result (if any) is discarded. The deadline carried in
-//!   the error is the *configured* value, never a wall-clock measurement —
-//!   supervision may read the clock to act, but nothing clock-derived
-//!   enters a result payload (the `determinism-taint` contract).
+//!   the error is the *configured* value, never a wall-clock measurement:
+//!   an attempt's start is an [`obs::span::Stopwatch`], and the watchdog
+//!   only asks it whether the deadline has passed.
 //! * **Bounded deterministic retries** — an `Err` the caller marks
 //!   retryable is re-run immediately on the same worker, up to
 //!   [`SupervisePolicy::max_attempts`] total attempts; the retry sequence
@@ -37,7 +37,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+use obs::span::Stopwatch;
 
 /// Errors an executor can construct for supervision verdicts. Implemented
 /// by `faults::SimError` (variants `JobPanicked` / `Timeout`).
@@ -109,7 +111,7 @@ struct Shared<I, O, E> {
     jobs: Vec<Mutex<Option<I>>>,
     slots: Vec<Mutex<Slot<O, E>>>,
     /// `Some(start)` while an attempt for the slot is on a worker.
-    started: Vec<Mutex<Option<Instant>>>,
+    started: Vec<Mutex<Option<Stopwatch>>>,
     next: AtomicUsize,
     progress: Mutex<Progress>,
     progress_cv: Condvar,
@@ -293,10 +295,6 @@ where
 
 /// Run one job to a final verdict (attempt loop + panic isolation) and
 /// commit it.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "deadline supervision must read real time to detect a hang; the reading arms the watchdog and never enters a result"
-)]
 fn run_job<I, O, E, F, R>(shared: &Shared<I, O, E>, idx: usize, input: I, worker: &F, retryable: &R)
 where
     I: Clone,
@@ -309,8 +307,7 @@ where
     let mut attempt = 0u32;
     let (final_result, exhausted) = loop {
         attempt += 1;
-        // simlint: allow(determinism-taint) — supervision bookkeeping, not sim state: the start mark only arms the watchdog, and no clock reading ever enters a result (timeouts carry the configured deadline)
-        *lock_ignore_poison(&shared.started[idx]) = Some(Instant::now());
+        *lock_ignore_poison(&shared.started[idx]) = Some(Stopwatch::start());
         // Each attempt runs under the job's per-index obs context with a
         // clean cause, as in `par_map`; `in_context` restores the worker's
         // own context from a drop guard, so a panic unwinding out to
@@ -368,7 +365,7 @@ where
         for idx in 0..shared.slots.len() {
             let overdue = {
                 let started = lock_ignore_poison(&shared.started[idx]);
-                started.is_some_and(|t0| t0.elapsed().as_secs_f64() > deadline_s)
+                started.is_some_and(|sw| sw.exceeds_s(deadline_s))
             };
             if !overdue {
                 continue;

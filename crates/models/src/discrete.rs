@@ -56,10 +56,9 @@ impl DiscreteAimd {
         }
     }
 
-    /// Queue-buildup time `t` of Eq 41 (in units of τ′):
+    /// Queue-buildup time `t` of Eq 41, counted in alpha-timer periods τ′:
     /// `t = (−1 + √(1 + 8·K_max/(N·R_AI·τ′)))/2`.
-    // simlint: allow(unit-suffix) — dimensionless multiple of τ′ (Eq 41 counts alpha-timer periods)
-    pub fn buildup_time(&self) -> f64 {
+    pub fn buildup_periods(&self) -> f64 {
         let p = &self.params;
         let n = self.flows.len() as f64;
         let k_max = p.kmax_pkts();
@@ -72,7 +71,7 @@ impl DiscreteAimd {
     pub fn cycle_length(&self, alpha: f64) -> f64 {
         let p = &self.params;
         let n = self.flows.len() as f64;
-        let t = self.buildup_time();
+        let t = self.buildup_periods();
         let c_units = p.capacity_pps() * p.alpha_timer_s(); // pkts per τ′
         let r_ai_units = p.r_ai_pps() * p.alpha_timer_s();
         2.0 + (t / 2.0 + c_units / (2.0 * n * r_ai_units)) * alpha
@@ -275,12 +274,12 @@ mod tests {
     }
 
     #[test]
-    fn buildup_time_decreases_with_flows() {
+    fn buildup_periods_decrease_with_flows() {
         // Eq 41: more flows fill K_max faster.
         let p = params();
         let c = p.capacity_pps();
-        let t2 = DiscreteAimd::new(p.clone(), &[c / 2.0; 2]).buildup_time();
-        let t16 = DiscreteAimd::new(p, &[c / 16.0; 16]).buildup_time();
+        let t2 = DiscreteAimd::new(p.clone(), &[c / 2.0; 2]).buildup_periods();
+        let t16 = DiscreteAimd::new(p, &[c / 16.0; 16]).buildup_periods();
         assert!(t16 < t2);
     }
 

@@ -253,10 +253,9 @@ impl TimelyFluid {
             .collect()
     }
 
-    /// The rate derivative of Eq 21 for one flow, given the delayed queue
-    /// observations. Exposed for the Theorem 3/4 tests.
-    // simlint: allow(unit-suffix) — returns dR/dt in pps/s, a compound dimension no suffix names
-    pub fn rate_rhs(&self, r: f64, g: f64, q_delayed: f64) -> f64 {
+    /// The rate derivative dR/dt of Eq 21 for one flow (pps/s), given the
+    /// delayed queue observations. Exposed for the Theorem 3/4 tests.
+    pub fn eq21_drdt(&self, r: f64, g: f64, q_delayed: f64) -> f64 {
         let p = &self.params;
         let tau = p.tau_star(r);
         let q_low = p.q_low_pkts();
@@ -343,7 +342,7 @@ impl LaneSystem for TimelyFluid {
             let tau_i = p.tau_star(r);
             let t2 = t - tau_fb - tau_i;
             let qd2 = hist.eval(t2, q_lane).max(0.0);
-            dxdt[ri] = self.rate_rhs(r, g, qd1);
+            dxdt[ri] = self.eq21_drdt(r, g, qd1);
             // Eq 22: EWMA of the normalized queue (≈ RTT) difference.
             dxdt[gi] = p.ewma_alpha / tau_i * (-g + (qd1 - qd2) / (c * p.d_min_rtt_s()));
         }
@@ -409,7 +408,7 @@ mod tests {
         let m = TimelyFluid::new(TimelyParams::default_10g(), 2);
         let q_mid = (m.params.q_low_pkts() + m.params.q_high_pkts()) / 2.0;
         for r in [1e4, 1e5, 6.25e5] {
-            let drdt = m.rate_rhs(r, 0.0, q_mid);
+            let drdt = m.eq21_drdt(r, 0.0, q_mid);
             assert!(drdt > 0.0, "dR/dt must be δ/τ* > 0 at g = 0, got {drdt}");
         }
     }
@@ -423,7 +422,7 @@ mod tests {
         let m = TimelyFluid::new(params, 2);
         let q_mid = (m.params.q_low_pkts() + m.params.q_high_pkts()) / 2.0;
         for r in [1e4, 2e5, 1e6] {
-            let drdt = m.rate_rhs(r, 0.0, q_mid);
+            let drdt = m.eq21_drdt(r, 0.0, q_mid);
             assert_eq!(drdt, 0.0, "any rate is an equilibrium under Eq 28");
         }
     }
@@ -433,12 +432,12 @@ mod tests {
         let m = TimelyFluid::new(TimelyParams::default_10g(), 1);
         let p = &m.params;
         // Below T_low: increase regardless of gradient.
-        assert!(m.rate_rhs(1e5, 5.0, p.q_low_pkts() * 0.5) > 0.0);
+        assert!(m.eq21_drdt(1e5, 5.0, p.q_low_pkts() * 0.5) > 0.0);
         // Above T_high: multiplicative decrease regardless of gradient.
-        assert!(m.rate_rhs(1e5, -5.0, p.q_high_pkts() * 2.0) < 0.0);
+        assert!(m.eq21_drdt(1e5, -5.0, p.q_high_pkts() * 2.0) < 0.0);
         // Middle with positive gradient: decrease proportional to g.
-        let d1 = m.rate_rhs(1e5, 0.5, p.q_low_pkts() * 2.0);
-        let d2 = m.rate_rhs(1e5, 1.0, p.q_low_pkts() * 2.0);
+        let d1 = m.eq21_drdt(1e5, 0.5, p.q_low_pkts() * 2.0);
+        let d2 = m.eq21_drdt(1e5, 1.0, p.q_low_pkts() * 2.0);
         assert!(d1 < 0.0 && d2 < d1, "decrease scales with gradient");
     }
 

@@ -5,10 +5,9 @@
 //! * [`trace`] — typed sim-time [`Event`]s, exported as JSONL keyed by
 //!   *simulation* time only (never wall clock);
 //! * [`metrics`] — named counters with a name-sorted JSON snapshot;
-//! * [`span`] — wall-clock phase timers for bench attribution. This is the
-//!   module of the sim layer that reads the wall clock (its two reads carry
-//!   the `#[expect]` for the `Instant::now` ban of `clippy.toml`, as
-//!   `desim::par` does for the `thread::scope` one);
+//! * [`span`] — wall-clock phase timers for bench attribution, and
+//!   [`span::Stopwatch`], the one holder of a wall-clock reading in the sim
+//!   crates (`clippy.toml` bans every way it could become a number there);
 //! * [`timeseries`] — windowed, downsampled series plus log-bucketed
 //!   streaming histograms, O(windows + buckets) rather than O(samples);
 //! * [`flight`] — the causal flight recorder: recent event-core operations
@@ -143,6 +142,10 @@ fn with_state<R>(f: impl FnOnce(&mut State) -> R) -> R {
 /// Discard everything recorded — counters, trace and flight rings, the
 /// flight dump path and reason, series and histograms — and the span
 /// totals. The capability word is left as it is.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the span totals are discarded, never read"
+)]
 pub fn reset() {
     with_state(|s| *s = State::new());
     span::drain();
@@ -341,6 +344,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test reads the span totals")]
     fn disabled_instruments_record_nothing_and_reset_clears_all() {
         let _g = test_lock();
         let record_one_of_each = || {

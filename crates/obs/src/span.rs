@@ -1,14 +1,16 @@
-//! Wall-clock span timers for bench-phase attribution.
+//! Wall-clock span timers for bench-phase attribution, and [`Stopwatch`],
+//! the one holder of a wall-clock reading in the sim crates.
 //!
-//! This module is the sim-layer surface that reads the wall clock: its two
-//! `Instant::now` calls carry the `#[expect]` for the ban in `clippy.toml`
-//! (the analogue of `desim::par` for `thread::scope`), and simlint's
-//! `determinism-taint` holds the readings to measuring.
-//! Sim crates call [`enter`] with a [`Phase`]; the `Instant` reads happen
-//! in here, and only when spans are explicitly enabled by the bench
-//! harness. Wall-clock durations never flow into traces, metrics or any
-//! simulation decision — they are drained by `bench::harness` into
-//! `BENCH_*.json` rows only.
+//! [`Stopwatch::start`] is the one place those crates read the clock (with
+//! the `#[expect]` for the ban in `clippy.toml`, as `desim::par` does for
+//! `thread::scope`). A reading leaves the type only as a yes/no deadline
+//! answer ([`Stopwatch::exceeds_s`]), or as a number through
+//! [`Stopwatch::elapsed_ms`] and [`drain`] — which `clippy.toml` bans too,
+//! so no sim crate can turn a reading into a number that might reach a
+//! `SimTime`, an RNG seed or a trace. Sim crates call [`enter`] with a
+//! [`Phase`]; the clock is read only when spans are explicitly enabled by
+//! the bench harness, and the totals are drained by `bench::harness` into
+//! `BENCH_*.json` rows and by the benchmark into its per-layer metrics.
 //!
 //! Phases may nest (a `Locate` or `Compact` span runs inside an
 //! `Integrate` span), so per-phase totals are not disjoint; they attribute
@@ -70,7 +72,7 @@ static TOTALS: [Slot; PHASES.len()] = [Slot::NEW; PHASES.len()];
 
 /// Are spans enabled? One relaxed load on the disabled path.
 #[inline(always)]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     crate::on(crate::SPANS)
 }
 
@@ -89,27 +91,23 @@ pub fn disable() {
 #[must_use = "a span guard records on drop; binding it to _ discards the span immediately"]
 pub struct SpanGuard {
     phase: Phase,
-    start: Option<Instant>,
+    start: Option<Stopwatch>,
 }
 
 /// Start timing `phase`. The returned guard attributes the elapsed wall
 /// time to the phase when it goes out of scope.
 #[inline]
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the one profiling timer: the reading goes to the span totals, never into simulation state"
-)]
 pub fn enter(phase: Phase) -> SpanGuard {
     SpanGuard {
         phase,
-        start: enabled().then(Instant::now),
+        start: enabled().then(Stopwatch::start),
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            let ns = start.elapsed().as_nanos() as u64;
+            let ns = start.elapsed_ns();
             let slot = &TOTALS[self.phase as usize];
             slot.ns.fetch_add(ns, Ordering::Relaxed);
             slot.count.fetch_add(1, Ordering::Relaxed);
@@ -117,27 +115,35 @@ impl Drop for SpanGuard {
     }
 }
 
-/// A plain wall-clock stopwatch for result-side annotations (e.g. per-cell
-/// `wall_ms` in `results/ext_incast.json`). Lives here because span.rs is
-/// where the sim layer's sanctioned clock reads are; callers elsewhere stay
-/// clean under the `Instant::now` ban of `clippy.toml`. Readings must never
-/// feed back into simulation state or byte-compared outputs — determinism
-/// gates scrub or skip them.
+/// A wall-clock reading: span timing, the supervisor's job deadlines
+/// (`desim::supervise`) and result-side annotations outside the sim crates
+/// (`wall_ms` in `results/ext_incast.json`, which determinism gates skip).
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(Instant);
 
 impl Stopwatch {
     /// Start a stopwatch now.
+    #[inline]
     #[expect(
         clippy::disallowed_methods,
-        reason = "result-side wall_ms annotation; determinism gates scrub or skip it"
+        reason = "the one wall-clock read of the sim crates; a reading leaves Stopwatch only as a deadline answer or through the banned elapsed_ms/drain"
     )]
     pub fn start() -> Self {
         Stopwatch(Instant::now())
     }
 
-    /// Nanoseconds elapsed since [`Stopwatch::start`].
-    pub fn elapsed_ns(&self) -> u64 {
+    /// Have more than `limit_s` seconds passed since [`Stopwatch::start`]?
+    pub fn exceeds_s(&self, limit_s: f64) -> bool {
+        self.0.elapsed().as_secs_f64() > limit_s
+    }
+
+    /// Milliseconds elapsed since [`Stopwatch::start`]. Banned in the sim
+    /// crates by `clippy.toml`: a number is what could steer a simulation.
+    pub fn elapsed_ms(&self) -> f64 {
+        self.elapsed_ns() as f64 / 1e6
+    }
+
+    fn elapsed_ns(&self) -> u64 {
         self.0.elapsed().as_nanos() as u64
     }
 }
@@ -162,6 +168,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test reads the span totals")]
     fn spans_accumulate_only_while_enabled_and_drain_resets() {
         let _g = crate::test_lock();
         disable();
@@ -182,11 +189,13 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test reads the stopwatch")]
     fn stopwatch_elapsed_is_monotone() {
         let sw = Stopwatch::start();
-        let a = sw.elapsed_ns();
-        let b = sw.elapsed_ns();
+        let a = sw.elapsed_ms();
+        let b = sw.elapsed_ms();
         assert!(b >= a);
+        assert!(sw.exceeds_s(-1.0) && !sw.exceeds_s(3600.0));
     }
 
     #[test]

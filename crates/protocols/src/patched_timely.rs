@@ -126,7 +126,7 @@ impl PatchedTimelyCc {
 impl CongestionControl for PatchedTimelyCc {
     fn on_start(&mut self, _now: SimTime, line_rate_bps: f64) -> CcUpdate {
         self.line_rate_bps = line_rate_bps;
-        self.rate_bps = (line_rate_bps / self.params.base.start_rate_divisor)
+        self.rate_bps = (line_rate_bps / self.params.base.start_divisor)
             .clamp(self.params.base.min_rate_bps, line_rate_bps);
         CcUpdate::rate(self.rate_bps)
     }

@@ -41,10 +41,10 @@ pub struct TimelyCcParams {
     pub hai_n: u32,
     /// Rate floor in bps.
     pub min_rate_bps: f64,
-    /// Initial rate divisor: a new flow starts at `line_rate / start_div`
-    /// (the paper: `C/(N+1)` with N flows active; callers set this).
-    // simlint: allow(unit-suffix) — dimensionless divisor of the line rate, not itself a rate
-    pub start_rate_divisor: f64,
+    /// Dimensionless initial divisor of the line rate: a new flow starts at
+    /// `line_rate / start_divisor` (the paper: `C/(N+1)` with N flows
+    /// active; callers set this).
+    pub start_divisor: f64,
 }
 
 impl Default for TimelyCcParams {
@@ -60,7 +60,7 @@ impl Default for TimelyCcParams {
             enable_hai: true,
             hai_n: 5,
             min_rate_bps: 10e6,
-            start_rate_divisor: 2.0,
+            start_divisor: 2.0,
         }
     }
 }
@@ -149,7 +149,7 @@ impl TimelyCc {
 impl CongestionControl for TimelyCc {
     fn on_start(&mut self, _now: SimTime, line_rate_bps: f64) -> CcUpdate {
         self.line_rate_bps = line_rate_bps;
-        self.rate_bps = (line_rate_bps / self.params.start_rate_divisor)
+        self.rate_bps = (line_rate_bps / self.params.start_divisor)
             .clamp(self.params.min_rate_bps, line_rate_bps);
         CcUpdate::rate(self.rate_bps)
     }

@@ -19,6 +19,8 @@ pub fn canary(p: &std::path::Path, opt: Option<u32>, res: Result<u32, ()>, a: f6
     std::thread::scope(|_| {}); // canary: thread::scope
     let _ = std::fs::write(p, b"x"); // canary: fs::write
     let _ = std::fs::File::create(p); // canary: File::create
+    let _ = obs::span::drain(); // canary: span::drain
+    let _ = obs::span::Stopwatch::start().elapsed_ms(); // canary: Stopwatch::elapsed_ms
     let _ = opt.unwrap(); // canary: unwrap
     let _ = res.expect("canary"); // canary: expect
     a == b // canary: float_cmp

@@ -1,17 +1,18 @@
-//! Hand-rolled Rust token stream — the substrate every simlint rule runs on.
+//! Hand-rolled Rust token stream — the substrate both simlint rules run on.
 //!
-//! The PR 1 scrubber blanked strings/comments per *line* and let rules grep
-//! the residue; that breaks structurally on multi-line strings, nested block
-//! comments and `r#"…"#` forms, and it cannot express flow. This lexer
-//! produces a real token sequence — identifiers, literals with suffixes,
+//! A line scrubber that blanks strings and comments breaks on multi-line
+//! strings, nested block comments and `r#"…"#` forms. This lexer produces
+//! a real token sequence — identifiers, number literals with suffixes,
 //! multi-char operators, comments, string/char literals — each carrying a
 //! 1-based `(line, col)` span and the brace-nesting depth at its position.
-//! It is a lexer, not a parser: good enough to drive token-pattern rules and
-//! the intraprocedural dataflow passes, with zero external dependencies
-//! (workspace policy).
+//! It is a lexer, not a parser: good enough to drive token-pattern rules,
+//! with zero external dependencies (workspace policy).
 //!
 //! Fidelity notes (deliberate simplifications, safe for linting):
-//! * keywords are plain [`Kind::Ident`] tokens — rules match on text;
+//! * keywords and lifetimes (`'a`) are plain [`Kind::Ident`] tokens — rules
+//!   match on text;
+//! * char and byte literals (`'['`, `b'\n'`) are [`Kind::Str`] tokens, so
+//!   a bracket or quote inside one never leaks;
 //! * raw identifiers `r#type` lex as the bare identifier;
 //! * `>>`/`<<` are shift tokens even inside generics — consumers that count
 //!   angle nesting count the *characters* of punct tokens instead.
@@ -19,23 +20,17 @@
 /// Lexical class of a token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
-    /// Identifier or keyword.
+    /// Identifier, keyword or lifetime (`'a`, quote included).
     Ident,
-    /// Integer literal (any base), suffix included in the text.
-    Int,
-    /// Float literal, suffix included in the text.
-    Float,
-    /// String literal (`"…"`, `r"…"`, `r#"…"#`, `b"…"`, `br#"…"#`), quotes
-    /// and contents included; may span lines.
+    /// Number literal (integer or float, any base), suffix included in the
+    /// text.
+    Num,
+    /// String, char or byte literal (`"…"`, `r#"…"#`, `b"…"`, `'x'`,
+    /// `b'\n'`), quotes and contents included; may span lines.
     Str,
-    /// Char or byte literal (`'x'`, `b'\n'`).
-    Char,
-    /// Lifetime (`'a`, `'static`).
-    Lifetime,
-    /// `// …` comment, text to end of line.
-    LineComment,
-    /// `/* … */` comment (nesting handled); may span lines.
-    BlockComment,
+    /// `// …` comment (to end of line) or `/* … */` comment (nesting
+    /// handled; may span lines).
+    Comment,
     /// Operator or delimiter; multi-char operators are single tokens.
     Punct,
 }
@@ -254,7 +249,7 @@ impl Lexer {
                         }
                     }
                 }
-                Some((Kind::Char, s))
+                Some((Kind::Str, s))
             }
             _ => None,
         }
@@ -263,9 +258,8 @@ impl Lexer {
     /// Lex a number starting at an ASCII digit. `after_dot` means the
     /// literal directly follows a `.` punct (tuple index position `a.0.1`):
     /// the fractional part must not be consumed there.
-    fn number(&mut self, after_dot: bool) -> (Kind, String) {
+    fn number(&mut self, after_dot: bool) -> String {
         let mut s = String::new();
-        let mut float = false;
         if self.peek(0) == Some('0') && matches!(self.peek(1), Some('x' | 'o' | 'b')) {
             // Radix literal: consume prefix then alphanumerics/underscores
             // (the suffix, if any, merges into the text — fine for linting).
@@ -273,7 +267,7 @@ impl Lexer {
             while self.peek(0).is_some_and(is_ident_continue) {
                 s.push_str(&self.take(1));
             }
-            return (Kind::Int, s);
+            return s;
         }
         while self.peek(0).is_some_and(|c| c.is_ascii_digit() || c == '_') {
             s.push_str(&self.take(1));
@@ -282,7 +276,6 @@ impl Lexer {
             match self.peek(1) {
                 // `1.5` — fractional part.
                 Some(c) if c.is_ascii_digit() => {
-                    float = true;
                     s.push_str(&self.take(1));
                     while self.peek(0).is_some_and(|c| c.is_ascii_digit() || c == '_') {
                         s.push_str(&self.take(1));
@@ -291,10 +284,7 @@ impl Lexer {
                 // `1.method()` / `0..n` — the dot is not ours.
                 Some(c) if is_ident_start(c) || c == '.' => {}
                 // `1.` — trailing-dot float.
-                _ => {
-                    float = true;
-                    s.push_str(&self.take(1));
-                }
+                _ => s.push_str(&self.take(1)),
             }
         }
         if matches!(self.peek(0), Some('e' | 'E'))
@@ -302,7 +292,6 @@ impl Lexer {
                 || (matches!(self.peek(1), Some('+' | '-'))
                     && self.peek(2).is_some_and(|c| c.is_ascii_digit())))
         {
-            float = true;
             s.push_str(&self.take(1));
             if matches!(self.peek(0), Some('+' | '-')) {
                 s.push_str(&self.take(1));
@@ -312,15 +301,10 @@ impl Lexer {
             }
         }
         // Type suffix (f64, u32, usize, …).
-        let mut suffix = String::new();
         while self.peek(0).is_some_and(is_ident_continue) {
-            suffix.push_str(&self.take(1));
+            s.push_str(&self.take(1));
         }
-        if suffix.starts_with('f') {
-            float = true;
-        }
-        s.push_str(&suffix);
-        (if float { Kind::Float } else { Kind::Int }, s)
+        s
     }
 
     fn run(mut self) -> Vec<Tok> {
@@ -333,12 +317,12 @@ impl Lexer {
             // Comments.
             if c == '/' && self.peek(1) == Some('/') {
                 let text = self.line_comment();
-                self.push(Kind::LineComment, text, line, col, depth);
+                self.push(Kind::Comment, text, line, col, depth);
                 continue;
             }
             if c == '/' && self.peek(1) == Some('*') {
                 let text = self.block_comment();
-                self.push(Kind::BlockComment, text, line, col, depth);
+                self.push(Kind::Comment, text, line, col, depth);
                 continue;
             }
             // Raw/byte strings and raw identifiers share the `r`/`b` start.
@@ -361,8 +345,8 @@ impl Lexer {
                     .out
                     .last()
                     .is_some_and(|t| t.kind == Kind::Punct && t.text == ".");
-                let (kind, text) = self.number(after_dot);
-                self.push(kind, text, line, col, depth);
+                let text = self.number(after_dot);
+                self.push(Kind::Num, text, line, col, depth);
                 continue;
             }
             if c == '"' {
@@ -382,13 +366,13 @@ impl Lexer {
                             break;
                         }
                     }
-                    self.push(Kind::Char, s, line, col, depth);
+                    self.push(Kind::Str, s, line, col, depth);
                 } else if next.is_some_and(is_ident_start) && self.peek(2) != Some('\'') {
                     let mut s = self.take(1);
                     while self.peek(0).is_some_and(is_ident_continue) {
                         s.push_str(&self.take(1));
                     }
-                    self.push(Kind::Lifetime, s, line, col, depth);
+                    self.push(Kind::Ident, s, line, col, depth);
                 } else {
                     // 'x' (or a stray quote — consume defensively).
                     let mut s = self.take(1);
@@ -400,7 +384,7 @@ impl Lexer {
                             break;
                         }
                     }
-                    self.push(Kind::Char, s, line, col, depth);
+                    self.push(Kind::Str, s, line, col, depth);
                 }
                 continue;
             }
@@ -462,10 +446,10 @@ mod tests {
         assert_eq!(ts[0], (Kind::Ident, "let".into()));
         assert_eq!(ts[1], (Kind::Ident, "x_us".into()));
         assert_eq!(ts[2], (Kind::Punct, "=".into()));
-        assert_eq!(ts[3], (Kind::Float, "1.5e-3".into()));
+        assert_eq!(ts[3], (Kind::Num, "1.5e-3".into()));
         assert_eq!(ts[4], (Kind::Punct, "+".into()));
         assert_eq!(ts[6], (Kind::Punct, "[".into()));
-        assert_eq!(ts[7], (Kind::Int, "0".into()));
+        assert_eq!(ts[7], (Kind::Num, "0".into()));
     }
 
     #[test]
@@ -476,27 +460,27 @@ mod tests {
             vec![
                 (Kind::Ident, "a".into()),
                 (Kind::Punct, ".".into()),
-                (Kind::Int, "0".into()),
+                (Kind::Num, "0".into()),
                 (Kind::Punct, ".".into()),
-                (Kind::Int, "1".into()),
+                (Kind::Num, "1".into()),
             ]
         );
     }
 
     #[test]
     fn trailing_dot_float_and_method_on_literal() {
-        assert_eq!(kinds("1.")[0], (Kind::Float, "1.".into()));
+        assert_eq!(kinds("1.")[0], (Kind::Num, "1.".into()));
         let ts = kinds("1.max(2)");
-        assert_eq!(ts[0], (Kind::Int, "1".into()));
+        assert_eq!(ts[0], (Kind::Num, "1".into()));
         assert_eq!(ts[1], (Kind::Punct, ".".into()));
         assert_eq!(ts[2], (Kind::Ident, "max".into()));
     }
 
     #[test]
-    fn float_suffixes() {
-        assert_eq!(kinds("1f64")[0], (Kind::Float, "1f64".into()));
-        assert_eq!(kinds("10_000u64")[0], (Kind::Int, "10_000u64".into()));
-        assert_eq!(kinds("0xFF")[0], (Kind::Int, "0xFF".into()));
+    fn suffixes_and_separators_stay_in_one_token() {
+        assert_eq!(kinds("1f64")[0], (Kind::Num, "1f64".into()));
+        assert_eq!(kinds("10_000u64")[0], (Kind::Num, "10_000u64".into()));
+        assert_eq!(kinds("0xFF")[0], (Kind::Num, "0xFF".into()));
     }
 
     #[test]
@@ -524,23 +508,25 @@ mod tests {
     #[test]
     fn nested_block_comments() {
         let ts = kinds("/* outer /* inner */ still comment */ fn f() {}");
-        assert_eq!(ts[0].0, Kind::BlockComment);
+        assert_eq!(ts[0].0, Kind::Comment);
         assert_eq!(ts[1], (Kind::Ident, "fn".into()));
     }
 
     #[test]
     fn lifetimes_vs_char_literals() {
-        let ts = kinds("&'a str; let c = 'x'; let n = '\\n';");
-        assert_eq!(ts[1], (Kind::Lifetime, "'a".into()));
-        assert!(ts.iter().any(|(k, t)| *k == Kind::Char && t == "'x'"));
-        assert!(ts.iter().any(|(k, t)| *k == Kind::Char && t == "'\\n'"));
+        let ts = kinds("&'a str; let c = 'x'; let n = '\\n'; let b = '[';");
+        assert_eq!(ts[1], (Kind::Ident, "'a".into()));
+        assert!(ts.iter().any(|(k, t)| *k == Kind::Str && t == "'x'"));
+        assert!(ts.iter().any(|(k, t)| *k == Kind::Str && t == "'\\n'"));
+        assert!(ts.iter().any(|(k, t)| *k == Kind::Str && t == "'['"));
+        assert!(!ts.iter().any(|(k, t)| *k == Kind::Punct && t == "["));
     }
 
     #[test]
     fn byte_and_raw_forms() {
         assert_eq!(kinds("b\"bytes\"")[0].0, Kind::Str);
         assert_eq!(kinds("br#\"raw bytes\"#")[0].0, Kind::Str);
-        assert_eq!(kinds("b'x'")[0].0, Kind::Char);
+        assert_eq!(kinds("b'x'")[0].0, Kind::Str);
         // Raw identifier lexes as the bare ident.
         assert_eq!(kinds("r#type")[0], (Kind::Ident, "type".into()));
     }
@@ -587,10 +573,13 @@ mod tests {
     }
 
     #[test]
-    fn comments_carry_text_for_directives() {
-        let ts = lex("x(); // simlint: allow(panic) — why\n");
-        let c = ts.iter().find(|t| t.kind == Kind::LineComment).unwrap();
-        assert!(c.text.contains("simlint: allow(panic)"));
-        assert_eq!(c.line, 1);
+    fn comments_carry_their_line_span() {
+        let ts = lex("x(); // trailing\n/* two\nlines */ y();\n");
+        let c: Vec<(u32, usize)> = ts
+            .iter()
+            .filter(|t| t.kind == Kind::Comment)
+            .map(|t| (t.line, t.text.matches('\n').count()))
+            .collect();
+        assert_eq!(c, [(1, 0), (2, 1)]);
     }
 }

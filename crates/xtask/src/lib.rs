@@ -1,76 +1,39 @@
 //! # simlint — the project rules clippy cannot say
 //!
 //! The bans that are a name — `HashMap`, `Instant::now`, `thread::spawn`,
-//! `fs::write`, `.unwrap()`, `f64 ==` — are clippy's: the root `clippy.toml`
-//! lists them, a `#![deny(clippy::…)]` header in a crate's `lib.rs` opts the
-//! crate in, `#[expect(clippy::…, reason = "…")]` is the exemption and an
-//! unfulfilled one is a warning (DESIGN.md §8.1). [`CRATE_LINTS`] is the one
-//! table of which crate denies what; a test holds the headers to it.
+//! `fs::write`, `.unwrap()`, `f64 ==`, and the two ways a wall-clock
+//! reading becomes a number (`obs::span::drain`, `Stopwatch::elapsed_ms`) —
+//! are clippy's: the root `clippy.toml` lists them, a `#![deny(clippy::…)]`
+//! header in a crate's `lib.rs` opts the crate in, `#[expect(clippy::…,
+//! reason = "…")]` is the exemption and an unfulfilled one is a warning
+//! (DESIGN.md §8.1). [`CRATE_LINTS`] is the one table of which crate denies
+//! what; a test holds the headers to it.
 //!
-//! What is left here are three rules about names, comments and flows, which
-//! no clippy lint expresses. Each runs on a hand-rolled token stream
-//! ([`lex`]) — identifiers, literals, operators, comments, string/char
-//! literals with column-accurate spans — so strings, nested block comments
-//! and raw strings can never leak false positives or mask real ones.
+//! What is left here are two rules about names and comments, which no
+//! clippy lint expresses. Both run on a hand-rolled token stream (`lex`) —
+//! identifiers, literals, operators, comments, string/char literals with
+//! column-accurate spans — so strings, nested block comments and raw
+//! strings can never leak false positives or mask real ones.
 //!
 //! | rule | scope | what it bans |
 //! |---|---|---|
-//! | `index-literal` | sim crates | literal indexing `xs[0]` without a bound-justifying comment on the same or preceding line (clippy's `indexing_slicing` cannot read the comment) |
+//! | `index-literal` | sim crates | integer-literal indexing (`xs[0]`, `xs[0usize]`, `xs[1_000]`) without a bound-justifying comment on the same or preceding line (clippy's `indexing_slicing` cannot read the comment) |
 //! | `unit-suffix` | sim + workload | `f64` `pub fn` params, `pub fn` return types and struct fields with a time/rate/size-flavoured name but no unit suffix (`_s`, `_us`, `_pps`, `_gbps`, `_bytes`, …) |
-//! | `determinism-taint` | sim crates | values derived from wall-clock sources (`Instant::now`, `.elapsed()`, `SystemTime`) flowing into sim-state writes, event scheduling, trace payloads or sim-time/RNG constructors |
-//! | `stale-allow` | everywhere | a `simlint: allow(<rule>)` directive that suppresses nothing, or names no rule (warning severity — the allowlist must not rot) |
 //!
-//! Test modules (`#[cfg(test)]`), `tests/`, `benches/`, `examples/` and
-//! binary targets are exempt from `index-literal` and `unit-suffix`;
-//! `determinism-taint` applies to library *and* test code of the sim crates
-//! (a test steered by the clock is a flaky test).
-//!
-//! ## Allowlist
-//!
-//! A finding is suppressed by a directive comment on the same line or the
-//! line directly above (for signature rules, the signature's first line also
-//! anchors):
-//!
-//! ```text
-//! let first = xs[0]; // simlint: allow(index-literal) — checked two lines up
-//! ```
-//!
-//! A directive that suppresses nothing is itself flagged (`stale-allow`).
+//! Test code (items under `#[cfg(test)]` or `#[cfg(all(test, …))]`,
+//! `tests/`, `benches/`, `examples/`) and binary targets are exempt. Every
+//! finding is an error, and there is no allowlist: a literal index states
+//! its bound in a comment, a dimensionless name avoids the dimensioned
+//! words.
 
-// Token scanning is cursor arithmetic: positions move non-uniformly (skip a
-// generic list, jump to a matching brace), which iterator adapters cannot
-// express without fighting the borrow checker over the shared token slice.
-#![allow(clippy::needless_range_loop, clippy::while_let_loop)]
-
-use std::cell::Cell;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-mod flow;
-pub mod lex;
-pub mod report;
+mod lex;
 mod rules;
 
 use lex::{Kind, Tok};
-
-/// How bad a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Hygiene finding: reported, never fails the lint run.
-    Warning,
-    /// Policy violation: fails the lint run.
-    Error,
-}
-
-impl Severity {
-    /// Lower-case name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
+use rules::is_punct;
 
 /// The lint rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -80,43 +43,23 @@ pub enum Rule {
     /// Dimensioned `f64` signature surface (param, field, return) with no
     /// unit suffix.
     UnitSuffix,
-    /// Wall-clock-derived value flowing into simulation state.
-    DetTaint,
-    /// `simlint: allow(...)` directive that suppresses nothing.
-    StaleAllow,
 }
 
 /// Every rule, in report order.
-pub const ALL_RULES: &[Rule] = &[
-    Rule::IndexLiteral,
-    Rule::UnitSuffix,
-    Rule::DetTaint,
-    Rule::StaleAllow,
-];
+pub const ALL_RULES: &[Rule] = &[Rule::IndexLiteral, Rule::UnitSuffix];
 
 impl Rule {
-    /// The name used in `simlint: allow(<name>)` directives and reports.
+    /// The name used in reports and fixture file names.
     pub fn name(self) -> &'static str {
         match self {
             Rule::IndexLiteral => "index-literal",
             Rule::UnitSuffix => "unit-suffix",
-            Rule::DetTaint => "determinism-taint",
-            Rule::StaleAllow => "stale-allow",
         }
     }
 
-    /// Parse a rule name as used in directives and reports.
+    /// Parse a rule name as used in reports.
     pub fn from_name(name: &str) -> Option<Rule> {
         ALL_RULES.iter().copied().find(|r| r.name() == name)
-    }
-
-    /// Severity class: everything is an error except `stale-allow`, which is
-    /// a hygiene warning.
-    pub fn severity(self) -> Severity {
-        match self {
-            Rule::StaleAllow => Severity::Warning,
-            _ => Severity::Error,
-        }
     }
 
     /// Long-form rationale for `cargo xtask explain`.
@@ -133,20 +76,6 @@ impl Rule {
                  dimensioned f64 in a public signature or struct field carries a unit suffix \
                  (_s, _us, _pps, _gbps, _bytes, ...), so the unit is part of the name. \
                  Conversions live in models::units."
-            }
-            Rule::DetTaint => {
-                "Determinism taint analysis, the flow half of the wall-clock ban (clippy.toml \
-                 bans the read; a sanctioned read carries #[expect]): values derived from \
-                 Instant::now/SystemTime/.elapsed() are tracked through locals and arithmetic, \
-                 and flagged when they flow into sim-state writes (field assignments), event \
-                 scheduling (schedule/schedule_at/schedule_in), trace payloads (record) or \
-                 SimTime/SimDuration/SimRng constructors. Profiling may *measure* the \
-                 simulation; it must never *steer* it."
-            }
-            Rule::StaleAllow => {
-                "A `simlint: allow(<rule>)` directive that no longer suppresses any finding is \
-                 dead weight that hides future regressions of the same rule at that site. \
-                 Delete the directive (warning severity: reported, does not fail the run)."
             }
         }
     }
@@ -167,40 +96,17 @@ pub struct Violation {
     pub message: String,
 }
 
-impl Violation {
-    /// Severity, derived from the rule.
-    pub fn severity(&self) -> Severity {
-        self.rule.severity()
-    }
-}
-
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}:{}: {} [{}] {}",
+            "{}:{}:{}: error [{}] {}",
             self.file.display(),
             self.line,
             self.col,
-            self.severity().name(),
             self.rule.name(),
             self.message
         )
-    }
-}
-
-/// The rules that apply to a file. `stale-allow` is a meta rule and always
-/// on.
-#[derive(Debug, Clone, Copy)]
-pub struct Scope(&'static [Rule]);
-
-impl Scope {
-    /// Every rule enabled — fixture selftests and ad-hoc file linting.
-    pub const STRICT: Scope = Scope(SIM_RULES);
-
-    /// Is `rule` enabled under this scope?
-    pub fn enables(&self, rule: Rule) -> bool {
-        rule == Rule::StaleAllow || self.0.contains(&rule)
     }
 }
 
@@ -225,7 +131,6 @@ const SIM_CLIPPY: &[&str] = &[
     "expect_used",
     "float_cmp",
 ];
-const SIM_RULES: &[Rule] = &[Rule::IndexLiteral, Rule::UnitSuffix, Rule::DetTaint];
 /// Library panic discipline only.
 const PANIC_CLIPPY: &[&str] = &["unwrap_used", "expect_used"];
 
@@ -233,12 +138,12 @@ const fn sim(krate: &'static str) -> CrateLints {
     CrateLints {
         krate,
         clippy: SIM_CLIPPY,
-        rules: SIM_RULES,
+        rules: ALL_RULES,
     }
 }
 
-/// The one table of who is held to what: [`scope_for`] reads `rules`, and
-/// the `headers_deny_what_the_table_demands` test holds each crate's
+/// The one table of who is held to what: [`lint_workspace`] reads `rules`,
+/// and the `headers_deny_what_the_table_demands` test holds each crate's
 /// `#![deny(clippy::…)]` header to `clippy`. A crate not listed (`core`,
 /// `xtask`, the root package) is held to neither.
 ///
@@ -273,81 +178,51 @@ pub const CRATE_LINTS: &[CrateLints] = &[
     },
 ];
 
-/// Scope for a workspace-relative source path, `None` if the file is not
-/// linted (bins, benches, fixtures, generated code, `xtask` itself). A
-/// library file of a crate [`CRATE_LINTS`] does not list gets the empty
-/// scope: only its directives are checked (`stale-allow`).
-pub fn scope_for(rel: &Path) -> Option<Scope> {
+/// The rules that run over a workspace-relative source path: its crate's
+/// [`CRATE_LINTS`] row for a library file under `crates/<name>/src/`, none
+/// for anything else (bins, tests, benches, fixtures, unlisted crates).
+fn scope_for(rel: &Path) -> &'static [Rule] {
     let mut comps = rel.components().map(|c| c.as_os_str().to_string_lossy());
     if comps.next().as_deref() != Some("crates") {
-        return None;
+        return &[];
     }
-    let krate = comps.next()?.to_string();
-    // Only library sources: crates/<name>/src/**, excluding bin targets.
-    if comps.next().as_deref() != Some("src") {
-        return None;
+    let Some(krate) = comps.next() else {
+        return &[];
+    };
+    if comps.next().as_deref() != Some("src") || comps.next().as_deref() == Some("bin") {
+        return &[];
     }
-    if comps.next().as_deref() == Some("bin") || krate == "xtask" {
-        return None;
-    }
-    let rules = CRATE_LINTS
+    CRATE_LINTS
         .iter()
         .find(|c| c.krate == krate)
-        .map_or(&[][..], |c| c.rules);
-    Some(Scope(rules))
-}
-
-/// A parsed `simlint: allow(...)` directive.
-struct AllowDirective {
-    /// Line the directive comment starts on.
-    line: usize,
-    /// Column of the comment token.
-    col: usize,
-    /// Rule names listed inside `allow(...)`, verbatim.
-    rules: Vec<String>,
-    /// Set when the directive suppresses at least one finding.
-    used: Cell<bool>,
+        .map_or(&[], |c| c.rules)
 }
 
 /// Per-file analysis context shared by every rule.
 pub(crate) struct Ctx<'a> {
-    pub(crate) file: &'a Path,
+    file: &'a Path,
     /// Code tokens only — comments stripped, order preserved.
     pub(crate) code: Vec<&'a Tok>,
-    /// Per-line (0-based index = line-1) "is `#[cfg(test)]` code".
+    /// Per 1-based line: "is test-only code".
     tests: Vec<bool>,
-    /// Per-line "has a non-directive comment" (bound-justification check).
-    plain_comment: Vec<bool>,
-    allows: Vec<AllowDirective>,
+    /// Per 1-based line: "carries a comment" (bound-justification check).
+    comment: Vec<bool>,
 }
 
 impl<'a> Ctx<'a> {
-    pub(crate) fn new(file: &'a Path, source: &str, toks: &'a [Tok]) -> Self {
+    fn new(file: &'a Path, source: &str, toks: &'a [Tok]) -> Self {
         let nlines = source.lines().count().max(1);
-        let mut plain_comment = vec![false; nlines + 1];
-        let mut allows = Vec::new();
+        let mut comment = vec![false; nlines + 1];
         let mut code: Vec<&Tok> = Vec::with_capacity(toks.len());
         for t in toks {
-            match t.kind {
-                Kind::LineComment | Kind::BlockComment => {
-                    let span_lines = t.text.matches('\n').count();
-                    let dirs = parse_allow_rules(&t.text);
-                    if dirs.is_empty() {
-                        for l in t.line as usize..=t.line as usize + span_lines {
-                            if l <= nlines {
-                                plain_comment[l] = true;
-                            }
-                        }
-                    } else {
-                        allows.push(AllowDirective {
-                            line: t.line as usize,
-                            col: t.col as usize,
-                            rules: dirs,
-                            used: Cell::new(false),
-                        });
-                    }
+            if t.kind == Kind::Comment {
+                let first = t.line as usize;
+                let last = (first + t.text.matches('\n').count()).min(nlines);
+                if let Some(lines) = comment.get_mut(first..=last) {
+                    lines.fill(true);
                 }
-                _ => code.push(t),
+            } else {
+                code.push(t);
             }
         }
         let tests = test_mask(&code, nlines);
@@ -355,139 +230,95 @@ impl<'a> Ctx<'a> {
             file,
             code,
             tests,
-            plain_comment,
-            allows,
+            comment,
         }
     }
 
-    /// Is 1-based `line` inside `#[cfg(test)]`-gated code?
+    /// Is 1-based `line` test-only code?
     pub(crate) fn is_test_line(&self, line: usize) -> bool {
-        self.tests
-            .get(line.saturating_sub(1))
-            .copied()
-            .unwrap_or(false)
+        self.tests.get(line).copied().unwrap_or(false)
     }
 
-    /// Does `line` or the line above carry a non-directive comment?
-    /// (`index-literal` bound justification.)
-    pub(crate) fn has_plain_comment(&self, line: usize) -> bool {
-        self.plain_comment.get(line).copied().unwrap_or(false)
-            || (line > 1 && self.plain_comment.get(line - 1).copied().unwrap_or(false))
+    /// Does `line` or the line above carry a comment? (`index-literal`
+    /// bound justification.)
+    pub(crate) fn has_comment(&self, line: usize) -> bool {
+        [line, line.saturating_sub(1)]
+            .iter()
+            .any(|&l| self.comment.get(l).copied().unwrap_or(false))
     }
 
-    /// Is `rule` allowed at `line` (directive on the line or the line
-    /// above)? Marks the directive used.
-    fn allowed(&self, line: usize, rule: Rule) -> bool {
-        let mut hit = false;
-        for d in &self.allows {
-            if (d.line == line || d.line + 1 == line) && d.rules.iter().any(|r| r == rule.name()) {
-                d.used.set(true);
-                hit = true;
-            }
-        }
-        hit
-    }
-}
-
-/// Extract the rule names from any `simlint: allow(a, b)` directives in a
-/// comment's text.
-fn parse_allow_rules(comment: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut rest = comment;
-    while let Some(pos) = rest.find("simlint: allow(") {
-        rest = &rest[pos + "simlint: allow(".len()..];
-        let Some(end) = rest.find(')') else { break };
-        for r in rest[..end].split(',') {
-            out.push(r.trim().to_string());
-        }
-        rest = &rest[end..];
-    }
-    out
-}
-
-/// Collector with allowlist routing.
-pub(crate) struct Sink<'c, 'a> {
-    ctx: &'c Ctx<'a>,
-    out: Vec<Violation>,
-}
-
-impl<'c, 'a> Sink<'c, 'a> {
-    fn new(ctx: &'c Ctx<'a>) -> Self {
-        Sink {
-            ctx,
-            out: Vec::new(),
-        }
-    }
-
-    /// Record a finding unless a directive on its line (or the line above)
-    /// allows the rule.
-    pub(crate) fn push(&mut self, line: usize, col: usize, rule: Rule, message: String) {
-        self.push_anchored(line, line, col, rule, message);
-    }
-
-    /// Record a finding; directives at the violation line *or* at `anchor`
-    /// (a multi-line signature's first line) suppress it.
-    pub(crate) fn push_anchored(
-        &mut self,
-        anchor: usize,
-        line: usize,
-        col: usize,
-        rule: Rule,
-        message: String,
-    ) {
-        let allowed = self.ctx.allowed(line, rule) | self.ctx.allowed(anchor, rule);
-        if allowed {
-            return;
-        }
-        self.out.push(Violation {
-            file: self.ctx.file.to_path_buf(),
-            line,
-            col,
+    /// A finding at token `at` of this file.
+    pub(crate) fn finding(&self, at: &Tok, rule: Rule, message: String) -> Violation {
+        Violation {
+            file: self.file.to_path_buf(),
+            line: at.line as usize,
+            col: at.col as usize,
             rule,
             message,
-        });
+        }
     }
 }
 
-/// Mark lines belonging to `#[cfg(test)]`-gated items. Token-accurate: the
-/// attribute's brace depth anchors the item; the item ends at the first `;`
-/// or the matching `}` at that depth.
+/// Is `code[i]` the `#` of an outer attribute `#[…]`?
+pub(crate) fn is_attr(code: &[&Tok], i: usize) -> bool {
+    code.get(i).is_some_and(|t| is_punct(t, "#"))
+        && code.get(i + 1).is_some_and(|t| is_punct(t, "["))
+}
+
+/// `code[i]` starts an attribute (see [`is_attr`]): the index just past its
+/// closing `]`.
+pub(crate) fn skip_attr(code: &[&Tok], i: usize) -> usize {
+    let mut depth = 0i64;
+    let mut j = i + 1;
+    while j < code.len() {
+        if is_punct(code[j], "[") {
+            depth += 1;
+        } else if is_punct(code[j], "]") {
+            depth -= 1;
+        }
+        j += 1;
+        if depth == 0 {
+            break;
+        }
+    }
+    j
+}
+
+/// Does the attribute gate on a predicate that holds only under test —
+/// `cfg(test)` or `cfg(all(…, test, …))`? `cfg(not(test))` and
+/// `cfg(any(test, …))` code also builds outside tests, so it is linted.
+fn only_under_test(attr: &[&Tok]) -> bool {
+    let text: Vec<&str> = attr.iter().map(|t| t.text.as_str()).collect();
+    match text.as_slice() {
+        ["#", "[", "cfg", "(", "test", ")", "]"] => true,
+        ["#", "[", "cfg", "(", "all", "(", args @ ..] => {
+            let mut depth = 0i64;
+            args.iter().any(|&t| {
+                match t {
+                    "(" => depth += 1,
+                    ")" => depth -= 1,
+                    _ => {}
+                }
+                depth == 0 && t == "test"
+            })
+        }
+        _ => false,
+    }
+}
+
+/// Mark the lines (1-based) of items gated by a test-only `cfg`.
+/// Token-accurate: the attribute's brace depth anchors the item; the item
+/// ends at the first `;` or the matching `}` at that depth.
 fn test_mask(code: &[&Tok], nlines: usize) -> Vec<bool> {
-    let mut mask = vec![false; nlines];
+    let mut mask = vec![false; nlines + 1];
     let mut i = 0;
     while i < code.len() {
-        if !(code[i].kind == Kind::Punct && code[i].text == "#") {
+        if !is_attr(code, i) {
             i += 1;
             continue;
         }
-        let Some(next) = code.get(i + 1) else { break };
-        if !(next.kind == Kind::Punct && next.text == "[") {
-            i += 1;
-            continue;
-        }
-        // Scan the attribute to its closing `]`, collecting identifiers.
-        let mut j = i + 2;
-        let mut brackets = 1i64;
-        let mut idents: Vec<&str> = Vec::new();
-        while j < code.len() && brackets > 0 {
-            let t = code[j];
-            match t.kind {
-                Kind::Punct => {
-                    for c in t.text.chars() {
-                        match c {
-                            '[' => brackets += 1,
-                            ']' => brackets -= 1,
-                            _ => {}
-                        }
-                    }
-                }
-                Kind::Ident => idents.push(&t.text),
-                _ => {}
-            }
-            j += 1;
-        }
-        let is_cfg_test = idents.first() == Some(&"cfg") && idents.contains(&"test");
-        if !is_cfg_test {
+        let j = skip_attr(code, i);
+        if !only_under_test(&code[i..j]) {
             i = j;
             continue;
         }
@@ -495,29 +326,8 @@ fn test_mask(code: &[&Tok], nlines: usize) -> Vec<bool> {
         let start_line = code[i].line as usize;
         // Skip any further attributes between the cfg and the item.
         let mut k = j;
-        while k + 1 < code.len()
-            && code[k].kind == Kind::Punct
-            && code[k].text == "#"
-            && code[k + 1].text == "["
-        {
-            let mut b = 0i64;
-            k += 1;
-            loop {
-                let Some(t) = code.get(k) else { break };
-                if t.kind == Kind::Punct {
-                    for c in t.text.chars() {
-                        match c {
-                            '[' => b += 1,
-                            ']' => b -= 1,
-                            _ => {}
-                        }
-                    }
-                }
-                k += 1;
-                if b == 0 {
-                    break;
-                }
-            }
+        while is_attr(code, k) {
+            k = skip_attr(code, k);
         }
         // Find the end of the gated item: first `;` at the attribute's
         // depth, or the `}` matching the first `{` at that depth.
@@ -526,26 +336,17 @@ fn test_mask(code: &[&Tok], nlines: usize) -> Vec<bool> {
         let mut saw_open = false;
         while m < code.len() {
             let t = code[m];
-            if t.kind == Kind::Punct && t.depth == depth {
-                if t.text == ";" && !saw_open {
-                    end_line = t.line as usize;
-                    break;
-                }
-                if t.text == "{" {
-                    saw_open = true;
-                }
-                if t.text == "}" && saw_open {
-                    end_line = t.line as usize;
-                    break;
-                }
-            }
             end_line = t.line as usize;
+            if t.kind == Kind::Punct && t.depth == depth {
+                if (t.text == ";" && !saw_open) || (t.text == "}" && saw_open) {
+                    break;
+                }
+                saw_open |= t.text == "{";
+            }
             m += 1;
         }
-        for l in start_line..=end_line {
-            if l >= 1 && l <= nlines {
-                mask[l - 1] = true;
-            }
+        if let Some(lines) = mask.get_mut(start_line..=end_line.min(nlines)) {
+            lines.fill(true);
         }
         i = m.max(j);
     }
@@ -553,7 +354,7 @@ fn test_mask(code: &[&Tok], nlines: usize) -> Vec<bool> {
 }
 
 /// Approved unit suffixes for dimensioned `f64` names.
-pub const UNIT_SUFFIXES: &[&str] = &[
+const UNIT_SUFFIXES: &[&str] = &[
     "_s", "_us", "_ns", "_ms", "_hz", "_pps", "_bps", "_mbps", "_gbps", "_bytes", "_kb", "_mb",
     "_pkts", "_frac", "_ratio", "_deg",
 ];
@@ -578,65 +379,37 @@ const DIMENSIONED: &[&str] = &[
     "horizon",
 ];
 
-pub(crate) fn is_dimensioned(name: &str) -> bool {
+/// Does `name` carry a dimension and no unit suffix?
+pub(crate) fn lacks_unit(name: &str) -> bool {
     // Exact `_`-separated segment match: `feedback_delay_us` is dimensioned
     // (segment "delay") but `rc_delayed` is not — "delayed" marks a delayed
     // *state value*, whose unit is the state's, not a duration.
     name.split('_').any(|seg| DIMENSIONED.contains(&seg))
+        && !UNIT_SUFFIXES.iter().any(|s| name.ends_with(s))
 }
 
-pub(crate) fn has_unit_suffix(name: &str) -> bool {
-    UNIT_SUFFIXES.iter().any(|s| name.ends_with(s))
+/// The message tail of every `unit-suffix` finding.
+pub(crate) fn rename_hint() -> String {
+    format!("rename with one of {UNIT_SUFFIXES:?} (keep conversions in models::units)")
 }
 
-/// Lint one file's source under the given scope.
-pub fn lint_source(file: &Path, source: &str, scope: Scope) -> Vec<Violation> {
+/// Lint one file's source under the given rules.
+fn lint_source(file: &Path, source: &str, scope: &[Rule]) -> Vec<Violation> {
     let toks = lex::lex(source);
     let ctx = Ctx::new(file, source, &toks);
-    let mut sink = Sink::new(&ctx);
-    if scope.enables(Rule::IndexLiteral) {
-        rules::index_literal(&ctx, &mut sink);
-    }
-    if scope.enables(Rule::UnitSuffix) {
-        rules::unit_suffix(&ctx, &mut sink);
-    }
-    if scope.enables(Rule::DetTaint) {
-        flow::taint_pass(&ctx, &mut sink);
-    }
-    let mut out = sink.out;
-    // Stale-allow: any directive that suppressed nothing, outside test code,
-    // naming a rule this scope actually enforces (or no known rule at all).
-    for d in &ctx.allows {
-        if d.used.get() || ctx.is_test_line(d.line) {
-            continue;
-        }
-        for name in &d.rules {
-            match Rule::from_name(name) {
-                None => out.push(Violation {
-                    file: file.to_path_buf(),
-                    line: d.line,
-                    col: d.col,
-                    rule: Rule::StaleAllow,
-                    message: format!("allow directive names unknown rule `{name}`"),
-                }),
-                Some(r) if scope.enables(r) => out.push(Violation {
-                    file: file.to_path_buf(),
-                    line: d.line,
-                    col: d.col,
-                    rule: Rule::StaleAllow,
-                    message: format!(
-                        "allow({name}) suppresses nothing here; delete the stale directive"
-                    ),
-                }),
-                Some(_) => {}
-            }
+    let mut out = Vec::new();
+    for rule in scope {
+        match rule {
+            Rule::IndexLiteral => rules::index_literal(&ctx, &mut out),
+            Rule::UnitSuffix => rules::unit_suffix(&ctx, &mut out),
         }
     }
-    out.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
+    out.sort_by_key(|v| (v.line, v.col, v.rule));
     out
 }
 
-/// Recursively lint every `.rs` file under `root/crates/*/src`.
+/// Lint every `.rs` file under `root/crates/*/src` with its crate's rules,
+/// in path order.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut files = Vec::new();
     collect_rs_files(&root.join("crates"), &mut files)?;
@@ -644,13 +417,11 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut out = Vec::new();
     for f in files {
         let rel = f.strip_prefix(root).unwrap_or(&f);
-        let Some(scope) = scope_for(rel) else {
-            continue;
-        };
-        let src = std::fs::read_to_string(&f)?;
-        out.extend(lint_source(rel, &src, scope));
+        let scope = scope_for(rel);
+        if !scope.is_empty() {
+            out.extend(lint_source(rel, &std::fs::read_to_string(&f)?, scope));
+        }
     }
-    out.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     Ok(out)
 }
 
@@ -674,11 +445,11 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lint a single file as if it were sim-crate library code (used for
-/// fixture self-tests and ad-hoc checks).
+/// Lint a single file with every rule, as if it were sim-crate library code
+/// (fixture self-tests and ad-hoc checks).
 pub fn lint_path_strict(path: &Path) -> std::io::Result<Vec<Violation>> {
     let src = std::fs::read_to_string(path)?;
-    Ok(lint_source(path, &src, Scope::STRICT))
+    Ok(lint_source(path, &src, ALL_RULES))
 }
 
 #[cfg(test)]
@@ -686,7 +457,7 @@ mod tests {
     use super::*;
 
     fn strict(src: &str) -> Vec<Violation> {
-        lint_source(Path::new("test.rs"), src, Scope::STRICT)
+        lint_source(Path::new("test.rs"), src, ALL_RULES)
     }
 
     fn repo_root() -> PathBuf {
@@ -694,34 +465,12 @@ mod tests {
     }
 
     #[test]
-    fn allow_directive_suppresses_same_line() {
-        let v = strict("fn f() { let x = xs[0]; } // simlint: allow(index-literal)\n");
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn allow_directive_suppresses_next_line() {
-        let v = strict(
-            "// simlint: allow(index-literal) — checked by the caller\nfn f() { let x = xs[0]; }\n",
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn allow_of_other_rule_does_not_suppress() {
-        // The index fires (a directive is not a bound-justifying comment),
-        // and the allow(unit-suffix) — suppressing nothing — is itself a
-        // stale-allow warning.
-        let v = strict("fn f() { let x = xs[0]; } // simlint: allow(unit-suffix)\n");
-        assert_eq!(v.iter().filter(|v| v.rule == Rule::IndexLiteral).count(), 1);
-        assert_eq!(v.iter().filter(|v| v.rule == Rule::StaleAllow).count(), 1);
-    }
-
-    #[test]
     fn test_modules_are_exempt_from_index_literal() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn f() { xs[0]; }\n}\n";
-        let v = strict(src);
-        assert!(v.is_empty(), "{v:?}");
+        for cfg in ["cfg(test)", "cfg(all(test, unix))", "cfg(all(unix, test))"] {
+            let src = format!("#[{cfg}]\nmod tests {{\n    fn f() {{ xs[0]; }}\n}}\n");
+            let v = strict(&src);
+            assert!(v.is_empty(), "{cfg}: {v:?}");
+        }
     }
 
     #[test]
@@ -730,16 +479,16 @@ mod tests {
         let v = strict(src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 5);
-    }
-
-    #[test]
-    fn taint_applies_even_in_tests() {
-        // A test steered by the clock is a flaky test.
-        let src = "#[cfg(test)]\nmod tests {\n    fn f(q: &mut Q) {\n        let t = std::time::Instant::now().elapsed();\n        q.schedule(t, 1);\n    }\n}\n";
-        let v = strict(src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::DetTaint);
-        assert_eq!(v[0].line, 5);
+        // Code that also builds outside tests is not test code.
+        for cfg in [
+            "cfg(not(test))",
+            "cfg(any(test, unix))",
+            "cfg(all(unix, not(test)))",
+        ] {
+            let v = strict(&format!("#[{cfg}]\nfn f() {{ let x = xs[0]; }}\n"));
+            assert_eq!(v.len(), 1, "{cfg}: {v:?}");
+            assert_eq!(v[0].line, 2, "{cfg}");
+        }
     }
 
     #[test]
@@ -764,6 +513,16 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::IndexLiteral);
         assert_eq!(v[0].col, 20, "column points at the `[`");
+        // Any integer literal: suffixed, separated, another base.
+        for src in [
+            "fn f() { xs[0usize]; }\n",
+            "fn f() { ys[1_000]; }\n",
+            "fn f() { zs[0x1F]; }\n",
+        ] {
+            let v = strict(src);
+            assert_eq!(v.len(), 1, "{src}: {v:?}");
+            assert_eq!(v[0].rule, Rule::IndexLiteral);
+        }
     }
 
     #[test]
@@ -814,14 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn unit_suffix_allow_on_signature_line_covers_params() {
-        let v = strict(
-            "// simlint: allow(unit-suffix) — legacy API, tracked\npub fn set(\n    rate: f64,\n) {}\n",
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
     fn private_fns_are_not_unit_checked() {
         let v = strict("fn set(rate: f64) {}\n");
         assert!(v.is_empty(), "{v:?}");
@@ -860,37 +611,27 @@ mod tests {
     #[test]
     fn scope_routing() {
         let scope = |p: &str| scope_for(Path::new(p));
-        let on = |p: &str, r: Rule| scope(p).is_some_and(|s| s.enables(r));
         for p in [
             "crates/netsim/src/engine.rs",
             "crates/faults/src/schedule.rs",
             "crates/store/src/atomic.rs",
-            // The sanctioned clock readers are where the flow rule matters.
             "crates/obs/src/span.rs",
-            "crates/desim/src/supervise.rs",
         ] {
-            assert!(SIM_RULES.iter().all(|&r| on(p, r)), "{p}");
+            assert_eq!(scope(p), ALL_RULES, "{p}");
         }
-        let fct = "crates/workload/src/fct.rs";
-        assert!(on(fct, Rule::UnitSuffix));
-        assert!(!on(fct, Rule::IndexLiteral) && !on(fct, Rule::DetTaint));
-        // Listed for their clippy header, or not at all: directives only.
+        assert_eq!(scope("crates/workload/src/fct.rs"), [Rule::UnitSuffix]);
+        // Listed for their clippy header only, unlisted, or not library
+        // code: not linted.
         for p in [
             "crates/control/src/roots.rs",
             "crates/bench/src/report.rs",
             "crates/core/src/output.rs",
-        ] {
-            assert!(scope(p).is_some(), "{p}");
-            assert!(SIM_RULES.iter().all(|&r| !on(p, r)), "{p}");
-            assert!(on(p, Rule::StaleAllow), "{p}");
-        }
-        for p in [
             "crates/bench/src/bin/simreport.rs",
             "crates/xtask/src/lib.rs",
             "crates/desim/tests/wheel_differential.rs",
             "examples/quickstart.rs",
         ] {
-            assert!(scope(p).is_none(), "{p}");
+            assert!(scope(p).is_empty(), "{p}");
         }
     }
 
@@ -959,39 +700,6 @@ mod tests {
             !lock.lines().any(|l| l.starts_with("source = ")),
             "Cargo.lock names a registry or git source"
         );
-    }
-
-    #[test]
-    fn stale_allow_fires_on_unused_directive() {
-        let v = strict("fn f() { let x = 1; } // simlint: allow(index-literal)\n");
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::StaleAllow);
-        assert_eq!(v[0].severity(), Severity::Warning);
-    }
-
-    #[test]
-    fn stale_allow_flags_unknown_rule_names() {
-        // A rule that moved to clippy.toml is an unknown name now.
-        let v = strict("fn f() {} // simlint: allow(wall-clock)\n");
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::StaleAllow);
-        assert!(v[0].message.contains("unknown rule"));
-    }
-
-    #[test]
-    fn stale_allow_skips_test_code_and_out_of_scope_rules() {
-        // Inside #[cfg(test)] index-literal never runs, so an allow there
-        // must not be called stale.
-        let v =
-            strict("#[cfg(test)]\nmod t {\n    fn f() {} // simlint: allow(index-literal)\n}\n");
-        assert!(v.is_empty(), "{v:?}");
-        // A rule the scope does not enforce cannot be stale either.
-        let v = lint_source(
-            Path::new("w.rs"),
-            "fn f() {} // simlint: allow(index-literal)\n",
-            Scope(&[Rule::UnitSuffix]),
-        );
-        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! cannot fire.
 
 use crate::lex::{Kind, Tok};
-use crate::{has_unit_suffix, is_dimensioned, Ctx, Rule, Sink, UNIT_SUFFIXES};
+use crate::{is_attr, lacks_unit, rename_hint, skip_attr, Ctx, Rule, Violation};
 
-pub(crate) fn is_ident(t: &Tok, s: &str) -> bool {
+fn is_ident(t: &Tok, s: &str) -> bool {
     t.kind == Kind::Ident && t.text == s
 }
 
@@ -16,9 +16,10 @@ pub(crate) fn is_punct(t: &Tok, s: &str) -> bool {
     t.kind == Kind::Punct && t.text == s
 }
 
-/// `index-literal`: literal indexing `xs[0]` without a bound-justifying
-/// comment on the same or the preceding line. Test code is exempt.
-pub(crate) fn index_literal(ctx: &Ctx, sink: &mut Sink) {
+/// `index-literal`: indexing by an integer literal (`xs[0]`, `xs[0usize]`,
+/// `xs[1_000]`) without a comment on the same or the preceding line. Test
+/// code is exempt.
+pub(crate) fn index_literal(ctx: &Ctx, out: &mut Vec<Violation>) {
     let code = &ctx.code;
     for i in 1..code.len() {
         let t = code[i];
@@ -29,28 +30,25 @@ pub(crate) fn index_literal(ctx: &Ctx, sink: &mut Sink) {
         if !(is_punct(t, "[") && indexes_a_value) || ctx.is_test_line(line) {
             continue;
         }
-        let literal = code
-            .get(i + 1)
-            .is_some_and(|n| n.kind == Kind::Int && n.text.chars().all(|c| c.is_ascii_digit()))
+        let literal = code.get(i + 1).is_some_and(|n| n.kind == Kind::Num)
             && code.get(i + 2).is_some_and(|n| is_punct(n, "]"));
-        if literal && !ctx.has_plain_comment(line) {
+        if literal && !ctx.has_comment(line) {
             let col = t.col as usize;
-            sink.push(
-                line,
-                col,
+            out.push(ctx.finding(
+                t,
                 Rule::IndexLiteral,
                 format!(
                     "literal index at column {col} without a bound-justifying comment on \
                      this or the preceding line"
                 ),
-            );
+            ));
         }
     }
 }
 
 /// Count angle-bracket nesting contributed by one punct token's characters.
 /// `->` / `=>` never open or close a generic list and are skipped whole.
-pub(crate) fn angle_delta(t: &Tok) -> i64 {
+fn angle_delta(t: &Tok) -> i64 {
     if t.kind != Kind::Punct || t.text == "->" || t.text == "=>" {
         return 0;
     }
@@ -66,7 +64,7 @@ pub(crate) fn angle_delta(t: &Tok) -> i64 {
 
 /// Starting at `i` (which must point at `<`), return the index just past the
 /// matching `>`, counting angle characters across multi-char puncts.
-pub(crate) fn skip_generics(code: &[&Tok], i: usize) -> usize {
+fn skip_generics(code: &[&Tok], i: usize) -> usize {
     let mut depth = 0i64;
     let mut j = i;
     while j < code.len() {
@@ -81,12 +79,11 @@ pub(crate) fn skip_generics(code: &[&Tok], i: usize) -> usize {
 
 /// Split `code[range]` at top-level commas (parens, brackets, braces and
 /// angles all count as nesting). Returns index ranges.
-pub(crate) fn split_commas(code: &[&Tok], start: usize, end: usize) -> Vec<(usize, usize)> {
+fn split_commas(code: &[&Tok], start: usize, end: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let (mut paren, mut bracket, mut brace, mut angle) = (0i64, 0i64, 0i64, 0i64);
     let mut seg = start;
-    for j in start..end {
-        let t = code[j];
+    for (j, &t) in code.iter().enumerate().take(end).skip(start) {
         if t.kind == Kind::Punct {
             match t.text.as_str() {
                 "(" => paren += 1,
@@ -118,16 +115,16 @@ fn is_f64_type(code: &[&Tok], start: usize, end: usize) -> bool {
 
 /// `unit-suffix` over signatures: `pub fn` params and return types, and
 /// struct fields.
-pub(crate) fn unit_suffix(ctx: &Ctx, sink: &mut Sink) {
+pub(crate) fn unit_suffix(ctx: &Ctx, out: &mut Vec<Violation>) {
     let code = &ctx.code;
     let mut i = 0;
     while i < code.len() {
         if is_ident(code[i], "struct") {
-            i = check_struct_fields(ctx, sink, i);
+            i = check_struct_fields(ctx, out, i);
             continue;
         }
         if is_ident(code[i], "fn") {
-            i = check_pub_fn(ctx, sink, i);
+            i = check_pub_fn(ctx, out, i);
             continue;
         }
         i += 1;
@@ -135,9 +132,8 @@ pub(crate) fn unit_suffix(ctx: &Ctx, sink: &mut Sink) {
 }
 
 /// Returns the index to resume scanning from.
-fn check_struct_fields(ctx: &Ctx, sink: &mut Sink, i: usize) -> usize {
+fn check_struct_fields(ctx: &Ctx, out: &mut Vec<Violation>, i: usize) -> usize {
     let code = &ctx.code;
-    let struct_line = code[i].line as usize;
     let Some(name) = code.get(i + 1) else {
         return i + 1;
     };
@@ -168,25 +164,8 @@ fn check_struct_fields(ctx: &Ctx, sink: &mut Sink, i: usize) -> usize {
         if is_punct(t, "}") && t.depth == body_depth {
             return k + 1;
         }
-        // Skip field attributes.
-        if is_punct(t, "#") && code.get(k + 1).is_some_and(|n| is_punct(n, "[")) {
-            let mut b = 0i64;
-            k += 1;
-            while k < code.len() {
-                if code[k].kind == Kind::Punct {
-                    for c in code[k].text.chars() {
-                        match c {
-                            '[' => b += 1,
-                            ']' => b -= 1,
-                            _ => {}
-                        }
-                    }
-                }
-                k += 1;
-                if b == 0 {
-                    break;
-                }
-            }
+        if is_attr(code, k) {
+            k = skip_attr(code, k);
             continue;
         }
         // Optional visibility.
@@ -227,20 +206,17 @@ fn check_struct_fields(ctx: &Ctx, sink: &mut Sink, i: usize) -> usize {
             let fline = t.line as usize;
             if is_f64_type(code, ty_start, ty_end)
                 && !ctx.is_test_line(fline)
-                && is_dimensioned(&t.text)
-                && !has_unit_suffix(&t.text)
+                && lacks_unit(&t.text)
             {
-                sink.push_anchored(
-                    struct_line,
-                    fline,
-                    t.col as usize,
+                out.push(ctx.finding(
+                    t,
                     Rule::UnitSuffix,
                     format!(
-                        "struct field `{}: f64` carries a dimension but no unit suffix; \
-                         rename with one of {:?} (keep conversions in models::units)",
-                        t.text, UNIT_SUFFIXES
+                        "struct field `{}: f64` carries a dimension but no unit suffix; {}",
+                        t.text,
+                        rename_hint()
                     ),
-                );
+                ));
             }
             k = ty_end + 1;
             continue;
@@ -284,7 +260,7 @@ fn fn_is_pub(code: &[&Tok], i: usize) -> bool {
 
 /// Locate the parameter-list parens of the `fn` at `i`; returns
 /// `(name_idx, open_paren_idx, close_paren_idx)`.
-pub(crate) fn fn_signature(code: &[&Tok], i: usize) -> Option<(usize, usize, usize)> {
+fn fn_signature(code: &[&Tok], i: usize) -> Option<(usize, usize, usize)> {
     let name = code.get(i + 1)?;
     if name.kind != Kind::Ident {
         return None;
@@ -313,7 +289,7 @@ pub(crate) fn fn_signature(code: &[&Tok], i: usize) -> Option<(usize, usize, usi
 }
 
 /// Returns the index to resume scanning from.
-fn check_pub_fn(ctx: &Ctx, sink: &mut Sink, i: usize) -> usize {
+fn check_pub_fn(ctx: &Ctx, out: &mut Vec<Violation>, i: usize) -> usize {
     let code = &ctx.code;
     let fn_line = code[i].line as usize;
     if ctx.is_test_line(fn_line) || !fn_is_pub(code, i) {
@@ -333,18 +309,16 @@ fn check_pub_fn(ctx: &Ctx, sink: &mut Sink, i: usize) -> usize {
         if nt.kind != Kind::Ident || !code.get(s + 1).is_some_and(|t| is_punct(t, ":")) {
             continue; // `self`, destructuring patterns, …
         }
-        if is_f64_type(code, s + 2, pe) && is_dimensioned(&nt.text) && !has_unit_suffix(&nt.text) {
-            sink.push_anchored(
-                fn_line,
-                nt.line as usize,
-                nt.col as usize,
+        if is_f64_type(code, s + 2, pe) && lacks_unit(&nt.text) {
+            out.push(ctx.finding(
+                nt,
                 Rule::UnitSuffix,
                 format!(
-                    "pub fn parameter `{}: f64` carries a dimension but no unit suffix; \
-                     rename with one of {:?} (keep conversions in models::units)",
-                    nt.text, UNIT_SUFFIXES
+                    "pub fn parameter `{}: f64` carries a dimension but no unit suffix; {}",
+                    nt.text,
+                    rename_hint()
                 ),
-            );
+            ));
         }
     }
     // Return type: `-> f64` with a dimensioned fn name.
@@ -358,19 +332,17 @@ fn check_pub_fn(ctx: &Ctx, sink: &mut Sink, i: usize) -> usize {
         {
             ty_end += 1;
         }
-        if is_f64_type(code, ty_start, ty_end) && is_dimensioned(fname) && !has_unit_suffix(fname) {
+        if is_f64_type(code, ty_start, ty_end) && lacks_unit(fname) {
             let nt = code[name_idx];
-            sink.push_anchored(
-                fn_line,
-                nt.line as usize,
-                nt.col as usize,
+            out.push(ctx.finding(
+                nt,
                 Rule::UnitSuffix,
                 format!(
                     "pub fn `{fname}` returns a dimensioned f64 but its name has no unit \
-                     suffix; rename with one of {UNIT_SUFFIXES:?} (keep conversions in \
-                     models::units)"
+                     suffix; {}",
+                    rename_hint()
                 ),
-            );
+            ));
         }
     }
     close + 1
