@@ -1,6 +1,5 @@
 //! Benchmarks for the discrete-event kernel: event-queue throughput under
-//! FIFO, random and timer-heavy (cancel/re-arm) loads, wheel-specific
-//! stress rows (cancellation churn, far-future cascades), and the
+//! FIFO and random loads, the far-future cascade stress row, and the
 //! end-to-end `netsim/events_per_sec_*` scale probe measured on a fat-tree
 //! incast.
 
@@ -44,42 +43,6 @@ fn main() {
         let mut q = EventQueue::new();
         for i in 0..10_000u64 {
             q.schedule(SimTime::from_nanos(rng.next_below(1_000_000)), i);
-        }
-        let mut acc = 0u64;
-        while let Some((_, v)) = q.pop() {
-            acc = acc.wrapping_add(v);
-        }
-        black_box(acc)
-    });
-
-    bench("event_queue/timer_rearm_10k", || {
-        // The DCQCN pattern: schedule, cancel, re-schedule.
-        let mut q = EventQueue::new();
-        let mut pending = Vec::new();
-        for i in 0..10_000u64 {
-            if let Some(id) = pending.pop() {
-                q.cancel(id);
-            }
-            pending.push(q.schedule(SimTime::from_nanos(i + 100), i));
-            if i % 3 == 0 {
-                q.pop();
-            }
-        }
-        while q.pop().is_some() {}
-    });
-
-    bench("event_queue/wheel_cancel_heavy_10k", || {
-        // Half the scheduled events die before firing — the incast pattern
-        // where per-flow timeouts are cancelled by earlier completions.
-        // Exercises the slot-local lazy unlink instead of tombstone sets.
-        let mut rng = SimRng::new(3);
-        let mut q = EventQueue::new();
-        let mut ids = Vec::with_capacity(10_000);
-        for i in 0..10_000u64 {
-            ids.push(q.schedule(SimTime::from_nanos(rng.next_below(1_000_000)), i));
-        }
-        for id in ids.iter().step_by(2) {
-            q.cancel(*id);
         }
         let mut acc = 0u64;
         while let Some((_, v)) = q.pop() {

@@ -11,7 +11,7 @@
 //! (`kind: series | win | hist` lines, ordered by `(name, key, ctx)` —
 //! render or diff them with `simreport`). With `--flight <path>`, the
 //! causal flight recorder is armed: the bounded ring records
-//! schedule/dispatch/cancel entries with scheduled-by back-pointers, and on
+//! schedule/dispatch entries with scheduled-by back-pointers, and on
 //! a `SimError` (e.g. a divergence watchdog trip) the ring is dumped to
 //! `path` as JSONL, headed by a `{"kind": "flight_dump", "reason": ...}`
 //! line. On a clean run `finish` writes the same dump so the recorder is

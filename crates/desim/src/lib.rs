@@ -7,11 +7,12 @@
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulation time with
 //!   convenient constructors (`SimDuration::micros(50)`) and exact arithmetic,
 //!   so event ordering is never subject to floating-point noise;
-//! * [`EventQueue`] — a hierarchical timing wheel (8 levels × 256 slots,
-//!   per-level occupancy bitmaps, arena-backed entries) with a monotonically
-//!   increasing tie-break sequence number, guaranteeing **deterministic**
-//!   FIFO ordering among simultaneous events at O(1) amortized push/pop and
-//!   O(1) cancel; the pre-wheel binary-heap queue survives as test support
+//! * [`EventQueue`] — a hierarchical timing wheel (a 4096-slot level 0 and
+//!   seven 256-slot levels above it, per-level occupancy bitmaps,
+//!   arena-backed entries) with a monotonically increasing tie-break
+//!   sequence number, guaranteeing **deterministic** FIFO ordering among
+//!   simultaneous events at O(1) amortized push/pop; entries cannot be
+//!   cancelled; the pre-wheel binary-heap queue survives as test support
 //!   (`tests/support/event_ref.rs`), the oracle for the differential
 //!   property test;
 //! * [`rng::SimRng`] — a small, seedable xoshiro256** generator so every
@@ -50,6 +51,6 @@ pub mod stats;
 pub mod supervise;
 pub mod time;
 
-pub use event::{EventId, EventQueue};
+pub use event::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

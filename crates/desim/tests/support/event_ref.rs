@@ -1,29 +1,18 @@
 //! Reference event queue: the pre-wheel binary-heap implementation.
 //!
 //! This is the original `EventQueue` — a binary min-heap keyed on
-//! `(time, seq)` with a `BTreeSet` tombstone set for cancellation — retained
-//! (plus the wheel's reserve-now / insert-later ticket API, which on a heap
-//! is just a push under the given `seq`) as the **oracle** for the timing
-//! wheel's differential property test (`tests/wheel_differential.rs`) and for
-//! the `event_queue/wheel_*` before/after bench rows. It is deliberately
-//! simple and obviously correct for the orderings the simulator relies on.
-//! It is test support, not part of the `desim` library: the test and
-//! `examples/wheel_profile.rs` include it with `#[path]`.
-//!
-//! Known oracle limitation, inherited from the original: `cancel` on an id
-//! that has already fired still inserts a tombstone and decrements `len`.
-//! The differential test therefore only cancels ids it knows are pending —
-//! which is also the only pattern the engine ever used. The wheel detects
-//! fired ids exactly (arena generations) and is strictly better here.
+//! `(time, seq)` — retained (plus the wheel's reserve-now / insert-later
+//! ticket API, which on a heap is just a push under the given `seq`) as the
+//! **oracle** for the timing wheel's differential property test
+//! (`tests/wheel_differential.rs`) and for the `event_queue/wheel_*`
+//! before/after bench rows. It is deliberately simple and obviously correct
+//! for the orderings the simulator relies on. It is test support, not part
+//! of the `desim` library: the test and `examples/wheel_profile.rs` include
+//! it with `#[path]`.
 
 use desim::SimTime;
 use std::cmp::{Ordering, Reverse};
-use std::collections::BTreeSet;
 use std::collections::BinaryHeap;
-
-/// Opaque handle to an event scheduled on the reference queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RefEventId(u64);
 
 struct Entry<E> {
     time: SimTime,
@@ -59,14 +48,12 @@ impl<E> std::fmt::Debug for Entry<E> {
     }
 }
 
-/// The heap + tombstone-set queue, API-compatible with
-/// [`desim::EventQueue`] (modulo the id type).
+/// The heap queue, API-compatible with [`desim::EventQueue`] plus
+/// `peek_time`, the oracle for `pop_due`.
 #[derive(Debug)]
 pub struct ReferenceEventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    cancelled: BTreeSet<u64>,
     next_seq: u64,
-    len: usize,
     last_popped: SimTime,
     last_popped_seq: Option<u64>,
 }
@@ -82,28 +69,26 @@ impl<E> ReferenceEventQueue<E> {
     pub fn new() -> Self {
         ReferenceEventQueue {
             heap: BinaryHeap::new(),
-            cancelled: BTreeSet::new(),
             next_seq: 0,
-            len: 0,
             last_popped: SimTime::ZERO,
             last_popped_seq: None,
         }
     }
 
-    /// Number of live (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
-    /// True when no live events remain.
+    /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
-    /// Schedule `payload` at absolute time `time`, returning a cancellable id.
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> RefEventId {
+    /// Schedule `payload` at absolute time `time`.
+    pub fn schedule(&mut self, time: SimTime, payload: E) {
         let seq = self.reserve_seq();
-        self.schedule_reserved(time, seq, payload)
+        self.schedule_reserved(time, seq, payload);
     }
 
     /// Take the next tie-break ticket without creating an entry.
@@ -121,7 +106,7 @@ impl<E> ReferenceEventQueue<E> {
     /// File `payload` at `time` under a ticket taken earlier with
     /// [`Self::reserve_seq`]; the heap orders it by `(time, seq)` like any
     /// other entry.
-    pub fn schedule_reserved(&mut self, time: SimTime, seq: u64, payload: E) -> RefEventId {
+    pub fn schedule_reserved(&mut self, time: SimTime, seq: u64, payload: E) {
         debug_assert!(
             (time, Some(seq)) > (self.last_popped, self.last_popped_seq),
             "scheduling into the past: ({time}, ticket {seq}) is not after ({}, {:?})",
@@ -129,61 +114,20 @@ impl<E> ReferenceEventQueue<E> {
             self.last_popped_seq
         );
         self.heap.push(Reverse(Entry { time, seq, payload }));
-        self.len += 1;
-        RefEventId(seq)
     }
 
-    /// Cancel a previously scheduled event. Returns `true` if a tombstone
-    /// was inserted (see the module docs for the fired-id caveat).
-    pub fn cancel(&mut self, id: RefEventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        if self.cancelled.insert(id.0) {
-            self.len = self.len.saturating_sub(1);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Time of the earliest live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skim_cancelled();
+    /// Time of the earliest event, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(e)| e.time)
     }
 
-    /// Pop the earliest live event as `(time, payload)`.
+    /// Pop the earliest event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let Reverse(entry) = self.heap.pop()?;
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            self.len -= 1;
-            desim::invariants::monotonic_time(
-                "ReferenceEventQueue::pop",
-                self.last_popped,
-                entry.time,
-            );
-            self.last_popped = entry.time;
-            self.last_popped_seq = Some(entry.seq);
-            return Some((entry.time, entry.payload));
-        }
-    }
-
-    /// Drop cancelled entries sitting at the top of the heap so `peek_time`
-    /// reports a live event.
-    fn skim_cancelled(&mut self) {
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-            } else {
-                break;
-            }
-        }
+        let Reverse(entry) = self.heap.pop()?;
+        desim::invariants::monotonic_time("ReferenceEventQueue::pop", self.last_popped, entry.time);
+        self.last_popped = entry.time;
+        self.last_popped_seq = Some(entry.seq);
+        Some((entry.time, entry.payload))
     }
 }
 
@@ -208,14 +152,13 @@ mod tests {
     }
 
     #[test]
-    fn cancel_pending_and_peek() {
+    fn peek_reports_the_next_pop() {
         let mut q = ReferenceEventQueue::new();
-        let a = q.schedule(t(10), "a");
         q.schedule(t(20), "b");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a));
-        assert_eq!(q.len(), 1);
+        q.schedule(t(10), "a");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(t(10)));
+        assert_eq!(q.pop(), Some((t(10), "a")));
         assert_eq!(q.peek_time(), Some(t(20)));
-        assert_eq!(q.pop(), Some((t(20), "b")));
     }
 }

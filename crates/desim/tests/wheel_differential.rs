@@ -1,19 +1,18 @@
 //! Differential property test: timing wheel vs. the retained reference
 //! heap queue.
 //!
-//! Both queues are driven through identical randomized schedules of
-//! push/pop/cancel/rearm operations — including same-timestamp ties,
-//! short-horizon timer churn, and far-future jumps that cross several wheel
-//! levels — and must produce byte-for-byte identical pop sequences
-//! `(time, tag)` and identical `len()` at every step. Payload tags identify
-//! events across the two queues so cancels and rearms can be mirrored.
+//! Both queues are driven through identical randomized schedules of push
+//! and pop operations — including same-timestamp ties, pops held back by a
+//! horizon, and far-future jumps that cross several wheel levels — and must
+//! produce byte-for-byte identical pop sequences `(time, tag)` and identical
+//! `len()` at every step. Payload tags identify events across the two
+//! queues.
 //!
 //! The op mix includes the ticket API: `reserve_seq` now,
 //! `schedule_reserved` later (or never) — into a later slot, into the
 //! current instant behind the event just popped, into an upper level that
-//! cascades afterwards — with the late entry open to cancellation like any
-//! other. On the heap a late insertion is a push under the given `seq`, so
-//! the oracle says where each must pop.
+//! cascades afterwards. On the heap a late insertion is a push under the
+//! given `seq`, so the oracle says where each must pop.
 
 use desim::{EventQueue, SimRng, SimTime};
 
@@ -21,17 +20,11 @@ use desim::{EventQueue, SimRng, SimTime};
 mod event_ref;
 use event_ref::ReferenceEventQueue;
 
-/// One pending event tracked on both queues under a common tag.
-struct Pending {
-    tag: u64,
-    wheel_id: desim::EventId,
-    ref_id: event_ref::RefEventId,
-}
-
 struct Harness {
     wheel: EventQueue<u64>,
     oracle: ReferenceEventQueue<u64>,
-    pending: Vec<Pending>,
+    /// Tags of the events pending on both queues.
+    pending: Vec<u64>,
     now_ns: u64,
     next_tag: u64,
     pops: u64,
@@ -81,13 +74,9 @@ impl Harness {
         let tag = self.next_tag;
         self.next_tag += 1;
         let t = SimTime::from_nanos(at_ns);
-        let wheel_id = self.wheel.schedule_reserved(t, seq, tag);
-        let ref_id = self.oracle.schedule_reserved(t, seq, tag);
-        self.pending.push(Pending {
-            tag,
-            wheel_id,
-            ref_id,
-        });
+        self.wheel.schedule_reserved(t, seq, tag);
+        self.oracle.schedule_reserved(t, seq, tag);
+        self.pending.push(tag);
         self.late_inserts += 1;
         self.late_into_now += (self.last_pop_ns == Some(at_ns)) as u64;
     }
@@ -96,13 +85,9 @@ impl Harness {
         let tag = self.next_tag;
         self.next_tag += 1;
         let t = SimTime::from_nanos(at_ns);
-        let wheel_id = self.wheel.schedule(t, tag);
-        let ref_id = self.oracle.schedule(t, tag);
-        self.pending.push(Pending {
-            tag,
-            wheel_id,
-            ref_id,
-        });
+        self.wheel.schedule(t, tag);
+        self.oracle.schedule(t, tag);
+        self.pending.push(tag);
     }
 
     fn pop(&mut self) {
@@ -130,11 +115,9 @@ impl Harness {
             return true;
         }
         assert_eq!(got, None, "pop #{}: nothing due by {limit}", self.pops);
-        // As after `peek_time`, the wheel may now stand at the pending
-        // event; whatever is scheduled next goes at or after it.
-        if let Some(t) = next {
-            self.now_ns = self.now_ns.max(t.as_nanos());
-        }
+        // The run has reached `limit`: whatever is scheduled next goes at or
+        // after it, and so often between it and the held event.
+        self.now_ns = self.now_ns.max(limit_ns);
         false
     }
 
@@ -155,7 +138,7 @@ impl Harness {
                 let pos = self
                     .pending
                     .iter()
-                    .position(|p| p.tag == pw)
+                    .position(|&tag| tag == pw)
                     .expect("popped tag must be tracked");
                 self.pending.swap_remove(pos);
             }
@@ -163,19 +146,6 @@ impl Harness {
             (got, want) => panic!("pop #{}: wheel {got:?} vs oracle {want:?}", self.pops),
         }
         self.pops += 1;
-    }
-
-    fn cancel_at(&mut self, pos: usize) {
-        let p = self.pending.swap_remove(pos);
-        assert!(self.wheel.cancel(p.wheel_id), "wheel lost tag {}", p.tag);
-        assert!(self.oracle.cancel(p.ref_id), "oracle lost tag {}", p.tag);
-    }
-
-    /// The engine's timer pattern: cancel a pending event and reschedule
-    /// its successor at a new time.
-    fn rearm_at(&mut self, pos: usize, at_ns: u64) {
-        self.cancel_at(pos);
-        self.push(at_ns);
     }
 
     fn check_len(&self) {
@@ -214,18 +184,11 @@ fn random_schedules_pop_identically() {
         let mut h = Harness::new();
         for _ in 0..5_000 {
             let op = rng.next_below(100);
-            if op < 45 || h.pending.is_empty() {
+            if op < 55 || h.pending.is_empty() {
                 let at_ns = h.now_ns.saturating_add(random_offset(&mut rng));
                 h.push(at_ns);
-            } else if op < 70 {
-                h.pop();
-            } else if op < 85 {
-                let pos = rng.next_below(h.pending.len() as u64) as usize;
-                h.cancel_at(pos);
             } else {
-                let pos = rng.next_below(h.pending.len() as u64) as usize;
-                let at_ns = h.now_ns.saturating_add(random_offset(&mut rng));
-                h.rearm_at(pos, at_ns);
+                h.pop();
             }
             h.check_len();
         }
@@ -245,36 +208,8 @@ fn tie_heavy_schedule_pops_in_insertion_order() {
         if op < 6 || h.pending.is_empty() {
             let at_ns = h.now_ns + rng.next_below(4) * 100;
             h.push(at_ns);
-        } else if op < 8 {
-            h.pop();
         } else {
-            let pos = rng.next_below(h.pending.len() as u64) as usize;
-            h.cancel_at(pos);
-        }
-        h.check_len();
-    }
-    h.drain();
-}
-
-#[test]
-fn rearm_churn_matches_oracle() {
-    // Timer-style workload: a small population of events rearmed far more
-    // often than they fire, as DCQCN/TIMELY rate timers do.
-    let mut rng = SimRng::new(0xABCD);
-    let mut h = Harness::new();
-    for i in 0..16u64 {
-        h.push(i * 50);
-    }
-    for _ in 0..10_000 {
-        let op = rng.next_below(10);
-        if op < 7 && !h.pending.is_empty() {
-            let pos = rng.next_below(h.pending.len() as u64) as usize;
-            let at_ns = h.now_ns + 1 + rng.next_below(5_000);
-            h.rearm_at(pos, at_ns);
-        } else if !h.pending.is_empty() {
             h.pop();
-        } else {
-            h.push(h.now_ns + rng.next_below(5_000));
         }
         h.check_len();
     }
@@ -309,19 +244,21 @@ fn far_future_rollover_matches_oracle() {
 
 #[test]
 fn pop_due_matches_peek_then_pop() {
-    // The same op mix as `random_schedules_pop_identically` (ties, cancels,
-    // cancel-then-rearm, far-future jumps), popping through `pop_due` with
-    // limits on, just before, between, before and beyond the next event.
+    // The same op mix as `random_schedules_pop_identically` (ties,
+    // far-future jumps), popping through `pop_due` with limits on, just
+    // before, between, before and beyond the next event. A held pop moves
+    // the harness's clock to its limit, so later pushes land between the
+    // limit and the held event.
     for seed in 0..8u64 {
         let mut rng = SimRng::new(0xD0E0_0000 + seed);
         let mut h = Harness::new();
         let mut held_back = 0u64;
         for _ in 0..5_000 {
             let op = rng.next_below(100);
-            if op < 40 || h.pending.is_empty() {
+            if op < 50 || h.pending.is_empty() {
                 let at_ns = h.now_ns.saturating_add(random_offset(&mut rng));
                 h.push(at_ns);
-            } else if op < 75 {
+            } else {
                 let now = h.now_ns;
                 let next = h.oracle.peek_time().expect("pending").as_nanos();
                 let limit = match rng.next_below(6) {
@@ -341,13 +278,6 @@ fn pop_due_matches_peek_then_pop() {
                         assert!(h.pop_due(next));
                     }
                 }
-            } else if op < 85 {
-                let pos = rng.next_below(h.pending.len() as u64) as usize;
-                h.cancel_at(pos);
-            } else {
-                let pos = rng.next_below(h.pending.len() as u64) as usize;
-                let at_ns = h.now_ns.saturating_add(random_offset(&mut rng));
-                h.rearm_at(pos, at_ns);
             }
             h.check_len();
         }
@@ -360,7 +290,8 @@ fn pop_due_matches_peek_then_pop() {
 #[test]
 fn pop_due_holds_far_future_events_until_their_time() {
     // Each event sits several wheel levels above the last; a limit one
-    // nanosecond short cascades the wheel toward it without releasing it.
+    // nanosecond short may cascade the wheel toward it, never past the
+    // limit, and does not release it.
     let mut h = Harness::new();
     let times = [
         300u64,
@@ -390,38 +321,31 @@ fn pop_due_holds_far_future_events_until_their_time() {
 #[test]
 fn reserved_tickets_filed_later_pop_where_the_oracle_says() {
     // The `random_schedules_pop_identically` mix plus reserve-now /
-    // insert-later: tickets are taken, other events are scheduled, popped
-    // and cancelled in between, and each ticket is filed (or abandoned)
-    // at a random later point — often for the current instant.
+    // insert-later: tickets are taken, other events are scheduled and
+    // popped in between, and each ticket is filed (or abandoned) at a
+    // random later point — often for the current instant.
     for seed in 0..8u64 {
         let mut rng = SimRng::new(0x71C4_0000 + seed);
         let mut h = Harness::new();
         for _ in 0..6_000 {
             let op = rng.next_below(100);
-            if op < 30 || (h.pending.is_empty() && h.reserved.is_empty()) {
+            if op < 35 || (h.pending.is_empty() && h.reserved.is_empty()) {
                 let at_ns = h.now_ns.saturating_add(random_offset(&mut rng));
                 h.push(at_ns);
-            } else if op < 42 {
+            } else if op < 47 {
                 if h.reserved.len() < 32 {
                     h.reserve();
                 }
-            } else if op < 56 && !h.reserved.is_empty() {
+            } else if op < 61 && !h.reserved.is_empty() {
                 let pos = rng.next_below(h.reserved.len() as u64) as usize;
                 let at_ns = h.now_ns.saturating_add(random_offset(&mut rng));
                 h.insert_reserved(pos, at_ns);
-            } else if op < 58 && !h.reserved.is_empty() {
+            } else if op < 63 && !h.reserved.is_empty() {
                 // A ticket may never get an entry.
                 let pos = rng.next_below(h.reserved.len() as u64) as usize;
                 h.reserved.swap_remove(pos);
-            } else if op < 80 {
+            } else {
                 h.pop();
-            } else if op < 90 && !h.pending.is_empty() {
-                let pos = rng.next_below(h.pending.len() as u64) as usize;
-                h.cancel_at(pos);
-            } else if !h.pending.is_empty() {
-                let pos = rng.next_below(h.pending.len() as u64) as usize;
-                let at_ns = h.now_ns.saturating_add(random_offset(&mut rng));
-                h.rearm_at(pos, at_ns);
             }
             h.check_len();
         }
@@ -458,9 +382,8 @@ fn late_insertion_sorts_by_its_ticket_not_its_arrival() {
     assert_eq!(h.late_into_now, 1);
     assert_eq!(pop_tags(&mut h, 2), [6, 5]);
 
-    // Into an upper level that cascades later: three events at one far
-    // instant, the middle ticket filed last, next to a late entry that is
-    // cancelled again.
+    // Into an upper level that cascades later: four events at one far
+    // instant, the two reserved tickets filed last and out of order.
     let far = 900 + (1u64 << 33) + 12_345;
     h.push(far); // tag 7
     h.reserve();
@@ -468,11 +391,9 @@ fn late_insertion_sorts_by_its_ticket_not_its_arrival() {
     h.push(far); // tag 8
     h.insert_reserved(1, far); // tag 9
     h.insert_reserved(0, far); // tag 10
-    let pos = h.pending.iter().position(|p| p.tag == 9).expect("filed");
-    h.cancel_at(pos);
     h.check_len();
     h.push(1_000); // tag 11: pops first, the wheel cascades after it
-    assert_eq!(pop_tags(&mut h, 4), [11, 7, 10, 8]);
+    assert_eq!(pop_tags(&mut h, 5), [11, 7, 10, 9, 8]);
     h.drain();
 }
 

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{digest, fixed, full_trace_config, ns};
+use common::{digest, fixed, full_trace_config, ns, us};
 use desim::{SimDuration, SimTime};
 use faults::FaultSchedule;
 use netsim::cc::{CcEvent, CcUpdate, CongestionControl};
@@ -189,4 +189,35 @@ fn dcqcn_incast_split_at_a_firing_and_at_a_completion() {
     for (split, whole) in split_logs.iter().zip(&whole_logs) {
         assert_eq!(*split.borrow(), *whole.borrow());
     }
+}
+
+#[test]
+fn flow_added_between_runs_starts_on_time() {
+    // A run that stops well before its next event (a flow starting at
+    // 10 ms) leaves the engine at its horizon: a flow added afterwards for
+    // 2 ms starts at 2 ms, exactly as if it had been added before the run.
+    let build = || {
+        let (topo, senders, receiver) = Topology::single_switch(2, 10e9, us(1));
+        let mut eng = Engine::new(topo, full_trace_config());
+        eng.add_flow(fixed(senders[0], receiver, 20_000, 10e9, ns(0)));
+        eng.add_flow(fixed(senders[1], receiver, 20_000, 10e9, ns(10_000_000)));
+        (
+            eng,
+            fixed(senders[0], receiver, 20_000, 10e9, ns(2_000_000)),
+        )
+    };
+    let fct = |r: &SimReport| r.fcts.iter().find(|r| r.flow == 2).map(|r| r.fct_s);
+    let end = SimTime::from_millis(20);
+
+    let (mut eng, late) = build();
+    eng.add_flow(late);
+    let whole = eng.run(end);
+    assert!(fct(&whole).is_some_and(|s| s < 100e-6), "{:?}", fct(&whole));
+
+    let (mut eng, late) = build();
+    let merged = eng.run(SimTime::from_millis(1));
+    eng.add_flow(late);
+    let merged = merge(merged, eng.run(end));
+    assert_eq!(fct(&merged), fct(&whole));
+    assert_eq!(digest(&merged), digest(&whole));
 }

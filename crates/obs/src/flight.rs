@@ -68,7 +68,7 @@ pub fn set_cause(cause: Option<u64>) {
 }
 
 /// Record an entry under the current context: `kind` labels the operation
-/// (`schedule`, `dispatch`, `cancel`, `watchdog`, ...), `aux` carries one
+/// (`schedule`, `dispatch`, `watchdog`, ...), `aux` carries one
 /// kind-specific value (queue length, state norm), `by` the scheduled-by
 /// back-pointer. Returns the entry's sequence number, or `None` when the
 /// recorder is disabled.

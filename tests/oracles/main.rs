@@ -1,0 +1,99 @@
+//! Known deviations from the paper, pinned as numbers.
+//!
+//! EXPERIMENTS.md says where this reproduction departs from the paper, and
+//! by how much. Each test reads the checked-in result a deviation is about
+//! and asserts its number with a tolerance, so a change that moves one
+//! fails here instead of leaving the prose stale. `figs <id>` regenerates
+//! each file. Still prose only: `ext_parking_lot`'s 2.5 Gbps long flow,
+//! which needs the multi-bottleneck fixed point derived first.
+
+use obs::json::{parse, Value};
+
+/// The checked-in `results/<id>.json`, parsed.
+fn result(id: &str) -> Value {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("results")
+        .join(format!("{id}.json"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+fn num(v: &Value, key: &str) -> f64 {
+    v.get(key)
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("no number {key:?} in {v:?}"))
+}
+
+fn items<'a>(v: &'a Value, key: &str) -> &'a [Value] {
+    v.get(key)
+        .and_then(Value::items)
+        .unwrap_or_else(|| panic!("no array {key:?}"))
+}
+
+/// Paper §5, Fig 11: patched TIMELY's phase margin falls as N grows and
+/// crosses zero near N = 40. EXPERIMENTS.md, "Known deviations" 2 (Fig 11's
+/// ⚠️): ours crosses at N = 20 — positive through N = 16 (15.32°),
+/// negative from N = 20 (−4.81°) on.
+#[test]
+fn fig11_patched_timely_margin_crosses_zero_at_20_flows() {
+    let fig = result("fig11");
+    let threshold = fig.get("instability_threshold").and_then(Value::as_u64);
+    assert_eq!(threshold, Some(20), "Fig 11 instability threshold");
+    // A point is `[N, margin_deg, q*_KB, τ_µs]`.
+    for point in items(&fig, "points") {
+        let p = point.items().expect("a point is an array");
+        let (n, margin) = (p[0].as_u64().expect("N"), p[1].as_f64().expect("margin"));
+        assert_eq!(
+            margin > 0.0,
+            n < 20,
+            "Fig 11 margin {margin:.2}° at N = {n}"
+        );
+    }
+}
+
+/// Paper Appendix B, Eq 40: the AIMD cycle length at the fixed-point α*.
+/// EXPERIMENTS.md, "Appendix B": the packet simulator's inter-cut interval
+/// is within 15 % of it at every N (13.2 % at N = 2 today).
+#[test]
+fn appendix_b_eq40_cycle_within_15_percent_of_the_packet_sim() {
+    let rows = result("appendix_b");
+    let rows = items(&rows, "rows");
+    assert_eq!(rows.len(), 3, "N = 2, 4, 8");
+    for row in rows {
+        let n = num(row, "n_flows");
+        let err = num(row, "measured_cycle_us") / num(row, "predicted_cycle_us") - 1.0;
+        assert!(
+            err.abs() <= 0.15,
+            "Eq 40 off by {:.1} % at N = {n}",
+            err * 100.0
+        );
+    }
+}
+
+/// Paper §6, Figs 14–16: original TIMELY does worst at load, through a
+/// large and variable queue. EXPERIMENTS.md, "Known deviations" 1: ours
+/// starves long flows instead — bottleneck utilisation 0.4239 against
+/// DCQCN's 0.4577 at load 0.8.
+#[test]
+fn fig14_timely_loses_utilisation_at_load_0_8() {
+    let fig = result("fig14");
+    let utilisation_at_0_8 = |protocol: &str| {
+        let curve = items(&fig, "curves")
+            .iter()
+            .find(|c| c.get("protocol").and_then(Value::as_str) == Some(protocol))
+            .unwrap_or_else(|| panic!("no {protocol} curve"));
+        let point = items(curve, "utilization")
+            .iter()
+            .filter_map(Value::items)
+            .find(|p| p[0].as_f64().is_some_and(|load| (load - 0.8).abs() < 1e-9))
+            .unwrap_or_else(|| panic!("no {protocol} point at load 0.8"));
+        point[1].as_f64().expect("utilisation")
+    };
+    for (protocol, want) in [("TIMELY", 0.4239), ("DCQCN", 0.4577)] {
+        let got = utilisation_at_0_8(protocol);
+        assert!(
+            (got - want).abs() <= 1e-3,
+            "Fig 14 {protocol} utilisation {got:.4} at load 0.8, want {want} ± 1e-3"
+        );
+    }
+}
