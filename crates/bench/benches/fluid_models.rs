@@ -2,7 +2,7 @@
 //! patched-TIMELY systems, fixed-point solving, and phase-margin
 //! computation (the inner loops of Figures 3 and 11).
 
-use bench::harness::{bench, black_box, record_spans, record_value, write_report};
+use bench::harness::{bench, black_box};
 use control::JacobianCache;
 use ecn_delay_core::experiments::fig3;
 use fluid::classes::{try_integrate_classes, FlowClassSystem};
@@ -167,18 +167,18 @@ fn main() {
                 })
                 .collect()
         };
-        let rec = bench("dcqcn_dde_integrate_batch16_10ms", || {
+        let median = bench("dcqcn_dde_integrate_batch16_10ms", || {
             black_box(DcqcnFluid::simulate_batch(batch_models(), 0.01).len())
         });
         // Derived throughput row: lane-steps per wall-clock second (16 lanes
         // × the lockstep step count), from the median batch time.
         let params = DcqcnParams::default_40g();
         let step = (params.feedback_delay_s() / 4.0).min(1e-6);
-        let lane_steps = (0.01 / step).ceil() as u128 * 16;
-        record_value(
+        let lane_steps = (0.01 / step).ceil() * 16.0;
+        println!(
+            "{:<44} {:.0} lane-steps/s (16 lanes)",
             "fluid/lane_steps_per_sec_batch16",
-            lane_steps * 1_000_000_000 / rec.median_ns.max(1),
-            16,
+            lane_steps / median.as_secs_f64()
         );
     }
 
@@ -198,8 +198,8 @@ fn main() {
     });
 
     // Sweep-level benchmark: the Figure 3 margin grid (reduced) through the
-    // deterministic parallel executor, as run by CI.
-    let quick_cfg = || fig3::Fig3Config {
+    // deterministic parallel executor.
+    let quick = fig3::Fig3Config {
         flow_counts: vec![2, 10, 64],
         delays_us: vec![4.0, 85.0],
         r_ai_mbps: vec![10.0],
@@ -207,37 +207,6 @@ fn main() {
         panel_bc_delay_us: 85.0,
     };
     bench("fig3_margin_grid_quick", || {
-        black_box(fig3::run(&quick_cfg()).by_delay.len())
+        black_box(fig3::run(&quick).by_delay.len())
     });
-
-    // Observability overhead guard: the two benches above repeated with the
-    // full obs layer recording (metrics + trace). The driver compares these
-    // against their plain counterparts; the *plain* runs above double as the
-    // "disabled ≤ 1%" check against the pre-obs baseline in
-    // BENCH_fluid.json, since instrumentation is compiled in but off there.
-    obs::reset();
-    obs::enable(obs::METRICS | obs::TRACE);
-    bench("dcqcn_dde_integrate_10flows_10ms/obs_on", || {
-        obs::reset();
-        let mut m = DcqcnFluid::new(DcqcnParams::default_40g(), 10);
-        black_box(m.simulate(0.01).len())
-    });
-    bench("fig3_margin_grid_quick/obs_on", || {
-        obs::reset();
-        black_box(fig3::run(&quick_cfg()).by_delay.len())
-    });
-    obs::disable(obs::METRICS | obs::TRACE);
-    obs::reset();
-
-    // Wall-clock phase attribution: rerun the 10-flow DDE with span timers
-    // on and splice the per-phase totals into the report.
-    obs::enable(obs::SPANS);
-    {
-        let mut m = DcqcnFluid::new(DcqcnParams::default_40g(), 10);
-        black_box(m.simulate(0.01).len());
-    }
-    obs::disable(obs::SPANS);
-    record_spans("dcqcn_dde_integrate_10flows_10ms");
-
-    write_report("BENCH_fluid.json");
 }

@@ -3,7 +3,7 @@
 //! end-to-end `netsim/events_per_sec_*` scale probe measured on a fat-tree
 //! incast.
 
-use bench::harness::{bench, black_box, record_value, write_report};
+use bench::harness::{bench, black_box};
 use desim::{EventQueue, SimDuration, SimRng, SimTime};
 use ecn_delay_core::experiments::ext_incast::report_digest;
 use ecn_delay_core::scenarios::{fat_tree_incast, Protocol};
@@ -93,16 +93,16 @@ fn main() {
         seed: 1,
     };
     let baseline = run_incast(4, &incast, SimTime::from_millis(30));
-    let rec = bench("netsim/incast_k4_n256_dcqcn", || {
+    let median = bench("netsim/incast_k4_n256_dcqcn", || {
         let report = run_incast(4, &incast, SimTime::from_millis(30));
         debug_assert_eq!(report_digest(&report), report_digest(&baseline));
         black_box(report.events_processed)
     });
     let events = baseline.events_processed;
-    record_value(
+    println!(
+        "{:<44} {:.0} events/s ({events} events)",
         "netsim/events_per_sec_incast_k4_n256",
-        u128::from(events) * 1_000_000_000 / rec.median_ns.max(1),
-        events as usize,
+        events as f64 / median.as_secs_f64()
     );
 
     // The timer-dominated cell (the benchmark's `incast_dcqcn_n4096`): 4096
@@ -152,6 +152,4 @@ fn main() {
         });
         let _ = std::fs::remove_dir_all(&root);
     }
-
-    write_report("BENCH_kernel.json");
 }

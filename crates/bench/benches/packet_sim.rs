@@ -4,7 +4,7 @@
 //! schedule must stay within noise of the no-schedule baseline, and an
 //! active loss+jitter schedule shows the price of injection itself.
 
-use bench::harness::{bench, black_box, write_report};
+use bench::harness::{bench, black_box};
 use desim::{SimDuration, SimTime};
 use ecn_delay_core::scenarios::{single_switch_longlived, Protocol};
 use faults::FaultSchedule;
@@ -49,6 +49,4 @@ fn main() {
         );
         black_box(run_cfg(Protocol::Dcqcn, 4, 5, cfg))
     });
-
-    write_report("BENCH_packet.json");
 }

@@ -1,9 +1,8 @@
-//! `simreport` — inspect, diff and gate the workspace's telemetry artifacts.
+//! `simreport` — inspect and diff the workspace's telemetry artifacts.
 //!
 //! ```text
 //! simreport render <timeseries.jsonl> [--width N]
 //! simreport diff <a.jsonl> <b.jsonl>
-//! simreport bench-check [--pct N] [--sha SHA] [--selftest] <BENCH_*.json>...
 //! ```
 //!
 //! * `render` turns a `--timeseries` export into sparklines (one per
@@ -11,15 +10,6 @@
 //! * `diff` compares two JSONL exports (trace, time-series or flight) and
 //!   localizes the first diverging `(ctx, seq)` event — the debugger behind
 //!   CI's byte-identity `cmp` gates. Exit 1 when the files diverge.
-//! * `bench-check` is the regression sentinel: every row in the given
-//!   `BENCH_*.json` reports carrying the fresh sha (default: the sha of the
-//!   file's last row) is compared against the median of its name's
-//!   other-sha history; medians more than `--pct` (default 15) percent
-//!   worse fail the check. `*per_sec*` rows are higher-is-better, all other
-//!   rows lower-is-better. Exit 1 on any regression. `--selftest` runs the
-//!   sentinel against synthetic histories (a 20% regression must fail, an
-//!   identical re-measurement must pass) and exits accordingly — CI wires
-//!   this in so a broken sentinel cannot silently wave regressions through.
 //!
 //! Usage errors exit 2.
 
@@ -28,8 +18,7 @@ use bench::report;
 fn usage() -> ! {
     eprintln!(
         "usage: simreport render <timeseries.jsonl> [--width N]\n       \
-         simreport diff <a.jsonl> <b.jsonl>\n       \
-         simreport bench-check [--pct N] [--sha SHA] [--selftest] <BENCH_*.json>..."
+         simreport diff <a.jsonl> <b.jsonl>"
     );
     std::process::exit(2);
 }
@@ -46,7 +35,6 @@ fn main() {
     let code = match args.first().map(String::as_str) {
         Some("render") => cmd_render(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
-        Some("bench-check") => cmd_bench_check(&args[1..]),
         _ => usage(),
     };
     std::process::exit(code);
@@ -85,73 +73,11 @@ fn cmd_diff(args: &[String]) -> i32 {
             if let Some((ctx, seq)) = d.ctx_seq {
                 println!("event: ctx={ctx} seq={seq}");
             }
+            if d.a == d.b {
+                println!("(the lines differ only in their terminator)");
+            }
             println!("- {}\n+ {}", d.a, d.b);
             1
         }
-    }
-}
-
-fn cmd_bench_check(args: &[String]) -> i32 {
-    let mut pct = 15.0f64;
-    let mut sha: Option<String> = None;
-    let mut paths = Vec::new();
-    let mut selftest = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--pct" => {
-                pct = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--sha" => sha = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--selftest" => selftest = true,
-            p if !p.starts_with('-') => paths.push(p.to_string()),
-            _ => usage(),
-        }
-    }
-    if selftest {
-        return sentinel_selftest(pct);
-    }
-    if paths.is_empty() {
-        usage();
-    }
-    let mut regressed = false;
-    for p in &paths {
-        let rows = report::bench_check(&read(p), sha.as_deref(), pct);
-        println!("== {p} ==");
-        print!("{}", report::render_check(&rows, pct));
-        regressed |= rows.iter().any(|r| r.regressed);
-    }
-    i32::from(regressed)
-}
-
-/// Prove the sentinel can still catch (and still pass) before trusting it:
-/// a synthetic 20% wall-time regression and a 20% rate drop must both fail
-/// at the configured threshold, while identical re-measurements pass.
-fn sentinel_selftest(pct: f64) -> i32 {
-    let mk = |fresh_ns: u64, fresh_rate: u64| -> String {
-        format!(
-            "[\n  {{\"name\": \"kernel/pop\", \"min_ns\": 1000, \"mean_ns\": 1000, \"median_ns\": 1000, \"iters\": 3, \"sha\": \"base\"}},\n  \
-             {{\"name\": \"netsim/events_per_sec_x\", \"min_ns\": 5000, \"mean_ns\": 5000, \"median_ns\": 5000, \"iters\": 1, \"sha\": \"base\"}},\n  \
-             {{\"name\": \"kernel/pop\", \"min_ns\": {fresh_ns}, \"mean_ns\": {fresh_ns}, \"median_ns\": {fresh_ns}, \"iters\": 3, \"sha\": \"fresh\"}},\n  \
-             {{\"name\": \"netsim/events_per_sec_x\", \"min_ns\": {fresh_rate}, \"mean_ns\": {fresh_rate}, \"median_ns\": {fresh_rate}, \"iters\": 1, \"sha\": \"fresh\"}}\n]\n"
-        )
-    };
-    let regressed = report::bench_check(&mk(1200, 4000), Some("fresh"), pct);
-    let clean = report::bench_check(&mk(1000, 5000), Some("fresh"), pct);
-    let caught = regressed.iter().filter(|r| r.regressed).count();
-    let false_pos = clean.iter().filter(|r| r.regressed).count();
-    println!(
-        "sentinel selftest at {pct}%: caught {caught}/2 synthetic regressions, \
-         {false_pos} false positives on identical rows"
-    );
-    if caught == 2 && false_pos == 0 {
-        println!("sentinel selftest: PASS");
-        0
-    } else {
-        println!("sentinel selftest: FAIL");
-        1
     }
 }

@@ -1,31 +1,21 @@
-//! Telemetry rendering, run diffing and the bench regression sentinel —
-//! the library behind the `simreport` binary.
+//! Telemetry rendering and run diffing — the library behind the
+//! `simreport` binary.
 //!
-//! Everything here is line-oriented: the workspace's JSON artifacts are
-//! deliberately written one object per line (`BENCH_*.json` rows, trace /
-//! time-series / flight JSONL), so each line is parsed on its own by
-//! `obs::json` and a malformed line costs that line, not the file.
+//! Everything here is line-oriented: the workspace's JSONL artifacts
+//! (trace / time-series / flight) are written one object per line, so each
+//! line is parsed on its own by `obs::json` and a malformed line costs that
+//! line, not the file.
 //!
-//! Three capabilities:
+//! Two capabilities:
 //!
 //! * [`render_timeseries`] — turn a `--timeseries` JSONL export into text
 //!   tables and sparklines;
 //! * [`diff_jsonl`] — compare two JSONL exports line by line and localize
 //!   the first diverging `(ctx, seq)` event, turning CI's byte-identity
-//!   `cmp` gates into an actual divergence debugger;
-//! * [`bench_check`] — compare fresh `BENCH_*.json` rows against the
-//!   `(name, sha)` history and flag median regressions beyond a threshold.
+//!   `cmp` gates into an actual divergence debugger.
 
 use obs::json::{parse, Value};
 use std::fmt::Write as _;
-
-/// One row of a `BENCH_*.json` report (see `harness::write_report`): the
-/// line parsed as an object, after trimming the comma that separates it from
-/// the next row. `None` for the array brackets and for a malformed row.
-pub(crate) fn bench_row(line: &str) -> Option<Value> {
-    let row = line.trim().trim_end_matches(',');
-    row.starts_with('{').then(|| parse(row).ok()).flatten()
-}
 
 /// A numeric field of a parsed line. `null` — how the writers render a
 /// non-finite value — and a missing key both yield `None`.
@@ -153,171 +143,50 @@ pub struct Divergence {
 }
 
 /// Compare two JSONL exports line by line; `None` means byte-identical.
-/// On a mismatch, the first diverging line is localized and, where the
-/// lines carry `(ctx, seq)` keys, translated into event coordinates — the
-/// debugger behind CI's `cmp` identity gates.
+/// On a mismatch, the first line whose text differs is localized and, where
+/// the lines carry `(ctx, seq)` keys, translated into event coordinates — the
+/// debugger behind CI's `cmp` identity gates. Files whose lines all read the
+/// same but whose bytes differ (a missing final newline, `\r\n` against
+/// `\n`, an extra blank line at the end) diverge at the first line whose
+/// terminator differs.
 pub fn diff_jsonl(a: &str, b: &str) -> Option<Divergence> {
-    let mut la = a.lines();
-    let mut lb = b.lines();
-    let mut n = 0;
-    loop {
-        n += 1;
-        match (la.next(), lb.next()) {
-            (None, None) => return None,
-            (x, y) => {
-                let (x, y) = (x.unwrap_or(""), y.unwrap_or(""));
-                if x != y {
-                    let ctx_seq = parse(if x.is_empty() { y } else { x })
-                        .ok()
-                        .and_then(|k| Some((k.get("ctx")?.as_u64()?, uint(&k, "seq"))));
-                    return Some(Divergence {
-                        line: n,
-                        ctx_seq,
-                        a: x.to_string(),
-                        b: y.to_string(),
-                    });
-                }
-            }
+    /// A line without its terminator.
+    fn text(raw: &str) -> &str {
+        raw.strip_suffix('\n')
+            .map_or(raw, |l| l.strip_suffix('\r').unwrap_or(l))
+    }
+    let divergence = |line, x: &str, y: &str| {
+        let ctx_seq = parse(if x.is_empty() { y } else { x })
+            .ok()
+            .and_then(|k| Some((k.get("ctx")?.as_u64()?, uint(&k, "seq"))));
+        Divergence {
+            line,
+            ctx_seq,
+            a: x.to_string(),
+            b: y.to_string(),
+        }
+    };
+    let (mut la, mut lb) = (a.split_inclusive('\n'), b.split_inclusive('\n'));
+    let mut terminator = None;
+    for n in 1.. {
+        let (ra, rb) = match (la.next(), lb.next()) {
+            (None, None) => break,
+            (x, y) => (x.unwrap_or(""), y.unwrap_or("")),
+        };
+        let (x, y) = (text(ra), text(rb));
+        if x != y {
+            return Some(divergence(n, x, y));
+        }
+        if ra != rb && terminator.is_none() {
+            terminator = Some(divergence(n, x, y));
         }
     }
-}
-
-/// One benchmark's verdict from [`bench_check`].
-#[derive(Debug, Clone)]
-pub struct CheckRow {
-    /// Benchmark name.
-    pub name: String,
-    /// Fresh median (ns, or raw value for `record_value` rows).
-    pub fresh: f64,
-    /// Baseline: median of the other-sha rows' medians (None: no history).
-    pub baseline: Option<f64>,
-    /// Signed change vs baseline in percent (positive = slower/lower-rate).
-    pub delta_pct: Option<f64>,
-    /// True when the change exceeds the threshold in the bad direction.
-    pub regressed: bool,
-}
-
-/// Is a bench row higher-is-better? Rate rows (`*per_sec*`) are; wall-time
-/// rows are lower-is-better.
-fn higher_is_better(name: &str) -> bool {
-    name.contains("per_sec")
-}
-
-/// The bench regression sentinel. `content` is a `BENCH_*.json` report
-/// (one row per line, `(name, sha)` keyed — see `harness::write_report`);
-/// `fresh_sha` selects the rows under test (defaulting to the sha of the
-/// file's last row, i.e. the most recent measurement); `threshold_pct` is
-/// the allowed median change in percent. Every fresh-sha row is compared
-/// against the median of its name's other-sha history: wall-time rows fail
-/// when `fresh > baseline * (1 + t)`, rate rows when
-/// `fresh < baseline / (1 + t)`. Rows without history pass (first
-/// measurement). Returns one [`CheckRow`] per fresh row, name order.
-pub fn bench_check(content: &str, fresh_sha: Option<&str>, threshold_pct: f64) -> Vec<CheckRow> {
-    let parsed: Vec<Value> = content.lines().filter_map(bench_row).collect();
-    let rows: Vec<(&str, &str, f64)> = parsed
-        .iter()
-        .filter_map(|r| {
-            Some((
-                r.get("name")?.as_str()?,
-                r.get("sha")?.as_str()?,
-                finite(r, "median_ns")?,
-            ))
-        })
-        .collect();
-    let Some(fresh_sha) = fresh_sha.or_else(|| rows.last().map(|r| r.1)) else {
-        return Vec::new();
-    };
-    let t = threshold_pct / 100.0;
-    let mut out: Vec<CheckRow> = rows
-        .iter()
-        .filter(|(_, sha, _)| *sha == fresh_sha)
-        .map(|&(name, _, fresh)| {
-            let mut history: Vec<f64> = rows
-                .iter()
-                .filter(|(n, sha, _)| *n == name && *sha != fresh_sha)
-                .map(|&(_, _, m)| m)
-                .collect();
-            history.sort_by(f64::total_cmp);
-            let baseline = (!history.is_empty()).then(|| history[history.len() / 2]);
-            let (delta_pct, regressed) = match baseline {
-                Some(b) if b > 0.0 => {
-                    let delta = if higher_is_better(name) {
-                        // Positive delta = rate dropped = bad.
-                        (b - fresh) / b * 100.0
-                    } else {
-                        (fresh - b) / b * 100.0
-                    };
-                    (Some(delta), delta > t * 100.0)
-                }
-                _ => (None, false),
-            };
-            CheckRow {
-                name: name.to_string(),
-                fresh,
-                baseline,
-                delta_pct,
-                regressed,
-            }
-        })
-        .collect();
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    out
-}
-
-/// Render [`bench_check`] rows as a table, worst regressions called out.
-pub fn render_check(rows: &[CheckRow], threshold_pct: f64) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<52} {:>14} {:>14} {:>9}  verdict",
-        "benchmark", "fresh", "baseline", "delta"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<52} {:>14.0} {:>14} {:>9}  {}",
-            r.name,
-            r.fresh,
-            match r.baseline {
-                Some(b) => format!("{b:.0}"),
-                None => "-".to_string(),
-            },
-            match r.delta_pct {
-                Some(d) => format!("{d:+.1}%"),
-                None => "-".to_string(),
-            },
-            if r.regressed {
-                "REGRESSED"
-            } else if r.baseline.is_none() {
-                "new"
-            } else {
-                "ok"
-            }
-        );
-    }
-    let bad = rows.iter().filter(|r| r.regressed).count();
-    let _ = writeln!(
-        out,
-        "{} rows, {} regressed (threshold {threshold_pct}%)",
-        rows.len(),
-        bad
-    );
-    out
+    terminator
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn row(name: &str, median: u64, sha: &str) -> String {
-        format!(
-            "  {{\"name\": {name:?}, \"min_ns\": {median}, \"mean_ns\": {median}, \"median_ns\": {median}, \"iters\": 3, \"sha\": {sha:?}}}"
-        )
-    }
-
-    fn report(rows: &[String]) -> String {
-        format!("[\n{}\n]\n", rows.join(",\n"))
-    }
 
     #[test]
     fn sparkline_scales_and_handles_flat() {
@@ -325,85 +194,6 @@ mod tests {
         assert_eq!(s, "▁▄█");
         assert_eq!(sparkline(&[2.0, 2.0]), "▁▁", "flat series is lowest block");
         assert_eq!(sparkline(&[]), "");
-    }
-
-    #[test]
-    fn bench_check_fails_synthetic_20pct_regression() {
-        // Acceptance criterion: a 20% median regression at a 15% threshold
-        // must fail; wall-time rows regress upward, rate rows downward.
-        let content = report(&[
-            row("kernel/pop", 1000, "old1"),
-            row("kernel/pop", 1000, "old2"),
-            row("netsim/events_per_sec_x", 5000, "old1"),
-            row("kernel/pop", 1200, "new1"),
-            row("netsim/events_per_sec_x", 4000, "new1"),
-        ]);
-        let rows = bench_check(&content, Some("new1"), 15.0);
-        assert_eq!(rows.len(), 2);
-        let pop = rows.iter().find(|r| r.name == "kernel/pop").unwrap();
-        assert!(pop.regressed, "+20% wall time must regress: {pop:?}");
-        let rate = rows.iter().find(|r| r.name.contains("per_sec")).unwrap();
-        assert!(rate.regressed, "-20% rate must regress: {rate:?}");
-    }
-
-    #[test]
-    fn bench_check_passes_identical_and_improved_rows() {
-        let content = report(&[
-            row("kernel/pop", 1000, "old1"),
-            row("netsim/events_per_sec_x", 5000, "old1"),
-            row("kernel/pop", 1000, "new1"),
-            row("netsim/events_per_sec_x", 6000, "new1"),
-            row("kernel/brand_new", 42, "new1"),
-        ]);
-        let rows = bench_check(&content, Some("new1"), 15.0);
-        assert_eq!(rows.len(), 3);
-        assert!(rows.iter().all(|r| !r.regressed), "{rows:?}");
-        let fresh = rows.iter().find(|r| r.name == "kernel/brand_new").unwrap();
-        assert!(fresh.baseline.is_none(), "no history: passes as new");
-    }
-
-    #[test]
-    fn bench_check_defaults_fresh_sha_to_last_row() {
-        let content = report(&[row("a", 100, "old"), row("a", 200, "new")]);
-        let rows = bench_check(&content, None, 15.0);
-        assert_eq!(rows.len(), 1);
-        assert!(rows[0].regressed, "100 -> 200 ns at 15%: {rows:?}");
-        assert_eq!(rows[0].baseline, Some(100.0));
-    }
-
-    #[test]
-    fn bench_check_reads_integer_and_float_medians_and_skips_the_rest() {
-        // A median may be an integer or a float (plain or scientific); a row
-        // whose median is `null`, or that lacks its median or sha, or that
-        // is not JSON, is no measurement.
-        let content = report(&[
-            row("a", 1000, "old"),
-            "  {\"name\": \"a\", \"median_ns\": null, \"sha\": \"old2\"}".to_string(),
-            "  {\"name\": \"a\", \"sha\": \"old3\"}".to_string(),
-            "  {\"name\": \"a\", \"median_ns\": 5}".to_string(),
-            "  {\"name\": \"a\", \"median_ns\": 5, \"sha\": \"torn".to_string(),
-            "  {\"name\": \"a\", \"median_ns\": 1050.5, \"sha\": \"new\"}".to_string(),
-            "  {\"name\": \"b\", \"median_ns\": 2.5e3, \"sha\": \"new\"}".to_string(),
-        ]);
-        let rows = bench_check(&content, None, 15.0);
-        assert_eq!(rows.len(), 2, "{rows:?}");
-        assert_eq!((rows[0].fresh, rows[0].baseline), (1050.5, Some(1000.0)));
-        assert_eq!((rows[1].fresh, rows[1].baseline), (2500.0, None));
-    }
-
-    #[test]
-    fn bench_check_baseline_is_median_of_history() {
-        // History medians 100/110/300 -> baseline 110 (robust to one
-        // outlier commit), so a fresh 120 is +9.1%, under a 15% gate.
-        let content = report(&[
-            row("a", 100, "s1"),
-            row("a", 300, "s2"),
-            row("a", 110, "s3"),
-            row("a", 120, "new"),
-        ]);
-        let rows = bench_check(&content, Some("new"), 15.0);
-        assert_eq!(rows[0].baseline, Some(110.0));
-        assert!(!rows[0].regressed);
     }
 
     #[test]
@@ -428,6 +218,19 @@ mod tests {
         assert_eq!(d.line, 1);
         assert_eq!(d.ctx_seq, Some((3, 7)), "keys read from the longer side");
         assert!(d.b.is_empty());
+        // Same lines, different bytes: the divergence is the first line
+        // whose terminator differs.
+        let two = "{\"ctx\": 1}\n{\"ctx\": 2}\n";
+        for (a, b, line) in [
+            ("{\"ctx\": 1}\n", "{\"ctx\": 1}", 1),
+            ("{\"ctx\": 1}\r\n{\"ctx\": 2}\r\n", two, 1),
+            ("{\"ctx\": 1}\n{\"ctx\": 2}\r\n", two, 2),
+            ("{\"ctx\": 1}\n\n", "{\"ctx\": 1}\n", 2),
+        ] {
+            let d = diff_jsonl(a, b).unwrap_or_else(|| panic!("{a:?} vs {b:?}"));
+            assert_eq!(d.line, line, "{a:?} vs {b:?}");
+            assert_eq!(d.a, d.b, "the lines read the same: {d:?}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Wall-clock span timers for bench-phase attribution, and [`Stopwatch`],
+//! Wall-clock span timers for per-phase attribution, and [`Stopwatch`],
 //! the one holder of a wall-clock reading in the sim crates.
 //!
 //! [`Stopwatch::start`] is the one place those crates read the clock (with
@@ -8,9 +8,9 @@
 //! [`Stopwatch::elapsed_ms`] and [`drain`] — which `clippy.toml` bans too,
 //! so no sim crate can turn a reading into a number that might reach a
 //! `SimTime`, an RNG seed or a trace. Sim crates call [`enter`] with a
-//! [`Phase`]; the clock is read only when spans are explicitly enabled by
-//! the bench harness, and the totals are drained by `bench::harness` into
-//! `BENCH_*.json` rows and by the benchmark into its per-layer metrics.
+//! [`Phase`]; the clock is read only when spans are explicitly enabled
+//! (`obs::SPANS`), and the totals are drained by the benchmark into its
+//! per-layer metrics.
 //!
 //! Phases may nest (a `Locate` or `Compact` span runs inside an
 //! `Integrate` span), so per-phase totals are not disjoint; they attribute
@@ -19,7 +19,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// The bench phases spans can attribute time to.
+/// The phases spans can attribute time to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// DDE integration step loop (RK4 stages + projection).
@@ -41,7 +41,7 @@ const PHASES: [Phase; 4] = [
 ];
 
 impl Phase {
-    /// The name used in `BENCH_*.json` span rows.
+    /// The phase's name in reports.
     pub fn name(self) -> &'static str {
         match self {
             Phase::Integrate => "integrate",

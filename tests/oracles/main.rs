@@ -1,12 +1,14 @@
-//! Known deviations from the paper, pinned as numbers.
+//! Known deviations from the paper, pinned as numbers, and outside
+//! fixtures the models must reproduce.
 //!
 //! EXPERIMENTS.md says where this reproduction departs from the paper, and
-//! by how much. Each test reads the checked-in result a deviation is about
-//! and asserts its number with a tolerance, so a change that moves one
-//! fails here instead of leaving the prose stale. `figs <id>` regenerates
-//! each file. Still prose only: `ext_parking_lot`'s 2.5 Gbps long flow,
-//! which needs the multi-bottleneck fixed point derived first.
+//! by how much. Each deviation test reads the checked-in result a deviation
+//! is about and asserts its number with a tolerance, so a change that moves
+//! one fails here instead of leaving the prose stale. `figs <id>`
+//! regenerates each file. Still prose only: `ext_parking_lot`'s 2.5 Gbps
+//! long flow, which needs the multi-bottleneck fixed point derived first.
 
+use ecn_delay::models::DcqcnParams;
 use obs::json::{parse, Value};
 
 /// The checked-in `results/<id>.json`, parsed.
@@ -94,6 +96,55 @@ fn fig14_timely_loses_utilisation_at_load_0_8() {
         assert!(
             (got - want).abs() <= 1e-3,
             "Fig 14 {protocol} utilisation {got:.4} at load 0.8, want {want} ± 1e-3"
+        );
+    }
+}
+
+/// Paper Eq 14, against an independent DCQCN fluid model
+/// (`dcqcn-fluid-model`'s `dcqcn-sim.py`, SNIPPETS.md). That script converts
+/// its Table 1 values to packets of 8 000 bits and computes the marking
+/// probability that makes a flow of rate `S` hold still,
+/// `Psend = ((Rai/(τ′S²))·(1/B + 1/(S·T))²)^{1/3}` — Eq 14 for one flow on
+/// a bottleneck of `S` — at S = 80 and 40 Gbps. The expected values were
+/// evaluated outside this repo with the script's own formula.
+#[test]
+fn eq14_matches_the_dcqcn_fluid_model_fixture() {
+    let snippet = |capacity_gbps| DcqcnParams {
+        packet_bytes: 1000.0,
+        capacity_gbps,
+        kmin_kb: 5.0,
+        kmax_kb: 200.0,
+        p_max: 0.5,
+        g: 1.0 / 256.0,
+        r_ai_mbps: 40.0,
+        fast_recovery_steps: 5.0,
+        byte_counter_mb: 10.0,
+        timer_us: 55.0,
+        cnp_timer_us: 50.0,
+        alpha_timer_us: 55.0,
+        feedback_delay_us: 85.0,
+        ..DcqcnParams::default_40g()
+    };
+    // The script's unit conversions.
+    let p = snippet(100.0);
+    let conversions = [
+        ("Kmin", p.kmin_pkts(), 5.0),
+        ("Kmax", p.kmax_pkts(), 200.0),
+        ("B", p.byte_counter_pkts(), 10_000.0),
+        ("Rai", p.r_ai_pps(), 5_000.0),
+        ("C", p.capacity_pps(), 1.25e7),
+    ];
+    for (name, got, want) in conversions {
+        assert!(
+            (got / want - 1.0).abs() <= 1e-12,
+            "{name}: {got} packets, want {want}"
+        );
+    }
+    for (capacity_gbps, psend) in [(80.0, 1.4955316841478716e-4), (40.0, 3.702728423210916e-4)] {
+        let got = snippet(capacity_gbps).p_star_approx(1);
+        assert!(
+            (got / psend - 1.0).abs() <= 1e-12,
+            "Eq 14 at S = {capacity_gbps} Gbps: {got:e}, the script's Psend {psend:e}"
         );
     }
 }
