@@ -134,10 +134,15 @@ fn main() {
                 x0[m.rt_index(i)] = rate;
                 x0[m.alpha_index(i)] = 1.0;
             }
-            let classes = m.flow_classes(&x0);
-            assert_eq!(classes.len(), 64, "asymmetric start must not reduce");
-            let trace = try_integrate_classes(&mut m, classes, &x0, 0.0, 0.01, &opts);
-            black_box(trace.expect("bounded model").len())
+            assert_eq!(
+                m.flow_classes(&x0).len(),
+                64,
+                "asymmetric start must not reduce"
+            );
+            let mut lanes =
+                try_integrate_classes(std::slice::from_mut(&mut m), &[x0], 0.0, 0.01, &opts)
+                    .expect("valid configuration");
+            black_box(lanes.remove(0).expect("bounded model").len())
         });
     }
     {

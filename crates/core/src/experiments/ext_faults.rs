@@ -23,7 +23,7 @@
 use crate::scenarios::{single_switch_longlived, Protocol};
 use desim::{par, SimDuration, SimTime};
 use faults::SimError;
-use fluid::dde::{try_integrate_dde, DdeOptions, DdeSystem};
+use fluid::dde::{lane_of, try_integrate, DdeOptions, LaneSystem};
 use fluid::History;
 use netsim::{Engine, EngineConfig, FlowSpec, Pacing, Topology};
 use protocols::{TimelyCc, TimelyCcParams};
@@ -279,12 +279,21 @@ struct DelayedFeedback {
     gain_per_s: f64,
 }
 
-impl DdeSystem for DelayedFeedback {
-    fn dim(&self) -> usize {
+impl LaneSystem for DelayedFeedback {
+    fn lane_dim(&self) -> usize {
         1
     }
-    fn rhs(&mut self, t: f64, _x: &[f64], hist: &History, dxdt: &mut [f64]) {
-        dxdt[0] = self.gain_per_s * hist.eval(t - WATCHDOG_TAU_S, 0);
+    fn lane_rhs(
+        &mut self,
+        t: f64,
+        _x: &[f64],
+        lane: usize,
+        stride: usize,
+        hist: &History,
+        dxdt: &mut [f64],
+    ) {
+        let c = lane_of(0, lane, stride);
+        dxdt[c] = self.gain_per_s * hist.eval(t - WATCHDOG_TAU_S, c);
     }
     fn min_delay(&self) -> f64 {
         WATCHDOG_TAU_S
@@ -304,7 +313,9 @@ pub fn run_watchdog_sweep(gains: &[f64], t1_s: f64) -> Vec<WatchdogPoint> {
     };
     let results = par::par_map(gains.to_vec(), |gain_per_s| {
         let mut sys = DelayedFeedback { gain_per_s };
-        try_integrate_dde(&mut sys, &[1.0], 0.0, t1_s, &opts).map(|tr| {
+        let lanes = try_integrate(std::slice::from_mut(&mut sys), &[1.0], 0.0, t1_s, &opts);
+        // One lane in, one out.
+        lanes.and_then(|mut lanes| lanes.remove(0)).map(|tr| {
             tr.last_state()
                 .map(|x| x.iter().fold(0.0f64, |m, v| m.max(v.abs())))
                 .unwrap_or(0.0)

@@ -72,7 +72,7 @@ fn make_panel(fluid: DcqcnFluid, d: f64, n: usize, duration_s: f64, trace: &Trac
 /// [`DcqcnFluid::simulate_batch`] call — both paper delays derive the same
 /// 1 µs step, so the grid batches by flow count — and the batches run
 /// through [`desim::par::par_map`] with ordered results. Per-lane results
-/// are bit-identical to solo integrations (the `fluid::batch` oracle tests).
+/// are bit-identical to solo integrations (the `fluid::dde` lane tests).
 pub fn run(cfg: &Fig4Config) -> Fig4Result {
     let mut jobs: Vec<(f64, usize)> = Vec::new();
     for &d in &cfg.delays_us {

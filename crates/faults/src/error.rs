@@ -18,9 +18,9 @@ pub type SimResult<T> = Result<T, SimError>;
 /// Structured simulator error.
 ///
 /// `Display` renders a single human-readable line that always contains the
-/// `detail` text, so panicking compatibility wrappers (`Topology::new`,
-/// `integrate_dde`) preserve the exact messages existing `#[should_panic]`
-/// tests match on.
+/// `detail` text, so panicking compatibility wrappers (`Topology::new`, a
+/// model's `simulate`) preserve the exact messages existing
+/// `#[should_panic]` tests match on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// A configuration value failed validation at construction time.
@@ -322,7 +322,7 @@ mod tests {
     fn display_contains_detail() {
         let e = SimError::topology("Topology::new", "no route from host 0 to host 1");
         assert!(e.to_string().contains("no route"));
-        let e = SimError::config("integrate_dde", "step 2 exceeds smallest delay 1");
+        let e = SimError::config("try_integrate", "step 2 exceeds smallest delay 1");
         assert!(e.to_string().contains("exceeds smallest delay"));
     }
 

@@ -26,9 +26,12 @@
 //! knot holds the same numbers, just once per class.
 //!
 //! There is one code path: flows that share nothing form the identity
-//! partition (K = N) and go through the same loop.
+//! partition (K = N) and go through the same loop. [`try_integrate_classes`]
+//! runs all three around [`try_integrate`] for a slice of
+//! [`FlowClassSystem`] lanes — the [`LaneSystem`]s with this layout — one
+//! model or a batch stepping one joint partition.
 
-use crate::dde::{try_integrate_dde, DdeOptions, DdeSystem};
+use crate::dde::{pack_lanes, try_integrate, DdeOptions, LaneSystem};
 use crate::trace::Trace;
 use faults::SimError;
 use std::collections::BTreeMap;
@@ -186,12 +189,12 @@ impl FlowClasses {
     }
 }
 
-/// A [`DdeSystem`] whose per-flow loop runs over the classes of an installed
-/// [`FlowClasses`] partition: its [`DdeSystem::dim`] is
+/// A [`LaneSystem`] whose per-flow loop runs over the classes of an
+/// installed [`FlowClasses`] partition: its [`LaneSystem::lane_dim`] is
 /// `layout().dim(K)`, block `k` of its state is class `k`'s, and its
 /// cross-flow sums iterate [`FlowClasses::class_of`]. A freshly built model
 /// holds the identity partition.
-pub trait FlowClassSystem: DdeSystem {
+pub trait FlowClassSystem: LaneSystem {
     /// The shared/per-flow split of the state.
     fn layout(&self) -> FlowLayout;
 
@@ -205,60 +208,70 @@ pub trait FlowClassSystem: DdeSystem {
     fn classes_mut(&mut self) -> &mut FlowClasses;
 
     /// The partition of this system's flows starting from the N-flow state
-    /// `x0`.
+    /// `x0`: what [`try_integrate_classes`] steps a one-lane run under.
     fn flow_classes(&self, x0: &[f64]) -> FlowClasses {
         FlowClasses::partition(self.layout(), &[x0], |i, key| self.flow_param_bits(i, key))
     }
 }
 
-/// Integrate `sys` from the N-flow state `x0` (constant pre-history `x0`)
-/// at the width of `classes`, and return the trace in the N-flow layout.
-/// `sys` gets its previous partition back afterwards.
+/// Integrate the lanes `lanes` from the N-flow starts `x0s` (one per lane,
+/// constant pre-history) at the width of their joint flow partition, and
+/// return each lane's trace in the N-flow layout; what the models'
+/// `simulate*` call, a one-model run with `std::slice::from_mut`.
 ///
-/// With [`FlowClassSystem::flow_classes`]`(x0)` this is bit-for-bit the run
-/// under [`FlowClasses::identity`], including a divergence's time and step.
+/// Two flows share a class only if their blocks agree in every lane's start
+/// and their [`FlowClassSystem::flow_param_bits`] agree in every lane; for
+/// one lane that is [`FlowClassSystem::flow_classes`]. Every lane gets its
+/// previous partition back afterwards. Results are as
+/// [`try_integrate`]'s, and bit for bit those of the run under
+/// [`FlowClasses::identity`] (a fresh model's partition), including a
+/// divergence's time and step.
 pub fn try_integrate_classes<S: FlowClassSystem>(
-    sys: &mut S,
-    classes: FlowClasses,
-    x0: &[f64],
+    lanes: &mut [S],
+    x0s: &[Vec<f64>],
     t0: f64,
     t1: f64,
     opts: &DdeOptions,
-) -> Result<Trace, SimError> {
-    let layout = sys.layout();
-    let n_flows = sys.classes_mut().n_flows();
-    if classes.n_flows() != n_flows || x0.len() != layout.dim(n_flows) {
-        return Err(SimError::config(
-            "integrate_classes",
-            format!(
-                "state dimension mismatch: {n_flows} flows need {} components, \
-                 x0 len {}, partition of {} flows",
-                layout.dim(n_flows),
-                x0.len(),
-                classes.n_flows()
-            ),
-        ));
+) -> Result<Vec<Result<Trace, SimError>>, SimError> {
+    let config = |detail: String| SimError::config("try_integrate_classes", detail);
+    let Some(first) = lanes.first_mut() else {
+        return Err(config("zero lanes".into()));
+    };
+    let layout = first.layout();
+    let n_flows = first.classes_mut().n_flows();
+    let dim = layout.dim(n_flows);
+    let b = lanes.len();
+    if x0s.len() != b
+        || x0s.iter().any(|x0| x0.len() != dim)
+        || lanes
+            .iter_mut()
+            .any(|m| m.classes_mut().n_flows() != n_flows)
+    {
+        return Err(config(format!(
+            "state dimension mismatch: {b} lanes of {n_flows} flows need {b} starts of \
+             {dim} components, got {} starts",
+            x0s.len()
+        )));
     }
-    let reduced = classes.reduce(layout, x0);
-    let previous = std::mem::replace(sys.classes_mut(), classes);
-    let result = try_integrate_dde(sys, &reduced, t0, t1, opts);
-    let classes = std::mem::replace(sys.classes_mut(), previous);
-    result.map(|trace| classes.expand(layout, trace))
-}
-
-/// Integrate `sys` from the N-flow state `x0` under its own flow partition
-/// ([`FlowClassSystem::flow_classes`]); what the models' `simulate*` call.
-/// Panics on invalid options or divergence, like
-/// [`integrate_dde`](crate::dde::integrate_dde).
-pub fn integrate_flow_classes<S: FlowClassSystem>(
-    sys: &mut S,
-    x0: &[f64],
-    t0: f64,
-    t1: f64,
-    opts: &DdeOptions,
-) -> Trace {
-    let classes = sys.flow_classes(x0);
-    try_integrate_classes(sys, classes, x0, t0, t1, opts).unwrap_or_else(|e| panic!("{e}"))
+    let states: Vec<&[f64]> = x0s.iter().map(Vec::as_slice).collect();
+    let classes = FlowClasses::partition(layout, &states, |i, key| {
+        for m in lanes.iter() {
+            m.flow_param_bits(i, key);
+        }
+    });
+    let reduced: Vec<Vec<f64>> = x0s.iter().map(|x0| classes.reduce(layout, x0)).collect();
+    let previous: Vec<FlowClasses> = lanes
+        .iter_mut()
+        .map(|m| std::mem::replace(m.classes_mut(), classes.clone()))
+        .collect();
+    let result = try_integrate(lanes, &pack_lanes(&reduced), t0, t1, opts);
+    for (m, p) in lanes.iter_mut().zip(previous) {
+        *m.classes_mut() = p;
+    }
+    Ok(result?
+        .into_iter()
+        .map(|lane| lane.map(|trace| classes.expand(layout, trace)))
+        .collect())
 }
 
 #[cfg(test)]

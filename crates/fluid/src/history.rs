@@ -210,7 +210,7 @@ impl History {
     /// offset + 2·stride, …` at time `t` into `out[..count]`, locating the
     /// bracketing knot pair **once** for the whole strided slice.
     ///
-    /// This is the batched-lane access pattern (see `fluid::batch`): a lane's
+    /// This is the lane access pattern (see [`crate::dde`]): a lane's
     /// state lives at components `lane, lane + B, lane + 2B, …` of a
     /// `[state_dim × B]` struct-of-arrays history row, so one call fetches a
     /// full per-lane delayed state with a single search. Bit-identical to

@@ -10,29 +10,28 @@
 //!
 //! * [`History`] — a dense, linearly interpolated record of the solution,
 //!   queried by the model for arbitrary delayed lookups;
-//! * [`DdeSystem`] + a fixed-step RK4 DDE integrator using the method of
-//!   steps: delayed values are read from the accumulated history, with the
-//!   pre-`t0` segment supplied by a user initial function (constant initial
-//!   state by default, matching the paper's "flows start at line rate");
-//! * [`LaneSystem`] / [`LaneBatch`] + a batched lockstep RK4 DDE integrator
-//!   ([`try_integrate_dde_batch`]): B sweep configs integrate simultaneously
-//!   over one `[state_dim × B]` struct-of-arrays block with per-lane
-//!   divergence reporting. This is the one step loop: a [`DdeSystem`]
-//!   integrates as a batch of one lane;
+//! * [`LaneSystem`] + [`try_integrate`] ([`dde`]) — the one fixed-step RK4
+//!   DDE integrator, by the method of steps: delayed values are read from
+//!   the accumulated history, whose pre-`t0` segment is the constant
+//!   initial state (the paper's "flows start at line rate"). It steps a
+//!   slice of lanes in lockstep — one model, or B sweep configs over one
+//!   `[state_dim × B]` struct-of-arrays block with per-lane divergence
+//!   reporting;
 //! * [`StagedLane`] / [`Stages`] — the integrator's stage slots
 //!   ([`stage`]): a lane kernel whose delayed lookups depend on `t` alone
 //!   builds what it derives from delayed state once per stage *instant* of
 //!   an RK4 step (two per step) rather than once per stage (four);
 //! * [`FlowClasses`] — flow-class reduction ([`classes`]): flows with
 //!   bitwise-identical initial state and parameters carry bitwise-identical
-//!   trajectories, so the models integrate one representative per class and
-//!   show the recorded trace in the N-flow layout;
+//!   trajectories, so the models integrate one representative per class
+//!   ([`FlowClassSystem`], [`try_integrate_classes`]) and show the recorded
+//!   trace in the N-flow layout;
 //! * [`Trace`] — a recorded solution with per-component series extraction
 //!   and decimation, the common currency of every figure runner; it can be
 //!   a column view of narrower stored rows, which is how a K-class run is
 //!   read in the N-flow layout without an N-wide copy.
 //!
-//! The integrators are deliberately explicit and fixed-step: the models have
+//! The integrator is deliberately explicit and fixed-step: the models have
 //! modest stiffness, delays of a few microseconds set a natural step-size
 //! bound anyway, and bit-for-bit reproducibility matters more than adaptive
 //! cleverness here.
@@ -49,21 +48,14 @@
 )]
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
-pub mod batch;
 pub mod classes;
 pub mod dde;
 pub mod history;
 pub mod stage;
 pub mod trace;
 
-pub use batch::{
-    batch_stride, lane_of, pack_lanes, try_integrate_dde_batch, BatchDdeSystem, LaneBatch,
-    LaneSystem,
-};
-pub use classes::{
-    integrate_flow_classes, try_integrate_classes, FlowClassSystem, FlowClasses, FlowLayout,
-};
-pub use dde::{integrate_dde, DdeSystem};
+pub use classes::{try_integrate_classes, FlowClassSystem, FlowClasses, FlowLayout};
+pub use dde::{lane_of, pack_lanes, try_integrate, LaneSystem};
 pub use history::History;
 pub use stage::{StageInstant, StagedLane, Stages};
 pub use trace::Trace;

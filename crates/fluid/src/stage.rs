@@ -16,10 +16,11 @@
 //! * **phase two** ([`StagedLane::rhs_staged`]) is the arithmetic on the
 //!   current stage state, reading that slot.
 //!
-//! The integrator is the only party that knows which instants repeat, so it
-//! owns the slots ([`Stages`], created and dropped inside one integration)
-//! and names the instant of every call ([`StageInstant`]). `mid` is filled
-//! by stage 2 and reused by stage 3 — no knot moves in between. `end` is
+//! The integrator, [`try_integrate`](crate::dde::try_integrate), is the
+//! only party that knows which instants repeat, so it owns the slots
+//! ([`Stages`], created and dropped inside one integration) and names the
+//! instant of every call ([`StageInstant`]). `mid` is filled by stage 2 and
+//! reused by stage 3 — no knot moves in between. `end` is
 //! filled by stage 4 and handed to the next step's stage 1, but only if the
 //! `push` and `trim_before` in between cannot have changed the lookup's
 //! answer (`Stages::advance`); otherwise stage 1 refills. Outputs are
@@ -30,7 +31,7 @@
 //! not share a delayed instant. They implement [`LaneSystem`] alone and are
 //! called through [`LaneSystem::lane_rhs`] on every stage.
 
-use crate::batch::{lane_of, LaneSystem};
+use crate::dde::{lane_of, LaneSystem};
 use crate::history::History;
 
 /// Which of an RK4 step's three stage instants a derivative is evaluated at.
@@ -49,11 +50,11 @@ pub enum StageInstant {
 ///
 /// To opt in, implement the three phase methods, make
 /// [`LaneSystem::lane_rhs`] the provided [`StagedLane::rhs_unstaged`] (the
-/// unsplit kernel *is* the two phases back to back), and route the
-/// integrators' calls to the slots: [`LaneSystem::lanes_rhs_at`] becomes
-/// `stages.rhs(..)` (the scalar integrator calls it with a one-lane slice).
-/// A model that leaves it at its default still integrates to the same
-/// bits, four phase-one runs a step.
+/// unsplit kernel *is* the two phases back to back), and route
+/// [`try_integrate`](crate::dde::try_integrate)'s calls to the slots:
+/// [`LaneSystem::lanes_rhs_at`] becomes `stages.rhs(..)` (a one-model run
+/// calls it with a one-lane slice). A model that leaves it at its default
+/// still integrates to the same bits, four phase-one runs a step.
 pub trait StagedLane: LaneSystem {
     /// The one instant every delayed lookup of this lane's derivative at
     /// time `t` reads the history at. It depends on `t` alone — never on the
@@ -118,8 +119,8 @@ struct Slot {
 }
 
 /// The stage slots of one integration: `[start, mid, end]` per lane, plus
-/// the scratch rows phase one interpolates into. The scalar integrator is
-/// the one-lane case.
+/// the scratch rows phase one interpolates into. A one-model run is the
+/// one-lane case.
 #[derive(Debug)]
 pub struct Stages {
     slots: Vec<[Slot; 3]>,

@@ -27,9 +27,8 @@ use control::margins::{phase_margin_adaptive, MarginReport};
 use control::roots;
 use control::DelayLtiEvaluator;
 use faults::SimError;
-use fluid::batch::{lane_of, pack_lanes, try_integrate_dde_batch, LaneBatch, LaneSystem};
-use fluid::classes::{integrate_flow_classes, FlowClassSystem, FlowClasses, FlowLayout};
-use fluid::dde::DdeOptions;
+use fluid::classes::{try_integrate_classes, FlowClassSystem, FlowClasses, FlowLayout};
+use fluid::dde::{lane_of, DdeOptions, LaneSystem};
 use fluid::history::History;
 use fluid::stage::{StageInstant, StagedLane, Stages};
 use fluid::trace::Trace;
@@ -704,7 +703,9 @@ impl DcqcnFluid {
             record_every: record_every(duration_s, step_s),
             history_horizon_s: self.history_horizon_s(step_s),
         };
-        integrate_flow_classes(self, &x0, 0.0, duration_s, &opts)
+        try_integrate_classes(std::slice::from_mut(self), &[x0], 0.0, duration_s, &opts)
+            .and_then(|mut lanes| lanes.remove(0)) // one lane in, one out
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The protocol's start: every flow at line rate with `α = 1`, queue
@@ -728,11 +729,11 @@ impl DcqcnFluid {
     }
 
     /// Integrate a batch of DCQCN configurations in lockstep over one
-    /// struct-of-arrays state block (see [`fluid::batch`]).
+    /// struct-of-arrays state block (see [`fluid::dde`]).
     ///
     /// Every lane starts at line rate with `α = 1` and an empty queue,
     /// exactly like [`DcqcnFluid::simulate`], and each lane's trace (or
-    /// [`SimError::Divergence`]) is bit-identical to the scalar
+    /// [`SimError::Divergence`]) is bit-identical to the
     /// `simulate` of the same config — a diverging lane never aborts its
     /// batchmates. Lanes must share the flow count and derive the same
     /// lockstep step size from their feedback delays (callers group sweep
@@ -763,19 +764,8 @@ impl DcqcnFluid {
                 .fold(0.0, f64::max),
         };
         let x0s: Vec<Vec<f64>> = models.iter().map(DcqcnFluid::line_rate_start).collect();
-        let states: Vec<&[f64]> = x0s.iter().map(Vec::as_slice).collect();
-        let classes = FlowClasses::partition(LAYOUT, &states, |_, _| {});
-        let reduced: Vec<Vec<f64>> = x0s.iter().map(|x0| classes.reduce(LAYOUT, x0)).collect();
-        for m in &mut models {
-            m.classes = classes.clone();
-        }
-        let packed = pack_lanes(&reduced);
-        let mut batch = LaneBatch::new(models);
-        try_integrate_dde_batch(&mut batch, &packed, &packed, 0.0, duration_s, &opts)
+        try_integrate_classes(&mut models, &x0s, 0.0, duration_s, &opts)
             .unwrap_or_else(|e| panic!("{e}"))
-            .into_iter()
-            .map(|lane| lane.map(|trace| classes.expand(LAYOUT, trace)))
-            .collect()
     }
 
     /// Convenience: extract per-flow rates in Gbps and queue in KB from a
@@ -821,8 +811,8 @@ impl LaneSystem for DcqcnFluid {
     /// The DCQCN RHS as a batch-lane kernel: this lane's component `c` lives
     /// at `lane_of(c, lane, stride)` of the strided block. This is both
     /// phases of the split kernel back to back, for callers outside an
-    /// integrator's stage slots; the integrators run the same two phases
-    /// through [`fluid::Stages`], the scalar one at `lane = 0, stride = 1`.
+    /// integrator's stage slots; the integrator runs the same two phases
+    /// through [`fluid::Stages`], a one-model run at `lane = 0, stride = 1`.
     fn lane_rhs(
         &mut self,
         t: f64,
@@ -935,7 +925,7 @@ impl StagedLane for DcqcnFluid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fluid::dde::{integrate_dde_with_prehistory, DdeSystem};
+    use fluid::dde::try_integrate;
 
     #[test]
     fn red_profile_matches_eq3() {
@@ -1089,7 +1079,7 @@ mod tests {
         let mut dx = vec![0.0; x.len()];
         // Evaluate at a time far enough that delayed lookups hit pre-history
         // (which equals the fixed point).
-        m.rhs(1.0, &x, &hist, &mut dx);
+        m.lane_rhs(1.0, &x, 0, 1, &hist, &mut dx);
         // Queue derivative: ΣR = C exactly.
         assert!(dx[0].abs() < 1e-3, "dq/dt = {}", dx[0]);
         // Rate derivatives are zero relative to the rate scale.
@@ -1149,7 +1139,10 @@ mod tests {
             record_every: 50,
             history_horizon_s: 0.01,
         };
-        let tr = integrate_dde_with_prehistory(&mut m, &x0.clone(), &x0.clone(), 0.0, 0.1, &opts);
+        let tr = try_integrate(std::slice::from_mut(&mut m), &x0, 0.0, 0.1, &opts)
+            .unwrap()
+            .remove(0)
+            .unwrap();
         let last = tr.last_state().unwrap();
         let r0 = last[m.rc_index(0)];
         let r1 = last[m.rc_index(1)];

@@ -23,9 +23,8 @@ use control::complex::Complex64;
 use control::linearize;
 use control::margins::{phase_margin_adaptive, MarginReport};
 use control::DelayLtiEvaluator;
-use fluid::batch::{lane_of, LaneSystem};
-use fluid::classes::{integrate_flow_classes, FlowClassSystem, FlowClasses, FlowLayout};
-use fluid::dde::DdeOptions;
+use fluid::classes::{try_integrate_classes, FlowClassSystem, FlowClasses, FlowLayout};
+use fluid::dde::{lane_of, DdeOptions, LaneSystem};
 use fluid::history::History;
 use fluid::trace::Trace;
 use std::cell::RefCell;
@@ -181,7 +180,9 @@ impl PatchedTimelyFluid {
             record_every,
             history_horizon_s: horizon,
         };
-        integrate_flow_classes(self, &x0, 0.0, duration_s, &opts)
+        try_integrate_classes(std::slice::from_mut(self), &[x0], 0.0, duration_s, &opts)
+            .and_then(|mut lanes| lanes.remove(0)) // one lane in, one out
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Simulate from equal shares `C/N`.

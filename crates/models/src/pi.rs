@@ -18,9 +18,8 @@
 use crate::dcqcn::{DcqcnFluid, DcqcnParams, FlowTerms, MarkTerms};
 use crate::patched_timely::PatchedTimelyParams;
 use crate::units;
-use fluid::batch::{lane_of, LaneSystem};
-use fluid::classes::{integrate_flow_classes, FlowClassSystem, FlowClasses, FlowLayout};
-use fluid::dde::DdeOptions;
+use fluid::classes::{try_integrate_classes, FlowClassSystem, FlowClasses, FlowLayout};
+use fluid::dde::{lane_of, DdeOptions, LaneSystem};
 use fluid::history::History;
 use fluid::stage::{StageInstant, StagedLane, Stages};
 use fluid::trace::Trace;
@@ -124,7 +123,9 @@ impl DcqcnPiFluid {
             record_every,
             history_horizon_s: self.params.feedback_delay_s() * 4.0 + 10.0 * step,
         };
-        integrate_flow_classes(self, &x0, 0.0, duration_s, &opts)
+        try_integrate_classes(std::slice::from_mut(self), &[x0], 0.0, duration_s, &opts)
+            .and_then(|mut lanes| lanes.remove(0)) // one lane in, one out
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -348,7 +349,9 @@ impl PatchedTimelyPiFluid {
             record_every,
             history_horizon_s: horizon,
         };
-        integrate_flow_classes(self, &x0, 0.0, duration_s, &opts)
+        try_integrate_classes(std::slice::from_mut(self), &[x0], 0.0, duration_s, &opts)
+            .and_then(|mut lanes| lanes.remove(0)) // one lane in, one out
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

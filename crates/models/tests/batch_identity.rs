@@ -1,9 +1,9 @@
-//! Oracle tests for the batched lockstep DDE path: every protocol's
-//! batch-lane kernel must be **bit-identical** to its scalar `DdeSystem`
-//! path, and lane results must not depend on the batch width.
+//! Oracle tests for lockstep lanes: every protocol's lane kernel, run as a
+//! lane of a batch, must be **bit-identical** to its solo (one-lane) run,
+//! and lane results must not depend on the batch width.
 //!
-//! Both properties fall out of the single-code-path design — the scalar
-//! `rhs` delegates to `lane_rhs` at `(lane = 0, stride = 1)`, and per-lane
+//! Both properties fall out of the single-code-path design — a solo run is
+//! the `lane = 0, stride = 1` case of the same `lane_rhs`, and per-lane
 //! arithmetic only ever touches that lane's strided components — but these
 //! tests pin them as executable contracts so a future "optimization" that
 //! reorders lane arithmetic fails loudly.
@@ -14,9 +14,8 @@
 //! `fluid::classes`), whose expanded traces must also equal the full-width
 //! ones bit for bit.
 
-use fluid::batch::{pack_lanes, try_integrate_dde_batch, LaneBatch, LaneSystem};
-use fluid::classes::{FlowClassSystem, FlowClasses, FlowLayout};
-use fluid::dde::{integrate_dde_with_prehistory, DdeOptions, DdeSystem};
+use fluid::classes::{try_integrate_classes, FlowClassSystem, FlowClasses, FlowLayout};
+use fluid::dde::{lane_of, pack_lanes, try_integrate, DdeOptions, LaneSystem};
 use fluid::Trace;
 use models::dcqcn::{DcqcnFluid, DcqcnParams};
 use models::pi::{DcqcnPiFluid, PatchedTimelyPiFluid};
@@ -49,32 +48,36 @@ fn shared_opts<M: LaneSystem>(models: &[M], duration_s: f64) -> DdeOptions {
     }
 }
 
-/// The oracle: integrate each model solo through the scalar path and as a
-/// lane of one batch, under identical options and initial states, and
-/// require bitwise-equal traces.
-fn assert_lanes_match_scalar<M>(models: Vec<M>, x0s: Vec<Vec<f64>>, duration_s: f64)
+/// Integrate `models` as the lanes of one batch from `x0s`; no lane may
+/// diverge.
+fn run<M: LaneSystem>(
+    mut models: Vec<M>,
+    x0s: &[Vec<f64>],
+    duration_s: f64,
+    opts: &DdeOptions,
+) -> Vec<Trace> {
+    try_integrate(&mut models, &pack_lanes(x0s), 0.0, duration_s, opts)
+        .expect("valid batch configuration")
+        .into_iter()
+        .map(|r| r.expect("lane diverged"))
+        .collect()
+}
+
+/// The oracle: integrate each model solo and as a lane of one batch, under
+/// identical options and initial states, and require bitwise-equal traces.
+fn assert_lanes_match_solo<M>(models: Vec<M>, x0s: Vec<Vec<f64>>, duration_s: f64)
 where
-    M: LaneSystem + DdeSystem + Clone,
+    M: LaneSystem + Clone,
 {
     let opts = shared_opts(&models, duration_s);
-    let scalar: Vec<Trace> = models
-        .iter()
-        .zip(&x0s)
-        .map(|(m, x0)| {
-            integrate_dde_with_prehistory(&mut m.clone(), x0, x0, 0.0, duration_s, &opts)
-        })
-        .collect();
-    let packed = pack_lanes(&x0s);
-    let mut batch = LaneBatch::new(models);
-    let lanes = try_integrate_dde_batch(&mut batch, &packed, &packed, 0.0, duration_s, &opts)
-        .expect("valid batch configuration");
-    assert_eq!(lanes.len(), scalar.len());
-    for (lane, (solo, x0)) in lanes.into_iter().zip(scalar.iter().zip(&x0s)) {
-        let lane = lane.unwrap_or_else(|e| panic!("lane x0={x0:?} diverged: {e}"));
+    let lanes = run(models.clone(), &x0s, duration_s, &opts);
+    assert_eq!(lanes.len(), models.len());
+    for ((m, x0), lane) in models.into_iter().zip(&x0s).zip(&lanes) {
+        let solo = run(vec![m], std::slice::from_ref(x0), duration_s, &opts);
         assert_eq!(
-            trace_bits(&lane),
-            trace_bits(solo),
-            "batch lane must match the scalar integration bit-for-bit"
+            trace_bits(lane),
+            trace_bits(&solo[0]),
+            "lane x0={x0:?} must match its solo run bit-for-bit"
         );
     }
 }
@@ -86,17 +89,8 @@ where
     M: LaneSystem + Clone,
 {
     let opts = shared_opts(&models, duration_s);
-    let run = |ms: Vec<M>, xs: &[Vec<f64>]| -> Vec<Trace> {
-        let packed = pack_lanes(xs);
-        let mut batch = LaneBatch::new(ms);
-        try_integrate_dde_batch(&mut batch, &packed, &packed, 0.0, duration_s, &opts)
-            .expect("valid batch configuration")
-            .into_iter()
-            .map(|r| r.expect("lane diverged"))
-            .collect()
-    };
-    let wide = run(models.clone(), &x0s);
-    let thin = run(models[..narrow].to_vec(), &x0s[..narrow]);
+    let wide = run(models.clone(), &x0s, duration_s, &opts);
+    let thin = run(models[..narrow].to_vec(), &x0s[..narrow], duration_s, &opts);
     for (lane, (a, b)) in thin.iter().zip(&wide).enumerate() {
         assert_eq!(
             trace_bits(a),
@@ -107,12 +101,12 @@ where
 }
 
 /// Install the lanes' joint flow partition on every model and reduce every
-/// initial state to it — what `DcqcnFluid::simulate_batch` does internally.
+/// initial state to it — what `try_integrate_classes` does internally.
 fn reduce_lanes<M: FlowClassSystem>(
     mut models: Vec<M>,
     x0s: &[Vec<f64>],
     expect_classes: usize,
-) -> (Vec<M>, Vec<Vec<f64>>, FlowClasses) {
+) -> (Vec<M>, Vec<Vec<f64>>) {
     let layout = models[0].layout();
     let states: Vec<&[f64]> = x0s.iter().map(Vec::as_slice).collect();
     let classes = FlowClasses::partition(layout, &states, |_, _| {});
@@ -121,46 +115,34 @@ fn reduce_lanes<M: FlowClassSystem>(
         *m.classes_mut() = classes.clone();
     }
     let reduced = x0s.iter().map(|x0| classes.reduce(layout, x0)).collect();
-    (models, reduced, classes)
+    (models, reduced)
 }
 
-/// The three reduced-lane contracts for one protocol: reduced lanes match
-/// their scalar (reduced) integrations, do not depend on the batch width,
-/// and expand to exactly the full-width lanes.
+/// The three reduced-lane contracts for one protocol: reduced lanes expand
+/// to exactly the full-width lanes, match their solo (reduced) runs, and do
+/// not depend on the batch width.
 fn assert_reduced_lane_contracts<M>(
     models: Vec<M>,
     x0s: Vec<Vec<f64>>,
     expect_classes: usize,
     duration_s: f64,
 ) where
-    M: FlowClassSystem + LaneSystem + Clone,
+    M: FlowClassSystem + Clone,
 {
     let opts = shared_opts(&models, duration_s);
-    let run = |ms: Vec<M>, xs: &[Vec<f64>]| -> Vec<Trace> {
-        let packed = pack_lanes(xs);
-        let mut batch = LaneBatch::new(ms);
-        try_integrate_dde_batch(&mut batch, &packed, &packed, 0.0, duration_s, &opts)
-            .expect("valid batch configuration")
-            .into_iter()
-            .map(|r| r.expect("lane diverged"))
-            .collect()
-    };
-    let full = run(models.clone(), &x0s);
-    let layout = models[0].layout();
-    let (reduced_models, reduced_x0s, classes) = reduce_lanes(models, &x0s, expect_classes);
-    assert_lanes_match_scalar(reduced_models.clone(), reduced_x0s.clone(), duration_s);
-    assert_width_invariant(reduced_models.clone(), reduced_x0s.clone(), 4, duration_s);
-    for (lane, (wide, narrow)) in full
-        .iter()
-        .zip(run(reduced_models, &reduced_x0s))
-        .enumerate()
-    {
+    let full = run(models.clone(), &x0s, duration_s, &opts);
+    let expanded = try_integrate_classes(&mut models.clone(), &x0s, 0.0, duration_s, &opts)
+        .expect("valid batch configuration");
+    for (lane, (wide, narrow)) in full.iter().zip(expanded).enumerate() {
         assert_eq!(
-            trace_bits(&classes.expand(layout, narrow)),
+            trace_bits(&narrow.expect("lane diverged")),
             trace_bits(wide),
             "lane {lane}: the expanded reduced lane must equal the full-width lane"
         );
     }
+    let (reduced_models, reduced_x0s) = reduce_lanes(models, &x0s, expect_classes);
+    assert_lanes_match_solo(reduced_models.clone(), reduced_x0s.clone(), duration_s);
+    assert_width_invariant(reduced_models, reduced_x0s, 4, duration_s);
 }
 
 /// Move the second half of every lane's flows to `factor` × their block, so
@@ -251,15 +233,12 @@ fn dcqcn_simulate_batch_matches_full_width_lanes() {
         record_every: 1,
         history_horizon_s: models[0].params.feedback_delay_s() * 4.0 + 10.0 * step,
     };
-    let packed = pack_lanes(&x0s);
-    let mut batch = LaneBatch::new(models.clone());
-    let full = try_integrate_dde_batch(&mut batch, &packed, &packed, 0.0, duration, &opts)
-        .expect("valid batch configuration");
+    let full = run(models.clone(), &x0s, duration, &opts);
     let reduced = DcqcnFluid::simulate_batch(models, duration);
     for (lane, (a, b)) in reduced.iter().zip(&full).enumerate() {
         assert_eq!(
             trace_bits(a.as_ref().unwrap()),
-            trace_bits(b.as_ref().unwrap()),
+            trace_bits(b),
             "DCQCN lane {lane}: simulate_batch must equal the full-width batch"
         );
     }
@@ -290,7 +269,7 @@ fn timely_setup(b: usize) -> (Vec<TimelyFluid>, Vec<Vec<f64>>) {
 #[test]
 fn timely_batch_lane_matches_scalar() {
     let (models, x0s) = timely_setup(3);
-    assert_lanes_match_scalar(models, x0s, 0.002);
+    assert_lanes_match_solo(models, x0s, 0.002);
 }
 
 #[test]
@@ -331,7 +310,7 @@ fn patched_timely_setup(b: usize) -> (Vec<PatchedTimelyFluid>, Vec<Vec<f64>>) {
 #[test]
 fn patched_timely_batch_lane_matches_scalar() {
     let (models, x0s) = patched_timely_setup(3);
-    assert_lanes_match_scalar(models, x0s, 0.002);
+    assert_lanes_match_solo(models, x0s, 0.002);
 }
 
 #[test]
@@ -377,7 +356,7 @@ fn dcqcn_pi_setup(b: usize) -> (Vec<DcqcnPiFluid>, Vec<Vec<f64>>) {
 #[test]
 fn dcqcn_pi_batch_lane_matches_scalar() {
     let (models, x0s) = dcqcn_pi_setup(3);
-    assert_lanes_match_scalar(models, x0s, 0.002);
+    assert_lanes_match_solo(models, x0s, 0.002);
 }
 
 #[test]
@@ -423,7 +402,7 @@ fn patched_timely_pi_setup(b: usize) -> (Vec<PatchedTimelyPiFluid>, Vec<Vec<f64>
 #[test]
 fn patched_timely_pi_batch_lane_matches_scalar() {
     let (models, x0s) = patched_timely_pi_setup(3);
-    assert_lanes_match_scalar(models, x0s, 0.002);
+    assert_lanes_match_solo(models, x0s, 0.002);
 }
 
 #[test]
@@ -465,7 +444,7 @@ impl LaneSystem for Exponential {
         _hist: &fluid::History,
         dxdt: &mut [f64],
     ) {
-        let c = fluid::batch::lane_of(0, lane, stride);
+        let c = lane_of(0, lane, stride);
         dxdt[c] = self.gain_per_s * x[c];
     }
 
@@ -481,7 +460,7 @@ fn poisoned_lane_fails_alone() {
     // a batch that never contained it.
     let duration = 0.01; // gain 4000/s crosses the 1e12 watchdog by ~6.9 ms
     let lanes = |gains: &[f64]| {
-        let models: Vec<Exponential> = gains
+        let mut models: Vec<Exponential> = gains
             .iter()
             .map(|&g| Exponential { gain_per_s: g })
             .collect();
@@ -491,9 +470,7 @@ fn poisoned_lane_fails_alone() {
             record_every: 1,
             history_horizon_s: 1e-3,
         };
-        let packed = pack_lanes(&x0s);
-        let mut batch = LaneBatch::new(models);
-        try_integrate_dde_batch(&mut batch, &packed, &packed, 0.0, duration, &opts)
+        try_integrate(&mut models, &pack_lanes(&x0s), 0.0, duration, &opts)
             .expect("valid batch configuration")
     };
     let mixed = lanes(&[-5.0, 4000.0, -9.0]);

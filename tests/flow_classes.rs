@@ -1,13 +1,13 @@
 //! Flow-class reduction is invisible in the output: for every fluid model,
 //! integrating one representative per class of bitwise-identical flows
 //! (`fluid::classes`) produces, bit for bit, the trace of the same run under
-//! a forced identity partition (every flow stepped on its own) — symmetric
-//! starts, two-class starts, fully asymmetric starts, jittered feedback, and
-//! a divergence's time and step.
+//! the identity partition a fresh model holds (every flow stepped on its
+//! own) — symmetric starts, two-class starts, fully asymmetric starts,
+//! jittered feedback, and a divergence's time and step.
 
 use ecn_delay::desim::rng::SimRng;
 use ecn_delay::fluid::classes::{try_integrate_classes, FlowClassSystem, FlowClasses, FlowLayout};
-use ecn_delay::fluid::dde::{DdeOptions, DdeSystem};
+use ecn_delay::fluid::dde::{lane_of, try_integrate, DdeOptions, LaneSystem};
 use ecn_delay::fluid::{History, Trace};
 use ecn_delay::models::dcqcn::{DcqcnFluid, DcqcnParams};
 use ecn_delay::models::jitter::Jitter;
@@ -28,7 +28,7 @@ fn trace_bits(tr: &Trace) -> Vec<u64> {
 /// A step below the model's smallest delay, an odd record cadence (so the
 /// forced final record differs from a cadence hit), and the given history
 /// horizon (longer than any lookback the model makes in the run).
-fn opts<S: DdeSystem>(sys: &S, horizon_s: f64) -> DdeOptions {
+fn opts<S: LaneSystem>(sys: &S, horizon_s: f64) -> DdeOptions {
     DdeOptions {
         step: (sys.min_delay() / 4.0).min(1e-6),
         record_every: 7,
@@ -36,28 +36,34 @@ fn opts<S: DdeSystem>(sys: &S, horizon_s: f64) -> DdeOptions {
     }
 }
 
+/// The one lane of a one-lane run, or its error.
+fn lane0(run: Result<Vec<Result<Trace, SimError>>, SimError>) -> Result<Trace, SimError> {
+    run.and_then(|mut lanes| lanes.remove(0))
+}
+
 /// Integrate `sys` from `x0` under its own flow partition (which must have
-/// `expect_classes` classes) and under the identity partition; the two
-/// N-flow traces must be bitwise equal.
+/// `expect_classes` classes) and, as built, under the identity partition;
+/// the two N-flow traces must be bitwise equal.
 fn assert_reduction_invisible<S>(sys: &S, x0: &[f64], expect_classes: usize, opts: &DdeOptions)
 where
     S: FlowClassSystem + Clone,
 {
     let duration_s = 0.003;
-    let classes = sys.flow_classes(x0);
-    assert_eq!(classes.len(), expect_classes, "classes of {x0:?}");
-    let n_flows = classes.n_flows();
-    let reduced = try_integrate_classes(&mut sys.clone(), classes, x0, 0.0, duration_s, opts)
-        .expect("reduced run");
-    let full = try_integrate_classes(
-        &mut sys.clone(),
-        FlowClasses::identity(n_flows),
-        x0,
+    assert_eq!(
+        sys.flow_classes(x0).len(),
+        expect_classes,
+        "classes of {x0:?}"
+    );
+    let reduced = lane0(try_integrate_classes(
+        &mut [sys.clone()],
+        &[x0.to_vec()],
         0.0,
         duration_s,
         opts,
-    )
-    .expect("identity run");
+    ))
+    .expect("reduced run");
+    let full =
+        lane0(try_integrate(&mut [sys.clone()], x0, 0.0, duration_s, opts)).expect("identity run");
     assert_eq!(
         reduced.dim(),
         x0.len(),
@@ -127,7 +133,7 @@ fn dcqcn_simulate_returns_the_n_flow_layout() {
         }
     }
     // The model is back on the identity partition: it integrates N-wide.
-    assert_eq!(DdeSystem::dim(&m), m.state_dim());
+    assert_eq!(m.lane_dim(), m.state_dim());
 }
 
 // --- DCQCN + PI ------------------------------------------------------------
@@ -313,15 +319,24 @@ const EXPLOSIVE_LAYOUT: FlowLayout = FlowLayout {
     per_flow: 1,
 };
 
-impl DdeSystem for Explosive {
-    fn dim(&self) -> usize {
+impl LaneSystem for Explosive {
+    fn lane_dim(&self) -> usize {
         EXPLOSIVE_LAYOUT.dim(self.classes.len())
     }
-    fn rhs(&mut self, t: f64, x: &[f64], hist: &History, dxdt: &mut [f64]) {
-        let sum: f64 = self.classes.class_of().iter().map(|&k| x[1 + k]).sum();
-        dxdt[0] = sum - x[0];
+    fn lane_rhs(
+        &mut self,
+        t: f64,
+        x: &[f64],
+        lane: usize,
+        stride: usize,
+        hist: &History,
+        dxdt: &mut [f64],
+    ) {
+        let at = |c: usize| lane_of(c, lane, stride);
+        let sum: f64 = self.classes.class_of().iter().map(|&k| x[at(1 + k)]).sum();
+        dxdt[at(0)] = sum - x[at(0)];
         for k in 0..self.classes.len() {
-            dxdt[1 + k] = self.gain_per_s * hist.eval(t - 1e-4, 1 + k) + x[0];
+            dxdt[at(1 + k)] = self.gain_per_s * hist.eval(t - 1e-4, at(1 + k)) + x[at(0)];
         }
     }
     fn min_delay(&self) -> f64 {
@@ -369,19 +384,17 @@ fn divergence_is_reported_identically_at_both_widths() {
         record_every: 1,
         history_horizon_s: 1e-3,
     };
-    let classes = sys.flow_classes(&x0);
-    assert_eq!(classes.len(), 2);
-    let reduced = try_integrate_classes(&mut sys.clone(), classes, &x0, 0.0, 0.05, &o)
-        .expect_err("gain 4000/s crosses the watchdog norm within the window");
-    let full = try_integrate_classes(
-        &mut sys.clone(),
-        FlowClasses::identity(6),
-        &x0,
+    assert_eq!(sys.flow_classes(&x0).len(), 2);
+    let reduced = lane0(try_integrate_classes(
+        &mut [sys.clone()],
+        &[x0.to_vec()],
         0.0,
         0.05,
         &o,
-    )
-    .expect_err("diverges at full width too");
+    ))
+    .expect_err("gain 4000/s crosses the watchdog norm within the window");
+    let full = lane0(try_integrate(&mut [sys], &x0, 0.0, 0.05, &o))
+        .expect_err("diverges at full width too");
     let (t_bits, norm_bits, h_bits, step) = divergence_fields(reduced);
     assert!(step > 100, "tripped mid-run, at step {step}");
     assert_eq!((t_bits, norm_bits, h_bits, step), divergence_fields(full));
@@ -395,11 +408,10 @@ fn poisoned_gain_trips_a_real_model_identically_at_both_widths() {
     m.gains.k2 = f64::NAN;
     let x0 = dcqcn_pi_x0(&m, &two_classes(8));
     let o = opts(&m, 40e-6);
-    let classes = m.flow_classes(&x0);
+    let x0s = std::slice::from_ref(&x0);
     let reduced =
-        try_integrate_classes(&mut m.clone(), classes, &x0, 0.0, 1e-3, &o).expect_err("NaN state");
-    let full = try_integrate_classes(&mut m, FlowClasses::identity(8), &x0, 0.0, 1e-3, &o)
-        .expect_err("NaN state");
+        lane0(try_integrate_classes(&mut [m.clone()], x0s, 0.0, 1e-3, &o)).expect_err("NaN state");
+    let full = lane0(try_integrate(&mut [m], &x0, 0.0, 1e-3, &o)).expect_err("NaN state");
     let (t_bits, _, h_bits, step) = divergence_fields(reduced);
     assert_eq!(step, 1);
     let (t_full, _, h_full, step_full) = divergence_fields(full);

@@ -1,5 +1,5 @@
-//! Known deviations from the paper, pinned as numbers, and outside
-//! fixtures the models must reproduce.
+//! Known deviations from the paper, pinned as numbers, outside fixtures
+//! the models must reproduce, and metamorphic checks of the fluid layer.
 //!
 //! EXPERIMENTS.md says where this reproduction departs from the paper, and
 //! by how much. Each deviation test reads the checked-in result a deviation
@@ -8,7 +8,10 @@
 //! regenerates each file. Still prose only: `ext_parking_lot`'s 2.5 Gbps
 //! long flow, which needs the multi-bottleneck fixed point derived first.
 
-use ecn_delay::models::DcqcnParams;
+use ecn_delay::desim::rng::SimRng;
+use ecn_delay::fluid::dde::{lane_of, try_integrate, DdeOptions, LaneSystem};
+use ecn_delay::fluid::{FlowClassSystem, History};
+use ecn_delay::models::{DcqcnFluid, DcqcnParams};
 use obs::json::{parse, Value};
 
 /// The checked-in `results/<id>.json`, parsed.
@@ -146,5 +149,128 @@ fn eq14_matches_the_dcqcn_fluid_model_fixture() {
             (got / psend - 1.0).abs() <= 1e-12,
             "Eq 14 at S = {capacity_gbps} Gbps: {got:e}, the script's Psend {psend:e}"
         );
+    }
+}
+
+/// `x′(t) = −x(t − 1)` with `x ≡ 1` for `t ≤ 0`: the textbook DDE, solved
+/// exactly by the method of steps — `x = 1 − t` on [0, 1],
+/// `1 − t + (t − 1)²/2` on [1, 2], so `x(2) = −1/2` and `x(3) = −1/6`.
+struct UnitDelay;
+
+impl LaneSystem for UnitDelay {
+    fn lane_dim(&self) -> usize {
+        1
+    }
+    fn lane_rhs(
+        &mut self,
+        t: f64,
+        _x: &[f64],
+        lane: usize,
+        stride: usize,
+        hist: &History,
+        dxdt: &mut [f64],
+    ) {
+        let c = lane_of(0, lane, stride);
+        dxdt[c] = -hist.eval(t - 1.0, c);
+    }
+    fn min_delay(&self) -> f64 {
+        1.0
+    }
+}
+
+/// Step halving pins the integrator's order. On [0, 2] the delayed term is
+/// linear in `t` (the solution on [−1, 1] is), which linear `History`
+/// interpolation reproduces and RK4 integrates exactly: every knot is the
+/// method-of-steps value and `x(2) = −1/2` to the bit. On [2, 3] it is the
+/// quadratic of [1, 2]; the two mid-step stages read its linear interpolant,
+/// `h²/8` off, which leaves `x(3) + 1/6 = −h²/12` — order 2, however
+/// accurate RK4's own stages are.
+#[test]
+fn integrator_matches_the_method_of_steps_at_order_2() {
+    for h in [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0] {
+        let opts = DdeOptions {
+            step: h,
+            record_every: 1,
+            history_horizon_s: f64::INFINITY,
+        };
+        let trace = try_integrate(&mut [UnitDelay], &[1.0], 0.0, 3.0, &opts)
+            .expect("valid configuration")
+            .remove(0)
+            .expect("bounded solution");
+        let at = |t: f64| {
+            let i = (t / h) as usize;
+            assert_eq!(
+                trace.times()[i].to_bits(),
+                t.to_bits(),
+                "knot {i} at h = {h}"
+            );
+            trace.state(i)[0]
+        };
+        for i in 0..=(2.0 / h) as usize {
+            let t = i as f64 * h;
+            let exact = if t <= 1.0 {
+                1.0 - t
+            } else {
+                1.0 - t + (t - 1.0) * (t - 1.0) / 2.0
+            };
+            assert!((at(t) - exact).abs() < 1e-12, "x({t}) at h = {h}");
+        }
+        assert_eq!(at(2.0).to_bits(), (-0.5f64).to_bits(), "x(2) at h = {h}");
+        let scaled = (at(3.0) + 1.0 / 6.0) * 12.0 / (h * h);
+        assert!(
+            (scaled + 1.0).abs() < 1e-6,
+            "(x(3) + 1/6)·12/h² = {scaled} at h = {h}, want −1"
+        );
+    }
+}
+
+/// Permuting the flows permutes the flow classes: draw N flows from a pool
+/// of at most four distinct blocks, reorder them by a permutation π, and
+/// the partition of the reordered start has as many classes, puts flows
+/// `i` and `j` together exactly when the original put `π(i)` and `π(j)`
+/// together, and still numbers classes by first appearance.
+#[test]
+fn permuting_the_flows_permutes_flow_classes() {
+    for seed in 0..64 {
+        let mut rng = SimRng::new(seed);
+        let n = 2 + rng.next_below(31) as usize; // 2..=32
+        let pool: Vec<[f64; 3]> = (0..1 + rng.next_below(4))
+            .map(|_| [rng.next_f64(), rng.next_f64(), rng.next_f64()])
+            .collect();
+        let draws: Vec<usize> = (0..n)
+            .map(|_| rng.next_below(pool.len() as u64) as usize)
+            .collect();
+        let mut pi: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            pi.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        let start = |flow_block: &dyn Fn(usize) -> usize| {
+            let mut x = vec![0.0]; // the queue
+            for i in 0..n {
+                x.extend(pool[draws[flow_block(i)]]);
+            }
+            x
+        };
+        let model = DcqcnFluid::new(DcqcnParams::default_40g(), n);
+        let cx = model.flow_classes(&start(&|i| i));
+        let cy = model.flow_classes(&start(&|i| pi[i]));
+
+        assert_eq!(cy.len(), cx.len(), "seed {seed}: K");
+        let (x_of, y_of) = (cx.class_of(), cy.class_of());
+        for i in 0..n {
+            for j in 0..n {
+                assert_eq!(
+                    y_of[i] == y_of[j],
+                    x_of[pi[i]] == x_of[pi[j]],
+                    "seed {seed}: flows {i}, {j}"
+                );
+            }
+        }
+        let mut next = 0;
+        for &k in y_of {
+            assert!(k <= next, "seed {seed}: class {k} before class {next}");
+            next += usize::from(k == next);
+        }
+        assert_eq!(next, cy.len(), "seed {seed}");
     }
 }

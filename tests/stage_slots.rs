@@ -12,9 +12,8 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use ecn_delay::fluid::batch::{lane_of, pack_lanes, try_integrate_dde_batch, LaneBatch};
 use ecn_delay::fluid::classes::{try_integrate_classes, FlowClassSystem, FlowClasses, FlowLayout};
-use ecn_delay::fluid::dde::{try_integrate_dde, DdeOptions};
+use ecn_delay::fluid::dde::{lane_of, pack_lanes, try_integrate, DdeOptions};
 use ecn_delay::fluid::{History, LaneSystem, StageInstant, StagedLane, Stages, Trace};
 use ecn_delay::models::dcqcn::{DcqcnFluid, DcqcnParams};
 use ecn_delay::models::jitter::Jitter;
@@ -40,9 +39,10 @@ fn trace_digest(tr: &Trace) -> u64 {
     h
 }
 
-/// Hides a lane kernel's opt-in to the stage slots: the integrators see a
-/// system that keeps the default `rhs_at` / `lanes_rhs_at`, call its unsplit
-/// kernel on every stage, and so rebuild the delayed terms four times a step.
+/// Hides a lane kernel's opt-in to the stage slots: the integrator sees a
+/// system that keeps the default `lanes_rhs_at`, calls its unsplit
+/// kernel on every stage, and so rebuilds the delayed terms four times a
+/// step.
 #[derive(Clone)]
 struct Unslotted<M>(M);
 
@@ -69,7 +69,7 @@ impl<M: LaneSystem> LaneSystem for Unslotted<M> {
     }
 }
 
-impl<M: FlowClassSystem + LaneSystem> FlowClassSystem for Unslotted<M> {
+impl<M: FlowClassSystem> FlowClassSystem for Unslotted<M> {
     fn layout(&self) -> FlowLayout {
         self.0.layout()
     }
@@ -236,21 +236,16 @@ fn opts(horizon_s: f64) -> DdeOptions {
 /// flow partition; the traces must be bitwise equal. Returns the trace.
 fn assert_slots_invisible<S>(sys: &S, x0: &[f64], opts: &DdeOptions) -> Trace
 where
-    S: FlowClassSystem + LaneSystem + Clone,
+    S: FlowClassSystem + Clone,
 {
-    let classes = sys.flow_classes(x0);
-    let slotted =
-        try_integrate_classes(&mut sys.clone(), classes.clone(), x0, 0.0, DURATION_S, opts)
-            .expect("slotted run");
-    let refilled = try_integrate_classes(
-        &mut Unslotted(sys.clone()),
-        classes,
-        x0,
-        0.0,
-        DURATION_S,
-        opts,
-    )
-    .expect("refilling run");
+    let x0s = [x0.to_vec()];
+    let slotted = try_integrate_classes(&mut [sys.clone()], &x0s, 0.0, DURATION_S, opts)
+        .and_then(|mut lanes| lanes.remove(0))
+        .expect("slotted run");
+    let refilled =
+        try_integrate_classes(&mut [Unslotted(sys.clone())], &x0s, 0.0, DURATION_S, opts)
+            .and_then(|mut lanes| lanes.remove(0))
+            .expect("refilling run");
     assert_eq!(trace_digest(&slotted), trace_digest(&refilled));
     slotted
 }
@@ -293,14 +288,12 @@ fn dcqcn_pi_slots_are_invisible() {
 
 /// Integrate `models` as one batch from full-width starts.
 fn run_batch<M: LaneSystem>(
-    models: Vec<M>,
+    mut models: Vec<M>,
     x0s: &[Vec<f64>],
     duration_s: f64,
     opts: &DdeOptions,
 ) -> Vec<Result<Trace, SimError>> {
-    let packed = pack_lanes(x0s);
-    let mut batch = LaneBatch::new(models);
-    try_integrate_dde_batch(&mut batch, &packed, &packed, 0.0, duration_s, opts)
+    try_integrate(&mut models, &pack_lanes(x0s), 0.0, duration_s, opts)
         .expect("valid batch configuration")
 }
 
@@ -422,11 +415,10 @@ fn lag_fills_per_step(lag: &Lag) -> f64 {
         record_every: 1,
         history_horizon_s: 0.05,
     };
-    let (slotted, steps, fills) = counted(|| {
-        try_integrate_dde(&mut lag.clone(), &[1.0, 2.0], 0.0, 0.4, &o).expect("slotted")
-    });
-    let refilled = try_integrate_dde(&mut Unslotted(lag.clone()), &[1.0, 2.0], 0.0, 0.4, &o)
-        .expect("refilling");
+    let x0s = [vec![1.0, 2.0]];
+    let (slotted, steps, fills) = counted(|| run_batch(vec![lag.clone()], &x0s, 0.4, &o).remove(0));
+    let refilled = run_batch(vec![Unslotted(lag.clone())], &x0s, 0.4, &o).remove(0);
+    let (slotted, refilled) = (slotted.expect("slotted"), refilled.expect("refilling"));
     assert_eq!(steps, 400);
     assert_eq!(trace_digest(&slotted), trace_digest(&refilled));
     assert!(slotted.last_state().expect("recorded")[0].abs() < 10.0);
@@ -498,10 +490,10 @@ fn diverging_lane_freezes_without_perturbing_batchmates() {
     assert!(step > 10 && step < 400, "tripped mid-run, at step {step}");
     assert_eq!(divergence(&results[1]), divergence(&refilled[1]));
     for lane in [0usize, 2] {
-        let solo =
-            try_integrate_dde(&mut lanes[lane].clone(), &x0s[lane], 0.0, 0.4, &o).expect("stable");
+        let solo = run_batch(vec![lanes[lane].clone()], &x0s[lane..=lane], 0.4, &o).remove(0);
         let got = trace_digest(results[lane].as_ref().expect("stable lane"));
-        assert_eq!(got, trace_digest(&solo), "lane {lane} vs its solo run");
+        let solo = trace_digest(&solo.expect("stable"));
+        assert_eq!(got, solo, "lane {lane} vs its solo run");
         assert_eq!(
             got,
             trace_digest(refilled[lane].as_ref().expect("stable lane")),
