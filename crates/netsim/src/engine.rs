@@ -11,7 +11,7 @@
 //! | event | what it does | on the wheel when |
 //! |---|---|---|
 //! | `FlowStart` | a flow becomes active; its congestion control is started and its pacer armed | always |
-//! | `Pacer` | a flow's rate limiter releases the next packet (or, under per-chunk pacing, the next burst) into the host NIC queue | always |
+//! | `Pacer` | a flow's rate limiter releases the next packet (or, under per-chunk pacing, the next burst) into the host NIC queue, as a send the NIC builds into a packet when it starts transmitting it | always |
 //! | `TxDone` | a port finished serializing a packet; it picks the next one (control queue first, strict priority) | only if something is, or becomes, queued behind the transmission — otherwise held in the port |
 //! | `Deliver` | a packet arrives at the far end of a link after serialization + propagation; switches forward it, hosts consume it | always |
 //! | `AqmTick`, `Fault`, `FaultStormRelease` | the PI controller's period and the fault plane's operations | always |
@@ -21,9 +21,10 @@
 //! counter) at the point where it is armed, whether or not it gets a wheel
 //! entry then. A `TxDone` with nothing queued behind it would only clear
 //! the port's busy flag, so it is *held* — `(idle_at, ticket)` in the port
-//! — and put on the wheel under that ticket by the first packet that joins
-//! the queue before it is due; once it is due, whoever looks at the port
-//! next (or the end of the run) frees the port and counts the event.
+//! — and put on the wheel under that ticket by the first send or packet
+//! that joins the queue before it is due; once it is due, whoever looks at
+//! the port next (or the end of the run) frees the port and counts the
+//! event.
 //!
 //! A CC timer (DCQCN's α and increase timers) is no event at all: each flow
 //! keeps one clock per kind — next firing, arming ticket — and fires what is
@@ -155,8 +156,8 @@ pub struct Engine {
     ports: Ports,
     senders: SenderFlows,
     receivers: ReceiverFlows,
-    /// In-flight packet storage; port queues and `Deliver` events reference
-    /// packets by [`PacketHandle`].
+    /// Storage of the packets on a wire or in a switch or control queue;
+    /// those queues and `Deliver` events reference them by [`PacketHandle`].
     packets: PacketArena,
     /// Each flow's CC clocks, one per timer kind, fired by
     /// [`Engine::catch_up`]; a clock's `order` is the ticket its arming took.
@@ -201,7 +202,6 @@ enum Touch {
 impl Engine {
     /// Build an engine over a topology.
     pub fn new(topo: Topology, cfg: EngineConfig) -> Self {
-        let ports = Ports::new(topo.link_count());
         let mut queue_traces = LinkTraceMap::new();
         for l in 0..topo.link_count() {
             let link = topo.link(LinkId(l));
@@ -222,7 +222,8 @@ impl Engine {
                         .map(|b| SimDuration::serialization(b as u64, link.bandwidth_bps)),
                 }
             })
-            .collect();
+            .collect::<Vec<_>>();
+        let ports = Ports::new(&link_memo);
         let marker = Marker::new(cfg.seed, topo.link_count());
         Engine {
             topo,
@@ -283,6 +284,24 @@ impl Engine {
                 format!("no route between hosts {} and {}", spec.src.0, spec.dst.0),
             ));
         }
+        // A host forwards nothing: its NIC queues its own flows' sends.
+        if let Some(h) = self.host_on_route(spec.src, spec.dst) {
+            return Err(SimError::flow(
+                "Engine::add_flow",
+                format!(
+                    "the route from host {} to host {} passes through host {} (hosts do not \
+                     forward)",
+                    spec.src.0, spec.dst.0, h.0
+                ),
+            ));
+        }
+        // A NIC send names its flow in 32 bits.
+        if self.senders.len() > u32::MAX as usize {
+            return Err(SimError::flow(
+                "Engine::add_flow",
+                format!("flow index {} exceeds 2^32 - 1", self.senders.len()),
+            ));
+        }
         let start = spec.start;
         // Deterministic per-flow ECMP hash: a one-shot xoshiro draw keyed on
         // the engine seed, the flow index, and the endpoints. Multipath
@@ -302,6 +321,24 @@ impl Engine {
         self.clocks.push([TimerClock::IDLE; CcUpdate::MAX_TIMERS]);
         self.events.schedule(start, Ev::FlowStart(id));
         Ok(id)
+    }
+
+    /// A host other than `dst` on some equal-cost route from `src` to `dst`.
+    fn host_on_route(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
+        let mut reached = vec![src];
+        while let Some(n) = reached.pop() {
+            for &l in self.topo.ecmp_next_hops(n, dst) {
+                let next = self.topo.link(l).dst;
+                if next == dst {
+                    continue;
+                }
+                if matches!(self.topo.kind(next), NodeKind::Host) {
+                    return Some(next);
+                }
+                reached.push(next);
+            }
+        }
+        None
     }
 
     /// Run until `end`; returns the report. Panics on an invalid config or
@@ -723,6 +760,28 @@ mod tests {
             .try_add_flow(flow(receiver, receiver, 1_000, 1e9))
             .unwrap_err();
         assert!(err.to_string().contains("must differ"), "{err}");
+    }
+
+    #[test]
+    fn try_add_flow_rejects_a_route_through_a_host() {
+        use crate::topology::Link;
+        // H0 — H1 — H2: the only route from H0 to H2 crosses H1.
+        let link = |a: usize, b: usize| Link {
+            src: NodeId(a),
+            dst: NodeId(b),
+            bandwidth_bps: 10e9,
+            prop_delay: us(1),
+        };
+        let links = vec![link(0, 1), link(1, 0), link(1, 2), link(2, 1)];
+        let topo = Topology::new(vec![NodeKind::Host; 3], links);
+        let mut eng = Engine::new(topo, EngineConfig::default());
+        let err = eng
+            .try_add_flow(flow(NodeId(0), NodeId(2), 1_000, 1e9))
+            .unwrap_err();
+        assert!(err.to_string().contains("passes through host 1"), "{err}");
+        assert!(eng
+            .try_add_flow(flow(NodeId(0), NodeId(1), 1_000, 1e9))
+            .is_ok());
     }
 
     #[test]

@@ -72,8 +72,6 @@ pub(crate) struct SenderFlows {
     pub(crate) rate_bps: Vec<f64>,
     /// Next payload byte offset to send.
     pub(crate) next_offset: Vec<u64>,
-    /// When the current chunk started (echoed in the completion ACK).
-    pub(crate) chunk_started: Vec<SimTime>,
     /// Bytes since the last ACK-requested packet.
     pub(crate) since_ack_request: Vec<u32>,
     /// ACK chunk size.
@@ -104,7 +102,6 @@ impl SenderFlows {
         self.cc.push(spec.cc);
         self.rate_bps.push(0.0);
         self.next_offset.push(0);
-        self.chunk_started.push(spec.start);
         self.since_ack_request.push(0);
         self.ack_chunk_bytes.push(spec.ack_chunk_bytes.max(1));
         self.completed.push(None);

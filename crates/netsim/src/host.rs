@@ -1,16 +1,22 @@
-//! Hosts: the sender's NIC and the receiver's responses.
+//! Hosts: the sender's pacer and NIC, and the receiver's responses.
 //!
-//! The sender side starts a flow, paces its packets out (one at a time or a
-//! chunk at a time) and reports the bytes sent to its congestion control.
-//! The receiver side consumes what reaches its destination host — delivered
-//! bytes and rate windows, a CNP for a marked packet coalesced to the
-//! interval τ, an ACK where one was requested, the flow's completion — and
-//! routes the control packets back; [`ReceiverFlows`] owns its state.
+//! The sender side starts a flow, paces it out one packet or one chunk at a
+//! time and reports the bytes released to its congestion control. What the
+//! pacer releases is a [`Send`]: the flow, the payload with its ACK-request
+//! and last-of-flow flags, and the release instant — every field of the data
+//! packet that is not the flow's own, fixed at release. The NIC queues the
+//! send and builds the [`Packet`] from it and the flow's columns only when
+//! it starts serializing it ([`Engine::packet_of`]), so data waiting in a
+//! NIC — however long PFC holds it there — takes 16 bytes, not an arena
+//! slot. The receiver side consumes what reaches its destination host —
+//! delivered bytes and rate windows, a CNP for a marked packet coalesced to
+//! the interval τ, an ACK where one was requested, the flow's completion —
+//! and routes the control packets back; [`ReceiverFlows`] owns its state.
 
 use super::{Engine, Ev, FctRecord, Touch};
 use crate::cc::CcEvent;
 use crate::flow::Pacing;
-use crate::types::{FlowId, Packet, PacketKind};
+use crate::types::{FlowId, Packet, PacketKind, Send};
 use desim::{SimDuration, SimTime};
 
 /// Receiver-side state: one column per flow, indexed by [`FlowId`], and
@@ -56,7 +62,7 @@ impl Engine {
         self.events.schedule(self.now, Ev::Pacer(f));
     }
 
-    /// Pacer: release the next packet (or chunk) of flow `f`.
+    /// Pacer: release the next packet (or chunk) of flow `f` into its NIC.
     pub(super) fn pacer_fire(&mut self, f: FlowId) {
         if self.senders.fully_sent(f) || self.senders.completed[f.0].is_some() {
             return;
@@ -75,24 +81,21 @@ impl Engine {
 
         match self.senders.pacing[f.0] {
             Pacing::PerPacket => {
-                let pkt = self.make_data_packet(f, None);
-                let wire = pkt.size_bytes;
-                let h = self.packets.alloc(pkt);
-                self.enqueue(uplink, h);
+                let send = self.next_send(f, None);
+                self.enqueue_send(uplink, send);
+                let wire = send.payload() + self.cfg.header_bytes;
                 let gap =
                     SimDuration::serialization(wire as u64, self.senders.rate_bps[f.0].max(1e3));
                 if !self.senders.fully_sent(f) {
                     self.events.schedule(self.now + gap, Ev::Pacer(f));
                 }
-                let payload = wire.saturating_sub(self.cfg.header_bytes) as u64;
-                self.notify_sent(f, payload);
+                self.notify_sent(f, send.payload() as u64);
             }
             Pacing::PerChunk { seg_bytes } => {
                 // Release a whole chunk back-to-back (the NIC queue
                 // serializes it at line rate), then idle until the average
                 // rate matches the target.
                 let mut chunk_payload = 0u64;
-                self.senders.chunk_started[f.0] = self.now;
                 let seg = seg_bytes.max(self.cfg.mtu_bytes) as u64;
                 while chunk_payload < seg && !self.senders.fully_sent(f) {
                     let last_in_chunk = {
@@ -100,10 +103,9 @@ impl Engine {
                         let next_payload = remaining.min(self.cfg.mtu_bytes as u64);
                         chunk_payload + next_payload >= seg || remaining <= next_payload
                     };
-                    let pkt = self.make_data_packet(f, Some(last_in_chunk));
-                    chunk_payload += pkt.payload_bytes();
-                    let h = self.packets.alloc(pkt);
-                    self.enqueue(uplink, h);
+                    let send = self.next_send(f, Some(last_in_chunk));
+                    chunk_payload += send.payload() as u64;
+                    self.enqueue_send(uplink, send);
                 }
                 self.notify_sent(f, chunk_payload);
                 if !self.senders.fully_sent(f) {
@@ -125,42 +127,52 @@ impl Engine {
         self.apply_update(f, update);
     }
 
-    /// Build `f`'s next data packet. Under per-packet pacing
-    /// (`last_in_chunk` is `None`) it requests an ACK once per
-    /// `ack_chunk_bytes`; in a per-chunk burst, iff it ends the chunk.
-    fn make_data_packet(&mut self, f: FlowId, last_in_chunk: Option<bool>) -> Packet {
+    /// Release `f`'s next data packet as a send, advancing the flow's
+    /// offset. Under per-packet pacing (`last_in_chunk` is `None`) it
+    /// requests an ACK once per `ack_chunk_bytes`; in a per-chunk burst, iff
+    /// it ends the chunk. Either way the ACK echoes the release instant:
+    /// under per-packet pacing the RTT probe is the ack-requesting packet
+    /// itself (hardware timestamps the probe's departure, so the sender's own
+    /// pacing gaps do not pollute the sample), and a chunk is released in
+    /// one instant.
+    fn next_send(&mut self, f: FlowId, last_in_chunk: Option<bool>) -> Send {
         let s = &mut self.senders;
         let payload = s.remaining(f).min(self.cfg.mtu_bytes as u64) as u32;
         s.next_offset[f.0] += payload as u64;
         let last_of_flow = s.fully_sent(f);
-        let (ack_request, chunk_sent_at) = match last_in_chunk {
-            Some(last_in_chunk) => (last_in_chunk || last_of_flow, s.chunk_started[f.0]),
-            // Under per-packet pacing the RTT probe is the ack-requesting
-            // packet itself: hardware timestamps the probe's departure, so
-            // the sender's own pacing gaps do not pollute the sample.
+        let ack_request = match last_in_chunk {
+            Some(last_in_chunk) => last_in_chunk || last_of_flow,
             None => {
                 s.since_ack_request[f.0] += payload;
                 let ack = s.since_ack_request[f.0] >= s.ack_chunk_bytes[f.0] || last_of_flow;
                 if ack {
                     s.since_ack_request[f.0] = 0;
                 }
-                (ack, self.now)
+                ack
             }
         };
+        Send::new(f, payload, ack_request, last_of_flow, self.now)
+    }
+
+    /// The data packet a NIC puts on the wire for `send`: the send's fields
+    /// and its flow's endpoints and ECMP hash, unmarked, created at its
+    /// release.
+    pub(super) fn packet_of(&self, send: Send) -> Packet {
+        let (f, s) = (send.flow(), &self.senders);
         Packet {
             flow: f,
             src: s.src[f.0],
             dst: s.dst[f.0],
             path_hash: s.path_hash[f.0],
-            size_bytes: payload + self.cfg.header_bytes,
+            size_bytes: send.payload() + self.cfg.header_bytes,
             kind: PacketKind::Data {
-                payload,
-                ack_request,
-                last_of_flow,
-                chunk_sent_at,
+                payload: send.payload(),
+                ack_request: send.ack_request(),
+                last_of_flow: send.last_of_flow(),
+                chunk_sent_at: send.released_at,
             },
             ecn_marked: false,
-            last_hop_at: self.now,
+            last_hop_at: send.released_at,
         }
     }
 
@@ -276,6 +288,7 @@ impl Engine {
 
 #[cfg(test)]
 mod tests {
+    use super::super::port::DataQueue;
     use super::super::tests::{flow, us};
     use super::*;
     use crate::cc::CcUpdate;
@@ -283,6 +296,104 @@ mod tests {
     use crate::flow::FlowSpec;
     use crate::topology::Topology;
     use desim::SimTime;
+
+    /// The packets the NIC of flow 0's sender would put on the wire, built
+    /// from the sends its pacer released while the NIC was paused.
+    fn queued_packets(eng: &Engine) -> Vec<Packet> {
+        let uplink = eng.topo.out_links(eng.senders.src[0])[0];
+        match &eng.ports.data_q[uplink.0] {
+            DataQueue::Nic(q) => q.iter().map(|&s| eng.packet_of(s)).collect(),
+            DataQueue::Switch(_) => panic!("a host's uplink is a NIC"),
+        }
+    }
+
+    /// Fire flow 0's pacer at each of `at_us`, its NIC paused, and return
+    /// the packets of the sends it released, each with its release instant.
+    fn release(pacing: Pacing, at_us: &[u64]) -> (Engine, Vec<(Packet, SimTime)>) {
+        let (topo, senders, receiver) = Topology::single_switch(1, 10e9, us(1));
+        let mut eng = Engine::new(topo, EngineConfig::default());
+        let mut spec = flow(senders[0], receiver, 5_500, 1e9);
+        spec.pacing = pacing;
+        spec.ack_chunk_bytes = 2_000;
+        eng.add_flow(spec);
+        let uplink = eng.topo.out_links(senders[0])[0];
+        eng.ports.paused[uplink.0] = true;
+        let mut released = Vec::new();
+        for &t in at_us {
+            eng.now = SimTime::from_micros(t);
+            let before = queued_packets(&eng).len();
+            eng.pacer_fire(FlowId(0));
+            let after = queued_packets(&eng);
+            released.extend(after[before..].iter().map(|&p| (p, eng.now)));
+        }
+        (eng, released)
+    }
+
+    /// Each packet's `(payload, ack_request, last_of_flow)`, checking the
+    /// fields every data packet shares on the way.
+    fn shape(eng: &Engine, released: &[(Packet, SimTime)]) -> Vec<(u32, bool, bool)> {
+        released
+            .iter()
+            .map(|&(p, at)| {
+                let PacketKind::Data {
+                    payload,
+                    ack_request,
+                    last_of_flow,
+                    chunk_sent_at,
+                } = p.kind
+                else {
+                    panic!("a send is data");
+                };
+                assert_eq!(p.flow, FlowId(0));
+                assert_eq!((p.src, p.dst), (eng.senders.src[0], eng.senders.dst[0]));
+                assert_eq!(p.path_hash, eng.senders.path_hash[0]);
+                assert_eq!(p.size_bytes, payload + eng.cfg.header_bytes);
+                assert!(!p.ecn_marked);
+                assert_eq!((chunk_sent_at, p.last_hop_at), (at, at));
+                (payload, ack_request, last_of_flow)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn per_packet_sends_build_the_released_packets() {
+        // 5 500 bytes, one packet per firing, an ACK per 2 000 bytes and on
+        // the last packet.
+        let (eng, released) = release(Pacing::PerPacket, &[0, 3, 5, 8, 13, 21]);
+        assert_eq!(
+            shape(&eng, &released),
+            [
+                (1_000, false, false),
+                (1_000, true, false),
+                (1_000, false, false),
+                (1_000, true, false),
+                (1_000, false, false),
+                (500, true, true),
+            ]
+        );
+        assert_eq!(eng.senders.next_offset[0], 5_500);
+    }
+
+    #[test]
+    fn per_chunk_sends_build_the_released_packets() {
+        // 2 000-byte chunks: the last packet of each asks for the ACK, and
+        // every packet of a chunk carries the chunk's release instant.
+        let seg = Pacing::PerChunk { seg_bytes: 2_000 };
+        let (eng, released) = release(seg, &[0, 7, 40]);
+        assert_eq!(
+            shape(&eng, &released),
+            [
+                (1_000, false, false),
+                (1_000, true, false),
+                (1_000, false, false),
+                (1_000, true, false),
+                (1_000, false, false),
+                (500, true, true),
+            ]
+        );
+        let starts: Vec<u64> = released.iter().map(|&(_, t)| t.as_nanos()).collect();
+        assert_eq!(starts, [0, 0, 7_000, 7_000, 40_000, 40_000]);
+    }
 
     #[test]
     fn single_flow_delivers_all_bytes() {

@@ -1,31 +1,122 @@
 //! Egress ports: per-link queue state and the transmit path.
 //!
 //! A second `impl Engine` block, split out of `engine.rs`: the columnar
-//! [`Ports`] state, the per-link [`LinkMemo`], and everything between a
-//! packet joining a port's queue and its `TxDone` / `Deliver` events being
-//! armed — enqueue, serialization, PFC, and where the marking decision and
-//! the fault plane's hooks are consulted — including where a `TxDone` is
+//! [`Ports`] state, the per-link [`LinkMemo`], and everything between a send
+//! or a packet joining a port's queue and its `TxDone` / `Deliver` events
+//! being armed — enqueue, serialization, PFC, and where the marking decision
+//! and the fault plane's hooks are consulted — including where a `TxDone` is
 //! kept off the wheel (the engine's module doc has the ticket contract that
 //! makes that invisible).
 
 use super::{Engine, Ev};
 use crate::config::MarkingMode;
 use crate::topology::LinkId;
-use crate::types::PacketHandle;
+use crate::types::{PacketHandle, Send};
 use desim::{SimDuration, SimTime};
+use std::collections::VecDeque;
+
+/// Sends per [`SendQueue`] block: 1 KB.
+const SEND_BLOCK: usize = 64;
+
+/// A NIC's FIFO of sends, in blocks of [`SEND_BLOCK`]. A block is freed as
+/// soon as the queue has read past it, and the last one is kept for reuse,
+/// so the queue holds its backlog plus at most one block.
+///
+/// A `VecDeque<Send>` keeps the buffer of its largest backlog and grows by
+/// reallocation. An incast's NICs back up one after another, so their kept
+/// buffers add up (+ 0.8 MB on `packet_churn`'s live peak). `ext_pfc`'s
+/// paused NICs grow 2 MB buffers, and the smaller ones they outgrow can
+/// stay resident in glibc's heap: `figset_paper`'s peak read 20.8–27.0 MB
+/// with them, 18.7–21.5 MB with blocks.
+#[derive(Debug, Default)]
+pub(super) struct SendQueue {
+    blocks: VecDeque<Vec<Send>>,
+    /// Sends already read from the front block.
+    head: usize,
+}
+
+impl SendQueue {
+    fn push_back(&mut self, send: Send) {
+        match self.blocks.back_mut() {
+            Some(b) if b.len() < SEND_BLOCK => b.push(send),
+            _ => {
+                let mut b = Vec::with_capacity(SEND_BLOCK);
+                b.push(send);
+                self.blocks.push_back(b);
+            }
+        }
+    }
+
+    fn pop_front(&mut self) -> Option<Send> {
+        let last = self.blocks.len() == 1;
+        let front = self.blocks.front_mut()?;
+        let send = *front.get(self.head)?;
+        self.head += 1;
+        if self.head == front.len() {
+            self.head = 0;
+            if last {
+                front.clear();
+            } else {
+                self.blocks.pop_front();
+            }
+        }
+        Some(send)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.blocks.front().is_none_or(|b| self.head == b.len())
+    }
+
+    /// The queued sends, oldest first.
+    #[cfg(test)]
+    pub(super) fn iter(&self) -> impl Iterator<Item = &Send> {
+        self.blocks.iter().flatten().skip(self.head)
+    }
+}
+
+/// A port's data queue. A host NIC queues [`Send`]s and builds each packet
+/// when it starts serializing it; a switch port queues the [`PacketHandle`]s
+/// of packets that arrived on a wire, whose bodies live in the engine's
+/// [`PacketArena`](crate::types::PacketArena). [`LinkMemo::is_switch`]
+/// picks the kind once, in [`Engine::new`](super::Engine::new).
+#[derive(Debug)]
+pub(super) enum DataQueue {
+    Nic(SendQueue),
+    Switch(VecDeque<PacketHandle>),
+}
+
+impl DataQueue {
+    fn is_empty(&self) -> bool {
+        match self {
+            DataQueue::Nic(q) => q.is_empty(),
+            DataQueue::Switch(q) => q.is_empty(),
+        }
+    }
+
+    /// Sends or packets queued.
+    #[cfg(test)]
+    pub(super) fn len(&self) -> usize {
+        match self {
+            DataQueue::Nic(q) => q.iter().count(),
+            DataQueue::Switch(q) => q.len(),
+        }
+    }
+}
 
 /// Per-link egress-port state, one column per field. The transmit hot path
 /// (`enqueue`/`try_transmit`/`tx_done`) touches `data_q`/`data_bytes`/`busy`
 /// for almost every packet, `held` only while the port is busy, and the PFC
 /// columns only on their (much rarer) events, so the columnar split keeps
-/// the per-packet working set to a few dense arrays.
-/// Queues hold [`PacketHandle`]s; packet bodies live in the engine's
-/// [`PacketArena`](crate::types::PacketArena).
+/// the per-packet working set to a few dense arrays. The data queue is a
+/// NIC's sends or a switch's packet handles ([`DataQueue`]); the control
+/// queue holds the handles of ACKs and CNPs on either kind of port, since a
+/// receiver builds those whole.
 #[derive(Debug, Default)]
 pub(super) struct Ports {
-    pub(super) data_q: Vec<std::collections::VecDeque<PacketHandle>>,
+    pub(super) data_q: Vec<DataQueue>,
+    /// Wire bytes of the data queued, sends included.
     pub(super) data_bytes: Vec<u64>,
-    pub(super) ctrl_q: Vec<std::collections::VecDeque<PacketHandle>>,
+    pub(super) ctrl_q: Vec<VecDeque<PacketHandle>>,
     pub(super) busy: Vec<bool>,
     /// The `(idle_at, ticket)` of a busy port's `TxDone` while it is *held*:
     /// ticket taken, but not on the wheel. Held ⇒ busy with both queues
@@ -41,11 +132,22 @@ pub(super) struct Ports {
 }
 
 impl Ports {
-    pub(super) fn new(n: usize) -> Self {
+    /// One port per link: a switch's queues packets, a host's sends.
+    pub(super) fn new(link_memo: &[LinkMemo]) -> Self {
+        let n = link_memo.len();
         Ports {
-            data_q: (0..n).map(|_| std::collections::VecDeque::new()).collect(),
+            data_q: link_memo
+                .iter()
+                .map(|m| {
+                    if m.is_switch {
+                        DataQueue::Switch(VecDeque::new())
+                    } else {
+                        DataQueue::Nic(SendQueue::default())
+                    }
+                })
+                .collect(),
             data_bytes: vec![0; n],
-            ctrl_q: (0..n).map(|_| std::collections::VecDeque::new()).collect(),
+            ctrl_q: (0..n).map(|_| VecDeque::new()).collect(),
             busy: vec![false; n],
             held: vec![None; n],
             paused: vec![false; n],
@@ -78,10 +180,10 @@ pub(super) struct LinkMemo {
 }
 
 impl Engine {
-    /// Enqueue a packet (by handle) on a link's egress queue; start
-    /// transmission if the port is idle. Ingress marking happens here.
+    /// Enqueue a packet (by handle) on a link's egress queue: a control
+    /// packet on any port, a data packet on a switch's. Ingress marking
+    /// happens here.
     pub(super) fn enqueue(&mut self, link: LinkId, h: PacketHandle) {
-        let is_switch = self.link_memo[link.0].is_switch;
         let (is_control, size_bytes) = {
             let pkt = self.packets.get(h);
             (pkt.is_control(), pkt.size_bytes)
@@ -89,34 +191,55 @@ impl Engine {
         if is_control {
             self.ports.ctrl_q[link.0].push_back(h);
         } else {
+            // A host's NIC queues sends, and `try_add_flow` rejects a data
+            // route through another host: data packets queue at switches.
+            let DataQueue::Switch(q) = &mut self.ports.data_q[link.0] else {
+                debug_assert!(false, "a host forwards no data");
+                self.packets.free(h);
+                return;
+            };
+            q.push_back(h);
             self.ports.data_bytes[link.0] += size_bytes as u64;
             let data_bytes = self.ports.data_bytes[link.0];
-            if is_switch && self.cfg.marking == MarkingMode::Ingress {
+            if self.cfg.marking == MarkingMode::Ingress {
                 self.mark_ecn(link, h, data_bytes);
             }
-            self.ports.data_q[link.0].push_back(h);
-            if is_switch {
-                let bytes = data_bytes as f64;
-                desim::invariants::bounded_queue("switch egress queue", bytes, f64::INFINITY);
-                self.record_queue(link, bytes);
-                if obs::timeseries::enabled() {
-                    let t_s = self.now.as_secs_f64();
-                    let w = self.cfg.queue_trace_resolution_s;
-                    obs::timeseries::sample("netsim.queue_bytes", link.0 as u64, w, t_s, bytes);
-                    obs::timeseries::sample(
-                        "netsim.arrival_bytes",
-                        link.0 as u64,
-                        w,
-                        t_s,
-                        size_bytes as f64,
-                    );
-                }
+            let bytes = data_bytes as f64;
+            desim::invariants::bounded_queue("switch egress queue", bytes, f64::INFINITY);
+            self.record_queue(link, bytes);
+            if obs::timeseries::enabled() {
+                let t_s = self.now.as_secs_f64();
+                let w = self.cfg.queue_trace_resolution_s;
+                obs::timeseries::sample("netsim.queue_bytes", link.0 as u64, w, t_s, bytes);
+                obs::timeseries::sample(
+                    "netsim.arrival_bytes",
+                    link.0 as u64,
+                    w,
+                    t_s,
+                    size_bytes as f64,
+                );
             }
         }
-        // Something is now queued behind the transmission: a `TxDone` still
-        // to come has work to do, so it goes on the wheel under the ticket it
-        // took at transmit start. (One already due is settled by
-        // `try_transmit`.)
+        self.queued(link);
+    }
+
+    /// Queue a data send on its host's NIC port. A host neither marks nor
+    /// traces, so the send needs nothing but its bytes counted.
+    pub(super) fn enqueue_send(&mut self, link: LinkId, send: Send) {
+        let DataQueue::Nic(q) = &mut self.ports.data_q[link.0] else {
+            debug_assert!(false, "a flow's uplink is a NIC");
+            return;
+        };
+        q.push_back(send);
+        self.ports.data_bytes[link.0] += (send.payload() + self.cfg.header_bytes) as u64;
+        self.queued(link);
+    }
+
+    /// Something is now queued on `link`: a `TxDone` still to come has work
+    /// to do, so it goes on the wheel under the ticket it took at transmit
+    /// start (one already due is settled by `try_transmit`); then the port
+    /// transmits if it can.
+    fn queued(&mut self, link: LinkId) {
         if self.ports.busy[link.0] {
             if let Some((idle_at, ticket)) = self.ports.held[link.0] {
                 if !self.already_dispatched(idle_at, ticket) {
@@ -191,7 +314,7 @@ impl Engine {
         let h = if let Some(h) = self.ports.ctrl_q[link.0].pop_front() {
             h
         } else if !self.ports.paused[link.0] && !storm_paused {
-            match self.ports.data_q[link.0].pop_front() {
+            match self.pop_data(link) {
                 Some(h) => h,
                 None => return,
             }
@@ -246,6 +369,19 @@ impl Engine {
         }
         self.events.schedule(deliver_at, Ev::Deliver(link, h));
         self.update_pfc(link);
+    }
+
+    /// The next data packet off `link`'s queue. A NIC's next send becomes a
+    /// packet here, as it starts on the wire.
+    fn pop_data(&mut self, link: LinkId) -> Option<PacketHandle> {
+        match &mut self.ports.data_q[link.0] {
+            DataQueue::Switch(q) => q.pop_front(),
+            DataQueue::Nic(q) => {
+                let send = q.pop_front()?;
+                let pkt = self.packet_of(send);
+                Some(self.packets.alloc(pkt))
+            }
+        }
     }
 
     pub(super) fn tx_done(&mut self, link: LinkId) {
@@ -347,6 +483,7 @@ mod tests {
     use crate::config::{EngineConfig, PfcConfig};
     use crate::flow::{FlowSpec, Pacing};
     use crate::topology::{NodeId, Topology};
+    use crate::types::FlowId;
 
     /// DCQCN's shape as far as the engine can tell: the α and rate-increase
     /// timers armed together every 55 µs, each re-arming itself when it
@@ -440,6 +577,64 @@ mod tests {
         let mut eng = Engine::new(topo, EngineConfig::default());
         add_flows(&mut eng, &hosts[1..], hosts[0], 64_000);
         check_accounting(eng, 15);
+    }
+
+    #[test]
+    fn paused_nics_queue_sends_not_packets() {
+        // PFC only: four line-rate senders into one 10 Gbps port, marking
+        // off. PFC holds the NICs paused while their pacers keep releasing,
+        // so the backlog piles up in the NICs — as 16-byte sends; the arena
+        // holds only what is on a wire or in the switch.
+        let (topo, senders, receiver) = Topology::single_switch(4, 10e9, us(1));
+        let mut cfg = EngineConfig::default();
+        cfg.red = crate::config::RedConfig {
+            kmin_bytes: u64::MAX / 4,
+            kmax_bytes: u64::MAX / 2,
+            p_max: 0.0,
+        };
+        cfg.pfc = Some(PfcConfig {
+            pause_threshold_bytes: 400_000,
+            resume_threshold_bytes: 300_000,
+        });
+        let mut eng = Engine::new(topo, cfg);
+        add_flows(&mut eng, &senders, receiver, u64::MAX / 2);
+        let report = eng.run(SimTime::from_millis(20));
+        assert!(report.pfc_pauses > 0 && report.marked_packets == 0);
+        let queued_sends: usize = senders
+            .iter()
+            .map(|&s| eng.ports.data_q[eng.topo.out_links(s)[0].0].len())
+            .sum();
+        assert!(queued_sends >= 10_000, "queued sends: {queued_sends}");
+        let high_water = eng.packets.high_water();
+        assert!(high_water <= 1_024, "arena high-water: {high_water}");
+    }
+
+    #[test]
+    fn a_send_queue_is_a_fifo_that_frees_the_blocks_it_read() {
+        let send = |i: u64| Send::new(FlowId(0), 1_000, false, false, SimTime::from_nanos(i));
+        let mut q = SendQueue::default();
+        assert!(q.is_empty() && q.pop_front().is_none());
+        for i in 0..200 {
+            q.push_back(send(i));
+        }
+        let read: Vec<u64> = (0..150)
+            .filter_map(|_| q.pop_front())
+            .map(|s| s.released_at.as_nanos())
+            .collect();
+        assert_eq!(read, (0..150).collect::<Vec<_>>());
+        // Sends 128..199 are left, in blocks 2 and 3; blocks 0 and 1 are gone.
+        assert_eq!(q.blocks.len(), 2);
+        assert_eq!(q.iter().count(), 50);
+        // Interleaved: pushes land behind what is queued.
+        q.push_back(send(200));
+        let rest: Vec<u64> = std::iter::from_fn(|| q.pop_front())
+            .map(|s| s.released_at.as_nanos())
+            .collect();
+        assert_eq!(rest, (150..=200).collect::<Vec<_>>());
+        // Drained, the queue keeps one empty block for the next push.
+        assert!(q.is_empty());
+        assert_eq!(q.blocks.len(), 1);
+        assert_eq!(q.blocks[0].capacity(), SEND_BLOCK);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Core simulator value types: packets and flow identifiers.
+//! Core simulator value types: packets, NIC sends and flow identifiers.
 
 use crate::topology::NodeId;
 use desim::SimTime;
@@ -76,22 +76,90 @@ impl Packet {
     }
 }
 
+/// A host NIC's work request: one data packet of a flow, as its pacer
+/// released it. What a data packet carries beyond this — endpoints, ECMP
+/// hash, wire size — is the flow's and the engine's, fixed before release,
+/// so the NIC builds the [`Packet`] only when it starts serializing it.
+///
+/// 16 bytes: the payload's two top bits hold the ACK-request and
+/// last-of-flow flags, which is why [`EngineConfig::validate`] keeps the MTU
+/// below 2³⁰ bytes and [`Engine::try_add_flow`] the flow index below 2³².
+///
+/// [`EngineConfig::validate`]: crate::config::EngineConfig::validate
+/// [`Engine::try_add_flow`]: crate::engine::Engine::try_add_flow
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Send {
+    flow: u32,
+    payload: u32,
+    /// The release instant: the packet's `chunk_sent_at` and, until its
+    /// last hop, its `last_hop_at`.
+    pub(crate) released_at: SimTime,
+}
+
+impl Send {
+    const ACK_REQUEST: u32 = 1 << 31;
+    const LAST_OF_FLOW: u32 = 1 << 30;
+    /// Payloads stay below this, so the two flag bits are free.
+    pub(crate) const MAX_PAYLOAD: u32 = Self::LAST_OF_FLOW;
+
+    pub(crate) fn new(
+        flow: FlowId,
+        payload: u32,
+        ack_request: bool,
+        last_of_flow: bool,
+        released_at: SimTime,
+    ) -> Self {
+        debug_assert!(payload < Self::MAX_PAYLOAD && flow.0 <= u32::MAX as usize);
+        let flags = if ack_request { Self::ACK_REQUEST } else { 0 }
+            | if last_of_flow { Self::LAST_OF_FLOW } else { 0 };
+        Send {
+            flow: flow.0 as u32,
+            payload: payload | flags,
+            released_at,
+        }
+    }
+
+    pub(crate) fn flow(self) -> FlowId {
+        FlowId(self.flow as usize)
+    }
+
+    pub(crate) fn payload(self) -> u32 {
+        self.payload & (Self::MAX_PAYLOAD - 1)
+    }
+
+    pub(crate) fn ack_request(self) -> bool {
+        self.payload & Self::ACK_REQUEST != 0
+    }
+
+    pub(crate) fn last_of_flow(self) -> bool {
+        self.payload & Self::LAST_OF_FLOW != 0
+    }
+}
+
 /// Index handle into a [`PacketArena`]; the currency the engine's event
-/// queue and port queues trade in instead of 64-byte [`Packet`] values.
+/// queue and switch port queues trade in instead of 64-byte [`Packet`]
+/// values.
 ///
 /// Handles are plain indices (no generation counter): the engine's packet
-/// lifecycle is strictly linear — allocated at the sender NIC, moved through
-/// port queues and `Deliver` events, freed exactly once at host consumption
-/// or a fault drop — so a handle can never outlive its slot.
+/// lifecycle is strictly linear — allocated when a NIC starts serializing
+/// the packet (a data packet) or when a receiver answers one (a control
+/// packet), moved through port queues and `Deliver` events, freed exactly
+/// once at host consumption or a fault drop — so a handle can never outlive
+/// its slot. Nothing reads a handle's value but the arena: slots are
+/// storage, not identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PacketHandle(u32);
 
 /// Slab allocator for in-flight packets with free-list reuse.
 ///
-/// The arena keeps every packet that is currently queued at a port or
-/// riding a `Deliver` event in one contiguous `Vec`, so the steady-state
-/// working set is bounded by the peak number of in-flight packets (a few
-/// thousand even for 1024-sender incasts) and slots are recycled in LIFO
+/// The arena holds every packet that is on a wire (riding a `Deliver`
+/// event), in a switch queue, or a control packet in a host's queue — not
+/// the data a host NIC has yet to send, which waits there as [`Send`]s. So
+/// its high-water mark follows the network's backlog, not the senders':
+/// 42 685 slots on the 64-flow long-lived DCQCN run, ≈ 65 000 on the
+/// 1024- and 4096-sender fat-tree incasts (their switch queues), 586–10 993
+/// on the web-search FCT runs, and 395 on `ext_pfc`'s PFC-only run, whose
+/// paused NICs end it holding 357 240 sends. Slots are recycled in LIFO
 /// order — the hottest cache lines get reused first.
 #[derive(Debug, Default)]
 pub(crate) struct PacketArena {
@@ -133,6 +201,12 @@ impl PacketArena {
         self.live -= 1;
         self.free.push(h.0);
     }
+
+    /// The most packets ever live at once: slots are never given back.
+    #[cfg(test)]
+    pub(crate) fn high_water(&self) -> usize {
+        self.slots.len()
+    }
 }
 
 #[cfg(test)]
@@ -162,6 +236,24 @@ mod tests {
     #[test]
     fn a_packet_is_64_bytes() {
         assert_eq!(std::mem::size_of::<Packet>(), 64);
+    }
+
+    /// A paused NIC can queue hundreds of thousands of sends.
+    #[test]
+    fn a_send_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Send>(), 16);
+    }
+
+    #[test]
+    fn send_flags_leave_the_payload_alone() {
+        let t = SimTime::from_nanos(7);
+        for (ack, last) in [(false, false), (true, false), (false, true), (true, true)] {
+            let s = Send::new(FlowId(3), Send::MAX_PAYLOAD - 1, ack, last, t);
+            assert_eq!(s.flow(), FlowId(3));
+            assert_eq!(s.payload(), Send::MAX_PAYLOAD - 1);
+            assert_eq!((s.ack_request(), s.last_of_flow()), (ack, last));
+            assert_eq!(s.released_at, t);
+        }
     }
 
     #[test]
