@@ -9,6 +9,14 @@
 //! to [`impl_to_json!`](crate::impl_to_json), so `render_pretty` output is
 //! byte-stable across runs and platforms.
 //!
+//! `Vec<T>`, `[T]` and `[T; N]` ask their element type how a slice of it
+//! renders, through the provided method [`ToJson::slice_to_json`]: `f64`
+//! answers a packed `Json::Nums`, a pair whose two sides answer
+//! [`ToJson::as_num`] (`f64` is the one type that does) a packed
+//! `Json::Pairs`, and every other type the default, an `Arr` of each
+//! item's `to_json`. So a `(t, x)` series costs 16 bytes a point in the
+//! tree instead of about 112, and renders to the same bytes.
+//!
 //! Implement [`ToJson`] for a result struct with one line:
 //!
 //! ```
@@ -24,6 +32,27 @@ pub use obs::json::Value as Json;
 pub trait ToJson {
     /// Convert to a JSON value.
     fn to_json(&self) -> Json;
+
+    /// Overridden to `Some(x)` by a type whose [`ToJson::to_json`] is
+    /// always `Json::Num(x)`: what lets a slice of pairs of it pack.
+    fn as_num(&self) -> Option<f64> {
+        None
+    }
+
+    /// A slice of this type as JSON, the hook `Vec<T>`, `[T]` and `[T; N]`
+    /// render through. The default is an `Arr` of each item's `to_json`;
+    /// floats answer a packed `Json::Nums`, pairs of floats a packed
+    /// `Json::Pairs`. Either renders byte for byte as that `Arr`.
+    fn slice_to_json(items: &[Self]) -> Json
+    where
+        Self: Sized,
+    {
+        arr(items)
+    }
+}
+
+fn arr<T: ToJson>(items: &[T]) -> Json {
+    Json::Arr(items.iter().map(ToJson::to_json).collect())
 }
 
 macro_rules! impl_int {
@@ -40,6 +69,14 @@ impl_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::Num(*self)
+    }
+
+    fn as_num(&self) -> Option<f64> {
+        Some(*self)
+    }
+
+    fn slice_to_json(items: &[f64]) -> Json {
+        Json::Nums(items.to_vec())
     }
 }
 
@@ -84,25 +121,33 @@ impl<T: ToJson> ToJson for Option<T> {
 
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+        T::slice_to_json(self)
     }
 }
 
 impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+        T::slice_to_json(self)
     }
 }
 
 impl<T: ToJson, const N: usize> ToJson for [T; N] {
     fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+        T::slice_to_json(self)
     }
 }
 
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     fn to_json(&self) -> Json {
         Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    }
+
+    fn slice_to_json(items: &[(A, B)]) -> Json {
+        let pairs: Option<Vec<[f64; 2]>> = items
+            .iter()
+            .map(|(a, b)| Some([a.as_num()?, b.as_num()?]))
+            .collect();
+        pairs.map_or_else(|| arr(items), Json::Pairs)
     }
 }
 
@@ -219,6 +264,70 @@ mod tests {
             d.to_json().render_pretty(),
             "{\n  \"b\": 1,\n  \"a\": 0.5\n}"
         );
+    }
+
+    fn pretty(v: &impl ToJson) -> String {
+        v.to_json().render_pretty()
+    }
+
+    /// Slices of floats and of float pairs pack; the text is the one the
+    /// nested `Arr`s wrote.
+    #[test]
+    fn float_slices_and_float_pair_slices_pack() {
+        let nums = vec![1.0, -0.0, 2.5];
+        assert!(matches!(nums.to_json(), Json::Nums(_)));
+        assert_eq!(pretty(&nums), "[\n  1.0,\n  -0.0,\n  2.5\n]");
+
+        let pair_text = "[\n  [\n    0.0,\n    1.5\n  ],\n  [\n    0.125,\n    null\n  ]\n]";
+        let pairs = vec![(0.0, 1.5), (0.125, f64::NAN)];
+        assert!(matches!(pairs.to_json(), Json::Pairs(_)));
+        assert_eq!(pretty(&pairs), pair_text);
+
+        let array = [(0.0, 1.5), (0.125, f64::NAN)];
+        assert!(matches!(array.to_json(), Json::Pairs(_)));
+        assert_eq!(pretty(&array), pair_text);
+
+        let nested = vec![vec![(1.0, 2.0)], vec![]];
+        let Json::Arr(rows) = nested.to_json() else {
+            panic!("an outer Arr");
+        };
+        assert!(rows.iter().all(|r| matches!(r, Json::Pairs(_))));
+        assert_eq!(
+            pretty(&nested),
+            "[\n  [\n    [\n      1.0,\n      2.0\n    ]\n  ],\n  []\n]"
+        );
+
+        let mut ts = desim::stats::TimeSeries::new(0.0);
+        ts.record(desim::SimTime::from_millis(2), 3.0);
+        let Some(points) = ts.to_json().get("points").cloned() else {
+            panic!("a points field");
+        };
+        assert!(matches!(points, Json::Pairs(_)));
+        assert_eq!(
+            ts.to_json().render_pretty(),
+            "{\n  \"resolution_secs\": 0.0,\n  \"points\": [\n    [\n      0.002,\n      3.0\n    ]\n  ]\n}"
+        );
+    }
+
+    /// A pair with a side that is not an `f64` stays a nested `Arr`: an
+    /// integer renders without `.0`, and a time or a string is not packed.
+    #[test]
+    fn pairs_with_a_non_float_side_stay_nested() {
+        let nested = |v: Json| match v {
+            Json::Arr(items) => items.iter().all(|i| matches!(i, Json::Arr(_))),
+            _ => false,
+        };
+        let counts = vec![(0.5, 3usize)];
+        assert!(nested(counts.to_json()));
+        assert_eq!(pretty(&counts), "[\n  [\n    0.5,\n    3\n  ]\n]");
+
+        let times = vec![(desim::SimTime::from_millis(2), 1.0)];
+        assert!(nested(times.to_json()));
+        assert_eq!(pretty(&times), "[\n  [\n    0.002,\n    1.0\n  ]\n]");
+
+        let named = vec![("q".to_string(), 1.0)];
+        assert!(nested(named.to_json()));
+        assert_eq!(pretty(&named), "[\n  [\n    \"q\",\n    1.0\n  ]\n]");
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! * no port was PFC-paused longer than the run: `pfc_paused_s ≤ links ×
 //!   horizon`;
 //!
-//! and that installing an empty fault schedule changes nothing: the same
-//! `report_digest` as no schedule at all. A failing seed prints its
-//! scenario as JSON.
+//! that installing an empty fault schedule changes nothing: the same
+//! `report_digest` as no schedule at all; and that running one engine to a
+//! random cut in (0, horizon) and then on to the horizon gives the one
+//! run's digest. A failing seed prints its scenario as JSON.
 
 use desim::{SimDuration, SimRng, SimTime};
 use ecn_delay_core::experiments::ext_incast::report_digest;
@@ -44,6 +45,8 @@ struct Scenario {
     kmax_bytes: u64,
     /// `(pause, resume)` thresholds in bytes.
     pfc: Option<(u64, u64)>,
+    /// Where the split-horizon run stops first, in (0, horizon).
+    cut_ns: u64,
 }
 
 impl Scenario {
@@ -71,6 +74,7 @@ impl Scenario {
             let pause = 20_000 + rng.next_below(500_000);
             (pause, pause * (50 + rng.next_below(46)) / 100)
         });
+        let cut_ns = 1 + rng.next_below(HORIZON.as_nanos() - 1);
         Scenario {
             seed,
             dumbbell,
@@ -79,6 +83,7 @@ impl Scenario {
             kmin_bytes,
             kmax_bytes,
             pfc,
+            cut_ns,
         }
     }
 
@@ -98,7 +103,7 @@ impl Scenario {
             None => "null".to_string(),
         };
         format!(
-            r#"{{"seed": {}, "topology": "{}", "protocol": "{}", "kmin_bytes": {}, "kmax_bytes": {}, "pfc": {}, "flows": [{}]}}"#,
+            r#"{{"seed": {}, "topology": "{}", "protocol": "{}", "kmin_bytes": {}, "kmax_bytes": {}, "pfc": {}, "cut_ns": {}, "flows": [{}]}}"#,
             self.seed,
             if self.dumbbell {
                 "dumbbell"
@@ -109,6 +114,7 @@ impl Scenario {
             self.kmin_bytes,
             self.kmax_bytes,
             pfc,
+            self.cut_ns,
             flows.join(", ")
         )
     }
@@ -196,6 +202,24 @@ impl Scenario {
     }
 }
 
+/// Append a later run's report to the merged one: counters and delivered
+/// bytes are cumulative, FCT records and traces are per run.
+fn merge(mut merged: SimReport, mut later: SimReport) -> SimReport {
+    later.fcts.splice(0..0, merged.fcts.drain(..));
+    for (trace, earlier) in later.rate_traces.iter_mut().zip(&mut merged.rate_traces) {
+        trace.splice(0..0, earlier.drain(..));
+    }
+    let mut queue_traces = merged.queue_traces;
+    for (link, trace) in later.queue_traces.iter() {
+        let earlier = queue_traces.get_mut(link).expect("same links traced");
+        for &(t, v) in trace.points() {
+            earlier.record(SimTime::from_secs_f64(t), v);
+        }
+    }
+    later.queue_traces = queue_traces;
+    later
+}
+
 #[test]
 fn seeded_scenarios_deliver_every_byte_and_ignore_an_empty_schedule() {
     let mtu = EngineConfig::default().mtu_bytes as u64;
@@ -216,6 +240,24 @@ fn seeded_scenarios_deliver_every_byte_and_ignore_an_empty_schedule() {
         });
         if let Err(e) = verdict {
             panic!("seed {seed}: {e}\nscenario: {}", scenario.to_json());
+        }
+    }
+}
+
+#[test]
+fn seeded_scenarios_split_at_a_random_cut_as_one_run() {
+    for seed in 1..=SEEDS {
+        let scenario = Scenario::draw(seed);
+        let whole = report_digest(&scenario.engine(None).0.run(HORIZON));
+        let (mut eng, _) = scenario.engine(None);
+        let first = eng.run(SimTime::from_nanos(scenario.cut_ns));
+        let split = report_digest(&merge(first, eng.run(HORIZON)));
+        if whole != split {
+            panic!(
+                "seed {seed}: a cut at {} ns moved the digest: {whole} -> {split}\nscenario: {}",
+                scenario.cut_ns,
+                scenario.to_json()
+            );
         }
     }
 }

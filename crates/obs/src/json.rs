@@ -14,13 +14,25 @@
 //! integer) and non-finite floats are `null`; integers are lossless `i128`
 //! (seeds and digests exceed the exact range of `f64`); strings escape `"`,
 //! `\`, `\n`, `\r`, `\t` and write any other control character as `\u00XX`.
-//! [`parse`] reads back everything the writers can write, so
-//! `parse(v.render_pretty()) == v` for every tree of finite floats.
+//!
+//! A tree holds scalars, strings, objects and three kinds of array: the
+//! general [`Value::Arr`], and two packed float arrays, [`Value::Nums`]
+//! (`[x, …]`) and [`Value::Pairs`] (`[[t, x], …]`), which store 8 bytes per
+//! float instead of a boxed [`Value::Num`] each. Results build the packed
+//! forms (`ecn_delay_core::json::ToJson` packs slices of floats and of
+//! float pairs); both writers render a packed array byte for byte as the
+//! `Arr` of `Num`s it stands for, and `==` takes the two for equal.
+//! [`parse`] reads back everything the writers can write, and builds only
+//! `Arr`s, so `parse(v.render_pretty()) == v` for every tree of finite
+//! floats.
 
 use std::fmt::Write as _;
 
 /// A JSON value tree.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// 32 bytes (the `i128` sets the alignment); a variant that grows it grows
+/// every tree, parsed ones included.
+#[derive(Debug, Clone)]
 pub enum Value {
     /// `null` (also written for non-finite floats, which JSON cannot carry).
     Null,
@@ -34,6 +46,12 @@ pub enum Value {
     Str(String),
     /// An array.
     Arr(Vec<Value>),
+    /// An array of floats, packed: renders and compares as the `Arr` of
+    /// [`Value::Num`]s it stands for.
+    Nums(Vec<f64>),
+    /// An array of float pairs, packed: renders and compares as the `Arr`
+    /// of two-element `Arr`s of [`Value::Num`]s it stands for.
+    Pairs(Vec<[f64; 2]>),
     /// An object, as an ordered key/value list: insertion order is kept by
     /// [`Value::render_pretty`], and duplicates are rejected at parse time.
     Obj(Vec<(String, Value)>),
@@ -75,7 +93,9 @@ impl Value {
         }
     }
 
-    /// Array items, if this is an array.
+    /// Array items, if this is an [`Value::Arr`]. `None` for a packed
+    /// array ([`Value::Nums`], [`Value::Pairs`]), which has no `Value`s to
+    /// lend: those are built from results, and [`parse`] never makes one.
     pub fn items(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(items) => Some(items),
@@ -105,23 +125,14 @@ impl Value {
             Value::Num(x) => write_f64(out, *x),
             Value::Str(s) => write_str(out, s),
             Value::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    item.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
+                write_pretty_items(out, depth, items, |out, depth, v| {
+                    v.write_pretty(out, depth)
+                });
             }
+            Value::Nums(xs) => write_pretty_items(out, depth, xs, |out, _, x| write_f64(out, *x)),
+            Value::Pairs(ps) => write_pretty_items(out, depth, ps, |out, depth, p| {
+                write_pretty_items(out, depth, p.as_slice(), |out, _, x| write_f64(out, *x));
+            }),
             Value::Obj(fields) => {
                 if fields.is_empty() {
                     out.push_str("{}");
@@ -164,21 +175,15 @@ impl Value {
             Value::Int(i) => {
                 let _ = write!(out, "{i}");
             }
-            // Normalize the one float with two bit patterns; everything
-            // else round-trips exactly through shortest `Display`.
-            Value::Num(x) if x.to_bits() == (-0.0f64).to_bits() => write_f64(out, 0.0),
-            Value::Num(x) => write_f64(out, *x),
+            Value::Num(x) => write_f64_canonical(out, *x),
             Value::Str(s) => write_str(out, s),
-            Value::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_canonical(out);
-                }
-                out.push(']');
+            Value::Arr(items) => write_canonical_items(out, items, |out, v| v.write_canonical(out)),
+            Value::Nums(xs) => {
+                write_canonical_items(out, xs, |out, x| write_f64_canonical(out, *x))
             }
+            Value::Pairs(ps) => write_canonical_items(out, ps, |out, p| {
+                write_canonical_items(out, p.as_slice(), |out, x| write_f64_canonical(out, *x));
+            }),
             Value::Obj(entries) => {
                 let mut sorted: Vec<&(String, Value)> = entries.iter().collect();
                 sorted.sort_by(|a, b| a.0.cmp(&b.0));
@@ -195,6 +200,91 @@ impl Value {
             }
         }
     }
+}
+
+/// `v == Value::Nums(xs.to_vec())`, without building it.
+fn is_nums(v: &Value, xs: &[f64]) -> bool {
+    match v {
+        Value::Arr(items) => {
+            items.len() == xs.len() && items.iter().zip(xs).all(|(v, x)| *v == Value::Num(*x))
+        }
+        Value::Nums(ys) => ys == xs,
+        // Equal only when both are empty: a pair is not a number.
+        Value::Pairs(ps) => ps.is_empty() && xs.is_empty(),
+        _ => false,
+    }
+}
+
+/// Equality up to storage: a packed array equals its expansion.
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Num(a), Value::Num(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Obj(a), Value::Obj(b)) => a == b,
+            (Value::Arr(a), Value::Arr(b)) => a == b,
+            (Value::Pairs(a), Value::Pairs(b)) => a == b,
+            (Value::Nums(xs), v) | (v, Value::Nums(xs)) => is_nums(v, xs),
+            (Value::Pairs(ps), Value::Arr(items)) | (Value::Arr(items), Value::Pairs(ps)) => {
+                items.len() == ps.len() && items.iter().zip(ps).all(|(v, p)| is_nums(v, p))
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The pretty layout of an array whose items `write_item` renders one by
+/// one, each at `depth + 1`.
+fn write_pretty_items<T>(
+    out: &mut String,
+    depth: usize,
+    items: &[T],
+    write_item: impl Fn(&mut String, usize, &T),
+) {
+    if items.is_empty() {
+        out.push_str("[]");
+        return;
+    }
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('\n');
+        indent(out, depth + 1);
+        write_item(out, depth + 1, item);
+    }
+    out.push('\n');
+    indent(out, depth);
+    out.push(']');
+}
+
+/// The canonical layout of an array whose items `write_item` renders.
+fn write_canonical_items<T>(out: &mut String, items: &[T], write_item: impl Fn(&mut String, &T)) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_item(out, item);
+    }
+    out.push(']');
+}
+
+/// Normalize the one float with two bit patterns; everything else
+/// round-trips exactly through shortest `Display`.
+fn write_f64_canonical(out: &mut String, x: f64) {
+    write_f64(
+        out,
+        if x.to_bits() == (-0.0f64).to_bits() {
+            0.0
+        } else {
+            x
+        },
+    );
 }
 
 fn indent(out: &mut String, depth: usize) {
@@ -642,15 +732,27 @@ mod tests {
             }
         }
 
+        fn nums(&mut self) -> Vec<f64> {
+            (0..self.below(5)).map(|_| self.float()).collect()
+        }
+
+        fn pairs(&mut self) -> Vec<[f64; 2]> {
+            (0..self.below(5))
+                .map(|_| [self.float(), self.float()])
+                .collect()
+        }
+
         fn tree(&mut self, depth: usize) -> Value {
             let leaves_only = depth >= 6;
-            match self.below(if leaves_only { 5 } else { 7 }) {
+            match self.below(if leaves_only { 7 } else { 9 }) {
                 0 => Value::Null,
                 1 => Value::Bool(self.below(2) == 0),
                 2 => Value::Int(self.int()),
                 3 => Value::Num(self.float()),
                 4 => Value::Str(self.string()),
-                5 => Value::Arr((0..self.below(4)).map(|_| self.tree(depth + 1)).collect()),
+                5 => Value::Nums(self.nums()),
+                6 => Value::Pairs(self.pairs()),
+                7 => Value::Arr((0..self.below(4)).map(|_| self.tree(depth + 1)).collect()),
                 _ => {
                     let mut entries: Vec<(String, Value)> = Vec::new();
                     for _ in 0..self.below(4) {
@@ -665,12 +767,48 @@ mod tests {
         }
     }
 
+    /// `v` with every packed array written out as the `Arr` of `Num`s it
+    /// stands for.
+    fn expand(v: &Value) -> Value {
+        match v {
+            Value::Nums(xs) => Value::Arr(xs.iter().map(|x| Value::Num(*x)).collect()),
+            Value::Pairs(ps) => Value::Arr(
+                ps.iter()
+                    .map(|p| expand(&Value::Nums(p.to_vec())))
+                    .collect(),
+            ),
+            Value::Arr(items) => Value::Arr(items.iter().map(expand).collect()),
+            Value::Obj(entries) => Value::Obj(
+                entries
+                    .iter()
+                    .map(|(k, e)| (k.clone(), expand(e)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
     /// What a rendering of `v` must read back as: non-finite floats are
     /// `null`; the canonical form also sorts keys and drops the sign of zero.
+    /// A packed array stays packed unless it holds a `null`.
     fn read_back(v: &Value, canonical: bool) -> Value {
+        let float = |x: f64| {
+            if canonical && x.to_bits() == (-0.0f64).to_bits() {
+                0.0
+            } else {
+                x
+            }
+        };
         match v {
             Value::Num(x) if !x.is_finite() => Value::Null,
-            Value::Num(x) if canonical && x.to_bits() == (-0.0f64).to_bits() => Value::Num(0.0),
+            Value::Num(x) => Value::Num(float(*x)),
+            Value::Nums(xs) if xs.iter().all(|x| x.is_finite()) => {
+                Value::Nums(xs.iter().map(|x| float(*x)).collect())
+            }
+            Value::Pairs(ps) if ps.iter().flatten().all(|x| x.is_finite()) => {
+                Value::Pairs(ps.iter().map(|p| p.map(float)).collect())
+            }
+            Value::Nums(_) | Value::Pairs(_) => read_back(&expand(v), canonical),
             Value::Arr(items) => {
                 Value::Arr(items.iter().map(|i| read_back(i, canonical)).collect())
             }
@@ -694,6 +832,8 @@ mod tests {
         format!("{v:?}")
     }
 
+    /// The reader builds only `Arr`s, so a packed array reads back as its
+    /// expansion: equal under `==`, and bit for bit once expanded.
     #[test]
     fn random_trees_round_trip_through_both_renderers() {
         let mut rng = Rng(0x5eed_0019);
@@ -701,12 +841,90 @@ mod tests {
             let v = rng.tree(0);
             let pretty = v.render_pretty();
             let back = parse(&pretty).unwrap_or_else(|e| panic!("case {case}: {e}\n{pretty}"));
-            assert_eq!(bits(&back), bits(&read_back(&v, false)), "case {case}");
+            let want = read_back(&v, false);
+            assert_eq!(back, want, "case {case}");
+            assert_eq!(want, back, "case {case}");
+            assert_eq!(bits(&back), bits(&expand(&want)), "case {case}");
 
             let canon = v.render_canonical();
             let back = parse(&canon).unwrap_or_else(|e| panic!("case {case}: {e}\n{canon}"));
-            assert_eq!(bits(&back), bits(&read_back(&v, true)), "case {case}");
+            let want = read_back(&v, true);
+            assert_eq!(back, want, "case {case}");
+            assert_eq!(want, back, "case {case}");
+            assert_eq!(bits(&back), bits(&expand(&want)), "case {case}");
             assert_eq!(back.render_canonical(), canon, "case {case}");
+        }
+    }
+
+    #[test]
+    fn a_value_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+    }
+
+    /// Both writers render a packed array byte for byte as its expansion,
+    /// at any depth: empty, `-0.0`, subnormal and non-finite floats
+    /// included (`Rng::float` draws them half the time).
+    #[test]
+    fn packed_arrays_render_as_their_expansion() {
+        let mut rng = Rng(0x5eed_0040);
+        for case in 0..2000 {
+            let v = rng.tree(0);
+            let e = expand(&v);
+            assert_eq!(v.render_pretty(), e.render_pretty(), "case {case}");
+            assert_eq!(v.render_canonical(), e.render_canonical(), "case {case}");
+        }
+        let v = Value::Pairs(vec![[-0.0, 0.25], [f64::NAN, 1.0]]);
+        assert_eq!(
+            v.render_pretty(),
+            "[\n  [\n    -0.0,\n    0.25\n  ],\n  [\n    null,\n    1.0\n  ]\n]"
+        );
+        assert_eq!(v.render_canonical(), "[[0.0,0.25],[null,1.0]]");
+        assert_eq!(Value::Nums(vec![]).render_pretty(), "[]");
+        assert_eq!(Value::Pairs(vec![]).render_canonical(), "[]");
+    }
+
+    #[test]
+    fn a_packed_array_equals_its_expansion_only() {
+        let num = Value::Num;
+        let nums = Value::Nums(vec![1.0, 2.0]);
+        assert_eq!(nums, Value::Arr(vec![num(1.0), num(2.0)]));
+        assert_ne!(nums, Value::Arr(vec![Value::Int(1), Value::Int(2)]));
+        assert_ne!(nums, Value::Nums(vec![1.0]));
+        assert_ne!(nums, Value::Pairs(vec![[1.0, 2.0]]));
+        assert_ne!(Value::Nums(vec![f64::NAN]), Value::Nums(vec![f64::NAN]));
+
+        let pairs = Value::Pairs(vec![[1.0, 2.0]]);
+        assert_eq!(pairs, Value::Arr(vec![nums.clone()]));
+        assert_eq!(
+            pairs,
+            Value::Arr(vec![Value::Arr(vec![num(1.0), num(2.0)])])
+        );
+        assert_ne!(pairs, Value::Arr(vec![num(1.0), num(2.0)]));
+        assert_ne!(pairs, Value::Pairs(vec![[1.0, 3.0]]));
+
+        let empty = [
+            Value::Arr(vec![]),
+            Value::Nums(vec![]),
+            Value::Pairs(vec![]),
+        ];
+        for a in &empty {
+            for b in &empty {
+                assert_eq!(a, b);
+            }
+            assert_ne!(a, &Value::Null);
+        }
+    }
+
+    /// A packed array is an array to the writers and to `==` only: the
+    /// accessors have no `Value`s to lend.
+    #[test]
+    fn accessors_answer_none_for_a_packed_array() {
+        for v in [Value::Nums(vec![1.0]), Value::Pairs(vec![[1.0, 2.0]])] {
+            assert_eq!(v.items(), None);
+            assert_eq!(v.get("x"), None);
+            assert_eq!(v.as_f64(), None);
+            assert_eq!(v.as_u64(), None);
+            assert_eq!(v.as_str(), None);
         }
     }
 }
