@@ -3,12 +3,11 @@
 //! Runs the `ext_incast` sweep — an N:1 incast burst on a k-ary fat-tree,
 //! FCT distribution and engine scale probe per `(protocol, fan-in)` cell —
 //! and writes `results/ext_incast.json`. Every cell prints a 64-bit digest
-//! of its exact FCT bit patterns; the CI `incast-smoke` job compares these
+//! of its exact FCT bit patterns; the CI `obs-smoke` job compares these
 //! digests (and full `--trace` output) across `SIM_THREADS` settings.
 //!
-//! The sweep runs under the supervised executor: a cell that panics or
-//! exceeds `--deadline-s` is isolated into its own slot (reported in the
-//! `failed` table, exit status 4) while its batchmates complete normally.
+//! A cell that panics is caught in its own slot (reported in the `failed`
+//! table, exit status 4) while its batchmates complete normally.
 //! With `--store <dir>` each *cell* is cached individually, so a killed
 //! sweep resumes from its finished cells on rerun.
 //!
@@ -21,10 +20,8 @@
 //!   per host);
 //! * `--bytes <n>` — response size per sender (default 32000, ≥ 1);
 //! * `--seed <n>` — burst/engine seed (default 1);
-//! * `--deadline-s <secs>` — per-cell watchdog deadline (default: none);
-//! * `--inject-panic <i>` / `--inject-hang <i>` — fault-injection hooks for
-//!   the CI supervision job: sweep cell `i` panics (or hangs) instead of
-//!   simulating;
+//! * `--inject-panic <i>` — fault-injection hook for the smoke tests:
+//!   sweep cell `i` panics instead of simulating;
 //! * `--identity-check` — additionally run the zero-fault bit-identity
 //!   probe (engine with no fault plane vs an installed empty schedule) on
 //!   the smallest fan-in; a digest mismatch exits with status 3.
@@ -34,7 +31,7 @@
 
 use bench::cli::Usage;
 use ecn_delay_core::experiments::ext_incast::{
-    run_supervised, run_zero_fault_identity, ExtIncastConfig, SuperviseOpts,
+    run_sweep, run_zero_fault_identity, ExtIncastConfig,
 };
 use ecn_delay_core::write_json;
 
@@ -49,7 +46,7 @@ struct Flags {
     bytes: u64,
     seed: u64,
     identity_check: bool,
-    supervise: SuperviseOpts,
+    inject_panic: Option<usize>,
 }
 
 fn read_flags(own: &[(&'static str, String)]) -> Result<Flags, Usage> {
@@ -59,7 +56,7 @@ fn read_flags(own: &[(&'static str, String)]) -> Result<Flags, Usage> {
         bytes: 32_000,
         seed: 1,
         identity_check: false,
-        supervise: SuperviseOpts::default(),
+        inject_panic: None,
     };
     for (flag, raw) in own {
         let int = || -> Result<u64, Usage> {
@@ -83,20 +80,7 @@ fn read_flags(own: &[(&'static str, String)]) -> Result<Flags, Usage> {
             }
             "--bytes" => flags.bytes = int()?,
             "--seed" => flags.seed = int()?,
-            "--deadline-s" => {
-                let d: f64 = raw.parse().map_err(|_| {
-                    Usage::new("--deadline-s", format!("expected seconds, got {raw:?}"))
-                })?;
-                if !(d.is_finite() && d > 0.0) {
-                    return Err(Usage::new(
-                        "--deadline-s",
-                        format!("deadline must be a positive finite number of seconds, got {raw}"),
-                    ));
-                }
-                flags.supervise.deadline_s = Some(d);
-            }
-            "--inject-panic" => flags.supervise.inject_panic = Some(int()? as usize),
-            "--inject-hang" => flags.supervise.inject_hang = Some(int()? as usize),
+            "--inject-panic" => flags.inject_panic = Some(int()? as usize),
             "--identity-check" => flags.identity_check = true,
             _ => unreachable!("bench::cli hands back this entry's flags only"),
         }
@@ -151,7 +135,7 @@ fn main() {
         ..Default::default()
     };
     // The sweep caches per cell, not per figure: pass the raw store through
-    // and let `run_supervised` key each (protocol, fan-in) cell separately.
+    // and let `run_sweep` key each (protocol, fan-in) cell separately.
     let store = bench::store_cli::from_dir(
         args.store.as_deref(),
         "ext_incast",
@@ -163,7 +147,7 @@ fn main() {
         "k={} fat-tree ({hosts} hosts), {} B/sender, seed {}\n",
         cfg.k, cfg.bytes_per_sender, cfg.seed
     );
-    let res = run_supervised(&cfg, &flags.supervise, store.store());
+    let res = run_sweep(&cfg, store.store(), flags.inject_panic);
     println!(
         "{:<15} {:>7} {:>6} {:>11} {:>11} {:>9} {:>10}  digest",
         "protocol", "fan-in", "done", "median (ms)", "p99 (ms)", "Gbps", "events"
@@ -182,7 +166,7 @@ fn main() {
         );
     }
     if !res.failed.is_empty() {
-        println!("\nfailed cells (isolated by the supervisor):");
+        println!("\nfailed cells (each panic caught in its own cell):");
         for f in &res.failed {
             println!(
                 "{:<15} {:>7}  {:<12} {}",
@@ -209,7 +193,7 @@ fn main() {
     let n_failed = res.failed.len();
     obs.finish();
     if n_failed > 0 {
-        eprintln!("ext_incast: {n_failed} cell(s) failed under supervision (see table above)");
+        eprintln!("ext_incast: {n_failed} cell(s) failed (see table above)");
         std::process::exit(4);
     }
 }

@@ -24,9 +24,7 @@ const ENTRY_FLAGS: &[(&str, &str, bool)] = &[
     ("ext_incast", "--senders", true),
     ("ext_incast", "--bytes", true),
     ("ext_incast", "--seed", true),
-    ("ext_incast", "--deadline-s", true),
     ("ext_incast", "--inject-panic", true),
-    ("ext_incast", "--inject-hang", true),
     ("ext_incast", "--identity-check", false),
 ];
 

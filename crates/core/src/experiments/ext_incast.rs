@@ -91,12 +91,12 @@ pub struct IncastCell {
 pub struct ExtIncastResult {
     /// Sweep cells, protocol-major, fan-in ascending.
     pub cells: Vec<IncastCell>,
-    /// Cells whose jobs failed under supervision (panic, timeout, typed
-    /// error), in job order. Empty for unsupervised runs.
+    /// Cells whose runs panicked, in sweep order. Empty when every cell
+    /// completed.
     pub failed: Vec<FailedCell>,
 }
 
-/// One failed `(protocol, fan-in)` cell of a supervised sweep.
+/// One failed `(protocol, fan-in)` cell of the sweep.
 #[derive(Debug, Clone)]
 pub struct FailedCell {
     /// Protocol label.
@@ -215,37 +215,14 @@ fn cell_from_report(
     }
 }
 
-/// Run the full sweep. Cells run in parallel via the deterministic
-/// `par_map` fan-out, so output order (and every digest) is independent of
-/// `SIM_THREADS`.
+/// Run the full sweep: [`run_sweep`] with no store and no injected panic.
 pub fn run(cfg: &ExtIncastConfig) -> ExtIncastResult {
-    let mut jobs = Vec::new();
-    for &proto in &cfg.protocols {
-        for &n in &cfg.sender_counts {
-            jobs.push((proto, n));
-        }
-    }
-    let cells = desim::par::par_map(jobs, |(proto, n)| run_cell(cfg, proto, n));
-    ExtIncastResult {
-        cells,
-        failed: Vec::new(),
-    }
-}
-
-/// Supervision and fault-injection options for [`run_supervised`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SuperviseOpts {
-    /// Per-cell wall-clock deadline (seconds); `None` disables the watchdog.
-    pub deadline_s: Option<f64>,
-    /// Testing hook: panic inside the cell at this job index.
-    pub inject_panic: Option<usize>,
-    /// Testing hook: hang forever inside the cell at this job index.
-    pub inject_hang: Option<usize>,
+    run_sweep(cfg, None, None)
 }
 
 /// The content-addressed spec of one sweep cell — everything that affects
-/// the cell's bytes, and nothing that doesn't (supervision knobs and
-/// injection hooks deliberately excluded).
+/// the cell's bytes, and nothing that doesn't (the injection hook
+/// deliberately excluded).
 #[derive(Debug, Clone)]
 struct CellSpec {
     protocol: String,
@@ -293,24 +270,37 @@ fn cell_from_stored_json(text: &str) -> Option<IncastCell> {
     })
 }
 
-/// Run the sweep under supervision, optionally backed by a content-addressed
-/// result store.
+/// Render a panic payload as the message `panic!` carried.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Run the sweep, optionally backed by a content-addressed result store.
 ///
 /// Per cell: compute the spec key from `(experiment id, canonical config)`;
 /// a valid stored record is served as a hit (bit-identical to a fresh
 /// compute — the simulation is deterministic and floats round-trip through
-/// the JSON layer exactly); misses run through
-/// [`desim::supervise::par_map_supervised`], so a panicking or hung cell
-/// lands in [`ExtIncastResult::failed`] while its batchmates complete and
-/// are persisted. Failed cells leave a quarantine note (the structured
-/// `SimError` JSON) next to the store rather than a result record, so a
-/// rerun retries them.
-pub fn run_supervised(
+/// the JSON layer exactly). The misses run through [`desim::par::par_map`],
+/// each under `catch_unwind`, so a panicking cell lands in
+/// [`ExtIncastResult::failed`] as [`faults::SimError::JobPanicked`] naming
+/// its sweep index, while its batchmates complete and are persisted. A
+/// failed cell leaves a quarantine note (the structured `SimError` JSON)
+/// next to the store rather than a result record, so a rerun retries it.
+/// `inject_panic` is a testing hook: sweep cell `i` panics instead of
+/// simulating.
+pub fn run_sweep(
     cfg: &ExtIncastConfig,
-    opts: &SuperviseOpts,
     store: Option<&store::Store>,
+    inject_panic: Option<usize>,
 ) -> ExtIncastResult {
     use faults::SimError;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     let mut jobs = Vec::new();
     for &proto in &cfg.protocols {
@@ -319,7 +309,7 @@ pub fn run_supervised(
         }
     }
 
-    // Phase 1: serve hits. A record that unframes but no longer matches the
+    // Serve hits first. A record that unframes but no longer matches the
     // cell schema (or names a different cell) is treated as a miss.
     let mut served: Vec<Option<IncastCell>> = vec![None; jobs.len()];
     let mut keys: Vec<Option<store::SpecKey>> = vec![None; jobs.len()];
@@ -330,86 +320,61 @@ pub fn run_supervised(
                 continue;
             };
             keys[i] = Some(key);
-            let cell = st
+            served[i] = st
                 .get(&key)
                 .and_then(|bytes| String::from_utf8(bytes).ok())
                 .and_then(|text| cell_from_stored_json(&text))
                 .filter(|c| c.protocol == proto.label() && c.n_senders == n);
-            served[i] = cell;
         }
     }
 
-    // Phase 2: run the misses under supervision. Jobs carry their original
-    // sweep index so injection hooks and error records name sweep cells,
-    // not positions within the miss subset.
+    // Run the misses. Each carries its sweep index, so the injection hook
+    // and a failed cell's record name sweep cells, not positions among the
+    // misses.
     let misses: Vec<(usize, Protocol, usize)> = jobs
         .iter()
         .enumerate()
         .filter(|(i, _)| served[*i].is_none())
         .map(|(i, &(proto, n))| (i, proto, n))
         .collect();
-    let policy = desim::supervise::SupervisePolicy {
-        deadline_s: opts.deadline_s,
-        max_attempts: 1,
-    };
-    let run_cfg = cfg.clone();
-    let run_opts = *opts;
-    let outcomes = desim::supervise::par_map_supervised(
-        misses.clone(),
-        policy,
-        // Simulation failures are deterministic: retrying an identical
-        // job yields an identical failure, so nothing is retryable here.
-        |_: &SimError| false,
-        move |(sweep_idx, proto, n)| -> Result<IncastCell, SimError> {
-            if run_opts.inject_panic == Some(sweep_idx) {
-                panic!("injected panic in cell {sweep_idx}");
+    let outcomes = desim::par::par_map(misses.clone(), |(idx, proto, n)| {
+        catch_unwind(AssertUnwindSafe(|| {
+            if inject_panic == Some(idx) {
+                panic!("injected panic in cell {idx}");
             }
-            if run_opts.inject_hang == Some(sweep_idx) {
-                // A genuine hang for the watchdog to catch (sleep keeps the
-                // spin from burning a core while it waits to be abandoned).
-                loop {
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                }
-            }
-            Ok(run_cell(&run_cfg, proto, n))
-        },
-    );
+            run_cell(cfg, proto, n)
+        }))
+        .map_err(|payload| SimError::job_panicked(idx, panic_message(payload)))
+    });
 
-    // Phase 3: merge, persist, and split successes from failures in job
-    // order.
-    let mut miss_results: Vec<Option<Result<IncastCell, SimError>>> =
-        outcomes.results.into_iter().map(Some).collect();
-    let mut cells = Vec::new();
+    // Persist, and split successes from failures in sweep order.
     let mut failed = Vec::new();
-    for (slot, (sweep_idx, proto, n)) in misses.iter().enumerate() {
-        let Some(outcome) = miss_results.get_mut(slot).and_then(Option::take) else {
-            continue;
-        };
+    for ((idx, proto, n), outcome) in misses.into_iter().zip(outcomes) {
         match outcome {
             Ok(cell) => {
-                if let (Some(st), Some(key)) = (store, keys[*sweep_idx]) {
+                if let (Some(st), Some(key)) = (store, keys[idx]) {
                     use crate::json::ToJson as _;
                     let _ = st.put(&key, cell.to_json().render_pretty().as_bytes());
                 }
-                served[*sweep_idx] = Some(cell);
+                served[idx] = Some(cell);
             }
             Err(e) => {
-                if let (Some(st), Some(key)) = (store, keys[*sweep_idx]) {
+                if let (Some(st), Some(key)) = (store, keys[idx]) {
                     let _ = st.put_quarantine_note(&key, &e.to_json());
                 }
                 failed.push(FailedCell {
                     protocol: proto.label().to_string(),
-                    n_senders: *n,
+                    n_senders: n,
                     kind: e.kind().to_string(),
                     error: e.to_string(),
                 });
             }
         }
     }
-    for cell in served.into_iter().flatten() {
-        cells.push(cell);
+    ExtIncastResult {
+        cells: served.into_iter().flatten().collect(),
+        failed,
     }
-    ExtIncastResult { cells, failed }
 }
 
 /// The zero-fault bit-identity probe: run one cell with `faults: None` and
@@ -496,34 +461,16 @@ mod tests {
     }
 
     #[test]
-    fn supervised_without_store_matches_plain_run() {
-        use crate::json::ToJson as _;
-        let mut cfg = small();
-        cfg.sender_counts = vec![8, 16];
-        let plain = run(&cfg);
-        let sup = run_supervised(&cfg, &SuperviseOpts::default(), None);
-        assert!(sup.failed.is_empty());
-        // wall_ms differs between runs by nature; compare per-cell digests
-        // and the layout instead of whole-result bytes.
-        assert_eq!(plain.cells.len(), sup.cells.len());
-        for (a, b) in plain.cells.iter().zip(&sup.cells) {
-            assert_eq!(a.digest, b.digest);
-            assert_eq!(a.n_senders, b.n_senders);
-        }
-        assert!(plain.to_json().render_pretty().contains("\"failed\": []"));
-    }
-
-    #[test]
     fn store_serves_cells_bit_identically_on_rerun() {
         use crate::json::ToJson as _;
         let root = tmp_store("hits");
         let mut cfg = small();
         cfg.sender_counts = vec![8, 16];
         let st = store::Store::open(&root).expect("open store");
-        let first = run_supervised(&cfg, &SuperviseOpts::default(), Some(&st));
+        let first = run_sweep(&cfg, Some(&st), None);
         assert_eq!(st.counters().hits, 0);
         assert_eq!(first.cells.len(), 2);
-        let again = run_supervised(&cfg, &SuperviseOpts::default(), Some(&st));
+        let again = run_sweep(&cfg, Some(&st), None);
         assert_eq!(st.counters().hits, 2, "rerun must be all hits");
         assert_eq!(
             first.to_json().render_pretty(),
@@ -537,11 +484,7 @@ mod tests {
     fn injected_panic_isolates_to_its_cell() {
         let mut cfg = small();
         cfg.sender_counts = vec![8, 12, 16];
-        let opts = SuperviseOpts {
-            inject_panic: Some(1),
-            ..Default::default()
-        };
-        let res = run_supervised(&cfg, &opts, None);
+        let res = run_sweep(&cfg, None, Some(1));
         assert_eq!(res.cells.len(), 2, "batchmates must complete");
         assert_eq!(res.failed.len(), 1);
         assert_eq!(res.failed[0].kind, "job_panicked");
@@ -555,31 +498,69 @@ mod tests {
         );
     }
 
+    /// The quarantine notes `run_sweep` left under `root`, parsed.
+    fn notes(root: &std::path::Path) -> Vec<faults::SimError> {
+        std::fs::read_dir(root.join("quarantine"))
+            .map(|dir| {
+                dir.map(|e| {
+                    let text = std::fs::read_to_string(e.expect("entry").path()).expect("note");
+                    faults::SimError::from_json(&text).expect("structured note")
+                })
+                .collect()
+            })
+            .unwrap_or_default()
+    }
+
     #[test]
-    fn injected_hang_times_out_and_leaves_a_quarantine_note() {
-        let root = tmp_store("hang");
+    fn injected_panic_leaves_a_quarantine_note_and_reruns_clean() {
+        let root = tmp_store("panic");
         let mut cfg = small();
         cfg.sender_counts = vec![8, 16];
-        let opts = SuperviseOpts {
-            deadline_s: Some(0.25),
-            inject_hang: Some(0),
-            ..Default::default()
-        };
         let st = store::Store::open(&root).expect("open store");
-        let res = run_supervised(&cfg, &opts, Some(&st));
+        let res = run_sweep(&cfg, Some(&st), Some(0));
         assert_eq!(res.failed.len(), 1);
-        assert_eq!(res.failed[0].kind, "timeout");
+        assert_eq!(res.failed[0].kind, "job_panicked");
         assert_eq!(res.cells.len(), 1);
         assert_eq!(res.cells[0].n_senders, 16);
-        let notes = std::fs::read_dir(root.join("quarantine"))
-            .map(|d| d.count())
-            .unwrap_or(0);
-        assert_eq!(notes, 1, "timeout must leave a structured quarantine note");
-        // The quarantined cell is retried on the next run; without the hang
-        // it completes and fills the store.
-        let res2 = run_supervised(&cfg, &SuperviseOpts::default(), Some(&st));
+        assert_eq!(
+            notes(&root),
+            [faults::SimError::job_panicked(
+                0,
+                "injected panic in cell 0"
+            )],
+            "a panic must leave a structured quarantine note"
+        );
+        // The failed cell has no record, so the next run computes it; its
+        // batchmate is served.
+        let res2 = run_sweep(&cfg, Some(&st), None);
         assert!(res2.failed.is_empty());
         assert_eq!(res2.cells.len(), 2);
+        assert_eq!(st.counters().hits, 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_failed_cell_names_its_sweep_index_not_its_miss_position() {
+        let root = tmp_store("index");
+        let mut cfg = small();
+        let st = store::Store::open(&root).expect("open store");
+        cfg.sender_counts = vec![8, 16];
+        assert!(run_sweep(&cfg, Some(&st), None).failed.is_empty());
+        // Sweep cells 0 (8) and 2 (16) are served; 1 and 3 are the misses,
+        // and cell 3 — the second miss — panics.
+        cfg.sender_counts = vec![8, 12, 16, 20];
+        let res = run_sweep(&cfg, Some(&st), Some(3));
+        let want = faults::SimError::job_panicked(3, "injected panic in cell 3");
+        assert_eq!(res.failed.len(), 1);
+        assert_eq!(res.failed[0].n_senders, 20);
+        assert_eq!(res.failed[0].error, want.to_string());
+        assert_eq!(notes(&root), [want]);
+        let cells: Vec<usize> = res.cells.iter().map(|c| c.n_senders).collect();
+        assert_eq!(
+            cells,
+            [8, 12, 16],
+            "served and computed cells in sweep order"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -598,9 +579,12 @@ mod tests {
 
     #[test]
     fn sweep_covers_all_cells_in_order() {
+        use crate::json::ToJson as _;
         let mut cfg = small();
         cfg.sender_counts = vec![8, 16];
         let res = run(&cfg);
+        assert!(res.failed.is_empty());
+        assert!(res.to_json().render_pretty().contains("\"failed\": []"));
         assert_eq!(res.cells.len(), 2);
         assert_eq!(
             (res.cells[0].n_senders, res.cells[1].n_senders),

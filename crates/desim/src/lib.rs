@@ -48,7 +48,6 @@ pub mod invariants;
 pub mod par;
 pub mod rng;
 pub mod stats;
-pub mod supervise;
 pub mod time;
 
 pub use event::EventQueue;

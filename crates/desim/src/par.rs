@@ -43,7 +43,7 @@ pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
 /// The worker count [`par_map`] will use: a [`with_threads`] override if one
 /// is active, else `SIM_THREADS` from the environment, else
 /// `available_parallelism()`. Always at least 1.
-pub fn worker_count() -> usize {
+fn worker_count() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
         return n;
     }

@@ -62,19 +62,10 @@ pub enum SimError {
         /// Index of the failing step.
         step: u64,
     },
-    /// A supervised sweep job exceeded its wall-clock deadline and was
-    /// abandoned by the executor watchdog.
-    Timeout {
-        /// Input-order index of the job within its sweep.
-        job_index: usize,
-        /// The *configured* per-job deadline — never a measured elapsed
-        /// time, so supervision verdicts stay deterministic artifacts.
-        deadline_s: f64,
-    },
-    /// A supervised sweep job panicked; the panic was caught and converted
-    /// into this per-slot error instead of aborting the sweep.
+    /// A sweep job panicked; the panic was caught and converted into this
+    /// per-slot error instead of aborting the sweep.
     JobPanicked {
-        /// Input-order index of the job within its sweep.
+        /// Index of the job within its sweep.
         job_index: usize,
         /// The panic message (payload rendered to text).
         payload: String,
@@ -113,14 +104,6 @@ impl SimError {
         }
     }
 
-    /// Shorthand for [`SimError::Timeout`].
-    pub fn timeout(job_index: usize, deadline_s: f64) -> Self {
-        SimError::Timeout {
-            job_index,
-            deadline_s,
-        }
-    }
-
     /// Shorthand for [`SimError::JobPanicked`].
     pub fn job_panicked(job_index: usize, payload: impl Into<String>) -> Self {
         SimError::JobPanicked {
@@ -136,15 +119,6 @@ impl SimError {
         matches!(self, SimError::Divergence { .. })
     }
 
-    /// True for the supervised-executor verdicts ([`SimError::Timeout`],
-    /// [`SimError::JobPanicked`]) — failures of a *job*, not of its spec.
-    pub fn is_supervision(&self) -> bool {
-        matches!(
-            self,
-            SimError::Timeout { .. } | SimError::JobPanicked { .. }
-        )
-    }
-
     /// Stable machine-readable tag for each variant (the JSON `"kind"`).
     pub fn kind(&self) -> &'static str {
         match self {
@@ -153,7 +127,6 @@ impl SimError {
             SimError::InvalidFlow { .. } => "invalid_flow",
             SimError::InvalidSpec { .. } => "invalid_spec",
             SimError::Divergence { .. } => "divergence",
-            SimError::Timeout { .. } => "timeout",
             SimError::JobPanicked { .. } => "job_panicked",
         }
     }
@@ -186,13 +159,6 @@ impl SimError {
                 write_f64(key(&mut out, "state_norm"), *state_norm);
                 write_f64(key(&mut out, "last_step_s"), *last_step_s);
                 key(&mut out, "step").push_str(&step.to_string());
-            }
-            SimError::Timeout {
-                job_index,
-                deadline_s,
-            } => {
-                key(&mut out, "job_index").push_str(&job_index.to_string());
-                write_f64(key(&mut out, "deadline_s"), *deadline_s);
             }
             SimError::JobPanicked { job_index, payload } => {
                 key(&mut out, "job_index").push_str(&job_index.to_string());
@@ -231,10 +197,6 @@ impl SimError {
                 last_step_s: num_or_nan(obj, "last_step_s")?,
                 step: index("step")?,
             }),
-            "timeout" => Ok(SimError::Timeout {
-                job_index: index("job_index")? as usize,
-                deadline_s: get_num(obj, "deadline_s")?,
-            }),
             "job_panicked" => Ok(SimError::JobPanicked {
                 job_index: index("job_index")? as usize,
                 payload: get_str(obj, "payload")?.to_string(),
@@ -262,18 +224,6 @@ fn num_or_nan(obj: &[(String, Value)], key: &str) -> SimResult<f64> {
     }
 }
 
-impl desim::supervise::SupervisedError for SimError {
-    fn job_panicked(job_index: usize, payload: String) -> Self {
-        SimError::JobPanicked { job_index, payload }
-    }
-    fn job_timeout(job_index: usize, deadline_s: f64) -> Self {
-        SimError::Timeout {
-            job_index,
-            deadline_s,
-        }
-    }
-}
-
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -297,13 +247,6 @@ impl fmt::Display for SimError {
                 f,
                 "numeric divergence in {context}: t={t_s:.6e} s, state norm {state_norm:.3e}, \
                  last step {last_step_s:.3e} s, step {step}"
-            ),
-            SimError::Timeout {
-                job_index,
-                deadline_s,
-            } => write!(
-                f,
-                "job {job_index} exceeded its {deadline_s} s deadline and was abandoned"
             ),
             SimError::JobPanicked { job_index, payload } => {
                 write!(f, "job {job_index} panicked: {payload}")
@@ -345,17 +288,10 @@ mod tests {
     }
 
     #[test]
-    fn supervision_variants_display_and_classify() {
-        let t = SimError::timeout(7, 30.0);
-        assert_eq!(
-            t.to_string(),
-            "job 7 exceeded its 30 s deadline and was abandoned"
-        );
+    fn job_panicked_displays_its_index_and_payload() {
         let p = SimError::job_panicked(3, "index out of bounds");
-        assert!(p.to_string().contains("job 3 panicked"), "{p}");
-        assert!(t.is_supervision() && p.is_supervision());
-        assert!(!t.is_divergence());
-        assert!(!SimError::spec("x").is_supervision());
+        assert_eq!(p.to_string(), "job 3 panicked: index out of bounds");
+        assert!(!p.is_divergence());
     }
 
     #[test]
@@ -372,7 +308,6 @@ mod tests {
                 last_step_s: 1e-5,
                 step: 42,
             },
-            SimError::timeout(11, 120.5),
             SimError::job_panicked(0, "panicked with \\backslash\\ and \"quotes\""),
             SimError::job_panicked(2, "esc \x1b[31m \"q\" back\\slash\nline 2 \u{1f600}"),
         ];
@@ -410,23 +345,13 @@ mod tests {
         for doc in [
             "not json",
             "{\"kind\": \"mystery\"}",
-            "{\"kind\": \"timeout\", \"job_index\": 1.5, \"deadline_s\": 3.0}",
-            "{\"kind\": \"timeout\", \"deadline_s\": 3.0}",
+            "{\"kind\": \"job_panicked\", \"job_index\": 1.5, \"payload\": \"x\"}",
+            "{\"kind\": \"job_panicked\", \"payload\": \"x\"}",
             "{\"kind\": \"job_panicked\", \"job_index\": 2}",
             "[]",
         ] {
             assert!(SimError::from_json(doc).is_err(), "{doc}");
         }
-    }
-
-    #[test]
-    fn executor_trait_constructs_the_faults_variants() {
-        use desim::supervise::SupervisedError as _;
-        assert_eq!(SimError::job_timeout(4, 2.5), SimError::timeout(4, 2.5));
-        assert_eq!(
-            <SimError as desim::supervise::SupervisedError>::job_panicked(1, "boom".to_string()),
-            SimError::job_panicked(1, "boom")
-        );
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //!
 //! [`Stopwatch::start`] is the one place those crates read the clock (with
 //! the `#[expect]` for the ban in `clippy.toml`, as `desim::par` does for
-//! `thread::scope`). A reading leaves the type only as a yes/no deadline
-//! answer ([`Stopwatch::exceeds_s`]), or as a number through
+//! `thread::scope`). A reading leaves the type only as a number through
 //! [`Stopwatch::elapsed_ms`] and [`drain`] — which `clippy.toml` bans too,
 //! so no sim crate can turn a reading into a number that might reach a
 //! `SimTime`, an RNG seed or a trace. Sim crates call [`enter`] with a
@@ -115,9 +114,9 @@ impl Drop for SpanGuard {
     }
 }
 
-/// A wall-clock reading: span timing, the supervisor's job deadlines
-/// (`desim::supervise`) and result-side annotations outside the sim crates
-/// (`wall_ms` in `results/ext_incast.json`, which determinism gates skip).
+/// A wall-clock reading: span timing and result-side annotations outside
+/// the sim crates (`wall_ms` in `results/ext_incast.json`, which
+/// determinism gates skip).
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(Instant);
 
@@ -126,15 +125,10 @@ impl Stopwatch {
     #[inline]
     #[expect(
         clippy::disallowed_methods,
-        reason = "the one wall-clock read of the sim crates; a reading leaves Stopwatch only as a deadline answer or through the banned elapsed_ms/drain"
+        reason = "the one wall-clock read of the sim crates; a reading leaves Stopwatch only through the banned elapsed_ms/drain"
     )]
     pub fn start() -> Self {
         Stopwatch(Instant::now())
-    }
-
-    /// Have more than `limit_s` seconds passed since [`Stopwatch::start`]?
-    pub fn exceeds_s(&self, limit_s: f64) -> bool {
-        self.0.elapsed().as_secs_f64() > limit_s
     }
 
     /// Milliseconds elapsed since [`Stopwatch::start`]. Banned in the sim
@@ -195,7 +189,6 @@ mod tests {
         let a = sw.elapsed_ms();
         let b = sw.elapsed_ms();
         assert!(b >= a);
-        assert!(sw.exceeds_s(-1.0) && !sw.exceeds_s(3600.0));
     }
 
     #[test]

@@ -294,8 +294,8 @@ impl Store {
         obs::flight::record(0.0, "store_quarantine", key.0 as f64, None);
     }
 
-    /// Record a supervision verdict (quarantined spec, timeout, panic) for
-    /// the key as a durable note under `<root>/quarantine/`. Notes are
+    /// Record a failed computation of the key (a sweep cell that panicked)
+    /// as a durable note under `<root>/quarantine/`. Notes are
     /// advisory observability — lookups never serve or skip based on them.
     pub fn put_quarantine_note(&self, key: &SpecKey, note_json: &str) -> io::Result<()> {
         let path = self
@@ -381,13 +381,15 @@ mod tests {
     fn quarantine_notes_are_durable_and_advisory() {
         let s = tmp_store("notes");
         let k = s.key("t", "{}").expect("key");
-        s.put_quarantine_note(&k, "{\"kind\": \"timeout\"}")
+        s.put_quarantine_note(&k, "{\"kind\": \"job_panicked\"}")
             .expect("note");
         let p = s
             .root()
             .join("quarantine")
             .join(format!("{}.json", k.hex()));
-        assert!(fs::read_to_string(p).expect("read").contains("timeout"));
+        assert!(fs::read_to_string(p)
+            .expect("read")
+            .contains("job_panicked"));
         // Advisory: a subsequent put/get pair is unaffected.
         s.put(&k, b"ok").expect("put");
         assert_eq!(s.get(&k).as_deref(), Some(&b"ok"[..]));
