@@ -68,8 +68,8 @@ fn main() {
         black_box(acc)
     });
 
-    // End-to-end scale probe: a 256:1 incast on a k=4 fat-tree, the CI
-    // smoke scenario. The run is deterministic, so `events` is identical
+    // End-to-end scale probe: a 256:1 incast on a k=4 fat-tree, the smoke
+    // tests' scenario. The run is deterministic, so `events` is identical
     // every iteration and the events/sec rate follows from the median
     // wall-clock of the measured runs.
     let run_incast = |k: usize, incast: &IncastConfig, horizon: SimTime| {

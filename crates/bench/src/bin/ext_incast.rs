@@ -3,8 +3,8 @@
 //! Runs the `ext_incast` sweep — an N:1 incast burst on a k-ary fat-tree,
 //! FCT distribution and engine scale probe per `(protocol, fan-in)` cell —
 //! and writes `results/ext_incast.json`. Every cell prints a 64-bit digest
-//! of its exact FCT bit patterns; the CI `obs-smoke` job compares these
-//! digests (and full `--trace` output) across `SIM_THREADS` settings.
+//! of its exact FCT bit patterns; `crates/bench/tests/smoke.rs` compares
+//! this stdout (and every obs artifact) across `SIM_THREADS` settings.
 //!
 //! A cell that panics is caught in its own slot (reported in the `failed`
 //! table, exit status 4) while its batchmates complete normally.
@@ -21,18 +21,13 @@
 //! * `--bytes <n>` — response size per sender (default 32000, ≥ 1);
 //! * `--seed <n>` — burst/engine seed (default 1);
 //! * `--inject-panic <i>` — fault-injection hook for the smoke tests:
-//!   sweep cell `i` panics instead of simulating;
-//! * `--identity-check` — additionally run the zero-fault bit-identity
-//!   probe (engine with no fault plane vs an installed empty schedule) on
-//!   the smallest fan-in; a digest mismatch exits with status 3.
+//!   sweep cell `i` panics instead of simulating.
 //!
 //! Malformed or out-of-range flags exit with status 2 after printing a
 //! one-line JSON diagnostic (`{"error": "invalid_usage", ...}`) to stderr.
 
 use bench::cli::Usage;
-use ecn_delay_core::experiments::ext_incast::{
-    run_sweep, run_zero_fault_identity, ExtIncastConfig,
-};
+use ecn_delay_core::experiments::ext_incast::{run_sweep, ExtIncastConfig};
 use ecn_delay_core::write_json;
 
 /// Senders wrap round-robin over the fat-tree's hosts, but a fan-in past
@@ -45,7 +40,6 @@ struct Flags {
     senders: Vec<usize>,
     bytes: u64,
     seed: u64,
-    identity_check: bool,
     inject_panic: Option<usize>,
 }
 
@@ -55,7 +49,6 @@ fn read_flags(own: &[(&'static str, String)]) -> Result<Flags, Usage> {
         senders: vec![64, 256, 1024],
         bytes: 32_000,
         seed: 1,
-        identity_check: false,
         inject_panic: None,
     };
     for (flag, raw) in own {
@@ -81,7 +74,6 @@ fn read_flags(own: &[(&'static str, String)]) -> Result<Flags, Usage> {
             "--bytes" => flags.bytes = int()?,
             "--seed" => flags.seed = int()?,
             "--inject-panic" => flags.inject_panic = Some(int()? as usize),
-            "--identity-check" => flags.identity_check = true,
             _ => unreachable!("bench::cli hands back this entry's flags only"),
         }
     }
@@ -178,18 +170,6 @@ fn main() {
     write_json(&path, &res).expect("write results");
     println!("results -> {}", path.display());
     store.finish();
-
-    if flags.identity_check {
-        let n = flags.senders.iter().copied().min().unwrap_or(64);
-        let (none, empty) = run_zero_fault_identity(&cfg, n);
-        println!("zero-fault identity ({n}:1): none={none} empty={empty}");
-        if none != empty {
-            eprintln!("ext_incast: empty fault schedule perturbed the simulation");
-            obs.finish();
-            std::process::exit(3);
-        }
-        println!("zero-fault identity: ok");
-    }
     let n_failed = res.failed.len();
     obs.finish();
     if n_failed > 0 {

@@ -9,7 +9,7 @@
 //!   `(name, key, ctx)` series) and percentile rows for its histograms.
 //! * `diff` compares two JSONL exports (trace, time-series or flight) and
 //!   localizes the first diverging `(ctx, seq)` event — the debugger behind
-//!   CI's byte-identity `cmp` gates. Exit 1 when the files diverge.
+//!   the byte-identity tests. Exit 1 when the files diverge.
 //!
 //! Usage errors exit 2.
 

@@ -8,24 +8,22 @@
 //! * `--store <dir>` / `--no-store` — see [`crate::store_cli`]; `--no-store`
 //!   wins wherever it stands.
 //!
-//! An entry's own flags (`ENTRY_FLAGS`) are legal for that entry alone;
-//! the parser hands them back in command-line order and the entry reads
-//! their values. Nothing is skipped: an unknown flag, a flag another entry
-//! takes, or a value-taking flag at the end of the line is a [`Usage`]
-//! error — one JSON line on stderr and exit status 2.
+//! An entry's own flags (`ENTRY_FLAGS`) are legal for that entry alone and
+//! each takes a value; the parser hands them back in command-line order and
+//! the entry reads their values. Nothing is skipped: an unknown flag, a flag
+//! another entry takes, or a flag at the end of the line with its value
+//! missing is a [`Usage`] error — one JSON line on stderr and exit status 2.
 
 use std::path::PathBuf;
 
-/// `(entry, flag, takes a value)`: the flags one entry takes besides the
-/// shared six.
-const ENTRY_FLAGS: &[(&str, &str, bool)] = &[
-    ("ext_faults", "--faults", true),
-    ("ext_incast", "--k", true),
-    ("ext_incast", "--senders", true),
-    ("ext_incast", "--bytes", true),
-    ("ext_incast", "--seed", true),
-    ("ext_incast", "--inject-panic", true),
-    ("ext_incast", "--identity-check", false),
+/// `(entry, flag)`: the flags one entry takes besides the shared six.
+const ENTRY_FLAGS: &[(&str, &str)] = &[
+    ("ext_faults", "--faults"),
+    ("ext_incast", "--k"),
+    ("ext_incast", "--senders"),
+    ("ext_incast", "--bytes"),
+    ("ext_incast", "--seed"),
+    ("ext_incast", "--inject-panic"),
 ];
 
 /// A parsed command line.
@@ -43,8 +41,7 @@ pub struct Args {
     pub flight: Option<PathBuf>,
     /// `--store <dir>`; `None` when `--no-store` was given too.
     pub store: Option<PathBuf>,
-    /// The entry's own flags in command-line order, each with its value
-    /// (empty for a switch).
+    /// The entry's own flags in command-line order, each with its value.
     pub own: Vec<(&'static str, String)>,
 }
 
@@ -110,16 +107,11 @@ fn parse_words(words: &[String], entry: Option<&str>) -> Result<Args, Usage> {
             "--store" => args.store = Some(value("--store")?.into()),
             "--no-store" => no_store = true,
             other => {
-                let &(_, flag, takes_value) = ENTRY_FLAGS
+                let &(_, flag) = ENTRY_FLAGS
                     .iter()
-                    .find(|&&(of, flag, _)| Some(of) == entry && flag == other)
+                    .find(|&&(of, flag)| Some(of) == entry && flag == other)
                     .ok_or_else(|| Usage::new(other, "unknown flag"))?;
-                let value = if takes_value {
-                    value(flag)?
-                } else {
-                    String::new()
-                };
-                args.own.push((flag, value));
+                args.own.push((flag, value(flag)?));
             }
         }
     }
@@ -158,11 +150,8 @@ mod tests {
         for line in ["--no-store --store s", "--store s --no-store"] {
             assert_eq!(parse(line, Some("ext_incast")).store, None);
         }
-        let a = parse("--identity-check --k 4", Some("ext_incast"));
-        assert_eq!(
-            a.own,
-            [("--identity-check", String::new()), ("--k", "4".into())]
-        );
+        let a = parse("--seed 2 --k 4", Some("ext_incast"));
+        assert_eq!(a.own, [("--seed", "2".into()), ("--k", "4".into())]);
         let a = parse("--all --metrics d", None);
         assert_eq!(
             (a.entry.as_deref(), a.metrics),

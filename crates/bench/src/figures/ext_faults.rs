@@ -24,8 +24,9 @@ use ecn_delay_core::scenarios::{single_switch_longlived, Protocol};
 use netsim::EngineConfig;
 
 /// Print the watchdog sweep — one line per gain, `ok` or the structured
-/// divergence error. The CI smoke job greps these lines to confirm a
-/// divergent fluid run degrades to a recorded `Err` instead of a panic.
+/// divergence error. `crates/bench/tests/smoke.rs` reads these lines to
+/// confirm a divergent fluid run degrades to a recorded `Err` instead of a
+/// panic.
 fn print_watchdog(points: &[ecn_delay_core::experiments::ext_faults::WatchdogPoint]) {
     println!("\ndivergence watchdog (x' = g.x(t - 100ms), 1.5 s horizon):");
     for p in points {

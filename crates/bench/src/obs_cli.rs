@@ -14,8 +14,8 @@
 //! schedule/dispatch entries with scheduled-by back-pointers, and on
 //! a `SimError` (e.g. a divergence watchdog trip) the ring is dumped to
 //! `path` as JSONL, headed by a `{"kind": "flight_dump", "reason": ...}`
-//! line. On a clean run `finish` writes the same dump so the recorder is
-//! inspectable without a failure.
+//! line. `finish` rewrites the dump from the final ring, headed by the
+//! first error in context order or `clean exit`.
 //!
 //! `figs --all` interprets `--trace`/`--metrics` as *directories* and fans
 //! them out per child figure (`<dir>/<fig>_trace.jsonl`,
@@ -43,9 +43,9 @@ pub fn init(args: &crate::cli::Args) -> ObsCli {
     obs::reset();
     obs::enable(cli.caps());
     if let Some(p) = &cli.flight_path {
-        // Arm dump-on-error immediately: if the run dies with a SimError the
-        // black box lands at the requested path even though `finish` (which
-        // also writes it on clean exit) never runs.
+        // Arm dump-on-error immediately: if the process dies after a
+        // SimError the black box lands at the requested path even though
+        // `finish` (which rewrites it) never runs.
         obs::flight::set_dump_path(p.clone());
     }
     cli
@@ -103,22 +103,19 @@ impl ObsCli {
             );
         }
         if let Some(p) = &self.flight_path {
-            // A SimError mid-run already dumped a post-mortem to this path;
-            // never overwrite that with an end-of-run snapshot.
-            if let Some(reason) = obs::flight::last_dump_reason() {
-                println!("flight -> {} (post-mortem dump: {reason})", p.display());
-            } else {
-                let jsonl = format!(
-                    "{{\"kind\": \"flight_dump\", \"reason\": \"clean exit\"}}\n{}",
-                    obs::flight::export_jsonl()
-                );
-                std::fs::write(p, &jsonl).unwrap_or_else(|e| panic!("write {}: {e}", p.display()));
-                println!(
-                    "flight -> {} ({} lines)",
-                    p.display(),
-                    jsonl.lines().count()
-                );
-            }
+            // Rewrite whatever an error site dumped mid-run: the final ring,
+            // headed by the first error in context order, is the same bytes
+            // on every worker count.
+            let jsonl = obs::flight::dump_jsonl();
+            std::fs::write(p, &jsonl).unwrap_or_else(|e| panic!("write {}: {e}", p.display()));
+            println!(
+                "flight -> {} ({} lines, {})",
+                p.display(),
+                jsonl.lines().count(),
+                obs::flight::last_dump_reason()
+                    .as_deref()
+                    .unwrap_or("clean exit")
+            );
         }
     }
 

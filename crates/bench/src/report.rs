@@ -11,8 +11,8 @@
 //! * [`render_timeseries`] — turn a `--timeseries` JSONL export into text
 //!   tables and sparklines;
 //! * [`diff_jsonl`] — compare two JSONL exports line by line and localize
-//!   the first diverging `(ctx, seq)` event, turning CI's byte-identity
-//!   `cmp` gates into an actual divergence debugger.
+//!   the first diverging `(ctx, seq)` event, so a byte-identity check
+//!   fails with where two runs part, not with their contents.
 
 use obs::json::{parse, Value};
 use std::fmt::Write as _;
@@ -65,7 +65,7 @@ pub fn render_timeseries(jsonl: &str, width: usize) -> String {
     let mut cur: Option<(String, Vec<f64>)> = None;
     let flush = |out: &mut String, cur: &mut Option<(String, Vec<f64>)>| {
         if let Some((head, means)) = cur.take() {
-            let step = (means.len() / width).max(1);
+            let step = means.len().div_ceil(width).max(1);
             let decimated: Vec<f64> = means.iter().copied().step_by(step).collect();
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
             for &m in &means {
@@ -145,7 +145,7 @@ pub struct Divergence {
 /// Compare two JSONL exports line by line; `None` means byte-identical.
 /// On a mismatch, the first line whose text differs is localized and, where
 /// the lines carry `(ctx, seq)` keys, translated into event coordinates — the
-/// debugger behind CI's `cmp` identity gates. Files whose lines all read the
+/// debugger behind the byte-identity tests. Files whose lines all read the
 /// same but whose bytes differ (a missing final newline, `\r\n` against
 /// `\n`, an extra blank line at the end) diverge at the first line whose
 /// terminator differs.
@@ -230,6 +230,27 @@ mod tests {
             let d = diff_jsonl(a, b).unwrap_or_else(|| panic!("{a:?} vs {b:?}"));
             assert_eq!(d.line, line, "{a:?} vs {b:?}");
             assert_eq!(d.a, d.b, "the lines read the same: {d:?}");
+        }
+    }
+
+    #[test]
+    fn render_timeseries_prints_at_most_width_blocks() {
+        for windows in [15, 22, 100] {
+            let mut jsonl =
+                String::from("{\"kind\": \"series\", \"name\": \"q\", \"window_s\": 0.001}\n");
+            for w in 0..windows {
+                jsonl.push_str(&format!(
+                    "{{\"kind\": \"win\", \"name\": \"q\", \"mean\": {w}.0}}\n"
+                ));
+            }
+            for width in [8, 10, 64] {
+                let text = render_timeseries(&jsonl, width);
+                let blocks = text.lines().nth(1).map_or(0, |l| l.trim().chars().count());
+                assert!(
+                    (1..=width).contains(&blocks),
+                    "{windows} windows at width {width}: {blocks} blocks\n{text}"
+                );
+            }
         }
     }
 

@@ -80,10 +80,6 @@ fn cut_times(trace: &[(f64, f64)], frac: f64, from: f64) -> Vec<f64> {
 /// Run the cross-layer cycle-length comparison. Each flow count is an
 /// independent (analytic + packet-sim) job, run in parallel with ordered
 /// results.
-///
-/// The sweep dispatches through [`desim::par::par_map_chunked`] (packet
-/// engines can't share lanes, so chunked dispatch is the batching story
-/// here).
 pub fn run(cfg: &AppendixBConfig) -> AppendixBResult {
     let run_one = |n: usize| {
         // --- analytic prediction -----------------------------------------
@@ -123,9 +119,7 @@ pub fn run(cfg: &AppendixBConfig) -> AppendixBResult {
             cuts_measured: cuts.len(),
         }
     };
-    let rows = desim::par::par_map_chunked(cfg.flow_counts.clone(), 2, |chunk| {
-        chunk.into_iter().map(run_one).collect()
-    });
+    let rows = desim::par::par_map(cfg.flow_counts.clone(), run_one);
     AppendixBResult { rows }
 }
 

@@ -9,7 +9,7 @@
 //! reports the events the run dispatched, the numerator of the events/sec
 //! rows the bench suite records.
 //!
-//! Two determinism hooks back the CI gates:
+//! Two determinism hooks back the tests:
 //!
 //! * every cell carries a 64-bit digest folded over the exact FCT bit
 //!   patterns, so `SIM_THREADS=1` vs `4` runs can be compared byte for

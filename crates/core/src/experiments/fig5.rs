@@ -56,11 +56,6 @@ pub struct Fig5Result {
 
 /// Run the packet-level stability contrast: one independent engine per flow
 /// count, in parallel with ordered results.
-///
-/// Packet-level runs have no shared fluid state to batch; the sweep
-/// dispatches through [`desim::par::par_map_chunked`] — consecutive flow
-/// counts share one worker dispatch, amortizing spawn overhead without
-/// touching the per-run arithmetic.
 pub fn run(cfg: &Fig5Config) -> Fig5Result {
     let run_one = |n: usize| {
         let (mut eng, bottleneck) = single_switch_longlived(
@@ -95,9 +90,7 @@ pub fn run(cfg: &Fig5Config) -> Fig5Result {
             queue_p2p_kb: p2p,
         }
     };
-    let panels = desim::par::par_map_chunked(cfg.flow_counts.clone(), 2, |chunk| {
-        chunk.into_iter().map(run_one).collect()
-    });
+    let panels = desim::par::par_map(cfg.flow_counts.clone(), run_one);
     Fig5Result { panels }
 }
 

@@ -125,8 +125,8 @@ fn ext_incast_byte_identical_across_thread_counts() {
 /// the comparison filters exported lines to this test's own context subtree
 /// (every trace/timeseries/flight line carries `"ctx"` for exactly this
 /// reason). Metrics — counters carry no ctx, so concurrent tests would
-/// pollute them — are deliberately out of scope here; `obs-smoke` in CI
-/// compares them across whole processes.
+/// pollute them — are deliberately out of scope here;
+/// `crates/bench/tests/smoke.rs` compares them across whole processes.
 #[test]
 fn telemetry_byte_identical_across_thread_counts() {
     const PARENT: u64 = 7_777;

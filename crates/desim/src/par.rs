@@ -17,8 +17,9 @@
 //! * the worker count is data-independent: `SIM_THREADS` (or
 //!   [`with_threads`]) pins it, otherwise `available_parallelism()` is used.
 //!
-//! Determinism CI checks run with `SIM_THREADS=1` forced and compare against
-//! a multi-threaded run.
+//! The determinism tests compare a [`with_threads`]`(1, …)` run against a
+//! multi-threaded one; `crates/bench/tests/smoke.rs` does the same for whole
+//! binaries through `SIM_THREADS`.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -140,47 +141,6 @@ where
         .collect()
 }
 
-/// Chunked [`par_map`]: split `jobs` into consecutive chunks of (at most)
-/// `chunk` items, map `worker` over whole chunks in parallel, and flatten
-/// the per-chunk outputs back into input order. `worker` must return exactly
-/// one output per input (checked).
-///
-/// This is the dispatch shape for batched lockstep integration: each chunk
-/// becomes one batch of lanes integrated simultaneously, while chunks still
-/// spread over the [`par_map`] pool. Because chunk boundaries depend only on
-/// `jobs.len()` and `chunk`, the output is byte-identical across worker
-/// counts, exactly like [`par_map`].
-pub fn par_map_chunked<I, O, F>(jobs: Vec<I>, chunk: usize, worker: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(Vec<I>) -> Vec<O> + Sync,
-{
-    assert!(chunk >= 1, "chunk size must be at least 1");
-    let n_jobs = jobs.len();
-    let mut chunks: Vec<Vec<I>> = Vec::with_capacity(n_jobs.div_ceil(chunk));
-    let mut it = jobs.into_iter();
-    loop {
-        let c: Vec<I> = it.by_ref().take(chunk).collect();
-        if c.is_empty() {
-            break;
-        }
-        chunks.push(c);
-    }
-    let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
-    let outs = par_map(chunks, &worker);
-    let mut flat = Vec::with_capacity(n_jobs);
-    for (out, expect) in outs.into_iter().zip(sizes) {
-        assert_eq!(
-            out.len(),
-            expect,
-            "chunk worker must return one output per input"
-        );
-        flat.extend(out);
-    }
-    flat
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,31 +200,6 @@ mod tests {
         let offset = 100u64;
         let out = with_threads(4, || par_map((0..10).collect(), |i: u64| i + offset));
         assert_eq!(out[9], 109);
-    }
-
-    #[test]
-    fn chunked_map_preserves_order_across_thread_counts() {
-        let jobs: Vec<u64> = (0..37).collect();
-        let expect: Vec<u64> = jobs.iter().map(|i| i * 3 + 1).collect();
-        for threads in [1usize, 4] {
-            for chunk in [1usize, 5, 16, 64] {
-                let out = with_threads(threads, || {
-                    par_map_chunked(jobs.clone(), chunk, |c: Vec<u64>| {
-                        c.into_iter().map(|i| i * 3 + 1).collect()
-                    })
-                });
-                assert_eq!(out, expect, "threads={threads} chunk={chunk}");
-            }
-        }
-        // Empty input stays empty.
-        let empty: Vec<u64> = Vec::new();
-        assert!(par_map_chunked(empty, 8, |c: Vec<u64>| c).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "one output per input")]
-    fn chunked_map_rejects_wrong_arity() {
-        let _ = par_map_chunked(vec![1u64, 2, 3], 2, |_c: Vec<u64>| vec![0u64]);
     }
 
     #[test]

@@ -423,8 +423,8 @@ fn patched_timely_pi_reduced_lanes() {
 
 /// A one-component exponential `x' = g·x`. Every protocol model projects
 /// its state into a bounded box, so real lanes cannot trip the watchdog;
-/// this synthetic lane is how the divergence contract is exercised (the CI
-/// smoke uses the same `gain = 4000/s` convention).
+/// this synthetic lane is how the divergence contract is exercised (the
+/// `ext_faults` watchdog sweep uses the same `gain = 4000/s` convention).
 #[derive(Clone)]
 struct Exponential {
     gain_per_s: f64,

@@ -23,7 +23,9 @@
 //! Entries live in the crate's one ring type, keyed `(ctx, seq)` exactly
 //! like [`crate::trace`] records; timestamps are simulation time only and
 //! back-pointers reference sequence numbers *within the same context*. The
-//! export is byte-identical across `SIM_THREADS` settings. The cause is the
+//! export is byte-identical across `SIM_THREADS` settings, and so is the
+//! dump's header: it names the first error in context order, not the one
+//! whose worker happened to finish last. The cause is the
 //! second half of the thread's job context, so [`crate::in_context`] clears
 //! it around every parallel job and causality never leaks between jobs that
 //! happened to share a worker thread.
@@ -110,34 +112,53 @@ fn render(rings: &crate::Rings<Entry>) -> String {
     })
 }
 
-/// Dump the ring to the armed dump path, prefixed by a header line carrying
-/// `reason`. Called by error sites (the fluid divergence watchdog, fault
-/// drivers) at the moment a `SimError` is constructed. Returns the path
-/// written, or `None` when the recorder is disabled, unarmed, or the write
-/// failed (a post-mortem must never turn an error into a panic).
+/// The post-mortem as JSONL: a `{"kind": "flight_dump", "reason": …}`
+/// header naming the first error in context order ([`last_dump_reason`]),
+/// or `clean exit` when none was reported, followed by the ring.
+pub fn dump_jsonl() -> String {
+    crate::with_state(|s| {
+        let reason = s.dump_reason.as_ref().map_or("clean exit", |(_, r)| r);
+        let mut out = String::from("{\"kind\": \"flight_dump\", \"reason\": ");
+        crate::json::write_str(&mut out, reason);
+        out.push_str("}\n");
+        out.push_str(&render(&s.flight));
+        out
+    })
+}
+
+/// Report an error to the recorder and write [`dump_jsonl`] to the armed
+/// dump path at once: a best effort for a process that dies before
+/// `bench::obs_cli` rewrites the file at exit. Called by error sites (the
+/// fluid divergence watchdog, fault drivers) as a `SimError` is constructed.
+///
+/// The header keeps the first error in context order — the lowest
+/// [`crate::current_context`], within one context the earliest — because
+/// parallel jobs report in whatever order their workers finish. Returns the
+/// path written, or `None` when the recorder is disabled, unarmed, or the
+/// write failed (a post-mortem must never turn an error into a panic).
 pub fn dump_on_error(reason: &str) -> Option<PathBuf> {
     if !enabled() {
         return None;
     }
-    let (path, ring) = crate::with_state(|s| Some((s.dump_path.clone()?, render(&s.flight))))?;
-    let mut out = String::from("{\"kind\": \"flight_dump\", \"reason\": ");
-    crate::json::write_str(&mut out, reason);
-    out.push_str("}\n");
-    out.push_str(&ring);
+    let ctx = crate::current_context();
+    let path = crate::with_state(|s| {
+        if s.dump_reason.as_ref().is_none_or(|&(first, _)| ctx < first) {
+            s.dump_reason = Some((ctx, reason.to_string()));
+        }
+        s.dump_path.clone()
+    })?;
     #[expect(
         clippy::disallowed_methods,
         reason = "post-mortem diagnostic sink: written while the process is already failing, best-effort by design, and obs sits below store so the atomic writer is out of reach"
     )]
-    std::fs::write(&path, out).ok()?;
-    crate::with_state(|s| s.dump_reason = Some(reason.to_string()));
+    std::fs::write(&path, dump_jsonl()).ok()?;
     Some(path)
 }
 
-/// The reason of the last successful [`dump_on_error`] since the recorder
-/// was reset. Clean-exit writers check this so a post-mortem dump is never
-/// overwritten by an end-of-run snapshot of the same path.
+/// The reason of the first error [`dump_on_error`] was given since the
+/// recorder was reset, in context order; `None` after a clean run.
 pub fn last_dump_reason() -> Option<String> {
-    crate::with_state(|s| s.dump_reason.clone())
+    crate::with_state(|s| Some(s.dump_reason.as_ref()?.1.clone()))
 }
 
 #[cfg(test)]
@@ -196,5 +217,36 @@ mod tests {
         assert!(body.contains("\"kind\": \"watchdog\""), "{body}");
         std::fs::remove_file(&path).ok();
         crate::reset();
+    }
+
+    #[test]
+    fn first_error_in_context_order_heads_the_dump() {
+        let _g = crate::test_lock();
+        for order in [[5, 4], [4, 5]] {
+            crate::reset();
+            crate::enable(crate::FLIGHT);
+            for ctx in order {
+                crate::in_context(ctx, || {
+                    dump_on_error(&format!("error in {ctx}"));
+                    dump_on_error(&format!("later error in {ctx}"));
+                });
+            }
+            crate::disable(crate::FLIGHT);
+            assert_eq!(
+                last_dump_reason().as_deref(),
+                Some("error in 4"),
+                "reports in context order {order:?}"
+            );
+            assert!(
+                dump_jsonl()
+                    .starts_with("{\"kind\": \"flight_dump\", \"reason\": \"error in 4\"}\n"),
+                "{}",
+                dump_jsonl()
+            );
+        }
+        crate::reset();
+        assert!(
+            dump_jsonl().starts_with("{\"kind\": \"flight_dump\", \"reason\": \"clean exit\"}\n")
+        );
     }
 }

@@ -115,7 +115,8 @@ struct State {
     trace: Rings<trace::Record>,
     flight: Rings<flight::Entry>,
     dump_path: Option<PathBuf>,
-    dump_reason: Option<String>,
+    /// The first error reported to the flight recorder, with its context.
+    dump_reason: Option<(u64, String)>,
     series: timeseries::Collector,
 }
 

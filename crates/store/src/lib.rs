@@ -1,7 +1,7 @@
 //! # store — crash-safe content-addressed result store
 //!
 //! ROADMAP item 4's serving substrate: experiment sweeps are deterministic
-//! (byte-identical at any `SIM_THREADS`, proven in CI), so a result keyed by
+//! (byte-identical at any `SIM_THREADS`, held by tests), so a result keyed by
 //! its scenario spec is valid forever — same spec hash, same bytes. This crate provides that cache with crash safety as the
 //! design center:
 //!

@@ -703,6 +703,45 @@ mod tests {
     }
 
     #[test]
+    fn one_json_implementation() {
+        // A JSON reader (whitespace skipping) or escaper (control-character
+        // test) outside obs::json is a second implementation. The needles
+        // are split so this file does not hold them; the walk is simlint's
+        // (lint fixtures and build output are not program code).
+        let needles = [["fn skip", "_ws"].concat(), ["< 0x", "20"].concat()];
+        let mut files = Vec::new();
+        collect_rs_files(&repo_root().join("crates"), &mut files).expect("walk crates/");
+        let others: Vec<PathBuf> = files
+            .into_iter()
+            .filter(|f| !f.ends_with("crates/obs/src/json.rs"))
+            .filter(|f| {
+                let src = std::fs::read_to_string(f).expect("read source");
+                needles.iter().any(|n| src.contains(n.as_str()))
+            })
+            .collect();
+        assert!(
+            others.is_empty(),
+            "JSON code outside crates/obs/src/json.rs: {others:?}"
+        );
+    }
+
+    #[test]
+    fn one_figure_table_one_binary() {
+        let bin = repo_root().join("crates/bench/src/bin");
+        let mut names: Vec<String> = std::fs::read_dir(&bin)
+            .expect("read crates/bench/src/bin")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        names.sort();
+        assert_eq!(names, ["ext_incast.rs", "figs.rs", "simreport.rs"]);
+    }
+
+    #[test]
     fn rule_names_round_trip() {
         for r in ALL_RULES {
             assert_eq!(Rule::from_name(r.name()), Some(*r));

@@ -4,9 +4,8 @@
 //! a flow's catch-up, not wheel events. These are the counts of the engine
 //! that made one wheel event and one CC call per firing: a firing dropped,
 //! made twice or reordered moves at least one of them. The fixture is the
-//! `ext_incast --k 4 --senders 64,256 --bytes 16000 --identity-check` run,
-//! whose zero-fault identity probe adds a third 64-sender DCQCN run to the
-//! sweep's four cells.
+//! `ext_incast --k 4 --senders 64,256 --bytes 16000` sweep's four cells
+//! plus the zero-fault identity probe's third 64-sender DCQCN run.
 
 use ecn_delay_core::experiments::ext_incast::{run, run_zero_fault_identity, ExtIncastConfig};
 
