@@ -3,7 +3,6 @@
 //! computation (the inner loops of Figures 3 and 11).
 
 use bench::harness::{bench, black_box};
-use control::JacobianCache;
 use ecn_delay_core::experiments::fig3;
 use fluid::classes::{try_integrate_classes, FlowClassSystem};
 use fluid::History;
@@ -187,17 +186,17 @@ fn main() {
         );
     }
 
-    // The margin-grid hot path with the cross-grid-point Jacobian cache: one
-    // cache serves a whole delay sweep at fixed N (the fig3 panel-(a)
-    // grouping), so only the first point pays the central-difference cost.
-    bench("margin_grid_jacobian_cache", || {
-        let mut cache: JacobianCache<models::dcqcn::DcqcnLinParts> = JacobianCache::new(0.0, 64);
+    // The margin-grid hot path with shared linearizations: one `lin_parts`
+    // serves a whole delay sweep at fixed N (the fig3 panel-(a) grouping),
+    // so only the first point pays the central-difference cost.
+    bench("margin_grid_shared_lin_parts", || {
+        let parts = DcqcnFluid::new(DcqcnParams::default_40g(), 10).lin_parts();
         let mut stable = 0usize;
         for &d in &[4.0, 20.0, 50.0, 85.0, 100.0] {
             let mut p = DcqcnParams::default_40g();
             p.feedback_delay_us = d;
             let m = DcqcnFluid::new(p, 10);
-            stable += usize::from(m.margin_report_cached(&mut cache).is_stable());
+            stable += usize::from(m.margin_report_from(&parts).is_stable());
         }
         black_box(stable)
     });

@@ -17,9 +17,9 @@
 //! DCQCN has state (R_C, R_T, α) driven by the delayed marking probability
 //! `p(t − τ*)`; patched TIMELY has state (R, g) driven by delayed queue
 //! lengths. The loop is closed through the shared queue integrator `N/s` and
-//! the marking slope — assembled in [`crate::margins`].
+//! the marking slope — assembled by the models and handed to
+//! [`crate::margins`].
 
-use crate::cmatrix::{solve_in_place, CMatrix};
 use crate::complex::Complex64;
 
 /// A single-input single-output delayed LTI system (see module docs).
@@ -62,59 +62,15 @@ impl DelayLti {
         }
         assert_eq!(self.c.len(), n, "c must be length n");
     }
-
-    /// Evaluate the transfer function `H(s)`.
-    ///
-    /// Returns `None` when `sI − A(s)` is numerically singular (a pole).
-    pub fn transfer(&self, s: Complex64) -> Option<Complex64> {
-        let n = self.dim();
-        // M = sI - A0 - Σ Ak e^{-s τk}
-        let mut m = CMatrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = s;
-            for j in 0..n {
-                m[(i, j)] -= Complex64::from_re(self.a0[i][j]);
-            }
-        }
-        for (tau, a) in &self.delayed_a {
-            let e = (-s * *tau).exp();
-            for i in 0..n {
-                for j in 0..n {
-                    let sub = e * a[i][j];
-                    m[(i, j)] -= sub;
-                }
-            }
-        }
-        // rhs = Σ bk e^{-s τk}
-        let mut rhs = vec![Complex64::ZERO; n];
-        for (tau, b) in &self.b {
-            let e = (-s * *tau).exp();
-            for i in 0..n {
-                rhs[i] += e * b[i];
-            }
-        }
-        let x = m.solve(&rhs)?;
-        let mut y = Complex64::from_re(self.d);
-        for (ci, xi) in self.c.iter().zip(x.iter()).take(n) {
-            y += Complex64::from_re(*ci) * *xi;
-        }
-        Some(y)
-    }
-
-    /// Evaluate at `s = jω`.
-    pub fn freq_response(&self, omega: f64) -> Option<Complex64> {
-        self.transfer(Complex64::j(omega))
-    }
 }
 
-/// A reusable-buffer evaluator for one [`DelayLti`] system.
+/// Evaluates one [`DelayLti`] system's transfer function.
 ///
-/// [`DelayLti::transfer`] allocates the dense matrix, the right-hand side and
-/// the LU workspace on every call; a margin sweep evaluates the same small
-/// system at thousands of frequencies, so those allocations dominate. The
-/// evaluator owns the buffers and rebuilds them in place with the **same
-/// arithmetic in the same order** as `transfer`, so its results are
-/// bit-identical to the allocating path (asserted by this module's tests).
+/// A margin search evaluates the same small system at hundreds of
+/// frequencies, so the evaluator owns the dense matrix and right-hand-side
+/// buffers and rebuilds them in place on every call: no evaluation
+/// allocates, and a reused evaluator answers bit for bit what a fresh one
+/// would (asserted by this module's tests).
 #[derive(Debug, Clone)]
 pub struct DelayLtiEvaluator {
     sys: DelayLti,
@@ -134,12 +90,7 @@ impl DelayLtiEvaluator {
         }
     }
 
-    /// The wrapped system.
-    pub fn system(&self) -> &DelayLti {
-        &self.sys
-    }
-
-    /// Evaluate the transfer function `H(s)` without allocating.
+    /// Evaluate the transfer function `H(s)`.
     ///
     /// Returns `None` when `sI − A(s)` is numerically singular (a pole).
     pub fn transfer(&mut self, s: Complex64) -> Option<Complex64> {
@@ -182,15 +133,75 @@ impl DelayLtiEvaluator {
         Some(y)
     }
 
-    /// Evaluate at `s = jω` without allocating.
+    /// Evaluate at `s = jω`.
     pub fn freq_response(&mut self, omega: f64) -> Option<Complex64> {
         self.transfer(Complex64::j(omega))
     }
 }
 
+/// Partial-pivoted LU solve of `a · x = x₀` in place, destroying `a` and
+/// overwriting `x` with the solution. `a` is row-major `n × n`. Returns
+/// `false` (with `a`/`x` in an unspecified state) when the matrix is
+/// numerically singular. A dense LU is exact enough for the 2–3 state
+/// systems here and keeps the dependency footprint at zero.
+pub fn solve_in_place(a: &mut [Complex64], x: &mut [Complex64], n: usize) -> bool {
+    assert_eq!(a.len(), n * n, "matrix buffer must be n*n");
+    assert_eq!(x.len(), n, "rhs must be length n");
+    let idx = |i: usize, j: usize| i * n + j;
+
+    for col in 0..n {
+        // Partial pivot.
+        let mut pivot = col;
+        let mut best = a[idx(col, col)].abs();
+        for r in col + 1..n {
+            let mag = a[idx(r, col)].abs();
+            if mag > best {
+                best = mag;
+                pivot = r;
+            }
+        }
+        if best < 1e-300 {
+            return false;
+        }
+        if pivot != col {
+            for j in 0..n {
+                a.swap(idx(col, j), idx(pivot, j));
+            }
+            x.swap(col, pivot);
+        }
+        let inv = a[idx(col, col)].inv();
+        for r in col + 1..n {
+            let factor = a[idx(r, col)] * inv;
+            if factor.abs() == 0.0 {
+                continue;
+            }
+            for j in col..n {
+                let sub = factor * a[idx(col, j)];
+                a[idx(r, j)] -= sub;
+            }
+            let sub = factor * x[col];
+            x[r] -= sub;
+        }
+    }
+    // Back substitution.
+    for col in (0..n).rev() {
+        let mut acc = x[col];
+        for j in col + 1..n {
+            acc -= a[idx(col, j)] * x[j];
+        }
+        x[col] = acc / a[idx(col, col)];
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `H(jω)` through a fresh evaluator.
+    fn response(sys: &DelayLti, omega: f64) -> Option<Complex64> {
+        DelayLtiEvaluator::new(sys.clone()).freq_response(omega)
+    }
 
     /// First-order lag: x' = -a x + a u, y = x → H(s) = a/(s+a).
     fn first_order(a: f64) -> DelayLti {
@@ -206,13 +217,12 @@ mod tests {
     #[test]
     fn first_order_lag_magnitude_and_phase() {
         let sys = first_order(10.0);
-        sys.validate();
         // At ω = a, |H| = 1/√2 and phase = -45°.
-        let h = sys.freq_response(10.0).unwrap();
+        let h = response(&sys, 10.0).unwrap();
         assert!((h.abs() - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12);
         assert!((h.arg().to_degrees() + 45.0).abs() < 1e-9);
         // DC gain is 1.
-        let dc = sys.freq_response(0.0).unwrap();
+        let dc = response(&sys, 0.0).unwrap();
         assert!((dc - Complex64::ONE).abs() < 1e-12);
     }
 
@@ -221,8 +231,8 @@ mod tests {
         let tau = 0.01;
         let mut sys = first_order(10.0);
         sys.b[0].0 = tau;
-        let without = first_order(10.0).freq_response(5.0).unwrap();
-        let with = sys.freq_response(5.0).unwrap();
+        let without = response(&first_order(10.0), 5.0).unwrap();
+        let with = response(&sys, 5.0).unwrap();
         assert!((with.abs() - without.abs()).abs() < 1e-12);
         let dphase = with.arg() - without.arg();
         assert!((dphase + 5.0 * tau).abs() < 1e-12, "phase shift {dphase}");
@@ -243,7 +253,7 @@ mod tests {
         let s = Complex64::j(w);
         let e = (-s * tau).exp();
         let expect = e / (s + e);
-        let got = sys.freq_response(w).unwrap();
+        let got = response(&sys, w).unwrap();
         assert!((got - expect).abs() < 1e-12);
     }
 
@@ -257,8 +267,8 @@ mod tests {
             c: vec![1.0],
             d: 0.0,
         };
-        assert!(sys.freq_response(0.0).is_none());
-        let h = sys.freq_response(4.0).unwrap();
+        assert!(response(&sys, 0.0).is_none());
+        let h = response(&sys, 4.0).unwrap();
         assert!((h.abs() - 0.25).abs() < 1e-12);
         assert!((h.arg().to_degrees() + 90.0).abs() < 1e-9);
     }
@@ -274,7 +284,7 @@ mod tests {
             c: vec![1.0, 0.0],
             d: 0.0,
         };
-        let h = sys.freq_response(1.0).unwrap();
+        let h = response(&sys, 1.0).unwrap();
         assert!((h.abs() - 1.0 / (w0 * w0 - 1.0)).abs() < 1e-12);
     }
 
@@ -308,45 +318,110 @@ mod tests {
     fn feedthrough_adds() {
         let mut sys = first_order(1.0);
         sys.d = 2.0;
-        let dc = sys.freq_response(0.0).unwrap();
+        let dc = response(&sys, 0.0).unwrap();
         assert!((dc.re - 3.0).abs() < 1e-12);
     }
 
     #[test]
-    fn evaluator_is_bitwise_identical_to_allocating_path() {
-        // A system exercising every term: delayed A, two delayed b columns,
-        // feedthrough, 2 states.
+    fn reused_evaluator_is_bitwise_identical_to_fresh_ones() {
+        // Every term: delayed A, two delayed b columns, feedthrough, 2
+        // states. Column 0 of A₀ and A₁ is zero, so ω = 0 is a pole; the
+        // sweep passes it several times and must recover after each.
         let sys = DelayLti {
-            a0: vec![vec![-0.3, 1.2], vec![0.0, -2.0]],
-            delayed_a: vec![(0.05, vec![vec![-0.5, 0.0], vec![0.1, -0.2]])],
+            a0: vec![vec![0.0, 1.2], vec![0.0, -2.0]],
+            delayed_a: vec![(0.05, vec![vec![0.0, 0.3], vec![0.0, -0.2]])],
             b: vec![(0.01, vec![1.0, 0.0]), (0.07, vec![0.0, 3.0])],
             c: vec![1.0, -0.5],
             d: 0.25,
         };
-        let mut ev = DelayLtiEvaluator::new(sys.clone());
+        let mut reused = DelayLtiEvaluator::new(sys.clone());
+        let mut poles = 0;
         for k in 0..200 {
-            let omega = 1e-2 * 1.1f64.powi(k);
-            let a = sys.freq_response(omega);
-            let b = ev.freq_response(omega);
-            match (a, b) {
+            let omega = if k % 50 == 25 {
+                0.0
+            } else {
+                1e-2 * 1.1f64.powi(k)
+            };
+            match (response(&sys, omega), reused.freq_response(omega)) {
                 (Some(x), Some(y)) => {
                     assert_eq!(x.re.to_bits(), y.re.to_bits(), "re at omega={omega}");
                     assert_eq!(x.im.to_bits(), y.im.to_bits(), "im at omega={omega}");
                 }
-                (None, None) => {}
+                (None, None) => poles += 1,
                 _ => panic!("pole detection diverged at omega={omega}"),
             }
         }
-        // Pole case agrees too (integrator at s = 0).
-        let integ = DelayLti {
-            a0: vec![vec![0.0]],
-            delayed_a: vec![],
-            b: vec![(0.0, vec![1.0])],
-            c: vec![1.0],
-            d: 0.0,
-        };
-        let mut ev = DelayLtiEvaluator::new(integ.clone());
-        assert!(integ.freq_response(0.0).is_none());
-        assert!(ev.freq_response(0.0).is_none());
+        assert_eq!(poles, 4, "the pole at ω = 0 is found every time");
+    }
+
+    fn c(re: f64, im: f64) -> Complex64 {
+        Complex64::new(re, im)
+    }
+
+    /// Solve `rows · x = b` with [`solve_in_place`] on copies.
+    fn solve(rows: &[Vec<Complex64>], b: &[Complex64]) -> Option<Vec<Complex64>> {
+        let mut a: Vec<Complex64> = rows.concat();
+        let mut x = b.to_vec();
+        solve_in_place(&mut a, &mut x, b.len()).then_some(x)
+    }
+
+    fn real(rows: &[&[f64]]) -> Vec<Vec<Complex64>> {
+        rows.iter()
+            .map(|r| r.iter().map(|&v| Complex64::from_re(v)).collect())
+            .collect()
+    }
+
+    #[test]
+    fn identity_solve_is_identity() {
+        let m = real(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]);
+        let b = vec![c(1.0, 2.0), c(3.0, 4.0), c(5.0, 6.0)];
+        assert_eq!(solve(&m, &b).unwrap(), b);
+    }
+
+    #[test]
+    fn solve_real_system() {
+        // [2 1; 1 3] x = [5; 10] -> x = [1; 3]
+        let m = real(&[&[2.0, 1.0], &[1.0, 3.0]]);
+        let x = solve(&m, &[c(5.0, 0.0), c(10.0, 0.0)]).unwrap();
+        assert!((x[0] - c(1.0, 0.0)).abs() < 1e-12);
+        assert!((x[1] - c(3.0, 0.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn solve_complex_system_roundtrip() {
+        // A fixed, well-conditioned complex matrix.
+        let m = vec![
+            vec![c(2.0, 1.0), c(0.5, -0.3), c(0.0, 0.2)],
+            vec![c(-1.0, 0.4), c(3.0, 0.0), c(0.7, 0.7)],
+            vec![c(0.2, -0.2), c(0.1, 1.0), c(4.0, -1.0)],
+        ];
+        let x_true = [c(1.0, -1.0), c(0.5, 2.0), c(-3.0, 0.25)];
+        let b: Vec<Complex64> = m
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .zip(&x_true)
+                    .fold(Complex64::ZERO, |acc, (&a, &x)| acc + a * x)
+            })
+            .collect();
+        let x = solve(&m, &b).unwrap();
+        for (got, want) in x.iter().zip(&x_true) {
+            assert!((*got - *want).abs() < 1e-10);
+        }
+    }
+
+    #[test]
+    fn singular_detected() {
+        let m = real(&[&[1.0, 2.0], &[2.0, 4.0]]);
+        assert!(solve(&m, &[c(1.0, 0.0), c(2.0, 0.0)]).is_none());
+    }
+
+    #[test]
+    fn pivoting_handles_zero_leading_entry() {
+        // Leading zero requires a row swap.
+        let m = real(&[&[0.0, 1.0], &[1.0, 0.0]]);
+        let x = solve(&m, &[c(3.0, 0.0), c(7.0, 0.0)]).unwrap();
+        assert!((x[0] - c(7.0, 0.0)).abs() < 1e-12);
+        assert!((x[1] - c(3.0, 0.0)).abs() < 1e-12);
     }
 }

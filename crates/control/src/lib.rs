@@ -10,15 +10,14 @@
 //!
 //! * [`complex`] — a self-contained `Complex64` (the workspace deliberately
 //!   owns its numerics; the models need a handful of operations);
-//! * [`cmatrix`] — dense complex matrices with LU solve, enough to evaluate
-//!   `(sI − A₀ − Σₖ Aₖ e^{−s τₖ})⁻¹ B(s)` at `s = jω`;
 //! * [`delay_lti`] — delayed LTI state-space systems with multiple discrete
-//!   delays and transfer-function evaluation;
-//! * [`margins`] — Bode sweeps, gain-crossover search and phase margin;
+//!   delays, one allocation-free transfer-function evaluator and the dense
+//!   LU solve it runs on;
+//! * [`margins`] — the adaptive gain-crossover search and phase margin;
 //! * [`linearize`] — central finite-difference Jacobians of a nonlinear
 //!   vector function (used to linearize fluid models at the fixed point);
-//! * [`roots`] — robust scalar root finding (bisection / Brent) for fixed-
-//!   point equations such as the paper's Eq 11.
+//! * [`roots`] — Brent's scalar root finder for fixed-point equations such
+//!   as the paper's Eq 11.
 
 #![deny(missing_docs)]
 // Library panic discipline (root `clippy.toml`, DESIGN.md §8.1); `xtask`'s
@@ -26,15 +25,12 @@
 // `xtask::CRATE_LINTS`.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod cmatrix;
 pub mod complex;
 pub mod delay_lti;
 pub mod linearize;
 pub mod margins;
 pub mod roots;
 
-pub use cmatrix::CMatrix;
 pub use complex::Complex64;
 pub use delay_lti::{DelayLti, DelayLtiEvaluator};
-pub use linearize::JacobianCache;
-pub use margins::{phase_margin, phase_margin_adaptive, BodePoint, MarginReport, NoCrossing};
+pub use margins::{phase_margin, MarginReport, NoCrossing};

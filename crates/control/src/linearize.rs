@@ -47,117 +47,10 @@ where
     (0..m).map(|i| (fp[i] - fm[i]) / (2.0 * h)).collect()
 }
 
-/// Central-difference derivative of a scalar function.
-pub fn derivative_scalar<F>(mut f: F, u: f64) -> f64
-where
-    F: FnMut(f64) -> f64,
-{
-    let h = step_for(u);
-    (f(u + h) - f(u - h)) / (2.0 * h)
-}
-
 /// A step that balances truncation and rounding error: `h ≈ ε^{1/3}·scale`.
 fn step_for(x: f64) -> f64 {
     let scale = x.abs().max(1e-8);
     scale * 6e-6 // ≈ cbrt(f64::EPSILON)
-}
-
-/// A cache of linearization results keyed on a parameter vector.
-///
-/// Grid sweeps (fig3, fig11) re-linearize at many grid points whose
-/// *linearization inputs* repeat: e.g. the DCQCN Jacobian blocks depend only
-/// on a subset of the swept parameters, so neighboring grid points share
-/// them exactly. The cache does a linear scan over stored keys and reuses a
-/// stored value when every key component is within `tol` of the probe
-/// (`tol = 0.0` means bitwise-exact keys, the setting used on byte-identity
-/// critical paths — a hit then returns bits identical to a recompute).
-///
-/// **Reuse-with-refresh:** each entry is served at most `refresh_after`
-/// times before the next hit recomputes it exactly and resets the counter.
-/// With `tol = 0.0` the refresh is a pure no-op safeguard; with a loose
-/// tolerance it bounds how far an approximate reuse can drift from the
-/// exact value.
-#[derive(Debug, Clone)]
-pub struct JacobianCache<T> {
-    entries: Vec<CacheEntry<T>>,
-    tol: f64,
-    refresh_after: usize,
-    hits: usize,
-    misses: usize,
-}
-
-#[derive(Debug, Clone)]
-struct CacheEntry<T> {
-    key: Vec<f64>,
-    value: T,
-    reuses: usize,
-}
-
-impl<T: Clone> JacobianCache<T> {
-    /// New cache. `tol` is the per-component key tolerance (`0.0` = exact);
-    /// `refresh_after` is the number of reuses served before an exact
-    /// recompute refreshes the entry.
-    pub fn new(tol: f64, refresh_after: usize) -> Self {
-        assert!(tol >= 0.0 && tol.is_finite(), "tolerance must be finite");
-        assert!(refresh_after >= 1, "refresh_after must be at least 1");
-        JacobianCache {
-            entries: Vec::new(),
-            tol,
-            refresh_after,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Look up `key`, computing (and storing) the value with `compute` on a
-    /// miss or on a refresh-due hit.
-    pub fn get_or_insert_with<F>(&mut self, key: &[f64], compute: F) -> T
-    where
-        F: FnOnce() -> T,
-    {
-        let tol = self.tol;
-        let found = self.entries.iter_mut().find(|e| {
-            e.key.len() == key.len() && e.key.iter().zip(key).all(|(a, b)| (a - b).abs() <= tol)
-        });
-        if let Some(entry) = found {
-            if entry.reuses < self.refresh_after {
-                entry.reuses += 1;
-                self.hits += 1;
-                return entry.value.clone();
-            }
-            // Exact-recompute fallback: refresh the entry in place.
-            let value = compute();
-            entry.key = key.to_vec();
-            entry.value = value.clone();
-            entry.reuses = 0;
-            self.misses += 1;
-            return value;
-        }
-        let value = compute();
-        self.entries.push(CacheEntry {
-            key: key.to_vec(),
-            value: value.clone(),
-            reuses: 0,
-        });
-        self.misses += 1;
-        value
-    }
-
-    /// `(hits, misses)` — a miss is any call that ran `compute`, including
-    /// refreshes.
-    pub fn stats(&self) -> (usize, usize) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of distinct cached keys.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -210,62 +103,13 @@ mod tests {
     }
 
     #[test]
-    fn derivative_scalar_accuracy() {
-        let d = derivative_scalar(|x| x.powi(3), 2.0);
-        assert!((d - 12.0).abs() < 1e-6, "d = {d}");
-        let d0 = derivative_scalar(|x| x.sin(), 0.0);
-        assert!((d0 - 1.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn jacobian_cache_exact_keys_hit_and_refresh() {
-        let mut cache: JacobianCache<Vec<f64>> = JacobianCache::new(0.0, 2);
-        let mut computes = 0usize;
-        let probe = |cache: &mut JacobianCache<Vec<f64>>, key: &[f64], computes: &mut usize| {
-            let k = key.to_vec();
-            cache.get_or_insert_with(key, || {
-                *computes += 1;
-                k.iter().map(|v| v * 2.0).collect()
-            })
-        };
-        // First call computes; next two identical keys hit.
-        let a = probe(&mut cache, &[1.0, 2.0], &mut computes);
-        let b = probe(&mut cache, &[1.0, 2.0], &mut computes);
-        let c = probe(&mut cache, &[1.0, 2.0], &mut computes);
-        assert_eq!(a, b);
-        assert_eq!(b, c);
-        assert_eq!(computes, 1);
-        // Third reuse exceeds refresh_after = 2 → exact recompute.
-        let d = probe(&mut cache, &[1.0, 2.0], &mut computes);
-        assert_eq!(c, d);
-        assert_eq!(computes, 2, "refresh must recompute exactly");
-        // A different key is a miss; tol = 0 must not match 1.0 + 1e-12.
-        let _ = probe(&mut cache, &[1.0 + 1e-12, 2.0], &mut computes);
-        assert_eq!(computes, 3);
-        assert_eq!(cache.len(), 2);
-        let (hits, misses) = cache.stats();
-        assert_eq!((hits, misses), (2, 3));
-    }
-
-    #[test]
-    fn jacobian_cache_tolerance_matches_nearby_keys() {
-        let mut cache: JacobianCache<f64> = JacobianCache::new(1e-6, 100);
-        let v1 = cache.get_or_insert_with(&[1.0], || 10.0);
-        // Within tol: reuses the stored value even though the key differs.
-        let v2 = cache.get_or_insert_with(&[1.0 + 5e-7], || 20.0);
-        assert_eq!(v1, v2);
-        // Outside tol: computes fresh.
-        let v3 = cache.get_or_insert_with(&[1.01], || 30.0);
-        assert_eq!(v3, 30.0);
-    }
-
-    #[test]
     fn handles_tiny_operating_points() {
         // The DCQCN fixed point has p* ~ 1e-3; the step heuristic must not
         // underflow to a zero step there.
-        let d = derivative_scalar(|p| p * p, 1e-3);
-        assert!((d - 2e-3).abs() < 1e-9);
-        let d = derivative_scalar(|p| p * p, 0.0);
-        assert!(d.abs() < 1e-9);
+        let square = |p: f64, out: &mut [f64]| out[0] = p * p;
+        let d = derivative_column(square, 1e-3, 1);
+        assert!((d[0] - 2e-3).abs() < 1e-9);
+        let d = derivative_column(square, 0.0, 1);
+        assert!(d[0].abs() < 1e-9);
     }
 }

@@ -6,7 +6,6 @@
 //! at high delay it dips (often below zero near N ≈ 10) and recovers for
 //! large N, "very different from TCP's behavior".
 
-use control::JacobianCache;
 use models::dcqcn::{DcqcnFluid, DcqcnLinParts, DcqcnParams};
 
 /// Configuration.
@@ -82,72 +81,50 @@ fn curve_params(cfg: &Fig3Config) -> Vec<(String, DcqcnParams)> {
 
 /// Run all three sweeps.
 ///
-/// Every `(curve, N)` grid point is an independent margin computation, so
-/// the whole figure is one [`desim::par::par_map`] job list; curves are
-/// reassembled from the ordered results, making the output byte-identical
-/// to the serial sweep regardless of `SIM_THREADS`.
+/// Every `(curve, N)` grid point is an independent margin computation. The
+/// points are grouped by flow count, one [`desim::par::par_map`] job per
+/// `N`, and curves are reassembled from the ordered results, so the output
+/// is byte-identical to the serial sweep regardless of `SIM_THREADS`.
 ///
-/// Grid points are grouped by flow count across curves and each group shares
-/// one [`JacobianCache`]: panels (a) and (c) vary only the delay and RED
-/// profile, which the DCQCN linearization never reads, so all their curves
-/// reuse one set of Jacobian blocks per `N`. The cache uses exact
-/// (`tol = 0`) keys, so the margins are bitwise those of the uncached
+/// Within a group, each distinct [`DcqcnFluid::lin_parts_key`] (compared
+/// bit for bit) is linearized once: panels (a) and (c) vary only the delay
+/// and RED profile, which the DCQCN linearization never reads, so all their
+/// curves share one set of Jacobian blocks per `N`. Equal keys give
+/// bitwise-equal parts, so every margin is bitwise that of
 /// [`DcqcnFluid::margin_report`].
 pub fn run(cfg: &Fig3Config) -> Fig3Result {
-    let mut labels: Vec<String> = Vec::new();
-    let mut jobs: Vec<(DcqcnParams, usize)> = Vec::new();
-    for (label, p) in curve_params(cfg) {
-        labels.push(label);
-        jobs.extend(cfg.flow_counts.iter().map(|&n| (p.clone(), n)));
-    }
-
-    // Regroup the curve-major job list by position-within-curve (= flow
-    // count): group k holds job c·|N| + k of every curve c. Each group
-    // runs under one Jacobian cache, and results scatter back to their
-    // original flat indices, preserving the output order exactly.
-    let n_pos = cfg.flow_counts.len();
-    let n_curves = labels.len();
-    let mut slots: Vec<Option<(DcqcnParams, usize)>> = jobs.into_iter().map(Some).collect();
-    let groups: Vec<Vec<(usize, DcqcnParams, usize)>> = (0..n_pos)
-        .map(|k| {
-            (0..n_curves)
-                .map(|c| {
-                    let idx = c * n_pos + k;
-                    // idx enumerates each slot exactly once.
-                    let (p, n) = slots[idx].take().expect("job regrouped twice");
-                    (idx, p, n)
-                })
-                .collect()
-        })
-        .collect();
-    let group_margins = desim::par::par_map(groups, |group: Vec<(usize, DcqcnParams, usize)>| {
-        let mut cache: JacobianCache<DcqcnLinParts> = JacobianCache::new(0.0, 1024);
-        group
-            .into_iter()
-            .map(|(idx, p, n)| {
-                let pm = DcqcnFluid::new(p, n)
-                    .margin_report_cached(&mut cache)
+    let curves = curve_params(cfg);
+    let by_flow: Vec<Vec<f64>> = desim::par::par_map(cfg.flow_counts.clone(), |n: usize| {
+        let mut shared: Vec<(Vec<u64>, DcqcnLinParts)> = Vec::new();
+        curves
+            .iter()
+            .map(|(_, p)| {
+                let m = DcqcnFluid::new(p.clone(), n);
+                let key: Vec<u64> = m.lin_parts_key().iter().map(|v| v.to_bits()).collect();
+                let at = match shared.iter().position(|(k, _)| *k == key) {
+                    Some(at) => at,
+                    None => {
+                        shared.push((key, m.lin_parts()));
+                        shared.len() - 1
+                    }
+                };
+                m.margin_report_from(&shared[at].1)
                     .phase_margin_deg
-                    .unwrap_or(180.0);
-                (idx, pm)
+                    .unwrap_or(180.0)
             })
-            .collect::<Vec<(usize, f64)>>()
+            .collect()
     });
-    let mut margins = vec![0.0; n_pos * n_curves];
-    for (idx, pm) in group_margins.into_iter().flatten() {
-        margins[idx] = pm;
-    }
 
-    let mut curves: Vec<MarginCurve> = labels
+    let mut curves: Vec<MarginCurve> = curves
         .into_iter()
-        .zip(margins.chunks(cfg.flow_counts.len()))
-        .map(|(label, ms)| MarginCurve {
+        .enumerate()
+        .map(|(c, (label, _))| MarginCurve {
             label,
             points: cfg
                 .flow_counts
                 .iter()
-                .copied()
-                .zip(ms.iter().copied())
+                .zip(&by_flow)
+                .map(|(&n, pms)| (n, pms[c]))
                 .collect(),
         })
         .collect();
@@ -220,10 +197,10 @@ mod tests {
 
     #[test]
     fn cached_margins_match_the_uncached_report_bitwise() {
-        // Each flow count's curves share one Jacobian cache: panel (a)'s
-        // delays and panel (c)'s `K_max` values must hit the same blocks
-        // (the linearization reads neither), panel (b)'s `R_AI` values must
-        // not (it reads that). Every point of every panel equals a fresh
+        // Each flow count's curves share their linearizations: panel (a)'s
+        // delays and panel (c)'s `K_max` values reuse the same blocks (the
+        // linearization reads neither), panel (b)'s `R_AI` values do not
+        // (it reads that). Every point of every panel equals a fresh
         // `margin_report` bit for bit.
         let cfg = quick_cfg();
         let res = run(&cfg);

@@ -405,18 +405,16 @@ fn rk4_combine(x: &mut [f64], h: f64, k1: &[f64], k2: &[f64], k3: &[f64], k4: &[
 }
 
 /// Add an integration's work to the metrics in one call: its completed steps
-/// to `fluid.dde_steps`, its history's lookup tallies to
-/// `fluid.history_lookups` / `fluid.history_lookup_fallbacks`, and its stage
+/// to `fluid.dde_steps`, its history's lookup tally to
+/// `fluid.history_lookups`, and its stage
 /// slots' phase-one fills to `fluid.delayed_evals`. A counter takes a global
 /// mutex, which per step (let alone per lookup) is a visible share of a
 /// few-components-wide RK4 step. A zero count leaves its counter
 /// unregistered, as a per-event increment would.
 fn count_integration(completed_steps: u64, hist: &History, stages: &Stages) {
-    let (lookups, fallbacks) = hist.lookup_counts();
     for (name, count) in [
         ("fluid.dde_steps", completed_steps),
-        ("fluid.history_lookups", lookups),
-        ("fluid.history_lookup_fallbacks", fallbacks),
+        ("fluid.history_lookups", hist.lookups()),
         ("fluid.delayed_evals", stages.fills()),
     ] {
         if count > 0 {

@@ -22,23 +22,21 @@
 //! any correct search returns it and the interpolation never sees which one
 //! ran. `History::locate` exploits what the integrators actually push — a
 //! (near-)uniform `t += h` grid — and computes the index from the live
-//! endpoints, corrects it by a walk of at most `MAX_WALK` knots, and only
-//! searches when the walk runs out (non-uniform grids). That makes a lookup
-//! O(1) at *any* delay, which is what TIMELY's alternating near/far
-//! state-dependent delays (Eq 22/24) need. A lookup remembers nothing, so
-//! its answer and its cost do not depend on the order of queries.
+//! endpoints, then walks from that guess until it brackets `t`. On a
+//! `t += h` grid the guess is off by at most one knot (rounding, a final
+//! partial step), so a lookup is O(1) at *any* delay, which is what
+//! TIMELY's alternating near/far state-dependent delays (Eq 22/24) need; on
+//! any other increasing grid the walk is longer but lands on the same knot
+//! (`crates/fluid/tests/history_oracle.rs` holds the readers to a binary
+//! search). A lookup remembers nothing, so its answer and its cost do not
+//! depend on the order of queries.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How many knots `History::locate` corrects its grid guess by before it
-/// gives up on the uniform-grid assumption and searches. On a `t += h` grid
-/// the guess is off by at most one knot (rounding, a final partial step).
-const MAX_WALK: usize = 4;
-
-/// Bump a lookup tally. A history is read by the one thread integrating it,
+/// Bump the lookup tally. A history is read by the one thread integrating it,
 /// so a plain load + store keeps the bump off the `lock` prefix; a second
-/// reader could lose a count, never disturb a lookup (nothing reads these
-/// but [`History::lookup_counts`]).
+/// reader could lose a count, never disturb a lookup (nothing reads it but
+/// `History::lookups`).
 #[inline]
 fn bump(tally: &AtomicU64) {
     tally.store(tally.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
@@ -61,11 +59,8 @@ pub struct History {
     /// end (`regrid`), so a lookup pays a multiply rather than a divide.
     knots_per_s: f64,
     /// Interior lookups answered (every `locate` call, `trim_before`'s
-    /// included). Write-only statistics: no lookup reads them.
+    /// included). Write-only statistics: no lookup reads it.
     lookups: AtomicU64,
-    /// Lookups whose grid guess missed by more than `MAX_WALK` knots and
-    /// fell back to the binary search.
-    fallbacks: AtomicU64,
 }
 
 impl History {
@@ -79,7 +74,6 @@ impl History {
             pre: initial.to_vec(),
             knots_per_s: 0.0,
             lookups: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
         }
     }
 
@@ -275,51 +269,31 @@ impl History {
     }
 
     /// Find the physical `idx` with `times[idx] <= t < times[idx + 1]`, for
-    /// `t` strictly inside the live range (callers handle both ends). See the
-    /// module docs: grid guess, bounded walk, search fallback — all three
-    /// return the same, unique index.
+    /// `t` strictly inside the live range (callers handle both ends): the
+    /// grid guess, then a walk to the unique bracketing pair (module docs).
+    /// A NaN `t` has no bracket: it compares false both ways, so the walk
+    /// stays at the guess, and any pair interpolates it to NaN in every
+    /// component.
     fn locate(&self, t: f64) -> usize {
         bump(&self.lookups);
-        let (lo, last) = (self.front, self.times.len() - 1);
+        let lo = self.front;
         // `t_lo < t < t_hi` keeps the product within the live length (give
         // or take rounding, hence the clamp); the cast saturates (NaN → 0).
         let guess = lo + ((t - self.times[lo]) * self.knots_per_s) as usize;
-        let mut idx = guess.min(last - 1);
-        for _ in 0..=MAX_WALK {
-            if t < self.times[idx] {
-                idx -= 1; // stays >= lo: times[lo] < t
-            } else if t < self.times[idx + 1] {
-                debug_assert_eq!(idx, self.bsearch(t), "grid walk vs search at t = {t}");
-                return idx;
-            } else if idx + 1 < last {
-                idx += 1;
-            } else {
-                break; // t is NaN: no bracket exists, answer as the search does
-            }
+        let mut idx = guess.min(self.times.len() - 2);
+        while t < self.times[idx] {
+            idx -= 1; // stays >= lo: times[lo] < t
         }
-        bump(&self.fallbacks);
-        self.bsearch(t)
+        while t >= self.times[idx + 1] {
+            idx += 1; // idx + 1 stays <= last: t < times[last]
+        }
+        idx
     }
 
-    /// The binary search `locate` falls back to, and the oracle its tests
-    /// and debug builds check the grid walk against.
-    fn bsearch(&self, t: f64) -> usize {
-        let hi = self.times.len() - 2;
-        match self.times[self.front..].binary_search_by(|probe| probe.total_cmp(&t)) {
-            Ok(i) => (self.front + i).min(hi),
-            Err(i) => (self.front + i).saturating_sub(1).clamp(self.front, hi),
-        }
-    }
-
-    /// `(lookups, fallbacks)`: interior lookups answered so far and how many
-    /// of them needed the binary search. The integrators add these to
-    /// `fluid.history_lookups` / `fluid.history_lookup_fallbacks` once per
-    /// integration.
-    pub(crate) fn lookup_counts(&self) -> (u64, u64) {
-        (
-            self.lookups.load(Ordering::Relaxed),
-            self.fallbacks.load(Ordering::Relaxed),
-        )
+    /// Interior lookups answered so far. The integrators add this to
+    /// `fluid.history_lookups` once per integration.
+    pub(crate) fn lookups(&self) -> u64 {
+        self.lookups.load(Ordering::Relaxed)
     }
 
     /// Drop knots older than `t_keep` (all strictly earlier than the knot
@@ -611,179 +585,22 @@ mod tests {
         assert_eq!(h.eval(0.0, 0), 2.0 * 257.0);
     }
 
-    // ---- differential tests of the lookup against the search oracle ----
-
-    /// `eval` as it would read with the binary search alone: the oracle the
-    /// grid lookup must match bit for bit.
-    fn oracle_eval(h: &History, t: f64, c: usize) -> f64 {
-        let n = h.times.len();
-        if t <= h.times[h.front] {
-            return h.pre[c];
-        }
-        if t >= h.times[n - 1] {
-            return h.row(n - 1)[c];
-        }
-        let idx = h.bsearch(t);
-        let (t0, t1) = (h.times[idx], h.times[idx + 1]);
-        let (v0, v1) = (h.row(idx)[c], h.row(idx + 1)[c]);
-        let w = (t - t0) / (t1 - t0);
-        v0 + w * (v1 - v0)
-    }
-
-    /// Every interesting query of a history: each live knot and one ulp
-    /// either side of it, and points at and beyond both ends.
-    fn probe_times(h: &History) -> Vec<f64> {
-        let live = &h.times[h.front..];
-        let (first, last) = (live[0], live[live.len() - 1]);
-        let span = (last - first).max(1e-9);
-        let mut out = vec![first - span, first - 1e-12, last + 1e-12, last + span];
-        for &t in live {
-            out.extend([t.next_down(), t, t.next_up()]);
-        }
-        out
-    }
-
-    /// `locate` returns the oracle's index wherever it is defined, and the
-    /// three readers agree with the oracle to the last bit.
-    fn assert_matches_oracle(h: &History, what: &str) {
-        let dim = h.dim();
-        let (t_lo, t_hi) = (h.t_front(), h.t_back());
-        let mut all = vec![0.0; dim];
-        let mut lane = vec![0.0; dim];
-        for t in probe_times(h) {
-            if t_lo < t && t < t_hi {
-                assert_eq!(h.locate(t), h.bsearch(t), "{what}: locate({t:e})");
-            }
-            h.eval_all(t, &mut all);
-            // Stride 2 from both offsets reads every component through the
-            // gather loop rather than the dense `eval_all` dispatch.
-            for offset in 0..2.min(dim) {
-                let count = (dim - offset).div_ceil(2);
-                h.eval_strided(t, offset, 2, count, &mut lane);
-                for (k, &v) in lane[..count].iter().enumerate() {
-                    let want = oracle_eval(h, t, offset + 2 * k);
-                    assert!(v.to_bits() == want.to_bits(), "{what}: strided t={t:e}");
-                }
-            }
-            for (c, &v) in all.iter().enumerate() {
-                let want = oracle_eval(h, t, c).to_bits();
-                assert!(h.eval(t, c).to_bits() == want, "{what}: eval t={t:e}");
-                assert!(v.to_bits() == want, "{what}: eval_all t={t:e}");
-            }
-        }
-    }
-
-    fn random_state(rng: &mut desim::SimRng, dim: usize) -> Vec<f64> {
-        (0..dim).map(|_| rng.next_f64() * 200.0 - 100.0).collect()
-    }
-
-    /// `trim_before` against the `partition_point` rule it replaced: the
-    /// same front knot, pre-history and live length.
-    fn trim_checked(h: &mut History, t_keep: f64) {
-        let live = &h.times[h.front..];
-        let dropped = live.partition_point(|&t| t <= t_keep).saturating_sub(1);
-        let (want_front_t, want_len) = (live[dropped], live.len() - dropped);
-        let want_pre = if dropped == 0 {
-            h.pre.clone()
-        } else {
-            h.row(h.front + dropped).to_vec()
-        };
-        h.trim_before(t_keep);
-        assert!(h.t_front().to_bits() == want_front_t.to_bits(), "front");
-        assert_eq!(h.len(), want_len, "len after trim_before({t_keep:e})");
-        assert_eq!(h.pre, want_pre, "pre after trim_before({t_keep:e})");
-    }
-
     #[test]
-    fn integrator_grids_match_the_search_oracle() {
-        // What `dde` / `batch` push: t0, then `t += h` accumulated in floating
-        // point, a final partial step, optionally the `pre != x0` knot at t0,
-        // optionally the per-step horizon trim (which also compacts).
-        let mut rng = desim::SimRng::new(0x10CA7E);
-        for case in 0..60 {
-            let dim = 1 + case % 3;
-            let t0 = rng.next_f64() * 2.0 - 1.0;
-            let step = 1e-7 * (1.0 + 9999.0 * rng.next_f64());
-            let steps = 2 + (rng.next_f64() * 1500.0) as usize;
-            let t1 = t0 + step * (steps as f64 - rng.next_f64());
-            let horizon = step * (3.5 + 400.0 * rng.next_f64());
-            let trims = case % 2 == 0;
-            let mut h = History::new(t0, &random_state(&mut rng, dim));
-            if case % 4 < 2 {
-                h.push(t0, &random_state(&mut rng, dim));
-            }
-            let mut t = t0;
-            for i in 0..steps {
-                t += (t1 - t).min(step);
-                h.push(t, &random_state(&mut rng, dim));
-                if trims {
-                    trim_checked(&mut h, t - horizon);
-                }
-                if i % 97 == 0 || i + 1 == steps {
-                    assert_matches_oracle(&h, "integrator grid");
-                }
-            }
-            let (lookups, fallbacks) = h.lookup_counts();
-            assert!(lookups > 0);
-            assert_eq!(fallbacks, 0, "case {case}: a uniform grid never searches");
+    fn nan_query_answers_nan_in_every_component() {
+        let mut h = History::new(0.0, &[1.0, -1.0, 0.5]);
+        for i in 1..=20 {
+            let t = f64::from(i) * 0.5;
+            h.push(t, &[1.0 + t, -1.0 - t * t, 0.5 * t]);
         }
-    }
-
-    #[test]
-    fn non_uniform_grids_match_the_search_oracle() {
-        // Geometric and random spacings put the grid guess arbitrarily far
-        // out: the walk gives up and the search answers — same index.
-        let mut rng = desim::SimRng::new(0x6E0);
-        let mut searched = 0;
-        for case in 0..24 {
-            let ratio = 1.0 + 0.03 * rng.next_f64();
-            let mut gap = 1e-6;
-            let mut t = 0.0;
-            let mut h = History::new(t, &random_state(&mut rng, 2));
-            for i in 0..400 {
-                gap = if case % 2 == 0 {
-                    gap * ratio
-                } else {
-                    1e-6 + rng.next_f64() * rng.next_f64() * 1e-3
-                };
-                t += gap;
-                h.push(t, &random_state(&mut rng, 2));
-                if i % 150 == 149 {
-                    trim_checked(&mut h, t * rng.next_f64());
-                }
-            }
-            assert_matches_oracle(&h, "non-uniform grid");
-            trim_checked(&mut h, t * 0.9);
-            assert_matches_oracle(&h, "non-uniform grid, trimmed");
-            searched += h.lookup_counts().1;
+        h.trim_before(3.2);
+        let mut out = vec![0.0; 3];
+        for nan in [f64::NAN, -f64::NAN] {
+            assert!((0..3).all(|c| h.eval(nan, c).is_nan()));
+            h.eval_all(nan, &mut out);
+            assert!(out.iter().all(|v| v.is_nan()));
+            h.eval_strided(nan, 1, 2, 1, &mut out);
+            assert!(out[0].is_nan());
         }
-        assert!(searched > 0, "the fallback must have been exercised");
-    }
-
-    #[test]
-    fn trim_before_edge_cases_match_partition_point() {
-        let mut h = ramp_history(600);
-        trim_checked(&mut h, f64::NAN);
-        trim_checked(&mut h, f64::NEG_INFINITY);
-        trim_checked(&mut h, -1.0);
-        trim_checked(&mut h, 0.0);
-        trim_checked(&mut h, 0.5);
-        trim_checked(&mut h, 1.0);
-        trim_checked(&mut h, 299.0_f64.next_down());
-        trim_checked(&mut h, 299.0);
-        trim_checked(&mut h, 299.0_f64.next_up());
-        trim_checked(&mut h, 100.0); // behind the front: nothing to drop
-        trim_checked(&mut h, 598.5);
-        trim_checked(&mut h, 1e9); // past the back: only the last knot stays
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.eval(0.0, 0), 2.0 * 599.0);
-    }
-
-    #[test]
-    fn nan_query_answers_as_the_search_does() {
-        let h = linear_history();
-        assert_eq!(h.locate(f64::NAN), h.bsearch(f64::NAN));
-        assert!(h.eval(f64::NAN, 0).is_nan());
     }
 
     #[test]

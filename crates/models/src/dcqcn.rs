@@ -22,8 +22,8 @@
 use crate::jitter::Jitter;
 use crate::units;
 use control::complex::Complex64;
-use control::linearize::{self, JacobianCache};
-use control::margins::{phase_margin_adaptive, MarginReport};
+use control::linearize;
+use control::margins::{phase_margin, MarginReport};
 use control::roots;
 use control::DelayLtiEvaluator;
 use faults::SimError;
@@ -32,7 +32,6 @@ use fluid::dde::{lane_of, DdeOptions, LaneSystem};
 use fluid::history::History;
 use fluid::stage::{StageInstant, StagedLane, Stages};
 use fluid::trace::Trace;
-use std::cell::RefCell;
 
 /// DCQCN parameters (Table 1), stored in human units and converted to packet
 /// units on demand.
@@ -374,8 +373,8 @@ pub struct DcqcnFixedPoint {
 /// The delay-independent half of the DCQCN linearization: fixed point plus
 /// central-difference Jacobian blocks of the per-flow subsystem. See
 /// [`DcqcnFluid::lin_parts`] for what the parts depend on (and, crucially,
-/// what they don't), and [`DcqcnFluid::margin_report_cached`] for the grid
-/// sweeps that reuse them through a [`JacobianCache`].
+/// what they don't), and [`DcqcnFluid::margin_report_from`] for the grid
+/// sweeps that reuse them.
 #[derive(Debug, Clone)]
 pub struct DcqcnLinParts {
     /// Fixed-point per-flow state `[R_C*, R_T*, α*]`.
@@ -555,9 +554,9 @@ impl DcqcnFluid {
     /// These depend on `(N, C, R_AI, τ, τ', F, B, T, g)` but **not** on the
     /// RED profile or the feedback delay (Eq 11 never references them), so
     /// grid sweeps that vary only delay / `K_max` / `P_max` can share one
-    /// `DcqcnLinParts` across many margin evaluations — that is exactly what
-    /// [`Self::margin_report_cached`] does via a [`JacobianCache`] keyed on
-    /// [`Self::lin_parts_key`].
+    /// `DcqcnLinParts` across many margin evaluations through
+    /// [`Self::margin_report_from`]; configurations with bitwise-equal
+    /// [`Self::lin_parts_key`]s have bitwise-equal parts.
     pub fn lin_parts(&self) -> DcqcnLinParts {
         let fp = self.fixed_point();
         let p = self.params.clone();
@@ -607,8 +606,8 @@ impl DcqcnFluid {
         }
     }
 
-    /// Cache key for [`Self::lin_parts`]: every parameter the linearization
-    /// actually reads. Two configs with equal keys have bitwise-equal parts.
+    /// Every parameter [`Self::lin_parts`] reads. Two configs with
+    /// bitwise-equal keys have bitwise-equal parts.
     pub fn lin_parts_key(&self) -> Vec<f64> {
         let p = &self.params;
         vec![
@@ -626,7 +625,7 @@ impl DcqcnFluid {
 
     /// Assemble the open-loop transfer closure from precomputed parts (see
     /// [`Self::lin_parts`]); delay and RED slope come from `self`.
-    fn loop_transfer_from_parts(&self, parts: DcqcnLinParts) -> impl Fn(f64) -> Option<Complex64> {
+    fn loop_transfer_from(&self, parts: &DcqcnLinParts) -> impl FnMut(f64) -> Option<Complex64> {
         let n = self.n_flows as f64;
         let tau_star = self.params.feedback_delay_s();
         let k_red = self.params.red_slope();
@@ -635,20 +634,16 @@ impl DcqcnFluid {
         for (row, &v) in a1.iter_mut().zip(&parts.a1_col) {
             row[0] = v; // column 0 = the delayed R_C state
         }
-        let sys = control::DelayLti {
-            a0: parts.a0,
+        let mut ev = DelayLtiEvaluator::new(control::DelayLti {
+            a0: parts.a0.clone(),
             delayed_a: vec![(tau_star, a1)],
-            b: vec![(tau_star, parts.b_col)],
+            b: vec![(tau_star, parts.b_col.clone())],
             c: vec![1.0, 0.0, 0.0],
             d: 0.0,
-        };
-        // The margin sweep evaluates L at thousands of frequencies; reuse
-        // the LU buffers across calls (bit-identical to the allocating
-        // path). RefCell because phase_margin wants Fn, not FnMut.
-        let ev = RefCell::new(DelayLtiEvaluator::new(sys));
+        });
 
         move |omega: f64| {
-            let h = ev.borrow_mut().freq_response(omega)?; // δR_C / δp
+            let h = ev.freq_response(omega)?; // δR_C / δp
             let integ = Complex64::from_re(n) / Complex64::j(omega); // δq/δR_C
                                                                      // Negative-feedback convention: L = −(RED slope)·(N/s)·H.
             Some(-(h * integ).scale(k_red))
@@ -662,26 +657,21 @@ impl DcqcnFluid {
     /// R_T, α) subsystem responds to `δp(t − τ*)` (and to its own delayed
     /// rate `δR_C(t − τ*)`); N flows feed the queue integrator `N/s`; RED
     /// closes the loop with slope `P_max/(K_max − K_min)`.
-    pub fn loop_transfer(&self) -> impl Fn(f64) -> Option<Complex64> {
-        self.loop_transfer_from_parts(self.lin_parts())
+    pub fn loop_transfer(&self) -> impl FnMut(f64) -> Option<Complex64> {
+        self.loop_transfer_from(&self.lin_parts())
     }
 
     /// Phase-margin report for this configuration (one point of Figure 3).
     pub fn margin_report(&self) -> MarginReport {
-        let l = self.loop_transfer();
-        phase_margin_adaptive(l, 1e1, 1e7, 3000)
+        self.margin_report_from(&self.lin_parts())
     }
 
-    /// [`Self::margin_report`] with the linearization served from `cache`.
-    ///
-    /// Used by grid sweeps (fig3) where neighboring grid points share
-    /// `(N, C, R_AI, …)` and differ only in delay or RED profile. With the
-    /// cache's `tol = 0.0` the result is bitwise identical to the uncached
-    /// path.
-    pub fn margin_report_cached(&self, cache: &mut JacobianCache<DcqcnLinParts>) -> MarginReport {
-        let parts = cache.get_or_insert_with(&self.lin_parts_key(), || self.lin_parts());
-        let l = self.loop_transfer_from_parts(parts);
-        phase_margin_adaptive(l, 1e1, 1e7, 3000)
+    /// [`Self::margin_report`] from precomputed `parts`, which must be this
+    /// configuration's [`Self::lin_parts`] (or those of a configuration with
+    /// the same [`Self::lin_parts_key`]). Grid sweeps (fig3) whose points
+    /// differ only in delay or RED profile linearize once and share them.
+    pub fn margin_report_from(&self, parts: &DcqcnLinParts) -> MarginReport {
+        phase_margin(self.loop_transfer_from(parts), 1e1, 1e7, 3000)
     }
 
     /// Integrate the fluid model (Eqs 3–7) for `duration_s` seconds.

@@ -21,13 +21,12 @@ use crate::timely::{TimelyParams, LAYOUT};
 use crate::units;
 use control::complex::Complex64;
 use control::linearize;
-use control::margins::{phase_margin_adaptive, MarginReport};
+use control::margins::{phase_margin, MarginReport};
 use control::DelayLtiEvaluator;
 use fluid::classes::{try_integrate_classes, FlowClassSystem, FlowClasses, FlowLayout};
 use fluid::dde::{lane_of, DdeOptions, LaneSystem};
 use fluid::history::History;
 use fluid::trace::Trace;
-use std::cell::RefCell;
 
 /// Parameters for Patched TIMELY: the TIMELY set with the paper's overrides
 /// (`β = 0.008`, `Seg = 16 KB`) plus the reference queue `q′`.
@@ -194,7 +193,7 @@ impl PatchedTimelyFluid {
 
     /// The open-loop transfer `L(jω)` of the linearized system at the
     /// Theorem 5 fixed point (drives Figure 11).
-    pub fn loop_transfer(&self) -> impl Fn(f64) -> Option<Complex64> {
+    pub fn loop_transfer(&self) -> impl FnMut(f64) -> Option<Complex64> {
         let p = self.params.clone();
         let base = p.base.clone();
         let n = self.n_flows as f64;
@@ -233,20 +232,16 @@ impl PatchedTimelyFluid {
             2,
         );
 
-        let sys = control::DelayLti {
+        let mut ev = DelayLtiEvaluator::new(control::DelayLti {
             a0,
             delayed_a: vec![],
             b: vec![(tau_fb, b1), (tau_fb + tau_star, b2)],
             c: vec![1.0, 0.0],
             d: 0.0,
-        };
-        // Reuse the LU buffers across the margin sweep's thousands of
-        // evaluations (bit-identical to the allocating path). RefCell
-        // because phase_margin wants Fn, not FnMut.
-        let ev = RefCell::new(DelayLtiEvaluator::new(sys));
+        });
 
         move |omega: f64| {
-            let h = ev.borrow_mut().freq_response(omega)?; // δR/δq
+            let h = ev.freq_response(omega)?; // δR/δq
             let integ = Complex64::from_re(n) / Complex64::j(omega);
             Some(-(h * integ))
         }
@@ -254,7 +249,7 @@ impl PatchedTimelyFluid {
 
     /// Phase-margin report (one point of Figure 11).
     pub fn margin_report(&self) -> MarginReport {
-        phase_margin_adaptive(self.loop_transfer(), 1e1, 1e7, 3000)
+        phase_margin(self.loop_transfer(), 1e1, 1e7, 3000)
     }
 
     /// Per-flow rate series in Gbps.

@@ -7,12 +7,12 @@
 //! over the ≈ 10 000 live knots before `History::locate` computed its index
 //! from the step grid.
 //!
-//! Each run here is checked three ways. Its trace must hash to the digest
+//! Each run here is checked two ways. Its trace must hash to the digest
 //! the *search-only* `locate` produced (recorded at 1b9fad2, the commit
-//! before the grid lookup) — the bracketing knot pair is unique, so the new
-//! lookup may not move one bit. Under `cargo test` every `locate` is also
-//! compared with the search by a debug assertion. And the run's own counters
-//! must show the lookups took the O(1) path.
+//! before the grid lookup) — the bracketing knot pair is unique, so the
+//! lookup may not move one bit (`crates/fluid/tests/history_oracle.rs`
+//! holds every reader to the search on arbitrary grids). And the run's own
+//! counters must show one `locate` per delayed read.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -62,7 +62,6 @@ fn check_run(pinned_digest: u64, simulate: impl FnOnce() -> Trace) {
     obs::disable(obs::METRICS);
     let steps = obs::metrics::counter_value("fluid.dde_steps");
     let lookups = obs::metrics::counter_value("fluid.history_lookups");
-    let fallbacks = obs::metrics::counter_value("fluid.history_lookup_fallbacks");
     obs::reset();
 
     assert_eq!(trace.dim(), 1 + 2 * FLOWS, "K = N: nothing was reduced");
@@ -78,10 +77,6 @@ fn check_run(pinned_digest: u64, simulate: impl FnOnce() -> Trace) {
     assert!(
         lookups > steps * per_step * 9 / 10 && lookups <= steps * (per_step + 1),
         "{lookups} lookups over {steps} steps"
-    );
-    assert_eq!(
-        fallbacks, 0,
-        "a `t += h` grid is looked up without a search"
     );
 }
 
