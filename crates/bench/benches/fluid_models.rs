@@ -7,8 +7,8 @@ use ecn_delay_core::experiments::fig3;
 use fluid::classes::{try_integrate_classes, FlowClassSystem};
 use fluid::History;
 use models::dcqcn::{DcqcnFluid, DcqcnParams};
-use models::patched_timely::{PatchedTimelyFluid, PatchedTimelyParams};
 use models::pi::DcqcnPiFluid;
+use models::timely::TimelyFluid;
 
 /// `fluid::History` alone, at the live-window size of the paper-scale runs
 /// (10 ms horizon at a 1 µs step), on the `t += h` grid the integrators push.
@@ -85,12 +85,12 @@ fn main() {
     });
 
     bench("patched_timely_dde_integrate_2flows_10ms", || {
-        let mut m = PatchedTimelyFluid::new(PatchedTimelyParams::default_10g(), 2);
+        let mut m = TimelyFluid::patched_10g(2);
         black_box(m.simulate(0.01).len())
     });
 
     {
-        let m = PatchedTimelyFluid::new(PatchedTimelyParams::default_10g(), 16);
+        let m = TimelyFluid::patched_10g(16);
         bench("patched_timely_phase_margin_n16", || {
             black_box(m.margin_report().phase_margin_deg)
         });
@@ -145,15 +145,14 @@ fn main() {
         });
     }
     {
-        let params = PatchedTimelyParams::default_10g();
-        let share = params.base.capacity_pps() / 64.0;
+        let share = TimelyFluid::patched_10g(64).params.capacity_pps() / 64.0;
         bench("patched_timely_integrate_64flows_10ms", || {
-            let mut m = PatchedTimelyFluid::new(params.clone(), 64);
+            let mut m = TimelyFluid::patched_10g(64);
             black_box(m.simulate(0.01).len())
         });
         let rates: Vec<f64> = (0..64).map(|i| share * (0.5 + i as f64 / 64.0)).collect();
         bench("patched_timely_integrate_64flows_10ms/asymmetric", || {
-            let mut m = PatchedTimelyFluid::new(params.clone(), 64);
+            let mut m = TimelyFluid::patched_10g(64);
             black_box(m.simulate_with_rates(&rates, 0.01).len())
         });
     }

@@ -5,7 +5,7 @@
 //! (Eq 31), thus leading to larger feedback delay (Eq 24). This leads to
 //! system instability."
 
-use models::patched_timely::{PatchedTimelyFluid, PatchedTimelyParams};
+use models::timely::TimelyFluid;
 
 /// Configuration.
 #[derive(Debug, Clone)]
@@ -35,12 +35,11 @@ pub struct Fig11Result {
 /// through [`desim::par::par_map`]; the threshold scan stays a serial pass
 /// over the ordered results.
 pub fn run(cfg: &Fig11Config) -> Fig11Result {
-    let params = PatchedTimelyParams::default_10g();
     let points = desim::par::par_map(cfg.flow_counts.clone(), |n| {
-        let m = PatchedTimelyFluid::new(params.clone(), n);
+        let m = TimelyFluid::patched_10g(n);
         let pm = m.margin_report().phase_margin_deg.unwrap_or(180.0);
-        let q_star = params.q_star_kb(n);
-        let delay_us = params.base.tau_feedback(params.q_star_pkts(n)) * 1e6;
+        let q_star = m.q_star_kb();
+        let delay_us = m.params.tau_feedback(m.q_star_pkts()) * 1e6;
         (n, pm, q_star, delay_us)
     });
     let threshold = points.iter().find(|p| p.1 < 0.0).map(|p| p.0);

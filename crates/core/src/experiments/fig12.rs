@@ -5,7 +5,7 @@
 //! stable; (c) beyond the Figure 11 limit the system oscillates.
 
 use crate::experiments::Series;
-use models::patched_timely::{PatchedTimelyFluid, PatchedTimelyParams};
+use models::timely::TimelyFluid;
 
 /// Configuration.
 #[derive(Debug, Clone)]
@@ -50,11 +50,9 @@ pub struct Fig12Result {
 
 /// Run all panels.
 pub fn run(cfg: &Fig12Config) -> Fig12Result {
-    let params = PatchedTimelyParams::default_10g();
-    let c = params.base.capacity_pps();
-
     // (a) unequal start.
-    let mut ma = PatchedTimelyFluid::new(params.clone(), 2);
+    let mut ma = TimelyFluid::patched_10g(2);
+    let c = ma.params.capacity_pps();
     let tra = ma.simulate_with_rates(&[0.7 * c, 0.3 * c], cfg.duration_a_s);
     let from_a = cfg.duration_a_s * 0.8;
     let r0 = tra.mean_from(ma.rate_index(0), from_a);
@@ -65,9 +63,9 @@ pub fn run(cfg: &Fig12Config) -> Fig12Result {
     // run them as parallel jobs with ordered results.
     let dur = cfg.duration_bc_s;
     let mut osc = desim::par::par_map(vec![cfg.n_stable, cfg.n_unstable], |n| {
-        let mut m = PatchedTimelyFluid::new(params.clone(), n);
+        let mut m = TimelyFluid::patched_10g(n);
         let tr = m.simulate(dur);
-        let q_star = params.q_star_pkts(n);
+        let q_star = m.q_star_pkts();
         let osc = tr.peak_to_peak_from(0, dur * 0.6) / q_star.max(1.0);
         (m.queue_kb(&tr), osc)
     });

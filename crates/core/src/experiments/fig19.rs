@@ -6,8 +6,7 @@
 //! delay without achieving fairness" — the demonstration of Theorem 6.
 
 use crate::experiments::Series;
-use models::patched_timely::PatchedTimelyParams;
-use models::pi::{PatchedTimelyPiFluid, PiGains};
+use models::timely::TimelyFluid;
 
 /// Configuration.
 #[derive(Debug, Clone)]
@@ -47,11 +46,9 @@ pub struct Fig19Result {
 
 /// Run.
 pub fn run(cfg: &Fig19Config) -> Fig19Result {
-    let params = PatchedTimelyParams::default_10g();
-    let gains: PiGains = PatchedTimelyPiFluid::default_gains(&params, cfg.q_ref_kb);
-    let c = params.base.capacity_pps();
     let n = cfg.initial_fractions.len();
-    let mut m = PatchedTimelyPiFluid::new(params.clone(), gains, n);
+    let mut m = TimelyFluid::patched_pi_10g(cfg.q_ref_kb, n);
+    let c = m.params.capacity_pps();
     let rates0: Vec<f64> = cfg.initial_fractions.iter().map(|&f| f * c).collect();
     let tr = m.simulate_with_rates(&rates0, cfg.duration_s);
     let from = cfg.duration_s * 0.8;
@@ -60,11 +57,7 @@ pub fn run(cfg: &Fig19Config) -> Fig19Result {
         .map(|i| tr.mean_from(m.rate_index(i), from))
         .collect();
     let total: f64 = tail_rates.iter().sum();
-    let queue_kb: Series = tr
-        .series(0)
-        .into_iter()
-        .map(|(t, pkts)| (t, models::units::pkts_to_kb(pkts, params.base.packet_bytes)))
-        .collect();
+    let queue_kb: Series = m.queue_kb(&tr);
     let tail_q = queue_kb
         .iter()
         .filter(|&&(t, _)| t >= from)
@@ -73,14 +66,7 @@ pub fn run(cfg: &Fig19Config) -> Fig19Result {
         / queue_kb.iter().filter(|&&(t, _)| t >= from).count().max(1) as f64;
 
     Fig19Result {
-        rates_gbps: (0..n)
-            .map(|i| {
-                tr.series(m.rate_index(i))
-                    .into_iter()
-                    .map(|(t, pps)| (t, models::units::pps_to_gbps(pps, params.base.packet_bytes)))
-                    .collect()
-            })
-            .collect(),
+        rates_gbps: (0..n).map(|i| m.rates_gbps(&tr, i)).collect(),
         queue_kb,
         tail_queue_kb: tail_q,
         tail_shares: tail_rates.iter().map(|&r| r / total).collect(),

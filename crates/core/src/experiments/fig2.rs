@@ -6,7 +6,7 @@
 //! flows start at line rate. Figure 2 shows that the fluid model and the
 //! simulator are in good agreement."
 
-use crate::experiments::Series;
+use crate::experiments::{tail_mean, Series};
 use crate::scenarios::{single_switch_longlived, Protocol};
 use desim::{SimDuration, SimTime};
 use models::dcqcn::{DcqcnFluid, DcqcnParams};
@@ -60,18 +60,6 @@ pub struct Fig2Panel {
 pub struct Fig2Result {
     /// One panel per flow count.
     pub panels: Vec<Fig2Panel>,
-}
-
-fn tail_mean(series: &[(f64, f64)], from: f64) -> f64 {
-    let pts: Vec<f64> = series
-        .iter()
-        .filter(|&&(t, _)| t >= from)
-        .map(|&(_, v)| v)
-        .collect();
-    if pts.is_empty() {
-        return f64::NAN;
-    }
-    pts.iter().sum::<f64>() / pts.len() as f64
 }
 
 /// Run the comparison.

@@ -14,7 +14,7 @@
 use crate::experiments::Series;
 use models::dcqcn::{DcqcnFluid, DcqcnParams};
 use models::jitter::Jitter;
-use models::patched_timely::{PatchedTimelyFluid, PatchedTimelyParams};
+use models::timely::TimelyFluid;
 
 /// Configuration.
 #[derive(Debug, Clone)]
@@ -69,15 +69,14 @@ pub fn run(cfg: &Fig20Config) -> Fig20Result {
     let jitter = Jitter::uniform(cfg.jitter_us * 1e-6, cfg.jitter_window_us * 1e-6, cfg.seed);
     let tail = cfg.duration_s * 0.6;
     let dcqcn = DcqcnParams::default_40g();
-    // Patched TIMELY: the convergent baseline of Fig 12a.
-    let timely = PatchedTimelyParams::default_10g();
 
     // (protocol, jittered) → (queue in KB, queue peak-to-peak over the tail).
     let jobs = vec![(false, false), (false, true), (true, false), (true, true)];
     let runs = desim::par::par_map(jobs, |(is_timely, jittered)| {
         let jitter = jittered.then(|| jitter.clone());
         if is_timely {
-            let mut m = PatchedTimelyFluid::new(timely.clone(), cfg.n_flows);
+            // Patched TIMELY: the convergent baseline of Fig 12a.
+            let mut m = TimelyFluid::patched_10g(cfg.n_flows);
             if let Some(j) = jitter {
                 m = m.with_jitter(j);
             }
@@ -113,7 +112,7 @@ pub fn run(cfg: &Fig20Config) -> Fig20Result {
     let dcqcn_q_star = DcqcnFluid::new(dcqcn.clone(), cfg.n_flows)
         .fixed_point()
         .q_star_pkts;
-    let timely_q_star = timely.q_star_pkts(cfg.n_flows);
+    let timely_q_star = TimelyFluid::patched_10g(cfg.n_flows).q_star_pkts();
     let panels = vec![
         panel("DCQCN", dcqcn_q_star, dcqcn_clean, dcqcn_noisy),
         panel("PatchedTIMELY", timely_q_star, timely_clean, timely_noisy),

@@ -5,10 +5,10 @@
 //! are in good agreement." Parameters are footnote 4's recommended values
 //! on 10 Gbps.
 
-use crate::experiments::Series;
+use crate::experiments::{tail_mean, Series};
 use crate::scenarios::{single_switch_longlived, Protocol};
 use desim::{SimDuration, SimTime};
-use models::timely::{TimelyFluid, TimelyParams};
+use models::timely::{TimelyFluid, TimelyLaw, TimelyParams};
 use netsim::EngineConfig;
 
 /// Configuration.
@@ -55,26 +55,13 @@ pub struct Fig8Result {
     pub panels: Vec<Fig8Panel>,
 }
 
-fn tail_mean(series: &[(f64, f64)], from: f64) -> f64 {
-    let pts: Vec<f64> = series
-        .iter()
-        .filter(|&&(t, _)| t >= from)
-        .map(|&(_, v)| v)
-        .collect();
-    if pts.is_empty() {
-        f64::NAN
-    } else {
-        pts.iter().sum::<f64>() / pts.len() as f64
-    }
-}
-
 /// Run the comparison.
 pub fn run(cfg: &Fig8Config) -> Fig8Result {
     let mut panels = Vec::new();
     for &n in &cfg.flow_counts {
         // Fluid.
         let params = TimelyParams::default_10g();
-        let mut fluid = TimelyFluid::new(params.clone(), n);
+        let mut fluid = TimelyFluid::new(params.clone(), TimelyLaw::Original, n);
         let trace = fluid.simulate(cfg.duration_s);
         let fluid_queue_kb = fluid.queue_kb(&trace);
         let fluid_rate_gbps = fluid.rates_gbps(&trace, 0);

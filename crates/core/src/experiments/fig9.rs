@@ -6,7 +6,7 @@
 //! (c) one at 7 Gbps, the other at 3 Gbps.
 
 use crate::experiments::Series;
-use models::timely::{TimelyFluid, TimelyParams};
+use models::timely::{TimelyFluid, TimelyLaw, TimelyParams};
 
 /// Configuration.
 #[derive(Debug, Clone)]
@@ -43,7 +43,7 @@ pub struct Fig9Result {
 
 fn run_case(label: &str, rates0: [f64; 2], starts: [f64; 2], duration: f64) -> Fig9Panel {
     let params = TimelyParams::default_10g();
-    let mut m = TimelyFluid::new(params, 2).with_start_times(starts.to_vec());
+    let mut m = TimelyFluid::new(params, TimelyLaw::Original, 2).with_start_times(starts.to_vec());
     let tr = m.simulate_with_rates(&rates0, duration);
     let from = duration * 0.8;
     let r0 = tr.mean_from(m.rate_index(0), from);

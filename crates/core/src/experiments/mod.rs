@@ -27,3 +27,16 @@ pub mod fig9;
 
 /// A `(t_or_x, value)` series — the universal currency of figure output.
 pub type Series = Vec<(f64, f64)>;
+
+/// Mean of the values at `t >= from`; NaN when there are none.
+fn tail_mean(series: &[(f64, f64)], from: f64) -> f64 {
+    let pts: Vec<f64> = series
+        .iter()
+        .filter(|&&(t, _)| t >= from)
+        .map(|&(_, v)| v)
+        .collect();
+    if pts.is_empty() {
+        return f64::NAN;
+    }
+    pts.iter().sum::<f64>() / pts.len() as f64
+}

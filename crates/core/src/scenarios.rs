@@ -3,9 +3,7 @@
 use desim::{SimDuration, SimRng, SimTime};
 use netsim::cc::CongestionControl;
 use netsim::{Engine, EngineConfig, FlowSpec, LinkId, Pacing, Topology};
-use protocols::{
-    DcqcnCc, DcqcnCcParams, PatchedTimelyCc, PatchedTimelyCcParams, TimelyCc, TimelyCcParams,
-};
+use protocols::{DcqcnCc, DcqcnCcParams, TimelyCc, TimelyCcParams};
 use workload::{generate_flows, generate_incast, FlowSizeDist, IncastConfig, ScenarioConfig};
 
 /// Which protocol drives the senders.
@@ -62,11 +60,11 @@ impl Protocol {
                 (Box::new(TimelyCc::new(p)), Pacing::PerPacket, seg)
             }
             Protocol::PatchedTimely => {
-                let mut p = PatchedTimelyCcParams::default();
-                p.base.start_divisor = start_divisor;
-                let seg = p.base.seg_bytes;
+                let mut p = TimelyCcParams::patched();
+                p.start_divisor = start_divisor;
+                let seg = p.seg_bytes;
                 (
-                    Box::new(PatchedTimelyCc::new(p)),
+                    Box::new(TimelyCc::new(p)),
                     Pacing::PerChunk { seg_bytes: seg },
                     seg,
                 )

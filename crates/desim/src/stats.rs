@@ -1,91 +1,12 @@
 //! Online statistics used by the experiment harness.
 //!
-//! Three collectors cover every measurement in the paper's evaluation:
+//! Two collectors cover the harness's measurements:
 //!
-//! * [`TimeWeighted`] — time-weighted mean/max of a piecewise-constant signal
-//!   (queue occupancy between events);
 //! * [`Samples`] — exact sample set with percentile queries (flow completion
 //!   times; the paper reports medians, 90th percentiles and CDFs);
 //! * [`TimeSeries`] — decimated `(t, value)` trace for figures.
 
 use crate::time::SimTime;
-
-/// Time-weighted statistics of a piecewise-constant signal.
-///
-/// Call [`TimeWeighted::update`] *before* changing the signal so the old
-/// value is credited for the elapsed interval.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    last_value: f64,
-    weighted_sum: f64,
-    total_time_s: f64,
-    max: f64,
-    min: f64,
-    started: bool,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeWeighted {
-    /// New, empty collector.
-    pub fn new() -> Self {
-        TimeWeighted {
-            last_time: SimTime::ZERO,
-            last_value: 0.0,
-            weighted_sum: 0.0,
-            total_time_s: 0.0,
-            max: f64::NEG_INFINITY,
-            min: f64::INFINITY,
-            started: false,
-        }
-    }
-
-    /// Record that the signal has held `value` since the previous update (or
-    /// since the first call) and is observed again at time `now`.
-    pub fn update(&mut self, now: SimTime, value: f64) {
-        if self.started {
-            let dt = now.saturating_since(self.last_time).as_secs_f64();
-            self.weighted_sum += self.last_value * dt;
-            self.total_time_s += dt;
-        }
-        self.started = true;
-        self.last_time = now;
-        self.last_value = value;
-        self.max = self.max.max(value);
-        self.min = self.min.min(value);
-    }
-
-    /// Time-weighted mean over the observed interval. A started collector
-    /// whose observations span zero duration (a single update, or several at
-    /// the same instant — e.g. a telemetry window that caught exactly one
-    /// event) degrades to the last observed value instead of `None`: the
-    /// signal *did* hold that value, there is just no interval to weight by.
-    /// Only a never-updated collector has no mean.
-    pub fn mean(&self) -> Option<f64> {
-        if self.total_time_s > 0.0 {
-            Some(self.weighted_sum / self.total_time_s)
-        } else if self.started {
-            Some(self.last_value)
-        } else {
-            None
-        }
-    }
-
-    /// Maximum observed value.
-    pub fn max(&self) -> Option<f64> {
-        self.started.then_some(self.max)
-    }
-
-    /// Minimum observed value.
-    pub fn min(&self) -> Option<f64> {
-        self.started.then_some(self.min)
-    }
-}
 
 /// Exact sample collector with percentile queries.
 #[derive(Debug, Clone, Default)]
@@ -234,64 +155,6 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new();
-        tw.update(t(0), 10.0); // 10 for [0, 2us)
-        tw.update(t(2), 20.0); // 20 for [2us, 6us)
-        tw.update(t(6), 0.0);
-        // mean = (10*2 + 20*4) / 6 = 100/6
-        assert!((tw.mean().unwrap() - 100.0 / 6.0).abs() < 1e-9);
-        assert_eq!(tw.max().unwrap(), 20.0);
-        assert_eq!(tw.min().unwrap(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_single_point_degrades_to_last_value() {
-        // Regression (zero-duration window): a lone observation used to
-        // yield mean() == None, which telemetry rendered as a gap even
-        // though the signal's value was known. It now reports that value.
-        let mut tw = TimeWeighted::new();
-        tw.update(t(5), 1.0);
-        assert_eq!(tw.mean(), Some(1.0));
-        assert_eq!(tw.max(), Some(1.0));
-    }
-
-    #[test]
-    fn time_weighted_zero_duration_window_uses_last_value() {
-        // Several updates at the same instant still span zero time; the
-        // mean must be the latest value, not a 0/0 NaN or None.
-        let mut tw = TimeWeighted::new();
-        tw.update(t(3), 4.0);
-        tw.update(t(3), 8.0);
-        let m = tw.mean().unwrap();
-        assert!(m.to_bits() == 8.0f64.to_bits(), "got {m}");
-        // Once real time elapses, proper weighting resumes.
-        tw.update(t(5), 0.0);
-        assert!((tw.mean().unwrap() - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_empty_has_no_extrema() {
-        // Regression: before the Option API, an un-started collector leaked
-        // its ±INFINITY sentinels (which render as `null` and poison
-        // downstream aggregation). Empty must mean `None` across the board.
-        let tw = TimeWeighted::new();
-        assert_eq!(tw.max(), None);
-        assert_eq!(tw.min(), None);
-        assert_eq!(tw.mean(), None);
-    }
-
-    #[test]
-    fn time_weighted_min_tracks_negative_values() {
-        let mut tw = TimeWeighted::new();
-        tw.update(t(0), -3.0);
-        tw.update(t(1), 2.0);
-        tw.update(t(2), -1.0);
-        assert_eq!(tw.min(), Some(-3.0));
-        assert_eq!(tw.max(), Some(2.0));
     }
 
     #[test]

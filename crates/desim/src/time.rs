@@ -66,11 +66,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference; `None` when `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -120,16 +115,6 @@ impl SimDuration {
     /// Duration as floating-point microseconds.
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 * 1e-3
-    }
-
-    /// True if this is the zero duration.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Multiply by an integer factor (saturating).
-    pub const fn saturating_mul(self, k: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(k))
     }
 
     /// The wire time needed to serialize `bytes` at `bits_per_sec`, rounded
@@ -266,7 +251,6 @@ mod tests {
         let b = SimTime::from_nanos(9);
         assert_eq!(b.saturating_since(a).as_nanos(), 4);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(a.checked_since(b), None);
     }
 
     #[test]

@@ -155,6 +155,9 @@ impl History {
             // non-empty by construction
             return self.row(n - 1)[c];
         }
+        if n == 1 {
+            return f64::NAN; // no interior: only a NaN `t` gets here
+        }
         let idx = self.locate(t);
         let (t0, t1) = (self.times[idx], self.times[idx + 1]);
         let (v0, v1) = (self.row(idx)[c], self.row(idx + 1)[c]);
@@ -185,6 +188,10 @@ impl History {
         if t >= self.times[n - 1] {
             // non-empty by construction
             out.copy_from_slice(self.row(n - 1));
+            return;
+        }
+        if n == 1 {
+            out.fill(f64::NAN); // no interior: only a NaN `t` gets here
             return;
         }
         let idx = self.locate(t);
@@ -251,6 +258,10 @@ impl History {
             }
             return;
         }
+        if n == 1 {
+            out[..count].fill(f64::NAN); // no interior: only a NaN `t` gets here
+            return;
+        }
         let idx = self.locate(t);
         let (t0, t1) = (self.times[idx], self.times[idx + 1]);
         let (r0, r1) = (self.row(idx), self.row(idx + 1));
@@ -273,7 +284,8 @@ impl History {
     /// grid guess, then a walk to the unique bracketing pair (module docs).
     /// A NaN `t` has no bracket: it compares false both ways, so the walk
     /// stays at the guess, and any pair interpolates it to NaN in every
-    /// component.
+    /// component. A one-knot buffer has no pair; callers answer its NaN
+    /// queries before they get here.
     fn locate(&self, t: f64) -> usize {
         bump(&self.lookups);
         let lo = self.front;

@@ -169,15 +169,6 @@ impl Trace {
         out
     }
 
-    /// Max absolute value of component `c` over `t >= from` (oscillation
-    /// amplitude probe used by stability tests).
-    pub fn max_abs_from(&self, c: usize, from: f64) -> f64 {
-        self.series_from(c, from)
-            .iter()
-            .map(|&(_, v)| v.abs())
-            .fold(0.0, f64::max)
-    }
-
     /// Peak-to-peak amplitude (max − min) of component `c` over `t >= from`.
     /// Small amplitude after a settling window ⇒ the trajectory converged;
     /// large amplitude ⇒ sustained oscillation (instability). Used to
@@ -258,7 +249,6 @@ mod tests {
             let t = i as f64 * 0.1;
             tr.push(t, &[(t * 10.0).sin()]);
         }
-        assert!(tr.max_abs_from(0, 0.0) > 0.99);
         assert!(tr.peak_to_peak_from(0, 0.0) > 1.9);
     }
 

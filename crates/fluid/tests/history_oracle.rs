@@ -255,3 +255,28 @@ fn trim_before_edge_cases_match_partition_point() {
     assert_eq!(p.h.len(), 1);
     assert_eq!(p.h.eval(0.0, 0), 2.0 * 599.0);
 }
+
+#[test]
+fn one_knot_history_answers_nan_queries_with_nan() {
+    // A lone knot has no interior: every non-NaN query is a boundary hit,
+    // and a NaN one must read NaN like it does on any longer history — not
+    // index a second knot that is not there.
+    let fresh = History::new(0.0, &[1.0, 2.0]);
+    let mut trimmed = History::new(0.0, &[1.0, 2.0]);
+    for i in 1..10 {
+        trimmed.push(f64::from(i), &[1.0, 2.0]);
+    }
+    trimmed.trim_before(1e9);
+    assert_eq!(trimmed.len(), 1);
+    for h in [&fresh, &trimmed] {
+        let mut out = [0.0; 2];
+        for nan in [f64::NAN, -f64::NAN] {
+            assert!(h.eval(nan, 0).is_nan() && h.eval(nan, 1).is_nan());
+            h.eval_all(nan, &mut out);
+            assert!(out.iter().all(|v| v.is_nan()));
+            out = [0.0; 2];
+            h.eval_strided(nan, 1, 1, 1, &mut out);
+            assert!(out[0].is_nan());
+        }
+    }
+}

@@ -7,15 +7,16 @@
 //!   §3.1), its unique fixed point (Theorem 1, Eqs 9–13), the closed-form
 //!   approximation of `p*` (Eq 14), and the linearized loop used for the
 //!   phase-margin plots of Figure 3;
-//! * [`timely`] — the TIMELY fluid model of Figure 7 (Eqs 20–24), which has
-//!   no fixed point as published (Theorem 3) and infinitely many under the
-//!   `≤`→`<` modification (Theorem 4);
-//! * [`patched_timely`] — Patched TIMELY (Algorithm 2, Eqs 29–31): unique
-//!   fair fixed point and the linearization behind Figure 11, including the
-//!   queue-dependent feedback delay of Eq 24 that caps its stable range;
-//! * [`pi`] — PI-controller variants (Eq 32): PI marking at the switch for
-//!   DCQCN (Figure 18: fair *and* pinned queue) and end-host PI for patched
-//!   TIMELY (Figure 19: pinned queue, arbitrary fairness — Theorem 6);
+//! * [`timely`] — the TIMELY family of Figure 7 (Eqs 20–24) as one model
+//!   whose gradient-band rule is a [`TimelyLaw`]: TIMELY as published, with
+//!   no fixed point (Theorem 3) and infinitely many under the `≤`→`<`
+//!   modification (Theorem 4); Patched TIMELY (Algorithm 2, Eqs 29–31), with
+//!   a unique fair fixed point and the linearization behind Figure 11,
+//!   including the queue-dependent feedback delay of Eq 24 that caps its
+//!   stable range; and Patched TIMELY with an end-host PI (Eq 32, Figure 19:
+//!   pinned queue, arbitrary fairness — Theorem 6);
+//! * [`pi`] — PI marking at the switch for DCQCN (Eq 32, Figure 18: fair
+//!   *and* pinned queue) and the PI gains both PI variants use;
 //! * [`discrete`] — the discrete AIMD model of §3.3 (Eqs 15–19, Appendix B)
 //!   proving exponential convergence of DCQCN rates;
 //! * [`jitter`] — deterministic piecewise-constant feedback-delay jitter for
@@ -45,11 +46,11 @@
 pub mod dcqcn;
 pub mod discrete;
 pub mod jitter;
-pub mod patched_timely;
 pub mod pi;
 pub mod timely;
 pub mod units;
 
+mod patched_timely;
+
 pub use dcqcn::{DcqcnFluid, DcqcnParams};
-pub use patched_timely::{PatchedTimelyFluid, PatchedTimelyParams};
-pub use timely::{TimelyFluid, TimelyParams};
+pub use timely::{TimelyFluid, TimelyLaw, TimelyParams};

@@ -8,15 +8,15 @@
 //!   marking probability `p` is a shared signal, so the DCQCN fixed point
 //!   keeps fair rates *and* the queue is pinned at `q_ref` regardless of the
 //!   number of flows (Figure 18);
-//! * [`PatchedTimelyPiFluid`] — PI **at each end host** computes a private
-//!   `p_i` from delay samples and uses it in place of the queue-error term
-//!   of Eq 29. The integral action still pins the queue at `q_ref`, but the
-//!   per-flow `p_i` can settle anywhere consistent with `ΣR_i = C`, so the
-//!   rate split is arbitrary (Figure 19) — fairness or fixed delay, never
-//!   both, when delay is the only feedback.
+//! * [`TimelyLaw::PatchedPi`](crate::timely::TimelyLaw::PatchedPi) — PI
+//!   **at each end host** computes a private `p_i` from delay samples and
+//!   uses it in place of the queue-error term of Eq 29. The integral action
+//!   still pins the queue at `q_ref`, but the per-flow `p_i` can settle
+//!   anywhere consistent with `ΣR_i = C`, so the rate split is arbitrary
+//!   (Figure 19) — fairness or fixed delay, never both, when delay is the
+//!   only feedback.
 
 use crate::dcqcn::{DcqcnFluid, DcqcnParams, FlowTerms, MarkTerms};
-use crate::patched_timely::PatchedTimelyParams;
 use crate::units;
 use fluid::classes::{try_integrate_classes, FlowClassSystem, FlowClasses, FlowLayout};
 use fluid::dde::{lane_of, DdeOptions, LaneSystem};
@@ -55,12 +55,6 @@ pub struct DcqcnPiFluid {
 /// Queue and marking probability, then `(R_C, R_T, α)` per flow.
 const DCQCN_PI_LAYOUT: FlowLayout = FlowLayout {
     shared: 2,
-    per_flow: 3,
-};
-
-/// One shared queue, then `(R_i, g_i, p_i)` per flow.
-const TIMELY_PI_LAYOUT: FlowLayout = FlowLayout {
-    shared: 1,
     per_flow: 3,
 };
 
@@ -260,206 +254,6 @@ impl StagedLane for DcqcnPiFluid {
     }
 }
 
-/// Patched TIMELY with an end-host PI controller (Figure 19).
-///
-/// State layout: `x\[0\] = q`; flow `i` at `x[1+3i..4+3i] = (R_i, g_i, p_i)`.
-/// Integration steps one block per class of bitwise-identical flows (see
-/// [`fluid::classes`]).
-#[derive(Debug, Clone)]
-pub struct PatchedTimelyPiFluid {
-    /// Patched-TIMELY parameters (the queue-error term of Eq 29 is replaced
-    /// by the PI variable `p_i`).
-    pub params: PatchedTimelyParams,
-    /// PI gains; `q_ref_pkts` is the delay target (the paper uses 300 KB).
-    pub gains: PiGains,
-    /// Number of flows.
-    pub n_flows: usize,
-    /// The flow partition the RHS loops over (identity outside `simulate*`).
-    classes: FlowClasses,
-}
-
-impl PatchedTimelyPiFluid {
-    /// Gains that pin the queue for the 10 Gbps configuration.
-    pub fn default_gains(params: &PatchedTimelyParams, q_ref_kb: f64) -> PiGains {
-        PiGains {
-            k1: 5e-5,
-            k2: 5e-2,
-            q_ref_pkts: units::kb_to_pkts(q_ref_kb, params.base.packet_bytes),
-        }
-    }
-
-    /// New model.
-    pub fn new(params: PatchedTimelyParams, gains: PiGains, n_flows: usize) -> Self {
-        assert!(n_flows >= 1);
-        PatchedTimelyPiFluid {
-            params,
-            gains,
-            n_flows,
-            classes: FlowClasses::identity(n_flows),
-        }
-    }
-
-    /// State dimension.
-    pub fn state_dim(&self) -> usize {
-        1 + 3 * self.n_flows
-    }
-
-    /// Index of flow `i`'s rate.
-    pub fn rate_index(&self, i: usize) -> usize {
-        1 + 3 * i
-    }
-
-    /// Index of flow `i`'s gradient.
-    pub fn grad_index(&self, i: usize) -> usize {
-        2 + 3 * i
-    }
-
-    /// Index of flow `i`'s internal PI variable `p_i`.
-    pub fn p_index(&self, i: usize) -> usize {
-        3 + 3 * i
-    }
-
-    /// Simulate with explicit initial rates (pps).
-    ///
-    /// Each flow's internal PI variable starts at the value consistent with
-    /// its own rate, `p_i(0) = δ/(β·R_i(0))` — what a flow's integrator
-    /// would hold after running alone at that rate. This is the honest
-    /// initial condition for staggered real-world flows, and it exposes the
-    /// Theorem 6 degeneracy directly: the per-flow PI states differ, their
-    /// *differences are invariant* (every `dp_i/dt` sees only the shared
-    /// queue error), so the system settles on an unfair member of the
-    /// infinite fixed-point family while the queue is still pinned at
-    /// `q_ref`.
-    pub fn simulate_with_rates(&mut self, initial_rates_pps: &[f64], duration_s: f64) -> Trace {
-        assert_eq!(initial_rates_pps.len(), self.n_flows);
-        let base = self.params.base.clone();
-        let mut x0 = vec![0.0; self.state_dim()];
-        for (i, &r) in initial_rates_pps.iter().enumerate() {
-            x0[self.rate_index(i)] = r;
-            x0[self.p_index(i)] = base.delta_pps() / (base.beta * r.max(1.0));
-        }
-        let base = &self.params.base;
-        let step = (base.d_prop_s() / 2.0).min(1e-6);
-        let horizon = base.tau_feedback(self.gains.q_ref_pkts * 6.0)
-            + base.tau_star(base.min_rate_pps())
-            + 10.0 * step;
-        let record_every = ((duration_s / step) / 4000.0).ceil().max(1.0) as usize;
-        let opts = DdeOptions {
-            step,
-            record_every,
-            history_horizon_s: horizon,
-        };
-        try_integrate_classes(std::slice::from_mut(self), &[x0], 0.0, duration_s, &opts)
-            .and_then(|mut lanes| lanes.remove(0)) // one lane in, one out
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-impl FlowClassSystem for PatchedTimelyPiFluid {
-    fn layout(&self) -> FlowLayout {
-        TIMELY_PI_LAYOUT
-    }
-
-    fn classes_mut(&mut self) -> &mut FlowClasses {
-        &mut self.classes
-    }
-}
-
-impl LaneSystem for PatchedTimelyPiFluid {
-    fn lane_dim(&self) -> usize {
-        TIMELY_PI_LAYOUT.dim(self.classes.len())
-    }
-
-    fn lane_rhs(
-        &mut self,
-        t: f64,
-        x: &[f64],
-        lane: usize,
-        stride: usize,
-        hist: &History,
-        dxdt: &mut [f64],
-    ) {
-        let p = &self.params;
-        let base = &p.base;
-        let c = base.capacity_pps();
-        let q = lane_of(0, lane, stride);
-        // Component 0 is the queue; the delayed lookup time is per-lane
-        // because Eq 24's feedback delay depends on the lane's own queue.
-        let tau_fb = base.tau_feedback(x[q]);
-        let qd1 = hist.eval(t - tau_fb, q).max(0.0);
-
-        // Every flow in flow order, reading its class's rate: the same
-        // additions as the N-flow sum.
-        let sum_rates: f64 = self
-            .classes
-            .class_of()
-            .iter()
-            .map(|&k| x[lane_of(self.rate_index(k), lane, stride)])
-            .sum();
-        // State component 0 is the shared queue.
-        dxdt[q] = if x[q] <= 0.0 && sum_rates < c {
-            0.0
-        } else {
-            sum_rates - c
-        };
-
-        let q_low = base.q_low_pkts();
-        let q_high = base.q_high_pkts();
-        let delta = base.delta_pps();
-
-        for i in 0..self.classes.len() {
-            let ri = lane_of(self.rate_index(i), lane, stride);
-            let gi = lane_of(self.grad_index(i), lane, stride);
-            let pi = lane_of(self.p_index(i), lane, stride);
-            let r = x[ri];
-            let g = x[gi];
-            let p_i = x[pi];
-            let tau_i = base.tau_star(r);
-            let t2 = t - tau_fb - tau_i;
-            let qd2 = hist.eval(t2, q).max(0.0);
-
-            // End-host PI on the measured delay (Eq 32 with e from delayed
-            // queue observations; de/dt estimated from successive samples).
-            let e = qd1 - self.gains.q_ref_pkts;
-            let dedt = (qd1 - qd2) / tau_i;
-            dxdt[pi] = self.gains.k1 * dedt + self.gains.k2 * e;
-
-            // Eq 29 with the PI variable replacing (q − q')/q'.
-            dxdt[ri] = if qd1 < q_low {
-                delta / tau_i
-            } else if qd1 > q_high {
-                -(base.beta / tau_i) * (1.0 - q_high / qd1) * r
-            } else {
-                let w = PatchedTimelyParams::weight(g);
-                (1.0 - w) * delta / tau_i - w * base.beta * r / tau_i * p_i
-            };
-            dxdt[gi] = base.ewma_alpha / tau_i * (-g + (qd1 - qd2) / (c * base.d_min_rtt_s()));
-        }
-    }
-
-    fn min_delay(&self) -> f64 {
-        self.params.base.tau_feedback(0.0)
-    }
-
-    fn lane_project(&mut self, _t: f64, x: &mut [f64], lane: usize, stride: usize) {
-        let base = &self.params.base;
-        let line = base.capacity_pps();
-        let floor = base.min_rate_pps();
-        let q = lane_of(0, lane, stride);
-        x[q] = x[q].max(0.0); // component 0 is the queue
-        for i in 0..self.classes.len() {
-            let ri = lane_of(self.rate_index(i), lane, stride);
-            x[ri] = x[ri].clamp(floor, line);
-            let gi = lane_of(self.grad_index(i), lane, stride);
-            x[gi] = x[gi].clamp(-10.0, 10.0);
-            // p_i is an internal feedback variable; keep it bounded like a
-            // probability-scaled signal.
-            let pi = lane_of(self.p_index(i), lane, stride);
-            x[pi] = x[pi].clamp(-100.0, 100.0);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,11 +297,9 @@ mod tests {
         // Figure 19 / Theorem 6: the queue is controlled to q_ref (300 KB)
         // but an asymmetric start persists — delay-only feedback cannot
         // give both.
-        let params = PatchedTimelyParams::default_10g();
-        let gains = PatchedTimelyPiFluid::default_gains(&params, 300.0);
-        let q_ref = gains.q_ref_pkts;
-        let c = params.base.capacity_pps();
-        let mut m = PatchedTimelyPiFluid::new(params, gains, 2);
+        let mut m = crate::timely::TimelyFluid::patched_pi_10g(300.0, 2);
+        let q_ref = m.q_star_pkts();
+        let c = m.params.capacity_pps();
         let tr = m.simulate_with_rates(&[0.9 * c, 0.1 * c], 0.6);
         let q_tail = tr.mean_from(0, 0.5);
         assert!(

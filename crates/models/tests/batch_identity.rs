@@ -18,8 +18,8 @@ use fluid::classes::{try_integrate_classes, FlowClassSystem, FlowClasses, FlowLa
 use fluid::dde::{lane_of, pack_lanes, try_integrate, DdeOptions, LaneSystem};
 use fluid::Trace;
 use models::dcqcn::{DcqcnFluid, DcqcnParams};
-use models::pi::{DcqcnPiFluid, PatchedTimelyPiFluid};
-use models::{PatchedTimelyFluid, PatchedTimelyParams, TimelyFluid, TimelyParams};
+use models::pi::DcqcnPiFluid;
+use models::{TimelyFluid, TimelyLaw, TimelyParams};
 
 /// Every recorded knot of a trace, as raw bits: `t` then the state row.
 fn trace_bits(tr: &Trace) -> Vec<u64> {
@@ -248,7 +248,7 @@ fn dcqcn_simulate_batch_matches_full_width_lanes() {
 
 fn timely_setup(b: usize) -> (Vec<TimelyFluid>, Vec<Vec<f64>>) {
     let models: Vec<TimelyFluid> = (0..b)
-        .map(|_| TimelyFluid::new(TimelyParams::default_10g(), 4))
+        .map(|_| TimelyFluid::new(TimelyParams::default_10g(), TimelyLaw::Original, 4))
         .collect();
     let x0s = models
         .iter()
@@ -288,16 +288,14 @@ fn timely_reduced_lanes() {
 
 // --- patched TIMELY --------------------------------------------------------
 
-fn patched_timely_setup(b: usize) -> (Vec<PatchedTimelyFluid>, Vec<Vec<f64>>) {
-    let models: Vec<PatchedTimelyFluid> = (0..b)
-        .map(|_| PatchedTimelyFluid::new(PatchedTimelyParams::default_10g(), 4))
-        .collect();
+fn patched_timely_setup(b: usize) -> (Vec<TimelyFluid>, Vec<Vec<f64>>) {
+    let models: Vec<TimelyFluid> = (0..b).map(|_| TimelyFluid::patched_10g(4)).collect();
     let x0s = models
         .iter()
         .enumerate()
         .map(|(lane, m)| {
             let mut x0 = vec![0.0; m.state_dim()];
-            let r0 = m.params.base.capacity_pps() / m.n_flows as f64;
+            let r0 = m.params.capacity_pps() / m.n_flows as f64;
             for i in 0..m.n_flows {
                 x0[m.rate_index(i)] = r0 * (0.85 + 0.04 * lane as f64);
             }
@@ -375,20 +373,16 @@ fn dcqcn_pi_reduced_lanes() {
 
 // --- patched TIMELY + PI ---------------------------------------------------
 
-fn patched_timely_pi_setup(b: usize) -> (Vec<PatchedTimelyPiFluid>, Vec<Vec<f64>>) {
-    let models: Vec<PatchedTimelyPiFluid> = (0..b)
-        .map(|_| {
-            let params = PatchedTimelyParams::default_10g();
-            let gains = PatchedTimelyPiFluid::default_gains(&params, 300.0);
-            PatchedTimelyPiFluid::new(params, gains, 4)
-        })
+fn patched_timely_pi_setup(b: usize) -> (Vec<TimelyFluid>, Vec<Vec<f64>>) {
+    let models: Vec<TimelyFluid> = (0..b)
+        .map(|_| TimelyFluid::patched_pi_10g(300.0, 4))
         .collect();
     let x0s = models
         .iter()
         .enumerate()
         .map(|(lane, m)| {
             let mut x0 = vec![0.0; m.state_dim()];
-            let r0 = m.params.base.capacity_pps() / m.n_flows as f64;
+            let r0 = m.params.capacity_pps() / m.n_flows as f64;
             for i in 0..m.n_flows {
                 x0[m.rate_index(i)] = r0 * (0.9 + 0.02 * lane as f64);
                 x0[m.p_index(i)] = 0.3;

@@ -10,7 +10,7 @@
 
 use control::{phase_margin, MarginReport};
 use models::dcqcn::{DcqcnFluid, DcqcnParams};
-use models::{PatchedTimelyFluid, PatchedTimelyParams};
+use models::TimelyFluid;
 
 /// `(production, fine)` reports of one loop; `production` must be what
 /// the model's own `margin_report` answers.
@@ -71,7 +71,7 @@ fn dcqcn_margins_hold_at_ten_times_the_resolution() {
 fn patched_timely_margins_hold_at_ten_times_the_resolution() {
     let mut signs = Vec::new();
     for n in [2, 10, 20, 40, 64] {
-        let m = PatchedTimelyFluid::new(PatchedTimelyParams::default_10g(), n);
+        let m = TimelyFluid::patched_10g(n);
         let what = format!("patched TIMELY N={n}");
         let own = production(
             &what,

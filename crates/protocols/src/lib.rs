@@ -11,10 +11,10 @@
 //! * [`timely`] — Algorithm 1 of \[21\]: per-completion RTT samples, EWMA RTT
 //!   gradient, additive increase below `T_low` / on non-positive gradient,
 //!   gradient-proportional multiplicative decrease, absolute backoff above
-//!   `T_high`, plus the hyperactive-increase (HAI) mode;
-//! * [`patched_timely`] — the paper's Algorithm 2: same shell as TIMELY but
-//!   with the continuous weight `w(g)` and an absolute-RTT error term
-//!   against `RTT_ref` in the gradient band.
+//!   `T_high`, plus the hyperactive-increase (HAI) mode; and, with
+//!   [`Band::Patched`] in the gradient band, the paper's Algorithm 2: the
+//!   continuous weight `w(g)` and an absolute-RTT error term against
+//!   `RTT_ref`.
 //!
 //! The NP (CNP coalescing with timer τ) and CP (RED marking at egress) live
 //! in `netsim`, mirroring where those functions run in real deployments
@@ -33,9 +33,8 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod dcqcn;
-pub mod patched_timely;
+mod patched_timely;
 pub mod timely;
 
 pub use dcqcn::{DcqcnCc, DcqcnCcParams};
-pub use patched_timely::{PatchedTimelyCc, PatchedTimelyCcParams};
-pub use timely::{TimelyCc, TimelyCcParams};
+pub use timely::{Band, TimelyCc, TimelyCcParams};

@@ -1,171 +1,19 @@
-//! Patched TIMELY (the paper's Algorithm 2).
-//!
-//! Identical to TIMELY outside the gradient band; inside it, the update is
-//!
-//! ```text
-//! weight ← w(rttGradient)                (Eq 30: 0 below −1/4, 2g+1/2, 1 above 1/4)
-//! error  ← (newRTT − RTT_ref)/RTT_ref
-//! rate   ← δ·(1 − weight) + rate·(1 − β·weight·error)
-//! ```
-//!
-//! with `β = 0.008` and 16 KB segments. The absolute-RTT error term gives
-//! every flow knowledge of the common queue, which is what buys the unique
-//! fair fixed point (Theorem 5).
-
-use crate::timely::TimelyCcParams;
-use desim::{SimDuration, SimTime};
-use netsim::cc::{CcEvent, CcUpdate, CongestionControl};
-
-/// Patched-TIMELY parameters: the TIMELY set plus `RTT_ref`.
-#[derive(Debug, Clone)]
-pub struct PatchedTimelyCcParams {
-    /// Base TIMELY parameters (β and Seg are overridden by
-    /// [`PatchedTimelyCcParams::default`] to the paper's patched values).
-    pub base: TimelyCcParams,
-    /// Reference RTT (the paper sets the reference queue to `C·T_low`,
-    /// i.e. `RTT_ref = T_low` of queueing delay).
-    pub rtt_ref: SimDuration,
-}
-
-impl Default for PatchedTimelyCcParams {
-    fn default() -> Self {
-        let mut base = TimelyCcParams::default();
-        base.beta = 0.008;
-        base.seg_bytes = 16_000;
-        // HAI is irrelevant inside the continuous-weight band; keep the
-        // TIMELY default for the outer regions.
-        PatchedTimelyCcParams {
-            base,
-            rtt_ref: SimDuration::from_micros(50),
-        }
-    }
-}
-
-/// The weight function `w(g)` of Eq 30.
-pub fn weight(g: f64) -> f64 {
-    if g <= -0.25 {
-        0.0
-    } else if g >= 0.25 {
-        1.0
-    } else {
-        2.0 * g + 0.5
-    }
-}
-
-/// The Patched TIMELY sender.
-#[derive(Debug, Clone)]
-pub struct PatchedTimelyCc {
-    /// Parameters.
-    pub params: PatchedTimelyCcParams,
-    rate_bps: f64,
-    line_rate_bps: f64,
-    prev_rtt_s: Option<f64>,
-    rtt_diff_s: f64,
-    samples: u64,
-}
-
-impl PatchedTimelyCc {
-    /// New sender.
-    pub fn new(params: PatchedTimelyCcParams) -> Self {
-        PatchedTimelyCc {
-            params,
-            rate_bps: 0.0,
-            line_rate_bps: 0.0,
-            prev_rtt_s: None,
-            rtt_diff_s: 0.0,
-            samples: 0,
-        }
-    }
-
-    /// Default-configured sender.
-    pub fn default_cc() -> Self {
-        Self::new(PatchedTimelyCcParams::default())
-    }
-
-    /// Number of samples processed.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Normalized gradient (tests).
-    pub fn gradient(&self) -> f64 {
-        self.rtt_diff_s / self.params.base.min_rtt.as_secs_f64()
-    }
-
-    /// Process one sample (Algorithm 2).
-    pub fn update(&mut self, raw_rtt: SimDuration) -> f64 {
-        self.samples += 1;
-        let p = &self.params.base;
-        let self_ser = SimDuration::serialization(p.seg_bytes as u64, self.line_rate_bps.max(1e3));
-        let new_rtt = raw_rtt.as_secs_f64().max(self_ser.as_secs_f64()) - self_ser.as_secs_f64();
-
-        let new_rtt_diff = match self.prev_rtt_s {
-            Some(prev) => new_rtt - prev,
-            None => 0.0,
-        };
-        self.prev_rtt_s = Some(new_rtt);
-        self.rtt_diff_s = (1.0 - p.ewma_alpha) * self.rtt_diff_s + p.ewma_alpha * new_rtt_diff;
-        let gradient = self.rtt_diff_s / p.min_rtt.as_secs_f64();
-
-        if new_rtt < p.t_low.as_secs_f64() {
-            self.rate_bps += p.delta_bps;
-        } else if new_rtt > p.t_high.as_secs_f64() {
-            self.rate_bps *= 1.0 - p.beta * (1.0 - p.t_high.as_secs_f64() / new_rtt);
-        } else {
-            // Algorithm 2 lines 10–12.
-            let w = weight(gradient);
-            let error =
-                (new_rtt - self.params.rtt_ref.as_secs_f64()) / self.params.rtt_ref.as_secs_f64();
-            self.rate_bps = p.delta_bps * (1.0 - w) + self.rate_bps * (1.0 - p.beta * w * error);
-        }
-        self.rate_bps = self.rate_bps.clamp(p.min_rate_bps, self.line_rate_bps);
-        self.rate_bps
-    }
-}
-
-impl CongestionControl for PatchedTimelyCc {
-    fn on_start(&mut self, _now: SimTime, line_rate_bps: f64) -> CcUpdate {
-        self.line_rate_bps = line_rate_bps;
-        self.rate_bps = (line_rate_bps / self.params.base.start_divisor)
-            .clamp(self.params.base.min_rate_bps, line_rate_bps);
-        CcUpdate::rate(self.rate_bps)
-    }
-
-    fn on_event(&mut self, now: SimTime, event: CcEvent) -> CcUpdate {
-        match event {
-            CcEvent::RttSample { rtt } => {
-                let new_rate = self.update(rtt);
-                obs::metrics::counter_inc("patched_timely.gradient_samples");
-                if obs::trace::enabled() {
-                    obs::trace::record(
-                        now.as_secs_f64(),
-                        obs::Event::GradientSample {
-                            gradient: self.gradient(),
-                            rtt_s: rtt.as_secs_f64(),
-                        },
-                    );
-                }
-                CcUpdate::rate(new_rate)
-            }
-            _ => CcUpdate::none(),
-        }
-    }
-
-    fn current_rate_bps(&self) -> f64 {
-        self.rate_bps
-    }
-}
+//! Patched TIMELY's tests (the paper's Algorithm 2):
+//! [`TimelyCc`](crate::timely::TimelyCc) with
+//! [`Band::Patched`](crate::timely::Band::Patched).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::timely::{weight, Band, TimelyCc, TimelyCcParams};
+    use desim::{SimDuration, SimTime};
+    use netsim::cc::CongestionControl;
 
     fn us(n: u64) -> SimDuration {
         SimDuration::from_micros(n)
     }
 
-    fn started() -> PatchedTimelyCc {
-        let mut cc = PatchedTimelyCc::default_cc();
+    fn started() -> TimelyCc {
+        let mut cc = TimelyCc::new(TimelyCcParams::patched());
         cc.on_start(SimTime::ZERO, 10e9);
         cc
     }
@@ -180,10 +28,10 @@ mod tests {
 
     #[test]
     fn patched_defaults_override_beta_and_seg() {
-        let p = PatchedTimelyCcParams::default();
-        assert_eq!(p.base.beta, 0.008);
-        assert_eq!(p.base.seg_bytes, 16_000);
-        assert_eq!(p.rtt_ref, us(50));
+        let p = TimelyCcParams::patched();
+        assert_eq!(p.beta, 0.008);
+        assert_eq!(p.seg_bytes, 16_000);
+        assert_eq!(p.band, Band::Patched { rtt_ref: us(50) });
     }
 
     #[test]
@@ -208,9 +56,9 @@ mod tests {
         // Keep samples inside the band but below RTT_ref? RTT_ref = T_low,
         // so "below reference" inside the band is impossible — instead a
         // small positive error at low rate: additive term wins.
-        let mut p = PatchedTimelyCcParams::default();
-        p.rtt_ref = us(200);
-        let mut cc2 = PatchedTimelyCc::new(p);
+        let mut p = TimelyCcParams::patched();
+        p.band = Band::Patched { rtt_ref: us(200) };
+        let mut cc2 = TimelyCc::new(p);
         cc2.on_start(SimTime::ZERO, 10e9);
         cc2.update(us(100));
         cc2.update(us(100));
@@ -229,8 +77,8 @@ mod tests {
         let rate = 2e9;
         cc.rate_bps = rate;
         let p = &cc.params;
-        let error = p.base.delta_bps / (rate * p.base.beta);
-        let rtt_s = p.rtt_ref.as_secs_f64() * (1.0 + error);
+        let error = p.delta_bps / (rate * p.beta);
+        let rtt_s = 50e-6 * (1.0 + error); // RTT_ref = T_low
         let seg_ser = 16_000.0 * 8.0 / 10e9;
         let sample = SimDuration::from_secs_f64(rtt_s + seg_ser);
         cc.update(sample);
@@ -268,7 +116,7 @@ mod tests {
             let mut cc = started();
             cc.rate_bps = 5e9;
             cc.prev_rtt_s = Some(100e-6);
-            cc.rtt_diff_s = g_init * cc.params.base.min_rtt.as_secs_f64();
+            cc.rtt_diff_s = g_init * cc.params.min_rtt.as_secs_f64();
             // A sample equal to prev keeps the gradient ≈ current value
             // scaled by (1−α).
             let seg_ser = 16_000.0 * 8.0 / 10e9;

@@ -1,4 +1,5 @@
-//! The TIMELY sender (Algorithm 1 of the paper, from \[21\]).
+//! The TIMELY sender (Algorithm 1 of the paper, from \[21\]) and Patched
+//! TIMELY (the paper's Algorithm 2).
 //!
 //! One RTT sample arrives per completion event (chunk of 16–64 KB). The
 //! sender maintains an EWMA of consecutive RTT differences, normalizes by
@@ -6,8 +7,19 @@
 //!
 //! * `newRTT < T_low` → additive increase `δ`;
 //! * `newRTT > T_high` → multiplicative decrease `β·(1 − T_high/newRTT)`;
-//! * otherwise gradient-based: `g ≤ 0` → `+δ` (with HAI after `N`
-//!   consecutive non-positive gradients: `+N·δ`), else `×(1 − β·g)`.
+//! * otherwise the [`Band`] rule. TIMELY's [`Band::Gradient`]: `g ≤ 0` →
+//!   `+δ` (with HAI after `N` consecutive non-positive gradients: `+N·δ`),
+//!   else `×(1 − β·g)`. Patched TIMELY's [`Band::Patched`]:
+//!
+//! ```text
+//! weight ← w(rttGradient)                (Eq 30: 0 below −1/4, 2g+1/2, 1 above 1/4)
+//! error  ← (newRTT − RTT_ref)/RTT_ref
+//! rate   ← δ·(1 − weight) + rate·(1 − β·weight·error)
+//! ```
+//!
+//! with `β = 0.008` and 16 KB segments ([`TimelyCcParams::patched`]). The
+//! absolute-RTT error term gives every flow knowledge of the common queue,
+//! which is what buys the unique fair fixed point (Theorem 5).
 //!
 //! The engine's RTT sample is measured from the departure of the chunk's
 //! first byte to the completion ACK, so it includes the chunk's own
@@ -16,6 +28,24 @@
 
 use desim::{SimDuration, SimTime};
 use netsim::cc::{CcEvent, CcUpdate, CongestionControl};
+
+/// The rate rule inside the band `T_low ≤ newRTT ≤ T_high`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Band {
+    /// Algorithm 1: `g ≤ 0` → `+δ`, else `×(1 − β·min(g, 1))`, with
+    /// hyperactive increase: after `hai_n` consecutive non-positive
+    /// gradients the step is `hai_n·δ`.
+    Gradient {
+        /// HAI threshold `N` (5).
+        hai_n: u32,
+    },
+    /// Algorithm 2: the weighted blend of `+δ` and the absolute-RTT error.
+    Patched {
+        /// Reference RTT (the paper sets the reference queue to `C·T_low`,
+        /// i.e. `RTT_ref = T_low` of queueing delay).
+        rtt_ref: SimDuration,
+    },
+}
 
 /// TIMELY parameters (the paper's footnote 4 plus \[21\] defaults).
 #[derive(Debug, Clone)]
@@ -34,11 +64,8 @@ pub struct TimelyCcParams {
     pub min_rtt: SimDuration,
     /// Segment size used to remove self-serialization from samples.
     pub seg_bytes: u32,
-    /// Enable hyperactive increase (`N` consecutive non-positive gradients
-    /// → `N·δ` steps, \[21\] Algorithm 1).
-    pub enable_hai: bool,
-    /// HAI threshold `N` (5).
-    pub hai_n: u32,
+    /// The gradient-band rule.
+    pub band: Band,
     /// Rate floor in bps.
     pub min_rate_bps: f64,
     /// Dimensionless initial divisor of the line rate: a new flow starts at
@@ -57,23 +84,48 @@ impl Default for TimelyCcParams {
             t_high: SimDuration::from_micros(500),
             min_rtt: SimDuration::from_micros(20),
             seg_bytes: 16_000,
-            enable_hai: true,
-            hai_n: 5,
+            band: Band::Gradient { hai_n: 5 },
             min_rate_bps: 10e6,
             start_divisor: 2.0,
         }
     }
 }
 
-/// The TIMELY sender state machine.
+impl TimelyCcParams {
+    /// Patched TIMELY: the TIMELY defaults (16 KB segments) with the
+    /// paper's `β = 0.008` and `RTT_ref = T_low`.
+    pub fn patched() -> Self {
+        TimelyCcParams {
+            beta: 0.008,
+            band: Band::Patched {
+                rtt_ref: SimDuration::from_micros(50),
+            },
+            ..TimelyCcParams::default()
+        }
+    }
+}
+
+/// The weight function `w(g)` of Eq 30.
+pub fn weight(g: f64) -> f64 {
+    if g <= -0.25 {
+        0.0
+    } else if g >= 0.25 {
+        1.0
+    } else {
+        2.0 * g + 0.5
+    }
+}
+
+/// The TIMELY-family sender state machine.
 #[derive(Debug, Clone)]
 pub struct TimelyCc {
     /// Parameters.
     pub params: TimelyCcParams,
-    rate_bps: f64,
+    // Crate-visible for Patched TIMELY's tests, which plant a state.
+    pub(crate) rate_bps: f64,
     line_rate_bps: f64,
-    prev_rtt_s: Option<f64>,
-    rtt_diff_s: f64,
+    pub(crate) prev_rtt_s: Option<f64>,
+    pub(crate) rtt_diff_s: f64,
     consecutive_negative: u32,
     samples: u64,
 }
@@ -92,11 +144,6 @@ impl TimelyCc {
         }
     }
 
-    /// Default-configured sender.
-    pub fn default_cc() -> Self {
-        Self::new(TimelyCcParams::default())
-    }
-
     /// Number of RTT samples consumed (tests).
     pub fn samples(&self) -> u64 {
         self.samples
@@ -107,7 +154,7 @@ impl TimelyCc {
         self.rtt_diff_s / self.params.min_rtt.as_secs_f64()
     }
 
-    /// Process one RTT sample (Algorithm 1); returns the new rate.
+    /// Process one RTT sample (Algorithm 1 or 2); returns the new rate.
     pub fn update(&mut self, raw_rtt: SimDuration) -> f64 {
         self.samples += 1;
         let p = &self.params;
@@ -129,17 +176,29 @@ impl TimelyCc {
         } else if new_rtt > p.t_high.as_secs_f64() {
             self.consecutive_negative = 0;
             self.rate_bps *= 1.0 - p.beta * (1.0 - p.t_high.as_secs_f64() / new_rtt);
-        } else if gradient <= 0.0 {
-            self.consecutive_negative += 1;
-            let steps = if p.enable_hai && self.consecutive_negative >= p.hai_n {
-                p.hai_n as f64
-            } else {
-                1.0
-            };
-            self.rate_bps += steps * p.delta_bps;
         } else {
-            self.consecutive_negative = 0;
-            self.rate_bps *= 1.0 - p.beta * gradient.min(1.0);
+            match p.band {
+                Band::Gradient { hai_n } if gradient <= 0.0 => {
+                    self.consecutive_negative += 1;
+                    let steps = if self.consecutive_negative >= hai_n {
+                        hai_n as f64
+                    } else {
+                        1.0
+                    };
+                    self.rate_bps += steps * p.delta_bps;
+                }
+                Band::Gradient { .. } => {
+                    self.consecutive_negative = 0;
+                    self.rate_bps *= 1.0 - p.beta * gradient.min(1.0);
+                }
+                Band::Patched { rtt_ref } => {
+                    // Algorithm 2 lines 10–12.
+                    let w = weight(gradient);
+                    let error = (new_rtt - rtt_ref.as_secs_f64()) / rtt_ref.as_secs_f64();
+                    self.rate_bps =
+                        p.delta_bps * (1.0 - w) + self.rate_bps * (1.0 - p.beta * w * error);
+                }
+            }
         }
         self.rate_bps = self.rate_bps.clamp(p.min_rate_bps, self.line_rate_bps);
         self.rate_bps
@@ -158,7 +217,10 @@ impl CongestionControl for TimelyCc {
         match event {
             CcEvent::RttSample { rtt } => {
                 let new_rate = self.update(rtt);
-                obs::metrics::counter_inc("timely.gradient_samples");
+                obs::metrics::counter_inc(match self.params.band {
+                    Band::Gradient { .. } => "timely.gradient_samples",
+                    Band::Patched { .. } => "patched_timely.gradient_samples",
+                });
                 if obs::trace::enabled() {
                     obs::trace::record(
                         now.as_secs_f64(),
@@ -188,7 +250,7 @@ mod tests {
     }
 
     fn started() -> TimelyCc {
-        let mut cc = TimelyCc::default_cc();
+        let mut cc = TimelyCc::new(TimelyCcParams::default());
         cc.on_start(SimTime::ZERO, 10e9);
         cc
     }
@@ -267,20 +329,6 @@ mod tests {
         assert!((steps[1] - 10e6).abs() < 1.0, "early step {}", steps[1]);
         let last = *steps.last().unwrap();
         assert!((last - 50e6).abs() < 1.0, "HAI step {last}");
-    }
-
-    #[test]
-    fn hai_disabled_keeps_single_delta() {
-        let mut params = TimelyCcParams::default();
-        params.enable_hai = false;
-        let mut cc = TimelyCc::new(params);
-        cc.on_start(SimTime::ZERO, 10e9);
-        for r in [400u64, 380, 360, 340, 320, 300, 280, 260] {
-            cc.update(us(r));
-        }
-        let r0 = cc.current_rate_bps();
-        cc.update(us(240));
-        assert!((cc.current_rate_bps() - (r0 + 10e6)).abs() < 1.0);
     }
 
     #[test]

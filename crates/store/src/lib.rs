@@ -109,14 +109,6 @@ pub fn counters() -> Counters {
     TOTAL.read()
 }
 
-/// Reset the process-wide totals (long-lived drivers). Per-store counters
-/// are not touched.
-pub fn reset_counters() {
-    for c in [&TOTAL.hits, &TOTAL.misses, &TOTAL.corrupt, &TOTAL.writes] {
-        c.store(0, Ordering::Relaxed);
-    }
-}
-
 /// Frame a payload for durable storage: `MAGIC ++ len(u64 LE) ++ payload ++
 /// fnv1a(payload)(u64 LE)`.
 pub fn frame(payload: &[u8]) -> Vec<u8> {

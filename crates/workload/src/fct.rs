@@ -89,27 +89,6 @@ impl FctStats {
         self.small_samples().cdf()
     }
 
-    /// Mean FCT over all flows.
-    pub fn overall_mean(&self) -> Option<f64> {
-        if self.all.is_empty() {
-            return None;
-        }
-        Some(self.all.iter().map(|r| r.fct_s).sum::<f64>() / self.all.len() as f64)
-    }
-
-    /// Per-flow normalized slowdown statistics against an ideal transfer
-    /// time `size·8/line_rate` — an extension metric beyond the paper.
-    pub fn slowdowns(&self, line_rate_bps: f64) -> Samples {
-        let mut s = Samples::new();
-        for r in &self.all {
-            let ideal = r.size_bytes as f64 * 8.0 / line_rate_bps;
-            if ideal > 0.0 {
-                s.push(r.fct_s / ideal);
-            }
-        }
-        s
-    }
-
     /// The raw records.
     pub fn records(&self) -> &[FctSample] {
         &self.all
@@ -153,18 +132,9 @@ mod tests {
     }
 
     #[test]
-    fn slowdown_never_below_one_for_feasible_fcts() {
-        let mut s = FctStats::default();
-        s.push(1_000_000, 0.001); // 1 MB in 1 ms at 10 Gbps → slowdown 1.25
-        let mut sl = s.slowdowns(10e9);
-        assert!(sl.quantile(0.0).unwrap() > 1.0);
-    }
-
-    #[test]
     fn empty_stats() {
         let s = FctStats::default();
         assert!(s.is_empty());
         assert!(s.small_median().is_none());
-        assert!(s.overall_mean().is_none());
     }
 }

@@ -742,6 +742,43 @@ mod tests {
     }
 
     #[test]
+    fn docs_name_only_real_binaries() {
+        // Every `bin/<name>` the docs name is a binary, and every
+        // `figs <id>` a row of the one figure table.
+        let root = repo_root();
+        let table = std::fs::read_to_string(root.join("crates/bench/src/figures.rs"))
+            .expect("read figures.rs");
+        let ids: Vec<&str> = table
+            .split("id: \"")
+            .skip(1)
+            .filter_map(|s| s.split('"').next())
+            .collect();
+        let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+        let word = |s: &str| s[..s.find(|c: char| !is_word(c)).unwrap_or(s.len())].to_string();
+        let mut stale = Vec::new();
+        for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+            let text = std::fs::read_to_string(root.join(doc)).expect("read doc");
+            for (i, _) in text.match_indices("bin/") {
+                let name = word(&text[i + 4..]);
+                let file = root.join("crates/bench/src/bin").join(format!("{name}.rs"));
+                if !file.is_file() {
+                    stale.push(format!("{doc}: bin/{name}"));
+                }
+            }
+            for (i, _) in text.match_indices("figs ") {
+                let id = word(&text[i + 5..]);
+                if !text[..i].ends_with(is_word) && !id.is_empty() && !ids.contains(&id.as_str()) {
+                    stale.push(format!("{doc}: figs {id}"));
+                }
+            }
+        }
+        assert!(
+            stale.is_empty(),
+            "the docs name what does not exist: {stale:?}"
+        );
+    }
+
+    #[test]
     fn rule_names_round_trip() {
         for r in ALL_RULES {
             assert_eq!(Rule::from_name(r.name()), Some(*r));

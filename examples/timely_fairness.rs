@@ -10,8 +10,7 @@
 //! cargo run --release --example timely_fairness
 //! ```
 
-use ecn_delay::models::patched_timely::{PatchedTimelyFluid, PatchedTimelyParams};
-use ecn_delay::models::timely::{TimelyFluid, TimelyParams};
+use ecn_delay::models::timely::{TimelyFluid, TimelyLaw, TimelyParams};
 
 fn main() {
     let starts: &[(&str, [f64; 2])] = &[
@@ -26,7 +25,7 @@ fn main() {
     let params = TimelyParams::default_10g();
     let c = params.capacity_pps();
     for (label, fracs) in starts {
-        let mut m = TimelyFluid::new(params.clone(), 2);
+        let mut m = TimelyFluid::new(params.clone(), TimelyLaw::Original, 2);
         let tr = m.simulate_with_rates(&[fracs[0] * c, fracs[1] * c], 0.25);
         let r0 = tr.mean_from(m.rate_index(0), 0.2);
         let r1 = tr.mean_from(m.rate_index(1), 0.2);
@@ -44,20 +43,19 @@ fn main() {
     println!("  fixed points, so fairness is an accident (Theorems 3–4, Figure 9).\n");
 
     println!("=== Patched TIMELY (Algorithm 2) ===");
-    let p = PatchedTimelyParams::default_10g();
-    let q_star_kb = p.q_star_kb(2);
+    let q_star_kb = TimelyFluid::patched_10g(2).q_star_kb();
     println!(
         "{:<8} {:>18} {:>14} {:>16}",
         "start", "final split (f0)", "fair?", "queue vs q*"
     );
     for (label, fracs) in starts {
-        let mut m = PatchedTimelyFluid::new(p.clone(), 2);
-        let c = p.base.capacity_pps();
+        let mut m = TimelyFluid::patched_10g(2);
+        let c = m.params.capacity_pps();
         let tr = m.simulate_with_rates(&[fracs[0] * c, fracs[1] * c], 0.4);
         let r0 = tr.mean_from(m.rate_index(0), 0.35);
         let r1 = tr.mean_from(m.rate_index(1), 0.35);
         let share = r0 / (r0 + r1);
-        let q_kb = models::units::pkts_to_kb(tr.mean_from(0, 0.35), p.base.packet_bytes);
+        let q_kb = models::units::pkts_to_kb(tr.mean_from(0, 0.35), m.params.packet_bytes);
         println!(
             "{label:<8} {share:>18.3} {:>14} {:>10.1}/{:<5.1}",
             if (share - 0.5).abs() < 0.05 {

@@ -11,8 +11,8 @@ use ecn_delay::fluid::dde::{lane_of, try_integrate, DdeOptions, LaneSystem};
 use ecn_delay::fluid::{History, Trace};
 use ecn_delay::models::dcqcn::{DcqcnFluid, DcqcnParams};
 use ecn_delay::models::jitter::Jitter;
-use ecn_delay::models::pi::{DcqcnPiFluid, PatchedTimelyPiFluid};
-use ecn_delay::models::{PatchedTimelyFluid, PatchedTimelyParams, TimelyFluid, TimelyParams};
+use ecn_delay::models::pi::DcqcnPiFluid;
+use ecn_delay::models::{TimelyFluid, TimelyLaw, TimelyParams};
 use faults::SimError;
 
 /// Every recorded knot of a trace, as raw bits: `t` then the state row.
@@ -179,13 +179,14 @@ const TIMELY_HORIZON_S: f64 = 4e-3;
 fn timely_reduction_is_invisible() {
     let p = TimelyParams::default_10g();
     let c = p.capacity_pps();
-    let m = TimelyFluid::new(p.clone(), 64);
+    let timely = |n| TimelyFluid::new(p.clone(), TimelyLaw::Original, n);
+    let m = timely(64);
     let o = opts(&m, TIMELY_HORIZON_S);
     assert_reduction_invisible(&m, &rates_x0(c, &symmetric(64)), 1, &o);
     assert_reduction_invisible(&m, &rates_x0(c, &two_classes(64)), 2, &o);
-    let m = TimelyFluid::new(p.clone(), 6);
+    let m = timely(6);
     assert_reduction_invisible(&m, &rates_x0(c, &asymmetric(6)), 6, &o);
-    let m = TimelyFluid::new(p, 16).with_jitter(Jitter::uniform(20e-6, 10e-6, 3));
+    let m = timely(16).with_jitter(Jitter::uniform(20e-6, 10e-6, 3));
     assert_reduction_invisible(&m, &rates_x0(c, &two_classes(16)), 2, &o);
 }
 
@@ -196,13 +197,14 @@ fn timely_start_times_are_part_of_the_key() {
     let p = TimelyParams::default_10g();
     let c = p.capacity_pps();
     let x0 = rates_x0(c, &symmetric(4));
-    let staggered =
-        TimelyFluid::new(p.clone(), 4).with_start_times(vec![0.0, 0.5e-3, 1.0e-3, 1.5e-3]);
+    let staggered = TimelyFluid::new(p.clone(), TimelyLaw::Original, 4)
+        .with_start_times(vec![0.0, 0.5e-3, 1.0e-3, 1.5e-3]);
     assert_eq!(staggered.flow_classes(&x0), FlowClasses::identity(4));
     let o = opts(&staggered, TIMELY_HORIZON_S);
     assert_reduction_invisible(&staggered, &x0, 4, &o);
     // Two flows per start time: two classes, interleaved in flow order.
-    let paired = TimelyFluid::new(p, 4).with_start_times(vec![0.0, 1.0e-3, 0.0, 1.0e-3]);
+    let paired = TimelyFluid::new(p, TimelyLaw::Original, 4)
+        .with_start_times(vec![0.0, 1.0e-3, 0.0, 1.0e-3]);
     assert_eq!(paired.flow_classes(&x0).class_of(), &[0, 1, 0, 1]);
     assert_reduction_invisible(&paired, &x0, 2, &o);
 }
@@ -211,23 +213,22 @@ fn timely_start_times_are_part_of_the_key() {
 
 #[test]
 fn patched_timely_reduction_is_invisible() {
-    let p = PatchedTimelyParams::default_10g();
-    let c = p.base.capacity_pps();
-    let m = PatchedTimelyFluid::new(p.clone(), 64);
+    let m = TimelyFluid::patched_10g(64);
+    let c = m.params.capacity_pps();
     let o = opts(&m, TIMELY_HORIZON_S);
     assert_reduction_invisible(&m, &rates_x0(c, &symmetric(64)), 1, &o);
     assert_reduction_invisible(&m, &rates_x0(c, &two_classes(64)), 2, &o);
-    let m = PatchedTimelyFluid::new(p.clone(), 6);
+    let m = TimelyFluid::patched_10g(6);
     assert_reduction_invisible(&m, &rates_x0(c, &asymmetric(6)), 6, &o);
-    let m = PatchedTimelyFluid::new(p, 16).with_jitter(Jitter::uniform(20e-6, 10e-6, 3));
+    let m = TimelyFluid::patched_10g(16).with_jitter(Jitter::uniform(20e-6, 10e-6, 3));
     assert_reduction_invisible(&m, &rates_x0(c, &symmetric(16)), 1, &o);
     assert_reduction_invisible(&m, &rates_x0(c, &two_classes(16)), 2, &o);
 }
 
 // --- patched TIMELY + PI ---------------------------------------------------
 
-fn patched_timely_pi_x0(m: &PatchedTimelyPiFluid, scale: &[f64]) -> Vec<f64> {
-    let base = &m.params.base;
+fn patched_timely_pi_x0(m: &TimelyFluid, scale: &[f64]) -> Vec<f64> {
+    let base = &m.params;
     let mut x0 = vec![0.0; m.state_dim()];
     for (i, &f) in scale.iter().enumerate() {
         let r = base.capacity_pps() * f / scale.len() as f64;
@@ -239,13 +240,11 @@ fn patched_timely_pi_x0(m: &PatchedTimelyPiFluid, scale: &[f64]) -> Vec<f64> {
 
 #[test]
 fn patched_timely_pi_reduction_is_invisible() {
-    let params = PatchedTimelyParams::default_10g();
-    let gains = PatchedTimelyPiFluid::default_gains(&params, 300.0);
-    let m = PatchedTimelyPiFluid::new(params.clone(), gains.clone(), 64);
+    let m = TimelyFluid::patched_pi_10g(300.0, 64);
     let o = opts(&m, TIMELY_HORIZON_S);
     assert_reduction_invisible(&m, &patched_timely_pi_x0(&m, &symmetric(64)), 1, &o);
     assert_reduction_invisible(&m, &patched_timely_pi_x0(&m, &two_classes(64)), 2, &o);
-    let m = PatchedTimelyPiFluid::new(params, gains, 6);
+    let m = TimelyFluid::patched_pi_10g(300.0, 6);
     assert_reduction_invisible(&m, &patched_timely_pi_x0(&m, &asymmetric(6)), 6, &o);
 }
 

@@ -17,7 +17,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use ecn_delay::fluid::Trace;
-use ecn_delay::models::{PatchedTimelyFluid, PatchedTimelyParams, TimelyFluid, TimelyParams};
+use ecn_delay::models::{TimelyFluid, TimelyLaw, TimelyParams};
 
 const FLOWS: usize = 8;
 /// Longer than the ≈ 10 ms history horizon: the front is trimmed and the
@@ -85,15 +85,15 @@ fn timely_distinct_flows_match_the_search_only_run() {
     let params = TimelyParams::default_10g();
     let rates = distinct_rates(params.capacity_pps());
     check_run(0x39d4_d929_88c2_31c7, || {
-        TimelyFluid::new(params, FLOWS).simulate_with_rates(&rates, DURATION_S)
+        TimelyFluid::new(params, TimelyLaw::Original, FLOWS).simulate_with_rates(&rates, DURATION_S)
     });
 }
 
 #[test]
 fn patched_timely_distinct_flows_match_the_search_only_run() {
-    let params = PatchedTimelyParams::default_10g();
-    let rates = distinct_rates(params.base.capacity_pps());
+    let mut m = TimelyFluid::patched_10g(FLOWS);
+    let rates = distinct_rates(m.params.capacity_pps());
     check_run(0x659b_8bd0_ab2f_ef0c, || {
-        PatchedTimelyFluid::new(params, FLOWS).simulate_with_rates(&rates, DURATION_S)
+        m.simulate_with_rates(&rates, DURATION_S)
     });
 }

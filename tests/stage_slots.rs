@@ -18,7 +18,7 @@ use ecn_delay::fluid::{History, LaneSystem, StageInstant, StagedLane, Stages, Tr
 use ecn_delay::models::dcqcn::{DcqcnFluid, DcqcnParams};
 use ecn_delay::models::jitter::Jitter;
 use ecn_delay::models::pi::DcqcnPiFluid;
-use ecn_delay::models::{TimelyFluid, TimelyParams};
+use ecn_delay::models::{TimelyFluid, TimelyLaw, TimelyParams};
 use faults::SimError;
 
 const DURATION_S: f64 = 0.003;
@@ -205,8 +205,9 @@ fn timely_never_fills_a_slot() {
     // count leaves the counter unregistered.
     let params = TimelyParams::default_10g();
     let rates = vec![params.capacity_pps() / 2.0; 2];
-    let (_, steps, fills) =
-        counted(|| TimelyFluid::new(params, 2).simulate_with_rates(&rates, 0.001));
+    let (_, steps, fills) = counted(|| {
+        TimelyFluid::new(params, TimelyLaw::Original, 2).simulate_with_rates(&rates, 0.001)
+    });
     assert!(steps > 0);
     assert_eq!(fills, 0);
 }
