@@ -7,7 +7,6 @@ use ecn_delay_core::experiments::fig3;
 use fluid::classes::{try_integrate_classes, FlowClassSystem};
 use fluid::History;
 use models::dcqcn::{DcqcnFluid, DcqcnParams};
-use models::pi::DcqcnPiFluid;
 use models::timely::TimelyFluid;
 
 /// `fluid::History` alone, at the live-window size of the paper-scale runs
@@ -112,8 +111,7 @@ fn main() {
     // against paying for the reduction.
     {
         let params = DcqcnParams::default_40g();
-        let gains = DcqcnPiFluid::default_gains(&params, 100.0);
-        let model = || DcqcnPiFluid::new(params.clone(), gains.clone(), 64);
+        let model = || DcqcnFluid::pi(params.clone(), 100.0, 64);
         bench("dcqcn_pi_integrate_64flows_10ms", || {
             black_box(model().simulate(0.01).len())
         });

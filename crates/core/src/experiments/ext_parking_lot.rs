@@ -7,7 +7,7 @@
 //! beaten at every hop), but it must not starve, and every link should
 //! stay fully utilized with a controlled queue.
 
-use crate::experiments::Series;
+use crate::experiments::{tail_mean, Series};
 use desim::{SimDuration, SimTime};
 use netsim::{Engine, EngineConfig, FlowSpec, Pacing, Topology};
 use protocols::DcqcnCc;
@@ -69,14 +69,7 @@ pub fn run(cfg: &ParkingLotConfig) -> ParkingLotResult {
     let report = eng.run(SimTime::from_secs_f64(cfg.duration_s));
 
     let from = cfg.duration_s * 0.6;
-    let tail = |f: usize| -> f64 {
-        let pts: Vec<f64> = report.rate_traces[f]
-            .iter()
-            .filter(|&&(t, _)| t >= from)
-            .map(|&(_, bps)| bps)
-            .collect();
-        pts.iter().sum::<f64>() / pts.len().max(1) as f64
-    };
+    let tail = |f: usize| tail_mean(&report.rate_traces[f], from);
     let long_tail = tail(long_id.0);
     let cross_tails: Vec<f64> = cross_ids.iter().map(|id| tail(id.0) / 1e9).collect();
     let hop_utilization: Vec<f64> = cross_tails

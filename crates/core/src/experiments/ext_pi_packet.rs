@@ -8,7 +8,7 @@
 //! of the number of flows, with fair rates — the property RED cannot give
 //! (Eq 14: `q*` grows with N).
 
-use crate::experiments::Series;
+use crate::experiments::{tail_mean, Series};
 use crate::scenarios::{single_switch_longlived, Protocol};
 use desim::{SimDuration, SimTime};
 use netsim::config::PiAqmConfig;
@@ -59,14 +59,13 @@ pub struct ExtPiPacketResult {
     pub q_ref_kb: f64,
 }
 
-fn tail_queue(report: &netsim::SimReport, link: netsim::LinkId, from: f64) -> f64 {
-    let pts: Vec<f64> = report.queue_traces[&link]
+/// A link's queue over time, in KB.
+fn queue_kb(report: &netsim::SimReport, link: netsim::LinkId) -> Series {
+    report.queue_traces[&link]
         .points()
         .iter()
-        .filter(|&&(t, _)| t >= from)
-        .map(|&(_, b)| b / 1000.0)
-        .collect();
-    pts.iter().sum::<f64>() / pts.len().max(1) as f64
+        .map(|&(t, b)| (t, b / 1000.0))
+        .collect()
 }
 
 /// Run the RED-vs-PI comparison.
@@ -94,26 +93,15 @@ pub fn run(cfg: &ExtPiPacketConfig) -> ExtPiPacketResult {
 
         let fair = 10e9 / n as f64;
         let worst = (0..n)
-            .map(|f| {
-                let pts: Vec<f64> = pi_report.rate_traces[f]
-                    .iter()
-                    .filter(|&&(t, _)| t >= from)
-                    .map(|&(_, bps)| bps)
-                    .collect();
-                let mean = pts.iter().sum::<f64>() / pts.len().max(1) as f64;
-                ((mean - fair) / fair).abs()
-            })
+            .map(|f| ((tail_mean(&pi_report.rate_traces[f], from) - fair) / fair).abs())
             .fold(0.0, f64::max);
+        let pi_queue_kb = queue_kb(&pi_report, pi_link);
 
         panels.push(ExtPiPacketPanel {
             n_flows: n,
-            queue_kb: pi_report.queue_traces[&pi_link]
-                .points()
-                .iter()
-                .map(|&(t, b)| (t, b / 1000.0))
-                .collect(),
-            red_tail_queue_kb: tail_queue(&red_report, red_link, from),
-            pi_tail_queue_kb: tail_queue(&pi_report, pi_link, from),
+            red_tail_queue_kb: tail_mean(&queue_kb(&red_report, red_link), from),
+            pi_tail_queue_kb: tail_mean(&pi_queue_kb, from),
+            queue_kb: pi_queue_kb,
             pi_worst_rate_error: worst,
         });
     }

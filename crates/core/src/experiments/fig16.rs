@@ -73,7 +73,7 @@ pub fn run(cfg: &Fig16Config) -> Fig16Result {
             .map(|&(t, b)| (t, b / 1000.0))
             .collect();
         let mut vals: Vec<f64> = series.iter().map(|&(_, v)| v).collect();
-        vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        vals.sort_by(f64::total_cmp);
         let mean = vals.iter().sum::<f64>() / vals.len().max(1) as f64;
         let p99 = vals
             .get(((vals.len() as f64 * 0.99) as usize).min(vals.len().saturating_sub(1)))

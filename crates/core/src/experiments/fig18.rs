@@ -4,9 +4,8 @@
 //! stabilized to a preconfigured value, regardless of the number of flows
 //! (as well as regardless of propagation delay)."
 
-use crate::experiments::Series;
-use models::dcqcn::DcqcnParams;
-use models::pi::DcqcnPiFluid;
+use crate::experiments::{tail_mean, Series};
+use models::dcqcn::{DcqcnFluid, DcqcnParams};
 
 /// Configuration.
 #[derive(Debug, Clone)]
@@ -56,37 +55,20 @@ pub struct Fig18Result {
 /// Run: one independent integration per flow count, through
 /// [`desim::par::par_map`] with ordered results.
 pub fn run(cfg: &Fig18Config) -> Fig18Result {
-    let params = DcqcnParams::default_40g();
-    let gains = DcqcnPiFluid::default_gains(&params, cfg.q_ref_kb);
     let panels = desim::par::par_map(cfg.flow_counts.clone(), |n| {
-        let mut m = DcqcnPiFluid::new(params.clone(), gains.clone(), n);
+        let mut m = DcqcnFluid::pi(DcqcnParams::default_40g(), cfg.q_ref_kb, n);
         let tr = m.simulate(cfg.duration_s);
         let from = cfg.duration_s * 0.75;
         let fair = m.params.capacity_pps() / n as f64;
         let worst = (0..n)
             .map(|i| ((tr.mean_from(m.rc_index(i), from) - fair) / fair).abs())
             .fold(0.0, f64::max);
-        let q_kb: Series = tr
-            .series(0)
-            .into_iter()
-            .map(|(t, pkts)| (t, models::units::pkts_to_kb(pkts, m.params.packet_bytes)))
-            .collect();
-        let rate: Series = tr
-            .series(m.rc_index(0))
-            .into_iter()
-            .map(|(t, pps)| (t, models::units::pps_to_gbps(pps, m.params.packet_bytes)))
-            .collect();
-        let tail_q = q_kb
-            .iter()
-            .filter(|&&(t, _)| t >= from)
-            .map(|&(_, v)| v)
-            .sum::<f64>()
-            / q_kb.iter().filter(|&&(t, _)| t >= from).count().max(1) as f64;
+        let q_kb = m.queue_kb(&tr);
         Fig18Panel {
             n_flows: n,
+            tail_queue_kb: tail_mean(&q_kb, from),
             queue_kb: q_kb,
-            rate_gbps: rate,
-            tail_queue_kb: tail_q,
+            rate_gbps: m.rates_gbps(&tr, 0),
             worst_rate_error: worst,
         }
     });

@@ -5,7 +5,7 @@
 //! fairness without guaranteeing delay, with PI it is able to guarantee
 //! delay without achieving fairness" — the demonstration of Theorem 6.
 
-use crate::experiments::Series;
+use crate::experiments::{tail_mean, Series};
 use models::timely::TimelyFluid;
 
 /// Configuration.
@@ -58,17 +58,11 @@ pub fn run(cfg: &Fig19Config) -> Fig19Result {
         .collect();
     let total: f64 = tail_rates.iter().sum();
     let queue_kb: Series = m.queue_kb(&tr);
-    let tail_q = queue_kb
-        .iter()
-        .filter(|&&(t, _)| t >= from)
-        .map(|&(_, v)| v)
-        .sum::<f64>()
-        / queue_kb.iter().filter(|&&(t, _)| t >= from).count().max(1) as f64;
 
     Fig19Result {
         rates_gbps: (0..n).map(|i| m.rates_gbps(&tr, i)).collect(),
+        tail_queue_kb: tail_mean(&queue_kb, from),
         queue_kb,
-        tail_queue_kb: tail_q,
         tail_shares: tail_rates.iter().map(|&r| r / total).collect(),
         tail_utilization: total / c,
     }

@@ -40,3 +40,21 @@ fn tail_mean(series: &[(f64, f64)], from: f64) -> f64 {
     }
     pts.iter().sum::<f64>() / pts.len() as f64
 }
+
+#[cfg(test)]
+mod tests {
+    use super::tail_mean;
+
+    #[test]
+    fn tail_mean_is_nan_on_an_empty_window() {
+        assert!(tail_mean(&[], 0.0).is_nan());
+        assert!(tail_mean(&[(0.0, 1.0), (1.0, 3.0)], 1.5).is_nan());
+    }
+
+    #[test]
+    fn tail_mean_includes_the_window_start() {
+        let series = [(0.0, 100.0), (1.0, 2.0), (2.0, 4.0)];
+        assert_eq!(tail_mean(&series, 1.0), 3.0);
+        assert_eq!(tail_mean(&series, 2.0), 4.0);
+    }
+}

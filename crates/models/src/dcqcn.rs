@@ -2,15 +2,18 @@
 //!
 //! The model tracks, per flow `i`, the current rate `R_C`, target rate `R_T`
 //! and the DCTCP-style reduction factor `α`, plus one shared bottleneck
-//! queue `q`. The switch marks packets with the RED profile of Eq 3; marks
-//! reach the sender after the control-loop delay `τ*` (which is *constant*
-//! because modern switches mark on egress — the paper's central ECN-vs-delay
-//! observation, §5.2).
+//! queue `q`. The switch marks packets with probability `p`; marks reach the
+//! sender after the control-loop delay `τ*` (which is *constant* because
+//! modern switches mark on egress — the paper's central ECN-vs-delay
+//! observation, §5.2). Where `p` comes from is the model's [`Marking`]: the
+//! RED profile of the delayed queue (Eq 3), or a PI controller at the switch
+//! (Eq 32, Figure 18) whose integrator state is `p` itself. The flow
+//! dynamics (Eqs 5–7) are the same under both.
 //!
 //! Implemented here:
 //!
 //! * [`DcqcnFluid::simulate`] — integrate Eqs 3–7 (per-flow extension of
-//!   §3.1) as a DDE; regenerates Figures 2 and 4;
+//!   §3.1) as a DDE; regenerates Figures 2, 4 and 18;
 //! * [`DcqcnFluid::fixed_point`] — Theorem 1: the unique fixed point via
 //!   monotone root-finding on Eq 11 (with Eqs 9, 10, 12);
 //! * [`DcqcnParams::p_star_approx`] — the Taylor closed form of Eq 14;
@@ -20,6 +23,7 @@
 //!   in the number of flows.
 
 use crate::jitter::Jitter;
+use crate::pi::PiGains;
 use crate::units;
 use control::complex::Complex64;
 use control::linearize;
@@ -260,7 +264,7 @@ fn eq11_lhs(p: &DcqcnParams, rc_star: f64, pp: f64) -> f64 {
 /// rate). Hoisting them out of the per-flow loop removes most of the
 /// transcendental calls from an N-flow RHS evaluation without changing a
 /// bit of the arithmetic.
-pub(crate) struct MarkTerms {
+struct MarkTerms {
     /// Delayed marking probability `p(t − τ*)`.
     p_delayed: f64,
     /// `ln(1 − p_delayed)`.
@@ -274,7 +278,7 @@ pub(crate) struct MarkTerms {
 /// What one flow's derivative (Eqs 5–7) takes from delayed state: functions
 /// of the flow's delayed rate and the shared [`MarkTerms`], never of the
 /// current state. One flow's row of a stage slot (see [`fluid::stage`]).
-pub(crate) struct FlowTerms {
+struct FlowTerms {
     /// Delayed rate clamped non-negative, as used by every factor.
     rcd: f64,
     /// Eq 7's CNP-window cut probability `1 − (1 − p)^{τ·R_C(t−τ*)}`.
@@ -310,9 +314,9 @@ impl FlowTerms {
         }
     }
 
-    /// Phase one for the DCQCN family: push one row per flow class onto
-    /// `terms`, from the marking terms and the classes' delayed rates.
-    pub(crate) fn stage(
+    /// Phase one: push one row per flow class onto `terms`, from the marking
+    /// terms and the classes' delayed rates.
+    fn stage(
         p: &DcqcnParams,
         mk: &MarkTerms,
         rc_delayed: impl Iterator<Item = f64>,
@@ -325,7 +329,7 @@ impl FlowTerms {
     }
 
     /// The rows [`FlowTerms::stage`] pushed, one per flow class.
-    pub(crate) fn staged(terms: &[f64]) -> impl Iterator<Item = FlowTerms> + '_ {
+    fn staged(terms: &[f64]) -> impl Iterator<Item = FlowTerms> + '_ {
         let (rows, _) = terms.as_chunks::<{ FlowTerms::LEN }>();
         rows.iter().map(|&[rcd, a, bd, ce, alpha_pow]| FlowTerms {
             rcd,
@@ -338,7 +342,7 @@ impl FlowTerms {
 }
 
 impl MarkTerms {
-    pub(crate) fn new(p: &DcqcnParams, p_delayed: f64) -> Self {
+    fn new(p: &DcqcnParams, p_delayed: f64) -> Self {
         let l = (-p_delayed).ln_1p();
         let b_cnt = p.byte_counter_pkts();
         let b = rate_event_factor_ln(p_delayed, l, b_cnt);
@@ -389,12 +393,25 @@ pub struct DcqcnLinParts {
     pub b_col: Vec<f64>,
 }
 
+/// Where the marking probability `p` comes from — the one thing DCQCN and
+/// DCQCN+PI do differently (§5.2).
+#[derive(Debug, Clone)]
+pub enum Marking {
+    /// Eq 3: RED's profile of the delayed queue, `p(t−τ*) = RED(q(t−τ*))`.
+    Red,
+    /// Eq 32 at the switch: `p` is a state, `dp/dt = K₁·dq/dt + K₂·(q −
+    /// q_ref)`, frozen against the `[0, 1]` bounds (anti-windup), and the
+    /// flows read it `τ*` late. RED's thresholds are unused.
+    Pi(PiGains),
+}
+
 /// The DCQCN fluid model for `N` flows over one bottleneck.
 ///
-/// State layout: `x\[0\] = q` (packets); flow `i` occupies
-/// `x[1+3i..4+3i] = (R_C, R_T, α)`. Integration steps one block per class of
-/// bitwise-identical flows (see [`fluid::classes`]); traces come back in the
-/// N-flow layout.
+/// State layout: `x\[0\] = q` (packets), then under [`Marking::Pi`]
+/// `x\[1\] = p`; flow `i` occupies the block `(R_C, R_T, α)` after these
+/// shared components, at [`DcqcnFluid::rc_index`]`(i)`. Integration steps one
+/// block per class of bitwise-identical flows (see [`fluid::classes`]);
+/// traces come back in the N-flow layout.
 ///
 /// ```
 /// use models::dcqcn::{DcqcnFluid, DcqcnParams};
@@ -410,27 +427,39 @@ pub struct DcqcnFluid {
     pub params: DcqcnParams,
     /// Number of flows at the bottleneck.
     pub n_flows: usize,
+    /// Where `p` comes from.
+    pub marking: Marking,
     /// Optional feedback-delay jitter process (Figure 20).
     pub jitter: Option<Jitter>,
     /// The flow partition the RHS loops over (identity outside `simulate*`).
     classes: FlowClasses,
 }
 
-/// One shared queue, then `(R_C, R_T, α)` per flow.
-const LAYOUT: FlowLayout = FlowLayout {
-    shared: 1,
-    per_flow: 3,
-};
-
 impl DcqcnFluid {
-    /// New model with the given parameters and flow count.
+    /// New model with RED marking, the given parameters and flow count.
     pub fn new(params: DcqcnParams, n_flows: usize) -> Self {
         assert!(n_flows >= 1, "need at least one flow");
         DcqcnFluid {
             params,
             n_flows,
+            marking: Marking::Red,
             jitter: None,
             classes: FlowClasses::identity(n_flows),
+        }
+    }
+
+    /// DCQCN with PI marking at the switch pinning the queue at `q_ref_kb`
+    /// (Figure 18), with gains that stabilize the 40 Gbps configuration
+    /// across 2–64 flows (chosen by sweeping the fluid model).
+    pub fn pi(params: DcqcnParams, q_ref_kb: f64, n_flows: usize) -> Self {
+        let q_ref_pkts = units::kb_to_pkts(q_ref_kb, params.packet_bytes);
+        DcqcnFluid {
+            marking: Marking::Pi(PiGains {
+                k1: 5e-5,
+                k2: 5e-3,
+                q_ref_pkts,
+            }),
+            ..DcqcnFluid::new(params, n_flows)
         }
     }
 
@@ -441,24 +470,42 @@ impl DcqcnFluid {
         self
     }
 
-    /// State dimension: shared queue + 3 per flow.
+    /// Number of shared components: the queue, and `p` under
+    /// [`Marking::Pi`].
+    fn shared(&self) -> usize {
+        match self.marking {
+            Marking::Red => 1,
+            Marking::Pi(_) => 2,
+        }
+    }
+
+    /// State dimension: the shared components + 3 per flow.
     pub fn state_dim(&self) -> usize {
-        1 + 3 * self.n_flows
+        self.layout().dim(self.n_flows)
     }
 
     /// Index of flow `i`'s current rate in the state vector.
     pub fn rc_index(&self, i: usize) -> usize {
-        1 + 3 * i
+        self.shared() + 3 * i
     }
 
     /// Index of flow `i`'s target rate.
     pub fn rt_index(&self, i: usize) -> usize {
-        2 + 3 * i
+        self.rc_index(i) + 1
     }
 
     /// Index of flow `i`'s α.
     pub fn alpha_index(&self, i: usize) -> usize {
-        3 + 3 * i
+        self.rc_index(i) + 2
+    }
+
+    /// Panics unless the marking is RED: Theorem 1's `q*` (Eq 9) and the
+    /// loop's gain are RED's profile.
+    fn assert_red(&self) {
+        assert!(
+            matches!(self.marking, Marking::Red),
+            "the fixed point and the linearized loop are RED marking's (Theorem 1, Appendix A)"
+        );
     }
 
     /// Per-flow derivative given the flow's current state, its delayed rate
@@ -478,11 +525,9 @@ impl DcqcnFluid {
     }
 
     /// Phase two of one flow: its derivative at the current `(rc, rt, alpha)`
-    /// given what it takes from delayed state. The DCQCN and DCQCN+PI lane
-    /// kernels and the linearization all go through this arithmetic (the PI
-    /// variant in [`crate::pi`] composes DCQCN's flow behaviour with its own
-    /// marking source through [`FlowTerms::stage`]).
-    pub(crate) fn flow_rhs_staged(
+    /// given what it takes from delayed state. The lane kernel under either
+    /// [`Marking`] and the linearization all go through this arithmetic.
+    fn flow_rhs_staged(
         p: &DcqcnParams,
         ft: &FlowTerms,
         rc: f64,
@@ -504,8 +549,10 @@ impl DcqcnFluid {
     }
 
     /// Theorem 1: solve Eq 11 for the unique `p*`, then recover `q*`, `α*`
-    /// and `R_T*` (Eqs 9, 10 and the `dR_T/dt = 0` balance).
+    /// and `R_T*` (Eqs 9, 10 and the `dR_T/dt = 0` balance). RED marking
+    /// only, like everything built on it here.
     pub fn fixed_point(&self) -> DcqcnFixedPoint {
+        self.assert_red();
         let p = &self.params;
         let rc_star = p.capacity_pps() / self.n_flows as f64;
         let tau = p.cnp_timer_s();
@@ -626,6 +673,7 @@ impl DcqcnFluid {
     /// Assemble the open-loop transfer closure from precomputed parts (see
     /// [`Self::lin_parts`]); delay and RED slope come from `self`.
     fn loop_transfer_from(&self, parts: &DcqcnLinParts) -> impl FnMut(f64) -> Option<Complex64> {
+        self.assert_red();
         let n = self.n_flows as f64;
         let tau_star = self.params.feedback_delay_s();
         let k_red = self.params.red_slope();
@@ -678,7 +726,8 @@ impl DcqcnFluid {
     ///
     /// Flows start at line rate with `α = 1` and an empty queue, exactly as
     /// the protocol specifies ("DCQCN does not have slow start. Senders
-    /// start at line rate."). Returns the full state trace.
+    /// start at line rate."); a PI marking probability starts at 0. Returns
+    /// the full state trace.
     pub fn simulate(&mut self, duration_s: f64) -> Trace {
         let step = (self.params.feedback_delay_s() / 4.0).min(1e-6);
         self.simulate_with_step(duration_s, step)
@@ -699,7 +748,7 @@ impl DcqcnFluid {
     }
 
     /// The protocol's start: every flow at line rate with `α = 1`, queue
-    /// empty.
+    /// (and PI `p`) zero.
     fn line_rate_start(&self) -> Vec<f64> {
         let line_rate = self.params.capacity_pps();
         let mut x0 = vec![0.0; self.state_dim()];
@@ -725,7 +774,8 @@ impl DcqcnFluid {
     /// exactly like [`DcqcnFluid::simulate`], and each lane's trace (or
     /// [`SimError::Divergence`]) is bit-identical to the
     /// `simulate` of the same config — a diverging lane never aborts its
-    /// batchmates. Lanes must share the flow count and derive the same
+    /// batchmates. Lanes must share the flow count and the [`Marking`]
+    /// variant (both set the state dimension), and derive the same
     /// lockstep step size from their feedback delays (callers group sweep
     /// points accordingly); the history horizon is the maximum over lanes,
     /// which affects only memory, never values. The lanes step one joint
@@ -784,8 +834,12 @@ fn record_every(duration_s: f64, step_s: f64) -> usize {
 }
 
 impl FlowClassSystem for DcqcnFluid {
+    /// The shared components, then `(R_C, R_T, α)` per flow.
     fn layout(&self) -> FlowLayout {
-        LAYOUT
+        FlowLayout {
+            shared: self.shared(),
+            per_flow: 3,
+        }
     }
 
     fn classes_mut(&mut self) -> &mut FlowClasses {
@@ -795,7 +849,7 @@ impl FlowClassSystem for DcqcnFluid {
 
 impl LaneSystem for DcqcnFluid {
     fn lane_dim(&self) -> usize {
-        LAYOUT.dim(self.classes.len())
+        self.layout().dim(self.classes.len())
     }
 
     /// The DCQCN RHS as a batch-lane kernel: this lane's component `c` lives
@@ -837,10 +891,15 @@ impl LaneSystem for DcqcnFluid {
         let floor = self.params.min_rate_pps();
         let q = lane_of(0, lane, stride);
         x[q] = x[q].max(0.0); // component 0 is the queue
+        let shared = self.shared();
+        if let Marking::Pi(_) = self.marking {
+            let pp = lane_of(1, lane, stride);
+            x[pp] = x[pp].clamp(0.0, 1.0); // component 1 is p
+        }
         for i in 0..self.classes.len() {
-            let rc = lane_of(self.rc_index(i), lane, stride);
-            let rt = lane_of(self.rt_index(i), lane, stride);
-            let al = lane_of(self.alpha_index(i), lane, stride);
+            let rc = lane_of(shared + 3 * i, lane, stride);
+            let rt = lane_of(shared + 3 * i + 1, lane, stride);
+            let al = lane_of(shared + 3 * i + 2, lane, stride);
             x[rc] = x[rc].clamp(floor, line);
             x[rt] = x[rt].clamp(floor, line);
             x[al] = x[al].clamp(0.0, 1.0);
@@ -861,13 +920,19 @@ impl StagedLane for DcqcnFluid {
     }
 
     /// Every transcendental of Eqs 5–7 is a function of the state at
-    /// `t − τ*` alone: RED's `p` of the delayed queue, then one
-    /// `FlowTerms` row per class from its delayed rate.
+    /// `t − τ*` alone: the delayed `p` — RED's of the delayed queue, or the
+    /// delayed PI state — then one `FlowTerms` row per class from its
+    /// delayed rate.
     fn stage(&self, delayed: &[f64], terms: &mut Vec<f64>) {
         let p = &self.params;
-        let q_delayed = delayed[0].max(0.0); // component 0 is the queue
-        let mk = MarkTerms::new(p, p.red_probability(q_delayed));
-        let rc_delayed = (0..self.classes.len()).map(|i| delayed[self.rc_index(i)]);
+        let (shared, p_delayed) = match self.marking {
+            // Component 0 is the queue.
+            Marking::Red => (1, p.red_probability(delayed[0].max(0.0))),
+            // Component 1 is p.
+            Marking::Pi(_) => (2, delayed[1].clamp(0.0, 1.0)),
+        };
+        let mk = MarkTerms::new(p, p_delayed);
+        let rc_delayed = (0..self.classes.len()).map(|i| delayed[shared + 3 * i]);
         FlowTerms::stage(p, &mk, rc_delayed, terms);
     }
 
@@ -881,6 +946,7 @@ impl StagedLane for DcqcnFluid {
     ) {
         let p = &self.params;
         let cap = p.capacity_pps();
+        let shared = self.shared();
         // Eq 4: queue integrates excess arrival rate (projection keeps q ≥ 0).
         // Every flow in flow order, reading its class's rate: the same
         // additions as the N-flow sum.
@@ -888,26 +954,34 @@ impl StagedLane for DcqcnFluid {
             .classes
             .class_of()
             .iter()
-            .map(|&k| x[lane_of(self.rc_index(k), lane, stride)])
+            .map(|&k| x[lane_of(shared + 3 * k, lane, stride)])
             .sum();
         // State component 0 is the shared queue.
         let q = x[lane_of(0, lane, stride)];
-        dxdt[lane_of(0, lane, stride)] = if q <= 0.0 && sum_rates < cap {
+        let dq = if q <= 0.0 && sum_rates < cap {
             0.0
         } else {
             sum_rates - cap
         };
+        dxdt[lane_of(0, lane, stride)] = dq;
+        if let Marking::Pi(ref k) = self.marking {
+            // Eq 32 at the switch, frozen against the [0, 1] bounds.
+            // Component 1 is p.
+            let pp = lane_of(1, lane, stride);
+            let mut dp = k.k1 * dq + k.k2 * (q - k.q_ref_pkts);
+            if (x[pp] >= 1.0 && dp > 0.0) || (x[pp] <= 0.0 && dp < 0.0) {
+                dp = 0.0;
+            }
+            dxdt[pp] = dp;
+        }
 
         let mut out = [0.0; 3];
         for (i, ft) in FlowTerms::staged(terms).enumerate() {
-            let rc = x[lane_of(self.rc_index(i), lane, stride)];
-            let rt = x[lane_of(self.rt_index(i), lane, stride)];
-            let alpha = x[lane_of(self.alpha_index(i), lane, stride)];
-            DcqcnFluid::flow_rhs_staged(p, &ft, rc, rt, alpha, &mut out);
-            let [d_rc, d_rt, d_alpha] = out;
-            dxdt[lane_of(self.rc_index(i), lane, stride)] = d_rc;
-            dxdt[lane_of(self.rt_index(i), lane, stride)] = d_rt;
-            dxdt[lane_of(self.alpha_index(i), lane, stride)] = d_alpha;
+            let rc = lane_of(shared + 3 * i, lane, stride);
+            let rt = lane_of(shared + 3 * i + 1, lane, stride);
+            let al = lane_of(shared + 3 * i + 2, lane, stride);
+            DcqcnFluid::flow_rhs_staged(p, &ft, x[rc], x[rt], x[al], &mut out);
+            [dxdt[rc], dxdt[rt], dxdt[al]] = out;
         }
     }
 }
@@ -1239,5 +1313,19 @@ mod tests {
             pm_big > pm_default,
             "Kmax=1MB: {pm_big:.1} vs 200KB: {pm_default:.1}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "state dimension mismatch")]
+    fn a_batch_cannot_mix_markings() {
+        let p = DcqcnParams::default_40g();
+        let lanes = vec![DcqcnFluid::new(p.clone(), 2), DcqcnFluid::pi(p, 100.0, 2)];
+        DcqcnFluid::simulate_batch(lanes, 1e-4);
+    }
+
+    #[test]
+    #[should_panic(expected = "RED marking")]
+    fn the_fixed_point_is_red_markings() {
+        DcqcnFluid::pi(DcqcnParams::default_40g(), 100.0, 2).fixed_point();
     }
 }

@@ -6,7 +6,8 @@
 //! * [`dcqcn`] — the DCQCN fluid model of Figure 1 (extended per-flow as in
 //!   §3.1), its unique fixed point (Theorem 1, Eqs 9–13), the closed-form
 //!   approximation of `p*` (Eq 14), and the linearized loop used for the
-//!   phase-margin plots of Figure 3;
+//!   phase-margin plots of Figure 3; its [`Marking`] is RED (Eq 3) or PI
+//!   marking at the switch (Eq 32, Figure 18: fair *and* pinned queue);
 //! * [`timely`] — the TIMELY family of Figure 7 (Eqs 20–24) as one model
 //!   whose gradient-band rule is a [`TimelyLaw`]: TIMELY as published, with
 //!   no fixed point (Theorem 3) and infinitely many under the `≤`→`<`
@@ -15,8 +16,8 @@
 //!   including the queue-dependent feedback delay of Eq 24 that caps its
 //!   stable range; and Patched TIMELY with an end-host PI (Eq 32, Figure 19:
 //!   pinned queue, arbitrary fairness — Theorem 6);
-//! * [`pi`] — PI marking at the switch for DCQCN (Eq 32, Figure 18: fair
-//!   *and* pinned queue) and the PI gains both PI variants use;
+//! * [`pi`] — the PI gains both PI variants use, and where the controller
+//!   runs decides what it delivers (Theorem 6);
 //! * [`discrete`] — the discrete AIMD model of §3.3 (Eqs 15–19, Appendix B)
 //!   proving exponential convergence of DCQCN rates;
 //! * [`jitter`] — deterministic piecewise-constant feedback-delay jitter for
@@ -52,5 +53,5 @@ pub mod units;
 
 mod patched_timely;
 
-pub use dcqcn::{DcqcnFluid, DcqcnParams};
+pub use dcqcn::{DcqcnFluid, DcqcnParams, Marking};
 pub use timely::{TimelyFluid, TimelyLaw, TimelyParams};

@@ -280,11 +280,6 @@ impl TimelyFluid {
         1 + self.block_width() * i
     }
 
-    /// Index of flow `i`'s gradient.
-    pub fn grad_index(&self, i: usize) -> usize {
-        self.rate_index(i) + 1
-    }
-
     /// Index of flow `i`'s PI variable `p_i` ([`TimelyLaw::PatchedPi`]).
     pub fn p_index(&self, i: usize) -> usize {
         self.rate_index(i) + 2

@@ -18,7 +18,6 @@ use fluid::classes::{try_integrate_classes, FlowClassSystem, FlowClasses, FlowLa
 use fluid::dde::{lane_of, pack_lanes, try_integrate, DdeOptions, LaneSystem};
 use fluid::Trace;
 use models::dcqcn::{DcqcnFluid, DcqcnParams};
-use models::pi::DcqcnPiFluid;
 use models::{TimelyFluid, TimelyLaw, TimelyParams};
 
 /// Every recorded knot of a trace, as raw bits: `t` then the state row.
@@ -327,13 +326,9 @@ fn patched_timely_reduced_lanes() {
 
 // --- DCQCN + PI ------------------------------------------------------------
 
-fn dcqcn_pi_setup(b: usize) -> (Vec<DcqcnPiFluid>, Vec<Vec<f64>>) {
-    let models: Vec<DcqcnPiFluid> = (0..b)
-        .map(|i| {
-            let params = DcqcnParams::default_40g();
-            let gains = DcqcnPiFluid::default_gains(&params, 100.0 + 20.0 * i as f64);
-            DcqcnPiFluid::new(params, gains, 4)
-        })
+fn dcqcn_pi_setup(b: usize) -> (Vec<DcqcnFluid>, Vec<Vec<f64>>) {
+    let models: Vec<DcqcnFluid> = (0..b)
+        .map(|i| DcqcnFluid::pi(DcqcnParams::default_40g(), 100.0 + 20.0 * i as f64, 4))
         .collect();
     let x0s = models
         .iter()

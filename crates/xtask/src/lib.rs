@@ -455,6 +455,7 @@ pub fn lint_path_strict(path: &Path) -> std::io::Result<Vec<Violation>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn strict(src: &str) -> Vec<Violation> {
         lint_source(Path::new("test.rs"), src, ALL_RULES)
@@ -741,11 +742,80 @@ mod tests {
         assert_eq!(names, ["ext_incast.rs", "figs.rs", "simreport.rs"]);
     }
 
+    /// Every name the sources under `src` declare: their modules (files,
+    /// directories and `mod`s), their items, and whatever sits directly in
+    /// the body of an enum or struct (its variants and fields).
+    fn declared_names(src: &Path) -> BTreeSet<String> {
+        let mut files = Vec::new();
+        collect_rs_files(src, &mut files).expect("read crate sources");
+        let mut names = BTreeSet::new();
+        for file in files {
+            let rel = file.strip_prefix(src).expect("under src");
+            let stem = rel.with_extension("");
+            names.extend(stem.iter().map(|c| c.to_string_lossy().into_owned()));
+            let text = std::fs::read_to_string(&file).expect("read source");
+            let toks: Vec<Tok> = lex::lex(&text)
+                .into_iter()
+                .filter(|t| t.kind != Kind::Comment)
+                .collect();
+            for (i, t) in toks.iter().enumerate() {
+                let kw = t.text.as_str();
+                let name = match kw {
+                    "fn" | "struct" | "enum" | "union" | "trait" | "type" | "const" | "static"
+                    | "mod" => toks.get(i + 1),
+                    "macro_rules" => toks.get(i + 2),
+                    _ => None,
+                };
+                let Some(name) = name.filter(|n| n.kind == Kind::Ident) else {
+                    continue;
+                };
+                names.insert(name.text.clone());
+                if !matches!(kw, "struct" | "enum" | "union") {
+                    continue;
+                }
+                let rest = &toks[i + 2..];
+                let Some(open) = rest
+                    .iter()
+                    .position(|t| matches!(t.text.as_str(), "{" | ";" | "("))
+                else {
+                    continue;
+                };
+                if rest[open].text == "{" {
+                    let depth = rest[open].depth;
+                    let body = rest[open + 1..]
+                        .iter()
+                        .take_while(|t| !(t.text == "}" && t.depth == depth));
+                    names.extend(
+                        body.filter(|t| t.kind == Kind::Ident && t.depth == depth + 1)
+                            .map(|t| t.text.clone()),
+                    );
+                }
+            }
+        }
+        names
+    }
+
     #[test]
     fn docs_name_only_real_binaries() {
-        // Every `bin/<name>` the docs name is a binary, and every
-        // `figs <id>` a row of the one figure table.
+        // Every `bin/<name>` the docs name is a binary, every `figs <id>` a
+        // row of the one figure table, and every segment of a backticked
+        // `crate::seg::…` path that starts at a workspace crate a module or
+        // a name that crate declares.
         let root = repo_root();
+        let mut crates: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        for entry in std::fs::read_dir(root.join("crates")).expect("read crates") {
+            let dir = entry.expect("dir entry").path();
+            let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("manifest");
+            // The `[lib]` name if there is one, else the package's: the
+            // first `name = "…"` after it.
+            let from = manifest.find("[lib]").unwrap_or(0);
+            let name = manifest[from..]
+                .split("name = \"")
+                .nth(1)
+                .and_then(|s| s.split('"').next())
+                .expect("a crate name");
+            crates.insert(name.replace('-', "_"), declared_names(&dir.join("src")));
+        }
         let table = std::fs::read_to_string(root.join("crates/bench/src/figures.rs"))
             .expect("read figures.rs");
         let ids: Vec<&str> = table
@@ -769,6 +839,29 @@ mod tests {
                 let id = word(&text[i + 5..]);
                 if !text[..i].ends_with(is_word) && !id.is_empty() && !ids.contains(&id.as_str()) {
                     stale.push(format!("{doc}: figs {id}"));
+                }
+            }
+            for span in text.split('`').skip(1).step_by(2) {
+                for (i, _) in span.match_indices("::") {
+                    let head = &span[..i];
+                    let krate = &head[head.trim_end_matches(is_word).len()..];
+                    let Some(names) = crates.get(krate) else {
+                        continue;
+                    };
+                    if head[..head.len() - krate.len()].ends_with(':') {
+                        continue; // a path inside another path
+                    }
+                    let mut rest = &span[i..];
+                    while let Some(tail) = rest.strip_prefix("::") {
+                        let seg = word(tail);
+                        if seg.is_empty() {
+                            break;
+                        }
+                        if !names.contains(&seg) {
+                            stale.push(format!("{doc}: {krate}::…::{seg}"));
+                        }
+                        rest = &tail[seg.len()..];
+                    }
                 }
             }
         }

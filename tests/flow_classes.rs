@@ -9,9 +9,8 @@ use ecn_delay::desim::rng::SimRng;
 use ecn_delay::fluid::classes::{try_integrate_classes, FlowClassSystem, FlowClasses, FlowLayout};
 use ecn_delay::fluid::dde::{lane_of, try_integrate, DdeOptions, LaneSystem};
 use ecn_delay::fluid::{History, Trace};
-use ecn_delay::models::dcqcn::{DcqcnFluid, DcqcnParams};
+use ecn_delay::models::dcqcn::{DcqcnFluid, DcqcnParams, Marking};
 use ecn_delay::models::jitter::Jitter;
-use ecn_delay::models::pi::DcqcnPiFluid;
 use ecn_delay::models::{TimelyFluid, TimelyLaw, TimelyParams};
 use faults::SimError;
 
@@ -138,14 +137,12 @@ fn dcqcn_simulate_returns_the_n_flow_layout() {
 
 // --- DCQCN + PI ------------------------------------------------------------
 
-fn dcqcn_pi_x0(m: &DcqcnPiFluid, scale: &[f64]) -> Vec<f64> {
+fn dcqcn_pi_x0(m: &DcqcnFluid, scale: &[f64]) -> Vec<f64> {
     line_rate_x0(2, m.params.capacity_pps(), scale)
 }
 
-fn dcqcn_pi(n: usize) -> DcqcnPiFluid {
-    let params = DcqcnParams::default_40g();
-    let gains = DcqcnPiFluid::default_gains(&params, 100.0);
-    DcqcnPiFluid::new(params, gains, n)
+fn dcqcn_pi(n: usize) -> DcqcnFluid {
+    DcqcnFluid::pi(DcqcnParams::default_40g(), 100.0, n)
 }
 
 #[test]
@@ -404,7 +401,9 @@ fn poisoned_gain_trips_a_real_model_identically_at_both_widths() {
     // A NaN gain survives the model's clamps (NaN.clamp is NaN), so the
     // watchdog fires on the first step, reduced or not.
     let mut m = dcqcn_pi(8);
-    m.gains.k2 = f64::NAN;
+    if let Marking::Pi(gains) = &mut m.marking {
+        gains.k2 = f64::NAN;
+    }
     let x0 = dcqcn_pi_x0(&m, &two_classes(8));
     let o = opts(&m, 40e-6);
     let x0s = std::slice::from_ref(&x0);

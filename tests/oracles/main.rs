@@ -1,5 +1,6 @@
 //! Known deviations from the paper, pinned as numbers, outside fixtures
-//! the models must reproduce, and metamorphic checks of the fluid layer.
+//! the models must reproduce, metamorphic checks of the fluid layer, and
+//! the paper's theorems over seeded draws.
 //!
 //! EXPERIMENTS.md says where this reproduction departs from the paper, and
 //! by how much. Each deviation test reads the checked-in result a deviation
@@ -9,9 +10,10 @@
 //! long flow, which needs the multi-bottleneck fixed point derived first.
 
 use ecn_delay::desim::rng::SimRng;
+use ecn_delay::fluid::classes::try_integrate_classes;
 use ecn_delay::fluid::dde::{lane_of, try_integrate, DdeOptions, LaneSystem};
 use ecn_delay::fluid::{FlowClassSystem, History};
-use ecn_delay::models::{DcqcnFluid, DcqcnParams};
+use ecn_delay::models::{units, DcqcnFluid, DcqcnParams, TimelyFluid};
 use obs::json::{parse, Value};
 
 /// The checked-in `results/<id>.json`, parsed.
@@ -272,5 +274,69 @@ fn permuting_the_flows_permutes_flow_classes() {
             next += usize::from(k == next);
         }
         assert_eq!(next, cy.len(), "seed {seed}");
+    }
+}
+
+/// Paper §5.2, Theorem 6, over seeded two-flow splits `f₀ ∈ [0.55, 0.95]`:
+/// PI marking at the switch (Fig 18) moves any split to a share of 1/2 with
+/// the queue at `q_ref`, because every flow reads the one shared `p`; an
+/// end-host PI on delay (Fig 19) pins the queue too, but each flow's
+/// integrator sees the same queue error, so the split it started from
+/// stays, at full utilisation. Starting unequal is the point: flows that
+/// start bitwise-equal stay equal under either law.
+#[test]
+fn theorem6_switch_pi_equalises_any_split_end_host_pi_keeps_it() {
+    for seed in 0..6 {
+        let f0 = SimRng::new(seed).uniform(0.55, 0.95);
+        let shares = [f0, 1.0 - f0];
+
+        // DCQCN + PI at the switch, 40 Gbps, q_ref = 100 KB.
+        let mut m = DcqcnFluid::pi(DcqcnParams::default_40g(), 100.0, 2);
+        let c = m.params.capacity_pps();
+        let mut x0 = vec![0.0; m.state_dim()];
+        for (i, f) in shares.iter().enumerate() {
+            x0[m.rc_index(i)] = f * c;
+            x0[m.rt_index(i)] = f * c;
+            x0[m.alpha_index(i)] = 1.0;
+        }
+        let delay = m.params.feedback_delay_s();
+        let step = (delay / 4.0).min(1e-6);
+        let opts = DdeOptions {
+            step,
+            record_every: 25,
+            history_horizon_s: delay * 4.0 + 10.0 * step,
+        };
+        let tr = try_integrate_classes(std::slice::from_mut(&mut m), &[x0], 0.0, 0.1, &opts)
+            .expect("valid configuration")
+            .remove(0)
+            .expect("bounded solution");
+        let [r0, r1] = [0, 1].map(|i| tr.mean_from(m.rc_index(i), 0.08));
+        let q = tr.mean_from(0, 0.08); // component 0 is the queue
+        assert!(
+            (r0 / (r0 + r1) - 0.5).abs() < 0.005,
+            "seed {seed}: DCQCN+PI from f0 = {f0:.3} holds share {:.4}",
+            r0 / (r0 + r1)
+        );
+        let q_ref = units::kb_to_pkts(100.0, m.params.packet_bytes);
+        assert!(
+            (q - q_ref).abs() / q_ref < 0.02,
+            "seed {seed}: DCQCN+PI queue {q:.1} pkts vs q_ref {q_ref}"
+        );
+
+        // Patched TIMELY + PI at each end host, 10 Gbps, q_ref = 300 KB.
+        let mut m = TimelyFluid::patched_pi_10g(300.0, 2);
+        let c = m.params.capacity_pps();
+        let tr = m.simulate_with_rates(&shares.map(|f| f * c), 0.3);
+        let [r0, r1] = [0, 1].map(|i| tr.mean_from(m.rate_index(i), 0.25));
+        assert!(
+            (r0 / (r0 + r1) - f0).abs() < 0.02,
+            "seed {seed}: TIMELY+PI from f0 = {f0:.3} moved to share {:.4}",
+            r0 / (r0 + r1)
+        );
+        assert!(
+            ((r0 + r1) / c - 1.0).abs() < 0.05,
+            "seed {seed}: TIMELY+PI utilisation {:.3}",
+            (r0 + r1) / c
+        );
     }
 }

@@ -17,7 +17,6 @@ use ecn_delay::fluid::dde::{lane_of, pack_lanes, try_integrate, DdeOptions};
 use ecn_delay::fluid::{History, LaneSystem, StageInstant, StagedLane, Stages, Trace};
 use ecn_delay::models::dcqcn::{DcqcnFluid, DcqcnParams};
 use ecn_delay::models::jitter::Jitter;
-use ecn_delay::models::pi::DcqcnPiFluid;
 use ecn_delay::models::{TimelyFluid, TimelyLaw, TimelyParams};
 use faults::SimError;
 
@@ -186,9 +185,7 @@ fn jittered_dcqcn_matches_the_parent_digest() {
 #[test]
 fn dcqcn_pi_matches_the_parent_digest() {
     let _turn = metrics_turn();
-    let params = DcqcnParams::default_40g();
-    let gains = DcqcnPiFluid::default_gains(&params, 100.0);
-    let mut m = DcqcnPiFluid::new(params, gains, FLOWS);
+    let mut m = DcqcnFluid::pi(DcqcnParams::default_40g(), 100.0, FLOWS);
     let (trace, steps, fills) = counted(|| m.simulate(DURATION_S));
     let digest = trace_digest(&trace);
     assert_eq!(digest, 0x0315_9631_d422_96b1, "digest {digest:#018x}");
@@ -280,9 +277,7 @@ fn jittered_dcqcn_slots_are_invisible() {
 #[test]
 fn dcqcn_pi_slots_are_invisible() {
     let _turn = metrics_turn();
-    let params = DcqcnParams::default_40g();
-    let gains = DcqcnPiFluid::default_gains(&params, 100.0);
-    let m = DcqcnPiFluid::new(params, gains, 6);
+    let m = DcqcnFluid::pi(DcqcnParams::default_40g(), 100.0, 6);
     let x0 = three_class_start(2, m.params.capacity_pps(), 6);
     assert_slots_invisible(&m, &x0, &opts(40e-6));
 }
