@@ -4,7 +4,7 @@
 
 use bench::harness::{bench, black_box};
 use ecn_delay_core::experiments::fig3;
-use fluid::classes::{try_integrate_classes, FlowClassSystem};
+use fluid::classes::FlowClassSystem;
 use fluid::History;
 use models::dcqcn::{DcqcnFluid, DcqcnParams};
 use models::timely::TimelyFluid;
@@ -115,31 +115,17 @@ fn main() {
         bench("dcqcn_pi_integrate_64flows_10ms", || {
             black_box(model().simulate(0.01).len())
         });
-        // `simulate` has no explicit-start form: mirror its options.
-        let step = (params.feedback_delay_s() / 4.0).min(1e-6);
-        let opts = fluid::dde::DdeOptions {
-            step,
-            record_every: ((0.01 / step) / 4000.0).ceil().max(1.0) as usize,
-            history_horizon_s: params.feedback_delay_s() * 4.0 + 10.0 * step,
-        };
+        let rates: Vec<f64> = (0..64)
+            .map(|i| params.capacity_pps() * (0.5 + i as f64 / 128.0))
+            .collect();
+        let start = model().simulate_with_rates(&rates, 1e-6);
+        assert_eq!(
+            model().flow_classes(start.state(0)).len(),
+            64,
+            "asymmetric start must not reduce"
+        );
         bench("dcqcn_pi_integrate_64flows_10ms/asymmetric", || {
-            let mut m = model();
-            let mut x0 = vec![0.0; m.state_dim()];
-            for i in 0..64 {
-                let rate = params.capacity_pps() * (0.5 + i as f64 / 128.0);
-                x0[m.rc_index(i)] = rate;
-                x0[m.rt_index(i)] = rate;
-                x0[m.alpha_index(i)] = 1.0;
-            }
-            assert_eq!(
-                m.flow_classes(&x0).len(),
-                64,
-                "asymmetric start must not reduce"
-            );
-            let mut lanes =
-                try_integrate_classes(std::slice::from_mut(&mut m), &[x0], 0.0, 0.01, &opts)
-                    .expect("valid configuration");
-            black_box(lanes.remove(0).expect("bounded model").len())
+            black_box(model().simulate_with_rates(&rates, 0.01).len())
         });
     }
     {

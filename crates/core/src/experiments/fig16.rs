@@ -72,14 +72,7 @@ pub fn run(cfg: &Fig16Config) -> Fig16Result {
             .iter()
             .map(|&(t, b)| (t, b / 1000.0))
             .collect();
-        let mut vals: Vec<f64> = series.iter().map(|&(_, v)| v).collect();
-        vals.sort_by(f64::total_cmp);
-        let mean = vals.iter().sum::<f64>() / vals.len().max(1) as f64;
-        let p99 = vals
-            .get(((vals.len() as f64 * 0.99) as usize).min(vals.len().saturating_sub(1)))
-            .copied()
-            .unwrap_or(0.0);
-        let max = vals.last().copied().unwrap_or(0.0);
+        let (mean, p99, max) = summarize(&series);
         (
             (proto.label().to_string(), series),
             (proto.label().to_string(), mean, p99, max),
@@ -89,9 +82,44 @@ pub fn run(cfg: &Fig16Config) -> Fig16Result {
     Fig16Result { queues_kb, summary }
 }
 
+/// `(mean, p99, max)` of a queue trace's values; NaN for each on an empty
+/// trace, as [`tail_mean`](crate::experiments::tail_mean) answers. The mean
+/// sums the values in sorted order, not in time order.
+fn summarize(series: &[(f64, f64)]) -> (f64, f64, f64) {
+    let mut vals: Vec<f64> = series.iter().map(|&(_, v)| v).collect();
+    vals.sort_by(f64::total_cmp);
+    let Some(&max) = vals.last() else {
+        return (f64::NAN, f64::NAN, f64::NAN);
+    };
+    let mean = vals.iter().sum::<f64>() / vals.len() as f64;
+    let p99 = vals[((vals.len() as f64 * 0.99) as usize).min(vals.len() - 1)];
+    (mean, p99, max)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_empty_queue_trace_summarizes_to_nan() {
+        let (mean, p99, max) = summarize(&[]);
+        assert!(mean.is_nan() && p99.is_nan() && max.is_nan());
+    }
+
+    #[test]
+    fn one_sample_is_its_own_mean_p99_and_max() {
+        assert_eq!(summarize(&[(0.5, 42.0)]), (42.0, 42.0, 42.0));
+    }
+
+    #[test]
+    fn the_summary_reads_the_sorted_values() {
+        // 100 values 1..=100 out of time order: p99 is the 100th (index
+        // 99 = min(⌊100 · 0.99⌋, 99)).
+        let series: Series = (0..100)
+            .map(|i| (i as f64, ((i * 37) % 100 + 1) as f64))
+            .collect();
+        assert_eq!(summarize(&series), (50.5, 100.0, 100.0));
+    }
 
     #[test]
     fn delay_based_queue_much_larger_and_more_variable() {

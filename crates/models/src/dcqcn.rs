@@ -729,14 +729,33 @@ impl DcqcnFluid {
     /// start at line rate."); a PI marking probability starts at 0. Returns
     /// the full state trace.
     pub fn simulate(&mut self, duration_s: f64) -> Trace {
-        let step = (self.params.feedback_delay_s() / 4.0).min(1e-6);
-        self.simulate_with_step(duration_s, step)
+        self.simulate_with_step(duration_s, self.step_s())
     }
 
     /// Integrate with an explicit step size (tests use this for convergence
     /// checks).
     pub fn simulate_with_step(&mut self, duration_s: f64, step_s: f64) -> Trace {
-        let x0 = self.line_rate_start();
+        let line_rate = vec![self.params.capacity_pps(); self.n_flows];
+        self.integrate_from(&line_rate, duration_s, step_s)
+    }
+
+    /// Simulate with explicit initial rates (packets/second): each flow
+    /// starts with `R_C = R_T` at its rate and `α = 1`, the queue (and PI
+    /// `p`) zero, and integrates with [`Self::simulate`]'s step, record
+    /// spacing and history horizon.
+    pub fn simulate_with_rates(&mut self, initial_rates_pps: &[f64], duration_s: f64) -> Trace {
+        self.integrate_from(initial_rates_pps, duration_s, self.step_s())
+    }
+
+    /// The RK4 step of [`Self::simulate`]: a quarter of the feedback delay,
+    /// at most 1 µs.
+    fn step_s(&self) -> f64 {
+        (self.params.feedback_delay_s() / 4.0).min(1e-6)
+    }
+
+    /// Integrate from the start [`Self::start`] builds for `rates_pps`.
+    fn integrate_from(&mut self, rates_pps: &[f64], duration_s: f64, step_s: f64) -> Trace {
+        let x0 = self.start(rates_pps);
         let opts = DdeOptions {
             step: step_s,
             record_every: record_every(duration_s, step_s),
@@ -747,14 +766,14 @@ impl DcqcnFluid {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The protocol's start: every flow at line rate with `α = 1`, queue
-    /// (and PI `p`) zero.
-    fn line_rate_start(&self) -> Vec<f64> {
-        let line_rate = self.params.capacity_pps();
+    /// The state with flow `i` at `R_C = R_T = rates_pps[i]` and `α = 1`,
+    /// queue (and PI `p`) zero; at line rate, the protocol's start.
+    fn start(&self, rates_pps: &[f64]) -> Vec<f64> {
+        assert_eq!(rates_pps.len(), self.n_flows, "one initial rate per flow");
         let mut x0 = vec![0.0; self.state_dim()];
-        for i in 0..self.n_flows {
-            x0[self.rc_index(i)] = line_rate;
-            x0[self.rt_index(i)] = line_rate;
+        for (i, &rate) in rates_pps.iter().enumerate() {
+            x0[self.rc_index(i)] = rate;
+            x0[self.rt_index(i)] = rate;
             x0[self.alpha_index(i)] = 1.0;
         }
         x0
@@ -786,12 +805,11 @@ impl DcqcnFluid {
         duration_s: f64,
     ) -> Vec<Result<Trace, SimError>> {
         assert!(!models.is_empty(), "batch needs at least one lane");
-        let lane_step = |m: &DcqcnFluid| (m.params.feedback_delay_s() / 4.0).min(1e-6);
         // `models[0]` is safe: non-emptiness asserted above.
-        let step_s = lane_step(&models[0]);
+        let step_s = models[0].step_s();
         for m in &models {
             assert!(
-                lane_step(m).to_bits() == step_s.to_bits(),
+                m.step_s().to_bits() == step_s.to_bits(),
                 "lanes must share the lockstep step size"
             );
         }
@@ -803,7 +821,10 @@ impl DcqcnFluid {
                 .map(|m| m.history_horizon_s(step_s))
                 .fold(0.0, f64::max),
         };
-        let x0s: Vec<Vec<f64>> = models.iter().map(DcqcnFluid::line_rate_start).collect();
+        let x0s: Vec<Vec<f64>> = models
+            .iter()
+            .map(|m| m.start(&vec![m.params.capacity_pps(); m.n_flows]))
+            .collect();
         try_integrate_classes(&mut models, &x0s, 0.0, duration_s, &opts)
             .unwrap_or_else(|e| panic!("{e}"))
     }

@@ -57,8 +57,8 @@ impl Engine {
         };
         if p > 0.0 && m.rng.next_f64() < p {
             let pkt = self.packets.get_mut(h);
-            pkt.ecn_marked = true;
-            let flow = pkt.flow;
+            pkt.mark_ecn();
+            let flow = pkt.flow();
             m.marked += 1;
             m.first_mark_time.get_or_insert(self.now);
             if obs::timeseries::enabled() {

@@ -172,9 +172,9 @@ impl EngineConfig {
         if self.mtu_bytes == 0 {
             return bad("mtu_bytes must be positive".to_string());
         }
-        if self.mtu_bytes >= crate::types::Send::MAX_PAYLOAD {
+        if self.mtu_bytes >= crate::types::Packet::MAX_PAYLOAD {
             return bad(format!(
-                "mtu_bytes {} must be below 2^30 (a NIC send keeps two flags above the payload)",
+                "mtu_bytes {} must be below 2^27 (a packet keeps five flag bits above the payload)",
                 self.mtu_bytes
             ));
         }
@@ -267,7 +267,7 @@ mod tests {
             );
         };
         check(&|c| c.mtu_bytes = 0, "mtu_bytes");
-        check(&|c| c.mtu_bytes = 1 << 30, "below 2^30");
+        check(&|c| c.mtu_bytes = 1 << 27, "below 2^27");
         check(&|c| c.control_packet_bytes = 0, "control_packet_bytes");
         check(
             &|c| {

@@ -78,7 +78,7 @@ enum Ev {
     Pacer(FlowId),
     TxDone(LinkId),
     /// A packet (by arena handle) arrives at the far end of a link. Events
-    /// carry 4-byte handles, not 64-byte [`Packet`](crate::types::Packet)
+    /// carry 4-byte handles, not 24-byte [`Packet`](crate::types::Packet)
     /// values: the event queue's payload arena stays dense and packets are
     /// never memcpy'd between hops.
     Deliver(LinkId, PacketHandle),
@@ -574,10 +574,18 @@ impl Engine {
             return;
         }
         let node = self.topo.link(link).dst;
-        if matches!(self.topo.kind(node), NodeKind::Switch) || node != pkt.dst {
+        // A data packet heads for its flow's destination, a control packet
+        // back to its source; both on the flow's ECMP hash.
+        let f = pkt.flow().0;
+        let dst = if pkt.is_control() {
+            self.senders.src[f]
+        } else {
+            self.senders.dst[f]
+        };
+        if matches!(self.topo.kind(node), NodeKind::Switch) || node != dst {
             // Forward toward the destination: the handle moves to the next
             // port queue, the packet body never moves.
-            let Some(next) = self.topo.next_hop_for(node, pkt.dst, pkt.path_hash) else {
+            let Some(next) = self.topo.next_hop_for(node, dst, self.senders.path_hash[f]) else {
                 // Topology is connected by construction; a stray packet is a
                 // bug, but dropping it degrades gracefully in release builds.
                 debug_assert!(false, "unroutable packet destination");

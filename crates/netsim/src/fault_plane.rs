@@ -179,7 +179,7 @@ impl FaultPlane {
     /// sub-stream only when a loss window is active, so inactive links
     /// consume no randomness.
     pub(super) fn loses(&mut self, link: LinkId, pkt: &Packet, now: SimTime) -> bool {
-        let is_cnp = matches!(pkt.kind, PacketKind::Cnp);
+        let is_cnp = matches!(pkt.kind(), PacketKind::Cnp);
         if pkt.is_control() && !is_cnp {
             return false;
         }
@@ -200,7 +200,7 @@ impl FaultPlane {
         obs::trace::record(
             now.as_secs_f64(),
             obs::Event::FaultDrop {
-                flow: pkt.flow.0 as u64,
+                flow: pkt.flow().0 as u64,
                 link: link.0 as u64,
                 control: is_cnp,
             },

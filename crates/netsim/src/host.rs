@@ -4,11 +4,11 @@
 //! time and reports the bytes released to its congestion control. What the
 //! pacer releases is a [`Send`]: the flow, the payload with its ACK-request
 //! and last-of-flow flags, and the release instant — every field of the data
-//! packet that is not the flow's own, fixed at release. The NIC queues the
-//! send and builds the [`Packet`] from it and the flow's columns only when
-//! it starts serializing it ([`Engine::packet_of`]), so data waiting in a
-//! NIC — however long PFC holds it there — takes 16 bytes, not an arena
-//! slot. The receiver side consumes what reaches its destination host —
+//! packet but the instant its last hop began, which is the release until it
+//! has one. The NIC queues the send and builds the [`Packet`] from it only
+//! when it starts serializing it, so data waiting in a NIC — however long
+//! PFC holds it there — takes 16 bytes, not a 24-byte arena slot. The
+//! receiver side consumes what reaches its destination host —
 //! delivered bytes and rate windows, a CNP for a marked packet coalesced to
 //! the interval τ, an ACK where one was requested, the flow's completion —
 //! and routes the control packets back; [`ReceiverFlows`] owns its state.
@@ -154,31 +154,10 @@ impl Engine {
         Send::new(f, payload, ack_request, last_of_flow, self.now)
     }
 
-    /// The data packet a NIC puts on the wire for `send`: the send's fields
-    /// and its flow's endpoints and ECMP hash, unmarked, created at its
-    /// release.
-    pub(super) fn packet_of(&self, send: Send) -> Packet {
-        let (f, s) = (send.flow(), &self.senders);
-        Packet {
-            flow: f,
-            src: s.src[f.0],
-            dst: s.dst[f.0],
-            path_hash: s.path_hash[f.0],
-            size_bytes: send.payload() + self.cfg.header_bytes,
-            kind: PacketKind::Data {
-                payload: send.payload(),
-                ack_request: send.ack_request(),
-                last_of_flow: send.last_of_flow(),
-                chunk_sent_at: send.released_at,
-            },
-            ecn_marked: false,
-            last_hop_at: send.released_at,
-        }
-    }
-
     /// Consume a packet at its destination host.
     pub(super) fn consume(&mut self, pkt: Packet) {
-        match pkt.kind {
+        let f = pkt.flow();
+        match pkt.kind() {
             PacketKind::Data {
                 payload,
                 ack_request,
@@ -187,12 +166,11 @@ impl Engine {
             } => {
                 let r = &mut self.receivers;
                 r.data_packets += 1;
-                let f = pkt.flow;
                 r.delivered_bytes[f.0] += payload as u64;
                 self.record_rate_sample(f, payload as u64);
 
                 // DCQCN NP behaviour: CNP on marked packet, coalesced to τ.
-                if pkt.ecn_marked {
+                if pkt.ecn_marked() {
                     let due = match self.receivers.last_cnp[f.0] {
                         None => true,
                         Some(t) => self.now.saturating_since(t) >= self.cfg.cnp_interval,
@@ -206,14 +184,14 @@ impl Engine {
                                 obs::Event::CnpSent { flow: f.0 as u64 },
                             );
                         }
-                        self.send_control(&pkt, PacketKind::Cnp);
+                        self.send_control(f, PacketKind::Cnp);
                     }
                 }
                 if ack_request {
-                    self.send_control(&pkt, PacketKind::Ack { chunk_sent_at });
+                    self.send_control(f, PacketKind::Ack { chunk_sent_at });
                 }
                 if last_of_flow && self.senders.completed[f.0].is_none() {
-                    self.catch_up(f, Touch::Hop(pkt.last_hop_at));
+                    self.catch_up(f, Touch::Hop(pkt.last_hop_at()));
                     let s = &mut self.senders;
                     s.completed[f.0] = Some(self.now);
                     let start = s.start[f.0];
@@ -229,13 +207,12 @@ impl Engine {
                     obs::timeseries::observe("netsim.fct_ms", 0, fct_s * 1e3);
                 }
             }
-            PacketKind::Ack { .. } | PacketKind::Cnp => {
-                let f = pkt.flow;
+            kind @ (PacketKind::Ack { .. } | PacketKind::Cnp) => {
                 if self.senders.completed[f.0].is_some() {
                     return;
                 }
-                self.catch_up(f, Touch::Hop(pkt.last_hop_at));
-                let event = match pkt.kind {
+                self.catch_up(f, Touch::Hop(pkt.last_hop_at()));
+                let event = match kind {
                     PacketKind::Ack { chunk_sent_at, .. } => CcEvent::RttSample {
                         rtt: self.now.saturating_since(chunk_sent_at),
                     },
@@ -248,26 +225,21 @@ impl Engine {
         }
     }
 
-    /// Answer data packet `data` with a control packet of `kind`, routed
-    /// from its destination host back to its source.
-    fn send_control(&mut self, data: &Packet, kind: PacketKind) {
-        let pkt = Packet {
-            flow: data.flow,
-            src: data.dst,
-            dst: data.src,
-            path_hash: data.path_hash,
-            size_bytes: self.cfg.control_packet_bytes,
-            kind,
-            ecn_marked: false,
-            last_hop_at: self.now,
-        };
-        let Some(l) = self.topo.next_hop_for(pkt.src, pkt.dst, pkt.path_hash) else {
+    /// Answer a data packet of flow `f` with a control packet of `kind`,
+    /// routed from the flow's destination host back to its source on the
+    /// data's ECMP hash.
+    fn send_control(&mut self, f: FlowId, kind: PacketKind) {
+        let s = &self.senders;
+        let Some(l) = self
+            .topo
+            .next_hop_for(s.dst[f.0], s.src[f.0], s.path_hash[f.0])
+        else {
             // Control packets reverse a validated data route; losing one is
             // recoverable (feedback is periodic), aborting is not.
             debug_assert!(false, "no control route");
             return;
         };
-        let h = self.packets.alloc(pkt);
+        let h = self.packets.alloc(Packet::control(f, kind, self.now));
         self.enqueue(l, h);
     }
 
@@ -302,7 +274,7 @@ mod tests {
     fn queued_packets(eng: &Engine) -> Vec<Packet> {
         let uplink = eng.topo.out_links(eng.senders.src[0])[0];
         match &eng.ports.data_q[uplink.0] {
-            DataQueue::Nic(q) => q.iter().map(|&s| eng.packet_of(s)).collect(),
+            DataQueue::Nic(q) => q.iter().map(|&s| s.packet()).collect(),
             DataQueue::Switch(_) => panic!("a host's uplink is a NIC"),
         }
     }
@@ -340,16 +312,14 @@ mod tests {
                     ack_request,
                     last_of_flow,
                     chunk_sent_at,
-                } = p.kind
+                } = p.kind()
                 else {
                     panic!("a send is data");
                 };
-                assert_eq!(p.flow, FlowId(0));
-                assert_eq!((p.src, p.dst), (eng.senders.src[0], eng.senders.dst[0]));
-                assert_eq!(p.path_hash, eng.senders.path_hash[0]);
-                assert_eq!(p.size_bytes, payload + eng.cfg.header_bytes);
-                assert!(!p.ecn_marked);
-                assert_eq!((chunk_sent_at, p.last_hop_at), (at, at));
+                assert_eq!(p.flow(), FlowId(0));
+                assert_eq!(p.wire_bytes(&eng.cfg), payload + eng.cfg.header_bytes);
+                assert!(!p.ecn_marked());
+                assert_eq!((chunk_sent_at, p.last_hop_at()), (at, at));
                 (payload, ack_request, last_of_flow)
             })
             .collect()

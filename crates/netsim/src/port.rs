@@ -186,7 +186,7 @@ impl Engine {
     pub(super) fn enqueue(&mut self, link: LinkId, h: PacketHandle) {
         let (is_control, size_bytes) = {
             let pkt = self.packets.get(h);
-            (pkt.is_control(), pkt.size_bytes)
+            (pkt.is_control(), pkt.wire_bytes(&self.cfg))
         };
         if is_control {
             self.ports.ctrl_q[link.0].push_back(h);
@@ -326,9 +326,9 @@ impl Engine {
         let (is_control, size_bytes) = {
             let pkt = self.packets.get_mut(h);
             if memo.to_host {
-                pkt.last_hop_at = self.now;
+                pkt.set_last_hop_at(self.now);
             }
-            (pkt.is_control(), pkt.size_bytes)
+            (pkt.is_control(), pkt.wire_bytes(&self.cfg))
         };
         if !is_control {
             // Egress marking: the mark reflects the queue at departure time.
@@ -378,8 +378,7 @@ impl Engine {
             DataQueue::Switch(q) => q.pop_front(),
             DataQueue::Nic(q) => {
                 let send = q.pop_front()?;
-                let pkt = self.packet_of(send);
-                Some(self.packets.alloc(pkt))
+                Some(self.packets.alloc(send.packet()))
             }
         }
     }

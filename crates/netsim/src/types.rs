@@ -1,6 +1,6 @@
 //! Core simulator value types: packets, NIC sends and flow identifiers.
 
-use crate::topology::NodeId;
+use crate::config::EngineConfig;
 use desim::SimTime;
 
 /// Flow identifier (index into the engine's flow table).
@@ -34,74 +34,167 @@ pub enum PacketKind {
     Cnp,
 }
 
-/// A packet in flight or queued.
+/// A packet in flight or queued: 24 bytes.
 ///
-/// Simulator luxury: metadata that real hardware would encode in headers
-/// (timestamps, flow ids) is carried directly; only `size_bytes` affects
-/// timing.
-#[derive(Debug, Clone, Copy)]
+/// It carries only what varies from packet to packet. What its flow fixes
+/// — the endpoints, the ECMP hash, the wire size given the payload — lives
+/// in the engine's flow columns, and the engine reads it there when it
+/// routes or serializes the packet: [`Packet::wire_bytes`] for the size, the
+/// flow's `dst` (data) or `src` (control) and its `path_hash` for the route.
+/// `bits` packs the payload (low 27 bits), the ECN mark, the kind and the
+/// ACK-request and last-of-flow flags; [`Packet::kind`] decodes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
-    /// The flow this packet belongs to.
-    pub flow: FlowId,
-    /// Origin host.
-    pub src: NodeId,
-    /// Destination host.
-    pub dst: NodeId,
-    /// The flow's ECMP hash: switches route on the packet alone, as
-    /// hardware hashes the header, without reading the sender's state.
-    pub path_hash: u64,
-    /// Wire size in bytes (headers included).
-    pub size_bytes: u32,
-    /// Payload kind.
-    pub kind: PacketKind,
-    /// ECN Congestion-Experienced mark.
-    pub ecn_marked: bool,
+    flow: u32,
+    bits: u32,
+    /// Data: when the first byte of its chunk left the sender. ACK: the
+    /// same instant, echoed. CNP: zero.
+    chunk_sent_at: SimTime,
     /// When its last hop began (its final `Deliver` was scheduled); until
     /// then, when it was created.
-    pub last_hop_at: SimTime,
+    last_hop_at: SimTime,
 }
 
 impl Packet {
+    /// Payloads stay below this (2²⁷ bytes), so the five flag bits above
+    /// them are free; [`EngineConfig::validate`] keeps the MTU below it.
+    ///
+    /// [`EngineConfig::validate`]: crate::config::EngineConfig::validate
+    pub const MAX_PAYLOAD: u32 = Self::ECN;
+    const PAYLOAD: u32 = Self::MAX_PAYLOAD - 1;
+    const ECN: u32 = 1 << 27;
+    const KIND_SHIFT: u32 = 28;
+    const ACK: u32 = 1 << Self::KIND_SHIFT;
+    const CNP: u32 = 2 << Self::KIND_SHIFT;
+    const KIND: u32 = 3 << Self::KIND_SHIFT;
+    const LAST_OF_FLOW: u32 = 1 << 30;
+    const ACK_REQUEST: u32 = 1 << 31;
+
+    /// An unmarked data packet of `flow` whose chunk left the sender at
+    /// `chunk_sent_at`, which is also when it was created.
+    pub fn data(
+        flow: FlowId,
+        payload: u32,
+        ack_request: bool,
+        last_of_flow: bool,
+        chunk_sent_at: SimTime,
+    ) -> Self {
+        debug_assert!(payload < Self::MAX_PAYLOAD);
+        Packet {
+            flow: flow_index(flow),
+            bits: payload
+                | if ack_request { Self::ACK_REQUEST } else { 0 }
+                | if last_of_flow { Self::LAST_OF_FLOW } else { 0 },
+            chunk_sent_at,
+            last_hop_at: chunk_sent_at,
+        }
+    }
+
+    /// A control packet of `flow` created at `now`: `kind` is an ACK or a
+    /// CNP (a data kind is a bug and builds an ACK).
+    pub fn control(flow: FlowId, kind: PacketKind, now: SimTime) -> Self {
+        let (bits, chunk_sent_at) = match kind {
+            PacketKind::Cnp => (Self::CNP, SimTime::ZERO),
+            PacketKind::Ack { chunk_sent_at } => (Self::ACK, chunk_sent_at),
+            PacketKind::Data { chunk_sent_at, .. } => {
+                debug_assert!(false, "a control packet of a data kind");
+                (Self::ACK, chunk_sent_at)
+            }
+        };
+        Packet {
+            flow: flow_index(flow),
+            bits,
+            chunk_sent_at,
+            last_hop_at: now,
+        }
+    }
+
+    /// The flow this packet belongs to.
+    pub fn flow(&self) -> FlowId {
+        FlowId(self.flow as usize)
+    }
+
+    /// What the packet is, decoded.
+    pub fn kind(&self) -> PacketKind {
+        match self.bits & Self::KIND {
+            0 => PacketKind::Data {
+                payload: self.bits & Self::PAYLOAD,
+                ack_request: self.bits & Self::ACK_REQUEST != 0,
+                last_of_flow: self.bits & Self::LAST_OF_FLOW != 0,
+                chunk_sent_at: self.chunk_sent_at,
+            },
+            Self::ACK => PacketKind::Ack {
+                chunk_sent_at: self.chunk_sent_at,
+            },
+            _ => PacketKind::Cnp,
+        }
+    }
+
     /// True for CNP/ACK control packets (strict-priority, never marked).
     pub fn is_control(&self) -> bool {
-        matches!(self.kind, PacketKind::Ack { .. } | PacketKind::Cnp)
+        self.bits & Self::KIND != 0
     }
 
     /// Payload bytes carried (0 for control packets).
     pub fn payload_bytes(&self) -> u64 {
-        match self.kind {
-            PacketKind::Data { payload, .. } => payload as u64,
-            _ => 0,
+        (self.bits & Self::PAYLOAD) as u64
+    }
+
+    /// Wire size in bytes (headers included) under `cfg`: the payload plus
+    /// the header for data, the fixed control size for ACKs and CNPs.
+    pub fn wire_bytes(&self, cfg: &EngineConfig) -> u32 {
+        if self.is_control() {
+            cfg.control_packet_bytes
+        } else {
+            (self.bits & Self::PAYLOAD) + cfg.header_bytes
         }
+    }
+
+    /// ECN Congestion-Experienced mark.
+    pub fn ecn_marked(&self) -> bool {
+        self.bits & Self::ECN != 0
+    }
+
+    /// Set the ECN Congestion-Experienced mark.
+    pub(crate) fn mark_ecn(&mut self) {
+        self.bits |= Self::ECN;
+    }
+
+    /// When its last hop began; until then, when it was created.
+    pub fn last_hop_at(&self) -> SimTime {
+        self.last_hop_at
+    }
+
+    pub(crate) fn set_last_hop_at(&mut self, at: SimTime) {
+        self.last_hop_at = at;
     }
 }
 
-/// A host NIC's work request: one data packet of a flow, as its pacer
-/// released it. What a data packet carries beyond this — endpoints, ECMP
-/// hash, wire size — is the flow's and the engine's, fixed before release,
-/// so the NIC builds the [`Packet`] only when it starts serializing it.
+/// `f` as a packet's 32-bit flow index; [`Engine::try_add_flow`] keeps every
+/// flow index below 2³².
 ///
-/// 16 bytes: the payload's two top bits hold the ACK-request and
-/// last-of-flow flags, which is why [`EngineConfig::validate`] keeps the MTU
-/// below 2³⁰ bytes and [`Engine::try_add_flow`] the flow index below 2³².
-///
-/// [`EngineConfig::validate`]: crate::config::EngineConfig::validate
 /// [`Engine::try_add_flow`]: crate::engine::Engine::try_add_flow
+fn flow_index(f: FlowId) -> u32 {
+    debug_assert!(f.0 <= u32::MAX as usize);
+    f.0 as u32
+}
+
+/// A host NIC's work request: one data packet of a flow, as its pacer
+/// released it. What a data packet carries beyond this is when its last hop
+/// began, which is the release instant until it has one, so the NIC builds
+/// the [`Packet`] only when it starts serializing it.
+///
+/// 16 bytes: `bits` is the data packet's own, unmarked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Send {
     flow: u32,
-    payload: u32,
+    bits: u32,
     /// The release instant: the packet's `chunk_sent_at` and, until its
     /// last hop, its `last_hop_at`.
     pub(crate) released_at: SimTime,
 }
 
 impl Send {
-    const ACK_REQUEST: u32 = 1 << 31;
-    const LAST_OF_FLOW: u32 = 1 << 30;
-    /// Payloads stay below this, so the two flag bits are free.
-    pub(crate) const MAX_PAYLOAD: u32 = Self::LAST_OF_FLOW;
-
     pub(crate) fn new(
         flow: FlowId,
         payload: u32,
@@ -109,35 +202,32 @@ impl Send {
         last_of_flow: bool,
         released_at: SimTime,
     ) -> Self {
-        debug_assert!(payload < Self::MAX_PAYLOAD && flow.0 <= u32::MAX as usize);
-        let flags = if ack_request { Self::ACK_REQUEST } else { 0 }
-            | if last_of_flow { Self::LAST_OF_FLOW } else { 0 };
+        let p = Packet::data(flow, payload, ack_request, last_of_flow, released_at);
         Send {
-            flow: flow.0 as u32,
-            payload: payload | flags,
+            flow: p.flow,
+            bits: p.bits,
             released_at,
         }
     }
 
-    pub(crate) fn flow(self) -> FlowId {
-        FlowId(self.flow as usize)
-    }
-
     pub(crate) fn payload(self) -> u32 {
-        self.payload & (Self::MAX_PAYLOAD - 1)
+        self.bits & Packet::PAYLOAD
     }
 
-    pub(crate) fn ack_request(self) -> bool {
-        self.payload & Self::ACK_REQUEST != 0
-    }
-
-    pub(crate) fn last_of_flow(self) -> bool {
-        self.payload & Self::LAST_OF_FLOW != 0
+    /// The data packet a NIC puts on the wire for this send: unmarked,
+    /// created at its release.
+    pub(crate) fn packet(self) -> Packet {
+        Packet {
+            flow: self.flow,
+            bits: self.bits,
+            chunk_sent_at: self.released_at,
+            last_hop_at: self.released_at,
+        }
     }
 }
 
 /// Index handle into a [`PacketArena`]; the currency the engine's event
-/// queue and switch port queues trade in instead of 64-byte [`Packet`]
+/// queue and switch port queues trade in instead of 24-byte [`Packet`]
 /// values.
 ///
 /// Handles are plain indices (no generation counter): the engine's packet
@@ -214,28 +304,15 @@ mod tests {
     use super::*;
 
     fn data_packet(payload: u32) -> Packet {
-        Packet {
-            flow: FlowId(0),
-            src: NodeId(0),
-            dst: NodeId(1),
-            path_hash: 0,
-            size_bytes: payload + 40,
-            kind: PacketKind::Data {
-                payload,
-                ack_request: false,
-                last_of_flow: false,
-                chunk_sent_at: SimTime::ZERO,
-            },
-            ecn_marked: false,
-            last_hop_at: SimTime::ZERO,
-        }
+        Packet::data(FlowId(0), payload, false, false, SimTime::ZERO)
     }
 
-    /// The size `PacketHandle`'s doc and DESIGN §8.7 quote; §8.7 says why a
-    /// smaller packet raises `packet_longflow`'s peak RSS.
+    /// The size `PacketHandle`'s doc and DESIGN §8.7 quote. The arena's
+    /// largest buffer follows it, and §8.7 says how that buffer and the JSON
+    /// render meet in glibc's mmap threshold.
     #[test]
-    fn a_packet_is_64_bytes() {
-        assert_eq!(std::mem::size_of::<Packet>(), 64);
+    fn a_packet_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Packet>(), 24);
     }
 
     /// A paused NIC can queue hundreds of thousands of sends.
@@ -247,31 +324,55 @@ mod tests {
     #[test]
     fn send_flags_leave_the_payload_alone() {
         let t = SimTime::from_nanos(7);
+        let max = Packet::MAX_PAYLOAD - 1;
         for (ack, last) in [(false, false), (true, false), (false, true), (true, true)] {
-            let s = Send::new(FlowId(3), Send::MAX_PAYLOAD - 1, ack, last, t);
-            assert_eq!(s.flow(), FlowId(3));
-            assert_eq!(s.payload(), Send::MAX_PAYLOAD - 1);
-            assert_eq!((s.ack_request(), s.last_of_flow()), (ack, last));
+            let s = Send::new(FlowId(3), max, ack, last, t);
+            assert_eq!(s.payload(), max);
             assert_eq!(s.released_at, t);
+            let mut p = s.packet();
+            assert_eq!(p, Packet::data(FlowId(3), max, ack, last, t));
+            assert_eq!(p.flow(), FlowId(3));
+            let want = PacketKind::Data {
+                payload: max,
+                ack_request: ack,
+                last_of_flow: last,
+                chunk_sent_at: t,
+            };
+            assert_eq!(
+                (p.kind(), p.ecn_marked(), p.last_hop_at()),
+                (want, false, t)
+            );
+            p.mark_ecn();
+            assert_eq!((p.kind(), p.ecn_marked()), (want, true));
         }
     }
 
     #[test]
     fn control_classification() {
+        let cfg = EngineConfig::default();
         let d = data_packet(1000);
         assert!(!d.is_control());
         assert_eq!(d.payload_bytes(), 1000);
+        assert_eq!(d.wire_bytes(&cfg), 1000 + cfg.header_bytes);
 
-        let mut cnp = d;
-        cnp.kind = PacketKind::Cnp;
+        let now = SimTime::from_nanos(9);
+        let cnp = Packet::control(FlowId(5), PacketKind::Cnp, now);
         assert!(cnp.is_control());
+        assert_eq!(
+            (cnp.flow(), cnp.kind(), cnp.last_hop_at()),
+            (FlowId(5), PacketKind::Cnp, now)
+        );
         assert_eq!(cnp.payload_bytes(), 0);
+        assert_eq!(cnp.wire_bytes(&cfg), cfg.control_packet_bytes);
 
-        let mut ack = d;
-        ack.kind = PacketKind::Ack {
-            chunk_sent_at: SimTime::ZERO,
+        let echoed = SimTime::from_nanos(3);
+        let ack_kind = PacketKind::Ack {
+            chunk_sent_at: echoed,
         };
-        assert!(ack.is_control());
+        let ack = Packet::control(FlowId(5), ack_kind, now);
+        assert!(ack.is_control() && !ack.ecn_marked());
+        assert_eq!((ack.kind(), ack.payload_bytes()), (ack_kind, 0));
+        assert_eq!(ack.wire_bytes(&cfg), cfg.control_packet_bytes);
     }
 
     #[test]
@@ -295,8 +396,9 @@ mod tests {
     fn arena_get_mut_marks_in_place() {
         let mut arena = PacketArena::default();
         let h = arena.alloc(data_packet(1000));
-        assert!(!arena.get(h).ecn_marked);
-        arena.get_mut(h).ecn_marked = true;
-        assert!(arena.get(h).ecn_marked);
+        assert!(!arena.get(h).ecn_marked());
+        arena.get_mut(h).mark_ecn();
+        assert!(arena.get(h).ecn_marked());
+        assert_eq!(arena.get(h).payload_bytes(), 1000);
     }
 }

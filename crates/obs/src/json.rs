@@ -26,7 +26,7 @@
 //! `Arr`s, so `parse(v.render_pretty()) == v` for every tree of finite
 //! floats.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 /// A JSON value tree.
 ///
@@ -107,15 +107,23 @@ impl Value {
     /// printer used, so downstream plotting scripts keep working). Object
     /// keys keep their insertion order; the output is byte-stable across
     /// runs and platforms.
+    ///
+    /// The `String` is allocated once, at the rendered length: the writer
+    /// runs twice, first into a byte counter (so every float is formatted
+    /// twice). A result renders to megabytes, and growing the buffer by
+    /// doubling would hold the outgrown half and the doubled one at once.
     pub fn render_pretty(&self) -> String {
-        let mut s = String::new();
+        let mut len = ByteCount(0);
+        self.write_pretty(&mut len, 0);
+        let mut s = String::with_capacity(len.0);
         self.write_pretty(&mut s, 0);
+        debug_assert_eq!(s.len(), s.capacity(), "one writer counts and fills");
         s
     }
 
-    fn write_pretty(&self, out: &mut String, depth: usize) {
+    fn write_pretty<W: Write>(&self, out: &mut W, depth: usize) {
         match self {
-            Value::Null => out.push_str("null"),
+            Value::Null => put(out, "null"),
             Value::Bool(b) => {
                 let _ = write!(out, "{b}");
             }
@@ -135,23 +143,23 @@ impl Value {
             }),
             Value::Obj(fields) => {
                 if fields.is_empty() {
-                    out.push_str("{}");
+                    put(out, "{}");
                     return;
                 }
-                out.push('{');
+                put(out, "{");
                 for (i, (key, value)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        put(out, ",");
                     }
-                    out.push('\n');
+                    put(out, "\n");
                     indent(out, depth + 1);
                     write_str(out, key);
-                    out.push_str(": ");
+                    put(out, ": ");
                     value.write_pretty(out, depth + 1);
                 }
-                out.push('\n');
+                put(out, "\n");
                 indent(out, depth);
-                out.push('}');
+                put(out, "}");
             }
         }
     }
@@ -238,28 +246,44 @@ impl PartialEq for Value {
 
 /// The pretty layout of an array whose items `write_item` renders one by
 /// one, each at `depth + 1`.
-fn write_pretty_items<T>(
-    out: &mut String,
+fn write_pretty_items<W: Write, T>(
+    out: &mut W,
     depth: usize,
     items: &[T],
-    write_item: impl Fn(&mut String, usize, &T),
+    write_item: impl Fn(&mut W, usize, &T),
 ) {
     if items.is_empty() {
-        out.push_str("[]");
+        put(out, "[]");
         return;
     }
-    out.push('[');
+    put(out, "[");
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            put(out, ",");
         }
-        out.push('\n');
+        put(out, "\n");
         indent(out, depth + 1);
         write_item(out, depth + 1, item);
     }
-    out.push('\n');
+    put(out, "\n");
     indent(out, depth);
-    out.push(']');
+    put(out, "]");
+}
+
+/// A writer that keeps only the number of bytes written: the pretty
+/// writer run into it is [`Value::render_pretty`]'s length pass.
+struct ByteCount(usize);
+
+impl Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+/// Write `s` to `out`; a `String` and a [`ByteCount`] never fail.
+fn put<W: Write>(out: &mut W, s: &str) {
+    let _ = out.write_str(s);
 }
 
 /// The canonical layout of an array whose items `write_item` renders.
@@ -287,44 +311,58 @@ fn write_f64_canonical(out: &mut String, x: f64) {
     );
 }
 
-fn indent(out: &mut String, depth: usize) {
+fn indent<W: Write>(out: &mut W, depth: usize) {
     for _ in 0..depth {
-        out.push_str("  ");
+        put(out, "  ");
     }
 }
 
 /// Append `x` in the workspace float convention: shortest round-trip
 /// formatting with a forced `.0` for integral values, `null` for non-finite
 /// values.
-pub fn write_f64(out: &mut String, x: f64) {
+pub fn write_f64<W: Write>(out: &mut W, x: f64) {
+    /// Passes `Display`'s output on, noting whether it wrote a '.' or an
+    /// exponent.
+    struct Pointed<'a, W> {
+        out: &'a mut W,
+        point: bool,
+    }
+    impl<W: Write> Write for Pointed<'_, W> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.point |= s.contains(['.', 'e', 'E']);
+            self.out.write_str(s)
+        }
+    }
     if x.is_finite() {
-        let start = out.len();
-        let _ = write!(out, "{x}");
-        if !out[start..].contains(['.', 'e', 'E']) {
-            out.push_str(".0");
+        let mut p = Pointed { out, point: false };
+        let _ = write!(p, "{x}");
+        if !p.point {
+            put(out, ".0");
         }
     } else {
-        out.push_str("null");
+        put(out, "null");
     }
 }
 
 /// Append `s` as a JSON string literal with the minimal escape set.
-pub fn write_str(out: &mut String, s: &str) {
-    out.push('"');
+pub fn write_str<W: Write>(out: &mut W, s: &str) {
+    put(out, "\"");
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
+            '"' => put(out, "\\\""),
+            '\\' => put(out, "\\\\"),
+            '\n' => put(out, "\\n"),
+            '\r' => put(out, "\\r"),
+            '\t' => put(out, "\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
-            c => out.push(c),
+            c => {
+                let _ = out.write_char(c);
+            }
         }
     }
-    out.push('"');
+    put(out, "\"");
 }
 
 /// Parse a complete JSON document. Errors name the failing byte offset.
@@ -853,6 +891,36 @@ mod tests {
             assert_eq!(want, back, "case {case}");
             assert_eq!(bits(&back), bits(&expand(&want)), "case {case}");
             assert_eq!(back.render_canonical(), canon, "case {case}");
+        }
+    }
+
+    /// `render_pretty` sizes its buffer by running its writer into a byte
+    /// counter first: over seeded trees of every variant (escapes, control
+    /// characters, multi-byte chars, NaN, ±∞, −0.0, `i128` extremes, packed
+    /// arrays, empty containers) up to four levels deep, the rendering
+    /// fills its allocation exactly and reads back.
+    #[test]
+    fn render_pretty_allocates_its_exact_length() {
+        let mut rng = Rng(0x5eed_0049);
+        for case in 0..3000 {
+            // `tree` draws leaves only from depth 6: starting at 2 leaves
+            // four levels of containers.
+            let v = rng.tree(2);
+            let pretty = v.render_pretty();
+            assert_eq!(pretty.capacity(), pretty.len(), "case {case}\n{pretty}");
+            let back = parse(&pretty).unwrap_or_else(|e| panic!("case {case}: {e}\n{pretty}"));
+            assert_eq!(back, read_back(&v, false), "case {case}");
+        }
+        for v in [
+            Value::Obj(Vec::new()),
+            Value::Arr(Vec::new()),
+            Value::Int(i128::MIN),
+            Value::Num(-0.0),
+            Value::Num(1e300),
+            Value::Str("\u{0}\u{1f}\"\\é😀".into()),
+        ] {
+            let pretty = v.render_pretty();
+            assert_eq!(pretty.capacity(), pretty.len(), "{pretty}");
         }
     }
 

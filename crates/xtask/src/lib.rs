@@ -29,6 +29,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+pub mod ab;
 mod lex;
 mod rules;
 

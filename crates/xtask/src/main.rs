@@ -11,10 +11,17 @@
 //! * `selftest` — lint the seeded fixtures under `crates/xtask/fixtures`:
 //!   `bad_<rule>.rs` must trigger its rule, and `cargo clippy` over
 //!   `clippy_canary/` must report every ban the root `clippy.toml` lists.
+//! * `ab <parent> --workload W --pairs N [--seconds S]` — the benchmark
+//!   ruler of `<parent>` (a commit, `git archive`d into `target/ab/`)
+//!   against the working tree's, built with `BENCHMARK.json`'s command and
+//!   run in N alternating pairs (see [`xtask::ab`]). The plan goes to
+//!   `ledger/ab_<W>_<parent>.prereg.json` before the first run; the record
+//!   to `ledger/ab_<W>_<parent>.json` and `.md`.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::{Command, ExitCode, Stdio};
 
+use xtask::ab::{self, Pair, Plan};
 use xtask::{lint_path_strict, lint_workspace, Rule, ALL_RULES};
 
 fn main() -> ExitCode {
@@ -23,8 +30,18 @@ fn main() -> ExitCode {
         Some("lint") => cmd_lint(&args[1..]),
         Some("explain") => cmd_explain(&args[1..]),
         Some("selftest") => cmd_selftest(),
+        Some("ab") => match cmd_ab(&args[1..]) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("xtask ab: {e}");
+                ExitCode::FAILURE
+            }
+        },
         _ => {
-            eprintln!("usage: cargo run -p xtask -- <lint [PATH...] | explain [rule] | selftest>");
+            eprintln!(
+                "usage: cargo run -p xtask -- <lint [PATH...] | explain [rule] | selftest \
+                 | ab <parent> --workload W --pairs N [--seconds S]>"
+            );
             ExitCode::from(2)
         }
     }
@@ -219,4 +236,220 @@ fn clippy_canary(root: &Path) -> Vec<String> {
             format!("{lint} did not report `{what}` — clippy.toml no longer bans it")
         })
         .collect()
+}
+
+/// `ab <parent> --workload W --pairs N [--seconds S]`.
+fn cmd_ab(args: &[String]) -> Result<(), String> {
+    let root = workspace_root();
+    let usage = "ab <parent> --workload W --pairs N [--seconds S]";
+    let (parent_rev, flags) = args.split_first().ok_or(usage)?;
+    let (mut workload, mut pairs, mut seconds) = (None, None, 22.0);
+    let mut it = flags.iter();
+    while let Some(flag) = it.next() {
+        let value = it.next().ok_or(format!("{flag} needs a value; {usage}"))?;
+        match flag.as_str() {
+            "--workload" => workload = Some(value.clone()),
+            "--pairs" => {
+                pairs = Some(
+                    value
+                        .parse::<usize>()
+                        .map_err(|e| format!("--pairs: {e}"))?,
+                )
+            }
+            "--seconds" => {
+                seconds = value
+                    .parse::<f64>()
+                    .map_err(|e| format!("--seconds: {e}"))?
+            }
+            _ => return Err(format!("unknown flag {flag}; {usage}")),
+        }
+    }
+    let workload = workload.ok_or(usage)?;
+    let pairs = pairs
+        .filter(|&n| n > 0)
+        .ok_or("--pairs must be a positive count")?;
+
+    let bench = obs::json::parse(&read(&root.join("BENCHMARK.json"))?)?;
+    let command: Vec<String> = bench
+        .get("command")
+        .and_then(obs::json::Value::items)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|w| w.as_str().map(str::to_string))
+        .collect();
+    let metrics: Vec<String> = bench
+        .get("end_to_end")
+        .and_then(obs::json::Value::items)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|m| m.get("name")?.as_str().map(str::to_string))
+        .collect();
+    if command.is_empty() || metrics.is_empty() {
+        return Err("BENCHMARK.json names no command or no end-to-end metric".into());
+    }
+    let known = bench
+        .get("workloads")
+        .and_then(obs::json::Value::items)
+        .unwrap_or_default()
+        .iter()
+        .any(|w| w.get("name").and_then(obs::json::Value::as_str) == Some(&workload));
+    if !known {
+        return Err(format!("BENCHMARK.json has no workload {workload:?}"));
+    }
+
+    let parent = git(&root, &["rev-parse", &format!("{parent_rev}^{{commit}}")])?;
+    let head = git(&root, &["rev-parse", "HEAD"])?;
+    let dirty = !git(&root, &["status", "--porcelain"])?.is_empty();
+    let plan = Plan {
+        parent: parent.clone(),
+        change: if dirty { format!("{head}+dirty") } else { head },
+        workload: workload.clone(),
+        pairs,
+        seconds,
+        metrics,
+    };
+    let stem = root
+        .join("ledger")
+        .join(format!("ab_{workload}_{}", &parent[..parent.len().min(7)]));
+    write(
+        &stem.with_extension("prereg.json"),
+        &plan.to_json().render_pretty(),
+    )?;
+
+    let parent_tree = root.join("target/ab").join(&parent);
+    if !parent_tree.join("BENCHMARK.json").is_file() {
+        extract(&root, &parent, &parent_tree)?;
+    }
+    // BENCHMARK.json's command is `cargo run … --`: its build is the same
+    // words with `build` for `run`, up to the `--`.
+    let build: Vec<String> = command
+        .iter()
+        .take_while(|w| *w != "--")
+        .map(|w| {
+            if w == "run" {
+                "build".to_string()
+            } else {
+                w.clone()
+            }
+        })
+        .collect();
+    for tree in [&parent_tree, &root] {
+        println!("ab: building the ruler in {}", tree.display());
+        let status = Command::new(&build[0])
+            .args(&build[1..])
+            .current_dir(tree)
+            .status()
+            .map_err(|e| format!("{}: {e}", build.join(" ")))?;
+        if !status.success() {
+            return Err(format!("building the ruler in {} failed", tree.display()));
+        }
+    }
+
+    let runs_dir = root.join("target/ab/runs");
+    std::fs::create_dir_all(&runs_dir).map_err(|e| format!("{}: {e}", runs_dir.display()))?;
+    let mut done = Vec::new();
+    for i in 0..pairs {
+        let seed = Plan::seed(i);
+        let run_side = |change: bool| -> Result<ab::Run, String> {
+            let (tree, name) = if change {
+                (&root, "change")
+            } else {
+                (&parent_tree, "parent")
+            };
+            let out = runs_dir.join(format!("{workload}_{i}_{name}.json"));
+            let _ = std::fs::remove_file(&out);
+            let output = Command::new(&command[0])
+                .args(&command[1..])
+                .args(["--workload", &workload, "--seed", &seed.to_string()])
+                .args(["--seconds", &seconds.to_string(), "--trace", "0", "--out"])
+                .arg(&out)
+                .current_dir(tree)
+                .stderr(Stdio::inherit())
+                .output()
+                .map_err(|e| format!("{}: {e}", command.join(" ")))?;
+            let run = ab::parse_run(
+                &plan,
+                &String::from_utf8_lossy(&output.stdout),
+                &read(&out)?,
+            )
+            .map_err(|e| format!("pair {i}, {name}: {e}"))?;
+            println!(
+                "ab: pair {i} seed {seed} {name:<6} correct {} {:?}",
+                run.correct, run.values
+            );
+            Ok(run)
+        };
+        let (parent_run, change_run) = if Plan::change_first(i) {
+            let c = run_side(true)?;
+            (run_side(false)?, c)
+        } else {
+            let p = run_side(false)?;
+            (p, run_side(true)?)
+        };
+        done.push(Pair {
+            index: i,
+            parent: parent_run,
+            change: change_run,
+        });
+    }
+    write(
+        &stem.with_extension("json"),
+        &ab::report_json(&plan, &done).render_pretty(),
+    )?;
+    let md = ab::report_md(&plan, &done);
+    write(&stem.with_extension("md"), &md)?;
+    print!("{md}");
+    Ok(())
+}
+
+/// `git archive <rev>` unpacked into `dir`.
+fn extract(root: &Path, rev: &str, dir: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let mut archive = Command::new("git")
+        .args(["archive", "--format=tar", rev])
+        .current_dir(root)
+        .stdout(Stdio::piped())
+        .spawn()
+        .map_err(|e| format!("git archive: {e}"))?;
+    let tar = archive.stdout.take().ok_or("git archive has no stdout")?;
+    let unpacked = Command::new("tar")
+        .arg("-x")
+        .arg("-C")
+        .arg(dir)
+        .stdin(tar)
+        .status()
+        .map_err(|e| format!("tar: {e}"))?;
+    let archived = archive.wait().map_err(|e| format!("git archive: {e}"))?;
+    if archived.success() && unpacked.success() {
+        Ok(())
+    } else {
+        Err(format!("could not unpack {rev} into {}", dir.display()))
+    }
+}
+
+/// `git <args>`'s trimmed standard output.
+fn git(root: &Path, args: &[&str]) -> Result<String, String> {
+    let out = Command::new("git")
+        .args(args)
+        .current_dir(root)
+        .output()
+        .map_err(|e| format!("git: {e}"))?;
+    if !out.status.success() {
+        return Err(format!(
+            "git {}: {}",
+            args.join(" "),
+            String::from_utf8_lossy(&out.stderr).trim()
+        ));
+    }
+    Ok(String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+fn read(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+fn write(path: &Path, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))?;
+    println!("ab: wrote {}", path.display());
+    Ok(())
 }

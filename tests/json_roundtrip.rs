@@ -5,7 +5,8 @@
 //! every checked-in `results/*.json` must parse and re-render to the same
 //! bytes — which pins the float convention, the escape set, the integer
 //! width and the layout at once, against ≈ 23 MB the code did not generate
-//! for the test — and every reader error must keep its text and byte offset,
+//! for the test — and fill the buffer `render_pretty` sized for it exactly
+//! (its length pass mirrors the writer), and every reader error must keep its text and byte offset,
 //! because fault-spec and store diagnostics quote them.
 
 use obs::json::parse;
@@ -23,11 +24,18 @@ fn every_checked_in_result_re_renders_byte_for_byte() {
     for path in files {
         let text = std::fs::read_to_string(&path).expect("readable result");
         let tree = parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let pretty = tree.render_pretty();
         // `==` on a 6 MB string, not `assert_eq!`: a mismatch should name
         // the file, not print it.
         assert!(
-            tree.render_pretty() == text,
+            pretty == text,
             "{} does not re-render to its own bytes",
+            path.display()
+        );
+        assert_eq!(
+            pretty.capacity(),
+            pretty.len(),
+            "{} renders into a buffer of another size",
             path.display()
         );
     }

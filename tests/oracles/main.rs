@@ -10,7 +10,6 @@
 //! long flow, which needs the multi-bottleneck fixed point derived first.
 
 use ecn_delay::desim::rng::SimRng;
-use ecn_delay::fluid::classes::try_integrate_classes;
 use ecn_delay::fluid::dde::{lane_of, try_integrate, DdeOptions, LaneSystem};
 use ecn_delay::fluid::{FlowClassSystem, History};
 use ecn_delay::models::{units, DcqcnFluid, DcqcnParams, TimelyFluid};
@@ -293,23 +292,7 @@ fn theorem6_switch_pi_equalises_any_split_end_host_pi_keeps_it() {
         // DCQCN + PI at the switch, 40 Gbps, q_ref = 100 KB.
         let mut m = DcqcnFluid::pi(DcqcnParams::default_40g(), 100.0, 2);
         let c = m.params.capacity_pps();
-        let mut x0 = vec![0.0; m.state_dim()];
-        for (i, f) in shares.iter().enumerate() {
-            x0[m.rc_index(i)] = f * c;
-            x0[m.rt_index(i)] = f * c;
-            x0[m.alpha_index(i)] = 1.0;
-        }
-        let delay = m.params.feedback_delay_s();
-        let step = (delay / 4.0).min(1e-6);
-        let opts = DdeOptions {
-            step,
-            record_every: 25,
-            history_horizon_s: delay * 4.0 + 10.0 * step,
-        };
-        let tr = try_integrate_classes(std::slice::from_mut(&mut m), &[x0], 0.0, 0.1, &opts)
-            .expect("valid configuration")
-            .remove(0)
-            .expect("bounded solution");
+        let tr = m.simulate_with_rates(&shares.map(|f| f * c), 0.1);
         let [r0, r1] = [0, 1].map(|i| tr.mean_from(m.rc_index(i), 0.08));
         let q = tr.mean_from(0, 0.08); // component 0 is the queue
         assert!(
