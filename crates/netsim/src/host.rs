@@ -83,7 +83,7 @@ impl Engine {
             Pacing::PerPacket => {
                 let send = self.next_send(f, None);
                 self.enqueue_send(uplink, send);
-                let wire = send.payload() + self.cfg.header_bytes;
+                let wire = send.packet().wire_bytes(&self.cfg);
                 let gap =
                     SimDuration::serialization(wire as u64, self.senders.rate_bps[f.0].max(1e3));
                 if !self.senders.fully_sent(f) {
@@ -184,11 +184,11 @@ impl Engine {
                                 obs::Event::CnpSent { flow: f.0 as u64 },
                             );
                         }
-                        self.send_control(f, PacketKind::Cnp);
+                        self.send_control(Packet::cnp(f, self.now));
                     }
                 }
                 if ack_request {
-                    self.send_control(f, PacketKind::Ack { chunk_sent_at });
+                    self.send_control(Packet::ack(f, chunk_sent_at, self.now));
                 }
                 if last_of_flow && self.senders.completed[f.0].is_none() {
                     self.catch_up(f, Touch::Hop(pkt.last_hop_at()));
@@ -225,11 +225,11 @@ impl Engine {
         }
     }
 
-    /// Answer a data packet of flow `f` with a control packet of `kind`,
+    /// Answer a data packet with the control packet `pkt` of its flow,
     /// routed from the flow's destination host back to its source on the
     /// data's ECMP hash.
-    fn send_control(&mut self, f: FlowId, kind: PacketKind) {
-        let s = &self.senders;
+    fn send_control(&mut self, pkt: Packet) {
+        let (f, s) = (pkt.flow(), &self.senders);
         let Some(l) = self
             .topo
             .next_hop_for(s.dst[f.0], s.src[f.0], s.path_hash[f.0])
@@ -239,7 +239,7 @@ impl Engine {
             debug_assert!(false, "no control route");
             return;
         };
-        let h = self.packets.alloc(Packet::control(f, kind, self.now));
+        let h = self.packets.alloc(pkt);
         self.enqueue(l, h);
     }
 

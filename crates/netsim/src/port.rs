@@ -231,7 +231,7 @@ impl Engine {
             return;
         };
         q.push_back(send);
-        self.ports.data_bytes[link.0] += (send.payload() + self.cfg.header_bytes) as u64;
+        self.ports.data_bytes[link.0] += send.packet().wire_bytes(&self.cfg) as u64;
         self.queued(link);
     }
 

@@ -90,21 +90,23 @@ impl Packet {
         }
     }
 
-    /// A control packet of `flow` created at `now`: `kind` is an ACK or a
-    /// CNP (a data kind is a bug and builds an ACK).
-    pub fn control(flow: FlowId, kind: PacketKind, now: SimTime) -> Self {
-        let (bits, chunk_sent_at) = match kind {
-            PacketKind::Cnp => (Self::CNP, SimTime::ZERO),
-            PacketKind::Ack { chunk_sent_at } => (Self::ACK, chunk_sent_at),
-            PacketKind::Data { chunk_sent_at, .. } => {
-                debug_assert!(false, "a control packet of a data kind");
-                (Self::ACK, chunk_sent_at)
-            }
-        };
+    /// An ACK of `flow` created at `now`, echoing the acknowledged chunk's
+    /// `chunk_sent_at`.
+    pub fn ack(flow: FlowId, chunk_sent_at: SimTime, now: SimTime) -> Self {
         Packet {
             flow: flow_index(flow),
-            bits,
+            bits: Self::ACK,
             chunk_sent_at,
+            last_hop_at: now,
+        }
+    }
+
+    /// A CNP of `flow` created at `now`.
+    pub fn cnp(flow: FlowId, now: SimTime) -> Self {
+        Packet {
+            flow: flow_index(flow),
+            bits: Self::CNP,
+            chunk_sent_at: SimTime::ZERO,
             last_hop_at: now,
         }
     }
@@ -356,7 +358,7 @@ mod tests {
         assert_eq!(d.wire_bytes(&cfg), 1000 + cfg.header_bytes);
 
         let now = SimTime::from_nanos(9);
-        let cnp = Packet::control(FlowId(5), PacketKind::Cnp, now);
+        let cnp = Packet::cnp(FlowId(5), now);
         assert!(cnp.is_control());
         assert_eq!(
             (cnp.flow(), cnp.kind(), cnp.last_hop_at()),
@@ -369,7 +371,7 @@ mod tests {
         let ack_kind = PacketKind::Ack {
             chunk_sent_at: echoed,
         };
-        let ack = Packet::control(FlowId(5), ack_kind, now);
+        let ack = Packet::ack(FlowId(5), echoed, now);
         assert!(ack.is_control() && !ack.ecn_marked());
         assert_eq!((ack.kind(), ack.payload_bytes()), (ack_kind, 0));
         assert_eq!(ack.wire_bytes(&cfg), cfg.control_packet_bytes);

@@ -34,7 +34,7 @@ pub struct Plan {
     pub workload: String,
     /// Pairs of runs.
     pub pairs: usize,
-    /// The ruler's `--seconds`.
+    /// The ruler's `--seconds`: BENCHMARK.json's `run_seconds`.
     pub seconds: f64,
     /// The end-to-end metrics read from every run, in BENCHMARK.json order.
     pub metrics: Vec<String>,

@@ -11,10 +11,10 @@
 //! * `selftest` — lint the seeded fixtures under `crates/xtask/fixtures`:
 //!   `bad_<rule>.rs` must trigger its rule, and `cargo clippy` over
 //!   `clippy_canary/` must report every ban the root `clippy.toml` lists.
-//! * `ab <parent> --workload W --pairs N [--seconds S]` — the benchmark
-//!   ruler of `<parent>` (a commit, `git archive`d into `target/ab/`)
-//!   against the working tree's, built with `BENCHMARK.json`'s command and
-//!   run in N alternating pairs (see [`xtask::ab`]). The plan goes to
+//! * `ab <parent> --workload W --pairs N` — the benchmark ruler of
+//!   `<parent>` (a commit, `git archive`d into `target/ab/`) against the
+//!   working tree's, built with `BENCHMARK.json`'s command and run for its
+//!   `run_seconds` in N alternating pairs (see [`xtask::ab`]). The plan goes to
 //!   `ledger/ab_<W>_<parent>.prereg.json` before the first run; the record
 //!   to `ledger/ab_<W>_<parent>.json` and `.md`.
 
@@ -40,7 +40,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- <lint [PATH...] | explain [rule] | selftest \
-                 | ab <parent> --workload W --pairs N [--seconds S]>"
+                 | ab <parent> --workload W --pairs N>"
             );
             ExitCode::from(2)
         }
@@ -238,12 +238,12 @@ fn clippy_canary(root: &Path) -> Vec<String> {
         .collect()
 }
 
-/// `ab <parent> --workload W --pairs N [--seconds S]`.
+/// `ab <parent> --workload W --pairs N`.
 fn cmd_ab(args: &[String]) -> Result<(), String> {
     let root = workspace_root();
-    let usage = "ab <parent> --workload W --pairs N [--seconds S]";
+    let usage = "ab <parent> --workload W --pairs N";
     let (parent_rev, flags) = args.split_first().ok_or(usage)?;
-    let (mut workload, mut pairs, mut seconds) = (None, None, 22.0);
+    let (mut workload, mut pairs) = (None, None);
     let mut it = flags.iter();
     while let Some(flag) = it.next() {
         let value = it.next().ok_or(format!("{flag} needs a value; {usage}"))?;
@@ -255,11 +255,6 @@ fn cmd_ab(args: &[String]) -> Result<(), String> {
                         .parse::<usize>()
                         .map_err(|e| format!("--pairs: {e}"))?,
                 )
-            }
-            "--seconds" => {
-                seconds = value
-                    .parse::<f64>()
-                    .map_err(|e| format!("--seconds: {e}"))?
             }
             _ => return Err(format!("unknown flag {flag}; {usage}")),
         }
@@ -287,6 +282,11 @@ fn cmd_ab(args: &[String]) -> Result<(), String> {
     if command.is_empty() || metrics.is_empty() {
         return Err("BENCHMARK.json names no command or no end-to-end metric".into());
     }
+    let seconds = bench
+        .get("run_seconds")
+        .and_then(obs::json::Value::as_f64)
+        .filter(|s| *s > 0.0)
+        .ok_or("BENCHMARK.json names no positive run_seconds")?;
     let known = bench
         .get("workloads")
         .and_then(obs::json::Value::items)

@@ -6,8 +6,9 @@
 //! bytes — which pins the float convention, the escape set, the integer
 //! width and the layout at once, against ≈ 23 MB the code did not generate
 //! for the test — and fill the buffer `render_pretty` sized for it exactly
-//! (its length pass mirrors the writer), and every reader error must keep its text and byte offset,
-//! because fault-spec and store diagnostics quote them.
+//! (the same writer, run first into a byte counter), and every reader
+//! error must keep its text and byte offset, because fault-spec and store
+//! diagnostics quote them.
 
 use obs::json::parse;
 
