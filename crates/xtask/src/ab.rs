@@ -28,7 +28,8 @@ pub const CALIB_TOLERANCE: f64 = 0.10;
 pub struct Plan {
     /// The parent commit, as `git rev-parse` resolves it.
     pub parent: String,
-    /// The working tree's `HEAD`, with `+dirty` when it has changes.
+    /// The working tree's `HEAD`, with `+dirty` when a tracked file has
+    /// changes (an untracked one is not built).
     pub change: String,
     /// The benchmark workload.
     pub workload: String,

@@ -299,7 +299,7 @@ fn cmd_ab(args: &[String]) -> Result<(), String> {
 
     let parent = git(&root, &["rev-parse", &format!("{parent_rev}^{{commit}}")])?;
     let head = git(&root, &["rev-parse", "HEAD"])?;
-    let dirty = !git(&root, &["status", "--porcelain"])?.is_empty();
+    let dirty = !git(&root, &["status", "--porcelain", "--untracked-files=no"])?.is_empty();
     let plan = Plan {
         parent: parent.clone(),
         change: if dirty { format!("{head}+dirty") } else { head },
