@@ -11,8 +11,7 @@
 //! With `--store <dir>` each *cell* is cached individually, so a killed
 //! sweep resumes from its finished cells on rerun.
 //!
-//! Flags (all optional, combinable with `--trace` / `--metrics` /
-//! `--store` / `--no-store`):
+//! Flags (all optional, combinable with the shared `--obs` and `--store`):
 //!
 //! * `--k <arity>` — fat-tree arity (even, 4..=16; default 8, k³/4 hosts);
 //! * `--senders <csv>` — fan-in degrees to sweep (default `64,256,1024`;

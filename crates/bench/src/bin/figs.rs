@@ -11,16 +11,16 @@
 //! everything finishes, so the output (and the `results/` JSON) is identical
 //! to the serial run.
 //!
-//! `--all` reads `--trace <dir>` / `--metrics <dir>` as *directories*: each
-//! child is launched with `--trace <dir>/<id>_trace.jsonl` and/or
-//! `--metrics <dir>/<id>_metrics.json`. `--store <dir>` is forwarded: the
-//! children share one store directory (records are keyed by experiment id,
-//! so they never collide), which makes the whole regeneration resumable —
-//! kill it halfway and rerun, and the finished figures are served from disk.
+//! `--all --obs <dir>` hands each child `--obs <dir>/<id>`, so every figure
+//! records its four files in a directory of its own. `--store <dir>` is
+//! forwarded: the children share one store directory (records are keyed by
+//! experiment id, so they never collide), which makes the whole regeneration
+//! resumable — kill it halfway and rerun, and the finished figures are
+//! served from disk.
 
 use std::process::Command;
 
-use bench::cli::{Args, Usage};
+use bench::cli::Args;
 use bench::figures::FIGURES;
 
 fn main() {
@@ -44,30 +44,12 @@ fn no_such_figure() -> ! {
 }
 
 fn all(args: &Args) {
-    for (flag, given) in [
-        ("--timeseries", &args.timeseries),
-        ("--flight", &args.flight),
-    ] {
-        if given.is_some() {
-            Usage::new(flag, "--all fans out --trace and --metrics only").exit("figs");
-        }
-    }
-    for d in [&args.trace, &args.metrics, &args.store]
-        .into_iter()
-        .flatten()
-    {
-        std::fs::create_dir_all(d).unwrap_or_else(|e| panic!("create {}: {e}", d.display()));
-    }
     let exe = std::env::current_exe().expect("current exe");
     let outputs = desim::par::par_map(FIGURES.iter().map(|f| f.id).collect(), |id| {
         let mut cmd = Command::new(&exe);
         cmd.arg(id).env("SIM_THREADS", "1");
-        if let Some(d) = &args.trace {
-            cmd.arg("--trace").arg(d.join(format!("{id}_trace.jsonl")));
-        }
-        if let Some(d) = &args.metrics {
-            cmd.arg("--metrics")
-                .arg(d.join(format!("{id}_metrics.json")));
+        if let Some(d) = &args.obs {
+            cmd.arg("--obs").arg(d.join(id));
         }
         if let Some(d) = &args.store {
             cmd.arg("--store").arg(d);

@@ -5,8 +5,9 @@
 //! simreport diff <a.jsonl> <b.jsonl>
 //! ```
 //!
-//! * `render` turns a `--timeseries` export into sparklines (one per
-//!   `(name, key, ctx)` series) and percentile rows for its histograms.
+//! * `render` turns the `timeseries.jsonl` that `--obs <dir>` writes into
+//!   sparklines (one per `(name, key, ctx)` series) and percentile rows for
+//!   its histograms.
 //! * `diff` compares two JSONL exports (trace, time-series or flight) and
 //!   localizes the first diverging `(ctx, seq)` event — the debugger behind
 //!   the byte-identity tests. Exit 1 when the files diverge.

@@ -1,22 +1,23 @@
 //! The one command-line parser of the `bench` binaries.
 //!
-//! `figs <id>|--all [flags]` and `ext_incast [flags]` share six flags, all
+//! `figs <id>|--all [flags]` and `ext_incast [flags]` share two flags, both
 //! off by default:
 //!
-//! * `--trace` / `--metrics` / `--timeseries` / `--flight <path>` — see
-//!   [`crate::obs_cli`];
-//! * `--store <dir>` / `--no-store` — see [`crate::store_cli`]; `--no-store`
-//!   wins wherever it stands.
+//! * `--obs <dir>` — record the run's trace, metrics, time series and
+//!   flight recorder into `<dir>`, see [`crate::obs_cli`];
+//! * `--store <dir>` — serve and record results through a crash-safe
+//!   store, see [`crate::store_cli`].
 //!
 //! An entry's own flags (`ENTRY_FLAGS`) are legal for that entry alone and
 //! each takes a value; the parser hands them back in command-line order and
 //! the entry reads their values. Nothing is skipped: an unknown flag, a flag
 //! another entry takes, or a flag at the end of the line with its value
 //! missing is a [`Usage`] error — one JSON line on stderr and exit status 2.
+//! So is an `--obs` directory that cannot be created, before any work runs.
 
 use std::path::PathBuf;
 
-/// `(entry, flag)`: the flags one entry takes besides the shared six.
+/// `(entry, flag)`: the flags one entry takes besides the shared two.
 const ENTRY_FLAGS: &[(&str, &str)] = &[
     ("ext_faults", "--faults"),
     ("ext_incast", "--k"),
@@ -31,15 +32,9 @@ const ENTRY_FLAGS: &[(&str, &str)] = &[
 pub struct Args {
     /// `figs`' leading word: a figure id or `--all`.
     pub entry: Option<String>,
-    /// `--trace <path>`.
-    pub trace: Option<PathBuf>,
-    /// `--metrics <path>`.
-    pub metrics: Option<PathBuf>,
-    /// `--timeseries <path>`.
-    pub timeseries: Option<PathBuf>,
-    /// `--flight <path>`.
-    pub flight: Option<PathBuf>,
-    /// `--store <dir>`; `None` when `--no-store` was given too.
+    /// `--obs <dir>`.
+    pub obs: Option<PathBuf>,
+    /// `--store <dir>`.
     pub store: Option<PathBuf>,
     /// The entry's own flags in command-line order, each with its value.
     pub own: Vec<(&'static str, String)>,
@@ -74,12 +69,22 @@ impl Usage {
     }
 }
 
-/// Parse the process arguments. With `entry` named (`ext_incast`) every
-/// word is a flag or a flag's value; without (`figs`) the first word, when
-/// it is `--all` or not a flag, selects the entry. A usage error exits.
+/// Parse the process arguments and create the `--obs` directory. With
+/// `entry` named (`ext_incast`) every word is a flag or a flag's value;
+/// without (`figs`) the first word, when it is `--all` or not a flag,
+/// selects the entry. A usage error exits.
 pub fn parse(entry: Option<&str>) -> Args {
     let words: Vec<String> = std::env::args().skip(1).collect();
-    parse_words(&words, entry).unwrap_or_else(|u| u.exit(entry.unwrap_or("figs")))
+    parse_words(&words, entry)
+        .and_then(|args| {
+            if let Some(dir) = &args.obs {
+                std::fs::create_dir_all(dir).map_err(|e| {
+                    Usage::new("--obs", format!("cannot create {}: {e}", dir.display()))
+                })?;
+            }
+            Ok(args)
+        })
+        .unwrap_or_else(|u| u.exit(entry.unwrap_or("figs")))
 }
 
 fn parse_words(words: &[String], entry: Option<&str>) -> Result<Args, Usage> {
@@ -91,7 +96,6 @@ fn parse_words(words: &[String], entry: Option<&str>) -> Result<Args, Usage> {
             .cloned();
     }
     let entry = entry.or(args.entry.as_deref());
-    let mut no_store = false;
     while let Some(word) = words.next() {
         let mut value = |flag: &str| {
             words
@@ -100,12 +104,8 @@ fn parse_words(words: &[String], entry: Option<&str>) -> Result<Args, Usage> {
                 .ok_or_else(|| Usage::new(flag, "missing value"))
         };
         match word.as_str() {
-            "--trace" => args.trace = Some(value("--trace")?.into()),
-            "--metrics" => args.metrics = Some(value("--metrics")?.into()),
-            "--timeseries" => args.timeseries = Some(value("--timeseries")?.into()),
-            "--flight" => args.flight = Some(value("--flight")?.into()),
+            "--obs" => args.obs = Some(value("--obs")?.into()),
             "--store" => args.store = Some(value("--store")?.into()),
-            "--no-store" => no_store = true,
             other => {
                 let &(_, flag) = ENTRY_FLAGS
                     .iter()
@@ -114,9 +114,6 @@ fn parse_words(words: &[String], entry: Option<&str>) -> Result<Args, Usage> {
                 args.own.push((flag, value(flag)?));
             }
         }
-    }
-    if no_store {
-        args.store = None;
     }
     Ok(args)
 }
@@ -131,30 +128,16 @@ mod tests {
     }
 
     #[test]
-    fn flags_take_their_values_and_no_store_wins() {
-        let a = parse(
-            "fig3 --trace t --timeseries --flight --flight f --store s",
-            None,
-        );
+    fn flags_take_their_values() {
+        let a = parse("fig3 --obs --store --store s", None);
         assert_eq!(a.entry.as_deref(), Some("fig3"));
         // A value is a value even when it looks like a flag.
-        assert_eq!(
-            (a.trace, a.timeseries, a.flight, a.store),
-            (
-                Some("t".into()),
-                Some("--flight".into()),
-                Some("f".into()),
-                Some("s".into())
-            )
-        );
-        for line in ["--no-store --store s", "--store s --no-store"] {
-            assert_eq!(parse(line, Some("ext_incast")).store, None);
-        }
+        assert_eq!((a.obs, a.store), (Some("--store".into()), Some("s".into())));
         let a = parse("--seed 2 --k 4", Some("ext_incast"));
         assert_eq!(a.own, [("--seed", "2".into()), ("--k", "4".into())]);
-        let a = parse("--all --metrics d", None);
+        let a = parse("--all --obs d", None);
         assert_eq!(
-            (a.entry.as_deref(), a.metrics),
+            (a.entry.as_deref(), a.obs),
             (Some("--all"), Some("d".into()))
         );
     }

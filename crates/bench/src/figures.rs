@@ -37,10 +37,10 @@ struct Run {
 }
 
 impl Figure {
-    /// Start the flags' instrumentation, print the banner and look the
-    /// figure up in the store under `spec_json`. `None`: the artifacts were
-    /// served and there is nothing left to do. Traces and metrics describe a
-    /// run, so an instrumented invocation always runs.
+    /// Start `--obs`' instrumentation, print the banner and look the figure
+    /// up in the store under `spec_json`. `None`: the artifacts were served
+    /// and there is nothing left to do. The `--obs` files describe a run, so
+    /// an instrumented invocation always runs.
     fn begin(&self, args: &Args, spec_json: &str) -> Option<Run> {
         let obs = obs_cli::init(args);
         banner(self.title);
@@ -100,7 +100,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         id: "fig3",
         title: "Figure 3: DCQCN phase margin (degrees) vs number of flows",
-        body: fig3_body,
+        body: |f, a| f.standard(a, Default::default(), ex::fig3::run, fig3, None),
     },
     Figure {
         id: "fig4",
@@ -240,20 +240,6 @@ pub const FIGURES: &[Figure] = &[
         body: |f, a| f.standard(a, Default::default(), ex::appendix_b::run, appendix_b, None),
     },
 ];
-
-/// Fig 3 itself is pure frequency-domain analysis; give traces and metrics
-/// the packet-level dynamics at the figure's operating point.
-fn fig3_body(f: &Figure, args: &Args) {
-    let cfg = ex::fig3::Fig3Config::default();
-    let Some(started) = f.begin(args, &cfg.to_json().render_pretty()) else {
-        return;
-    };
-    let res = ex::fig3::run(&cfg);
-    fig3(&cfg, &res);
-    f.save(&started, &res, None);
-    started.obs.dcqcn_companion_run();
-    started.obs.finish();
-}
 
 /// Theorem 2 has no experiment module of its own: it is `fig6`'s runner at
 /// three flow counts, so its spec is empty.

@@ -13,8 +13,9 @@
 //!   The watchdog sweep still runs, so both degradation paths (packet and
 //!   fluid) are exercised in one invocation.
 //!
-//! `--trace` / `--metrics` work as for every figure; traces are
-//! byte-identical across `SIM_THREADS` settings in both modes.
+//! `--obs <dir>` works as for every figure; its files are byte-identical
+//! across `SIM_THREADS` settings in both modes, and in `--faults` mode
+//! `<dir>/flight.jsonl` is the post-mortem of the watchdog's divergence.
 
 use super::Figure;
 use crate::cli::Args;

@@ -15,15 +15,14 @@
 //! packet-simulation rates.
 //!
 //! [`cli`] is the one argv parser (of `figs` and of the `ext_incast` sweep
-//! CLI). `--trace` / `--metrics` / `--timeseries` / `--flight <path>` (off
-//! by default; see [`obs_cli`]) export the run's sim-time event trace,
-//! counter snapshot, windowed series and flight-recorder ring.
-//! `--store <dir>` / `--no-store` (see [`store_cli`]) make a figure run
+//! CLI), and the binaries share two flags, both off by default. `--obs <dir>`
+//! (see [`obs_cli`]) exports the run's sim-time event trace, counter
+//! snapshot, windowed series and flight-recorder ring as four files in
+//! `<dir>`. `--store <dir>` (see [`store_cli`]) makes a figure run
 //! resumable: results are cached in a crash-safe content-addressed store
 //! keyed by the figure's canonical config, and a rerun with the same spec is
-//! served byte-identically from disk. `figs --all` reads `--trace` /
-//! `--metrics` as directories and hands every child its own files and the
-//! shared store.
+//! served byte-identically from disk. `figs --all` hands every child
+//! `--obs <dir>/<id>` and the shared store.
 
 #![warn(missing_docs)]
 // The wall-clock ban (`crates/bench/clippy.toml`, DESIGN.md §8.1): only

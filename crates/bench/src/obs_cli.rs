@@ -1,144 +1,88 @@
-//! `--trace` / `--metrics` / `--timeseries` / `--flight` support shared by
-//! every figure ([`crate::cli`] parses the flags).
+//! `--obs <dir>` support shared by every figure ([`crate::cli`] parses the
+//! flag and creates the directory).
 //!
-//! All flags are **off by default** — a figure run without them never
-//! enables the `obs` layer, so the hot paths pay only the disabled-check
-//! load. With `--trace`, sim-time events captured during the run are written
-//! as JSONL (sorted by `(ctx, seq)`; byte-identical across `SIM_THREADS`
-//! settings). With `--metrics`, the deterministic name-sorted counter
-//! snapshot is written as JSON (`{"counters": {…}}`). With `--timeseries`, the
-//! windowed series and streaming log-histograms are written as JSONL
-//! (`kind: series | win | hist` lines, ordered by `(name, key, ctx)` —
-//! render or diff them with `simreport`). With `--flight <path>`, the
-//! causal flight recorder is armed: the bounded ring records
-//! schedule/dispatch entries with scheduled-by back-pointers, and on
-//! a `SimError` (e.g. a divergence watchdog trip) the ring is dumped to
-//! `path` as JSONL, headed by a `{"kind": "flight_dump", "reason": ...}`
-//! line. `finish` rewrites the dump from the final ring, headed by the
-//! first error in context order or `clean exit`.
+//! The flag is **off by default** — a figure run without it never enables
+//! the `obs` layer, so the hot paths pay only the disabled-check load. With
+//! `--obs <dir>` all four instruments record and [`ObsCli::finish`] writes
+//! them into `<dir>`, each file byte-identical across `SIM_THREADS`
+//! settings:
 //!
-//! `figs --all` interprets `--trace`/`--metrics` as *directories* and fans
-//! them out per child figure (`<dir>/<fig>_trace.jsonl`,
-//! `<dir>/<fig>_metrics.json`).
+//! * `trace.jsonl` — the sim-time events captured during the run, sorted by
+//!   `(ctx, seq)`;
+//! * `metrics.json` — the name-sorted counter snapshot,
+//!   `{"counters": {…}}`;
+//! * `timeseries.jsonl` — the windowed series and streaming
+//!   log-histograms (`kind: series | win | hist` lines, ordered by
+//!   `(name, key, ctx)` — render or diff them with `simreport`);
+//! * `flight.jsonl` — the causal flight recorder's bounded ring of
+//!   schedule/dispatch entries with scheduled-by back-pointers. The path is
+//!   armed from the start: on a `SimError` (e.g. a divergence watchdog
+//!   trip) the ring is dumped there at once, headed by a
+//!   `{"kind": "flight_dump", "reason": ...}` line, and `finish` rewrites
+//!   it from the final ring, headed by the first error in context order or
+//!   `clean exit`.
+//!
+//! `figs --all --obs <dir>` hands every child figure `--obs <dir>/<id>`.
 
 use std::path::PathBuf;
 
-/// The observability artifacts a run was asked for.
+/// Every instrument `--obs` switches on.
+const CAPS: u8 = obs::TRACE | obs::METRICS | obs::SERIES | obs::FLIGHT;
+
+/// The directory a run records into, if any.
 pub struct ObsCli {
-    trace_path: Option<PathBuf>,
-    metrics_path: Option<PathBuf>,
-    timeseries_path: Option<PathBuf>,
-    flight_path: Option<PathBuf>,
+    dir: Option<PathBuf>,
 }
 
-/// Switch on the `obs` instruments the parsed flags ask for, on a fresh
+/// Switch on every `obs` instrument when `--obs` was given, on a fresh
 /// recorder so the output reflects exactly this run.
 pub fn init(args: &crate::cli::Args) -> ObsCli {
     let cli = ObsCli {
-        trace_path: args.trace.clone(),
-        metrics_path: args.metrics.clone(),
-        timeseries_path: args.timeseries.clone(),
-        flight_path: args.flight.clone(),
+        dir: args.obs.clone(),
     };
     obs::reset();
-    obs::enable(cli.caps());
-    if let Some(p) = &cli.flight_path {
+    if let Some(dir) = &cli.dir {
+        obs::enable(CAPS);
         // Arm dump-on-error immediately: if the process dies after a
-        // SimError the black box lands at the requested path even though
+        // SimError the black box lands in the directory even though
         // `finish` (which rewrites it) never runs.
-        obs::flight::set_dump_path(p.clone());
+        obs::flight::set_dump_path(dir.join("flight.jsonl"));
     }
     cli
 }
 
 impl ObsCli {
-    /// The capability bits of the instruments this run records.
-    fn caps(&self) -> u8 {
-        [
-            (obs::TRACE, &self.trace_path),
-            (obs::METRICS, &self.metrics_path),
-            (obs::SERIES, &self.timeseries_path),
-            (obs::FLIGHT, &self.flight_path),
-        ]
-        .into_iter()
-        .filter(|(_, path)| path.is_some())
-        .fold(0, |caps, (cap, _)| caps | cap)
-    }
-
-    /// True when any flag was given (instrumentation is recording).
+    /// True when `--obs` was given (instrumentation is recording).
     pub fn active(&self) -> bool {
-        self.caps() != 0
+        self.dir.is_some()
     }
 
-    /// Stop recording and write the requested artifacts.
+    /// Stop recording and write the four files, each whole
+    /// (`store::write_atomic`).
     pub fn finish(self) {
-        obs::disable(self.caps());
-        if let Some(p) = &self.trace_path {
-            let jsonl = obs::trace::export_jsonl();
-            std::fs::write(p, &jsonl).unwrap_or_else(|e| panic!("write {}: {e}", p.display()));
-            let dropped = obs::trace::dropped_events();
-            println!(
-                "trace -> {} ({} events{})",
-                p.display(),
-                jsonl.lines().count(),
-                if dropped > 0 {
-                    format!(", {dropped} dropped by ring wrap")
-                } else {
-                    String::new()
-                }
-            );
-        }
-        if let Some(p) = &self.metrics_path {
-            std::fs::write(p, obs::metrics::snapshot_json())
-                .unwrap_or_else(|e| panic!("write {}: {e}", p.display()));
-            println!("metrics -> {}", p.display());
-        }
-        if let Some(p) = &self.timeseries_path {
-            let jsonl = obs::timeseries::export_jsonl();
-            std::fs::write(p, &jsonl).unwrap_or_else(|e| panic!("write {}: {e}", p.display()));
-            println!(
-                "timeseries -> {} ({} lines)",
-                p.display(),
-                jsonl.lines().count()
-            );
-        }
-        if let Some(p) = &self.flight_path {
-            // Rewrite whatever an error site dumped mid-run: the final ring,
-            // headed by the first error in context order, is the same bytes
-            // on every worker count.
-            let jsonl = obs::flight::dump_jsonl();
-            std::fs::write(p, &jsonl).unwrap_or_else(|e| panic!("write {}: {e}", p.display()));
-            println!(
-                "flight -> {} ({} lines, {})",
-                p.display(),
-                jsonl.lines().count(),
-                obs::flight::last_dump_reason()
-                    .as_deref()
-                    .unwrap_or("clean exit")
-            );
-        }
-    }
-
-    /// For analysis-only figures (frequency-domain sweeps that never touch
-    /// the packet engine): when instrumentation is on, additionally run a
-    /// short fully-instrumented packet-level DCQCN scenario at the paper's
-    /// validation operating point (10 long-lived flows through one switch),
-    /// so the trace/metrics show the ECN-mark / CNP / rate-update cadence
-    /// the frequency-domain analysis summarizes. A no-op when neither flag
-    /// was given.
-    pub fn dcqcn_companion_run(&self) {
-        if !self.active() {
+        let Some(dir) = &self.dir else {
             return;
-        }
-        use ecn_delay_core::scenarios::{single_switch_longlived, Protocol};
-        let (mut eng, _bottleneck) = single_switch_longlived(
-            Protocol::Dcqcn,
-            10,
-            10e9,
-            desim::SimDuration::from_micros(20),
-            netsim::EngineConfig::default(),
-        );
-        let _ = eng.run(desim::SimTime::from_millis(4));
-        println!("instrumented DCQCN companion run: 10 flows, 10 Gbps, 4 ms");
+        };
+        obs::disable(CAPS);
+        let write = |name: &str, text: String, note: &str| {
+            let path = dir.join(name);
+            store::write_atomic(&path, text.as_bytes())
+                .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+            let lines = text.lines().count();
+            println!("obs -> {} ({lines} lines{note})", path.display());
+        };
+        let dropped = match obs::trace::dropped_events() {
+            0 => String::new(),
+            n => format!(", {n} dropped by ring wrap"),
+        };
+        write("trace.jsonl", obs::trace::export_jsonl(), &dropped);
+        write("metrics.json", obs::metrics::snapshot_json(), "");
+        write("timeseries.jsonl", obs::timeseries::export_jsonl(), "");
+        // Rewrite whatever an error site dumped mid-run: the final ring,
+        // headed by the first error in context order, is the same bytes on
+        // every worker count.
+        let reason = obs::flight::last_dump_reason();
+        let reason = format!(", {}", reason.as_deref().unwrap_or("clean exit"));
+        write("flight.jsonl", obs::flight::dump_jsonl(), &reason);
     }
 }

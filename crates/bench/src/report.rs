@@ -8,8 +8,8 @@
 //!
 //! Two capabilities:
 //!
-//! * [`render_timeseries`] — turn a `--timeseries` JSONL export into text
-//!   tables and sparklines;
+//! * [`render_timeseries`] — turn a `timeseries.jsonl` export (one of the
+//!   four files `--obs <dir>` writes) into text tables and sparklines;
 //! * [`diff_jsonl`] — compare two JSONL exports line by line and localize
 //!   the first diverging `(ctx, seq)` event, so a byte-identity check
 //!   fails with where two runs part, not with their contents.
@@ -54,7 +54,7 @@ pub fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
-/// Render a `--timeseries` JSONL export as text: one sparkline block per
+/// Render a `timeseries.jsonl` export as text: one sparkline block per
 /// `(name, key, ctx)` series (window means, decimated to `width` columns)
 /// and one table row per histogram line.
 pub fn render_timeseries(jsonl: &str, width: usize) -> String {

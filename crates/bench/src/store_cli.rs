@@ -1,5 +1,5 @@
-//! `--store <dir>` / `--no-store` support shared by every figure
-//! ([`crate::cli`] parses the flags).
+//! `--store <dir>` support shared by every figure ([`crate::cli`] parses the
+//! flag).
 //!
 //! The store is **off by default** — a plain figure run touches no cache and
 //! pays nothing. With `--store <dir>`, the binary becomes *resumable*: its
@@ -13,11 +13,10 @@
 //! artifact the figure writes (`fig2.json` plus its per-N CSVs, say), so a
 //! hit restores all of them or none — a `kill -9` between a figure's
 //! artifacts can never leave a half-served result. Serving is skipped
-//! whenever observability flags are active: traces/metrics/flight describe
-//! a *run*, so a run must actually happen.
+//! whenever `--obs` is given: its files describe a *run*, so a run must
+//! actually happen.
 //!
-//! `--no-store` wins over `--store` (handy for overriding a wrapper script's
-//! default). `figs --all` forwards the store to every child figure.
+//! `figs --all` forwards the store to every child figure.
 
 use std::path::{Path, PathBuf};
 

@@ -89,31 +89,53 @@ fn no_id_and_an_unknown_id_list_the_table() {
     }
 }
 
-/// Nothing is skipped: a misspelt flag, a missing or unreadable value, a
-/// flag another entry takes and a stray word all stop the run.
+/// Nothing is skipped: a misspelt or removed flag, a missing or unreadable
+/// value, a flag another entry takes, a stray word and an `--obs` directory
+/// that cannot be created all stop the run before any work, so nothing is
+/// printed and no `results/` is made.
 #[test]
 fn bad_flags_are_usage_errors() {
+    let dir = tmp("usage");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::write(dir.join("file"), b"").expect("a regular file");
     for (line, flag, reason) in [
         ("figs eq14 --metrcs x", "--metrcs", "unknown flag"),
-        ("figs eq14 --trace", "--trace", "missing value"),
+        ("figs eq14 --obs", "--obs", "missing value"),
         ("figs eq14 stray", "stray", "unknown flag"),
         ("figs eq14 --all", "--all", "unknown flag"),
         ("figs eq14 --faults x", "--faults", "unknown flag"),
         ("figs ext_faults --k 4", "--k", "unknown flag"),
         ("figs --all --faults x", "--faults", "unknown flag"),
-        ("figs --all --flight x", "--flight", "--all fans out"),
         ("ext_incast --sender 64", "--sender", "unknown flag"),
         ("ext_incast --faults x", "--faults", "unknown flag"),
         ("ext_incast fig3", "fig3", "unknown flag"),
         ("ext_incast --k", "--k", "missing value"),
         ("ext_incast --k four", "--k", "expected an integer"),
+        ("figs eq14 --obs file/o", "--obs", "cannot create file/o"),
+        ("figs --all --obs file", "--obs", "cannot create file"),
+        ("figs eq14 --trace x", "--trace", "unknown flag"),
+        ("figs eq14 --metrics x", "--metrics", "unknown flag"),
+        ("figs eq14 --timeseries x", "--timeseries", "unknown flag"),
+        ("figs eq14 --flight x", "--flight", "unknown flag"),
+        ("figs eq14 --no-store", "--no-store", "unknown flag"),
+        ("figs --all --trace x", "--trace", "unknown flag"),
+        ("ext_incast --trace x", "--trace", "unknown flag"),
+        ("ext_incast --metrics x", "--metrics", "unknown flag"),
+        ("ext_incast --timeseries x", "--timeseries", "unknown flag"),
+        ("ext_incast --flight x", "--flight", "unknown flag"),
+        ("ext_incast --no-store", "--no-store", "unknown flag"),
     ] {
         let mut words = line.split_whitespace();
         let program = match words.next() {
             Some("figs") => env!("CARGO_BIN_EXE_figs"),
             _ => env!("CARGO_BIN_EXE_ext_incast"),
         };
-        let out = Command::new(program).args(words).output().expect(line);
+        let out = Command::new(program)
+            .args(words)
+            .current_dir(&dir)
+            .env("ECN_DELAY_RESULTS", dir.join("results"))
+            .output()
+            .expect(line);
         assert_eq!(out.status.code(), Some(2), "{line}");
         assert!(out.stdout.is_empty(), "{line}: nothing ran");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -127,6 +149,11 @@ fn bad_flags_are_usage_errors() {
             "{stderr}"
         );
     }
+    assert!(
+        !dir.join("results").exists(),
+        "a usage error wrote results/"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -155,7 +182,14 @@ fn eq14_reproduces_its_checked_in_bytes_cold_recorded_and_served() {
     let served = run(&store_flags);
     assert!(served.contains("(served from store)"), "{served}");
     assert!(served.contains("store: 1 hit(s), 0 miss(es), 0 corrupt, 0 write(s)"));
-    assert!(!run(&["--store", "ignored", "--no-store"]).contains("store:"));
+    // `--obs` files describe a run, so an instrumented run is not served.
+    let obs = results.join("obs");
+    let traced = run(&[&store_flags[..], &["--obs", obs.to_str().expect("utf-8")]].concat());
+    assert!(!traced.contains("(served from store)"), "{traced}");
+    assert!(
+        traced.contains("store: 0 hit(s), 0 miss(es), 0 corrupt, 1 write(s)"),
+        "{traced}"
+    );
     let _ = std::fs::remove_dir_all(&results);
     let _ = std::fs::remove_dir_all(&store);
 }

@@ -135,31 +135,31 @@ fn fig4_is_byte_identical_uncached_recorded_and_served() {
     }
 }
 
-/// Every obs artifact, and stdout without its ` -> <path>` lines, is the
-/// same bytes on one worker and on four: the merged incast run with all
-/// four obs flags, fig3 traced, and the fault spec with its post-mortem.
+/// Every `--obs` file, and stdout without its ` -> <path>` lines, is the
+/// same bytes on one worker and on four: the merged incast run, fig5's
+/// packet DCQCN runs (`par_map` over flow counts), and the fault spec with
+/// its post-mortem.
 #[test]
 fn obs_artifacts_and_stdout_are_the_same_bytes_on_1_and_4_workers() {
-    let incast = "--k 4 --senders 64,256 --bytes 16000 --trace T/trace.jsonl \
-                  --metrics T/metrics.json --timeseries T/ts.jsonl --flight T/flight.jsonl";
-    let faults =
-        format!("ext_faults --faults {FAULTS_SMOKE} --trace T/trace.jsonl --flight T/flight.jsonl");
     let runs = [
-        ("same_incast", EXT_INCAST, incast.to_string()),
         (
-            "same_fig3",
-            FIGS,
-            "fig3 --trace T/trace.jsonl --metrics T/metrics.json".to_string(),
+            "same_incast",
+            EXT_INCAST,
+            "--k 4 --senders 64,256 --bytes 16000 --obs T".to_string(),
         ),
-        ("same_faults", FIGS, faults),
+        ("same_fig5", FIGS, "fig5 --obs T".to_string()),
+        (
+            "same_faults",
+            FIGS,
+            format!("ext_faults --faults {FAULTS_SMOKE} --obs T"),
+        ),
     ];
     for (tag, exe, args) in runs {
         let dir = tmp(tag);
         let stdout: Vec<String> = [1, 4]
             .into_iter()
             .map(|threads| {
-                std::fs::create_dir_all(dir.join(format!("t{threads}"))).expect("create dir");
-                let args = args.replace("T/", &format!("t{threads}/"));
+                let args = args.replace("--obs T", &format!("--obs t{threads}"));
                 let out = stdout_of(exe, &dir, threads, &args);
                 out.lines()
                     .filter(|l| !l.contains(" -> "))
@@ -169,7 +169,7 @@ fn obs_artifacts_and_stdout_are_the_same_bytes_on_1_and_4_workers() {
             .collect();
         assert_same_text(&format!("{tag} stdout"), &stdout[0], &stdout[1]);
         assert_same_files(&dir.join("t1"), &dir.join("t4"));
-        if tag == "same_fig3" {
+        if tag == "same_fig5" {
             let metrics = json_file(&dir.join("t1/metrics.json"));
             for counter in ["netsim.ecn_marks", "netsim.rate_updates"] {
                 let n = metrics.get("counters").and_then(|c| c.get(counter));
@@ -183,15 +183,19 @@ fn obs_artifacts_and_stdout_are_the_same_bytes_on_1_and_4_workers() {
     }
 }
 
-/// `simreport` on a real `--timeseries` export: `diff` finds nothing
+/// `simreport` on a real `timeseries.jsonl` export: `diff` finds nothing
 /// between copies and localizes a perturbed window by line and event;
 /// `render` shows the queue series and the FCT percentiles.
 #[test]
 fn simreport_diffs_and_renders_a_real_timeseries_export() {
     let dir = tmp("simreport");
-    let export = "--k 4 --senders 64 --bytes 16000 --timeseries ts.jsonl";
-    stdout_of(EXT_INCAST, &dir, 1, export);
-    let ts = std::fs::read_to_string(dir.join("ts.jsonl")).expect("timeseries");
+    stdout_of(
+        EXT_INCAST,
+        &dir,
+        1,
+        "--k 4 --senders 64 --bytes 16000 --obs o",
+    );
+    let ts = std::fs::read_to_string(dir.join("o/timeseries.jsonl")).expect("timeseries");
     std::fs::write(dir.join("copy.jsonl"), &ts).expect("write copy");
     let mut lines: Vec<String> = ts.lines().map(String::from).collect();
     let line = &mut lines[99]; // line 100: a window with a count
@@ -200,7 +204,7 @@ fn simreport_diffs_and_renders_a_real_timeseries_export() {
     line.replace_range(at..at + digits, "99999");
     std::fs::write(dir.join("bad.jsonl"), lines.join("\n") + "\n").expect("write bad");
 
-    let diff = |b: &str| launch(SIMREPORT, &dir, 1, &format!("diff ts.jsonl {b}"));
+    let diff = |b: &str| launch(SIMREPORT, &dir, 1, &format!("diff o/timeseries.jsonl {b}"));
     assert_eq!(diff("copy.jsonl").status.code(), Some(0));
     let out = diff("bad.jsonl");
     let text = String::from_utf8_lossy(&out.stdout);
@@ -213,7 +217,7 @@ fn simreport_diffs_and_renders_a_real_timeseries_export() {
         |(ctx, seq): (&str, &str)| ctx.parse::<u64>().is_ok() && seq.parse::<u64>().is_ok();
     assert!(event.is_some_and(numbers), "{text}");
 
-    let render = stdout_of(SIMREPORT, &dir, 1, "render ts.jsonl");
+    let render = stdout_of(SIMREPORT, &dir, 1, "render o/timeseries.jsonl");
     let rows: Vec<Vec<&str>> = render
         .lines()
         .map(|l| l.split_whitespace().collect())
@@ -239,7 +243,7 @@ fn simreport_diffs_and_renders_a_real_timeseries_export() {
 #[test]
 fn ext_faults_spec_degrades_to_err_and_dumps_the_flight_recorder() {
     let dir = tmp("faults");
-    let spec_run = format!("ext_faults --faults {FAULTS_SMOKE} --flight f.jsonl");
+    let spec_run = format!("ext_faults --faults {FAULTS_SMOKE} --obs o");
     let stdout = stdout_of(FIGS, &dir, 1, &spec_run);
     let watchdog = |verdict: &str| {
         stdout.lines().any(|l| {
@@ -250,7 +254,7 @@ fn ext_faults_spec_degrades_to_err_and_dumps_the_flight_recorder() {
     assert!(watchdog("4000.0/s -> Err (numeric divergence"), "{stdout}");
     assert!(watchdog("-1.0/s -> ok"), "{stdout}");
 
-    let flight = jsonl_file(&dir.join("f.jsonl"));
+    let flight = jsonl_file(&dir.join("o/flight.jsonl"));
     assert_eq!(str_field(&flight[0], "kind"), Some("flight_dump"));
     // Gains 400 and 4000 both diverge; the header names the first in
     // context order (gain 400, at t = 0.974 s) on every worker count.

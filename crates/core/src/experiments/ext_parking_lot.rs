@@ -7,7 +7,7 @@
 //! beaten at every hop), but it must not starve, and every link should
 //! stay fully utilized with a controlled queue.
 
-use crate::experiments::{tail_mean, Series};
+use crate::experiments::{rate_gbps, tail_mean, Series};
 use desim::{SimDuration, SimTime};
 use netsim::{Engine, EngineConfig, FlowSpec, Pacing, Topology};
 use protocols::DcqcnCc;
@@ -78,10 +78,7 @@ pub fn run(cfg: &ParkingLotConfig) -> ParkingLotResult {
         .collect();
 
     ParkingLotResult {
-        long_flow_gbps: report.rate_traces[long_id.0]
-            .iter()
-            .map(|&(t, bps)| (t, bps / 1e9))
-            .collect(),
+        long_flow_gbps: rate_gbps(&report, long_id.0),
         long_tail_gbps: long_tail / 1e9,
         cross_tail_gbps: cross_tails,
         hop_utilization,

@@ -8,7 +8,7 @@
 //! of the number of flows, with fair rates — the property RED cannot give
 //! (Eq 14: `q*` grows with N).
 
-use crate::experiments::{tail_mean, Series};
+use crate::experiments::{queue_kb, tail_mean, Series};
 use crate::scenarios::{single_switch_longlived, Protocol};
 use desim::{SimDuration, SimTime};
 use netsim::config::PiAqmConfig;
@@ -57,15 +57,6 @@ pub struct ExtPiPacketResult {
     pub panels: Vec<ExtPiPacketPanel>,
     /// The queue reference (KB).
     pub q_ref_kb: f64,
-}
-
-/// A link's queue over time, in KB.
-fn queue_kb(report: &netsim::SimReport, link: netsim::LinkId) -> Series {
-    report.queue_traces[&link]
-        .points()
-        .iter()
-        .map(|&(t, b)| (t, b / 1000.0))
-        .collect()
 }
 
 /// Run the RED-vs-PI comparison.

@@ -5,7 +5,7 @@
 //! the RED thresholds and even in the transient state the queue stays
 //! within the bounds."
 
-use crate::experiments::Series;
+use crate::experiments::{queue_kb, Series};
 use crate::scenarios::{dumbbell_fct, Protocol};
 use desim::{SimDuration, SimTime};
 use netsim::EngineConfig;
@@ -67,11 +67,7 @@ pub fn run(cfg: &Fig16Config) -> Fig16Result {
             ecfg,
         );
         let report = eng.run(SimTime::from_secs_f64(cfg.horizon_s * 1.5));
-        let series: Series = report.queue_traces[&bottleneck]
-            .points()
-            .iter()
-            .map(|&(t, b)| (t, b / 1000.0))
-            .collect();
+        let series = queue_kb(&report, bottleneck);
         let (mean, p99, max) = summarize(&series);
         (
             (proto.label().to_string(), series),

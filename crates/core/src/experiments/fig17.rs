@@ -8,7 +8,7 @@
 //! the congestion signal inherits the queueing delay — exactly the
 //! RTT-signal pathology of §5.2.
 
-use crate::experiments::Series;
+use crate::experiments::{queue_kb, Series};
 use crate::scenarios::{single_switch_longlived, Protocol};
 use desim::{SimDuration, SimTime};
 use netsim::{EngineConfig, MarkingMode};
@@ -61,11 +61,7 @@ fn run_mode(cfg: &Fig17Config, mode: MarkingMode) -> Series {
         ecfg,
     );
     let report = eng.run(SimTime::from_secs_f64(cfg.duration_s));
-    report.queue_traces[&bottleneck]
-        .points()
-        .iter()
-        .map(|&(t, b)| (t, b / 1000.0))
-        .collect()
+    queue_kb(&report, bottleneck)
 }
 
 fn tail_stddev(series: &Series, from: f64) -> f64 {

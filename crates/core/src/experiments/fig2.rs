@@ -6,7 +6,7 @@
 //! flows start at line rate. Figure 2 shows that the fluid model and the
 //! simulator are in good agreement."
 
-use crate::experiments::{tail_mean, Series};
+use crate::experiments::{queue_kb, rate_gbps, tail_mean, Series};
 use crate::scenarios::{single_switch_longlived, Protocol};
 use desim::{SimDuration, SimTime};
 use models::dcqcn::{DcqcnFluid, DcqcnParams};
@@ -86,15 +86,8 @@ pub fn run(cfg: &Fig2Config) -> Fig2Result {
             EngineConfig::default(),
         );
         let report = eng.run(SimTime::from_secs_f64(cfg.duration_s));
-        let sim_rate_gbps: Series = report.rate_traces[0]
-            .iter()
-            .map(|&(t, bps)| (t, bps / 1e9))
-            .collect();
-        let sim_queue_kb: Series = report.queue_traces[&bottleneck]
-            .points()
-            .iter()
-            .map(|&(t, bytes)| (t, bytes / 1000.0))
-            .collect();
+        let sim_rate_gbps = rate_gbps(&report, 0);
+        let sim_queue_kb = queue_kb(&report, bottleneck);
 
         let from = cfg.duration_s * 0.7;
         panels.push(Fig2Panel {

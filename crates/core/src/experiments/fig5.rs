@@ -5,7 +5,7 @@
 //! In the packet simulator the control-loop delay is realized with link
 //! propagation delays: τ* ≈ 2 hops of data path + 2 hops of CNP return.
 
-use crate::experiments::Series;
+use crate::experiments::{queue_kb, rate_gbps, Series};
 use crate::scenarios::{single_switch_longlived, Protocol};
 use desim::{SimDuration, SimTime};
 use netsim::EngineConfig;
@@ -66,15 +66,8 @@ pub fn run(cfg: &Fig5Config) -> Fig5Result {
             EngineConfig::default(),
         );
         let report = eng.run(SimTime::from_secs_f64(cfg.duration_s));
-        let queue_kb: Series = report.queue_traces[&bottleneck]
-            .points()
-            .iter()
-            .map(|&(t, b)| (t, b / 1000.0))
-            .collect();
-        let rate_gbps: Series = report.rate_traces[0]
-            .iter()
-            .map(|&(t, bps)| (t, bps / 1e9))
-            .collect();
+        let queue_kb = queue_kb(&report, bottleneck);
+        let rate_gbps = rate_gbps(&report, 0);
         let tail = cfg.duration_s * 0.5;
         let tail_pts: Vec<f64> = queue_kb
             .iter()

@@ -5,7 +5,7 @@
 //! are in good agreement." Parameters are footnote 4's recommended values
 //! on 10 Gbps.
 
-use crate::experiments::{tail_mean, Series};
+use crate::experiments::{queue_kb, rate_gbps, tail_mean, Series};
 use crate::scenarios::{single_switch_longlived, Protocol};
 use desim::{SimDuration, SimTime};
 use models::timely::{TimelyFluid, TimelyLaw, TimelyParams};
@@ -83,15 +83,8 @@ pub fn run(cfg: &Fig8Config) -> Fig8Result {
             EngineConfig::default(),
         );
         let report = eng.run(SimTime::from_secs_f64(cfg.duration_s));
-        let sim_queue_kb: Series = report.queue_traces[&bottleneck]
-            .points()
-            .iter()
-            .map(|&(t, b)| (t, b / 1000.0))
-            .collect();
-        let sim_rate_gbps: Series = report.rate_traces[0]
-            .iter()
-            .map(|&(t, bps)| (t, bps / 1e9))
-            .collect();
+        let sim_queue_kb = queue_kb(&report, bottleneck);
+        let sim_rate_gbps = rate_gbps(&report, 0);
         let from = cfg.duration_s * 0.7;
         let sim_agg =
             report.delivered_bytes.iter().sum::<u64>() as f64 * 8.0 / cfg.duration_s / 1e9;

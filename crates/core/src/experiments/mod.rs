@@ -28,6 +28,23 @@ pub mod fig9;
 /// A `(t_or_x, value)` series — the universal currency of figure output.
 pub type Series = Vec<(f64, f64)>;
 
+/// A link's queue over time, in KB.
+fn queue_kb(report: &netsim::SimReport, link: netsim::LinkId) -> Series {
+    report.queue_traces[&link]
+        .points()
+        .iter()
+        .map(|&(t, b)| (t, b / 1000.0))
+        .collect()
+}
+
+/// A flow's sending rate over time, in Gbps.
+fn rate_gbps(report: &netsim::SimReport, flow: usize) -> Series {
+    report.rate_traces[flow]
+        .iter()
+        .map(|&(t, bps)| (t, bps / 1e9))
+        .collect()
+}
+
 /// Mean of the values at `t >= from`; NaN when there are none.
 fn tail_mean(series: &[(f64, f64)], from: f64) -> f64 {
     let pts: Vec<f64> = series

@@ -19,7 +19,7 @@
 //! * **Counters**: hits / misses / corrupt / writes per [`Store`]
 //!   ([`Store::counters`]) and summed over the process ([`counters`]),
 //!   mirrored into `obs::metrics` (`store.hit` …) when metrics are
-//!   enabled, so `--metrics` snapshots show cache behavior per run.
+//!   enabled, so a figure's `--obs` metrics show cache behavior per run.
 //!
 //! The store never invents data: it returns exactly the payload bytes a
 //! completed run recorded, or `None`. Resumability falls out — a rerun

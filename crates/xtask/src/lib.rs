@@ -796,13 +796,80 @@ mod tests {
         names
     }
 
+    /// The flags `bench::cli` parses: every `"--…"` literal of its
+    /// non-test code, i.e. the shared flags, `figs`' `--all` and the rows
+    /// of its `ENTRY_FLAGS`.
+    fn cli_flags(cli_rs: &str) -> BTreeSet<String> {
+        let code = cli_rs.split("#[cfg(test)]").next().unwrap_or("");
+        code.match_indices("\"--")
+            .map(|(i, _)| flag_at(&code[i + 1..]))
+            .filter(|f| f.len() > 2)
+            .collect()
+    }
+
+    /// The `--flag` that `text` starts with.
+    fn flag_at(text: &str) -> String {
+        let end = text[2..]
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-' || c == '_'))
+            .map_or(text.len(), |n| n + 2);
+        text[..end].to_string()
+    }
+
+    /// Every `--flag` a line of `doc` hands to `figs` or `ext_incast`:
+    /// the flags after the binary's word on the line (a line ending in `\`
+    /// continues on the next), with no `bench::cli` flag in `known`.
+    fn unknown_cli_flags(doc: &str, known: &BTreeSet<String>) -> Vec<String> {
+        let mut out = Vec::new();
+        for line in doc.replace("\\\n", " ").lines() {
+            let mut words = line
+                .split(|c: char| c.is_whitespace() || c == '`')
+                .skip_while(|w| !matches!(w.rsplit('/').next(), Some("figs" | "ext_incast")));
+            if words.next().is_none() {
+                continue;
+            }
+            for word in words {
+                if word.starts_with("--")
+                    && word[2..].starts_with(|c: char| c.is_ascii_alphabetic())
+                {
+                    let flag = flag_at(word);
+                    if !known.contains(&flag) {
+                        out.push(format!("{flag} in {line:?}"));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_doc_line_may_hand_figs_only_flags_it_parses() {
+        let known = cli_flags(
+            "const ENTRY_FLAGS: &[(&str, &str)] = &[(\"ext_incast\", \"--k\")];\n\
+             if w == \"--all\" { match w { \"--obs\" => {} } }\n\
+             #[cfg(test)]\nfn t() { \"--gone\"; }\n",
+        );
+        assert_eq!(known, ["--all", "--k", "--obs"].map(String::from).into());
+        let doc = "cargo run --release --bin figs -- fig4 --obs o\n\
+                   target/release/ext_incast --k 4 \\\n    --gone x\n\
+                   `figs --all` and `ext_incast --obs=o`\n\
+                   $B --workload fluid_dde --seconds 3 --trace 0\n";
+        let found = unknown_cli_flags(doc, &known);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].starts_with("--gone in "), "{found:?}");
+        assert_eq!(unknown_cli_flags("figs eq14 --metrics m", &known).len(), 1);
+    }
+
     #[test]
     fn docs_name_only_real_binaries() {
         // Every `bin/<name>` the docs name is a binary, every `figs <id>` a
-        // row of the one figure table, and every segment of a backticked
-        // `crate::seg::…` path that starts at a workspace crate a module or
-        // a name that crate declares.
+        // row of the one figure table, every flag a doc line hands `figs`
+        // or `ext_incast` one that `bench::cli` parses, and every segment
+        // of a backticked `crate::seg::…` path that starts at a workspace
+        // crate a module or a name that crate declares.
         let root = repo_root();
+        let cli =
+            std::fs::read_to_string(root.join("crates/bench/src/cli.rs")).expect("read cli.rs");
+        let flags = cli_flags(&cli);
         let mut crates: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         for entry in std::fs::read_dir(root.join("crates")).expect("read crates") {
             let dir = entry.expect("dir entry").path();
@@ -829,6 +896,11 @@ mod tests {
         let mut stale = Vec::new();
         for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
             let text = std::fs::read_to_string(root.join(doc)).expect("read doc");
+            stale.extend(
+                unknown_cli_flags(&text, &flags)
+                    .into_iter()
+                    .map(|f| format!("{doc}: {f}")),
+            );
             for (i, _) in text.match_indices("bin/") {
                 let name = word(&text[i + 4..]);
                 let file = root.join("crates/bench/src/bin").join(format!("{name}.rs"));
