@@ -1,7 +1,8 @@
-//! `figs <id> [flags]` regenerates one figure of [`FIGURES`];
-//! `figs --all [flags]` regenerates every one (paper-scale configurations).
+//! `figs <id> [flags]` regenerates the entry of [`FIGURES`] that writes
+//! `<id>`; `figs --all [flags]` regenerates every entry (paper-scale
+//! configurations).
 //!
-//! Under `--all` each figure is a child process of this same binary, run as
+//! Under `--all` each entry is a child process of this same binary, run as
 //! a bounded parallel job pool via [`desim::par::par_map`]. The children
 //! stay processes on purpose: the `obs` sinks, the store counters and
 //! `ECN_DELAY_RESULTS` are process-global, and a child is what isolates an
@@ -11,12 +12,12 @@
 //! everything finishes, so the output (and the `results/` JSON) is identical
 //! to the serial run.
 //!
-//! `--all --obs <dir>` hands each child `--obs <dir>/<id>`, so every figure
-//! records its four files in a directory of its own. `--store <dir>` is
-//! forwarded: the children share one store directory (records are keyed by
-//! experiment id, so they never collide), which makes the whole regeneration
-//! resumable — kill it halfway and rerun, and the finished figures are
-//! served from disk.
+//! `--all --obs <dir>` hands each child `--obs <dir>/<id>` (its first id),
+//! so every entry records its four files in a directory of its own.
+//! `--store <dir>` is forwarded: the children share one store directory
+//! (records are keyed by experiment id, so they never collide), which makes
+//! the whole regeneration resumable — kill it halfway and rerun, and the
+//! finished figures are served from disk.
 
 use std::process::Command;
 
@@ -27,7 +28,7 @@ fn main() {
     let args = bench::cli::parse(None);
     match args.entry.as_deref() {
         Some("--all") => all(&args),
-        Some(id) => match FIGURES.iter().find(|f| f.id == id) {
+        Some(id) => match FIGURES.iter().find(|f| f.ids.contains(&id)) {
             Some(f) => (f.body)(f, &args),
             None => no_such_figure(),
         },
@@ -38,14 +39,14 @@ fn main() {
 fn no_such_figure() -> ! {
     eprintln!("usage: figs <id>|--all [flags], <id> one of:");
     for f in FIGURES {
-        eprintln!("  {:<16} {}", f.id, f.title);
+        eprintln!("  {:<16} {}", f.ids.join(" "), f.title);
     }
     std::process::exit(2);
 }
 
 fn all(args: &Args) {
     let exe = std::env::current_exe().expect("current exe");
-    let outputs = desim::par::par_map(FIGURES.iter().map(|f| f.id).collect(), |id| {
+    let outputs = desim::par::par_map(FIGURES.iter().map(|f| f.ids[0]).collect(), |id| {
         let mut cmd = Command::new(&exe);
         cmd.arg(id).env("SIM_THREADS", "1");
         if let Some(d) = &args.obs {

@@ -13,7 +13,8 @@
 //! the entry reads their values. Nothing is skipped: an unknown flag, a flag
 //! another entry takes, or a flag at the end of the line with its value
 //! missing is a [`Usage`] error — one JSON line on stderr and exit status 2.
-//! So is an `--obs` directory that cannot be created, before any work runs.
+//! So are an `--obs` directory that cannot be created and a `--store` that
+//! cannot be opened, before any work runs.
 
 use std::path::PathBuf;
 
@@ -69,10 +70,10 @@ impl Usage {
     }
 }
 
-/// Parse the process arguments and create the `--obs` directory. With
-/// `entry` named (`ext_incast`) every word is a flag or a flag's value;
-/// without (`figs`) the first word, when it is `--all` or not a flag,
-/// selects the entry. A usage error exits.
+/// Parse the process arguments, create the `--obs` directory and open the
+/// `--store`. With `entry` named (`ext_incast`) every word is a flag or a
+/// flag's value; without (`figs`) the first word, when it is `--all` or not
+/// a flag, selects the entry. A usage error exits.
 pub fn parse(entry: Option<&str>) -> Args {
     let words: Vec<String> = std::env::args().skip(1).collect();
     parse_words(&words, entry)
@@ -80,6 +81,11 @@ pub fn parse(entry: Option<&str>) -> Args {
             if let Some(dir) = &args.obs {
                 std::fs::create_dir_all(dir).map_err(|e| {
                     Usage::new("--obs", format!("cannot create {}: {e}", dir.display()))
+                })?;
+            }
+            if let Some(dir) = &args.store {
+                store::Store::open(dir).map_err(|e| {
+                    Usage::new("--store", format!("cannot open {}: {e}", dir.display()))
                 })?;
             }
             Ok(args)

@@ -5,6 +5,8 @@
 //! its console table. The protocol around it is `Figure::standard`'s:
 //! print the banner, serve the artifacts from the store when allowed, else
 //! run, print, write `<id>.json` under [`results_dir`], record and report.
+//! Figures 14–16 are three views of one set of runs: one entry writes all
+//! three.
 
 use std::path::PathBuf;
 
@@ -18,11 +20,12 @@ use ecn_delay_core::{write_json, write_series_csv, ToJson};
 mod ablations;
 mod ext_faults;
 
-/// One regenerable artifact.
+/// One entry: the artifacts one run regenerates.
 pub struct Figure {
-    /// The stable id: the `figs` argument, the store's experiment id and the
-    /// stem of `results/<id>.json`.
-    pub id: &'static str,
+    /// The stable ids of the artifacts it writes, each a `figs` argument
+    /// and the stem of `results/<id>.json`. The first is also the store's
+    /// experiment id and the directory `figs --all --obs` gives the entry.
+    pub ids: &'static [&'static str],
     /// The banner printed above the console output.
     pub title: &'static str,
     /// Regenerate the artifact under the parsed flags.
@@ -44,7 +47,7 @@ impl Figure {
     fn begin(&self, args: &Args, spec_json: &str) -> Option<Run> {
         let obs = obs_cli::init(args);
         banner(self.title);
-        let store = store_cli::from_dir(args.store.as_deref(), self.id, spec_json);
+        let store = store_cli::from_dir(args.store.as_deref(), self.ids[0], spec_json);
         if !obs.active() && store.try_serve().is_some() {
             store.finish();
             obs.finish();
@@ -53,16 +56,21 @@ impl Figure {
         Some(Run { obs, store })
     }
 
-    /// Write `res` as `<id>.json`, let `csvs` write and name the files that
-    /// go beside it, and record them all as the figure's one store record.
-    fn save<R: ToJson>(&self, run: &Run, res: &R, csvs: Option<fn(&R) -> Vec<PathBuf>>) {
-        let path = results_dir().join(format!("{}.json", self.id));
-        write_json(&path, res).expect("write results");
-        let csvs = csvs.map_or_else(Vec::new, |write| write(res));
-        println!("\nresults -> {}", path.display());
-        let artifacts: Vec<PathBuf> = std::iter::once(path).chain(csvs).collect();
+    /// Write each of `results` as its id's `<id>.json`, record them with the
+    /// `csvs` already written beside them as the entry's one store record,
+    /// and write the `--obs` files.
+    fn save(&self, run: Run, results: &[&dyn ToJson], csvs: Vec<PathBuf>) {
+        let mut artifacts = Vec::new();
+        for (id, res) in self.ids.iter().zip(results) {
+            let path = results_dir().join(format!("{id}.json"));
+            write_json(&path, *res).expect("write results");
+            println!("\nresults -> {}", path.display());
+            artifacts.push(path);
+        }
+        artifacts.extend(csvs);
         run.store.record(&artifacts);
         run.store.finish();
+        run.obs.finish();
     }
 
     /// The whole protocol for a figure that is `run(&cfg)` and a console
@@ -80,118 +88,100 @@ impl Figure {
         };
         let res = run(&cfg);
         print(&cfg, &res);
-        self.save(&started, &res, csvs);
-        started.obs.finish();
+        let csvs = csvs.map_or_else(Vec::new, |write| write(&res));
+        self.save(started, &[&res], csvs);
     }
 }
 
 /// Every figure, in the order `figs --all` runs and prints them.
 pub const FIGURES: &[Figure] = &[
     Figure {
-        id: "eq14",
+        ids: &["eq14"],
         title: "Eq 14: p* approximation vs exact fixed point",
         body: |f, a| f.standard(a, Default::default(), ex::eq14::run, eq14, None),
     },
     Figure {
-        id: "fig2",
+        ids: &["fig2"],
         title: "Figure 2: DCQCN fluid model vs packet simulation (40 Gbps)",
         body: |f, a| f.standard(a, Default::default(), ex::fig2::run, fig2, Some(fig2_csvs)),
     },
     Figure {
-        id: "fig3",
+        ids: &["fig3"],
         title: "Figure 3: DCQCN phase margin (degrees) vs number of flows",
         body: |f, a| f.standard(a, Default::default(), ex::fig3::run, fig3, None),
     },
     Figure {
-        id: "fig4",
+        ids: &["fig4"],
         title: "Figure 4: DCQCN fluid stability grid (tau* x N)",
         body: |f, a| f.standard(a, Default::default(), ex::fig4::run, fig4, None),
     },
     Figure {
-        id: "fig5",
+        ids: &["fig5"],
         title: "Figure 5: packet-level DCQCN instability (85 us loop)",
         body: |f, a| f.standard(a, Default::default(), ex::fig5::run, fig5, None),
     },
     Figure {
-        id: "fig6",
+        ids: &["fig6"],
         title: "Figure 6 / Theorem 2: discrete AIMD convergence",
         body: |f, a| f.standard(a, Default::default(), ex::fig6::run, fig6, None),
     },
     Figure {
-        id: "thm2",
+        ids: &["thm2"],
         title: "Theorem 2: exponential convergence of DCQCN rates",
         body: thm2,
     },
     Figure {
-        id: "fig8",
+        ids: &["fig8"],
         title: "Figure 8: TIMELY fluid model vs packet simulation (10 Gbps)",
         body: |f, a| f.standard(a, Default::default(), ex::fig8::run, fig8, None),
     },
     Figure {
-        id: "fig9",
+        ids: &["fig9"],
         title: "Figure 9: TIMELY multi-equilibria (2 flows, fluid)",
         body: |f, a| f.standard(a, Default::default(), ex::fig9::run, fig9, None),
     },
     Figure {
-        id: "fig10",
+        ids: &["fig10"],
         title: "Figure 10: impact of per-burst pacing on TIMELY",
         body: |f, a| f.standard(a, Default::default(), ex::fig10::run, fig10, None),
     },
     Figure {
-        id: "fig11",
+        ids: &["fig11"],
         title: "Figure 11: Patched TIMELY phase margin vs N",
         body: |f, a| f.standard(a, Default::default(), ex::fig11::run, fig11, None),
     },
     Figure {
-        id: "fig12",
+        ids: &["fig12"],
         title: "Figure 12: Patched TIMELY convergence and stability",
         body: |f, a| f.standard(a, Default::default(), ex::fig12::run, fig12, None),
     },
     Figure {
-        id: "fig14",
-        title: "Figure 14: small-flow FCT vs load (dumbbell, 10 Gbps)",
-        body: |f, a| f.standard(a, Default::default(), ex::fig14::run, fig14, None),
+        ids: &["fig14", "fig15", "fig16"],
+        title: "Figures 14-16: small-flow FCT vs load; its CDF and the queue at load 0.8",
+        body: fct,
     },
     Figure {
-        id: "fig15",
-        title: "Figure 15: CDF of small-flow FCT, load = 0.8",
-        body: |f, a| f.standard(a, Default::default(), ex::fig15::run, fig15, None),
-    },
-    Figure {
-        id: "fig16",
-        title: "Figure 16: bottleneck queue, load = 0.8",
-        body: |f, a| {
-            f.standard(
-                a,
-                Default::default(),
-                ex::fig16::run,
-                fig16,
-                Some(fig16_csvs),
-            )
-        },
-    },
-    Figure {
-        id: "fig17",
+        ids: &["fig17"],
         title: "Figure 17: DCQCN with egress vs ingress marking (85 us loop)",
         body: |f, a| f.standard(a, Default::default(), ex::fig17::run, fig17, None),
     },
     Figure {
-        id: "fig18",
+        ids: &["fig18"],
         title: "Figure 18: DCQCN + PI controller (q_ref = 100 KB)",
         body: |f, a| f.standard(a, Default::default(), ex::fig18::run, fig18, None),
     },
     Figure {
-        id: "fig19",
+        ids: &["fig19"],
         title: "Figure 19: Patched TIMELY + end-host PI (q_ref = 300 KB)",
         body: |f, a| f.standard(a, Default::default(), ex::fig19::run, fig19, None),
     },
     Figure {
-        id: "fig20",
+        ids: &["fig20"],
         title: "Figure 20: uniform [0,100us] feedback jitter",
         body: |f, a| f.standard(a, Default::default(), ex::fig20::run, fig20, None),
     },
     Figure {
-        id: "ext_pi_packet",
+        ids: &["ext_pi_packet"],
         title: "Extension: packet-level DCQCN + PI AQM vs RED",
         body: |f, a| {
             f.standard(
@@ -207,7 +197,7 @@ pub const FIGURES: &[Figure] = &[
         },
     },
     Figure {
-        id: "ext_parking_lot",
+        ids: &["ext_parking_lot"],
         title: "Extension: DCQCN on a 3-hop parking lot",
         body: |f, a| {
             f.standard(
@@ -220,22 +210,22 @@ pub const FIGURES: &[Figure] = &[
         },
     },
     Figure {
-        id: "ext_pfc",
+        ids: &["ext_pfc"],
         title: "Extension: ECN-before-PFC vs PFC-only (4 flows, 10 Gbps)",
         body: |f, a| f.standard(a, Default::default(), ex::ext_pfc::run, ext_pfc, None),
     },
     Figure {
-        id: "ext_faults",
+        ids: &["ext_faults"],
         title: "Extension: fault injection — degradation matrix & divergence watchdog",
         body: ext_faults::body,
     },
     Figure {
-        id: "ablations",
+        ids: &["ablations"],
         title: "Ablations",
         body: ablations::body,
     },
     Figure {
-        id: "appendix_b",
+        ids: &["appendix_b"],
         title: "Appendix B: Eq 40 AIMD cycle length vs packet measurement",
         body: |f, a| f.standard(a, Default::default(), ex::appendix_b::run, appendix_b, None),
     },
@@ -271,8 +261,22 @@ fn thm2(f: &Figure, args: &Args) {
             res.measured_decay,
         ));
     }
-    f.save(&started, &rows, None);
-    started.obs.finish();
+    f.save(started, &[&rows], Vec::new());
+}
+
+/// Figures 14-16 read one set of dumbbell runs (`fig14::study`), so their
+/// spec is the three figures' configs.
+fn fct(f: &Figure, args: &Args) {
+    use ex::{fig14, fig15, fig16};
+    let cfg: (fig14::Fig14Config, fig15::Fig15Config, fig16::Fig16Config) = Default::default();
+    let Some(started) = f.begin(args, &cfg.to_json().render_pretty()) else {
+        return;
+    };
+    let (r14, r15, r16) = fig14::study(&cfg.0, &cfg.1, &cfg.2);
+    print_fig14(&r14);
+    print_fig15(&r15);
+    print_fig16(&r16);
+    f.save(started, &[&r14, &r15, &r16], fig16_csvs(&r16));
 }
 
 fn fig2_csvs(res: &ex::fig2::Fig2Result) -> Vec<PathBuf> {
@@ -474,7 +478,8 @@ fn fig12(_: &ex::fig12::Fig12Config, res: &ex::fig12::Fig12Result) {
     print_series("(c) queue KB", &res.panel_c_queue_kb, 10);
 }
 
-fn fig14(_: &ex::fig14::Fig14Config, res: &ex::fig14::Fig14Result) {
+fn print_fig14(res: &ex::fig14::Fig14Result) {
+    println!("\nFigure 14: small-flow FCT vs load (dumbbell, 10 Gbps)");
     println!(
         "{:<16} {:>6} {:>14} {:>14} {:>8} {:>8}",
         "protocol", "load", "median (ms)", "p90 (ms)", "flows", "util"
@@ -494,7 +499,8 @@ fn fig14(_: &ex::fig14::Fig14Config, res: &ex::fig14::Fig14Result) {
     }
 }
 
-fn fig15(_: &ex::fig15::Fig15Config, res: &ex::fig15::Fig15Result) {
+fn print_fig15(res: &ex::fig15::Fig15Result) {
+    println!("\nFigure 15: CDF of small-flow FCT, load = 0.8");
     for (name, cdf) in &res.cdfs {
         let q = |p: f64| {
             cdf.iter()
@@ -512,7 +518,8 @@ fn fig15(_: &ex::fig15::Fig15Config, res: &ex::fig15::Fig15Result) {
     }
 }
 
-fn fig16(_: &ex::fig16::Fig16Config, res: &ex::fig16::Fig16Result) {
+fn print_fig16(res: &ex::fig16::Fig16Result) {
+    println!("\nFigure 16: bottleneck queue, load = 0.8");
     for (name, mean, p99, max) in &res.summary {
         println!("{name:<16}: mean={mean:8.1} KB  p99={p99:8.1} KB  max={max:8.1} KB");
     }

@@ -147,8 +147,7 @@ pub(super) fn body(figure: &Figure, args: &Args) {
         println!("{g:>10.5} {osc:>22.3}");
     }
 
-    figure.save(&started, &report, None);
-    started.obs.finish();
+    figure.save(started, &[&report], Vec::new());
 }
 
 ecn_delay_core::impl_to_json!(AblationReport {

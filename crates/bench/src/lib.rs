@@ -1,12 +1,15 @@
 //! # bench — figure regeneration and std-only benchmarks
 //!
-//! Every table and figure in the paper's evaluation is an entry of
-//! [`figures::FIGURES`]; the `figs` binary regenerates them:
+//! Every table and figure in the paper's evaluation is an artifact of one
+//! entry of [`figures::FIGURES`]; the `figs` binary regenerates them. An
+//! entry may write several: Figures 14–16 are three views of one set of
+//! dumbbell runs, so `figs fig14`, `figs fig15` and `figs fig16` all run
+//! that one entry and write all three.
 //!
 //! ```text
 //! cargo run -p bench --release --bin figs             # lists the ids
 //! cargo run -p bench --release --bin figs -- fig3     # one figure
-//! cargo run -p bench --release --bin figs -- --all    # every figure, one child process each
+//! cargo run -p bench --release --bin figs -- --all    # every entry, one child process each
 //! ```
 //!
 //! A figure prints the paper's series to stdout and writes JSON under
@@ -21,7 +24,8 @@
 //! `<dir>`. `--store <dir>` (see [`store_cli`]) makes a figure run
 //! resumable: results are cached in a crash-safe content-addressed store
 //! keyed by the figure's canonical config, and a rerun with the same spec is
-//! served byte-identically from disk. `figs --all` hands every child
+//! served byte-identically from disk; a `--store` that cannot be opened is
+//! a usage error before any work. `figs --all` hands every child
 //! `--obs <dir>/<id>` and the shared store.
 
 #![warn(missing_docs)]

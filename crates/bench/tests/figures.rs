@@ -11,8 +11,13 @@ fn repo() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
+/// Every artifact id of every entry.
 fn ids() -> BTreeSet<String> {
-    FIGURES.iter().map(|f| f.id.to_string()).collect()
+    FIGURES
+        .iter()
+        .flat_map(|f| f.ids)
+        .map(|id| id.to_string())
+        .collect()
 }
 
 fn figs(args: &[&str]) -> Output {
@@ -28,17 +33,18 @@ fn tmp(tag: &str) -> PathBuf {
     dir
 }
 
+/// Each artifact id is written by exactly one entry.
 #[test]
 fn ids_are_unique_and_plain() {
-    assert_eq!(ids().len(), FIGURES.len(), "duplicate id");
-    for f in FIGURES {
+    let written: usize = FIGURES.iter().map(|f| f.ids.len()).sum();
+    assert_eq!(ids().len(), written, "an id in two entries");
+    for id in FIGURES.iter().flat_map(|f| f.ids) {
         assert!(
-            !f.id.is_empty()
-                && f.id
+            !id.is_empty()
+                && id
                     .bytes()
                     .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_'),
-            "{:?}",
-            f.id
+            "{id:?}"
         );
     }
 }
@@ -79,20 +85,47 @@ fn no_id_and_an_unknown_id_list_the_table() {
         let out = figs(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let listed = String::from_utf8_lossy(&out.stderr).into_owned();
-        for f in FIGURES {
+        for id in ids() {
             assert!(
-                listed.lines().any(|l| l.trim_start().starts_with(f.id)),
-                "{args:?} does not list {}",
-                f.id
+                listed
+                    .lines()
+                    .any(|l| l.split_whitespace().any(|w| w == id)),
+                "{args:?} does not list {id}"
             );
         }
     }
 }
 
+/// `figs fig16` runs the entry that writes it, which writes Figures 14 and
+/// 15 and the queue CSVs too, each to its checked-in bytes.
+#[test]
+fn figs_fig16_writes_the_whole_fct_study() {
+    let results = tmp("fct");
+    let out = Command::new(env!("CARGO_BIN_EXE_figs"))
+        .arg("fig16")
+        .env("ECN_DELAY_RESULTS", &results)
+        .output()
+        .expect("launch figs");
+    assert!(out.status.success(), "{out:?}");
+    for name in [
+        "fig14.json",
+        "fig15.json",
+        "fig16.json",
+        "fig16_dcqcn.csv",
+        "fig16_timely.csv",
+        "fig16_patchedtimely.csv",
+    ] {
+        let written = std::fs::read(results.join(name)).expect(name);
+        let checked_in = std::fs::read(repo().join("results").join(name)).expect(name);
+        assert!(written == checked_in, "{name} differs from results/");
+    }
+    let _ = std::fs::remove_dir_all(&results);
+}
+
 /// Nothing is skipped: a misspelt or removed flag, a missing or unreadable
-/// value, a flag another entry takes, a stray word and an `--obs` directory
-/// that cannot be created all stop the run before any work, so nothing is
-/// printed and no `results/` is made.
+/// value, a flag another entry takes, a stray word, an `--obs` directory
+/// that cannot be created and a `--store` that cannot be opened all stop
+/// the run before any work, so nothing is printed and no `results/` is made.
 #[test]
 fn bad_flags_are_usage_errors() {
     let dir = tmp("usage");
@@ -113,6 +146,9 @@ fn bad_flags_are_usage_errors() {
         ("ext_incast --k four", "--k", "expected an integer"),
         ("figs eq14 --obs file/o", "--obs", "cannot create file/o"),
         ("figs --all --obs file", "--obs", "cannot create file"),
+        ("figs eq14 --store file/s", "--store", "cannot open file/s"),
+        ("figs --all --store file", "--store", "cannot open file"),
+        ("ext_incast --store file/s", "--store", "cannot open file/s"),
         ("figs eq14 --trace x", "--trace", "unknown flag"),
         ("figs eq14 --metrics x", "--metrics", "unknown flag"),
         ("figs eq14 --timeseries x", "--timeseries", "unknown flag"),

@@ -5,10 +5,14 @@
 //! average of 8 Gbps of traffic on the bottleneck link. […] at higher
 //! loads, FCT for both TIMELY and patched TIMELY is high, and highly
 //! variable." Small flows are those under 100 KB (pFabric convention).
+//!
+//! Figures 15 and 16 are two more views of the same runs: [`study`] runs
+//! the three figures' [`Cell`]s once each.
 
+use crate::experiments::{fig15, fig16};
 use crate::scenarios::{dumbbell_fct, Protocol};
 use desim::{SimDuration, SimTime};
-use netsim::EngineConfig;
+use netsim::{EngineConfig, LinkId, SimReport};
 use workload::{FctStats, FlowSizeDist, ScenarioConfig};
 
 /// Configuration.
@@ -58,60 +62,146 @@ pub struct Fig14Result {
     pub curves: Vec<Fig14Curve>,
 }
 
-/// Run one (protocol, load) cell and return its stats.
-pub fn run_cell(protocol: Protocol, load: f64, horizon_s: f64, seed: u64) -> (FctStats, f64) {
-    let scenario = ScenarioConfig {
-        n_pairs: 10,
-        load_factor: load,
-        base_rate_bps: 8e9,
-        horizon_s,
-        seed,
-    };
-    let dist = FlowSizeDist::web_search();
-    let mut cfg = EngineConfig::default();
-    cfg.rate_trace_window = None; // thousands of flows; skip rate traces
-    let (mut eng, _bottleneck) = dumbbell_fct(
-        protocol,
-        &scenario,
-        &dist,
-        10e9,
-        SimDuration::from_micros(1),
-        cfg,
-    );
-    let report = eng.run(SimTime::from_secs_f64(horizon_s * 1.5));
+/// One cell of the FCT study: the Figure 13 dumbbell (10 sender/receiver
+/// pairs, 10 Gbps links, 1 µs hops, web-search flow sizes, load 1.0 ≡
+/// 8 Gbps offered) under one protocol at one load.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Cell {
+    /// The protocol every sender runs.
+    pub protocol: Protocol,
+    /// The load factor.
+    pub load: f64,
+    /// Arrival horizon (seconds); the run extends 50 % longer so late flows
+    /// can drain.
+    pub horizon_s: f64,
+    /// Workload seed.
+    pub seed: u64,
+}
+
+impl Cell {
+    /// Build the cell's engine and run it; returns the report and the
+    /// bottleneck link.
+    pub fn run(&self) -> (SimReport, LinkId) {
+        let scenario = ScenarioConfig {
+            n_pairs: 10,
+            load_factor: self.load,
+            base_rate_bps: 8e9,
+            horizon_s: self.horizon_s,
+            seed: self.seed,
+        };
+        let mut cfg = EngineConfig::default();
+        cfg.rate_trace_window = None; // thousands of flows; skip rate traces
+        let (mut eng, bottleneck) = dumbbell_fct(
+            self.protocol,
+            &scenario,
+            &FlowSizeDist::web_search(),
+            10e9,
+            SimDuration::from_micros(1),
+            cfg,
+        );
+        let report = eng.run(SimTime::from_secs_f64(self.horizon_s * 1.5));
+        (report, bottleneck)
+    }
+}
+
+/// The completed flows of `report`, with the small-flow cut.
+pub fn fct_stats(report: &SimReport) -> FctStats {
     let mut stats = FctStats::default();
     for r in &report.fcts {
         stats.push(r.size_bytes, r.fct_s);
     }
-    let delivered: u64 = report.delivered_bytes.iter().sum();
-    let util = delivered as f64 * 8.0 / (horizon_s * 1.5) / 10e9;
-    (stats, util)
+    stats
 }
 
-/// Run the full sweep: every `(protocol, load)` cell builds its own engine
-/// from its inputs, so the cells run through [`desim::par::par_map`] with
-/// ordered results.
-pub fn run(cfg: &Fig14Config) -> Fig14Result {
-    let cells: Vec<(Protocol, f64)> = cfg
-        .protocols
-        .iter()
-        .flat_map(|&proto| cfg.loads.iter().map(move |&load| (proto, load)))
-        .collect();
-    let mut results = desim::par::par_map(cells, |(proto, load)| {
-        run_cell(proto, load, cfg.horizon_s, cfg.seed)
-    })
-    .into_iter();
+/// The reports of a set of cells, each run once.
+#[derive(Debug)]
+pub struct Runs(Vec<(Cell, SimReport, LinkId)>);
+
+impl Runs {
+    /// Run each distinct cell of `cells` once, and keep of its queue traces
+    /// only the bottleneck's, and that only for the cells in `queued`. Every
+    /// cell builds its own engine from its inputs, so they run through
+    /// [`desim::par::par_map`] with ordered results.
+    pub fn new(cells: Vec<Cell>, queued: &[Cell]) -> Runs {
+        let mut distinct: Vec<Cell> = Vec::new();
+        for cell in cells {
+            if !distinct.contains(&cell) {
+                distinct.push(cell);
+            }
+        }
+        Runs(desim::par::par_map(distinct, |cell| {
+            let (mut report, bottleneck) = cell.run();
+            let traces = std::mem::take(&mut report.queue_traces);
+            if queued.contains(&cell) {
+                report
+                    .queue_traces
+                    .insert(bottleneck, traces[&bottleneck].clone());
+            }
+            (cell, report, bottleneck)
+        }))
+    }
+
+    /// The report of `cell` and its bottleneck link. Panics when `cell` was
+    /// not run.
+    pub fn get(&self, cell: Cell) -> (&SimReport, LinkId) {
+        match self.0.iter().find(|(c, ..)| *c == cell) {
+            Some((_, report, bottleneck)) => (report, *bottleneck),
+            None => panic!("{cell:?} was not run"),
+        }
+    }
+}
+
+/// The FCT study: run the union of the three figures' cells once, keeping
+/// a bottleneck queue trace only for those Figure 16 reads, and read each
+/// figure off the reports. Each result equals its figure's own `run`.
+pub fn study(
+    c14: &Fig14Config,
+    c15: &fig15::Fig15Config,
+    c16: &fig16::Fig16Config,
+) -> (Fig14Result, fig15::Fig15Result, fig16::Fig16Result) {
+    let queued = fig15::cells(c16);
+    let cells = sweep(&c14.protocols, &c14.loads, c14.horizon_s, c14.seed);
+    let runs = Runs::new([cells, fig15::cells(c15), queued.clone()].concat(), &queued);
+    (
+        view(c14, &runs),
+        fig15::view(c15, &runs),
+        fig16::view(c16, &runs),
+    )
+}
+
+/// Every `(protocol, load)` cell at one horizon and seed, protocol-major.
+pub fn sweep(protocols: &[Protocol], loads: &[f64], horizon_s: f64, seed: u64) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for &protocol in protocols {
+        for &load in loads {
+            cells.push(Cell {
+                protocol,
+                load,
+                horizon_s,
+                seed,
+            });
+        }
+    }
+    cells
+}
+
+/// Figure 14 read off `runs`, which hold its cells.
+pub fn view(cfg: &Fig14Config, runs: &Runs) -> Fig14Result {
+    let mut cells = sweep(&cfg.protocols, &cfg.loads, cfg.horizon_s, cfg.seed).into_iter();
     let mut curves = Vec::new();
     for &proto in &cfg.protocols {
         let mut median_ms = Vec::new();
         let mut p90_ms = Vec::new();
         let mut small_counts = Vec::new();
         let mut utilization = Vec::new();
-        for (&load, (stats, util)) in cfg.loads.iter().zip(results.by_ref()) {
+        for (&load, cell) in cfg.loads.iter().zip(cells.by_ref()) {
+            let (report, _) = runs.get(cell);
+            let stats = fct_stats(report);
+            let delivered: u64 = report.delivered_bytes.iter().sum();
             median_ms.push((load, stats.small_median().unwrap_or(f64::NAN) * 1e3));
             p90_ms.push((load, stats.small_p90().unwrap_or(f64::NAN) * 1e3));
             small_counts.push((load, stats.small_count()));
-            utilization.push((load, util));
+            utilization.push((load, delivered as f64 * 8.0 / (cfg.horizon_s * 1.5) / 10e9));
         }
         curves.push(Fig14Curve {
             protocol: proto.label().to_string(),
@@ -122,6 +212,12 @@ pub fn run(cfg: &Fig14Config) -> Fig14Result {
         });
     }
     Fig14Result { curves }
+}
+
+/// Run the sweep: every cell once, no queue trace kept.
+pub fn run(cfg: &Fig14Config) -> Fig14Result {
+    let cells = sweep(&cfg.protocols, &cfg.loads, cfg.horizon_s, cfg.seed);
+    view(cfg, &Runs::new(cells, &[]))
 }
 
 #[cfg(test)]
@@ -167,6 +263,47 @@ mod tests {
                 c.protocol
             );
         }
+    }
+
+    #[test]
+    fn the_study_runs_each_cell_once_and_each_view_renders_as_its_run() {
+        use crate::json::ToJson;
+        let protocols = vec![Protocol::Dcqcn, Protocol::PatchedTimely];
+        let (horizon_s, seed) = (0.05, 1);
+        let c14 = Fig14Config {
+            loads: vec![0.4, 0.8],
+            protocols: protocols.clone(),
+            horizon_s,
+            seed,
+        };
+        let c15 = fig15::Fig15Config {
+            load: 0.8,
+            protocols: protocols.clone(),
+            horizon_s,
+            seed,
+        };
+        let c16 = fig16::Fig16Config {
+            load: 0.8,
+            protocols,
+            horizon_s,
+            seed,
+        };
+        let (r14, r15, r16) = study(&c14, &c15, &c16);
+        let json = |r: &dyn ToJson| r.to_json().render_pretty();
+        assert_eq!(json(&r14), json(&run(&c14)));
+        assert_eq!(json(&r15), json(&fig15::run(&c15)));
+        assert_eq!(json(&r16), json(&fig16::run(&c16)));
+        // Figures 15 and 16 read two of Figure 14's four cells, and only
+        // Figure 16's keep a queue.
+        let queued = fig15::cells(&c16);
+        let all = [
+            sweep(&c14.protocols, &c14.loads, horizon_s, seed),
+            queued.clone(),
+        ];
+        let runs = Runs::new([all.concat(), fig15::cells(&c15)].concat(), &queued);
+        assert_eq!(runs.0.len(), 4);
+        let traces: usize = runs.0.iter().map(|(_, r, _)| r.queue_traces.len()).sum();
+        assert_eq!(traces, 2);
     }
 
     #[test]

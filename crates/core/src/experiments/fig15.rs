@@ -1,7 +1,7 @@
 //! Figure 15: CDF of small-flow FCT at load 0.8 — the full distribution
 //! behind Figure 14's quantiles, showing TIMELY's heavy tail.
 
-use crate::experiments::fig14::run_cell;
+use crate::experiments::fig14::{self, Cell, Runs};
 use crate::experiments::Series;
 use crate::scenarios::Protocol;
 
@@ -36,19 +36,29 @@ pub struct Fig15Result {
     pub cdfs: Vec<(String, Series)>,
 }
 
-/// Run: one independent cell per protocol, through
-/// [`desim::par::par_map`] with ordered results.
-pub fn run(cfg: &Fig15Config) -> Fig15Result {
-    let cdfs = desim::par::par_map(cfg.protocols.clone(), |proto| {
-        let (stats, _util) = run_cell(proto, cfg.load, cfg.horizon_s, cfg.seed);
-        let cdf: Series = stats
+/// Figure 15's cells: one per protocol at the configured load.
+pub fn cells(cfg: &Fig15Config) -> Vec<Cell> {
+    fig14::sweep(&cfg.protocols, &[cfg.load], cfg.horizon_s, cfg.seed)
+}
+
+/// Figure 15 read off `runs`, which hold its [`cells`].
+pub fn view(cfg: &Fig15Config, runs: &Runs) -> Fig15Result {
+    let cdf = |cell: Cell| {
+        let stats = fig14::fct_stats(runs.get(cell).0);
+        let cdf = stats
             .small_cdf()
             .into_iter()
-            .map(|(fct_s, p)| (fct_s * 1e3, p))
-            .collect();
-        (proto.label().to_string(), cdf)
-    });
-    Fig15Result { cdfs }
+            .map(|(fct_s, p)| (fct_s * 1e3, p));
+        (cell.protocol.label().to_string(), cdf.collect())
+    };
+    Fig15Result {
+        cdfs: cells(cfg).into_iter().map(cdf).collect(),
+    }
+}
+
+/// Run: every cell once, no queue trace kept.
+pub fn run(cfg: &Fig15Config) -> Fig15Result {
+    view(cfg, &Runs::new(cells(cfg), &[]))
 }
 
 #[cfg(test)]

@@ -5,35 +5,13 @@
 //! the RED thresholds and even in the transient state the queue stays
 //! within the bounds."
 
+use crate::experiments::fig14::Runs;
+use crate::experiments::fig15::{cells, Fig15Config};
 use crate::experiments::{queue_kb, Series};
-use crate::scenarios::{dumbbell_fct, Protocol};
-use desim::{SimDuration, SimTime};
-use netsim::EngineConfig;
-use workload::{FlowSizeDist, ScenarioConfig};
 
-/// Configuration.
-#[derive(Debug, Clone)]
-pub struct Fig16Config {
-    /// Load factor (0.8 in the paper).
-    pub load: f64,
-    /// Protocols.
-    pub protocols: Vec<Protocol>,
-    /// Arrival horizon (seconds).
-    pub horizon_s: f64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for Fig16Config {
-    fn default() -> Self {
-        Fig16Config {
-            load: 0.8,
-            protocols: vec![Protocol::Dcqcn, Protocol::Timely, Protocol::PatchedTimely],
-            horizon_s: 0.4,
-            seed: 1,
-        }
-    }
-}
+/// Configuration: Figure 15's cells (load 0.8 in the paper), read for
+/// their bottleneck queue.
+pub type Fig16Config = Fig15Config;
 
 /// Result.
 #[derive(Debug, Clone)]
@@ -44,38 +22,25 @@ pub struct Fig16Result {
     pub summary: Vec<(String, f64, f64, f64)>,
 }
 
-/// Run: one independent engine per protocol, through
-/// [`desim::par::par_map`] with ordered results.
-pub fn run(cfg: &Fig16Config) -> Fig16Result {
-    let dist = FlowSizeDist::web_search();
-    let cells = desim::par::par_map(cfg.protocols.clone(), |proto| {
-        let scenario = ScenarioConfig {
-            n_pairs: 10,
-            load_factor: cfg.load,
-            base_rate_bps: 8e9,
-            horizon_s: cfg.horizon_s,
-            seed: cfg.seed,
-        };
-        let mut ecfg = EngineConfig::default();
-        ecfg.rate_trace_window = None;
-        let (mut eng, bottleneck) = dumbbell_fct(
-            proto,
-            &scenario,
-            &dist,
-            10e9,
-            SimDuration::from_micros(1),
-            ecfg,
-        );
-        let report = eng.run(SimTime::from_secs_f64(cfg.horizon_s * 1.5));
-        let series = queue_kb(&report, bottleneck);
-        let (mean, p99, max) = summarize(&series);
-        (
-            (proto.label().to_string(), series),
-            (proto.label().to_string(), mean, p99, max),
-        )
-    });
-    let (queues_kb, summary) = cells.into_iter().unzip();
+/// Figure 16 read off `runs`, which hold its cells with their bottleneck
+/// queue traces.
+pub fn view(cfg: &Fig16Config, runs: &Runs) -> Fig16Result {
+    let (queues_kb, summary) = cells(cfg)
+        .into_iter()
+        .map(|cell| {
+            let label = cell.protocol.label().to_string();
+            let (report, bottleneck) = runs.get(cell);
+            let series = queue_kb(report, bottleneck);
+            let (mean, p99, max) = summarize(&series);
+            ((label.clone(), series), (label, mean, p99, max))
+        })
+        .unzip();
     Fig16Result { queues_kb, summary }
+}
+
+/// Run: every cell once, each keeping its bottleneck queue trace.
+pub fn run(cfg: &Fig16Config) -> Fig16Result {
+    view(cfg, &Runs::new(cells(cfg), &cells(cfg)))
 }
 
 /// `(mean, p99, max)` of a queue trace's values; NaN for each on an empty
@@ -95,6 +60,7 @@ fn summarize(series: &[(f64, f64)]) -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::Protocol;
 
     #[test]
     fn an_empty_queue_trace_summarizes_to_nan() {
@@ -144,10 +110,4 @@ mod tests {
     }
 }
 
-crate::impl_to_json!(Fig16Config {
-    load,
-    protocols,
-    horizon_s,
-    seed
-});
 crate::impl_to_json!(Fig16Result { queues_kb, summary });

@@ -377,11 +377,16 @@ impl Engine {
         obs::flight::set_cause(None);
         self.arm_aqm();
         let before = self.counters();
+        // One span for the whole loop, pop and dispatch: a span per event
+        // reads the clock twice per event, which costs more than most
+        // handlers do.
+        let span = obs::span::enter(obs::Phase::EventDispatch);
         while let Some((t, ev)) = self.events.pop_due(end) {
             self.now = t;
             self.events_processed += 1;
             self.handle(ev);
         }
+        drop(span);
         self.now = end;
         for f in 0..self.clocks.len() {
             self.catch_up(FlowId(f), Touch::End);
@@ -442,7 +447,6 @@ impl Engine {
     }
 
     fn handle(&mut self, ev: Ev) {
-        let _span = obs::span::enter(obs::Phase::EventDispatch);
         match ev {
             Ev::FlowStart(f) => self.flow_start(f),
             Ev::Pacer(f) => self.pacer_fire(f),

@@ -27,7 +27,8 @@ pub enum Phase {
     Locate,
     /// History buffer compaction (`History::trim_before` drain).
     Compact,
-    /// Packet-engine event dispatch (`Engine::handle`).
+    /// The packet engine's event loop: popping each due event and
+    /// dispatching it, one span per `Engine::run`.
     EventDispatch,
 }
 

@@ -14,8 +14,8 @@
 //!
 //! The report gives, per metric: both sides' medians and quartiles, the
 //! median of the per-pair ratios change / parent, in how many pairs the
-//! change read lower, and whether the medians differ by more than the
-//! parent's interquartile range.
+//! change read lower, whether the medians differ by more than the parent's
+//! interquartile range, and a [`Verdict`] against the metric's bound.
 
 use obs::json::{parse, Value};
 use std::fmt::Write as _;
@@ -38,7 +38,16 @@ pub struct Plan {
     /// The ruler's `--seconds`: BENCHMARK.json's `run_seconds`.
     pub seconds: f64,
     /// The end-to-end metrics read from every run, in BENCHMARK.json order.
-    pub metrics: Vec<String>,
+    pub metrics: Vec<Metric>,
+}
+
+/// An end-to-end metric of BENCHMARK.json; every one is lower-is-better.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Metric {
+    /// Its name in the ruler's result line.
+    pub name: String,
+    /// The share by which the change's median may exceed the parent's.
+    pub bound: f64,
 }
 
 impl Plan {
@@ -74,7 +83,17 @@ impl Plan {
             ("seconds".into(), Value::Num(self.seconds)),
             (
                 "metrics".into(),
-                Value::Arr(self.metrics.iter().map(|m| Value::Str(m.clone())).collect()),
+                Value::Arr(
+                    self.metrics
+                        .iter()
+                        .map(|m| {
+                            Value::Obj(vec![
+                                ("name".into(), Value::Str(m.name.clone())),
+                                ("bound".into(), Value::Num(m.bound)),
+                            ])
+                        })
+                        .collect(),
+                ),
             ),
             ("calib_tolerance".into(), Value::Num(CALIB_TOLERANCE)),
             ("schedule".into(), Value::Arr(schedule)),
@@ -127,10 +146,10 @@ pub fn parse_run(plan: &Plan, stdout: &str, out_doc: &str) -> Result<Run, String
         .map(|m| {
             result
                 .get("metrics")
-                .and_then(|ms| ms.get(m))
+                .and_then(|ms| ms.get(&m.name))
                 .and_then(|v| v.get("value"))
                 .and_then(Value::as_f64)
-                .ok_or(format!("result line has no metric `{m}`"))
+                .ok_or(format!("result line has no metric `{}`", m.name))
         })
         .collect::<Result<Vec<f64>, String>>()?;
     let out = parse(out_doc).map_err(|e| format!("--out document: {e}"))?;
@@ -182,6 +201,37 @@ pub struct Summary {
     pub ratio_median: f64,
     /// Pairs in which the change read lower.
     pub change_lower: usize,
+    /// Pairs run.
+    pub pairs: usize,
+    /// The metric's bound.
+    pub bound: f64,
+}
+
+/// What an A/B shows for one metric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The change read lower in at least nine pairs of ten, and the medians
+    /// differ by more than the parent's interquartile range.
+    Gain,
+    /// The change's median exceeds the parent's by more than the bound.
+    Regressed,
+    /// The parent's own interquartile range, as a share of its median, is
+    /// wider than the bound: these runs cannot tell.
+    Unresolved,
+    /// None of the above.
+    NoRegression,
+}
+
+impl Verdict {
+    /// The verdict's name in the records.
+    pub fn name(self) -> &'static str {
+        match self {
+            Verdict::Gain => "gain",
+            Verdict::Regressed => "regressed",
+            Verdict::Unresolved => "unresolved",
+            Verdict::NoRegression => "no regression",
+        }
+    }
 }
 
 /// Per metric of `plan`, the summary over `pairs`.
@@ -192,15 +242,17 @@ pub fn summarize(plan: &Plan, pairs: &[Pair]) -> Vec<Summary> {
     plan.metrics
         .iter()
         .enumerate()
-        .map(|(m, metric)| {
+        .map(|(m, Metric { name, bound })| {
             let (parent, change) = (column(m, |p| &p.parent), column(m, |p| &p.change));
             let ratios: Vec<f64> = change.iter().zip(&parent).map(|(c, p)| c / p).collect();
             Summary {
-                metric: metric.clone(),
+                metric: name.clone(),
                 parent: quartiles(&parent),
                 change: quartiles(&change),
                 ratio_median: median(&ratios),
                 change_lower: change.iter().zip(&parent).filter(|(c, p)| c < p).count(),
+                pairs: pairs.len(),
+                bound: *bound,
             }
         })
         .collect()
@@ -210,6 +262,20 @@ impl Summary {
     /// The medians differ by more than the parent's interquartile range.
     pub fn beyond_parent_iqr(&self) -> bool {
         (self.change[1] - self.parent[1]).abs() > self.parent[2] - self.parent[0]
+    }
+
+    /// The first verdict that holds, in [`Verdict`]'s order.
+    pub fn verdict(&self) -> Verdict {
+        let ([lo, parent, hi], change) = (self.parent, self.change[1]);
+        if 10 * self.change_lower >= 9 * self.pairs && change < parent && self.beyond_parent_iqr() {
+            Verdict::Gain
+        } else if change > parent * (1.0 + self.bound) {
+            Verdict::Regressed
+        } else if hi - lo > parent * self.bound {
+            Verdict::Unresolved
+        } else {
+            Verdict::NoRegression
+        }
     }
 }
 
@@ -272,6 +338,8 @@ pub fn report_json(plan: &Plan, pairs: &[Pair]) -> Value {
                     Value::Bool(s.beyond_parent_iqr()),
                 ),
                 ("change_lower".into(), Value::Int(s.change_lower as i128)),
+                ("bound".into(), Value::Num(s.bound)),
+                ("verdict".into(), Value::Str(s.verdict().name().into())),
             ])
         })
         .collect();
@@ -294,20 +362,22 @@ pub fn report_md(plan: &Plan, pairs: &[Pair]) -> String {
         "Parent `{}`, change `{}`; `--seconds {}`, seeds 1/2 and order alternating (pre-registered).\n",
         plan.parent, plan.change, plan.seconds
     );
-    md.push_str("| metric | parent median [quartiles] | change median [quartiles] | median ratio | change lower | medians apart by > parent IQR |\n");
-    md.push_str("|---|---|---|---|---|---|\n");
+    md.push_str("| metric | parent median [quartiles] | change median [quartiles] | median ratio | change lower | medians apart by > parent IQR | bound | verdict |\n");
+    md.push_str("|---|---|---|---|---|---|---|---|\n");
     let q = |[lo, mid, hi]: [f64; 3]| format!("{mid:.4} [{lo:.4}, {hi:.4}]");
     for s in summarize(plan, pairs) {
         let _ = writeln!(
             md,
-            "| `{}` | {} | {} | {:.3} | {}/{} | {} |",
+            "| `{}` | {} | {} | {:.3} | {}/{} | {} | {:.0} % | {} |",
             s.metric,
             q(s.parent),
             q(s.change),
             s.ratio_median,
             s.change_lower,
             pairs.len(),
-            if s.beyond_parent_iqr() { "yes" } else { "no" }
+            if s.beyond_parent_iqr() { "yes" } else { "no" },
+            s.bound * 100.0,
+            s.verdict().name()
         );
     }
     let flagged = pairs.iter().filter(|p| p.calib_flagged()).count();
@@ -323,7 +393,7 @@ pub fn report_md(plan: &Plan, pairs: &[Pair]) -> String {
     );
     md.push_str("| pair | seed | first | calib parent / change (ms) |");
     for m in &plan.metrics {
-        let _ = write!(md, " `{m}` parent → change |");
+        let _ = write!(md, " `{}` parent → change |", m.name);
     }
     md.push_str("\n|---|---|---|---|");
     md.push_str(&"---|".repeat(plan.metrics.len()));
@@ -361,7 +431,14 @@ mod tests {
             workload: "packet_churn".into(),
             pairs,
             seconds: 22.0,
-            metrics: vec!["pass_s".into(), "peak_rss_mb".into()],
+            metrics: vec![metric("pass_s", 0.25), metric("peak_rss_mb", 0.15)],
+        }
+    }
+
+    fn metric(name: &str, bound: f64) -> Metric {
+        Metric {
+            name: name.into(),
+            bound,
         }
     }
 
@@ -444,7 +521,7 @@ mod tests {
         let md = report_md(&plan(3), &pairs);
         assert!(md.lines().count() <= 60, "{md}");
         assert!(
-            md.contains("| `peak_rss_mb` | 14.6000 [14.5500, 14.6500] | 12.1000 [12.0500, 12.1500] | 0.829 | 3/3 | yes |"),
+            md.contains("| `peak_rss_mb` | 14.6000 [14.5500, 14.6500] | 12.1000 [12.0500, 12.1500] | 0.829 | 3/3 | yes | 15 % | gain |"),
             "{md}"
         );
         assert!(md.contains("(flagged)"));
@@ -454,6 +531,51 @@ mod tests {
             back.get("pairs").and_then(Value::items).map(<[_]>::len),
             Some(3)
         );
+    }
+
+    /// The verdict of ten pairs whose parent reads `parent[i]` and change
+    /// `change[i]`, under a 25 % bound.
+    fn verdict(parent: [f64; 10], change: [f64; 10]) -> Verdict {
+        let pairs: Vec<Pair> = (0..10)
+            .map(|i| Pair {
+                index: i,
+                parent: run([parent[i], 1.0], 0.010),
+                change: run([change[i], 1.0], 0.010),
+            })
+            .collect();
+        summarize(&plan(10), &pairs)[0].verdict()
+    }
+
+    const STEADY: [f64; 10] = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0];
+
+    #[test]
+    fn nine_lower_pairs_beyond_the_parent_iqr_are_a_gain() {
+        let mut faster = STEADY.map(|x| x * 0.9);
+        assert_eq!(verdict(STEADY, faster), Verdict::Gain);
+        // Eight of ten lower pairs are not enough.
+        faster[0] = 1.1;
+        faster[1] = 1.1;
+        assert_ne!(verdict(STEADY, faster), Verdict::Gain);
+    }
+
+    #[test]
+    fn a_median_beyond_the_bound_is_a_regression() {
+        assert_eq!(verdict(STEADY, STEADY.map(|x| x * 1.3)), Verdict::Regressed);
+        assert_eq!(
+            verdict(STEADY, STEADY.map(|x| x * 1.2)),
+            Verdict::NoRegression
+        );
+    }
+
+    #[test]
+    fn a_parent_spread_wider_than_the_bound_is_unresolved() {
+        let noisy = [0.6, 1.4, 0.6, 1.4, 0.6, 1.4, 0.6, 1.4, 1.0, 1.0];
+        assert_eq!(verdict(noisy, noisy), Verdict::Unresolved);
+    }
+
+    #[test]
+    fn equal_runs_are_no_regression() {
+        assert_eq!(verdict(STEADY, STEADY), Verdict::NoRegression);
     }
 
     #[test]

@@ -887,9 +887,10 @@ mod tests {
         let table = std::fs::read_to_string(root.join("crates/bench/src/figures.rs"))
             .expect("read figures.rs");
         let ids: Vec<&str> = table
-            .split("id: \"")
+            .split("ids: &[")
             .skip(1)
-            .filter_map(|s| s.split('"').next())
+            .filter_map(|s| s.split(']').next())
+            .flat_map(|list| list.split('"').skip(1).step_by(2))
             .collect();
         let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
         let word = |s: &str| s[..s.find(|c: char| !is_word(c)).unwrap_or(s.len())].to_string();

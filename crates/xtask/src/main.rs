@@ -272,13 +272,23 @@ fn cmd_ab(args: &[String]) -> Result<(), String> {
         .iter()
         .filter_map(|w| w.as_str().map(str::to_string))
         .collect();
-    let metrics: Vec<String> = bench
+    let metrics: Vec<ab::Metric> = bench
         .get("end_to_end")
         .and_then(obs::json::Value::items)
         .unwrap_or_default()
         .iter()
-        .filter_map(|m| m.get("name")?.as_str().map(str::to_string))
-        .collect();
+        .map(|m| {
+            let name = m.get("name").and_then(obs::json::Value::as_str);
+            let bound = m.get("bound").and_then(obs::json::Value::as_f64);
+            match (name, bound) {
+                (Some(name), Some(bound)) => Ok(ab::Metric {
+                    name: name.to_string(),
+                    bound,
+                }),
+                _ => Err("BENCHMARK.json: an end-to-end metric without a name or bound"),
+            }
+        })
+        .collect::<Result<_, _>>()?;
     if command.is_empty() || metrics.is_empty() {
         return Err("BENCHMARK.json names no command or no end-to-end metric".into());
     }

@@ -10,7 +10,7 @@
 //! cargo run --release --example fct_study -- 0.8 0.3
 //! ```
 
-use ecn_delay::experiments::experiments::fig14::run_cell;
+use ecn_delay::experiments::experiments::fig14::{fct_stats, Cell};
 use ecn_delay::experiments::scenarios::Protocol;
 
 fn main() {
@@ -21,19 +21,28 @@ fn main() {
     println!("FCT case study: load = {load}, arrival horizon = {horizon} s");
     println!("(load 1.0 = 8 Gbps offered on the 10 Gbps bottleneck)\n");
     println!(
-        "{:<16} {:>12} {:>12} {:>12} {:>8} {:>8}",
-        "protocol", "median (ms)", "p90 (ms)", "p99 (ms)", "flows", "util"
+        "{:<16} {:>12} {:>12} {:>12} {:>8} {:>8} {:>10}",
+        "protocol", "median (ms)", "p90 (ms)", "p99 (ms)", "flows", "util", "ECN marks"
     );
-    for proto in [Protocol::Dcqcn, Protocol::Timely, Protocol::PatchedTimely] {
-        let (stats, util) = run_cell(proto, load, horizon, 1);
+    for protocol in [Protocol::Dcqcn, Protocol::Timely, Protocol::PatchedTimely] {
+        let cell = Cell {
+            protocol,
+            load,
+            horizon_s: horizon,
+            seed: 1,
+        };
+        let (report, _bottleneck) = cell.run();
+        let stats = fct_stats(&report);
+        let delivered: u64 = report.delivered_bytes.iter().sum();
         println!(
-            "{:<16} {:>12.3} {:>12.3} {:>12.3} {:>8} {:>8.3}",
-            proto.label(),
+            "{:<16} {:>12.3} {:>12.3} {:>12.3} {:>8} {:>8.3} {:>10}",
+            protocol.label(),
             stats.small_median().unwrap_or(f64::NAN) * 1e3,
             stats.small_p90().unwrap_or(f64::NAN) * 1e3,
             stats.small_p99().unwrap_or(f64::NAN) * 1e3,
             stats.small_count(),
-            util,
+            delivered as f64 * 8.0 / report.end_time_s / 10e9,
+            report.marked_packets,
         );
     }
     println!("\nThe ECN-based protocol holds the bottleneck queue inside the RED band,");
