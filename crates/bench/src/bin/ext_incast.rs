@@ -26,6 +26,7 @@
 //! one-line JSON diagnostic (`{"error": "invalid_usage", ...}`) to stderr.
 
 use bench::cli::Usage;
+use bench::println;
 use ecn_delay_core::experiments::ext_incast::{run_sweep, ExtIncastConfig};
 use ecn_delay_core::write_json;
 

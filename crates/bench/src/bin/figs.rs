@@ -23,6 +23,7 @@ use std::process::Command;
 
 use bench::cli::Args;
 use bench::figures::FIGURES;
+use bench::{print, println};
 
 fn main() {
     let args = bench::cli::parse(None);

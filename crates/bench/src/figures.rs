@@ -1,12 +1,15 @@
 //! The figure registry: every artifact of the paper's evaluation that
 //! `figs <id>` regenerates, in the order `figs --all` prints them.
 //!
-//! An entry keeps what is the figure's own — its experiment, its config and
-//! its console table. The protocol around it is `Figure::standard`'s:
+//! An entry keeps what is the figure's own — its experiment (one module of
+//! `ecn_delay_core::experiments`, which builds any packet scenario through
+//! `ecn_delay_core::scenarios`), its config and its console table; nothing
+//! here runs a simulation. The protocol around it is `Figure::standard`'s:
 //! print the banner, serve the artifacts from the store when allowed, else
 //! run, print, write `<id>.json` under [`results_dir`], record and report.
-//! Figures 14–16 are three views of one set of runs: one entry writes all
-//! three.
+//! Two entries have bodies of their own: Figures 14–16 are three views of
+//! one set of runs, so one entry writes all three, and `ext_faults` takes a
+//! `--faults` schedule.
 
 use std::path::PathBuf;
 
@@ -17,7 +20,6 @@ use crate::{banner, print_series, results_dir};
 use ecn_delay_core::experiments as ex;
 use ecn_delay_core::{write_json, write_series_csv, ToJson};
 
-mod ablations;
 mod ext_faults;
 
 /// One entry: the artifacts one run regenerates.
@@ -93,93 +95,63 @@ impl Figure {
     }
 }
 
+/// An entry that writes `<id>.json` from `ex::<id>::run` at its default
+/// config and prints it with this file's `<id>` table, plus any CSVs.
+macro_rules! standard {
+    ($id:ident, $title:literal) => {
+        standard!($id, $title, None)
+    };
+    ($id:ident, $title:literal, $csvs:expr) => {
+        Figure {
+            ids: &[stringify!($id)],
+            title: $title,
+            body: |f, a| f.standard(a, Default::default(), ex::$id::run, $id, $csvs),
+        }
+    };
+}
+
 /// Every figure, in the order `figs --all` runs and prints them.
 pub const FIGURES: &[Figure] = &[
-    Figure {
-        ids: &["eq14"],
-        title: "Eq 14: p* approximation vs exact fixed point",
-        body: |f, a| f.standard(a, Default::default(), ex::eq14::run, eq14, None),
-    },
-    Figure {
-        ids: &["fig2"],
-        title: "Figure 2: DCQCN fluid model vs packet simulation (40 Gbps)",
-        body: |f, a| f.standard(a, Default::default(), ex::fig2::run, fig2, Some(fig2_csvs)),
-    },
-    Figure {
-        ids: &["fig3"],
-        title: "Figure 3: DCQCN phase margin (degrees) vs number of flows",
-        body: |f, a| f.standard(a, Default::default(), ex::fig3::run, fig3, None),
-    },
-    Figure {
-        ids: &["fig4"],
-        title: "Figure 4: DCQCN fluid stability grid (tau* x N)",
-        body: |f, a| f.standard(a, Default::default(), ex::fig4::run, fig4, None),
-    },
-    Figure {
-        ids: &["fig5"],
-        title: "Figure 5: packet-level DCQCN instability (85 us loop)",
-        body: |f, a| f.standard(a, Default::default(), ex::fig5::run, fig5, None),
-    },
-    Figure {
-        ids: &["fig6"],
-        title: "Figure 6 / Theorem 2: discrete AIMD convergence",
-        body: |f, a| f.standard(a, Default::default(), ex::fig6::run, fig6, None),
-    },
-    Figure {
-        ids: &["thm2"],
-        title: "Theorem 2: exponential convergence of DCQCN rates",
-        body: thm2,
-    },
-    Figure {
-        ids: &["fig8"],
-        title: "Figure 8: TIMELY fluid model vs packet simulation (10 Gbps)",
-        body: |f, a| f.standard(a, Default::default(), ex::fig8::run, fig8, None),
-    },
-    Figure {
-        ids: &["fig9"],
-        title: "Figure 9: TIMELY multi-equilibria (2 flows, fluid)",
-        body: |f, a| f.standard(a, Default::default(), ex::fig9::run, fig9, None),
-    },
-    Figure {
-        ids: &["fig10"],
-        title: "Figure 10: impact of per-burst pacing on TIMELY",
-        body: |f, a| f.standard(a, Default::default(), ex::fig10::run, fig10, None),
-    },
-    Figure {
-        ids: &["fig11"],
-        title: "Figure 11: Patched TIMELY phase margin vs N",
-        body: |f, a| f.standard(a, Default::default(), ex::fig11::run, fig11, None),
-    },
-    Figure {
-        ids: &["fig12"],
-        title: "Figure 12: Patched TIMELY convergence and stability",
-        body: |f, a| f.standard(a, Default::default(), ex::fig12::run, fig12, None),
-    },
+    standard!(eq14, "Eq 14: p* approximation vs exact fixed point"),
+    standard!(
+        fig2,
+        "Figure 2: DCQCN fluid model vs packet simulation (40 Gbps)",
+        Some(fig2_csvs)
+    ),
+    standard!(
+        fig3,
+        "Figure 3: DCQCN phase margin (degrees) vs number of flows"
+    ),
+    standard!(fig4, "Figure 4: DCQCN fluid stability grid (tau* x N)"),
+    standard!(
+        fig5,
+        "Figure 5: packet-level DCQCN instability (85 us loop)"
+    ),
+    standard!(fig6, "Figure 6 / Theorem 2: discrete AIMD convergence"),
+    standard!(thm2, "Theorem 2: exponential convergence of DCQCN rates"),
+    standard!(
+        fig8,
+        "Figure 8: TIMELY fluid model vs packet simulation (10 Gbps)"
+    ),
+    standard!(fig9, "Figure 9: TIMELY multi-equilibria (2 flows, fluid)"),
+    standard!(fig10, "Figure 10: impact of per-burst pacing on TIMELY"),
+    standard!(fig11, "Figure 11: Patched TIMELY phase margin vs N"),
+    standard!(fig12, "Figure 12: Patched TIMELY convergence and stability"),
     Figure {
         ids: &["fig14", "fig15", "fig16"],
         title: "Figures 14-16: small-flow FCT vs load; its CDF and the queue at load 0.8",
         body: fct,
     },
-    Figure {
-        ids: &["fig17"],
-        title: "Figure 17: DCQCN with egress vs ingress marking (85 us loop)",
-        body: |f, a| f.standard(a, Default::default(), ex::fig17::run, fig17, None),
-    },
-    Figure {
-        ids: &["fig18"],
-        title: "Figure 18: DCQCN + PI controller (q_ref = 100 KB)",
-        body: |f, a| f.standard(a, Default::default(), ex::fig18::run, fig18, None),
-    },
-    Figure {
-        ids: &["fig19"],
-        title: "Figure 19: Patched TIMELY + end-host PI (q_ref = 300 KB)",
-        body: |f, a| f.standard(a, Default::default(), ex::fig19::run, fig19, None),
-    },
-    Figure {
-        ids: &["fig20"],
-        title: "Figure 20: uniform [0,100us] feedback jitter",
-        body: |f, a| f.standard(a, Default::default(), ex::fig20::run, fig20, None),
-    },
+    standard!(
+        fig17,
+        "Figure 17: DCQCN with egress vs ingress marking (85 us loop)"
+    ),
+    standard!(fig18, "Figure 18: DCQCN + PI controller (q_ref = 100 KB)"),
+    standard!(
+        fig19,
+        "Figure 19: Patched TIMELY + end-host PI (q_ref = 300 KB)"
+    ),
+    standard!(fig20, "Figure 20: uniform [0,100us] feedback jitter"),
     Figure {
         ids: &["ext_pi_packet"],
         title: "Extension: packet-level DCQCN + PI AQM vs RED",
@@ -196,73 +168,22 @@ pub const FIGURES: &[Figure] = &[
             )
         },
     },
-    Figure {
-        ids: &["ext_parking_lot"],
-        title: "Extension: DCQCN on a 3-hop parking lot",
-        body: |f, a| {
-            f.standard(
-                a,
-                Default::default(),
-                ex::ext_parking_lot::run,
-                ext_parking_lot,
-                None,
-            )
-        },
-    },
-    Figure {
-        ids: &["ext_pfc"],
-        title: "Extension: ECN-before-PFC vs PFC-only (4 flows, 10 Gbps)",
-        body: |f, a| f.standard(a, Default::default(), ex::ext_pfc::run, ext_pfc, None),
-    },
+    standard!(ext_parking_lot, "Extension: DCQCN on a 3-hop parking lot"),
+    standard!(
+        ext_pfc,
+        "Extension: ECN-before-PFC vs PFC-only (4 flows, 10 Gbps)"
+    ),
     Figure {
         ids: &["ext_faults"],
         title: "Extension: fault injection — degradation matrix & divergence watchdog",
         body: ext_faults::body,
     },
-    Figure {
-        ids: &["ablations"],
-        title: "Ablations",
-        body: ablations::body,
-    },
-    Figure {
-        ids: &["appendix_b"],
-        title: "Appendix B: Eq 40 AIMD cycle length vs packet measurement",
-        body: |f, a| f.standard(a, Default::default(), ex::appendix_b::run, appendix_b, None),
-    },
+    standard!(ablations, "Ablations"),
+    standard!(
+        appendix_b,
+        "Appendix B: Eq 40 AIMD cycle length vs packet measurement"
+    ),
 ];
-
-/// Theorem 2 has no experiment module of its own: it is `fig6`'s runner at
-/// three flow counts, so its spec is empty.
-fn thm2(f: &Figure, args: &Args) {
-    let Some(started) = f.begin(args, "{}") else {
-        return;
-    };
-    let mut rows = Vec::new();
-    for fractions in [
-        vec![0.9, 0.1],
-        vec![0.5, 0.3, 0.2],
-        vec![0.4, 0.3, 0.2, 0.1],
-    ] {
-        let res = ex::fig6::run(&ex::fig6::Fig6Config {
-            initial_fractions: fractions.clone(),
-            cycles: 80,
-        });
-        println!(
-            "{} flows: alpha*={:.4}  bound={:.4}  measured decay={:.4}  (decay ≤ bound ⇒ Theorem 2 holds)",
-            fractions.len(),
-            res.alpha_star,
-            res.contraction_bound,
-            res.measured_decay
-        );
-        rows.push((
-            fractions.len(),
-            res.alpha_star,
-            res.contraction_bound,
-            res.measured_decay,
-        ));
-    }
-    f.save(started, &[&rows], Vec::new());
-}
 
 /// Figures 14-16 read one set of dumbbell runs (`fig14::study`), so their
 /// spec is the three figures' configs.
@@ -405,6 +326,14 @@ fn fig6(_: &ex::fig6::Fig6Config, res: &ex::fig6::Fig6Result) {
     );
     for &(k, gap, a) in res.convergence.iter().step_by(5) {
         println!("{k:>6} {gap:>16.4} {a:>10.5}");
+    }
+}
+
+fn thm2(_: &ex::thm2::Thm2Config, rows: &ex::thm2::Thm2Result) {
+    for &(n, alpha_star, bound, decay) in rows {
+        println!(
+            "{n} flows: alpha*={alpha_star:.4}  bound={bound:.4}  measured decay={decay:.4}  (decay ≤ bound ⇒ Theorem 2 holds)"
+        );
     }
 }
 
@@ -619,6 +548,35 @@ fn ext_pfc(_: &ex::ext_pfc::ExtPfcConfig, res: &ex::ext_pfc::ExtPfcResult) {
     }
     println!("\nwith ECN marking below the PFC threshold, end-to-end control reacts");
     println!("first and PFC (the blunt hop-by-hop mechanism) stays disengaged.");
+}
+
+fn ablations(_: &ex::ablations::AblationsConfig, res: &ex::ablations::AblationsResult) {
+    println!("\n(1) DCQCN fast-recovery stages (4 flows, 10 Gbps):");
+    println!(
+        "{:>4} {:>16} {:>18}",
+        "F", "goodput (Gbps)", "queue stddev (KB)"
+    );
+    for &(f, g, sd) in &res.fast_recovery {
+        println!("{f:>4} {g:>16.2} {sd:>18.1}");
+    }
+    println!("\n(2) CNP coalescing timer τ (4 flows):");
+    println!(
+        "{:>8} {:>16} {:>18}",
+        "τ (us)", "goodput (Gbps)", "queue stddev (KB)"
+    );
+    for &(tau, g, sd) in &res.cnp_timer {
+        println!("{tau:>8} {g:>16.2} {sd:>18.1}");
+    }
+    println!("\n(3) TIMELY burst size (2 flows, tail goodput):");
+    println!("{:>10} {:>16}", "Seg (KB)", "goodput (Gbps)");
+    for &(seg, g) in &res.burst_size {
+        println!("{:>10} {g:>16.2}", seg / 1000);
+    }
+    println!("\n(4) DCQCN α gain g (fluid, 2 flows @ 85 us delay — stability knob):");
+    println!("{:>10} {:>22}", "g", "queue osc (x q*)");
+    for &(g, osc) in &res.alpha_gain {
+        println!("{g:>10.5} {osc:>22.3}");
+    }
 }
 
 fn appendix_b(_: &ex::appendix_b::AppendixBConfig, res: &ex::appendix_b::AppendixBResult) {

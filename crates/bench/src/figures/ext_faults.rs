@@ -7,9 +7,10 @@
 //!   fluid divergence-watchdog sweep; results land in
 //!   `results/ext_faults.json`.
 //! * `--faults <spec.json>` — parse a fault-schedule document (schema in
-//!   `faults::spec`), install it on the canned 4-flow DCQCN scenario, and
-//!   report what the fault plane did. A malformed spec or an invalid
-//!   schedule exits with status 2 and a descriptive error — never a panic.
+//!   `faults::spec`), run the degradation matrix's 4-flow DCQCN scenario
+//!   under it (`ext_faults::run_scheduled`), and report what the fault
+//!   plane did. A malformed spec or an invalid schedule exits with status
+//!   2 and a descriptive error — never a panic.
 //!   The watchdog sweep still runs, so both degradation paths (packet and
 //!   fluid) are exercised in one invocation.
 //!
@@ -19,16 +20,17 @@
 
 use super::Figure;
 use crate::cli::Args;
-use desim::{SimDuration, SimTime};
-use ecn_delay_core::experiments::ext_faults::{run, run_watchdog_sweep, ExtFaultsConfig};
-use ecn_delay_core::scenarios::{single_switch_longlived, Protocol};
-use netsim::EngineConfig;
+use ecn_delay_core::experiments::ext_faults::{
+    run, run_scheduled, run_watchdog_sweep, ExtFaultsConfig, ExtFaultsResult, WatchdogPoint,
+};
+use ecn_delay_core::experiments::goodput_gbps;
+use ecn_delay_core::scenarios::Protocol;
 
 /// Print the watchdog sweep — one line per gain, `ok` or the structured
 /// divergence error. `crates/bench/tests/smoke.rs` reads these lines to
 /// confirm a divergent fluid run degrades to a recorded `Err` instead of a
 /// panic.
-fn print_watchdog(points: &[ecn_delay_core::experiments::ext_faults::WatchdogPoint]) {
+fn print_watchdog(points: &[WatchdogPoint]) {
     println!("\ndivergence watchdog (x' = g.x(t - 100ms), 1.5 s horizon):");
     for p in points {
         println!(
@@ -40,8 +42,9 @@ fn print_watchdog(points: &[ecn_delay_core::experiments::ext_faults::WatchdogPoi
     }
 }
 
-/// `--faults` mode: run the canned DCQCN scenario under the given spec.
-fn run_spec(path: &std::path::Path) -> Result<(), String> {
+/// `--faults` mode: read and parse the spec at `path`, run it and print
+/// what the fault plane did.
+fn print_spec_run(cfg: &ExtFaultsConfig, path: &std::path::Path) -> Result<(), String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let schedule = faults::parse_schedule(&text).map_err(|e| e.to_string())?;
@@ -51,19 +54,16 @@ fn run_spec(path: &std::path::Path) -> Result<(), String> {
         schedule.seed,
         schedule.len()
     );
-    let duration_s = 0.05;
-    let mut ecfg = EngineConfig::default();
-    ecfg.faults = Some(schedule);
-    let (mut eng, _bottleneck) =
-        single_switch_longlived(Protocol::Dcqcn, 4, 10e9, SimDuration::from_micros(4), ecfg);
-    let report = eng
-        .try_run(SimTime::from_secs_f64(duration_s))
-        .map_err(|e| e.to_string())?;
-    let goodput_gbps = report.delivered_bytes.iter().sum::<u64>() as f64 * 8.0 / duration_s / 1e9;
-    println!("DCQCN, 4 flows, 10 Gbps, {} ms:", duration_s * 1e3);
+    let report = run_scheduled(cfg, Protocol::Dcqcn, schedule).map_err(|e| e.to_string())?;
+    println!(
+        "DCQCN, {} flows, {} Gbps, {} ms:",
+        cfg.n_flows,
+        cfg.bandwidth_bps / 1e9,
+        cfg.matrix_duration_s * 1e3
+    );
     println!(
         "  goodput {:.2} Gbps | marked {} | cnps {} | fault drops {} | forced pauses {} ({:.3} ms paused) | fault ops {}",
-        goodput_gbps,
+        goodput_gbps(&report, cfg.matrix_duration_s),
         report.marked_packets,
         report.cnps_sent,
         report.fault_drops,
@@ -79,7 +79,7 @@ pub(super) fn body(f: &Figure, args: &Args) {
     if let Some((_, path)) = args.own.first() {
         let obs = crate::obs_cli::init(args);
         crate::banner(f.title);
-        if let Err(e) = run_spec(std::path::Path::new(path)) {
+        if let Err(e) = print_spec_run(&cfg, std::path::Path::new(path)) {
             eprintln!("ext_faults: {e}");
             std::process::exit(2);
         }
@@ -91,7 +91,7 @@ pub(super) fn body(f: &Figure, args: &Args) {
 }
 
 /// The console table of the full experiment.
-fn print(cfg: &ExtFaultsConfig, res: &ecn_delay_core::experiments::ext_faults::ExtFaultsResult) {
+fn print(cfg: &ExtFaultsConfig, res: &ExtFaultsResult) {
     println!(
         "degradation matrix ({} flows, {:.0} ms, fault window = middle 60%):",
         cfg.n_flows,

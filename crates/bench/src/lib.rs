@@ -13,9 +13,12 @@
 //! ```
 //!
 //! A figure prints the paper's series to stdout and writes JSON under
-//! `results/`. Benchmarks (`cargo bench`, driven by [`harness`]) measure
-//! the substrate: event-queue throughput, DDE integration speed, and
-//! packet-simulation rates.
+//! `results/`; the simulations are `ecn_delay_core`'s, and this crate parses
+//! argv, prints, and wires up the store and the instrumentation. Its
+//! [`print!`] and [`println!`] shadow std's, so `figs <id> | head` ends the
+//! console, not the run. Benchmarks (`cargo bench`, driven by [`harness`])
+//! measure the substrate: event-queue throughput, DDE integration speed,
+//! and packet-simulation rates.
 //!
 //! [`cli`] is the one argv parser (of `figs` and of the `ext_incast` sweep
 //! CLI), and the binaries share two flags, both off by default. `--obs <dir>`
@@ -34,14 +37,45 @@
 // test holds this header to `xtask::CRATE_LINTS`.
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
+use std::io::{ErrorKind, Write};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set once stdout's reader has gone (`figs <id> | head`).
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Write console text to stdout. A closed pipe silences the rest of the
+/// process's console output instead of panicking as std's `print!` does;
+/// any other write error is still fatal.
+pub fn write_stdout(text: std::fmt::Arguments) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(text) {
+        assert!(e.kind() == ErrorKind::BrokenPipe, "write to stdout: {e}");
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+    }
+}
+
+/// std's `print!`, through [`write_stdout`]; a binary imports it by name.
+#[macro_export]
+macro_rules! print {
+    ($($arg:tt)*) => { $crate::write_stdout(format_args!($($arg)*)) };
+}
+
+/// std's `println!`, through [`write_stdout`].
+#[macro_export]
+macro_rules! println {
+    () => { $crate::print!("\n") };
+    ($($arg:tt)*) => { $crate::print!("{}\n", format_args!($($arg)*)) };
+}
+
 pub mod cli;
 pub mod figures;
 pub mod harness;
 pub mod obs_cli;
 pub mod report;
 pub mod store_cli;
-
-use std::path::PathBuf;
 
 /// Directory where figure binaries drop their JSON results.
 pub fn results_dir() -> PathBuf {

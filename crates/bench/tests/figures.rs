@@ -63,8 +63,7 @@ fn the_table_is_the_checked_in_results() {
     assert_eq!(ids(), stems);
 }
 
-/// `thm2` re-runs `fig6`'s module and `ablations` drives the simulators
-/// directly; every other figure is one module of `core::experiments`.
+/// Every figure is one module of `core::experiments`.
 #[test]
 fn the_table_is_the_experiment_modules() {
     let source = std::fs::read_to_string(repo().join("crates/core/src/experiments/mod.rs"))
@@ -75,7 +74,6 @@ fn the_table_is_the_experiment_modules() {
         .map(String::from)
         .collect();
     assert!(modules.remove("ext_incast"));
-    assert!(modules.insert("thm2".into()) && modules.insert("ablations".into()));
     assert_eq!(ids(), modules);
 }
 
@@ -119,6 +117,29 @@ fn figs_fig16_writes_the_whole_fct_study() {
         let checked_in = std::fs::read(repo().join("results").join(name)).expect(name);
         assert!(written == checked_in, "{name} differs from results/");
     }
+    let _ = std::fs::remove_dir_all(&results);
+}
+
+/// `figs eq14 | head`: a reader that has gone silences the console, not
+/// the run, which still writes its artifact.
+#[test]
+fn a_closed_stdout_stops_the_console_not_the_run() {
+    let results = tmp("epipe");
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_figs"))
+        .arg("eq14")
+        .env("ECN_DELAY_RESULTS", &results)
+        .stdout(writer)
+        .output()
+        .expect("launch figs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(
+        std::fs::read(results.join("eq14.json")).expect("eq14.json"),
+        std::fs::read(repo().join("results/eq14.json")).expect("results/eq14.json")
+    );
     let _ = std::fs::remove_dir_all(&results);
 }
 

@@ -55,20 +55,10 @@ impl Complex64 {
         self.im.atan2(self.re)
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Complex64::new(self.re, -self.im)
-    }
-
     /// Complex exponential `e^z`.
     pub fn exp(self) -> Self {
         let r = self.re.exp();
         Complex64::new(r * self.im.cos(), r * self.im.sin())
-    }
-
-    /// `e^{jθ}` without constructing an intermediate.
-    pub fn cis(theta: f64) -> Self {
-        Complex64::new(theta.cos(), theta.sin())
     }
 
     /// Multiplicative inverse. Panics on zero in debug builds.
@@ -217,7 +207,7 @@ mod tests {
             let theta = k as f64 * 0.4;
             let z = Complex64::j(theta).exp();
             assert!((z.abs() - 1.0).abs() < EPS);
-            assert!((z - Complex64::cis(theta)).abs() < EPS);
+            assert!((z - Complex64::new(theta.cos(), theta.sin())).abs() < EPS);
         }
     }
 
@@ -233,13 +223,6 @@ mod tests {
     fn inverse() {
         let z = Complex64::new(3.0, 4.0);
         assert!((z * z.inv() - Complex64::ONE).abs() < EPS);
-    }
-
-    #[test]
-    fn conjugate_properties() {
-        let z = Complex64::new(2.5, -1.5);
-        assert!((z * z.conj()).im.abs() < EPS);
-        assert!(((z * z.conj()).re - z.norm_sqr()).abs() < EPS);
     }
 
     #[test]

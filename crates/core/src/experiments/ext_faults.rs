@@ -20,13 +20,13 @@
 //! back as structured [`SimError`]s — recorded, not panicking — while the
 //! stable points complete normally.
 
+use crate::experiments::{fig10, goodput_gbps};
 use crate::scenarios::{single_switch_longlived, Protocol};
 use desim::{par, SimDuration, SimTime};
-use faults::SimError;
+use faults::{FaultSchedule, SimError};
 use fluid::dde::{lane_of, try_integrate, DdeOptions, LaneSystem};
 use fluid::History;
-use netsim::{Engine, EngineConfig, FlowSpec, Pacing, Topology};
-use protocols::{TimelyCc, TimelyCcParams};
+use netsim::EngineConfig;
 use workload::{fault_schedule, FaultProfile};
 
 /// Configuration.
@@ -125,17 +125,33 @@ pub struct ExtFaultsResult {
     pub watchdog: Vec<WatchdogPoint>,
 }
 
-/// Protocols contrasted by the matrix.
-fn matrix_protocols() -> [Protocol; 2] {
-    [Protocol::Dcqcn, Protocol::PatchedTimely]
-}
-
 /// In [`netsim::Topology::single_switch`]`(n)` the receiver is host `n`:
 /// link `2n+1` (switch → receiver) carries every flow's data — the
 /// bottleneck — and link `2n` (receiver → switch) is the first hop of the
 /// CNP feedback path.
 fn matrix_links(n_flows: usize) -> (usize, usize) {
     (2 * n_flows + 1, 2 * n_flows)
+}
+
+/// The matrix's scenario under `schedule`: `protocol`'s `n_flows` senders
+/// through one switch for `matrix_duration_s` (`figs ext_faults --faults
+/// <spec.json>` runs DCQCN under the spec's schedule). An invalid schedule
+/// or a failed run comes back as the [`SimError`], never a panic.
+pub fn run_scheduled(
+    cfg: &ExtFaultsConfig,
+    protocol: Protocol,
+    schedule: FaultSchedule,
+) -> Result<netsim::SimReport, SimError> {
+    let mut ecfg = EngineConfig::default();
+    ecfg.faults = Some(schedule);
+    let (mut eng, _bottleneck) = single_switch_longlived(
+        protocol,
+        cfg.n_flows,
+        cfg.bandwidth_bps,
+        SimDuration::from_micros(4),
+        ecfg,
+    );
+    eng.try_run(SimTime::from_secs_f64(cfg.matrix_duration_s))
 }
 
 /// Run one matrix cell. Errors are rendered into the `failed_cells` list by
@@ -146,28 +162,18 @@ fn run_cell(
     profile: FaultProfile,
 ) -> Result<FaultMatrixCell, SimError> {
     let (data_link, ctrl_link) = matrix_links(cfg.n_flows);
-    let mut ecfg = EngineConfig::default();
-    ecfg.faults = Some(fault_schedule(
+    let schedule = fault_schedule(
         profile,
         cfg.seed,
         data_link,
         ctrl_link,
         cfg.matrix_duration_s,
-    ));
-    let (mut eng, _bottleneck) = single_switch_longlived(
-        protocol,
-        cfg.n_flows,
-        cfg.bandwidth_bps,
-        SimDuration::from_micros(4),
-        ecfg,
     );
-    let report = eng.try_run(SimTime::from_secs_f64(cfg.matrix_duration_s))?;
-    let goodput_gbps =
-        report.delivered_bytes.iter().sum::<u64>() as f64 * 8.0 / cfg.matrix_duration_s / 1e9;
+    let report = run_scheduled(cfg, protocol, schedule)?;
     Ok(FaultMatrixCell {
         protocol: protocol.label().to_string(),
         profile: profile.label().to_string(),
-        goodput_gbps,
+        goodput_gbps: goodput_gbps(&report, cfg.matrix_duration_s),
         cnps_sent: report.cnps_sent,
         fault_drops: report.fault_drops,
         fault_pauses: report.fault_pauses,
@@ -180,7 +186,7 @@ fn run_cell(
 /// cells are returned as rendered errors alongside the completed ones.
 pub fn run_matrix(cfg: &ExtFaultsConfig) -> (Vec<FaultMatrixCell>, Vec<String>) {
     let mut jobs = Vec::new();
-    for protocol in matrix_protocols() {
+    for protocol in [Protocol::Dcqcn, Protocol::PatchedTimely] {
         for profile in FaultProfile::all() {
             jobs.push((protocol, profile));
         }
@@ -203,9 +209,6 @@ pub fn run_matrix(cfg: &ExtFaultsConfig) -> (Vec<FaultMatrixCell>, Vec<String>) 
 /// incast configuration), optionally with a delay spike injected into the
 /// startup window so every early RTT sample is inflated.
 fn run_collapse_panel(cfg: &ExtFaultsConfig, spiked: bool) -> CollapsePanel {
-    const SEG_BYTES: u32 = 64_000;
-    let (topo, senders, receiver) =
-        Topology::single_switch(2, cfg.bandwidth_bps, SimDuration::from_micros(1));
     let mut ecfg = EngineConfig::default();
     if spiked {
         // 200 µs of extra one-way delay on the bottleneck for the first
@@ -213,41 +216,9 @@ fn run_collapse_panel(cfg: &ExtFaultsConfig, spiked: bool) -> CollapsePanel {
         // both flows slash their rates (Algorithm 1 line 8), deepening the
         // Figure 10(b) collapse; recovery is the slow additive climb.
         let (data_link, _ctrl) = matrix_links(2);
-        ecfg.faults =
-            Some(faults::FaultSchedule::new(cfg.seed).delay_spike(0.0, data_link, 200e-6, 0.02));
+        ecfg.faults = Some(FaultSchedule::new(cfg.seed).delay_spike(0.0, data_link, 200e-6, 0.02));
     }
-    let mut eng = Engine::new(topo, ecfg);
-    for &s in &senders {
-        let mut p = TimelyCcParams::default();
-        p.seg_bytes = SEG_BYTES;
-        p.start_divisor = 2.0;
-        eng.add_flow(FlowSpec {
-            src: s,
-            dst: receiver,
-            size_bytes: None,
-            start: SimTime::ZERO,
-            pacing: Pacing::PerChunk {
-                seg_bytes: SEG_BYTES,
-            },
-            cc: Box::new(TimelyCc::new(p)),
-            ack_chunk_bytes: SEG_BYTES,
-        });
-    }
-    let report = eng.run(SimTime::from_secs_f64(cfg.collapse_duration_s));
-    let window_mean = |from: f64, to: f64| -> f64 {
-        let mut total = 0.0;
-        for tr in &report.rate_traces {
-            let pts: Vec<f64> = tr
-                .iter()
-                .filter(|&&(t, _)| t >= from && t < to)
-                .map(|&(_, bps)| bps / 1e9)
-                .collect();
-            if !pts.is_empty() {
-                total += pts.iter().sum::<f64>() / pts.len() as f64;
-            }
-        }
-        total
-    };
+    let (panel, report) = fig10::panel(64_000, cfg.bandwidth_bps, cfg.collapse_duration_s, ecfg);
     CollapsePanel {
         label: if spiked {
             "64KB chunks + 200us spike"
@@ -255,8 +226,8 @@ fn run_collapse_panel(cfg: &ExtFaultsConfig, spiked: bool) -> CollapsePanel {
             "64KB chunks clean"
         }
         .to_string(),
-        early_agg_gbps: window_mean(0.0, 0.05),
-        tail_agg_gbps: window_mean(cfg.collapse_duration_s * 0.7, cfg.collapse_duration_s),
+        early_agg_gbps: panel.early_agg_gbps,
+        tail_agg_gbps: panel.tail_agg_gbps,
         faults_injected: report.faults_injected,
     }
 }

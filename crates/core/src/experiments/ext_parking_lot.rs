@@ -8,9 +8,10 @@
 //! stay fully utilized with a controlled queue.
 
 use crate::experiments::{rate_gbps, tail_mean, Series};
+use crate::scenarios::{parking_lot, Sender};
 use desim::{SimDuration, SimTime};
-use netsim::{Engine, EngineConfig, FlowSpec, Pacing, Topology};
-use protocols::DcqcnCc;
+use netsim::EngineConfig;
+use protocols::DcqcnCcParams;
 
 /// Configuration.
 #[derive(Debug, Clone)]
@@ -49,23 +50,13 @@ pub struct ParkingLotResult {
 /// Run the parking lot with DCQCN everywhere.
 pub fn run(cfg: &ParkingLotConfig) -> ParkingLotResult {
     let bw = cfg.bandwidth_gbps * 1e9;
-    let (topo, long_src, long_dst, cross_pairs) =
-        Topology::parking_lot(cfg.n_hops, bw, SimDuration::from_micros(1));
-    let mut eng = Engine::new(topo, EngineConfig::default());
-    let mk_flow = |src, dst| FlowSpec {
-        src,
-        dst,
-        size_bytes: None,
-        start: SimTime::ZERO,
-        pacing: Pacing::PerPacket,
-        cc: Box::new(DcqcnCc::default_cc()),
-        ack_chunk_bytes: 64_000,
-    };
-    let long_id = eng.add_flow(mk_flow(long_src, long_dst));
-    let cross_ids: Vec<_> = cross_pairs
-        .iter()
-        .map(|&(s, d)| eng.add_flow(mk_flow(s, d)))
-        .collect();
+    let (mut eng, long_id, cross_ids) = parking_lot(
+        cfg.n_hops,
+        bw,
+        SimDuration::from_micros(1),
+        EngineConfig::default(),
+        || Sender::dcqcn(DcqcnCcParams::default()),
+    );
     let report = eng.run(SimTime::from_secs_f64(cfg.duration_s));
 
     let from = cfg.duration_s * 0.6;

@@ -8,6 +8,7 @@
 //! reacts first and (almost) no PAUSE is ever generated. This experiment
 //! measures PAUSE activity and queue levels in both configurations.
 
+use crate::experiments::{goodput_gbps, queue_kb, tail};
 use crate::scenarios::{single_switch_longlived, Protocol};
 use desim::{SimDuration, SimTime};
 use netsim::{EngineConfig, PfcConfig, RedConfig};
@@ -77,20 +78,16 @@ fn run_one(cfg: &ExtPfcConfig, ecn: bool) -> ExtPfcOutcome {
         ecfg,
     );
     let report = eng.run(SimTime::from_secs_f64(cfg.duration_s));
-    let max_queue_kb = report.queue_traces[&bottleneck]
-        .points()
-        .iter()
-        .filter(|&&(t, _)| t >= 0.01) // skip the line-rate start transient
-        .map(|&(_, b)| b / 1000.0)
+    // Skip the line-rate start transient.
+    let max_queue_kb = tail(&queue_kb(&report, bottleneck), 0.01)
+        .into_iter()
         .fold(0.0f64, f64::max);
-    let goodput_gbps =
-        report.delivered_bytes.iter().sum::<u64>() as f64 * 8.0 / cfg.duration_s / 1e9;
     ExtPfcOutcome {
         label: if ecn { "ECN before PFC" } else { "PFC only" }.to_string(),
         pauses: report.pfc_pauses,
         paused_s: report.pfc_paused_s,
         max_queue_kb,
-        goodput_gbps,
+        goodput_gbps: goodput_gbps(&report, cfg.duration_s),
     }
 }
 

@@ -6,10 +6,11 @@
 //! flows slash their rates (Algorithm 1 line 8), and the slow δ = 10 Mbps
 //! additive recovery takes a long time to climb back.
 
-use crate::experiments::Series;
+use crate::experiments::{queue_kb, rate_gbps, window_agg, Series};
+use crate::scenarios::{single_switch, Sender};
 use desim::{SimDuration, SimTime};
-use netsim::{Engine, EngineConfig, FlowSpec, Pacing, Topology};
-use protocols::{TimelyCc, TimelyCcParams};
+use netsim::{EngineConfig, SimReport};
+use protocols::TimelyCcParams;
 
 /// Configuration.
 #[derive(Debug, Clone)]
@@ -52,63 +53,43 @@ pub struct Fig10Result {
     pub panels: Vec<Fig10Panel>,
 }
 
+/// Two TIMELY flows pacing `seg_bytes` chunks through one switch for
+/// `duration_s` under `ecfg`: the panel, and the report it was read from.
+pub fn panel(
+    seg_bytes: u32,
+    bandwidth_bps: f64,
+    duration_s: f64,
+    ecfg: EngineConfig,
+) -> (Fig10Panel, SimReport) {
+    let hop = SimDuration::from_micros(1);
+    let (mut eng, bottleneck) = single_switch(2, bandwidth_bps, hop, ecfg, || {
+        Sender::timely(TimelyCcParams {
+            seg_bytes,
+            start_divisor: 2.0,
+            ..Default::default()
+        })
+    });
+    let report = eng.run(SimTime::from_secs_f64(duration_s));
+    let rates_gbps: Vec<Series> = (0..2).map(|f| rate_gbps(&report, f)).collect();
+    let panel = Fig10Panel {
+        seg_bytes,
+        tail_agg_gbps: window_agg(&rates_gbps, duration_s * 0.7, duration_s),
+        early_agg_gbps: window_agg(&rates_gbps, 0.0, 0.05),
+        queue_kb: queue_kb(&report, bottleneck),
+        rates_gbps,
+    };
+    (panel, report)
+}
+
 /// Run the burst-pacing contrast.
 pub fn run(cfg: &Fig10Config) -> Fig10Result {
-    let mut panels = Vec::new();
-    for &seg in &cfg.seg_sizes {
-        let (topo, senders, receiver) =
-            Topology::single_switch(2, 10e9, SimDuration::from_micros(1));
-        let mut eng = Engine::new(topo, EngineConfig::default());
-        for &s in &senders {
-            let mut p = TimelyCcParams::default();
-            p.seg_bytes = seg;
-            p.start_divisor = 2.0;
-            eng.add_flow(FlowSpec {
-                src: s,
-                dst: receiver,
-                size_bytes: None,
-                start: SimTime::ZERO,
-                pacing: Pacing::PerChunk { seg_bytes: seg },
-                cc: Box::new(TimelyCc::new(p)),
-                ack_chunk_bytes: seg,
-            });
-        }
-        let report = eng.run(SimTime::from_secs_f64(cfg.duration_s));
-        let rates_gbps: Vec<Series> = report
-            .rate_traces
-            .iter()
-            .map(|tr| tr.iter().map(|&(t, bps)| (t, bps / 1e9)).collect())
-            .collect();
-        let queue_kb: Series = report
-            .queue_traces
-            .values()
-            .max_by_key(|tr| tr.len())
-            .map(|tr| tr.points().iter().map(|&(t, b)| (t, b / 1000.0)).collect())
-            .unwrap_or_default();
-
-        let window_mean = |from: f64, to: f64| -> f64 {
-            let mut total = 0.0;
-            for tr in &rates_gbps {
-                let pts: Vec<f64> = tr
-                    .iter()
-                    .filter(|&&(t, _)| t >= from && t < to)
-                    .map(|&(_, v)| v)
-                    .collect();
-                if !pts.is_empty() {
-                    total += pts.iter().sum::<f64>() / pts.len() as f64;
-                }
-            }
-            total
-        };
-        panels.push(Fig10Panel {
-            seg_bytes: seg,
-            tail_agg_gbps: window_mean(cfg.duration_s * 0.7, cfg.duration_s),
-            early_agg_gbps: window_mean(0.0, 0.05),
-            rates_gbps,
-            queue_kb,
-        });
+    let panels = cfg
+        .seg_sizes
+        .iter()
+        .map(|&seg| panel(seg, 10e9, cfg.duration_s, EngineConfig::default()).0);
+    Fig10Result {
+        panels: panels.collect(),
     }
-    Fig10Result { panels }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! the congestion signal inherits the queueing delay — exactly the
 //! RTT-signal pathology of §5.2.
 
-use crate::experiments::{queue_kb, Series};
+use crate::experiments::{queue_kb, tail_stddev, Series};
 use crate::scenarios::{single_switch_longlived, Protocol};
 use desim::{SimDuration, SimTime};
 use netsim::{EngineConfig, MarkingMode};
@@ -62,19 +62,6 @@ fn run_mode(cfg: &Fig17Config, mode: MarkingMode) -> Series {
     );
     let report = eng.run(SimTime::from_secs_f64(cfg.duration_s));
     queue_kb(&report, bottleneck)
-}
-
-fn tail_stddev(series: &Series, from: f64) -> f64 {
-    let vals: Vec<f64> = series
-        .iter()
-        .filter(|&&(t, _)| t >= from)
-        .map(|&(_, v)| v)
-        .collect();
-    if vals.len() < 2 {
-        return 0.0;
-    }
-    let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-    (vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / vals.len() as f64).sqrt()
 }
 
 /// Run both marking modes.

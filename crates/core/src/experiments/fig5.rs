@@ -5,7 +5,7 @@
 //! In the packet simulator the control-loop delay is realized with link
 //! propagation delays: τ* ≈ 2 hops of data path + 2 hops of CNP return.
 
-use crate::experiments::{queue_kb, rate_gbps, Series};
+use crate::experiments::{queue_kb, rate_gbps, tail_p2p, Series};
 use crate::scenarios::{single_switch_longlived, Protocol};
 use desim::{SimDuration, SimTime};
 use netsim::EngineConfig;
@@ -68,14 +68,7 @@ pub fn run(cfg: &Fig5Config) -> Fig5Result {
         let report = eng.run(SimTime::from_secs_f64(cfg.duration_s));
         let queue_kb = queue_kb(&report, bottleneck);
         let rate_gbps = rate_gbps(&report, 0);
-        let tail = cfg.duration_s * 0.5;
-        let tail_pts: Vec<f64> = queue_kb
-            .iter()
-            .filter(|&&(t, _)| t >= tail)
-            .map(|&(_, v)| v)
-            .collect();
-        let p2p = tail_pts.iter().cloned().fold(f64::MIN, f64::max)
-            - tail_pts.iter().cloned().fold(f64::MAX, f64::min);
+        let p2p = tail_p2p(&queue_kb, cfg.duration_s * 0.5);
         Fig5Panel {
             n_flows: n,
             queue_kb,

@@ -5,7 +5,7 @@
 //! are in good agreement." Parameters are footnote 4's recommended values
 //! on 10 Gbps.
 
-use crate::experiments::{queue_kb, rate_gbps, tail_mean, Series};
+use crate::experiments::{goodput_gbps, queue_kb, rate_gbps, tail_mean, Series};
 use crate::scenarios::{single_switch_longlived, Protocol};
 use desim::{SimDuration, SimTime};
 use models::timely::{TimelyFluid, TimelyLaw, TimelyParams};
@@ -86,8 +86,7 @@ pub fn run(cfg: &Fig8Config) -> Fig8Result {
         let sim_queue_kb = queue_kb(&report, bottleneck);
         let sim_rate_gbps = rate_gbps(&report, 0);
         let from = cfg.duration_s * 0.7;
-        let sim_agg =
-            report.delivered_bytes.iter().sum::<u64>() as f64 * 8.0 / cfg.duration_s / 1e9;
+        let sim_agg = goodput_gbps(&report, cfg.duration_s);
 
         panels.push(Fig8Panel {
             n_flows: n,

@@ -1,5 +1,6 @@
 //! Experiment runners, one module per paper artifact.
 
+pub mod ablations;
 pub mod appendix_b;
 pub mod eq14;
 pub mod ext_faults;
@@ -24,6 +25,7 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig8;
 pub mod fig9;
+pub mod thm2;
 
 /// A `(t_or_x, value)` series — the universal currency of figure output.
 pub type Series = Vec<(f64, f64)>;
@@ -45,17 +47,56 @@ fn rate_gbps(report: &netsim::SimReport, flow: usize) -> Series {
         .collect()
 }
 
-/// Mean of the values at `t >= from`; NaN when there are none.
-fn tail_mean(series: &[(f64, f64)], from: f64) -> f64 {
-    let pts: Vec<f64> = series
+/// Aggregate goodput (Gbps) of a run of `duration_s`: every delivered byte.
+pub fn goodput_gbps(report: &netsim::SimReport, duration_s: f64) -> f64 {
+    report.delivered_bytes.iter().sum::<u64>() as f64 * 8.0 / duration_s / 1e9
+}
+
+/// The values at `t >= from`.
+fn tail(series: &[(f64, f64)], from: f64) -> Vec<f64> {
+    series
         .iter()
         .filter(|&&(t, _)| t >= from)
         .map(|&(_, v)| v)
+        .collect()
+}
+
+/// Mean of the values at `from <= t < to`; `None` when there are none.
+fn window_mean(series: &[(f64, f64)], from: f64, to: f64) -> Option<f64> {
+    let pts: Vec<f64> = series
+        .iter()
+        .filter(|&&(t, _)| t >= from && t < to)
+        .map(|&(_, v)| v)
         .collect();
-    if pts.is_empty() {
-        return f64::NAN;
+    (!pts.is_empty()).then(|| pts.iter().sum::<f64>() / pts.len() as f64)
+}
+
+/// Mean of the values at `t >= from`; NaN when there are none.
+fn tail_mean(series: &[(f64, f64)], from: f64) -> f64 {
+    window_mean(series, from, f64::INFINITY).unwrap_or(f64::NAN)
+}
+
+/// Aggregate rate over `from <= t < to`: the sum of each flow's mean rate
+/// there. A flow with no point in the window adds nothing.
+fn window_agg(rates: &[Series], from: f64, to: f64) -> f64 {
+    rates.iter().filter_map(|r| window_mean(r, from, to)).sum()
+}
+
+/// Peak-to-peak of the values at `t >= from`.
+fn tail_p2p(series: &[(f64, f64)], from: f64) -> f64 {
+    let pts = tail(series, from);
+    pts.iter().cloned().fold(f64::MIN, f64::max) - pts.iter().cloned().fold(f64::MAX, f64::min)
+}
+
+/// Population standard deviation of the values at `t >= from`; 0 below two
+/// points.
+fn tail_stddev(series: &[(f64, f64)], from: f64) -> f64 {
+    let pts = tail(series, from);
+    if pts.len() < 2 {
+        return 0.0;
     }
-    pts.iter().sum::<f64>() / pts.len() as f64
+    let mean = pts.iter().sum::<f64>() / pts.len() as f64;
+    (pts.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / pts.len() as f64).sqrt()
 }
 
 #[cfg(test)]

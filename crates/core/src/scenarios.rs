@@ -1,8 +1,11 @@
-//! Packet-level scenario builders shared by the experiment runners.
+//! Packet-level scenario builders: the one place an [`Engine`] is built and
+//! a [`FlowSpec`] is written outside netsim. A figure picks a topology
+//! builder and the senders on it; everything else is its own arithmetic.
 
 use desim::{SimDuration, SimRng, SimTime};
 use netsim::cc::CongestionControl;
-use netsim::{Engine, EngineConfig, FlowSpec, LinkId, Pacing, Topology};
+use netsim::types::FlowId;
+use netsim::{Engine, EngineConfig, FlowSpec, LinkId, NodeId, Pacing, Topology};
 use protocols::{DcqcnCc, DcqcnCcParams, TimelyCc, TimelyCcParams};
 use workload::{generate_flows, generate_incast, FlowSizeDist, IncastConfig, ScenarioConfig};
 
@@ -30,53 +33,110 @@ impl Protocol {
         }
     }
 
-    /// Instantiate the congestion control (with the paper's defaults) and
-    /// the matching pacing mode.
-    pub fn build_cc(&self, start_divisor: f64) -> (Box<dyn CongestionControl>, Pacing, u32) {
+    /// The protocol's sender with the paper's defaults; TIMELY's start rate
+    /// is `C / start_divisor`.
+    pub fn build_cc(&self, start_divisor: f64) -> Sender {
+        let timely = |mut p: TimelyCcParams| {
+            p.start_divisor = start_divisor;
+            p
+        };
         match self {
-            Protocol::Dcqcn => (
-                Box::new(DcqcnCc::new(DcqcnCcParams::default())),
-                Pacing::PerPacket,
-                64_000, // RTT samples unused; ack sparsely
-            ),
-            Protocol::Timely => {
-                let mut p = TimelyCcParams::default();
-                p.start_divisor = start_divisor;
-                let seg = p.seg_bytes;
-                (
-                    Box::new(TimelyCc::new(p)),
-                    Pacing::PerChunk { seg_bytes: seg },
-                    seg,
-                )
-            }
+            Protocol::Dcqcn => Sender::dcqcn(DcqcnCcParams::default()),
+            Protocol::Timely => Sender::timely(timely(TimelyCcParams::default())),
             Protocol::TimelyPerPacket => {
-                let mut p = TimelyCcParams::default();
-                p.start_divisor = start_divisor;
-                let seg = p.seg_bytes;
-                // Per-packet pacing: the RTT probe is a single packet, so
-                // the self-serialization to subtract is one MTU, not a
-                // whole segment.
-                p.seg_bytes = 1000;
-                (Box::new(TimelyCc::new(p)), Pacing::PerPacket, seg)
+                Sender::timely_per_packet(timely(TimelyCcParams::default()))
             }
-            Protocol::PatchedTimely => {
-                let mut p = TimelyCcParams::patched();
-                p.start_divisor = start_divisor;
-                let seg = p.seg_bytes;
-                (
-                    Box::new(TimelyCc::new(p)),
-                    Pacing::PerChunk { seg_bytes: seg },
-                    seg,
-                )
-            }
+            Protocol::PatchedTimely => Sender::timely(timely(TimelyCcParams::patched())),
         }
     }
 }
 
-/// Build the §3.1/§4.1 validation scenario: `n` long-lived flows from
-/// distinct senders to one receiver through one switch.
+/// What a flow needs beyond its endpoints, size and start: its congestion
+/// control, its pacing and how often the receiver ACKs.
+pub struct Sender {
+    /// The congestion-control instance.
+    pub cc: Box<dyn CongestionControl>,
+    /// The pacing model.
+    pub pacing: Pacing,
+    /// The receiver ACKs every `ack_chunk_bytes` (see [`FlowSpec`]).
+    pub ack_chunk_bytes: u32,
+}
+
+impl Sender {
+    /// DCQCN, paced per packet. It reads no RTT samples, so ACKs are sparse.
+    pub fn dcqcn(p: DcqcnCcParams) -> Sender {
+        Sender {
+            cc: Box::new(DcqcnCc::new(p)),
+            pacing: Pacing::PerPacket,
+            ack_chunk_bytes: 64_000,
+        }
+    }
+
+    /// TIMELY or patched TIMELY, paced per chunk of `p.seg_bytes` with one
+    /// ACK (one RTT sample) per chunk.
+    pub fn timely(p: TimelyCcParams) -> Sender {
+        let seg_bytes = p.seg_bytes;
+        Sender {
+            cc: Box::new(TimelyCc::new(p)),
+            pacing: Pacing::PerChunk { seg_bytes },
+            ack_chunk_bytes: seg_bytes,
+        }
+    }
+
+    /// TIMELY paced per packet, still ACKed once per `p.seg_bytes`. The RTT
+    /// probe is a single packet, so the self-serialization to subtract is
+    /// one MTU, not a whole segment.
+    pub fn timely_per_packet(mut p: TimelyCcParams) -> Sender {
+        let ack_chunk_bytes = p.seg_bytes;
+        p.seg_bytes = 1000;
+        Sender {
+            cc: Box::new(TimelyCc::new(p)),
+            pacing: Pacing::PerPacket,
+            ack_chunk_bytes,
+        }
+    }
+
+    /// A flow of `size` bytes (`None`: long-lived) from `src` to `dst`.
+    pub fn flow(self, src: NodeId, dst: NodeId, size: Option<u64>, start: SimTime) -> FlowSpec {
+        FlowSpec {
+            src,
+            dst,
+            size_bytes: size,
+            start,
+            pacing: self.pacing,
+            cc: self.cc,
+            ack_chunk_bytes: self.ack_chunk_bytes,
+        }
+    }
+}
+
+/// The §3.1/§4.1 validation topology: `n_flows` long-lived flows from
+/// distinct senders, each driven by a fresh `sender()`, through one switch
+/// to one receiver.
 ///
 /// Returns the engine plus the bottleneck link id (switch → receiver).
+pub fn single_switch(
+    n_flows: usize,
+    bandwidth_bps: f64,
+    prop_delay: SimDuration,
+    cfg: EngineConfig,
+    mut sender: impl FnMut() -> Sender,
+) -> (Engine, LinkId) {
+    let (topo, senders, receiver) = Topology::single_switch(n_flows, bandwidth_bps, prop_delay);
+    // The switch→receiver link is the bottleneck; find it.
+    let switch = NodeId(n_flows + 1);
+    let bottleneck = topo
+        .next_hop(switch, receiver)
+        .expect("switch connects receiver");
+    let mut eng = Engine::new(topo, cfg);
+    for &s in &senders {
+        eng.add_flow(sender().flow(s, receiver, None, SimTime::ZERO));
+    }
+    (eng, bottleneck)
+}
+
+/// [`single_switch`] with `protocol`'s sender at its defaults, TIMELY
+/// starting at the fair share `C / n_flows`.
 pub fn single_switch_longlived(
     protocol: Protocol,
     n_flows: usize,
@@ -84,27 +144,29 @@ pub fn single_switch_longlived(
     prop_delay: SimDuration,
     cfg: EngineConfig,
 ) -> (Engine, LinkId) {
-    let (topo, senders, receiver) = Topology::single_switch(n_flows, bandwidth_bps, prop_delay);
-    // The switch→receiver link is the bottleneck; find it.
-    let switch = netsim::NodeId(n_flows + 1);
-    let bottleneck = topo
-        .next_hop(switch, receiver)
-        .expect("switch connects receiver");
+    single_switch(n_flows, bandwidth_bps, prop_delay, cfg, || {
+        protocol.build_cc(n_flows as f64)
+    })
+}
+
+/// The parking lot: one long-lived flow across all `n_hops` bottlenecks and
+/// one long-lived cross flow over each hop, every one driven by a fresh
+/// `sender()`. Returns the engine, the long flow and the cross flows in hop
+/// order.
+pub fn parking_lot(
+    n_hops: usize,
+    bandwidth_bps: f64,
+    prop_delay: SimDuration,
+    cfg: EngineConfig,
+    mut sender: impl FnMut() -> Sender,
+) -> (Engine, FlowId, Vec<FlowId>) {
+    let (topo, long_src, long_dst, cross_pairs) =
+        Topology::parking_lot(n_hops, bandwidth_bps, prop_delay);
     let mut eng = Engine::new(topo, cfg);
-    for (i, &s) in senders.iter().enumerate() {
-        let (cc, pacing, ack_chunk) = protocol.build_cc(n_flows as f64);
-        let _ = i;
-        eng.add_flow(FlowSpec {
-            src: s,
-            dst: receiver,
-            size_bytes: None,
-            start: SimTime::ZERO,
-            pacing,
-            cc,
-            ack_chunk_bytes: ack_chunk,
-        });
-    }
-    (eng, bottleneck)
+    let mut long_lived = |src, dst| eng.add_flow(sender().flow(src, dst, None, SimTime::ZERO));
+    let long = long_lived(long_src, long_dst);
+    let cross = cross_pairs.iter().map(|&(s, d)| long_lived(s, d)).collect();
+    (eng, long, cross)
 }
 
 /// Build the Figure 13 FCT scenario: a dumbbell with workload-generated
@@ -128,16 +190,12 @@ pub fn dumbbell_fct(
         // concurrent flow, so new flows enter at line rate — the inrush
         // behaviour behind the paper's Figure 16 queue spikes. DCQCN always
         // starts at line rate by specification.
-        let (cc, pacing, ack_chunk) = protocol.build_cc(1.0);
-        eng.add_flow(FlowSpec {
-            src: senders[f.sender_index],
-            dst: receivers[f.receiver_index],
-            size_bytes: Some(f.size_bytes),
-            start: f.start,
-            pacing,
-            cc,
-            ack_chunk_bytes: ack_chunk,
-        });
+        eng.add_flow(protocol.build_cc(1.0).flow(
+            senders[f.sender_index],
+            receivers[f.receiver_index],
+            Some(f.size_bytes),
+            f.start,
+        ));
     }
     (eng, bottleneck)
 }
@@ -175,16 +233,12 @@ pub fn fat_tree_incast(
         // Incast senders typically source one response flow each, so flows
         // enter at line rate — the inrush the scenario is built to stress
         // (same reasoning as the dumbbell workload).
-        let (cc, pacing, ack_chunk) = protocol.build_cc(1.0);
-        eng.add_flow(FlowSpec {
-            src: hosts[f.sender_index],
-            dst: hosts[f.receiver_index],
-            size_bytes: Some(f.size_bytes),
-            start: f.start,
-            pacing,
-            cc,
-            ack_chunk_bytes: ack_chunk,
-        });
+        eng.add_flow(protocol.build_cc(1.0).flow(
+            hosts[f.sender_index],
+            hosts[f.receiver_index],
+            Some(f.size_bytes),
+            f.start,
+        ));
     }
     (eng, bottleneck)
 }

@@ -19,7 +19,7 @@
 use desim::{SimDuration, SimRng, SimTime};
 use ecn_delay_core::experiments::ext_incast::report_digest;
 use ecn_delay_core::scenarios::Protocol;
-use netsim::{Engine, EngineConfig, FlowSpec, NodeId, PfcConfig, RedConfig, SimReport, Topology};
+use netsim::{Engine, EngineConfig, NodeId, PfcConfig, RedConfig, SimReport, Topology};
 
 const SEEDS: u64 = 64;
 const BANDWIDTH_BPS: f64 = 10e9;
@@ -146,16 +146,12 @@ impl Scenario {
         cfg.faults = faults;
         let mut eng = Engine::new(topo, cfg);
         for f in &self.flows {
-            let (cc, pacing, ack_chunk_bytes) = self.protocol.build_cc(n as f64);
-            eng.add_flow(FlowSpec {
-                src: senders[f.sender],
-                dst: receivers[f.receiver],
-                size_bytes: Some(f.size_bytes),
-                start: SimTime::from_nanos(f.start_ns),
-                pacing,
-                cc,
-                ack_chunk_bytes,
-            });
+            eng.add_flow(self.protocol.build_cc(n as f64).flow(
+                senders[f.sender],
+                receivers[f.receiver],
+                Some(f.size_bytes),
+                SimTime::from_nanos(f.start_ns),
+            ));
         }
         (eng, links)
     }

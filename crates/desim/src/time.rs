@@ -56,11 +56,6 @@ impl SimTime {
         self.0 as f64 * 1e-9
     }
 
-    /// Time as floating-point microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 * 1e-3
-    }
-
     /// Saturating difference `self - earlier`, zero if `earlier` is later.
     #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
@@ -110,11 +105,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 * 1e-9
-    }
-
-    /// Duration as floating-point microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 * 1e-3
     }
 
     /// The wire time needed to serialize `bytes` at `bits_per_sec`, rounded
@@ -279,6 +269,5 @@ mod tests {
     fn seconds_conversion() {
         let t = SimTime::from_secs_f64(0.25);
         assert!((t.as_secs_f64() - 0.25).abs() < 1e-12);
-        assert!((t.as_micros_f64() - 250_000.0).abs() < 1e-6);
     }
 }

@@ -147,28 +147,6 @@ impl Trace {
             .collect()
     }
 
-    /// Keep roughly every n-th point (for figure output). Always keeps the
-    /// first and last points.
-    pub fn decimate(&self, keep_every: usize) -> Trace {
-        assert!(keep_every > 0);
-        let mut out = Trace {
-            times: Vec::new(),
-            stored: Vec::new(),
-            width: self.width,
-            columns: self.columns.clone(),
-            rows: OnceLock::new(),
-        };
-        let n = self.times.len();
-        for i in 0..n {
-            if i % keep_every == 0 || i == n - 1 {
-                out.times.push(self.times[i]);
-                out.stored
-                    .extend_from_slice(&self.stored[i * self.width..(i + 1) * self.width]);
-            }
-        }
-        out
-    }
-
     /// Peak-to-peak amplitude (max − min) of component `c` over `t >= from`.
     /// Small amplitude after a settling window ⇒ the trajectory converged;
     /// large amplitude ⇒ sustained oscillation (instability). Used to
@@ -235,14 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn decimation_keeps_endpoints() {
-        let tr = ramp();
-        let d = tr.decimate(4);
-        let times: Vec<f64> = d.times().to_vec();
-        assert_eq!(times, vec![0.0, 4.0, 8.0, 10.0]);
-    }
-
-    #[test]
     fn amplitude_probes() {
         let mut tr = Trace::new(1);
         for i in 0..100 {
@@ -283,9 +253,6 @@ mod tests {
             assert_eq!(view.state(i), copied.state(i));
         }
         assert_eq!(view.last_state(), copied.last_state());
-        let (dv, dc) = (view.decimate(4), copied.decimate(4));
-        assert_eq!(dv.times(), dc.times());
-        assert_eq!(dv.state(3), dc.state(3));
         // A push turns a view into its rows.
         let mut grown = view.clone();
         grown.push(11.0, &[1.0, 2.0, 3.0, 4.0, 5.0]);

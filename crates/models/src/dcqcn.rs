@@ -729,14 +729,8 @@ impl DcqcnFluid {
     /// start at line rate."); a PI marking probability starts at 0. Returns
     /// the full state trace.
     pub fn simulate(&mut self, duration_s: f64) -> Trace {
-        self.simulate_with_step(duration_s, self.step_s())
-    }
-
-    /// Integrate with an explicit step size (tests use this for convergence
-    /// checks).
-    pub fn simulate_with_step(&mut self, duration_s: f64, step_s: f64) -> Trace {
         let line_rate = vec![self.params.capacity_pps(); self.n_flows];
-        self.integrate_from(&line_rate, duration_s, step_s)
+        self.simulate_with_step(&line_rate, duration_s, self.step_s())
     }
 
     /// Simulate with explicit initial rates (packets/second): each flow
@@ -744,18 +738,19 @@ impl DcqcnFluid {
     /// `p`) zero, and integrates with [`Self::simulate`]'s step, record
     /// spacing and history horizon.
     pub fn simulate_with_rates(&mut self, initial_rates_pps: &[f64], duration_s: f64) -> Trace {
-        self.integrate_from(initial_rates_pps, duration_s, self.step_s())
+        self.simulate_with_step(initial_rates_pps, duration_s, self.step_s())
     }
 
-    /// The RK4 step of [`Self::simulate`]: a quarter of the feedback delay,
-    /// at most 1 µs.
-    fn step_s(&self) -> f64 {
-        (self.params.feedback_delay_s() / 4.0).min(1e-6)
-    }
-
-    /// Integrate from the start [`Self::start`] builds for `rates_pps`.
-    fn integrate_from(&mut self, rates_pps: &[f64], duration_s: f64, step_s: f64) -> Trace {
-        let x0 = self.start(rates_pps);
+    /// [`Self::simulate_with_rates`] with an explicit RK4 step (convergence
+    /// checks). The record spacing and history horizon follow the step as
+    /// they do the production one.
+    pub fn simulate_with_step(
+        &mut self,
+        initial_rates_pps: &[f64],
+        duration_s: f64,
+        step_s: f64,
+    ) -> Trace {
+        let x0 = self.start(initial_rates_pps);
         let opts = DdeOptions {
             step: step_s,
             record_every: record_every(duration_s, step_s),
@@ -764,6 +759,12 @@ impl DcqcnFluid {
         try_integrate_classes(std::slice::from_mut(self), &[x0], 0.0, duration_s, &opts)
             .and_then(|mut lanes| lanes.remove(0)) // one lane in, one out
             .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The RK4 step of [`Self::simulate`]: a quarter of the feedback delay,
+    /// at most 1 µs.
+    fn step_s(&self) -> f64 {
+        (self.params.feedback_delay_s() / 4.0).min(1e-6)
     }
 
     /// The state with flow `i` at `R_C = R_T = rates_pps[i]` and `α = 1`,

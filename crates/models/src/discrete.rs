@@ -8,7 +8,8 @@
 //! Eq 40 with the queue-buildup time `t` of Eq 41, and the fixed point `α*`
 //! solves Eq 42.
 //!
-//! Theorem 2 (verified by this module's tests and by the `thm2` bench):
+//! Theorem 2 (verified by this module's tests and by the `thm2` experiment,
+//! `ecn_delay_core::experiments::thm2`):
 //!
 //! * α differences decay as `(1−g)^{ΣΔT}` (Eq 17) — exponential;
 //! * once α has converged, rate differences contract by `(1 − α(T_k)/2)`

@@ -29,6 +29,7 @@ pub fn kb_to_pkts(kb: f64, packet_bytes: f64) -> f64 {
 }
 
 /// Convert bytes to packets.
+#[cfg(test)]
 pub fn bytes_to_pkts(bytes: f64, packet_bytes: f64) -> f64 {
     bytes / packet_bytes
 }

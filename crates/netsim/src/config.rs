@@ -62,17 +62,6 @@ pub struct PfcConfig {
     pub resume_threshold_bytes: u64,
 }
 
-impl PfcConfig {
-    /// A typical headroom configuration relative to the RED thresholds:
-    /// pause well above `K_max` so ECN acts first.
-    pub fn above_red(red: &RedConfig) -> Self {
-        PfcConfig {
-            pause_threshold_bytes: red.kmax_bytes * 4,
-            resume_threshold_bytes: red.kmax_bytes * 3,
-        }
-    }
-}
-
 /// PI-controller AQM (the paper's §5.2 proposal, \[14\]-style): the marking
 /// probability is an explicit controller state driven by the queue error,
 /// updated every `update_interval`. With PI marking, DCQCN achieves a
@@ -245,14 +234,6 @@ mod tests {
             assert!(p >= prev);
             prev = p;
         }
-    }
-
-    #[test]
-    fn pfc_thresholds_above_red() {
-        let red = RedConfig::dcqcn_default();
-        let pfc = PfcConfig::above_red(&red);
-        assert!(pfc.pause_threshold_bytes > red.kmax_bytes);
-        assert!(pfc.resume_threshold_bytes < pfc.pause_threshold_bytes);
     }
 
     #[test]

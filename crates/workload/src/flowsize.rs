@@ -1,8 +1,7 @@
 //! Empirical flow-size distributions.
 //!
 //! The web-search distribution is the DCTCP \[2\] measurement as digitized in
-//! the public pFabric/ProjecToR-era traffic generators; the data-mining
-//! distribution comes from the same lineage. Sizes between knots are
+//! the public pFabric/ProjecToR-era traffic generators. Sizes between knots are
 //! interpolated log-linearly (flow sizes span five orders of magnitude, so
 //! linear interpolation would skew small sizes).
 
@@ -53,26 +52,6 @@ impl FlowSizeDist {
         ])
     }
 
-    /// The data-mining workload (pFabric): even heavier tail — >80 % of
-    /// flows under 10 KB, the largest flows reach 1 GB.
-    pub fn data_mining() -> Self {
-        Self::from_cdf(&[
-            (100.0, 0.10),
-            (180.0, 0.20),
-            (250.0, 0.30),
-            (560.0, 0.40),
-            (900.0, 0.50),
-            (1_100.0, 0.60),
-            (1_870.0, 0.70),
-            (3_160.0, 0.80),
-            (10_000.0, 0.90),
-            (400_000.0, 0.95),
-            (3_160_000.0, 0.98),
-            (100_000_000.0, 0.999),
-            (1_000_000_000.0, 1.00),
-        ])
-    }
-
     /// Sample one flow size in bytes (≥ 1).
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
         let u = rng.next_f64();
@@ -119,6 +98,7 @@ impl FlowSizeDist {
     }
 
     /// Fraction of flows strictly smaller than `bytes`.
+    #[cfg(test)]
     pub fn fraction_below(&self, bytes: f64) -> f64 {
         // Invert by bisection on the quantile (monotone).
         let mut lo = 0.0;
@@ -202,15 +182,6 @@ mod tests {
             (emp - exact).abs() / exact < 0.05,
             "empirical {emp:.0} vs exact {exact:.0}"
         );
-    }
-
-    #[test]
-    fn data_mining_heavier_tail() {
-        let ws = FlowSizeDist::web_search();
-        let dm = FlowSizeDist::data_mining();
-        // Data mining has more tiny flows and a bigger max.
-        assert!(dm.fraction_below(10_000.0) > ws.fraction_below(10_000.0));
-        assert!(dm.quantile(1.0) > ws.quantile(1.0));
     }
 
     #[test]

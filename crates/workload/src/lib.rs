@@ -9,7 +9,7 @@
 //! implements exactly that generation model:
 //!
 //! * [`flowsize`] — empirical flow-size CDFs (the DCTCP web-search
-//!   distribution, the data-mining distribution, and custom tables) with
+//!   distribution and custom tables) with
 //!   log-linear interpolation and exact mean computation;
 //! * [`arrivals`] — Poisson arrival processes calibrated to a target load
 //!   on a bottleneck link;

@@ -152,16 +152,15 @@ pub fn fault_schedule(
     }
 }
 
-/// The realized offered load (bits/s) of a flow list over the horizon —
-/// used by tests to confirm calibration.
-pub fn offered_load_bps(flows: &[FlowDescriptor], horizon_s: f64) -> f64 {
-    let bytes: u64 = flows.iter().map(|f| f.size_bytes).sum();
-    bytes as f64 * 8.0 / horizon_s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The realized offered load (bits/s) of a flow list over the horizon.
+    fn offered_load_bps(flows: &[FlowDescriptor], horizon_s: f64) -> f64 {
+        let bytes: u64 = flows.iter().map(|f| f.size_bytes).sum();
+        bytes as f64 * 8.0 / horizon_s
+    }
 
     #[test]
     fn offered_load_close_to_target() {

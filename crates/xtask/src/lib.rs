@@ -728,6 +728,55 @@ mod tests {
     }
 
     #[test]
+    fn one_scenario_builder() {
+        // Outside netsim's own sources and test, bench and example code,
+        // only core's scenario builders build an engine or write a flow.
+        // The needles are split so this file does not hold them.
+        let root = repo_root();
+        let needles = [["FlowSpec", " {"].concat(), ["Engine::", "new("].concat()];
+        let mut files = Vec::new();
+        for dir in ["crates", "src"] {
+            collect_rs_files(&root.join(dir), &mut files).expect("walk sources");
+        }
+        let exempt = |f: &Path| {
+            let rel = f.strip_prefix(&root).expect("under the repo");
+            rel.starts_with("crates/netsim/src")
+                || rel == Path::new("crates/core/src/scenarios.rs")
+                || rel.components().any(|c| {
+                    ["tests", "benches", "examples"].contains(&&*c.as_os_str().to_string_lossy())
+                })
+        };
+        let builders: Vec<PathBuf> = files
+            .into_iter()
+            .filter(|f| !exempt(f))
+            .filter(|f| {
+                let src = std::fs::read_to_string(f).expect("read source");
+                needles.iter().any(|n| src.contains(n.as_str()))
+            })
+            .collect();
+        assert!(
+            builders.is_empty(),
+            "packet scenarios built outside crates/core/src/scenarios.rs: {builders:?}"
+        );
+        // `bench` prints, stores and observes; it names no simulator.
+        let mut files = Vec::new();
+        collect_rs_files(&root.join("crates/bench/src"), &mut files).expect("walk bench");
+        let mut named = Vec::new();
+        for file in files {
+            let text = std::fs::read_to_string(&file).expect("read source");
+            for t in lex::lex(&text) {
+                if t.kind == Kind::Ident
+                    && ["Engine", "Topology", "DcqcnFluid", "TimelyFluid"]
+                        .contains(&t.text.as_str())
+                {
+                    named.push(format!("{}:{} {}", file.display(), t.line, t.text));
+                }
+            }
+        }
+        assert!(named.is_empty(), "bench runs a simulation: {named:?}");
+    }
+
+    #[test]
     fn one_figure_table_one_binary() {
         let bin = repo_root().join("crates/bench/src/bin");
         let mut names: Vec<String> = std::fs::read_dir(&bin)
@@ -886,12 +935,20 @@ mod tests {
         }
         let table = std::fs::read_to_string(root.join("crates/bench/src/figures.rs"))
             .expect("read figures.rs");
-        let ids: Vec<&str> = table
+        // An entry lists its ids (`ids: &["fig14", …]`) or is `standard!(id, …)`.
+        let mut ids: Vec<&str> = table
             .split("ids: &[")
             .skip(1)
             .filter_map(|s| s.split(']').next())
             .flat_map(|list| list.split('"').skip(1).step_by(2))
             .collect();
+        ids.extend(
+            table
+                .split("standard!(")
+                .skip(1)
+                .filter_map(|s| s.trim_start().split([',', ')']).next())
+                .filter(|id| id.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')),
+        );
         let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
         let word = |s: &str| s[..s.find(|c: char| !is_word(c)).unwrap_or(s.len())].to_string();
         let mut stale = Vec::new();

@@ -17,7 +17,7 @@
 use ecn_delay::desim::{SimDuration, SimTime};
 use ecn_delay::experiments::experiments::ext_incast::report_digest;
 use ecn_delay::experiments::scenarios::{fat_tree_incast, single_switch_longlived, Protocol};
-use ecn_delay::netsim::{Engine, EngineConfig, FlowSpec, PfcConfig, SimReport, Topology};
+use ecn_delay::netsim::{Engine, EngineConfig, PfcConfig, SimReport, Topology};
 use ecn_delay::workload::IncastConfig;
 use faults::{FaultSchedule, ParamTarget};
 
@@ -31,16 +31,12 @@ fn single_switch(protocol: Protocol, n: usize, cfg: EngineConfig) -> Engine {
         Topology::single_switch(n, LINE_RATE_BPS, SimDuration::from_micros(1));
     let mut eng = Engine::new(topo, cfg);
     for (i, &src) in senders.iter().enumerate() {
-        let (cc, pacing, ack_chunk_bytes) = protocol.build_cc(n as f64);
-        eng.add_flow(FlowSpec {
+        eng.add_flow(protocol.build_cc(n as f64).flow(
             src,
-            dst: receiver,
-            size_bytes: Some(1_500_000 + 370_001 * i as u64),
-            start: SimTime::from_micros(3 * i as u64),
-            pacing,
-            cc,
-            ack_chunk_bytes,
-        });
+            receiver,
+            Some(1_500_000 + 370_001 * i as u64),
+            SimTime::from_micros(3 * i as u64),
+        ));
     }
     eng
 }

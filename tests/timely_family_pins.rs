@@ -17,7 +17,7 @@ use ecn_delay::experiments::scenarios::Protocol;
 use ecn_delay::fluid::Trace;
 use ecn_delay::models::jitter::Jitter;
 use ecn_delay::models::{TimelyFluid, TimelyLaw, TimelyParams};
-use ecn_delay::netsim::{Engine, EngineConfig, FlowSpec, Topology};
+use ecn_delay::netsim::{Engine, EngineConfig, Topology};
 
 const FLOWS: usize = 4;
 const DURATION_S: f64 = 0.01;
@@ -87,16 +87,12 @@ fn packet_run(protocol: Protocol) -> (String, u64, u64) {
         Topology::single_switch(FLOWS, 10e9, SimDuration::from_micros(1));
     let mut eng = Engine::new(topo, EngineConfig::default());
     for (i, &src) in senders.iter().enumerate() {
-        let (cc, pacing, ack_chunk_bytes) = protocol.build_cc(FLOWS as f64);
-        eng.add_flow(FlowSpec {
+        eng.add_flow(protocol.build_cc(FLOWS as f64).flow(
             src,
-            dst: receiver,
-            size_bytes: Some(1_500_000 + 370_001 * i as u64),
-            start: SimTime::from_micros(3 * i as u64),
-            pacing,
-            cc,
-            ack_chunk_bytes,
-        });
+            receiver,
+            Some(1_500_000 + 370_001 * i as u64),
+            SimTime::from_micros(3 * i as u64),
+        ));
     }
     obs::reset();
     obs::enable(obs::METRICS);
