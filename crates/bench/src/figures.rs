@@ -572,7 +572,7 @@ fn ablations(_: &ex::ablations::AblationsConfig, res: &ex::ablations::AblationsR
     for &(seg, g) in &res.burst_size {
         println!("{:>10} {g:>16.2}", seg / 1000);
     }
-    println!("\n(4) DCQCN α gain g (fluid, 2 flows @ 85 us delay — stability knob):");
+    println!("\n(4) DCQCN α gain g (fluid, 10 flows @ 85 us delay — stability knob):");
     println!("{:>10} {:>22}", "g", "queue osc (x q*)");
     for &(g, osc) in &res.alpha_gain {
         println!("{g:>10.5} {osc:>22.3}");

@@ -1,4 +1,4 @@
-//! Scratch profiling harness for the timing wheel (not shipped; examples are
+//! Scratch profiling harness for the event queue (not shipped; examples are
 //! outside the simlint scope and the wall-clock ban).
 
 use desim::{EventQueue, SimRng, SimTime};
@@ -76,7 +76,7 @@ fn warm_bench() {
 
 fn l0_only_bench() {
     // 4096 events all inside the level-0 window: pure push/pop cost with no
-    // cascading, isolating the pop path from cascade cost.
+    // level-1 drain, isolating the pop path from drain cost.
     let reps = 300u32;
     let mut acc = 0u64;
     let t0 = Instant::now();

@@ -7,12 +7,13 @@
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulation time with
 //!   convenient constructors (`SimDuration::micros(50)`) and exact arithmetic,
 //!   so event ordering is never subject to floating-point noise;
-//! * [`EventQueue`] — a hierarchical timing wheel (a 4096-slot level 0 and
-//!   seven 256-slot levels above it, per-level occupancy bitmaps,
-//!   arena-backed entries) with a monotonically increasing tie-break
-//!   sequence number, guaranteeing **deterministic** FIFO ordering among
-//!   simultaneous events at O(1) amortized push/pop; entries cannot be
-//!   cancelled; the pre-wheel binary-heap queue survives as test support
+//! * [`EventQueue`] — a two-level calendar queue (a 64 µs window of 4096
+//!   buckets of 16 ns, 4096 half-window buckets reaching ≈ 134 ms beyond
+//!   it, a heap past that; two-level occupancy bitmaps, arena-backed
+//!   entries) with a monotonically increasing tie-break ticket,
+//!   guaranteeing **deterministic** FIFO ordering among simultaneous
+//!   events at O(1) push/pop for near-future traffic; entries cannot be
+//!   cancelled; the binary-heap queue it replaced survives as test support
 //!   (`tests/support/event_ref.rs`), the oracle for the differential
 //!   property test;
 //! * [`rng::SimRng`] — a small, seedable xoshiro256** generator so every

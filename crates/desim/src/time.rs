@@ -113,11 +113,27 @@ impl SimDuration {
     /// This is the single conversion point between "bandwidth" and "time" in
     /// the simulator; keeping it here avoids scattered, slightly different
     /// roundings.
+    ///
+    /// The ceiling is taken in integers — the truncating cast, plus one if
+    /// that fell short — which is bit for bit `x.ceil() as u64` (saturating,
+    /// NaN to 0) without a libm call on targets that lack a rounding
+    /// instruction.
+    #[inline]
     pub fn serialization(bytes: u64, bits_per_sec: f64) -> SimDuration {
         assert!(bits_per_sec > 0.0, "bandwidth must be positive");
-        let ns = (bytes as f64 * 8.0 * 1e9 / bits_per_sec).ceil() as u64;
-        SimDuration(ns)
+        SimDuration(ceil_u64(bytes as f64 * 8.0 * 1e9 / bits_per_sec))
     }
+}
+
+/// `x.ceil() as u64` in integer arithmetic. The cast truncates toward zero
+/// and saturates (NaN and negatives to 0, 2^64 and up to `u64::MAX`); a
+/// truncation that lost a fraction is one short of the ceiling (beyond 2^52
+/// every `f64` is an integer, so there it never is). Above 2^64 the cast
+/// saturates and the `+ 1` must too.
+#[inline]
+fn ceil_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from((t as f64) < x))
 }
 
 impl Add<SimDuration> for SimTime {
@@ -255,6 +271,61 @@ mod tests {
             SimDuration::serialization(1, 3e9),
             SimDuration::from_nanos(3)
         );
+    }
+
+    #[test]
+    fn integer_ceiling_matches_f64_ceil() {
+        let edges = [
+            0.0,
+            -0.0,
+            -0.5,
+            -1.0,
+            0.25,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.5,
+            799.999_999_999_999_9,
+            800.0,
+            (1u64 << 52) as f64 - 0.5,
+            (1u64 << 52) as f64,
+            (1u64 << 53) as f64,
+            (1u64 << 53) as f64 + 2.0,
+            u64::MAX as f64,
+            1e20,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+        ];
+        for x in edges {
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "{x:e}");
+        }
+        // Seeded draws over every scale the simulator meets and far beyond:
+        // random mantissas at exponents 2^-30 .. 2^70, and whole numbers.
+        let mut rng = crate::SimRng::new(0xCE11);
+        for _ in 0..200_000 {
+            let scale = 2f64.powi(rng.next_below(101) as i32 - 30);
+            let x = rng.next_f64() * scale;
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "{x:e}");
+            let n = x.floor();
+            assert_eq!(ceil_u64(n), n.ceil() as u64, "{n:e}");
+            // Any bit pattern: NaNs, infinities, subnormals, negatives.
+            let y = f64::from_bits(rng.next_u64());
+            assert_eq!(ceil_u64(y), y.ceil() as u64, "{y:e}");
+        }
+        // And the quotients `serialization` forms: wire sizes over rates.
+        for _ in 0..100_000 {
+            let bytes = rng.next_below(1 << 40);
+            let bps = 1e3 + rng.next_f64() * 1e12;
+            let q = bytes as f64 * 8.0 * 1e9 / bps;
+            assert_eq!(
+                SimDuration::serialization(bytes, bps).as_nanos(),
+                q.ceil() as u64,
+                "{bytes} B at {bps} bps"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Reference event queue: the pre-wheel binary-heap implementation.
+//! Reference event queue: the original binary-heap implementation.
 //!
 //! This is the original `EventQueue` — a binary min-heap keyed on
-//! `(time, seq)` — retained (plus the wheel's reserve-now / insert-later
+//! `(time, seq)` — retained (plus the queue's reserve-now / insert-later
 //! ticket API, which on a heap is just a push under the given `seq`) as the
-//! **oracle** for the timing wheel's differential property test
-//! (`tests/wheel_differential.rs`) and for the `event_queue/wheel_*`
-//! before/after bench rows. It is deliberately simple and obviously correct
+//! **oracle** for the calendar queue's differential property test
+//! (`tests/wheel_differential.rs`, named for the timing wheel that came
+//! between them). It is deliberately simple and obviously correct
 //! for the orderings the simulator relies on. It is test support, not part
 //! of the `desim` library: the test and `examples/wheel_profile.rs` include
 //! it with `#[path]`.

@@ -1,17 +1,19 @@
-//! Differential property test: timing wheel vs. the retained reference
-//! heap queue.
+//! Differential property test: the calendar event queue vs. the retained
+//! reference heap queue (the file keeps the name of the timing wheel that
+//! came between them).
 //!
 //! Both queues are driven through identical randomized schedules of push
 //! and pop operations — including same-timestamp ties, pops held back by a
-//! horizon, and far-future jumps that cross several wheel levels — and must
-//! produce byte-for-byte identical pop sequences `(time, tag)` and identical
+//! horizon, far-future jumps onto level 1 and the overflow heap, and times
+//! on the calendar's bucket, window and reach edges — and must produce
+//! byte-for-byte identical pop sequences `(time, tag)` and identical
 //! `len()` at every step. Payload tags identify events across the two
 //! queues.
 //!
 //! The op mix includes the ticket API: `reserve_seq` now,
-//! `schedule_reserved` later (or never) — into a later slot, into the
-//! current instant behind the event just popped, into an upper level that
-//! cascades afterwards. On the heap a late insertion is a push under the
+//! `schedule_reserved` later (or never) — into a later bucket, into the
+//! current instant behind the event just popped, into level 1 before its
+//! bucket is drained. On the heap a late insertion is a push under the
 //! given `seq`, so the oracle says where each must pop.
 
 use desim::{EventQueue, SimRng, SimTime};
@@ -21,7 +23,7 @@ mod event_ref;
 use event_ref::ReferenceEventQueue;
 
 struct Harness {
-    wheel: EventQueue<u64>,
+    queue: EventQueue<u64>,
     oracle: ReferenceEventQueue<u64>,
     /// Tags of the events pending on both queues.
     pending: Vec<u64>,
@@ -30,7 +32,7 @@ struct Harness {
     pops: u64,
     /// Tickets taken on both queues and not yet filed.
     reserved: Vec<u64>,
-    /// Time of the last pop (the wheel's `last_popped_seq` is its ticket).
+    /// Time of the last pop (the queue's `last_popped_seq` is its ticket).
     last_pop_ns: Option<u64>,
     late_inserts: u64,
     late_into_now: u64,
@@ -39,7 +41,7 @@ struct Harness {
 impl Harness {
     fn new() -> Self {
         Harness {
-            wheel: EventQueue::new(),
+            queue: EventQueue::new(),
             oracle: ReferenceEventQueue::new(),
             pending: Vec::new(),
             now_ns: 0,
@@ -54,7 +56,7 @@ impl Harness {
 
     /// Take the next ticket on both queues without filing an entry.
     fn reserve(&mut self) {
-        let seq = self.wheel.reserve_seq();
+        let seq = self.queue.reserve_seq();
         assert_eq!(seq, self.oracle.reserve_seq(), "tickets diverged");
         self.reserved.push(seq);
     }
@@ -65,7 +67,7 @@ impl Harness {
     fn insert_reserved(&mut self, pos: usize, at_ns: u64) {
         let seq = self.reserved.swap_remove(pos);
         let into_now = self.last_pop_ns == Some(at_ns);
-        let behind_last = self.wheel.last_popped_seq().is_some_and(|s| s >= seq);
+        let behind_last = self.queue.last_popped_seq().is_some_and(|s| s >= seq);
         let at_ns = if into_now && behind_last {
             at_ns + 1
         } else {
@@ -74,7 +76,7 @@ impl Harness {
         let tag = self.next_tag;
         self.next_tag += 1;
         let t = SimTime::from_nanos(at_ns);
-        self.wheel.schedule_reserved(t, seq, tag);
+        self.queue.schedule_reserved(t, seq, tag);
         self.oracle.schedule_reserved(t, seq, tag);
         self.pending.push(tag);
         self.late_inserts += 1;
@@ -85,7 +87,7 @@ impl Harness {
         let tag = self.next_tag;
         self.next_tag += 1;
         let t = SimTime::from_nanos(at_ns);
-        self.wheel.schedule(t, tag);
+        self.queue.schedule(t, tag);
         self.oracle.schedule(t, tag);
         self.pending.push(tag);
     }
@@ -96,7 +98,7 @@ impl Harness {
 
     /// Pop both queues, check them against each other, return the tag.
     fn pop_tag(&mut self) -> Option<u64> {
-        let got = self.wheel.pop();
+        let got = self.queue.pop();
         let want = self.oracle.pop();
         self.settle(got, want);
         got.map(|(_, tag)| tag)
@@ -108,7 +110,7 @@ impl Harness {
     fn pop_due(&mut self, limit_ns: u64) -> bool {
         let limit = SimTime::from_nanos(limit_ns);
         let next = self.oracle.peek_time();
-        let got = self.wheel.pop_due(limit);
+        let got = self.queue.pop_due(limit);
         if next.is_some_and(|t| t <= limit) {
             let want = self.oracle.pop();
             self.settle(got, want);
@@ -121,7 +123,7 @@ impl Harness {
         false
     }
 
-    /// Check one pop of the wheel against the oracle's and retire its tag.
+    /// Check one pop of the queue against the oracle's and retire its tag.
     fn settle(&mut self, got: Option<(SimTime, u64)>, want: Option<(SimTime, u64)>) {
         match (got, want) {
             (Some((tw, pw)), Some((tr, pr))) => {
@@ -130,7 +132,7 @@ impl Harness {
                 self.now_ns = tw.as_nanos();
                 self.last_pop_ns = Some(self.now_ns);
                 assert_eq!(
-                    self.wheel.last_popped_seq(),
+                    self.queue.last_popped_seq(),
                     self.oracle.last_popped_seq(),
                     "pop #{}: ticket diverged",
                     self.pops
@@ -143,29 +145,29 @@ impl Harness {
                 self.pending.swap_remove(pos);
             }
             (None, None) => {}
-            (got, want) => panic!("pop #{}: wheel {got:?} vs oracle {want:?}", self.pops),
+            (got, want) => panic!("pop #{}: queue {got:?} vs oracle {want:?}", self.pops),
         }
         self.pops += 1;
     }
 
     fn check_len(&self) {
-        assert_eq!(self.wheel.len(), self.oracle.len(), "len diverged");
-        assert_eq!(self.wheel.is_empty(), self.oracle.is_empty());
-        assert_eq!(self.wheel.len(), self.pending.len(), "tracker diverged");
+        assert_eq!(self.queue.len(), self.oracle.len(), "len diverged");
+        assert_eq!(self.queue.is_empty(), self.oracle.is_empty());
+        assert_eq!(self.queue.len(), self.pending.len(), "tracker diverged");
     }
 
     fn drain(&mut self) {
         while !self.pending.is_empty() {
             self.pop();
         }
-        assert!(self.wheel.pop().is_none());
+        assert!(self.queue.pop().is_none());
         assert!(self.oracle.pop().is_none());
     }
 }
 
-/// Pick an offset that exercises every wheel level: mostly near-future
-/// (level 0–1 territory), often zero (same-instant ties), occasionally a
-/// far-future jump crossing four or more byte boundaries.
+/// Pick an offset that exercises every level: mostly near-future (level 0
+/// and 1), often zero (same-instant ties), occasionally a far-future jump
+/// onto the heap.
 fn random_offset(rng: &mut SimRng) -> u64 {
     match rng.next_below(100) {
         0..=24 => 0,                              // tie with "now"
@@ -218,8 +220,8 @@ fn tie_heavy_schedule_pops_in_insertion_order() {
 
 #[test]
 fn far_future_rollover_matches_oracle() {
-    // Jumps that force cascades through the upper wheel levels, including
-    // times near u64::MAX.
+    // Jumps through level 1 and onto the heap, including times near
+    // u64::MAX.
     let mut h = Harness::new();
     let times = [
         0u64,
@@ -289,8 +291,8 @@ fn pop_due_matches_peek_then_pop() {
 
 #[test]
 fn pop_due_holds_far_future_events_until_their_time() {
-    // Each event sits several wheel levels above the last; a limit one
-    // nanosecond short may cascade the wheel toward it, never past the
+    // Each event sits further out than the last; a limit one nanosecond
+    // short may move the window toward it, never past the
     // limit, and does not release it.
     let mut h = Harness::new();
     let times = [
@@ -370,7 +372,7 @@ fn late_insertion_sorts_by_its_ticket_not_its_arrival() {
     h.insert_reserved(1, 500); // tag 2, ticket 2
     h.insert_reserved(0, 500); // tag 3, ticket 0
     assert_eq!(pop_tags(&mut h, 4), [3, 0, 2, 1]);
-    assert_eq!(h.wheel.last_popped_seq(), Some(3));
+    assert_eq!(h.queue.last_popped_seq(), Some(3));
 
     // Into the current instant: ticket 4 has popped at t = 900 when ticket 5
     // (taken before) is filed for t = 900 — it still pops before ticket 6.
@@ -382,7 +384,7 @@ fn late_insertion_sorts_by_its_ticket_not_its_arrival() {
     assert_eq!(h.late_into_now, 1);
     assert_eq!(pop_tags(&mut h, 2), [6, 5]);
 
-    // Into an upper level that cascades later: four events at one far
+    // Into level 1, drained later: four events at one far
     // instant, the two reserved tickets filed last and out of order.
     let far = 900 + (1u64 << 33) + 12_345;
     h.push(far); // tag 7
@@ -392,7 +394,7 @@ fn late_insertion_sorts_by_its_ticket_not_its_arrival() {
     h.insert_reserved(1, far); // tag 9
     h.insert_reserved(0, far); // tag 10
     h.check_len();
-    h.push(1_000); // tag 11: pops first, the wheel cascades after it
+    h.push(1_000); // tag 11: pops first, the window jumps after it
     assert_eq!(pop_tags(&mut h, 5), [11, 7, 10, 9, 8]);
     h.drain();
 }
@@ -407,4 +409,180 @@ fn filing_a_ticket_at_or_before_the_last_popped_event_is_refused() {
     assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 0)));
     // (10, ticket 0) sorts before the popped (10, ticket 1).
     q.schedule_reserved(SimTime::from_nanos(10), early, 1);
+}
+
+/// Level-0 bucket width, half-window, and level 1's reach (4096 halves), as
+/// the calendar lays them out.
+const BUCKET_NS: u64 = 16;
+const HALF_NS: u64 = 1 << 15;
+const REACH_NS: u64 = 4096 * HALF_NS;
+
+/// A time at or after `now` on one of the calendar's edges: a 16 ns bucket
+/// edge (or 1 ns short of one), a 32 / 64 µs half-window edge, exactly
+/// 32 µs ahead, level 1's reach ≈ 134 ms out, well beyond it on the heap,
+/// near `u64::MAX`, or `now` itself.
+fn edge_time(rng: &mut SimRng, now: u64) -> u64 {
+    let k = rng.next_below(4);
+    let short = rng.next_below(2);
+    let up = |unit: u64, n: u64| (now / unit).saturating_add(1 + n).saturating_mul(unit);
+    let t = match rng.next_below(100) {
+        0..=24 => up(BUCKET_NS, k * 3).saturating_sub(short),
+        25..=44 => up(HALF_NS, k).saturating_sub(short),
+        45..=54 => now.saturating_add(HALF_NS - 1 + k.min(2)),
+        55..=69 => up(HALF_NS, 4094 + k).saturating_sub(short),
+        70..=79 => now.saturating_add(REACH_NS * (1 + k) + rng.next_below(HALF_NS)),
+        80..=81 => u64::MAX - rng.next_below(1 << 16),
+        _ => now,
+    };
+    t.max(now)
+}
+
+#[test]
+fn calendar_edges_pop_identically() {
+    // Pushes on the bucket, window and reach edges, pops through `pop` and
+    // through `pop_due` at limits on and around the next event.
+    for seed in 0..8u64 {
+        let mut rng = SimRng::new(0xCA1E_0000 + seed);
+        let mut h = Harness::new();
+        for _ in 0..4_000 {
+            let op = rng.next_below(100);
+            if op < 55 || h.pending.is_empty() {
+                let at_ns = edge_time(&mut rng, h.now_ns);
+                h.push(at_ns);
+            } else if op < 80 {
+                h.pop();
+            } else {
+                let next = h.oracle.peek_time().expect("pending").as_nanos();
+                let limit = match rng.next_below(4) {
+                    0 => next,
+                    1 => next.saturating_sub(1),
+                    2 => edge_time(&mut rng, h.now_ns).min(next),
+                    _ => h.now_ns + rng.next_below(next - h.now_ns + 1),
+                };
+                h.pop_due(limit);
+            }
+            h.check_len();
+        }
+        assert!(h.pops > 1_000, "seed {seed}: schedule too pop-starved");
+        h.drain();
+    }
+}
+
+#[test]
+fn an_idle_jump_drains_level_one_into_an_empty_window() {
+    // Level 0 is empty whenever these pops run: every event lies at least
+    // two halves ahead, so each pop jumps the window to its half and drains
+    // that half's level-1 bucket (and the next one's) whole.
+    let mut rng = SimRng::new(0x1D1E);
+    let mut h = Harness::new();
+    for _ in 0..300 {
+        for _ in 0..1 + rng.next_below(6) {
+            let halves = 2 + rng.next_below(200);
+            let at_ns = (h.now_ns / HALF_NS + halves) * HALF_NS + rng.next_below(3) * 16_384;
+            h.push(at_ns);
+            // A tie, and a neighbour in the same bucket.
+            if rng.next_below(3) == 0 {
+                h.push(at_ns);
+                h.push(at_ns + rng.next_below(BUCKET_NS));
+            }
+        }
+        while !h.pending.is_empty() && rng.next_below(4) != 0 {
+            h.pop();
+        }
+        h.check_len();
+    }
+    h.drain();
+}
+
+#[test]
+fn heap_entries_beyond_level_one_and_near_the_top_of_time() {
+    let mut h = Harness::new();
+    let times = [
+        REACH_NS - 1,
+        REACH_NS,
+        REACH_NS + 1,
+        2 * REACH_NS - HALF_NS,
+        2 * REACH_NS,
+        1 << 40,
+        (1 << 40) + HALF_NS,
+        u64::MAX - HALF_NS,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+    for &ns in times.iter().rev() {
+        h.push(ns);
+        h.push(ns);
+    }
+    // Each pop of one of those re-files what level 1 now reaches; events
+    // scheduled just after it land in level 0, level 1 and the heap.
+    while let Some(tag) = h.pop_tag() {
+        let now = h.now_ns;
+        if tag < 2 * times.len() as u64 && now < u64::MAX - 2 * REACH_NS {
+            h.push(now + 7);
+            h.push(now + HALF_NS);
+            h.push(now + REACH_NS);
+        }
+        h.check_len();
+    }
+    h.drain();
+}
+
+#[test]
+fn pop_due_limits_between_the_window_and_level_one_keep_the_floor_at_or_before_them() {
+    // A held event in level 1 (10 ms) or on the heap (1 s); limits between
+    // the window and it. After each `None` an event filed exactly at the
+    // limit is accepted (a floor past the limit would refuse it in debug
+    // builds and misplace it in release) and pops there, before the held
+    // one.
+    for held in [10_000_000u64, 1_000_000_000] {
+        let mut h = Harness::new();
+        h.push(held);
+        let half_start = held / HALF_NS * HALF_NS;
+        let limits = [
+            2 * HALF_NS,
+            2 * HALF_NS + 1,
+            REACH_NS - 1,
+            REACH_NS,
+            half_start - 1,
+            half_start,
+            held - 1,
+        ];
+        let mut limits: Vec<u64> = limits.into_iter().filter(|&l| l < held).collect();
+        limits.sort_unstable();
+        for limit in limits {
+            if limit < h.now_ns {
+                continue;
+            }
+            assert!(!h.pop_due(limit), "nothing is due by {limit}");
+            assert!(!h.pop_due(limit), "asking again changes nothing");
+            h.push(limit);
+            assert!(h.pop_due(limit), "an event at the limit pops");
+            h.check_len();
+        }
+        assert!(h.pop_due(held));
+        h.drain();
+    }
+}
+
+#[test]
+fn ticket_ties_straddle_a_drain() {
+    // Events for one far instant: some filed while it lies in level 1, one
+    // under a ticket taken before them but filed after the window reached
+    // the instant's half (so after the drain), and one fresh afterwards.
+    // They pop by ticket.
+    let mut h = Harness::new();
+    let far = 10 * HALF_NS + 123;
+    h.reserve(); // ticket 0
+    h.push(far); // tag 0, ticket 1, level 1
+    h.push(far); // tag 1, ticket 2, level 1
+    h.reserve(); // ticket 3
+    h.push(far - 100); // tag 2: same half; its pop drains `far`'s bucket
+    assert_eq!(h.pop_tag(), Some(2));
+    h.insert_reserved(1, far); // tag 3, ticket 3: after the drain
+    h.insert_reserved(0, far); // tag 4, ticket 0: first of all
+    h.push(far); // tag 5, ticket 5
+    let order: Vec<u64> = (0..4).map(|_| h.pop_tag().expect("pending")).collect();
+    assert_eq!(order, [4, 0, 1, 3]);
+    assert_eq!(h.pop_tag(), Some(5));
+    h.drain();
 }

@@ -91,7 +91,7 @@ impl Engine {
         if let Some(pi) = self.cfg.pi_aqm.as_ref().filter(|_| !self.marker.armed) {
             self.marker.armed = true;
             let at = self.now + pi.update_interval;
-            self.events.schedule(at, Ev::AqmTick);
+            self.events.schedule(at, Ev::AqmTick.pack());
         }
     }
 
@@ -113,7 +113,7 @@ impl Engine {
             m.pi_q_old[l] = q_now;
         }
         let at = self.now + pi.update_interval;
-        self.events.schedule(at, Ev::AqmTick);
+        self.events.schedule(at, Ev::AqmTick.pack());
     }
 }
 

@@ -8,7 +8,7 @@
 //! fault schedule); this file keeps the loop, the ticket contract and the CC
 //! clocks. The event vocabulary is deliberately tiny:
 //!
-//! | event | what it does | on the wheel when |
+//! | event | what it does | on the queue when |
 //! |---|---|---|
 //! | `FlowStart` | a flow becomes active; its congestion control is started and its pacer armed | always |
 //! | `Pacer` | a flow's rate limiter releases the next packet (or, under per-chunk pacing, the next burst) into the host NIC queue, as a send the NIC builds into a packet when it starts transmitting it | always |
@@ -18,11 +18,11 @@
 //!
 //! **The ticket contract.** Events are dispatched in `(time, ticket)` order
 //! and in no other; every event takes its ticket (the queue's tie-break
-//! counter) at the point where it is armed, whether or not it gets a wheel
+//! counter) at the point where it is armed, whether or not it gets a queue
 //! entry then. A `TxDone` with nothing queued behind it would only clear
 //! the port's busy flag, so it is *held* — `(idle_at, ticket)` in the port
-//! — and put on the wheel under that ticket by the first send or packet
-//! that joins the queue before it is due; once it is due, whoever looks at
+//! — and put on the event queue under that ticket by the first send or
+//! packet that joins the port's queue before it is due; once it is due, whoever looks at
 //! the port next (or the end of the run) frees the port and counts the
 //! event.
 //!
@@ -46,7 +46,7 @@
 //! latency equal to the period) the firing goes first by convention,
 //! counted as `netsim.clock_tie_convention`. Either way the run dispatches
 //! — and [`SimReport::events_processed`] counts — the same events in the
-//! same order, as every flow sees it, as if each had a wheel entry of its
+//! same order, as every flow sees it, as if each had a queue entry of its
 //! own.
 
 use crate::cc::{self, CcUpdate, TimerClock, TimerRun};
@@ -58,6 +58,7 @@ use crate::types::{FlowId, PacketArena, PacketHandle};
 use desim::stats::TimeSeries;
 use desim::{EventQueue, SimDuration, SimRng, SimTime};
 use faults::SimError;
+use std::num::NonZeroU64;
 
 #[path = "aqm.rs"]
 mod aqm;
@@ -72,15 +73,16 @@ use fault_plane::FaultPlane;
 use host::ReceiverFlows;
 use port::{LinkMemo, Ports};
 
-#[derive(Debug)]
+/// An event as the handlers see it. The queue holds it [packed](Ev::pack)
+/// into one word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     FlowStart(FlowId),
     Pacer(FlowId),
     TxDone(LinkId),
     /// A packet (by arena handle) arrives at the far end of a link. Events
     /// carry 4-byte handles, not 24-byte [`Packet`](crate::types::Packet)
-    /// values: the event queue's payload arena stays dense and packets are
-    /// never memcpy'd between hops.
+    /// values: packets are never memcpy'd between hops.
     Deliver(LinkId, PacketHandle),
     /// Periodic PI-AQM controller update across all switch ports.
     AqmTick,
@@ -88,6 +90,84 @@ enum Ev {
     Fault(usize),
     /// End of one pause-storm forced-pause interval on a link.
     FaultStormRelease(LinkId),
+}
+
+/// An [`Ev`] in one word, the event queue's payload: the kind (1–7) in the
+/// top 3 bits, a link id in the next 29 and a packet handle, flow id or
+/// fault-op index in the low 32. One word travels in a register from
+/// `schedule` to the dispatch `match`, and as the kind is never 0 an
+/// `Option<Packed>` in the queue's payload vector is one word too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Packed(NonZeroU64);
+
+/// Where the kind starts.
+const KIND_SHIFT: u32 = 61;
+/// Where the link id starts.
+const LINK_SHIFT: u32 = 32;
+/// Links an event can name: 2^29. [`event_fields_fit`] refuses a larger
+/// topology before a run.
+const MAX_LINKS: usize = 1 << (KIND_SHIFT - LINK_SHIFT);
+
+impl Ev {
+    /// This event in one word. A link id must be below [`MAX_LINKS`] and
+    /// the other fields below 2^32 (flow ids and fault-op indices are
+    /// refused beyond that before a run).
+    #[inline]
+    fn pack(self) -> Packed {
+        let (kind, link, low) = match self {
+            Ev::FlowStart(f) => (1u64, 0, f.0),
+            Ev::Pacer(f) => (2, 0, f.0),
+            Ev::TxDone(l) => (3, l.0, 0),
+            Ev::Deliver(l, h) => (4, l.0, h.index() as usize),
+            Ev::AqmTick => (5, 0, 0),
+            Ev::Fault(i) => (6, 0, i),
+            Ev::FaultStormRelease(l) => (7, l.0, 0),
+        };
+        debug_assert!(
+            link < MAX_LINKS && low <= u32::MAX as usize,
+            "{self:?} does not pack"
+        );
+        let word = kind << KIND_SHIFT | (link as u64) << LINK_SHIFT | low as u64;
+        Packed(NonZeroU64::new(word).unwrap_or(NonZeroU64::MIN))
+    }
+}
+
+impl Packed {
+    /// The event packed in this word.
+    #[inline]
+    fn unpack(self) -> Ev {
+        let word = self.0.get();
+        let link = LinkId((word >> LINK_SHIFT) as usize & (MAX_LINKS - 1));
+        let low = word as u32;
+        match word >> KIND_SHIFT {
+            1 => Ev::FlowStart(FlowId(low as usize)),
+            2 => Ev::Pacer(FlowId(low as usize)),
+            3 => Ev::TxDone(link),
+            4 => Ev::Deliver(link, PacketHandle::from_index(low)),
+            5 => Ev::AqmTick,
+            6 => Ev::Fault(low as usize),
+            _ => Ev::FaultStormRelease(link),
+        }
+    }
+}
+
+/// Refuse a topology or fault schedule an event could not name: link ids
+/// from [`MAX_LINKS`] on, fault-op indices from 2^32 on (a fault-schedule
+/// entry compiles to at most two ops).
+fn event_fields_fit(links: usize, fault_entries: usize) -> Result<(), SimError> {
+    if links > MAX_LINKS {
+        return Err(SimError::topology(
+            "Engine::run",
+            format!("{links} links exceed the 2^29 an event can name"),
+        ));
+    }
+    if fault_entries > 1 << 31 {
+        return Err(SimError::config(
+            "Engine::run",
+            format!("{fault_entries} fault-schedule entries exceed the 2^31 an event can name"),
+        ));
+    }
+    Ok(())
 }
 
 /// One completed flow.
@@ -137,7 +217,7 @@ pub struct SimReport {
     /// Fault-plane operations executed (flap edges, window starts/ends,
     /// storm ticks, perturbations). Zero on a fault-free run.
     pub faults_injected: u64,
-    /// Events dispatched, whether or not each had a wheel entry of its own
+    /// Events dispatched, whether or not each had a queue entry of its own
     /// (a `TxDone` with nothing queued behind it and every CC timer firing
     /// are dispatched without one) — the numerator of the `events/sec`
     /// throughput metric the scaling benchmarks report.
@@ -150,7 +230,7 @@ pub struct SimReport {
 pub struct Engine {
     topo: Topology,
     cfg: EngineConfig,
-    events: EventQueue<Ev>,
+    events: EventQueue<Packed>,
     now: SimTime,
     marker: Marker,
     ports: Ports,
@@ -168,12 +248,12 @@ pub struct Engine {
     /// The installed fault schedule; `None` on a fault-free run, so every
     /// fault hook on the hot path is one well-predicted branch.
     faults: Option<FaultPlane>,
-    /// Events dispatched: wheel entries popped, plus the two kinds of event
+    /// Events dispatched: queue entries popped, plus the two kinds of event
     /// that are dispatched without an entry of their own, counted below.
     events_processed: u64,
-    /// Held `TxDone`s dispatched off the wheel (see [`Ports::held`]).
+    /// Held `TxDone`s dispatched off the queue (see [`Ports::held`]).
     held_tx_dones: u64,
-    /// Held `TxDone`s that a later `enqueue` filed on the wheel after all.
+    /// Held `TxDone`s that a later `enqueue` filed on the queue after all.
     held_then_filed: u64,
     /// CC clock firings (see [`Engine::catch_up`]).
     clock_firings: u64,
@@ -319,7 +399,7 @@ impl Engine {
         let id = self.senders.push(spec, path_hash);
         self.receivers.push(start);
         self.clocks.push([TimerClock::IDLE; CcUpdate::MAX_TIMERS]);
-        self.events.schedule(start, Ev::FlowStart(id));
+        self.events.schedule(start, Ev::FlowStart(id).pack());
         Ok(id)
     }
 
@@ -352,6 +432,7 @@ impl Engine {
     /// records and traces cover what that call dispatched.
     pub fn run(&mut self, end: SimTime) -> SimReport {
         self.cfg.validate().unwrap_or_else(|e| panic!("{e}"));
+        self.check_event_fields().unwrap_or_else(|e| panic!("{e}"));
         self.install_faults().unwrap_or_else(|e| panic!("{e}"));
         self.run_inner(end)
     }
@@ -367,8 +448,15 @@ impl Engine {
                 "empty flow set: register at least one flow before running",
             ));
         }
+        self.check_event_fields()?;
         self.install_faults()?;
         Ok(self.run_inner(end))
+    }
+
+    /// [`event_fields_fit`] for this engine's topology and fault schedule.
+    fn check_event_fields(&self) -> Result<(), SimError> {
+        let fault_entries = self.cfg.faults.as_ref().map_or(0, |s| s.events.len());
+        event_fields_fit(self.topo.link_count(), fault_entries)
     }
 
     fn run_inner(&mut self, end: SimTime) -> SimReport {
@@ -384,7 +472,7 @@ impl Engine {
         while let Some((t, ev)) = self.events.pop_due(end) {
             self.now = t;
             self.events_processed += 1;
-            self.handle(ev);
+            self.handle(ev.unpack());
         }
         drop(span);
         self.now = end;
@@ -794,6 +882,68 @@ mod tests {
         assert!(eng
             .try_add_flow(flow(NodeId(0), NodeId(1), 1_000, 1e9))
             .is_ok());
+    }
+
+    /// The queue's payload and its payload-vector slot are one word each.
+    #[test]
+    fn an_event_is_8_bytes() {
+        assert_eq!(std::mem::size_of::<Packed>(), 8);
+        assert_eq!(std::mem::size_of::<Option<Packed>>(), 8);
+    }
+
+    #[test]
+    fn every_event_round_trips_through_its_word_at_its_largest_ids() {
+        let flow = FlowId(u32::MAX as usize);
+        let link = LinkId(MAX_LINKS - 1);
+        let packet = PacketHandle::from_index(u32::MAX);
+        let events = [
+            Ev::FlowStart(flow),
+            Ev::Pacer(flow),
+            Ev::TxDone(link),
+            Ev::Deliver(link, packet),
+            Ev::AqmTick,
+            Ev::Fault(u32::MAX as usize),
+            Ev::FaultStormRelease(link),
+        ];
+        for ev in events {
+            assert_eq!(ev.pack().unpack(), ev);
+        }
+        // And at the smallest, where only the kind tells them apart.
+        let zero = [
+            Ev::FlowStart(FlowId(0)),
+            Ev::Pacer(FlowId(0)),
+            Ev::TxDone(LinkId(0)),
+            Ev::Deliver(LinkId(0), PacketHandle::from_index(0)),
+            Ev::AqmTick,
+            Ev::Fault(0),
+            Ev::FaultStormRelease(LinkId(0)),
+        ];
+        for ev in zero {
+            assert_eq!(ev.pack().unpack(), ev);
+        }
+    }
+
+    /// `try_run` and `run` check the topology's link count with
+    /// `event_fields_fit` before anything is scheduled. A topology of 2^29
+    /// links (16 GiB of `Link`s) is out of a test's reach, so the check is
+    /// held to its edge here and both entry points to passing it.
+    #[test]
+    fn a_topology_too_wide_for_an_event_is_refused_before_the_run() {
+        assert!(event_fields_fit(MAX_LINKS, 1 << 31).is_ok());
+        let err = event_fields_fit(MAX_LINKS + 1, 0).unwrap_err();
+        assert!(matches!(err, SimError::InvalidTopology { .. }), "{err}");
+        assert!(err.to_string().contains("2^29"), "{err}");
+        let err = event_fields_fit(0, (1 << 31) + 1).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        let engine = || {
+            let (topo, senders, receiver) = Topology::single_switch(1, 10e9, us(1));
+            let mut eng = Engine::new(topo, EngineConfig::default());
+            eng.add_flow(flow(senders[0], receiver, 1_000, 1e9));
+            eng
+        };
+        assert!(engine().check_event_fields().is_ok());
+        assert!(engine().try_run(SimTime::from_millis(1)).is_ok());
+        engine().run(SimTime::from_millis(1));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`FaultPlane::holds`] and [`FaultPlane::extra_delay`] at transmit,
 //! [`FaultPlane::loses`] at delivery.
 
-use super::{paused_s, Engine, Ev, Touch};
+use super::{paused_s, Engine, Ev, Packed, Touch};
 use crate::topology::LinkId;
 use crate::types::{FlowId, Packet, PacketKind};
 use desim::{EventQueue, SimDuration, SimRng, SimTime};
@@ -117,15 +117,15 @@ pub(super) struct FaultPlane {
 
 impl FaultPlane {
     /// File `op` on the event queue at `at`.
-    fn push(&mut self, events: &mut EventQueue<Ev>, at: SimTime, op: FaultOp) {
-        events.schedule(at, Ev::Fault(self.ops.len()));
+    fn push(&mut self, events: &mut EventQueue<Packed>, at: SimTime, op: FaultOp) {
+        events.schedule(at, Ev::Fault(self.ops.len()).pack());
         self.ops.push(op);
     }
 
     /// File a window of `effect` on `link` from `at` for `duration_s`.
     fn push_window(
         &mut self,
-        events: &mut EventQueue<Ev>,
+        events: &mut EventQueue<Packed>,
         at: SimTime,
         duration_s: f64,
         link: usize,
@@ -368,10 +368,10 @@ impl Engine {
                     obs::trace::record(t_s, obs::Event::FaultPause { link: link as u64 });
                 }
                 self.events
-                    .schedule(now + pause, Ev::FaultStormRelease(LinkId(link)));
+                    .schedule(now + pause, Ev::FaultStormRelease(LinkId(link)).pack());
                 let next = now + period;
                 if next <= until {
-                    self.events.schedule(next, Ev::Fault(idx));
+                    self.events.schedule(next, Ev::Fault(idx).pack());
                 }
             }
             FaultOp::Perturb { target, scale } => {

@@ -59,7 +59,7 @@ impl Engine {
         if self.senders.rate_bps[f.0] <= 0.0 {
             self.senders.rate_bps[f.0] = line;
         }
-        self.events.schedule(self.now, Ev::Pacer(f));
+        self.events.schedule(self.now, Ev::Pacer(f).pack());
     }
 
     /// Pacer: release the next packet (or chunk) of flow `f` into its NIC.
@@ -87,7 +87,7 @@ impl Engine {
                 let gap =
                     SimDuration::serialization(wire as u64, self.senders.rate_bps[f.0].max(1e3));
                 if !self.senders.fully_sent(f) {
-                    self.events.schedule(self.now + gap, Ev::Pacer(f));
+                    self.events.schedule(self.now + gap, Ev::Pacer(f).pack());
                 }
                 self.notify_sent(f, send.payload() as u64);
             }
@@ -115,7 +115,7 @@ impl Engine {
                                 * self.cfg.header_bytes as u64,
                         self.senders.rate_bps[f.0].max(1e3),
                     );
-                    self.events.schedule(self.now + gap, Ev::Pacer(f));
+                    self.events.schedule(self.now + gap, Ev::Pacer(f).pack());
                 }
             }
         }

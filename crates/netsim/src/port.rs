@@ -5,7 +5,7 @@
 //! or a packet joining a port's queue and its `TxDone` / `Deliver` events
 //! being armed — enqueue, serialization, PFC, and where the marking decision
 //! and the fault plane's hooks are consulted — including where a `TxDone` is
-//! kept off the wheel (the engine's module doc has the ticket contract that
+//! kept off the queue (the engine's module doc has the ticket contract that
 //! makes that invisible).
 
 use super::{Engine, Ev};
@@ -119,7 +119,7 @@ pub(super) struct Ports {
     pub(super) ctrl_q: Vec<VecDeque<PacketHandle>>,
     pub(super) busy: Vec<bool>,
     /// The `(idle_at, ticket)` of a busy port's `TxDone` while it is *held*:
-    /// ticket taken, but not on the wheel. Held ⇒ busy with both queues
+    /// ticket taken, but not on the queue. Held ⇒ busy with both queues
     /// empty — exactly when dispatching the `TxDone` would do nothing but
     /// clear `busy`, which whoever looks at the port next can do instead
     /// (see [`Engine::try_transmit`]).
@@ -236,7 +236,7 @@ impl Engine {
     }
 
     /// Something is now queued on `link`: a `TxDone` still to come has work
-    /// to do, so it goes on the wheel under the ticket it took at transmit
+    /// to do, so it goes on the queue under the ticket it took at transmit
     /// start (one already due is settled by `try_transmit`); then the port
     /// transmits if it can.
     fn queued(&mut self, link: LinkId) {
@@ -246,7 +246,7 @@ impl Engine {
                     self.ports.held[link.0] = None;
                     self.held_then_filed += 1;
                     self.events
-                        .schedule_reserved(idle_at, ticket, Ev::TxDone(link));
+                        .schedule_reserved(idle_at, ticket, Ev::TxDone(link).pack());
                 }
             }
         }
@@ -286,7 +286,7 @@ impl Engine {
 
     /// If the port is idle (and unpaused), start serializing the next packet.
     ///
-    /// The port's `TxDone` takes its ticket here, but goes on the wheel only
+    /// The port's `TxDone` takes its ticket here, but goes on the queue only
     /// if something is queued behind the transmission; otherwise it is held
     /// in the port. A held `TxDone` that has fallen due — it sorts before
     /// the event being handled — is dispatched right here, by whichever
@@ -361,13 +361,14 @@ impl Engine {
             self.ports.held[link.0] = Some((idle_at, ticket));
         } else {
             self.events
-                .schedule_reserved(idle_at, ticket, Ev::TxDone(link));
+                .schedule_reserved(idle_at, ticket, Ev::TxDone(link).pack());
         }
         let mut deliver_at = idle_at + self.topo.link(link).prop_delay;
         if let Some(plane) = &mut self.faults {
             deliver_at += plane.extra_delay(link, self.now);
         }
-        self.events.schedule(deliver_at, Ev::Deliver(link, h));
+        self.events
+            .schedule(deliver_at, Ev::Deliver(link, h).pack());
         self.update_pfc(link);
     }
 
@@ -542,7 +543,7 @@ mod tests {
         }
     }
 
-    /// Every dispatched event either popped off the wheel, or was a held
+    /// Every dispatched event either popped off the queue, or was a held
     /// `TxDone`, or a CC clock firing — and a run dispatches plenty of each.
     fn check_accounting(mut eng: Engine, flows: usize) {
         let report = eng.run(SimTime::from_millis(20));

@@ -237,10 +237,24 @@ impl Send {
 /// the packet (a data packet) or when a receiver answers one (a control
 /// packet), moved through port queues and `Deliver` events, freed exactly
 /// once at host consumption or a fault drop — so a handle can never outlive
-/// its slot. Nothing reads a handle's value but the arena: slots are
-/// storage, not identity.
+/// its slot. Nothing reads a handle's value but the arena and the engine's
+/// one-word event encoding: slots are storage, not identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PacketHandle(u32);
+
+impl PacketHandle {
+    /// The slot index, for packing into an event word.
+    #[inline]
+    pub(crate) fn index(self) -> u32 {
+        self.0
+    }
+
+    /// The handle an event word carried.
+    #[inline]
+    pub(crate) fn from_index(i: u32) -> Self {
+        PacketHandle(i)
+    }
+}
 
 /// Slab allocator for in-flight packets with free-list reuse.
 ///

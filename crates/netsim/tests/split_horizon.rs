@@ -1,6 +1,6 @@
 //! `run(t1)`, `run(t2)`, … on one engine dispatch what one `run` to the last
 //! horizon dispatches, in the same order — including the events that have
-//! no wheel entry of their own and are accounted for when a horizon passes
+//! no queue entry of their own and are accounted for when a horizon passes
 //! over them (held `TxDone`s, CC clock firings), and the self-re-arming
 //! PI-AQM tick.
 

@@ -13,8 +13,9 @@
 //! and is flagged.
 //!
 //! The report gives, per metric: both sides' medians and quartiles, the
-//! median of the per-pair ratios change / parent, in how many pairs the
-//! change read lower, whether the medians differ by more than the parent's
+//! median of the per-pair ratios change / parent with a distribution-free
+//! confidence interval ([`median_interval`]), in how many pairs the change
+//! read lower, whether the medians differ by more than the parent's
 //! interquartile range, and a [`Verdict`] against the metric's bound.
 
 use obs::json::{parse, Value};
@@ -22,6 +23,9 @@ use std::fmt::Write as _;
 
 /// Calibration medians of a pair's two runs may differ by this share.
 pub const CALIB_TOLERANCE: f64 = 0.10;
+
+/// The coverage the median ratio's interval aims for.
+pub const INTERVAL_LEVEL: f64 = 0.95;
 
 /// What an A/B measures, fixed before the first run.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,6 +203,8 @@ pub struct Summary {
     pub change: [f64; 3],
     /// Median over pairs of change / parent.
     pub ratio_median: f64,
+    /// A distribution-free interval for the median ratio, and its coverage.
+    pub ratio_interval: MedianInterval,
     /// Pairs in which the change read lower.
     pub change_lower: usize,
     /// Pairs run.
@@ -250,6 +256,7 @@ pub fn summarize(plan: &Plan, pairs: &[Pair]) -> Vec<Summary> {
                 parent: quartiles(&parent),
                 change: quartiles(&change),
                 ratio_median: median(&ratios),
+                ratio_interval: median_interval(&ratios, INTERVAL_LEVEL),
                 change_lower: change.iter().zip(&parent).filter(|(c, p)| c < p).count(),
                 pairs: pairs.len(),
                 bound: *bound,
@@ -299,6 +306,53 @@ pub fn median(xs: &[f64]) -> f64 {
     quartiles(xs)[1]
 }
 
+/// A confidence interval for a population median from its samples.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MedianInterval {
+    /// The lower end, an order statistic.
+    pub lo: f64,
+    /// The upper end, an order statistic.
+    pub hi: f64,
+    /// The probability that the interval holds the median, for any
+    /// continuous distribution of the samples.
+    pub coverage: f64,
+}
+
+/// The distribution-free interval for the median of `xs`: the order
+/// statistics x₍ₖ₎ and x₍ₙ₊₁₋ₖ₎, which hold the median with probability
+/// 1 − 2·P(B < k), B ~ binomial(n, ½) (the count of samples below the
+/// median). `k` is the largest whose coverage reaches `level`; with too few
+/// samples for `level` it is 1, the sample range, at the coverage that has.
+/// Ten pairs give x₍₂₎ … x₍₉₎ at 97.9 %. NaN ends for no samples.
+pub fn median_interval(xs: &[f64], level: f64) -> MedianInterval {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n == 0 {
+        return MedianInterval {
+            lo: f64::NAN,
+            hi: f64::NAN,
+            coverage: f64::NAN,
+        };
+    }
+    // P(B = k), and P(B < k) summed up while 1 − 2·P(B < k + 1) ≥ level.
+    let mut p_k = 0.5f64.powi(n as i32);
+    let (mut k, mut below_k) = (1, p_k);
+    while k < n.div_ceil(2) {
+        p_k *= (n + 1 - k) as f64 / k as f64;
+        if 1.0 - 2.0 * (below_k + p_k) < level {
+            break;
+        }
+        below_k += p_k;
+        k += 1;
+    }
+    MedianInterval {
+        lo: v[k - 1],
+        hi: v[n - k],
+        coverage: 1.0 - 2.0 * below_k,
+    }
+}
+
 /// The JSON record: the plan, every run, and the summary.
 pub fn report_json(plan: &Plan, pairs: &[Pair]) -> Value {
     let run = |r: &Run| {
@@ -334,6 +388,14 @@ pub fn report_json(plan: &Plan, pairs: &[Pair]) -> Value {
                 ("change_quartiles".into(), Value::Nums(s.change.to_vec())),
                 ("ratio_median".into(), Value::Num(s.ratio_median)),
                 (
+                    "ratio_interval".into(),
+                    Value::Nums(vec![s.ratio_interval.lo, s.ratio_interval.hi]),
+                ),
+                (
+                    "ratio_interval_coverage".into(),
+                    Value::Num(s.ratio_interval.coverage),
+                ),
+                (
                     "beyond_parent_iqr".into(),
                     Value::Bool(s.beyond_parent_iqr()),
                 ),
@@ -362,17 +424,27 @@ pub fn report_md(plan: &Plan, pairs: &[Pair]) -> String {
         "Parent `{}`, change `{}`; `--seconds {}`, seeds 1/2 and order alternating (pre-registered).\n",
         plan.parent, plan.change, plan.seconds
     );
-    md.push_str("| metric | parent median [quartiles] | change median [quartiles] | median ratio | change lower | medians apart by > parent IQR | bound | verdict |\n");
+    let summaries = summarize(plan, pairs);
+    let coverage = summaries
+        .first()
+        .map_or(f64::NAN, |s| s.ratio_interval.coverage);
+    let _ = writeln!(
+        md,
+        "| metric | parent median [quartiles] | change median [quartiles] | median ratio [{:.1} % interval] | change lower | medians apart by > parent IQR | bound | verdict |",
+        coverage * 100.0
+    );
     md.push_str("|---|---|---|---|---|---|---|---|\n");
     let q = |[lo, mid, hi]: [f64; 3]| format!("{mid:.4} [{lo:.4}, {hi:.4}]");
-    for s in summarize(plan, pairs) {
+    for s in summaries {
         let _ = writeln!(
             md,
-            "| `{}` | {} | {} | {:.3} | {}/{} | {} | {:.0} % | {} |",
+            "| `{}` | {} | {} | {:.3} [{:.3}, {:.3}] | {}/{} | {} | {:.0} % | {} |",
             s.metric,
             q(s.parent),
             q(s.change),
             s.ratio_median,
+            s.ratio_interval.lo,
+            s.ratio_interval.hi,
             s.change_lower,
             pairs.len(),
             if s.beyond_parent_iqr() { "yes" } else { "no" },
@@ -520,8 +592,9 @@ mod tests {
         );
         let md = report_md(&plan(3), &pairs);
         assert!(md.lines().count() <= 60, "{md}");
+        assert!(md.contains("| median ratio [75.0 % interval] |"), "{md}");
         assert!(
-            md.contains("| `peak_rss_mb` | 14.6000 [14.5500, 14.6500] | 12.1000 [12.0500, 12.1500] | 0.829 | 3/3 | yes | 15 % | gain |"),
+            md.contains("| `peak_rss_mb` | 14.6000 [14.5500, 14.6500] | 12.1000 [12.0500, 12.1500] | 0.829 [0.828, 0.830] | 3/3 | yes | 15 % | gain |"),
             "{md}"
         );
         assert!(md.contains("(flagged)"));
@@ -576,6 +649,30 @@ mod tests {
     #[test]
     fn equal_runs_are_no_regression() {
         assert_eq!(verdict(STEADY, STEADY), Verdict::NoRegression);
+    }
+
+    #[test]
+    fn the_median_interval_takes_the_binomial_order_statistics() {
+        let tenths: Vec<f64> = (1..=10).rev().map(|i| f64::from(i) / 10.0).collect();
+        // Ten: P(B < 2) = 11/1024, P(B < 3) = 56/1024 > 2.5 %.
+        let ten = median_interval(&tenths, INTERVAL_LEVEL);
+        assert_eq!((ten.lo, ten.hi), (0.2, 0.9));
+        assert_eq!(ten.coverage, 1.0 - 22.0 / 1024.0);
+        // Twenty: P(B < 6) = 21 700 / 2^20, P(B < 7) = 60 460 / 2^20.
+        let twenty: Vec<f64> = (1..=20).map(f64::from).collect();
+        let i = median_interval(&twenty, INTERVAL_LEVEL);
+        assert_eq!((i.lo, i.hi), (6.0, 15.0));
+        assert_eq!(i.coverage, 1.0 - 2.0 * 21_700.0 / 1_048_576.0);
+        // Five cannot reach 95 %: the sample range, at 1 − 2/32.
+        let five = median_interval(&tenths[..5], INTERVAL_LEVEL);
+        assert_eq!((five.lo, five.hi, five.coverage), (0.6, 1.0, 0.9375));
+        assert_eq!(median_interval(&[3.0], INTERVAL_LEVEL).coverage, 0.0);
+        assert!(median_interval(&[], INTERVAL_LEVEL).lo.is_nan());
+        // Ten pairs, nine lower: the interval lies below 1.
+        let mut faster = STEADY.map(|x| x * 0.9);
+        faster[0] = 1.1;
+        let ratios: Vec<f64> = faster.iter().zip(STEADY).map(|(c, p)| c / p).collect();
+        assert!(median_interval(&ratios, INTERVAL_LEVEL).hi < 1.0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! pause count recorded at ce4e36c, the commit before the event loop was
 //! fused: the loop may be made cheaper, but it may not dispatch a different
 //! event, or the same events in a different order — whether or not every
-//! event still has a wheel entry of its own (the digest folds in
+//! event still has a queue entry of its own (the digest folds in
 //! `events_processed`), and whether the horizon is reached in one `run` or
 //! in several. A fifth run has long-lived flows, which no FCT digest can pin:
 //! it is run twice and the two reports are compared bit for bit.
@@ -69,7 +69,7 @@ fn dcqcn_per_packet_single_switch() {
 #[test]
 fn dcqcn_split_horizon_equals_one_run() {
     // The same cell run to three horizons in turn: events up to each
-    // horizon — with or without a wheel entry of their own — are dispatched
+    // horizon — with or without a queue entry of their own — are dispatched
     // and counted by the run that reaches it, the rest by a later one.
     // Counters are cumulative; each report hands out the FCTs of its run.
     let mut eng = single_switch(Protocol::Dcqcn, 4, EngineConfig::default());
